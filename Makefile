@@ -55,7 +55,7 @@ bench-full:
 	BWC_BENCH_FULL=1 dune exec bench/main.exe
 
 # E14 only: churn the incremental index, emit BENCH_index.json, fail on
-# any incremental-vs-rebuild divergence
+# any incremental-vs-rebuild divergence or failed find witness
 bench-index:
 	dune exec bench/main.exe -- --index-only
 

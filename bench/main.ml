@@ -143,10 +143,7 @@ let restart () =
 
 let index_churn () =
   section "Incremental index maintenance under churn  [E14]";
-  let sizes =
-    if full then [ 64; 128; 256; 384; 1024; 4096 ]
-    else [ 64; 128; 256; 1024; 4096 ]
-  in
+  let sizes = if full then [ 64; 128; 256; 384; 1024 ] else [ 64; 128; 256; 1024 ] in
   let rows =
     Bwc_experiments.Scalability.churn_sweep ~sizes
       ~events_per_size:(if full then 32 else 16)
@@ -157,16 +154,10 @@ let index_churn () =
   Format.printf "churn sweep written to BENCH_index.json@.";
   let diverged = Bwc_experiments.Scalability.churn_divergence rows in
   if diverged > 0 then begin
-    Format.eprintf "E14: %d differential divergences between incremental and rebuilt index@."
+    Format.eprintf
+      "E14: %d divergences (failed find witnesses or incremental-vs-rebuilt disagreements)@."
       diverged;
     exit 1
-  end;
-  let violations = Bwc_experiments.Scalability.churn_bound_violations rows in
-  if violations > 0 then begin
-    Format.eprintf
-      "E14: %d coreset interval bound violations against exact/spot ground truth@."
-      violations;
-    exit 3
   end
 
 (* Cost of structured tracing on the hot path: the same seeded

@@ -60,7 +60,7 @@ let send_response fd response =
   go 0
 
 let serve socket_path dataset seed snapshot_path keep tick_ms snapshot_every
-    hosts index_mode =
+    hosts =
   let ds = load_dataset ~seed dataset in
   let ds =
     match hosts with
@@ -73,7 +73,7 @@ let serve socket_path dataset seed snapshot_path keep tick_ms snapshot_every
     logf "cold start: building %s (n=%d) from scratch"
       ds.Bwc_dataset.Dataset.name
       (Bwc_dataset.Dataset.size ds);
-    Dynamic.create ~seed ~index_mode ds
+    Dynamic.create ~seed ds
   in
   let boot = Lifecycle.boot ~metrics ~keep ~path:snapshot_path ~cold () in
   List.iter
@@ -86,10 +86,6 @@ let serve socket_path dataset seed snapshot_path keep tick_ms snapshot_every
         g
         (Dynamic.member_count boot.Lifecycle.system)
   | None -> logf "serving cold (%d members)" (Dynamic.member_count boot.Lifecycle.system));
-  (match Dynamic.index_mode boot.Lifecycle.system with
-  | Dynamic.Exact -> logf "index mode: exact"
-  | Dynamic.Coreset k ->
-      logf "index mode: coreset (k=%d; degraded answers carry lo/hi bounds)" k);
   let config =
     { Reactor.default_config with Reactor.snapshot_every; seed }
   in
@@ -365,35 +361,10 @@ let serve_cmd =
       & info [ "hosts" ] ~docv:"N"
           ~doc:"Subset the dataset to N hosts before serving.")
   in
-  let index_mode =
-    let parse s =
-      match s with
-      | "exact" -> Ok Dynamic.Exact
-      | "coreset" -> Ok (Dynamic.Coreset Bwc_core.Find_cluster.Coreset.default_k)
-      | _ when String.length s > 8 && String.sub s 0 8 = "coreset:" -> (
-          match int_of_string_opt (String.sub s 8 (String.length s - 8)) with
-          | Some k when k >= 1 -> Ok (Dynamic.Coreset k)
-          | _ -> Error (`Msg "coreset summary size must be a positive integer"))
-      | _ -> Error (`Msg "expected 'exact', 'coreset' or 'coreset:K'")
-    in
-    let print ppf = function
-      | Dynamic.Exact -> Format.pp_print_string ppf "exact"
-      | Dynamic.Coreset k -> Format.fprintf ppf "coreset:%d" k
-    in
-    Arg.(
-      value
-      & opt (conv (parse, print)) Dynamic.Exact
-      & info [ "index-mode" ] ~docv:"MODE"
-          ~doc:
-            "Cluster index for a cold start: $(b,exact) (O(n^2) maintained \
-             all-pairs index) or $(b,coreset)[:K] (O(n*K) sharded summaries; \
-             degraded answers carry certified lo/hi size bounds).  A warm \
-             restart keeps the snapshot's mode.")
-  in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const serve $ socket_arg $ dataset $ seed_arg $ snapshot $ keep
-      $ tick_ms $ snapshot_every $ hosts $ index_mode)
+      $ tick_ms $ snapshot_every $ hosts)
 
 let client_cmd =
   let doc =

@@ -2,8 +2,6 @@ module Rng = Bwc_stats.Rng
 module Dataset = Bwc_dataset.Dataset
 module Ensemble = Bwc_predtree.Ensemble
 
-type index_mode = Exact | Coreset of int
-
 type t = {
   rng : Rng.t;
   c : float;
@@ -12,28 +10,20 @@ type t = {
   fw : Ensemble.t;
   protocol : Protocol.t;
   classes : Classes.t;
-  index_mode : index_mode;
-  metrics : Bwc_obs.Registry.t option;
   mutable index : Find_cluster.Index.t option; (* lazy, then delta-maintained *)
-  mutable coreset : Find_cluster.Coreset.t option; (* ditto, approximate arm *)
 }
 
 (* detector/manual repairs evict members underneath us; the maintained
-   structures follow by delta instead of being rebuilt *)
+   index follows by delta instead of being rebuilt *)
 let install_evict_hook t =
   Protocol.set_on_evict t.protocol (fun h ->
-      (match t.index with
+      match t.index with
       | Some idx when Find_cluster.Index.is_member idx h ->
           Find_cluster.Index.remove_host idx h
-      | Some _ | None -> ());
-      match t.coreset with
-      | Some cor when Find_cluster.Coreset.is_member cor h ->
-          Find_cluster.Coreset.remove cor h
       | Some _ | None -> ())
 
 let create ?(seed = 1) ?(c = Bwc_metric.Bandwidth.default_c) ?n_cut ?(class_count = 8)
-    ?ensemble_size ?initial_members ?detector ?metrics ?trace
-    ?(index_mode = Exact) dataset =
+    ?ensemble_size ?initial_members ?detector ?metrics ?trace dataset =
   let rng = Rng.create seed in
   let space = Dataset.metric ~c dataset in
   let fw =
@@ -45,10 +35,6 @@ let create ?(seed = 1) ?(c = Bwc_metric.Bandwidth.default_c) ?n_cut ?(class_coun
     Protocol.create ~rng:(Rng.split rng) ?n_cut ?detector ?metrics ?trace ~classes fw
   in
   let (_ : int) = Protocol.run_aggregation protocol in
-  (match index_mode with
-  | Exact -> ()
-  | Coreset k ->
-      if k < 1 then invalid_arg "Dynamic.create: Coreset k < 1");
   let t =
     {
       rng;
@@ -58,10 +44,7 @@ let create ?(seed = 1) ?(c = Bwc_metric.Bandwidth.default_c) ?n_cut ?(class_coun
       fw;
       protocol;
       classes;
-      index_mode;
-      metrics;
       index = None;
-      coreset = None;
     }
   in
   install_evict_hook t;
@@ -72,32 +55,11 @@ let create ?(seed = 1) ?(c = Bwc_metric.Bandwidth.default_c) ?n_cut ?(class_coun
    spaces are closures and never serialize — and the eviction hook is
    re-installed, so a restored system keeps maintaining its index by
    delta exactly like the original. *)
-let assemble ~dataset ~c ~fw ~protocol ~classes ~rng_state ~index ?(index_mode = Exact)
-    ?coreset () =
+let assemble ~dataset ~c ~fw ~protocol ~classes ~rng_state ~index () =
   let space = Bwc_metric.Space.cached (Dataset.metric ~c dataset) in
   let t =
-    {
-      rng = Rng.of_state rng_state;
-      c;
-      dataset;
-      space;
-      fw;
-      protocol;
-      classes;
-      index_mode;
-      metrics = None;
-      index;
-      coreset;
-    }
+    { rng = Rng.of_state rng_state; c; dataset; space; fw; protocol; classes; index }
   in
-  (* a restored coreset must describe exactly the restored membership;
-     anything else is a corrupt snapshot, not a recoverable state *)
-  (match coreset with
-  | None -> ()
-  | Some cor ->
-      let ms = List.sort compare (Ensemble.members fw) in
-      if Find_cluster.Coreset.members cor <> ms then
-        invalid_arg "Dynamic.assemble: coreset members disagree with ensemble");
   install_evict_hook t;
   t
 
@@ -105,8 +67,6 @@ let dataset t = t.dataset
 let c t = t.c
 let rng_state t = Rng.state t.rng
 let index_opt t = t.index
-let index_mode t = t.index_mode
-let coreset_opt t = t.coreset
 
 let members t = Ensemble.members t.fw
 let member_count t = List.length (members t)
@@ -123,50 +83,17 @@ let index t =
       t.index <- Some i;
       i
 
-let coreset_k t =
-  match t.index_mode with
-  | Coreset k -> k
-  | Exact -> Find_cluster.Coreset.default_k
-
-let coreset t =
-  match t.coreset with
-  | Some c -> c
-  | None ->
-      (* seed the summary overlay from the protocol's own anchor topology
-         (deep-copied), so summary merges follow the same aggregation
-         paths Algorithm 3 uses *)
-      let c =
-        Find_cluster.Coreset.of_anchor ~k:(coreset_k t) ?metrics:t.metrics t.space
-          (Bwc_predtree.Framework.anchor (Ensemble.primary t.fw))
-      in
-      t.coreset <- Some c;
-      c
-
-(* apply one membership delta to the maintained structures, if
-   materialised (a not-yet-demanded index is simply built over the
-   members of the moment it is first used) *)
+(* apply one membership delta to the maintained index, if materialised
+   (a not-yet-demanded index is simply built over the members of the
+   moment it is first used) *)
 let index_join t h =
-  (match t.index with
+  match t.index with
   | Some idx -> Find_cluster.Index.add_host idx h
-  | None -> ());
-  match t.coreset with
-  | Some cor ->
-      (* the newcomer's protocol anchor parent is already placed, so the
-         summary overlay can mirror the real aggregation topology *)
-      let parent =
-        Bwc_predtree.Anchor.parent
-          (Bwc_predtree.Framework.anchor (Ensemble.primary t.fw))
-          h
-      in
-      Find_cluster.Coreset.add ?parent cor h
   | None -> ()
 
 let index_leave t h =
-  (match t.index with
+  match t.index with
   | Some idx -> Find_cluster.Index.remove_host idx h
-  | None -> ());
-  match t.coreset with
-  | Some cor -> Find_cluster.Coreset.remove cor h
   | None -> ()
 
 let stabilize t =
@@ -231,14 +158,3 @@ let query ?at t ~k ~b =
 let query_centralized t ~k ~b =
   let l = Bwc_metric.Bandwidth.to_distance ~c:t.c b in
   Find_cluster.Index.find (index t) ~k ~l
-
-let query_bounds t ~k ~b =
-  let l = Bwc_metric.Bandwidth.to_distance ~c:t.c b in
-  match t.index_mode with
-  | Exact ->
-      let idx = index t in
-      let m = Find_cluster.Index.max_size idx ~l in
-      (Find_cluster.Index.find idx ~k ~l, { Find_cluster.Coreset.lo = m; hi = m })
-  | Coreset _ ->
-      let cor = coreset t in
-      (Find_cluster.Coreset.find cor ~k ~l, Find_cluster.Coreset.max_size cor ~l)

@@ -19,12 +19,6 @@
 
 type t
 
-type index_mode =
-  | Exact  (** the O(n^2)-per-event {!Find_cluster.Index} baseline *)
-  | Coreset of int
-      (** approximate {!Find_cluster.Coreset} summaries of size [k]:
-          O(k^2 · depth) per event, interval answers *)
-
 val create :
   ?seed:int ->
   ?c:float ->
@@ -35,16 +29,13 @@ val create :
   ?detector:Detector.config ->
   ?metrics:Bwc_obs.Registry.t ->
   ?trace:Bwc_obs.Trace.t ->
-  ?index_mode:index_mode ->
   Bwc_dataset.Dataset.t ->
   t
 (** [initial_members] defaults to all hosts of the dataset.
     [detector]/[metrics]/[trace] are threaded into the underlying
     {!Protocol.create} (and [metrics] into the ensemble build), so a
     long-running host such as [bwclusterd] observes the whole stack
-    through one registry and one trace sink.  [index_mode] (default
-    [Exact]) selects which centralized comparison structure churn
-    maintains and {!query_bounds} serves from. *)
+    through one registry and one trace sink. *)
 
 val assemble :
   dataset:Bwc_dataset.Dataset.t ->
@@ -54,16 +45,14 @@ val assemble :
   classes:Classes.t ->
   rng_state:int64 ->
   index:Find_cluster.Index.t option ->
-  ?index_mode:index_mode ->
-  ?coreset:Find_cluster.Coreset.t ->
   unit ->
   t
 (** Snapshot restore only (see [Bwc_persist]): re-assembles a dynamic
     system from already-restored layers.  Rebuilds the measured-metric
     index universe from the dataset and re-installs the eviction hook
-    that keeps the maintained structures valid under detector-driven
-    repair.  A restored [coreset] must describe exactly the restored
-    membership ([Invalid_argument] otherwise — a corrupt snapshot). *)
+    that keeps a maintained index valid under detector-driven repair.
+    The trailing [unit] carries nothing; it is kept so existing callers
+    still compile. *)
 
 val dataset : t -> Bwc_dataset.Dataset.t
 val c : t -> float
@@ -74,12 +63,6 @@ val rng_state : t -> int64
 
 val index_opt : t -> Find_cluster.Index.t option
 (** The maintained index if it has been forced, without forcing it. *)
-
-val index_mode : t -> index_mode
-
-val coreset_opt : t -> Find_cluster.Coreset.t option
-(** The maintained coreset index if it has been forced, without forcing
-    it. *)
 
 val members : t -> int list
 val member_count : t -> int
@@ -132,20 +115,6 @@ val query_centralized : t -> k:int -> b:float -> int list option
     [l = C / b] — the centralized baseline the dynamic experiments
     compare the decentralized protocol against, kept valid under churn
     without rebuilds. *)
-
-val coreset : t -> Find_cluster.Coreset.t
-(** The maintained coreset index ([k] from the mode, or
-    {!Find_cluster.Coreset.default_k} under [Exact]).  Built on first use
-    from the primary anchor topology, then delta-maintained on every
-    join, leave and eviction alongside the exact index. *)
-
-val query_bounds :
-  t -> k:int -> b:float -> int list option * Find_cluster.Coreset.interval
-(** Mode-dispatched centralized answer with a certified size interval:
-    under [Coreset _] the cluster comes from the summary index (feasible
-    when [Some], inconclusive when [None]) and the interval brackets the
-    exact maximum cluster size; under [Exact] the interval collapses to
-    the exact point answer. *)
 
 val stabilize : t -> int
 (** Re-runs background aggregation until quiescent; returns rounds run.

@@ -396,234 +396,3 @@ module Index = struct
     recompute_prefix_max t;
     t
 end
-
-module Coreset = struct
-  module CS = Bwc_metric.Coreset
-  module Anchor = Bwc_predtree.Anchor
-  module Registry = Bwc_obs.Registry
-
-  type interval = CS.interval = { lo : int; hi : int }
-
-  let default_k = 32
-
-  type t = {
-    space : Space.t;
-    ck : int;
-    mutable anchor : Anchor.t;
-    summaries : (int, CS.t) Hashtbl.t;
-    m_merge : Registry.Counter.t option;
-    m_rebuild : Registry.Counter.t option;
-    m_width : Registry.Histogram.t option;
-  }
-
-  let create ?(k = default_k) ?metrics space =
-    if k < 1 then invalid_arg "Find_cluster.Coreset.create: k < 1";
-    {
-      space;
-      ck = k;
-      anchor = Anchor.create ();
-      summaries = Hashtbl.create 64;
-      m_merge = Option.map (fun m -> Registry.counter m "coreset.merge") metrics;
-      m_rebuild = Option.map (fun m -> Registry.counter m "coreset.rebuild") metrics;
-      m_width =
-        Option.map (fun m -> Registry.histogram m "coreset.error_bound") metrics;
-    }
-
-  let k_param t = t.ck
-  let size t = Anchor.size t.anchor
-  let members t = Anchor.hosts t.anchor
-  let is_member t h = Anchor.mem t.anchor h
-  let bump = function Some c -> Registry.Counter.incr c | None -> ()
-
-  let singleton t h = CS.of_points t.space ~k:t.ck [ h ]
-
-  (* Invariant: [summaries] maps every current host [x] to the summary of
-     the subtree rooted at [x] — a pure function of (space, k, subtree
-     topology), because [CS.merge] canonicalises its inputs.  All
-     maintenance below is "recompute the nodes whose child set changed,
-     then their ancestors". *)
-  let recompute t x =
-    let inputs =
-      singleton t x
-      :: List.map (fun c -> Hashtbl.find t.summaries c) (Anchor.children t.anchor x)
-    in
-    Hashtbl.replace t.summaries x (CS.merge t.space ~k:t.ck inputs);
-    bump t.m_merge
-
-  let rec refresh_path t x =
-    recompute t x;
-    match Anchor.parent t.anchor x with
-    | Some p -> refresh_path t p
-    | None -> ()
-
-  let rec rebuild_node t x =
-    List.iter (rebuild_node t) (Anchor.children t.anchor x);
-    recompute t x
-
-  let rebuild t =
-    Hashtbl.reset t.summaries;
-    if Anchor.size t.anchor > 0 then rebuild_node t (Anchor.root t.anchor);
-    bump t.m_rebuild
-
-  (* Auto-placement keeps the internal overlay shallow: attach under the
-     shallowest host that still has fewer than three children (ties to the
-     emptier node, then the smallest id), giving O(log n) depth without
-     consulting the protocol overlay. *)
-  let fanout = 3
-
-  let auto_parent t =
-    let best = ref None in
-    List.iter
-      (fun h ->
-        let c = List.length (Anchor.children t.anchor h) in
-        if c < fanout then begin
-          let key = (Anchor.depth t.anchor h, c, h) in
-          match !best with
-          | Some (bk, _) when compare bk key <= 0 -> ()
-          | _ -> best := Some (key, h)
-        end)
-      (Anchor.hosts t.anchor);
-    match !best with
-    | Some (_, h) -> h
-    | None -> Anchor.root t.anchor
-
-  let add_no_refresh t ?parent h =
-    if h < 0 || h >= t.space.Space.n then
-      invalid_arg "Find_cluster.Coreset.add: host out of range";
-    if Anchor.mem t.anchor h then
-      invalid_arg "Find_cluster.Coreset.add: already a member";
-    if Anchor.size t.anchor = 0 then Anchor.set_root t.anchor h
-    else begin
-      let p =
-        match parent with
-        | Some p ->
-            if not (Anchor.mem t.anchor p) then
-              invalid_arg "Find_cluster.Coreset.add: unknown parent";
-            p
-        | None -> auto_parent t
-      in
-      Anchor.add t.anchor ~parent:p h
-    end;
-    Hashtbl.replace t.summaries h (singleton t h)
-
-  let add ?parent t h =
-    add_no_refresh t ?parent h;
-    match Anchor.parent t.anchor h with
-    | Some p -> refresh_path t p
-    | None -> ()
-
-  let remove t h =
-    if not (Anchor.mem t.anchor h) then
-      invalid_arg "Find_cluster.Coreset.remove: not a member";
-    if Anchor.size t.anchor = 1 then begin
-      t.anchor <- Anchor.create ();
-      Hashtbl.reset t.summaries
-    end
-    else begin
-      let parent = Anchor.parent t.anchor h in
-      Hashtbl.remove t.summaries h;
-      if Anchor.children t.anchor h = [] then begin
-        (match Anchor.remove_leaf t.anchor h with
-        | Ok () -> ()
-        | Error `Not_leaf -> assert false);
-        match parent with Some p -> refresh_path t p | None -> assert false
-      end
-      else begin
-        (match Anchor.remove_node t.anchor h with
-        | Ok _moves -> ()
-        | Error `Last_host -> assert false);
-        (* Orphans regraft under [h]'s parent (or the promoted root), so
-           only that node's child set — and its ancestors — changed. *)
-        match parent with
-        | Some p -> refresh_path t p
-        | None -> refresh_path t (Anchor.root t.anchor)
-      end
-    end
-
-  let of_members ?k ?metrics space hosts =
-    let t = create ?k ?metrics space in
-    List.iter (fun h -> add_no_refresh t h) hosts;
-    rebuild t;
-    t
-
-  let of_anchor ?k ?metrics space anchor =
-    let t = create ?k ?metrics space in
-    t.anchor <- Anchor.of_dump (Anchor.dump anchor);
-    List.iter
-      (fun h ->
-        if h < 0 || h >= space.Space.n then
-          invalid_arg "Find_cluster.Coreset.of_anchor: host out of range")
-      (Anchor.hosts t.anchor);
-    rebuild t;
-    t
-
-  let summary t =
-    if Anchor.size t.anchor = 0 then CS.of_points t.space ~k:t.ck []
-    else Hashtbl.find t.summaries (Anchor.root t.anchor)
-
-  let observe_width t (iv : interval) =
-    match t.m_width with
-    | Some h -> Registry.Histogram.observe h (iv.hi - iv.lo)
-    | None -> ()
-
-  let max_size t ~l =
-    let iv = CS.max_size t.space (summary t) ~l in
-    observe_width t iv;
-    iv
-
-  let max_sizes t ~ls = Array.map (fun l -> max_size t ~l) ls
-
-  let exists t ~k ~l = CS.exists t.space (summary t) ~k ~l
-
-  let find ?(verify = false) t ~k ~l =
-    if k < 2 then invalid_arg "Find_cluster.Coreset.find: k < 2";
-    let reps = CS.reps (summary t) in
-    let m = Array.length reps in
-    let dist = t.space.Space.dist in
-    let result = ref None in
-    (try
-       for i = 0 to m - 1 do
-         for j = i + 1 to m - 1 do
-           let u = reps.(i).CS.host and v = reps.(j).CS.host in
-           let duv = dist u v in
-           if duv <= l then begin
-             let certain = ref [] in
-             for r = m - 1 downto 0 do
-               let h = reps.(r).CS.host in
-               if h <> u && h <> v && dist h u <= duv && dist h v <= duv then
-                 certain := h :: !certain
-             done;
-             if List.length !certain >= k - 2 then begin
-               let cluster = u :: v :: take (k - 2) !certain in
-               if cluster_ok ~verify t.space ~l cluster then begin
-                 result := Some cluster;
-                 raise Exit
-               end
-             end
-           end
-         done
-       done
-     with Exit -> ());
-    !result
-
-  (* {2 Persistence}
-
-     The summary cache is a pure function of (space, k, topology), so the
-     dump is topology-only and restore is a deterministic rebuild. *)
-
-  type dump = { d_k : int; d_anchor : Anchor.dump }
-
-  let dump t = { d_k = t.ck; d_anchor = Anchor.dump t.anchor }
-
-  let of_dump ?metrics space d =
-    if d.d_k < 1 then invalid_arg "Find_cluster.Coreset.of_dump: k < 1";
-    let t = create ~k:d.d_k ?metrics space in
-    t.anchor <- Anchor.of_dump d.d_anchor;
-    List.iter
-      (fun h ->
-        if h < 0 || h >= space.Space.n then
-          invalid_arg "Find_cluster.Coreset.of_dump: host out of range")
-      (Anchor.hosts t.anchor);
-    rebuild t;
-    t
-end

@@ -112,92 +112,3 @@ module Index : sig
       membership ordering/range and count bounds; raises
       [Invalid_argument] on any violation. *)
 end
-
-(** Approximate maintained index: per-subtree bounded summaries merged
-    bottom-up along an anchor-shaped overlay (ROADMAP "sharded coreset"
-    item; see {!Bwc_metric.Coreset} for the bound derivation).
-
-    The structure owns an internal overlay topology — seeded from the
-    protocol's anchor tree via {!of_anchor} or grown with the built-in
-    shallow placement — and caches, per host, the summary of the subtree
-    below it.  A membership event refreshes the event path only:
-    O(k^2 · degree · depth) distance evaluations against the exact
-    index's O(n^2), and O(n·k) memory against O(n^2).
-
-    Queries answer with certified intervals rather than exact counts;
-    intervals collapse to the exact answer whenever no summary ever
-    exceeded [k] points (e.g. [k >= n]).  The two-sided guarantee holds on
-    metric spaces; {!find} results are re-checked against real distances
-    and are feasible on any space. *)
-module Coreset : sig
-  type t
-
-  type interval = Bwc_metric.Coreset.interval = { lo : int; hi : int }
-
-  val default_k : int
-  (** [32] — the summary size used when [?k] is omitted. *)
-
-  val create : ?k:int -> ?metrics:Bwc_obs.Registry.t -> Bwc_metric.Space.t -> t
-  (** Empty index over a universe space.  With [metrics], bumps
-      [coreset.merge] per summary recomputation, [coreset.rebuild] per
-      full rebuild, and observes interval widths in
-      [coreset.error_bound].  Raises [Invalid_argument] for [k < 1]. *)
-
-  val of_members :
-    ?k:int -> ?metrics:Bwc_obs.Registry.t -> Bwc_metric.Space.t -> int list -> t
-  (** Members placed with the built-in shallow topology, summaries built
-      bottom-up in one pass (O(n · k^2 · degree) instead of n path
-      refreshes). *)
-
-  val of_anchor :
-    ?k:int ->
-    ?metrics:Bwc_obs.Registry.t ->
-    Bwc_metric.Space.t ->
-    Bwc_predtree.Anchor.t ->
-    t
-  (** Snapshot of a live anchor tree's topology (deep-copied: later
-      mutations of either side do not affect the other). *)
-
-  val k_param : t -> int
-  val size : t -> int
-  val members : t -> int list
-  val is_member : t -> int -> bool
-
-  val add : ?parent:int -> t -> int -> unit
-  (** Join: attach under [parent] (a current member — typically the
-      newcomer's anchor parent in the protocol overlay) or under the
-      built-in placement when omitted, then refresh summaries along the
-      path to the root.  Raises [Invalid_argument] for out-of-range or
-      duplicate hosts and unknown parents. *)
-
-  val remove : t -> int -> unit
-  (** Leave or eviction: interior hosts regraft their children to the
-      grandparent (the anchor tree's crash repair), then the affected
-      path refreshes.  Raises [Invalid_argument] for non-members. *)
-
-  val summary : t -> Bwc_metric.Coreset.t
-  (** The root (whole-membership) summary. *)
-
-  val max_size : t -> l:float -> interval
-  val max_sizes : t -> ls:float array -> interval array
-
-  val exists : t -> k:int -> l:float -> [ `Yes | `No | `Maybe ]
-  (** Raises [Invalid_argument] for [k < 2]. *)
-
-  val find : ?verify:bool -> t -> k:int -> l:float -> int list option
-  (** A feasible cluster certified by direct distance checks, or [None]
-      (inconclusive — the exact index might still find one).  [~verify]
-      additionally re-checks the cluster diameter like {!find}. *)
-
-  (** {2 Persistence} *)
-
-  type dump = { d_k : int; d_anchor : Bwc_predtree.Anchor.dump }
-  (** Topology only: the summary cache is a pure function of
-      (space, k, topology) and is rebuilt deterministically on restore. *)
-
-  val dump : t -> dump
-
-  val of_dump : ?metrics:Bwc_obs.Registry.t -> Bwc_metric.Space.t -> dump -> t
-  (** Raises [Invalid_argument] on malformed topology or out-of-range
-      hosts. *)
-end

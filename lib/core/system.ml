@@ -11,7 +11,6 @@ type t = {
   classes : Classes.t;
   rng : Rng.t; (* for random submission points *)
   mutable index : Find_cluster.Index.t option; (* lazy centralized index *)
-  mutable coreset : Find_cluster.Coreset.t option; (* lazy summary index *)
 }
 
 let create ?(seed = 1) ?(c = Bwc_metric.Bandwidth.default_c) ?n_cut ?(class_count = 8)
@@ -26,14 +25,14 @@ let create ?(seed = 1) ?(c = Bwc_metric.Bandwidth.default_c) ?n_cut ?(class_coun
   in
   let protocol = Protocol.create ~rng:(Rng.split rng) ?n_cut ?detector ~classes fw in
   let (_ : int) = Protocol.run_aggregation ?max_rounds:aggregation_rounds protocol in
-  { seed; dataset; c; fw; protocol; classes; rng; index = None; coreset = None }
+  { seed; dataset; c; fw; protocol; classes; rng; index = None }
 
 (* Persistence: bwc_persist decodes each layer (dataset, ensemble,
    protocol, optional index) and re-assembles the facade here.  No
    validation beyond what the layer decoders already did — this is pure
    plumbing. *)
-let assemble ~seed ~dataset ~c ~fw ~protocol ~classes ~rng_state ~index ?coreset () =
-  { seed; dataset; c; fw; protocol; classes; rng = Rng.of_state rng_state; index; coreset }
+let assemble ~seed ~dataset ~c ~fw ~protocol ~classes ~rng_state ~index =
+  { seed; dataset; c; fw; protocol; classes; rng = Rng.of_state rng_state; index }
 
 let seed t = t.seed
 let rng_state t = Rng.state t.rng
@@ -56,22 +55,6 @@ let index t =
       t.index <- Some i;
       i
 
-(* The coreset arm answers from the same predicted metric, but never
-   caches it densely: summaries evaluate O(n·k) distances lazily, so the
-   approximate path avoids both the O(n^2) cache and the O(n^3) build. *)
-let coreset ?(k = Find_cluster.Coreset.default_k) t =
-  match t.coreset with
-  | Some c when Find_cluster.Coreset.k_param c = k -> c
-  | Some _ | None ->
-      let c =
-        Find_cluster.Coreset.of_anchor ~k (predicted_space t)
-          (Bwc_predtree.Framework.anchor (Ensemble.primary t.fw))
-      in
-      t.coreset <- Some c;
-      c
-
-let coreset_opt t = t.coreset
-
 let query ?at t ~k ~b =
   let at = match at with Some a -> a | None -> Rng.int t.rng (size t) in
   Protocol.query_bandwidth t.protocol ~at ~k ~b
@@ -79,11 +62,6 @@ let query ?at t ~k ~b =
 let query_centralized t ~k ~b =
   let l = Bwc_metric.Bandwidth.to_distance ~c:t.c b in
   Find_cluster.Index.find (index t) ~k ~l
-
-let query_bounds ?coreset_k t ~k ~b =
-  let l = Bwc_metric.Bandwidth.to_distance ~c:t.c b in
-  let cor = coreset ?k:coreset_k t in
-  (Find_cluster.Coreset.find cor ~k ~l, Find_cluster.Coreset.max_size cor ~l)
 
 let real_bw t i j = Dataset.bw t.dataset i j
 let predicted_bw t i j = Ensemble.predicted_bw ~c:t.c t.fw i j

@@ -41,8 +41,6 @@ val assemble :
   classes:Classes.t ->
   rng_state:int64 ->
   index:Find_cluster.Index.t option ->
-  ?coreset:Find_cluster.Coreset.t ->
-  unit ->
   t
 (** Snapshot restore only (see [Bwc_persist]): re-assembles a system from
     already-restored layers without running any aggregation.  The callers
@@ -55,10 +53,6 @@ val rng_state : t -> int64
 
 val index_opt : t -> Find_cluster.Index.t option
 (** The centralized index if it has been forced (by {!index} or a
-    restore), without forcing it. *)
-
-val coreset_opt : t -> Find_cluster.Coreset.t option
-(** The summary index if it has been forced (by {!coreset} or a
     restore), without forcing it. *)
 
 val dataset : t -> Bwc_dataset.Dataset.t
@@ -83,19 +77,6 @@ val index : t -> Find_cluster.Index.t
     query.  A [System] has fixed membership, so no deltas ever apply
     here; the churn path ({!Dynamic.index}) is the one that maintains
     its index incrementally. *)
-
-val coreset : ?k:int -> t -> Find_cluster.Coreset.t
-(** The approximate summary index over the {e uncached} predicted space
-    ([k] defaults to {!Find_cluster.Coreset.default_k}): seeded from the
-    primary anchor topology, it evaluates only the O(n·k) distances the
-    summaries touch, so it never pays the dense O(n^2) cache the exact
-    {!index} needs.  Rebuilt when called with a different [k]. *)
-
-val query_bounds :
-  ?coreset_k:int -> t -> k:int -> b:float -> int list option * Find_cluster.Coreset.interval
-(** Approximate centralized answer: a cluster certified feasible by
-    direct distance checks (or [None], inconclusive) plus the certified
-    interval on the maximum cluster size at [l = C / b]. *)
 
 val real_bw : t -> int -> int -> float
 val predicted_bw : t -> int -> int -> float

@@ -153,15 +153,9 @@ let create ?metrics ?trace config dyn =
     invalid_arg "Reactor.create: bad work budget";
   if config.max_attempts < 1 || config.retry_base < 1 then
     invalid_arg "Reactor.create: bad retry policy";
-  (* force the mode's structure now: the first degraded answer must not
-     pay the initial build (O(n^3) exact, O(n·k^2) coreset) inside a
-     single tick.  In coreset mode the exact index is deliberately left
-     unbuilt — never paying O(n^2)-per-event maintenance is the mode's
-     whole point *)
-  (match Dynamic.index_mode dyn with
-  | Dynamic.Exact -> ignore (Dynamic.index dyn : Bwc_core.Find_cluster.Index.t)
-  | Dynamic.Coreset _ ->
-      ignore (Dynamic.coreset dyn : Bwc_core.Find_cluster.Coreset.t));
+  (* force the index now: the first degraded answer must not pay the
+     O(n^3) initial build inside a single tick *)
+  let (_ : Bwc_core.Find_cluster.Index.t) = Dynamic.index dyn in
   {
     config;
     dyn;
@@ -303,8 +297,9 @@ let process_ingest t ~now ~out ~id ~conn ~cls ~op ~enq ~attempts =
         push (Wire.Acked { id; cls = cls_n; applied })
     | Op_meas _ ->
         (* the synthetic dataset is the measurement oracle, so a feed
-           sample does not rewrite ground truth; what it costs the
-           daemon is aggregation freshness — every [meas_refresh]
+           sample does not rewrite ground truth — the value is dropped
+           and the ACK says so with [applied=0].  What the sample costs
+           the daemon is aggregation freshness: every [meas_refresh]
            accepted samples force the protocol to repropagate, which is
            the work a live feed creates *)
         t.meas_accum <- t.meas_accum + 1;
@@ -313,7 +308,7 @@ let process_ingest t ~now ~out ~id ~conn ~cls ~op ~enq ~attempts =
           Protocol.mark_all_dirty (Dynamic.protocol t.dyn);
           mark_dirty t ~now
         end;
-        push (Wire.Acked { id; cls = cls_n; applied = true }));
+        push (Wire.Acked { id; cls = cls_n; applied = false }));
     finish t ~now ~cls ~enq
   end
 
@@ -328,22 +323,21 @@ let process_query t ~now ~out ~id ~conn ~k ~b ~deadline ~enq =
   end
   else if t.dirty || t.mode = Degraded then begin
     (* stale aggregation: answer from the last consistent index — kept
-       membership-fresh by delta — with an explicit staleness bound.  A
-       coreset-mode daemon reports the certified size bracket alongside
-       its (approximate) cluster; exact-mode answers carry no bounds and
-       render byte-identically to previous releases *)
-    let cluster, bounds =
-      match Dynamic.index_mode t.dyn with
-      | Dynamic.Exact -> (Dynamic.query_centralized t.dyn ~k ~b, None)
-      | Dynamic.Coreset _ ->
-          let cluster, iv = Dynamic.query_bounds t.dyn ~k ~b in
-          (cluster, Some (iv.Bwc_core.Find_cluster.Coreset.lo, iv.hi))
-    in
+       membership-fresh by delta — with an explicit staleness bound *)
+    let cluster = Dynamic.query_centralized t.dyn ~k ~b in
     let staleness = staleness t ~now in
     bump t "daemon.answers" [ ("served", "index") ];
     push
       (Wire.Answer
-         { id; cluster; hops = 0; served = Wire.Index; degraded = true; staleness; bounds })
+         {
+           id;
+           cluster;
+           hops = 0;
+           served = Wire.Index;
+           degraded = true;
+           staleness;
+           bounds = None;
+         })
   end
   else begin
     let r = Dynamic.query t.dyn ~k ~b in

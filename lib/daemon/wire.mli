@@ -17,7 +17,7 @@
     Responses (one of):
     {v
     PONG
-    OK <id> cluster=<h1,h2,...|none> hops=<n> served=<live|index> degraded=<0|1> staleness=<ticks>[ lo=<n> hi=<n>]
+    OK <id> cluster=<h1,h2,...|none> hops=<n> served=<live|index> degraded=<0|1> staleness=<ticks>
     ACK <id> class=<churn|meas> applied=<0|1>
     SHED <id> class=<c> reason=<queue_full|rate_limit|pressure|draining>
     TIMEOUT <id> waited=<ticks> deadline=<ticks>
@@ -61,14 +61,15 @@ type response =
       degraded : bool;
       staleness : int;  (** ticks since the aggregation last converged *)
       bounds : (int * int) option;
-          (** certified [(lo, hi)] bracket on the maximum cluster size at
-              the query's constraint, present only when the answer was
-              served from a coreset index; [Exact]-mode answers render
-              byte-identically to previous releases *)
+          (** always [None] from the reactor, which renders no trailer;
+              [Some (lo, hi)] renders [ lo=<n> hi=<n>].  Vestigial:
+              slated for removal *)
     }
   | Acked of { id : string; cls : string; applied : bool }
-      (** ingestion applied; [applied = false] means a no-op (already in
-          the requested state) *)
+      (** ingestion accepted.  For churn, [applied = false] means a
+          no-op (already in the requested state); a [MEAS] is always
+          [applied = false], because the reactor drops the measured
+          value *)
   | Shed of { id : string; cls : string; reason : string }
   | Timeout of { id : string; waited : int; deadline : int }
   | Rejected of { id : string; reason : string; attempts : int }

@@ -76,50 +76,43 @@ let concaveish output =
 (* ----- E14: incremental index maintenance under churn ----- *)
 
 module Index = Bwc_core.Find_cluster.Index
-module Coreset = Bwc_core.Find_cluster.Coreset
-module CSummary = Bwc_metric.Coreset
 module Span = Bwc_obs.Span
-
-type exact_arm = Full_with_rebuild | Full | Sampled of int
 
 type churn_row = {
   cn : int;
   events : int;
   incremental_s : float;
   rebuild_s : float;
-  coreset_s : float;
   speedup : float;
-  coreset_speedup : float;
   checks : int;
   divergence : int;
-  bound_checks : int;
-  bound_violations : int;
-  rel_width : float;
   exact_arm : string;
 }
 
-let arm_label = function
-  | Full_with_rebuild -> "full+rebuild"
-  | Full -> "full"
-  | Sampled s -> Printf.sprintf "sampled/%d" s
+(* An [Index.find] witness re-verified from raw distances alone, sharing
+   no code with the index: [k] distinct current members whose first two
+   hosts [(u, v)] satisfy [d(u,v) <= l], every member inside the ball
+   S*_uv.  [None] has no witness to check. *)
+let witness_ok ~dist ~is_member ~k ~l = function
+  | None -> true
+  | Some (u :: v :: _ as cl) ->
+      let duv = dist u v in
+      List.length cl = k
+      && List.length (List.sort_uniq Int.compare cl) = k
+      && duv <= l
+      && List.for_all
+           (fun x -> is_member.(x) && dist x u <= duv && dist x v <= duv)
+           cl
+  | Some _ -> false
 
-(* drive one churn sequence over a fixed universe space.  Up to three
-   arms run side by side depending on [arm]:
-   - the coreset index always absorbs each event (O(k^2 * deg * depth));
-   - [Full]/[Full_with_rebuild] also maintain the exact index as an
-     O(n^2) delta and bracket-check every differential probe against
-     the coreset's certified interval;
-   - [Full_with_rebuild] additionally pays a fresh O(n^3)
-     [Index.build_subset] per event — the original rebuild baseline,
-     intractable past a few hundred points, hence gated by size;
-   - [Sampled s] drops the exact index entirely (n in the thousands) and
-     every [s]-th event spot-checks the interval against a ground truth
-     restricted to summary-representative pairs: for reps u, v with
-     d(u,v) <= l, |S*_uv| is computed by an O(k^2 * n) member scan, and
-     lo <= max_pair |S*_uv| <= hi is a theorem on metric spaces (the
-     certified lo comes from exactly those pairs; hi dominates all
-     member pairs, reps included). *)
-let churn_one ~rng ~space ~events ~checks_per_event ~coreset_k ~arm =
+(* drive one churn sequence over a fixed universe space: the maintained
+   index absorbs each membership event as an O(n^2) delta, and after
+   every event random [(k, l)] probes re-verify its [find] witness
+   against the raw distances.  With [rebuild] a second arm also pays a
+   fresh O(n^3) [Index.build_subset] per event — the original rebuild
+   baseline, intractable past a few hundred points, hence size-gated —
+   and every probe is differentially compared against it. *)
+let churn_one ~rng ~space ~events ~checks_per_event ~rebuild =
   let n = space.Bwc_metric.Space.n in
   let dist = space.Bwc_metric.Space.dist in
   let is_member = Array.make n false in
@@ -133,48 +126,10 @@ let churn_one ~rng ~space ~events ~checks_per_event ~coreset_k ~arm =
   in
   let lo = Bwc_stats.Summary.percentile ds_values 5.0
   and hi = Bwc_stats.Summary.percentile ds_values 95.0 in
-  let inc_span = Span.create "incremental"
-  and reb_span = Span.create "rebuild"
-  and cor_span = Span.create "coreset" in
-  let idx =
-    match arm with
-    | Sampled _ -> None
-    | Full | Full_with_rebuild -> Some (Index.build_subset space (members ()))
-  in
-  let cor = Coreset.of_members ~k:coreset_k space (members ()) in
+  let inc_span = Span.create "incremental" and reb_span = Span.create "rebuild" in
+  let idx = Index.build_subset space (members ()) in
   let divergence = ref 0 and checks = ref 0 in
-  let bound_checks = ref 0 and bound_violations = ref 0 in
-  let width_sum = ref 0.0 in
-  let record_interval (iv : Coreset.interval) =
-    incr bound_checks;
-    width_sum :=
-      !width_sum
-      +. (float_of_int (iv.hi - iv.lo) /. float_of_int (Stdlib.max 1 iv.hi))
-  in
-  (* exact max cluster size over summary-representative pairs only
-     (diagonal included, so non-empty membership scores at least 1 —
-     matching the interval's floor) *)
-  let spot_exact ~l =
-    let reps = CSummary.reps (Coreset.summary cor) in
-    let m = Array.length reps in
-    let best = ref 0 in
-    for i = 0 to m - 1 do
-      for j = i to m - 1 do
-        let u = reps.(i).CSummary.host and v = reps.(j).CSummary.host in
-        let duv = dist u v in
-        if duv <= l then begin
-          let count = ref 0 in
-          for x = 0 to n - 1 do
-            if is_member.(x) && dist x u <= duv && dist x v <= duv then
-              incr count
-          done;
-          best := Stdlib.max !best !count
-        end
-      done
-    done;
-    !best
-  in
-  for event = 1 to events do
+  for _ = 1 to events do
     let ins = List.filter (fun h -> not is_member.(h)) (List.init n Fun.id) in
     let outs = members () in
     (* joins and leaves alternate at random, never emptying the system
@@ -187,99 +142,45 @@ let churn_one ~rng ~space ~events ~checks_per_event ~coreset_k ~arm =
     in
     let h = Rng.choose rng (Array.of_list (if joining then ins else outs)) in
     is_member.(h) <- joining;
-    (match idx with
-    | Some idx ->
-        Span.time inc_span (fun () ->
-            if joining then Index.add_host idx h else Index.remove_host idx h)
-    | None -> ());
-    Span.time cor_span (fun () ->
-        if joining then Coreset.add cor h else Coreset.remove cor h);
+    Span.time inc_span (fun () ->
+        if joining then Index.add_host idx h else Index.remove_host idx h);
     let rebuilt =
-      match arm, idx with
-      | Full_with_rebuild, Some _ ->
-          Some (Span.time reb_span (fun () -> Index.build_subset space (members ())))
-      | _ -> None
+      if rebuild then
+        Some (Span.time reb_span (fun () -> Index.build_subset space (members ())))
+      else None
     in
-    (match idx with
-    | Some idx ->
-        let a = Index.size idx in
-        for _ = 1 to checks_per_event do
-          incr checks;
-          let k = 2 + Rng.int rng (Stdlib.max 1 (a - 1)) in
-          let l = Rng.uniform rng lo hi in
-          (match rebuilt with
-          | Some rebuilt ->
-              if Index.exists idx ~k ~l <> Index.exists rebuilt ~k ~l then
-                incr divergence;
-              if Index.max_size idx ~l <> Index.max_size rebuilt ~l then
-                incr divergence;
-              if Index.find idx ~k ~l <> Index.find rebuilt ~k ~l then
-                incr divergence
-          | None -> ());
-          (* the coreset interval must bracket the exact answer *)
-          let exact = Index.max_size idx ~l in
-          let iv = Coreset.max_size cor ~l in
-          record_interval iv;
-          if not (iv.lo <= exact && exact <= iv.hi) then incr bound_violations;
-          (match Coreset.exists cor ~k ~l with
-          | `Yes -> if not (Index.exists idx ~k ~l) then incr bound_violations
-          | `No -> if Index.exists idx ~k ~l then incr bound_violations
-          | `Maybe -> ());
-          match Coreset.find cor ~k ~l with
-          | Some _ -> if not (Index.exists idx ~k ~l) then incr bound_violations
-          | None -> ()
-        done
-    | None ->
-        (match arm with
-        | Sampled s when event mod s = 0 ->
-            let a = Coreset.size cor in
-            for _ = 1 to 2 do
-              incr checks;
-              let l = Rng.uniform rng lo hi in
-              let iv = Coreset.max_size cor ~l in
-              record_interval iv;
-              let spot = spot_exact ~l in
-              if not (iv.lo <= spot && spot <= iv.hi) then
-                incr bound_violations;
-              let k = 2 + Rng.int rng (Stdlib.max 1 (a - 1)) in
-              match Coreset.find cor ~k ~l with
-              | Some cl ->
-                  if List.length cl < k || List.exists (fun x -> not is_member.(x)) cl
-                  then incr bound_violations
-              | None -> ()
-            done
-        | _ -> ()))
+    let a = Index.size idx in
+    for _ = 1 to checks_per_event do
+      incr checks;
+      let k = 2 + Rng.int rng (Stdlib.max 1 (a - 1)) in
+      let l = Rng.uniform rng lo hi in
+      let found = Index.find idx ~k ~l in
+      if not (witness_ok ~dist ~is_member ~k ~l found) then incr divergence;
+      match rebuilt with
+      | Some rebuilt ->
+          if Index.exists idx ~k ~l <> Index.exists rebuilt ~k ~l then incr divergence;
+          if Index.max_size idx ~l <> Index.max_size rebuilt ~l then incr divergence;
+          if found <> Index.find rebuilt ~k ~l then incr divergence
+      | None -> ()
+    done
   done;
-  let incremental_s = Span.total_s inc_span
-  and rebuild_s = Span.total_s reb_span
-  and coreset_s = Span.total_s cor_span in
+  let incremental_s = Span.total_s inc_span and rebuild_s = Span.total_s reb_span in
   {
     cn = n;
     events;
     incremental_s;
     rebuild_s;
-    coreset_s;
-    speedup =
-      (match arm with
-      | Full_with_rebuild -> rebuild_s /. Float.max 1e-9 incremental_s
-      | Full | Sampled _ -> 0.0);
-    coreset_speedup =
-      (match arm with
-      | Full_with_rebuild | Full -> incremental_s /. Float.max 1e-9 coreset_s
-      | Sampled _ -> 0.0);
+    speedup = (if rebuild then rebuild_s /. Float.max 1e-9 incremental_s else 0.0);
     checks = !checks;
     divergence = !divergence;
-    bound_checks = !bound_checks;
-    bound_violations = !bound_violations;
-    rel_width =
-      (if !bound_checks = 0 then 0.0
-       else !width_sum /. float_of_int !bound_checks);
-    exact_arm = arm_label arm;
+    exact_arm = (if rebuild then "full+rebuild" else "full");
   }
 
+(* the O(n^3)-per-event rebuild arm stops being tractable past this *)
+let rebuild_max = 256
+
 let churn_sweep ?(sizes = [ 64; 128; 256 ]) ?(events_per_size = 16)
-    ?(checks_per_event = 4) ?(coreset_k = Coreset.default_k)
-    ?(rebuild_max = 256) ?(exact_max = 1024) ?(sample_stride = 4) ~seed () =
+    ?(checks_per_event = 4) ~seed () =
   List.map
     (fun n ->
       let rng = Rng.create (seed + (13 * n)) in
@@ -287,48 +188,28 @@ let churn_sweep ?(sizes = [ 64; 128; 256 ]) ?(events_per_size = 16)
         Bwc_metric.Space.of_dmatrix
           (Bwc_dataset.Hier_tree.distance_matrix ~rng:(Rng.create (seed + n)) ~n ())
       in
-      let arm =
-        if n <= rebuild_max then Full_with_rebuild
-        else if n <= exact_max then Full
-        else Sampled sample_stride
-      in
       churn_one ~rng ~space ~events:events_per_size ~checks_per_event
-        ~coreset_k ~arm)
+        ~rebuild:(n <= rebuild_max))
     (List.sort compare sizes)
 
 let churn_divergence rows = List.fold_left (fun acc r -> acc + r.divergence) 0 rows
 
-let churn_bound_violations rows =
-  List.fold_left (fun acc r -> acc + r.bound_violations) 0 rows
-
 let print_churn rows =
-  let off = "-" in
   Report.table ~title:"E14 incremental index maintenance under churn"
     ~headers:
-      [
-        "n"; "events"; "exact arm"; "incremental"; "rebuild"; "coreset";
-        "speedup"; "cs speedup"; "checks"; "diverged"; "bchecks"; "bviol";
-        "width";
-      ]
+      [ "n"; "events"; "exact arm"; "incremental"; "rebuild"; "speedup"; "checks"; "diverged" ]
     (List.map
        (fun r ->
-         let ms label s = if s then Printf.sprintf "%.2f ms" (1e3 *. label) else off in
-         let have_rebuild = String.equal r.exact_arm "full+rebuild" in
-         let have_exact = have_rebuild || String.equal r.exact_arm "full" in
+         let rebuilt = String.equal r.exact_arm "full+rebuild" in
          [
            Report.i r.cn;
            Report.i r.events;
            r.exact_arm;
-           ms r.incremental_s have_exact;
-           ms r.rebuild_s have_rebuild;
-           Printf.sprintf "%.2f ms" (1e3 *. r.coreset_s);
-           (if have_rebuild then Printf.sprintf "%.1fx" r.speedup else off);
-           (if have_exact then Printf.sprintf "%.1fx" r.coreset_speedup else off);
+           Printf.sprintf "%.2f ms" (1e3 *. r.incremental_s);
+           (if rebuilt then Printf.sprintf "%.2f ms" (1e3 *. r.rebuild_s) else "-");
+           (if rebuilt then Printf.sprintf "%.1fx" r.speedup else "-");
            Report.i r.checks;
-           (if have_rebuild then string_of_int r.divergence else off);
-           Report.i r.bound_checks;
-           Report.i r.bound_violations;
-           Printf.sprintf "%.3f" r.rel_width;
+           Report.i r.divergence;
          ])
        rows)
 
@@ -337,13 +218,10 @@ let save_churn_json rows ~seed path =
   let row_json r =
     Printf.sprintf
       "    {\"n\": %d, \"events\": %d, \"exact_arm\": \"%s\", \
-       \"incremental_s\": %.6f, \"rebuild_s\": %.6f, \"coreset_s\": %.6f, \
-       \"speedup\": %.2f, \"coreset_speedup\": %.2f, \"checks\": %d, \
-       \"divergence\": %d, \"bound_checks\": %d, \"bound_violations\": %d, \
-       \"rel_width\": %.4f}"
-      r.cn r.events r.exact_arm r.incremental_s r.rebuild_s r.coreset_s
-      r.speedup r.coreset_speedup r.checks r.divergence r.bound_checks
-      r.bound_violations r.rel_width
+       \"incremental_s\": %.6f, \"rebuild_s\": %.6f, \"speedup\": %.2f, \
+       \"checks\": %d, \"divergence\": %d}"
+      r.cn r.events r.exact_arm r.incremental_s r.rebuild_s r.speedup r.checks
+      r.divergence
   in
   Printf.fprintf oc "{\n  \"bench\": \"index_churn\",\n  \"seed\": %d,\n  \"rows\": [\n%s\n  ]\n}\n"
     seed

@@ -39,65 +39,39 @@ val save_csv : output -> string -> unit
 (** {2 E14 — incremental index maintenance under churn}
 
     A fixed tree-metric universe per size [n]; membership churns through
-    random joins and leaves.  Three arms run side by side, gated by size:
-
-    - the approximate {!Bwc_core.Find_cluster.Coreset} index always
-      absorbs each event (O(k^2 · degree · depth) per delta);
-    - at [n <= exact_max] the exact {!Bwc_core.Find_cluster.Index} is
-      also maintained as an O(n^2) delta, and after every event random
-      [(k, l)] probes assert that the coreset's certified interval
-      brackets the exact answer ([lo <= exact <= hi], tri-state [exists]
-      consistent, [find] results feasible);
-    - at [n <= rebuild_max] a third arm rebuilds the exact index from
-      scratch at O(n^3) per event (the original rebuild baseline —
-      intractable past a few hundred points, which is exactly why it is
-      size-gated) and is differentially compared against the maintained
-      exact index.
-
-    Past [exact_max] the exact index is dropped entirely and every
-    [sample_stride]-th event spot-checks the interval against a ground
-    truth restricted to summary-representative pairs (an O(k^2 · n)
-    member scan — [lo <= max |S*_uv| <= hi] over rep pairs is a theorem
-    on metric spaces).  Any divergence or bound violation is a
-    correctness bug; the timing ratios are the speedups of delta over
-    rebuild and of coreset over exact delta. *)
-
-type exact_arm = Full_with_rebuild | Full | Sampled of int
-(** Which exact-side work runs at a given size; [Sampled s] spot-checks
-    every [s]-th event. *)
+    random joins and leaves.  The maintained
+    {!Bwc_core.Find_cluster.Index} absorbs each event as an O(n^2) delta,
+    and after every event random [(k, l)] probes re-verify each
+    [Index.find] witness against the raw distances ([k] distinct current
+    members, anchor pair within [l], every member inside the anchors'
+    ball).  At [n <= 256] a second arm rebuilds the index from scratch
+    at O(n^3) per event (intractable past a few hundred points, which is
+    why it is size-gated); both arms are timed (via
+    {!Bwc_obs.Span}) and every probe is differentially compared against
+    the rebuild.  Any divergence or failed witness is a correctness bug;
+    the timing ratio is the speedup the dynamic hot path gains from
+    incremental maintenance. *)
 
 type churn_row = {
   cn : int;              (** universe size *)
   events : int;          (** membership events applied *)
-  incremental_s : float; (** exact-index delta seconds (0 when arm off) *)
-  rebuild_s : float;     (** per-event rebuild seconds (0 when arm off) *)
-  coreset_s : float;     (** coreset delta seconds *)
+  incremental_s : float; (** wall seconds spent applying deltas *)
+  rebuild_s : float;     (** wall seconds spent rebuilding per event (0 when arm off) *)
   speedup : float;       (** [rebuild_s /. incremental_s]; 0 when no rebuild arm *)
-  coreset_speedup : float; (** [incremental_s /. coreset_s]; 0 when no exact arm *)
-  checks : int;          (** differential / spot probes *)
-  divergence : int;      (** exact-vs-rebuilt disagreements — must be 0 *)
-  bound_checks : int;    (** certified intervals inspected *)
-  bound_violations : int;(** bracket failures — must be 0 *)
-  rel_width : float;     (** mean [(hi - lo) / max 1 hi] over bound checks *)
-  exact_arm : string;    (** ["full+rebuild"], ["full"] or ["sampled/<s>"] *)
+  checks : int;          (** probes *)
+  divergence : int;      (** failed witnesses plus rebuild disagreements — must be 0 *)
+  exact_arm : string;    (** ["full+rebuild"] or ["full"] *)
 }
-
-val arm_label : exact_arm -> string
 
 val churn_sweep :
   ?sizes:int list -> ?events_per_size:int -> ?checks_per_event:int ->
-  ?coreset_k:int -> ?rebuild_max:int -> ?exact_max:int ->
-  ?sample_stride:int -> seed:int -> unit -> churn_row list
-(** Defaults: sizes 64/128/256, 16 events per size, 4 differential
-    checks per event, coreset size {!Bwc_core.Find_cluster.Coreset.default_k},
-    rebuild arm up to n = 256, maintained exact arm up to n = 1024,
-    spot-checks every 4th event beyond.  Rows ascend in [n]. *)
+  seed:int -> unit -> churn_row list
+(** Defaults: sizes 64/128/256, 16 events per size, 4 probes per event.
+    Rows ascend in [n]. *)
 
 val churn_divergence : churn_row list -> int
-(** Total exact-vs-rebuilt disagreements (acceptance gate #1). *)
-
-val churn_bound_violations : churn_row list -> int
-(** Total certified-interval bracket failures (acceptance gate #2). *)
+(** Total failed witnesses and disagreements across the sweep (the
+    acceptance gate). *)
 
 val print_churn : churn_row list -> unit
 

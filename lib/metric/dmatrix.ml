@@ -107,18 +107,6 @@ let max_symmetric_error a b =
 
 let copy t = { n = t.n; cells = Array.copy t.cells }
 
-let metric_closure t =
-  let r = copy t in
-  for k = 0 to r.n - 1 do
-    for i = 0 to r.n - 1 do
-      for j = i + 1 to r.n - 1 do
-        let via = get r i k +. get r k j in
-        if via < get r i j then set r i j via
-      done
-    done
-  done;
-  r
-
 let pp ppf t =
   if t.n > 12 then Format.fprintf ppf "<%dx%d matrix>" t.n t.n
   else

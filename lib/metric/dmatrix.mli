@@ -45,12 +45,5 @@ val max_symmetric_error : t -> t -> float
 
 val copy : t -> t
 
-val metric_closure : t -> t
-(** Floyd–Warshall shortest-path closure.  For a symmetric non-negative
-    matrix with a zero diagonal the result satisfies the triangle
-    inequality, turning a near-metric (e.g. a noised tree metric) into a
-    genuine metric while preserving entries that were already shortest
-    paths.  Deterministic; O(n^3). *)
-
 val pp : Format.formatter -> t -> unit
 (** Prints small matrices in full; larger ones as a size summary. *)

@@ -319,175 +319,3 @@ let to_json snap =
     snap;
   Buffer.add_string buf "]}";
   Buffer.contents buf
-
-(* ----- JSON parsing (the subset [to_json] emits) ----- *)
-
-type json =
-  | J_obj of (string * json) list
-  | J_arr of json list
-  | J_str of string
-  | J_int of int
-
-exception Parse_error of string
-
-let parse_json s =
-  let pos = ref 0 in
-  let len = String.length s in
-  let peek () = if !pos < len then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let skip_ws () =
-    while !pos < len && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      advance ()
-    done
-  in
-  let expect c =
-    skip_ws ();
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some '"' -> Buffer.add_char buf '"'; advance ()
-          | Some '\\' -> Buffer.add_char buf '\\'; advance ()
-          | Some 'n' -> Buffer.add_char buf '\n'; advance ()
-          | Some 't' -> Buffer.add_char buf '\t'; advance ()
-          | Some 'r' -> Buffer.add_char buf '\r'; advance ()
-          | Some 'u' ->
-              advance ();
-              if !pos + 4 > len then fail "truncated \\u escape";
-              let code = int_of_string ("0x" ^ String.sub s !pos 4) in
-              if code > 0xff then fail "non-latin \\u escape unsupported";
-              Buffer.add_char buf (Char.chr code);
-              pos := !pos + 4
-          | _ -> fail "bad escape");
-          go ()
-      | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_int () =
-    skip_ws ();
-    let start = !pos in
-    if peek () = Some '-' then advance ();
-    while !pos < len && s.[!pos] >= '0' && s.[!pos] <= '9' do
-      advance ()
-    done;
-    if !pos = start then fail "expected a number";
-    J_int (int_of_string (String.sub s start (!pos - start)))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin advance (); J_obj [] end
-        else begin
-          let rec members acc =
-            let key = (skip_ws (); parse_string ()) in
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); members ((key, v) :: acc)
-            | Some '}' -> advance (); List.rev ((key, v) :: acc)
-            | _ -> fail "expected ',' or '}'"
-          in
-          J_obj (members [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin advance (); J_arr [] end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); elements (v :: acc)
-            | Some ']' -> advance (); List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']'"
-          in
-          J_arr (elements [])
-        end
-    | Some '"' -> J_str (parse_string ())
-    | _ -> parse_int ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> len then fail "trailing garbage";
-  v
-
-let member key = function
-  | J_obj fields -> (
-      match List.assoc_opt key fields with
-      | Some v -> v
-      | None -> raise (Parse_error (Printf.sprintf "missing field %S" key)))
-  | _ -> raise (Parse_error (Printf.sprintf "expected an object holding %S" key))
-
-let as_int = function
-  | J_int v -> v
-  | _ -> raise (Parse_error "expected an integer")
-
-let as_str = function
-  | J_str v -> v
-  | _ -> raise (Parse_error "expected a string")
-
-let sample_of_json j =
-  match as_str (member "type" j) with
-  | "counter" -> Counter (as_int (member "value" j))
-  | "gauge" -> Gauge (as_int (member "value" j))
-  | "histogram" ->
-      let buckets =
-        match member "buckets" j with
-        | J_arr pairs ->
-            List.map
-              (function
-                | J_arr [ b; c ] -> (as_int b, as_int c)
-                | _ -> raise (Parse_error "expected a [bucket, count] pair"))
-              pairs
-        | _ -> raise (Parse_error "expected a bucket array")
-      in
-      Histogram
-        {
-          count = as_int (member "count" j);
-          sum = as_int (member "sum" j);
-          max_value = as_int (member "max" j);
-          buckets;
-        }
-  | other -> raise (Parse_error (Printf.sprintf "unknown metric type %S" other))
-
-let of_json text =
-  match parse_json text with
-  | exception Parse_error msg -> Error msg
-  | exception Failure msg -> Error msg
-  | j -> (
-      try
-        match member "metrics" j with
-        | J_arr entries ->
-            Ok
-              (List.map
-                 (fun e ->
-                   let labels =
-                     match member "labels" e with
-                     | J_obj fields -> List.map (fun (k, v) -> (k, as_str v)) fields
-                     | _ -> raise (Parse_error "expected a labels object")
-                   in
-                   (as_str (member "name" e), labels, sample_of_json e))
-                 entries)
-        | _ -> Error "\"metrics\" is not an array"
-      with Parse_error msg -> Error msg)

@@ -121,7 +121,3 @@ val to_text : snapshot -> string
 
 val to_json : snapshot -> string
 (** Canonical single-line JSON, metrics ordered as in the snapshot. *)
-
-val of_json : string -> (snapshot, string) result
-(** Parses {!to_json} output back; [to_json] and [of_json] round-trip
-    exactly. *)

@@ -27,7 +27,6 @@ module Protocol = Bwc_core.Protocol
 module Classes = Bwc_core.Classes
 module Node_info = Bwc_core.Node_info
 module Index = Bwc_core.Find_cluster.Index
-module Coreset = Bwc_core.Find_cluster.Coreset
 module System = Bwc_core.System
 module Dynamic = Bwc_core.Dynamic
 module Registry = Bwc_obs.Registry
@@ -420,20 +419,6 @@ let dec_index r : Index.dump =
   let d_sizes = R.array r (fun () -> R.int r) in
   { Index.d_members; d_sizes }
 
-(* The coreset dump is topology-only (summaries are a pure function of
-   space, k and topology, rebuilt deterministically on restore), so it
-   reuses the anchor codec. *)
-let enc_coreset w (d : Coreset.dump) =
-  W.tag w "coreset";
-  W.int w d.Coreset.d_k;
-  enc_anchor w d.Coreset.d_anchor
-
-let dec_coreset r : Coreset.dump =
-  R.tag r "coreset";
-  let d_k = R.int r in
-  let d_anchor = dec_anchor r in
-  { Coreset.d_k; d_anchor }
-
 (* ----- whole systems ----- *)
 
 let encode_payload (src : source) =
@@ -449,8 +434,7 @@ let encode_payload (src : source) =
       enc_classes w (System.classes sys);
       enc_ensemble w (Ensemble.dump (System.framework sys));
       enc_protocol w (Protocol.dump (System.protocol sys));
-      W.option w (fun i -> enc_index w (Index.dump i)) (System.index_opt sys);
-      W.option w (fun c -> enc_coreset w (Coreset.dump c)) (System.coreset_opt sys)
+      W.option w (fun i -> enc_index w (Index.dump i)) (System.index_opt sys)
   | `Dynamic dyn ->
       W.str w "dynamic";
       W.i64 w (Dynamic.rng_state dyn);
@@ -459,12 +443,7 @@ let encode_payload (src : source) =
       enc_classes w (Dynamic.classes dyn);
       enc_ensemble w (Ensemble.dump (Dynamic.ensemble dyn));
       enc_protocol w (Protocol.dump (Dynamic.protocol dyn));
-      W.option w (fun i -> enc_index w (Index.dump i)) (Dynamic.index_opt dyn);
-      (* the mode travels with the state: a restored daemon must keep
-         serving the same kind of answers it was serving before the crash *)
-      W.int w
-        (match Dynamic.index_mode dyn with Dynamic.Exact -> 0 | Dynamic.Coreset k -> k);
-      W.option w (fun c -> enc_coreset w (Coreset.dump c)) (Dynamic.coreset_opt dyn));
+      W.option w (fun i -> enc_index w (Index.dump i)) (Dynamic.index_opt dyn));
   Codec.encode (W.contents w)
 
 let dec_system ?metrics ?trace r =
@@ -476,7 +455,6 @@ let dec_system ?metrics ?trace r =
   let ens_dump = dec_ensemble r in
   let proto_dump = dec_protocol r in
   let index_dump = R.option r (fun () -> dec_index r) in
-  let coreset_dump = R.option r (fun () -> dec_coreset r) in
   R.eof r;
   let fw = Ensemble.of_dump ?metrics (Dataset.metric ~c dataset) ens_dump in
   let protocol = Protocol.of_dump ?metrics ?trace ~classes fw proto_dump in
@@ -490,18 +468,7 @@ let dec_system ?metrics ?trace r =
         Index.of_dump predicted d)
       index_dump
   in
-  let coreset =
-    Option.map
-      (fun d ->
-        (* same uncached predicted space System.coreset uses: summaries
-           only ever evaluate O(n·k) of its distances *)
-        let predicted =
-          Space.make ~n:(Dataset.size dataset) ~dist:(Ensemble.predicted fw)
-        in
-        Coreset.of_dump ?metrics predicted d)
-      coreset_dump
-  in
-  System.assemble ~seed ~dataset ~c ~fw ~protocol ~classes ~rng_state ~index ?coreset ()
+  System.assemble ~seed ~dataset ~c ~fw ~protocol ~classes ~rng_state ~index
 
 let dec_dynamic ?metrics ?trace r =
   let rng_state = R.i64 r in
@@ -511,23 +478,15 @@ let dec_dynamic ?metrics ?trace r =
   let ens_dump = dec_ensemble r in
   let proto_dump = dec_protocol r in
   let index_dump = R.option r (fun () -> dec_index r) in
-  let mode_int = R.int r in
-  let coreset_dump = R.option r (fun () -> dec_coreset r) in
   R.eof r;
-  let index_mode =
-    if mode_int = 0 then Dynamic.Exact
-    else if mode_int > 0 then Dynamic.Coreset mode_int
-    else invalid_arg "Snapshot: negative index mode"
-  in
   let fw = Ensemble.of_dump ?metrics (Dataset.metric ~c dataset) ens_dump in
   let protocol = Protocol.of_dump ?metrics ?trace ~classes fw proto_dump in
-  let universe () = Space.cached (Dataset.metric ~c dataset) in
-  let index = Option.map (fun d -> Index.of_dump (universe ()) d) index_dump in
-  let coreset =
-    Option.map (fun d -> Coreset.of_dump ?metrics (universe ()) d) coreset_dump
+  let index =
+    Option.map
+      (fun d -> Index.of_dump (Space.cached (Dataset.metric ~c dataset)) d)
+      index_dump
   in
-  Dynamic.assemble ~dataset ~c ~fw ~protocol ~classes ~rng_state ~index ~index_mode
-    ?coreset ()
+  Dynamic.assemble ~dataset ~c ~fw ~protocol ~classes ~rng_state ~index ()
 
 let decode_payload ?metrics ?trace payload =
   try

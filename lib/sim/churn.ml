@@ -4,8 +4,6 @@ type event =
 
 type t = { by_round : (int, event list) Hashtbl.t }
 
-let empty = { by_round = Hashtbl.create 1 }
-
 let scripted events =
   let by_round = Hashtbl.create 16 in
   List.iter

@@ -7,8 +7,6 @@ type event =
 
 type t
 
-val empty : t
-
 val scripted : (int * event) list -> t
 (** [(round, event)] pairs; rounds need not be sorted. *)
 

@@ -1,24 +1,19 @@
 (* Seeded property-based differential harness.
 
-   Properties, each over freshly generated random inputs:
+   Four properties, each over freshly generated random inputs:
 
    1. churn-differential — after ANY sequence of Index.add_host /
       Index.remove_host events, the incrementally maintained
       Find_cluster.Index answers (exists, max_size, max_sizes, find)
-      exactly as a fresh Index.build_subset of the same membership;
-   2. coreset-diff — after ANY churn sequence, the approximate
-      Find_cluster.Coreset brackets the exact index (exact max_size
-      inside [lo, hi], tri-state exists never contradicts, find results
-      feasible), with the bracket collapsing to equality when k >= n;
-   3. coreset-monotone — summary merge is order-insensitive: any
-      permutation of the merged summaries yields an identical summary
-      (no hash-order determinism leak in the merge path);
-   4. alg1-oracle-tree — on exact tree metrics Algorithm 1 agrees with
+      exactly as a fresh Index.build_subset of the same membership, and
+      every find witness passes a direct distance check that shares no
+      code with the index;
+   2. alg1-oracle-tree — on exact tree metrics Algorithm 1 agrees with
       the exact Bron-Kerbosch clique oracle on every (k, l) query;
-   5. alg1-oracle-noisy — on noisy near-tree spaces the two may disagree
+   3. alg1-oracle-noisy — on noisy near-tree spaces the two may disagree
       only in the direction WPR permits (Algorithm 1 claiming a cluster
       the real space does not have, never missing one that exists);
-   6. causal-dag — on traces of protocol runs under random fault plans
+   4. causal-dag — on traces of protocol runs under random fault plans
       (loss, duplication, jitter, crash windows), Causal.reconstruct
       yields a well-formed happens-before DAG: every Deliver matches a
       Send, Lamport stamps respect happens-before, predecessor edges
@@ -100,6 +95,33 @@ let off_diag_values space =
 
 (* ----- property 1: churn differential ----- *)
 
+(* the rebuild shares the index's code, so a find witness is also checked
+   from raw distances alone: k distinct current members, anchored by its
+   first two hosts (u, v) with d(u,v) <= l, every member inside S*_uv *)
+let check_feasible prop case ~event space is_member cl ~k ~l =
+  if List.length cl <> k then
+    fail_case prop case "event %d: find returned %d members, wanted %d" event
+      (List.length cl) k;
+  if List.length (List.sort_uniq compare cl) <> k then
+    fail_case prop case "event %d: find returned duplicate hosts" event;
+  List.iter
+    (fun h ->
+      if not is_member.(h) then
+        fail_case prop case "event %d: find returned non-member %d" event h)
+    cl;
+  match cl with
+  | u :: v :: _ ->
+      let duv = space.Space.dist u v in
+      if duv > l then
+        fail_case prop case "event %d: find anchors %.9g apart > l=%.9g" event duv l;
+      List.iter
+        (fun x ->
+          if space.Space.dist x u > duv || space.Space.dist x v > duv then
+            fail_case prop case "event %d: find member %d outside S*_%d,%d" event x u v)
+        cl
+  | _ -> fail_case prop case "event %d: find returned fewer than 2 hosts" event
+
+(* returns the incremental find answer for the witness check *)
 let check_agreement prop case ~event idx rebuilt ~k ~l =
   if Index.members idx <> Index.members rebuilt then
     fail_case prop case "event %d: member lists differ" event;
@@ -113,7 +135,8 @@ let check_agreement prop case ~event idx rebuilt ~k ~l =
       m_inc m_reb;
   let f_inc = Index.find idx ~k ~l and f_reb = Index.find rebuilt ~k ~l in
   if f_inc <> f_reb then
-    fail_case prop case "event %d: find k=%d l=%.9g diverged" event k l
+    fail_case prop case "event %d: find k=%d l=%.9g diverged" event k l;
+  f_inc
 
 let churn_differential () =
   let prop = "churn-differential" in
@@ -154,7 +177,11 @@ let churn_differential () =
             Rng.float rng (Float.max 1e-6 (l_max *. 1.1))
           else values.(Rng.int rng (Array.length values))
         in
-        check_agreement prop case ~event idx rebuilt ~k ~l
+        match check_agreement prop case ~event idx rebuilt ~k ~l with
+        | Some cl ->
+            incr total_checks;
+            check_feasible prop case ~event space is_member cl ~k ~l
+        | None -> ()
       done;
       incr total_checks;
       let ls = Array.init 6 (fun i -> float_of_int i *. l_max /. 5.0) in
@@ -165,205 +192,7 @@ let churn_differential () =
   Printf.printf "%s: %d sequences, %d events, %d checks, 0 divergences [ok]\n" prop
     cases !total_events !total_checks
 
-(* ----- property 2: coreset vs exact index differential ----- *)
-
-module Coreset = Find_cluster.Coreset
-module CSummary = Bwc_metric.Coreset
-
-(* The coreset's two-sided bound is certified on metric spaces (the
-   derivation uses the triangle inequality), so the noisy arm repairs
-   the noised near-tree matrix into a genuine metric with a
-   shortest-path closure — still far from an exact tree metric, which is
-   what exercises the radius-dependent terms of the bound. *)
-let noisy_metric_space rng ~sigma n =
-  let s = noisy_space rng ~sigma n in
-  Space.cached
-    (Space.of_dmatrix (Bwc_metric.Dmatrix.metric_closure (Space.to_dmatrix s)))
-
-let check_feasible prop case ~event space is_member cl ~k ~l =
-  if List.length cl <> k then
-    fail_case prop case "event %d: find returned %d members, wanted %d" event
-      (List.length cl) k;
-  if List.length (List.sort_uniq compare cl) <> k then
-    fail_case prop case "event %d: find returned duplicate hosts" event;
-  List.iter
-    (fun h ->
-      if not is_member.(h) then
-        fail_case prop case "event %d: find returned non-member %d" event h)
-    cl;
-  match cl with
-  | u :: v :: _ ->
-      let duv = space.Space.dist u v in
-      if duv > l then
-        fail_case prop case "event %d: find anchors %.9g apart > l=%.9g" event duv l;
-      List.iter
-        (fun x ->
-          if space.Space.dist x u > duv || space.Space.dist x v > duv then
-            fail_case prop case "event %d: find member %d outside S*_%d,%d" event x u v)
-        cl
-  | _ -> fail_case prop case "event %d: find returned fewer than 2 hosts" event
-
-let coreset_diff () =
-  let prop = "coreset-diff" in
-  let total_events = ref 0 and total_checks = ref 0 and collapsed = ref 0 in
-  for case = 0 to cases - 1 do
-    let rng = case_rng (400_000 + case) in
-    let n = 8 + Rng.int rng 17 in
-    let space =
-      if Rng.bool rng then tree_metric_space rng n
-      else noisy_metric_space rng ~sigma:(0.1 +. Rng.float rng 0.4) n
-    in
-    (* k sweeps the whole regime: degenerate (1), tiny, moderate, and
-       >= n where the bracket must collapse to the exact answer *)
-    let ck =
-      match Rng.int rng 5 with
-      | 0 -> 1
-      | 1 -> 2
-      | 2 -> 3 + Rng.int rng 6
-      | 3 -> n
-      | _ -> n + 1 + Rng.int rng 4
-    in
-    let values = off_diag_values space in
-    let l_max = Array.fold_left Float.max 0.0 values in
-    let is_member = Array.make n false in
-    let m0 = Rng.int rng (n + 1) in
-    Array.iter (fun h -> is_member.(h) <- true) (Rng.sample_without_replacement rng m0 n);
-    let members () = List.filter (fun h -> is_member.(h)) (List.init n Fun.id) in
-    let idx = Index.build_subset space (members ()) in
-    let cor = Coreset.of_members ~k:ck space (members ()) in
-    let events = 6 + Rng.int rng 10 in
-    for event = 1 to events do
-      incr total_events;
-      let ins = List.filter (fun h -> not is_member.(h)) (List.init n Fun.id) in
-      let outs = members () in
-      let joining =
-        match ins, outs with [], _ -> false | _, [] -> true | _ -> Rng.bool rng
-      in
-      let h = Rng.choose rng (Array.of_list (if joining then ins else outs)) in
-      is_member.(h) <- joining;
-      if joining then begin
-        Index.add_host idx h;
-        Coreset.add cor h
-      end
-      else begin
-        Index.remove_host idx h;
-        Coreset.remove cor h
-      end;
-      if Coreset.members cor <> Index.members idx then
-        fail_case prop case "event %d: member lists differ" event;
-      let probe ~k ~l =
-        incr total_checks;
-        let exact = Index.max_size idx ~l in
-        let iv = Coreset.max_size cor ~l in
-        if iv.Coreset.lo > exact || exact > iv.Coreset.hi then
-          fail_case prop case
-            "event %d: max_size l=%.9g: exact %d outside [%d, %d] (coreset k=%d)"
-            event l exact iv.Coreset.lo iv.Coreset.hi ck;
-        if ck >= n && (iv.Coreset.lo <> exact || iv.Coreset.hi <> exact) then
-          fail_case prop case
-            "event %d: k=%d >= n=%d but bracket [%d, %d] did not collapse to %d"
-            event ck n iv.Coreset.lo iv.Coreset.hi exact;
-        if ck >= n then incr collapsed;
-        let e = Index.exists idx ~k ~l in
-        (match Coreset.exists cor ~k ~l with
-        | `Yes ->
-            if not e then
-              fail_case prop case "event %d: coreset Yes, exact No (k=%d l=%.9g)"
-                event k l
-        | `No ->
-            if e then
-              fail_case prop case "event %d: coreset No, exact Yes (k=%d l=%.9g)"
-                event k l
-        | `Maybe ->
-            if ck >= n then
-              fail_case prop case "event %d: Maybe despite k=%d >= n=%d" event ck n);
-        match Coreset.find cor ~k ~l with
-        | None -> ()
-        | Some cl ->
-            check_feasible prop case ~event space is_member cl ~k ~l;
-            if not e then
-              fail_case prop case
-                "event %d: find produced a cluster the exact index refutes" event
-      in
-      for _ = 1 to 4 do
-        let k = 2 + Rng.int rng (Stdlib.max 1 (n - 1)) in
-        let l =
-          if Rng.bool rng || Array.length values = 0 then
-            Rng.float rng (Float.max 1e-6 (l_max *. 1.1))
-          else values.(Rng.int rng (Array.length values))
-        in
-        probe ~k ~l
-      done;
-      incr total_checks;
-      let ls = Array.init 6 (fun i -> float_of_int i *. l_max /. 5.0) in
-      let exact_v = Index.max_sizes idx ~ls in
-      let iv_v = Coreset.max_sizes cor ~ls in
-      Array.iteri
-        (fun i exact ->
-          let iv = iv_v.(i) in
-          if iv.Coreset.lo > exact || exact > iv.Coreset.hi then
-            fail_case prop case
-              "event %d: max_sizes[%d] exact %d outside [%d, %d]" event i exact
-              iv.Coreset.lo iv.Coreset.hi)
-        exact_v
-    done
-  done;
-  Printf.printf
-    "%s: %d sequences, %d events, %d checks (%d at collapse), 0 bound violations [ok]\n"
-    prop cases !total_events !total_checks !collapsed
-
-(* ----- property 3: merge order-insensitivity ----- *)
-
-let coreset_monotone () =
-  let prop = "coreset-monotone" in
-  let n_cases = Stdlib.max 1 (cases / 2) in
-  let merges = ref 0 in
-  for case = 0 to n_cases - 1 do
-    let rng = case_rng (500_000 + case) in
-    let n = 8 + Rng.int rng 13 in
-    let space =
-      if Rng.bool rng then tree_metric_space rng n
-      else noisy_space rng ~sigma:(0.1 +. Rng.float rng 0.4) n
-    in
-    let ck = 1 + Rng.int rng 6 in
-    let groups = 2 + Rng.int rng 3 in
-    let buckets = Array.make groups [] in
-    for h = 0 to n - 1 do
-      let g = Rng.int rng groups in
-      buckets.(g) <- h :: buckets.(g)
-    done;
-    let parts =
-      Array.to_list (Array.map (fun hs -> CSummary.of_points space ~k:ck hs) buckets)
-    in
-    let reference = CSummary.merge space ~k:ck parts in
-    let l_max =
-      Array.fold_left Float.max 0.0 (off_diag_values space)
-    in
-    let ls = Array.init 5 (fun i -> float_of_int i *. l_max /. 4.0) in
-    let check label merged =
-      incr merges;
-      if not (CSummary.equal merged reference) then
-        fail_case prop case "%s merge produced a different summary (k=%d, %d groups)"
-          label ck groups;
-      Array.iter
-        (fun l ->
-          let a = CSummary.max_size space merged ~l in
-          let b = CSummary.max_size space reference ~l in
-          if a <> b then
-            fail_case prop case "%s merge changed bounds at l=%.9g" label l)
-        ls
-    in
-    check "reversed" (CSummary.merge space ~k:ck (List.rev parts));
-    for p = 1 to 3 do
-      let order = Rng.permutation rng groups in
-      let shuffled = Array.to_list (Array.map (fun g -> List.nth parts g) order) in
-      check (Printf.sprintf "permutation %d" p) (CSummary.merge space ~k:ck shuffled)
-    done
-  done;
-  Printf.printf "%s: %d cases, %d permuted merges, all summaries identical [ok]\n" prop
-    n_cases !merges
-
-(* ----- properties 4 & 5: Algorithm 1 vs the Bron-Kerbosch oracle ----- *)
+(* ----- properties 2 & 3: Algorithm 1 vs the Bron-Kerbosch oracle ----- *)
 
 (* thresholds placed mid-gap between distinct pairwise distances, so no
    float-rounding ambiguity about which pairs a threshold admits; the
@@ -660,8 +489,6 @@ let daemon_replay () =
 let () =
   Printf.printf "bwc property harness (seed %d, %d churn sequences)\n" seed cases;
   churn_differential ();
-  coreset_diff ();
-  coreset_monotone ();
   oracle_tree ();
   oracle_noisy ();
   causal_dag ();

@@ -173,6 +173,17 @@ let test_deadline_timeout () =
   check_strings "typed timeout" [ "TIMEOUT q2 waited=2 deadline=1" ]
     (render_all (Reactor.tick r ~now:2))
 
+(* ----- measurement ingestion ----- *)
+
+(* the dataset stays ground truth, so the reactor drops a MEAS value;
+   its acknowledgement must say nothing was applied *)
+let test_meas_ack_not_applied () =
+  let r = reactor () in
+  check_strings "meas admitted" []
+    (render_all (Reactor.handle_line r ~now:0 ~conn:0 "MEAS m1 src=1 dst=2 bw=44"));
+  check_strings "meas acked, not applied" [ "ACK m1 class=meas applied=0" ]
+    (render_all (Reactor.tick r ~now:1))
+
 (* ----- graceful degradation ----- *)
 
 let test_degraded_staleness () =
@@ -211,47 +222,6 @@ let test_degraded_staleness () =
   | out ->
       Alcotest.failf "expected live answer, got [%s]"
         (String.concat "; " (render_all out)))
-
-let test_degraded_coreset_bounds () =
-  let config = { Reactor.default_config with Reactor.stabilize_budget = 1 } in
-  let n = 24 in
-  let dyn =
-    Dynamic.create ~seed:11 ~initial_members:(range (n - 1))
-      ~index_mode:(Dynamic.Coreset 8) (dataset ~seed:12 n)
-  in
-  let r = Reactor.create config dyn in
-  check_strings "leave admitted" []
-    (render_all (Reactor.handle_line r ~now:0 ~conn:0 "LEAVE c1 host=3"));
-  check_strings "leave acked" [ "ACK c1 class=churn applied=1" ]
-    (render_all (Reactor.tick r ~now:1));
-  check_strings "query admitted" []
-    (render_all (Reactor.handle_line r ~now:1 ~conn:0 "QUERY q1 k=2 b=1.0"));
-  (* a degraded coreset-mode answer carries the certified size bracket
-     on the wire; exact-mode answers (see test_degraded_staleness) have
-     no bounds and render byte-identically to previous releases *)
-  match Reactor.tick r ~now:2 with
-  | [ { Reactor.response =
-          Wire.Answer
-            { id = "q1"; served = Wire.Index; degraded = true; bounds; _ } as resp;
-        _;
-      } ] -> (
-      match bounds with
-      | Some (lo, hi) ->
-          if not (0 <= lo && lo <= hi) then
-            Alcotest.failf "malformed bounds lo=%d hi=%d" lo hi;
-          let line = Wire.render resp in
-          let has s sub =
-            let n = String.length sub in
-            let rec go i = i + n <= String.length s
-              && (String.sub s i n = sub || go (i + 1)) in
-            go 0
-          in
-          Alcotest.(check bool) "lo= on the wire" true (has line " lo=");
-          Alcotest.(check bool) "hi= on the wire" true (has line " hi=")
-      | None -> Alcotest.fail "coreset-mode degraded answer lost its bounds")
-  | out ->
-      Alcotest.failf "expected degraded answer, got [%s]"
-        (String.concat "; " (render_all out))
 
 (* ----- watchdog ----- *)
 
@@ -531,8 +501,8 @@ let () =
           Alcotest.test_case "shed rate_limit" `Quick test_shed_rate_limit;
           Alcotest.test_case "shed pressure" `Quick test_shed_pressure;
           Alcotest.test_case "deadline timeout" `Quick test_deadline_timeout;
+          Alcotest.test_case "meas ack not applied" `Quick test_meas_ack_not_applied;
           Alcotest.test_case "degraded staleness" `Quick test_degraded_staleness;
-          Alcotest.test_case "degraded coreset bounds" `Quick test_degraded_coreset_bounds;
           Alcotest.test_case "watchdog degrades" `Quick test_watchdog_degrades;
           Alcotest.test_case "retry backoff" `Quick test_retry_backoff;
           Alcotest.test_case "drain shutdown" `Quick test_drain_shutdown;

@@ -206,123 +206,6 @@ let test_check_negative () =
   let r = Check.verify ~rng:(Rng.create 1) (Space.of_dmatrix m) in
   Alcotest.(check bool) "negative flagged" false r.Check.non_negative
 
-(* ----- Coreset ----- *)
-
-module CSummary = Bwc_metric.Coreset
-module Find_cluster = Bwc_core.Find_cluster
-
-let coreset_space ?(n = 12) seed =
-  let rng = Rng.create seed in
-  Space.of_dmatrix (Bwc_dataset.Hier_tree.distance_matrix ~rng ~n ())
-
-let probe_ls space =
-  let values = Dmatrix.off_diagonal_values (Space.to_dmatrix space) in
-  Array.sort Float.compare values;
-  let m = Array.length values in
-  [| 0.0; values.(m / 4); values.(m / 2); values.(3 * m / 4); values.(m - 1) *. 1.5 |]
-
-let all_hosts n = List.init n Fun.id
-
-let test_coreset_k1_degenerate () =
-  let n = 12 in
-  let space = coreset_space ~n 41 in
-  let s = CSummary.of_points space ~k:1 (all_hosts n) in
-  Alcotest.(check int) "one representative" 1 (CSummary.size s);
-  Alcotest.(check int) "weight conserved" n (CSummary.weight s);
-  Array.iter
-    (fun l ->
-      let exact = Find_cluster.max_size space ~l in
-      let iv = CSummary.max_size space s ~l in
-      Alcotest.(check bool)
-        (Printf.sprintf "bracket holds at l=%g" l)
-        true
-        (iv.CSummary.lo <= exact && exact <= iv.CSummary.hi);
-      match CSummary.exists space s ~k:2 ~l with
-      | `Yes -> Alcotest.(check bool) "Yes sound" true (exact >= 2)
-      | `No -> Alcotest.(check bool) "No sound" true (exact < 2)
-      | `Maybe -> ())
-    (probe_ls space)
-
-let test_coreset_collapse_exact () =
-  let n = 12 in
-  let space = coreset_space ~n 42 in
-  let s = CSummary.of_points space ~k:n (all_hosts n) in
-  Alcotest.(check int) "all points representatives" n (CSummary.size s);
-  Array.iter
-    (fun (r : CSummary.rep) ->
-      Alcotest.(check bool) "radius zero" true (Float.equal r.CSummary.radius 0.0))
-    (CSummary.reps s);
-  Array.iter
-    (fun l ->
-      let exact = Find_cluster.max_size space ~l in
-      let iv = CSummary.max_size space s ~l in
-      Alcotest.(check int) (Printf.sprintf "lo collapses at l=%g" l) exact iv.CSummary.lo;
-      Alcotest.(check int) (Printf.sprintf "hi collapses at l=%g" l) exact iv.CSummary.hi;
-      for k = 2 to n do
-        let exact_e = Find_cluster.exists space ~k ~l in
-        (match CSummary.exists space s ~k ~l with
-        | `Yes -> Alcotest.(check bool) "Yes = exact" true exact_e
-        | `No -> Alcotest.(check bool) "No = exact" false exact_e
-        | `Maybe -> Alcotest.fail "tri-state must be decisive at k >= n");
-        match CSummary.find_certain space s ~k ~l with
-        | Some cl ->
-            Alcotest.(check int) "find size" k (List.length cl);
-            Alcotest.(check bool) "find only when feasible" true exact_e
-        | None -> Alcotest.(check bool) "find conclusive at collapse" false exact_e
-      done)
-    (probe_ls space)
-
-let test_coreset_add_remove_roundtrip () =
-  let n = 12 in
-  let space = coreset_space ~n 43 in
-  let extra = 7 in
-  let initial = List.filter (fun h -> h <> extra) (all_hosts n) in
-  let cor = Find_cluster.Coreset.of_members ~k:4 space initial in
-  let before = Find_cluster.Coreset.summary cor in
-  Find_cluster.Coreset.add cor extra;
-  Alcotest.(check bool) "added" true (Find_cluster.Coreset.is_member cor extra);
-  Alcotest.(check int) "weight grows" n
-    (CSummary.weight (Find_cluster.Coreset.summary cor));
-  Find_cluster.Coreset.remove cor extra;
-  Alcotest.(check (list int)) "members restored" initial
-    (Find_cluster.Coreset.members cor);
-  (* a leaf add/remove pair restores the exact topology, and summaries
-     are a pure function of (space, k, topology) — so byte-equal *)
-  Alcotest.(check bool)
-    "summary is an inverse round-trip" true
-    (CSummary.equal before (Find_cluster.Coreset.summary cor));
-  Array.iter
-    (fun l ->
-      let a = Find_cluster.Coreset.max_size cor ~l in
-      let b = CSummary.max_size space before ~l in
-      Alcotest.(check bool) "bounds unchanged" true (a = b))
-    (probe_ls space)
-
-let test_coreset_merge_rejects_overlap () =
-  let space = coreset_space 44 in
-  let a = CSummary.of_points space ~k:4 [ 0; 1; 2 ] in
-  let b = CSummary.of_points space ~k:4 [ 2; 3 ] in
-  Alcotest.check_raises "duplicate host" (Invalid_argument "Coreset: duplicate host")
-    (fun () -> ignore (CSummary.merge space ~k:4 [ a; b ]))
-
-let test_coreset_interval_sanity () =
-  let n = 12 in
-  let space = coreset_space ~n 45 in
-  List.iter
-    (fun k ->
-      let s = CSummary.of_points space ~k (all_hosts n) in
-      Alcotest.(check int) (Printf.sprintf "weight conserved k=%d" k) n
-        (CSummary.weight s);
-      Array.iter
-        (fun l ->
-          let iv = CSummary.max_size space s ~l in
-          Alcotest.(check bool)
-            (Printf.sprintf "lo <= hi (k=%d, l=%g)" k l)
-            true
-            (iv.CSummary.lo <= iv.CSummary.hi))
-        (probe_ls space))
-    [ 1; 2; 3; 5; 8 ]
-
 (* ----- qcheck ----- *)
 
 let qcheck_tests =
@@ -394,16 +277,6 @@ let () =
           Alcotest.test_case "valid metric" `Quick test_check_valid_metric;
           Alcotest.test_case "triangle violation" `Quick test_check_triangle_violation;
           Alcotest.test_case "negative distance" `Quick test_check_negative;
-        ] );
-      ( "coreset",
-        [
-          Alcotest.test_case "k=1 degenerate" `Quick test_coreset_k1_degenerate;
-          Alcotest.test_case "k>=n collapses to exact" `Quick test_coreset_collapse_exact;
-          Alcotest.test_case "add/remove round-trip" `Quick
-            test_coreset_add_remove_roundtrip;
-          Alcotest.test_case "merge rejects overlap" `Quick
-            test_coreset_merge_rejects_overlap;
-          Alcotest.test_case "interval sanity" `Quick test_coreset_interval_sanity;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

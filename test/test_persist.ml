@@ -147,42 +147,6 @@ let test_snapshot_dynamic_roundtrip () =
   Alcotest.(check bool) "index tracked the leave" false
     (Bwc_core.Find_cluster.Index.is_member (Dynamic.index restored) victim)
 
-let test_snapshot_coreset_roundtrip () =
-  let dyn =
-    Dynamic.create ~seed:5 ~index_mode:(Dynamic.Coreset 6) (dataset ~seed:6 20)
-  in
-  Dynamic.leave dyn (List.hd (Dynamic.members dyn));
-  (* force + exercise the coreset through churn so the snapshot carries a
-     non-trivial maintained state *)
-  let probe d =
-    let cluster, iv = Dynamic.query_bounds d ~k:3 ~b:30.0 in
-    (cluster, iv.Bwc_core.Find_cluster.Coreset.lo, iv.Bwc_core.Find_cluster.Coreset.hi)
-  in
-  let before = probe dyn in
-  let bytes = Snapshot.encode (`Dynamic dyn) in
-  let restored =
-    match Snapshot.decode bytes with
-    | Ok (Snapshot.Restored_dynamic d) -> d
-    | Ok (Snapshot.Restored_system _) -> Alcotest.fail "wrong kind"
-    | Error e -> Alcotest.failf "decode failed: %s" (Codec.error_to_string e)
-  in
-  (match Dynamic.index_mode restored with
-  | Dynamic.Coreset 6 -> ()
-  | _ -> Alcotest.fail "index mode did not survive the round trip");
-  let cor = Option.get (Dynamic.coreset_opt restored) in
-  Alcotest.(check (list int)) "coreset members survive" (Dynamic.members dyn |> List.sort compare)
-    (Bwc_core.Find_cluster.Coreset.members cor);
-  (* summaries are rebuilt from topology alone, so the restored bounds
-     are identical, and a re-snapshot is byte-identical *)
-  Alcotest.(check bool) "bounds survive" true (probe restored = before);
-  let again = Snapshot.encode (`Dynamic restored) in
-  Alcotest.(check bool) "re-snapshot byte-identical" true (String.equal bytes again);
-  (* the restored eviction/churn path still maintains the coreset *)
-  let victim = List.hd (Dynamic.members restored) in
-  Dynamic.leave restored victim;
-  Alcotest.(check bool) "coreset tracked the leave" false
-    (Bwc_core.Find_cluster.Coreset.is_member (Dynamic.coreset restored) victim)
-
 let test_snapshot_mid_convergence () =
   (* crash in the middle of aggregation: in-flight messages die with the
      process, and the retransmission layer still drives the restored
@@ -485,7 +449,6 @@ let () =
           Alcotest.test_case "deterministic future" `Quick
             test_snapshot_future_is_deterministic;
           Alcotest.test_case "dynamic round trip" `Quick test_snapshot_dynamic_roundtrip;
-          Alcotest.test_case "coreset round trip" `Quick test_snapshot_coreset_roundtrip;
           Alcotest.test_case "mid-convergence crash" `Quick test_snapshot_mid_convergence;
           Alcotest.test_case "detector mid-lease" `Quick test_snapshot_detector_mid_lease;
           Alcotest.test_case "save/load file" `Quick test_save_load_file;
