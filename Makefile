@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-full bench-index bench-trace bench-daemon overload restart prop examples clean doc lint lint-json lint-baseline lint-sarif trace metrics analyze trace-analytics
+.PHONY: all build test bench bench-full bench-index bench-trace bench-daemon overload restart prop examples clean doc lint lint-json lint-sarif trace metrics analyze trace-analytics
 
 all: build
 
@@ -12,20 +12,16 @@ test:
 
 # bwclint: determinism/robustness/complexity invariants (see DESIGN.md).
 # Per-file rules plus whole-program passes (interprocedural determinism
-# taint, domain-safety audit), gated on the committed baseline: fresh
-# findings and stale baseline entries both fail.
+# taint, domain-safety audit); any finding fails.  Inline allow comments
+# with a reason are the one audited escape hatch.
 lint:
-	dune exec bin/bwclint.exe -- --baseline bwclint-baseline.json lib bin bench test examples
+	dune exec bin/bwclint.exe -- lib bin bench test examples
 
 lint-json:
-	dune exec bin/bwclint.exe -- --baseline bwclint-baseline.json --json bwclint-report.json lib bin bench test examples
+	dune exec bin/bwclint.exe -- --json bwclint-report.json lib bin bench test examples
 
 lint-sarif:
-	dune exec bin/bwclint.exe -- --baseline bwclint-baseline.json --sarif bwclint.sarif lib bin bench test examples
-
-# regenerate the audited-findings baseline after reviewing new findings
-lint-baseline:
-	dune exec bin/bwclint.exe -- --baseline bwclint-baseline.json --update-baseline lib bin bench test examples
+	dune exec bin/bwclint.exe -- --sarif bwclint.sarif lib bin bench test examples
 
 test-verbose:
 	dune runtest --force --no-buffer

@@ -17,6 +17,9 @@ let section title =
   Format.printf "== %s@." title;
   Format.printf "==================================================================@."
 
+let write_file path contents =
+  Out_channel.with_open_text path (fun oc -> output_string oc contents)
+
 let hp_dataset ~seed =
   if full then Bwc_dataset.Planetlab.hp_like ~seed
   else
@@ -150,7 +153,7 @@ let index_churn () =
       ~seed:1 ()
   in
   Bwc_experiments.Scalability.print_churn rows;
-  Bwc_experiments.Scalability.save_churn_json rows ~seed:1 "BENCH_index.json";
+  write_file "BENCH_index.json" (Bwc_experiments.Scalability.churn_to_json rows ~seed:1);
   Format.printf "churn sweep written to BENCH_index.json@.";
   let diverged = Bwc_experiments.Scalability.churn_divergence rows in
   if diverged > 0 then begin
@@ -159,6 +162,22 @@ let index_churn () =
       diverged;
     exit 1
   end
+
+(* BENCH_trace_overhead.json: one row per sink arm, each
+   (name, (best_s, mean_s, engine_sends, events_emitted, events_retained)) *)
+let trace_overhead_json ~dataset ~hosts ~queries ~repeats ~capacity ~overhead_pct arms =
+  let open Bwc_json in
+  let arm (name, (best, mean, sends, emitted, retained)) =
+    Obj
+      [ ("sink", Str name); ("best_s", Num (best, 6)); ("mean_s", Num (mean, 6));
+        ("overhead_pct", Num (overhead_pct best, 2)); ("engine_sends", Int sends);
+        ("events_emitted", Int emitted); ("events_retained", Int retained) ]
+  in
+  to_rows
+    (Obj
+       [ ("bench", Str "trace_overhead"); ("dataset", Str dataset);
+         ("hosts", Int hosts); ("queries", Int queries); ("repeats", Int repeats);
+         ("ring_capacity", Int capacity); ("arms", Arr (List.map arm arms)) ])
 
 (* Cost of structured tracing on the hot path: the same seeded
    aggregation + query workload with the sink disabled, bounded to a
@@ -253,21 +272,9 @@ let trace_overhead () =
            string_of_int retained;
          ])
        rows);
-  let oc = open_out "BENCH_trace_overhead.json" in
-  let arm_json (name, (best, mean, sends, emitted, retained)) =
-    Printf.sprintf
-      "    {\"sink\": \"%s\", \"best_s\": %.6f, \"mean_s\": %.6f, \
-       \"overhead_pct\": %.2f, \"engine_sends\": %d, \"events_emitted\": %d, \
-       \"events_retained\": %d}"
-      name best mean (overhead_pct best) sends emitted retained
-  in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"trace_overhead\",\n  \"dataset\": \"%s\",\n  \"hosts\": \
-     %d,\n  \"queries\": %d,\n  \"repeats\": %d,\n  \"ring_capacity\": %d,\n  \
-     \"arms\": [\n%s\n  ]\n}\n"
-    ds.Dataset.name n queries repeats capacity
-    (String.concat ",\n" (List.map arm_json rows));
-  close_out oc;
+  write_file "BENCH_trace_overhead.json"
+    (trace_overhead_json ~dataset:ds.Dataset.name ~hosts:n ~queries ~repeats ~capacity
+       ~overhead_pct rows);
   Format.printf "trace overhead written to BENCH_trace_overhead.json@."
 
 (* ----- Bechamel micro-benchmarks ----- *)
@@ -373,7 +380,7 @@ let daemon () =
     Bwc_experiments.Overload.run ~ticks:(if full then 600 else 200) ~seed:5 ds
   in
   Bwc_experiments.Overload.print out;
-  Bwc_experiments.Overload.save_json out "BENCH_daemon.json";
+  write_file "BENCH_daemon.json" (Bwc_experiments.Overload.to_json out);
   Format.printf "overload sweep written to BENCH_daemon.json@.";
   match Bwc_experiments.Overload.gate out with
   | [] -> ()

@@ -3,18 +3,15 @@
    Two analysis layers: per-file syntactic rules over the Parsetree, and
    whole-program passes (cross-module call graph, interprocedural
    determinism taint with witness paths, domain-safety audit) over all
-   files in one run.  Exit codes: 0 clean, 1 findings (fresh relative to
-   the baseline, when one is given), 2 internal error / parse failure,
-   124 usage error. *)
+   files in one run.  Exit codes: 0 clean, 1 findings, 2 internal error /
+   parse failure, 124 usage error. *)
 
 module Engine = Bwc_analysis.Engine
 module Report = Bwc_analysis.Report
-module Baseline = Bwc_analysis.Baseline
 module Sarif = Bwc_analysis.Sarif
 module Taint = Bwc_analysis.Taint
 module Callgraph = Bwc_analysis.Callgraph
 module Effects = Bwc_analysis.Effects
-module Finding = Bwc_analysis.Finding
 
 open Cmdliner
 
@@ -36,21 +33,6 @@ let sarif_arg =
      justification."
   in
   Arg.(value & opt (some string) None & info [ "sarif" ] ~docv:"FILE" ~doc)
-
-let baseline_arg =
-  let doc =
-    "Compare findings against the committed baseline $(docv): findings \
-     already in the baseline are carried (reported but not fatal); fresh \
-     findings and baseline entries no longer produced fail the run."
-  in
-  Arg.(value & opt (some string) None & info [ "baseline" ] ~docv:"FILE" ~doc)
-
-let update_baseline_arg =
-  let doc =
-    "Rewrite the $(b,--baseline) file from the current findings (canonical \
-     sorted JSON) and exit 0."
-  in
-  Arg.(value & flag & info [ "update-baseline" ] ~doc)
 
 let taint_arg =
   let doc =
@@ -75,20 +57,11 @@ let quiet_arg =
   let doc = "Suppress the human-readable report on stdout." in
   Arg.(value & flag & info [ "q"; "quiet" ] ~doc)
 
-let with_out file k =
+let write_report file contents =
   match file with
   | None -> ()
-  | Some "-" ->
-      k Format.std_formatter;
-      Format.pp_print_flush Format.std_formatter ()
-  | Some file ->
-      let oc = open_out file in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          let ppf = Format.formatter_of_out_channel oc in
-          k ppf;
-          Format.pp_print_flush ppf ())
+  | Some "-" -> print_string contents
+  | Some file -> Out_channel.with_open_text file (fun oc -> output_string oc contents)
 
 let print_taint_table ppf paths =
   let sources =
@@ -146,100 +119,27 @@ let usage_error fmt =
     Format.err_formatter
     ("bwclint: " ^^ fmt ^^ "@.")
 
-let run paths json sarif baseline update_baseline taint no_wp list_rules quiet
-    =
+let run paths json sarif taint no_wp list_rules quiet =
   if list_rules then begin
     Report.rule_catalog Format.std_formatter ();
     0
   end
-  else begin
-    let missing = List.filter (fun p -> not (Sys.file_exists p)) paths in
-    match missing with
+  else
+    match List.filter (fun p -> not (Sys.file_exists p)) paths with
     | p :: _ -> usage_error "no such file or directory: %s" p
-    | [] when update_baseline && baseline = None ->
-        usage_error "--update-baseline requires --baseline FILE"
-    | [] -> (
+    | [] ->
         let result = Engine.lint_paths ~whole_program:(not no_wp) paths in
         if taint then print_taint_table Format.std_formatter paths;
-        (* the gate: everything, or only what the baseline doesn't audit *)
-        let baseline_entries =
-          match baseline with
-          | None -> Ok None
-          | Some file when update_baseline -> Ok (Some (file, []))
-          | Some file -> (
-              match Baseline.load ~path:file with
-              | Ok entries -> Ok (Some (file, entries))
-              | Error msg -> Error msg)
-        in
-        match baseline_entries with
-        | Error msg ->
-            Format.eprintf "bwclint: cannot read baseline: %s@." msg;
-            2
-        | Ok None ->
-            if not quiet then begin
-              Report.human Format.std_formatter result;
-              Report.suppression_audit Format.std_formatter result
-            end;
-            with_out json (fun ppf -> Report.json ppf result);
-            with_out sarif (fun ppf ->
-                Format.pp_print_string ppf
-                  (Sarif.to_string ~suppressed:result.Engine.suppressed
-                     result.Engine.findings));
-            if result.Engine.parse_failed then 2
-            else if result.Engine.findings <> [] then 1
-            else 0
-        | Ok (Some (file, entries)) ->
-            if update_baseline then begin
-              Baseline.save ~path:file
-                (Baseline.of_findings result.Engine.findings);
-              if not quiet then
-                Format.printf "bwclint: baseline %s updated (%d entr%s)@." file
-                  (List.length (Baseline.of_findings result.Engine.findings))
-                  (if
-                     List.length (Baseline.of_findings result.Engine.findings)
-                     = 1
-                   then "y"
-                   else "ies");
-              if result.Engine.parse_failed then 2 else 0
-            end
-            else begin
-              let diff = Baseline.apply entries result.Engine.findings in
-              let gated =
-                { result with Engine.findings = diff.Baseline.fresh }
-              in
-              if not quiet then begin
-                Report.human Format.std_formatter gated;
-                if diff.Baseline.matched <> [] then
-                  Format.printf "%d finding%s carried by baseline %s@."
-                    (List.length diff.Baseline.matched)
-                    (if List.length diff.Baseline.matched = 1 then "" else "s")
-                    file;
-                List.iter
-                  (fun (e : Baseline.entry) ->
-                    Format.printf
-                      "baseline entry no longer produced: %s %s %s (run \
-                       --update-baseline)@."
-                      e.Baseline.b_rule e.Baseline.b_file e.Baseline.b_key)
-                  diff.Baseline.gone;
-                Report.suppression_audit Format.std_formatter result
-              end;
-              with_out json (fun ppf -> Report.json ppf gated);
-              with_out sarif (fun ppf ->
-                  Format.pp_print_string ppf
-                    (Sarif.to_string
-                       ~suppressed:
-                         (result.Engine.suppressed
-                         @ List.map
-                             (fun ((f : Finding.t), _) ->
-                               (f, "carried by committed baseline"))
-                             diff.Baseline.matched)
-                       diff.Baseline.fresh));
-              if result.Engine.parse_failed then 2
-              else if diff.Baseline.fresh <> [] || diff.Baseline.gone <> []
-              then 1
-              else 0
-            end)
-  end
+        if not quiet then begin
+          Report.human Format.std_formatter result;
+          Report.suppression_audit Format.std_formatter result
+        end;
+        write_report json (Report.json result);
+        write_report sarif
+          (Sarif.to_string ~suppressed:result.Engine.suppressed result.Engine.findings);
+        if result.Engine.parse_failed then 2
+        else if result.Engine.findings <> [] then 1
+        else 0
 
 let cmd =
   let doc =
@@ -263,10 +163,6 @@ let cmd =
          the line above.  The reason is required (its absence is itself \
          reported) and is surfaced by the JSON/SARIF reporters; stale \
          suppressions that match nothing in any pass are reported too.";
-      `P
-        "With $(b,--baseline), pre-existing audited findings are carried \
-         while anything fresh — or any baseline entry that no longer \
-         reproduces — fails the run.";
       `S Manpage.s_exit_status;
       `P "0 on a clean tree, 1 on findings, 2 on internal/parse errors, 124 \
           on usage errors.";
@@ -275,8 +171,7 @@ let cmd =
   Cmd.v
     (Cmd.info "bwclint" ~version:"%%VERSION%%" ~doc ~man)
     Term.(
-      const run $ paths_arg $ json_arg $ sarif_arg $ baseline_arg
-      $ update_baseline_arg $ taint_arg $ no_wp_arg $ list_rules_arg
-      $ quiet_arg)
+      const run $ paths_arg $ json_arg $ sarif_arg $ taint_arg $ no_wp_arg
+      $ list_rules_arg $ quiet_arg)
 
 let () = Stdlib.exit (Cmd.eval' cmd)

@@ -19,9 +19,10 @@ open Cmdliner
 
    Everything that validates user input exits with
    [Cmd.Exit.cli_error]; everything that touches the filesystem exits
-   with [exit_io] on [Sys_error]; everything that checks a result exits
-   with [exit_gate].  Gate diagnostics go to stderr, never stdout, so
-   piped report output stays parseable. *)
+   with [exit_io] on [Sys_error] (every written file goes through
+   [write_with]); everything that checks a result exits with
+   [exit_gate].  Gate diagnostics go to stderr, never stdout, so piped
+   report output stays parseable. *)
 let exit_io = 1
 let exit_gate = 3
 let exit_snapshot_rejected = 4
@@ -38,15 +39,32 @@ let csv_arg =
   let doc = "Also write the series as CSV to $(docv)." in
   Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
 
-let maybe_csv csv save output =
-  match csv with
-  | Some path ->
-      (try save output path
-       with Sys_error msg ->
-         Format.eprintf "bwcluster: cannot write %s: %s@." path msg;
-         exit exit_io);
-      Format.printf "csv written to %s@." path
-  | None -> ()
+(* Every file the CLI writes goes through here: [save path] failing
+   with [Sys_error] exits [exit_io] with one message naming [path].
+   Sys_error texts read "<file>: <reason>", so only the reason is kept. *)
+let write_with save path =
+  try save path
+  with Sys_error msg ->
+    let reason =
+      match String.rindex_opt msg ':' with
+      | Some i -> String.trim (String.sub msg (i + 1) (String.length msg - i - 1))
+      | None -> msg
+    in
+    Format.eprintf "bwcluster: cannot write %s: %s@." path reason;
+    exit exit_io
+
+let write_string contents path =
+  Out_channel.with_open_text path (fun oc -> output_string oc contents)
+
+(* [--csv]/[--json]: write when the option is given and say so *)
+let maybe_write what path save =
+  Option.iter
+    (fun path ->
+      write_with save path;
+      Format.printf "%s written to %s@." what path)
+    path
+
+let maybe_csv csv save output = maybe_write "csv" csv (save output)
 
 let dataset_arg =
   let doc =
@@ -75,6 +93,26 @@ let load_dataset ~seed name =
       with Sys_error msg ->
         Format.eprintf "bwcluster: cannot read dataset: %s@." msg;
         exit exit_io)
+
+(* [--hosts N]: values below 2 are rejected while parsing, so every
+   command gets Cmdliner's usage error (exit 124) *)
+let hosts_arg =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok h when h < 2 -> Error (`Msg "must be at least 2")
+    | r -> r
+  in
+  Arg.(
+    value
+    & opt (some (conv (parse, Format.pp_print_int))) None
+    & info [ "hosts" ] ~docv:"N"
+        ~doc:"Restrict the dataset to a random N-host subset, N >= 2 (quick runs).")
+
+let subset_hosts ~seed hosts ds =
+  match hosts with
+  | Some h when h < Bwc_dataset.Dataset.size ds ->
+      Bwc_dataset.Dataset.random_subset ds ~rng:(Bwc_stats.Rng.create seed) h
+  | _ -> ds
 
 (* ----- accuracy (E1) ----- *)
 
@@ -155,11 +193,8 @@ let scalability seed full dataset churn json csv =
         ~seed ()
     in
     Bwc_experiments.Scalability.print_churn rows;
-    (match json with
-    | Some path ->
-        Bwc_experiments.Scalability.save_churn_json rows ~seed path;
-        Format.printf "json written to %s@." path
-    | None -> ());
+    maybe_write "json" json
+      (write_string (Bwc_experiments.Scalability.churn_to_json rows ~seed));
     let diverged = Bwc_experiments.Scalability.churn_divergence rows in
     if diverged > 0 then begin
       Format.eprintf "churn sweep: %d divergences or failed witnesses@." diverged;
@@ -267,18 +302,7 @@ let routing_cmd =
 (* ----- robustness under faults (E12) ----- *)
 
 let robustness seed full dataset hosts recover csv =
-  (match hosts with
-  | Some h when h < 2 ->
-      Format.eprintf "bwcluster: --hosts must be at least 2@.";
-      exit Cmdliner.Cmd.Exit.cli_error
-  | _ -> ());
-  let ds = load_dataset ~seed dataset in
-  let ds =
-    match hosts with
-    | Some h when h < Bwc_dataset.Dataset.size ds ->
-        Bwc_dataset.Dataset.random_subset ds ~rng:(Bwc_stats.Rng.create seed) h
-    | _ -> ds
-  in
+  let ds = subset_hosts ~seed hosts (load_dataset ~seed dataset) in
   if recover then begin
     let victim_counts, queries =
       if full then ([ 1; 2; 3; 4 ], 200) else ([ 1; 2 ], 60)
@@ -304,13 +328,6 @@ let robustness_cmd =
      the E13 crash-recovery comparison instead: detector-driven incremental \
      self-healing vs oracle eviction with full re-propagation."
   in
-  let hosts =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "hosts" ] ~docv:"N"
-          ~doc:"Restrict the dataset to a random N-host subset (smoke runs).")
-  in
   let recover =
     Arg.(
       value & flag
@@ -322,28 +339,10 @@ let robustness_cmd =
   Cmd.v
     (Cmd.info "robustness" ~doc)
     Term.(
-      const robustness $ seed_arg $ full_arg $ dataset_arg $ hosts $ recover
+      const robustness $ seed_arg $ full_arg $ dataset_arg $ hosts_arg $ recover
       $ csv_arg)
 
 (* ----- crash-consistent restart (E15) ----- *)
-
-let hosts_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "hosts" ] ~docv:"N"
-        ~doc:"Restrict the dataset to a random N-host subset (quick runs).")
-
-let subset_hosts ~seed hosts ds =
-  (match hosts with
-  | Some h when h < 2 ->
-      Format.eprintf "bwcluster: --hosts must be at least 2@.";
-      exit Cmdliner.Cmd.Exit.cli_error
-  | _ -> ());
-  match hosts with
-  | Some h when h < Bwc_dataset.Dataset.size ds ->
-      Bwc_dataset.Dataset.random_subset ds ~rng:(Bwc_stats.Rng.create seed) h
-  | _ -> ds
 
 let restart seed full dataset hosts json csv =
   let ds = subset_hosts ~seed hosts (load_dataset ~seed dataset) in
@@ -351,11 +350,8 @@ let restart seed full dataset hosts json csv =
   let out = Bwc_experiments.Robustness.restart ~queries ~seed ds in
   Bwc_experiments.Robustness.print_restart out;
   maybe_csv csv Bwc_experiments.Robustness.save_restart_csv out;
-  (match json with
-  | Some path ->
-      Bwc_experiments.Robustness.save_restart_json out ~seed path;
-      Format.printf "json written to %s@." path
-  | None -> ());
+  maybe_write "json" json
+    (write_string (Bwc_experiments.Robustness.restart_to_json out ~seed));
   (* acceptance gate: the warm restore must verify and land on the
      reference fixed point, every corrupted image must be rejected, and
      at experiment scale the restart must actually be cheap *)
@@ -431,14 +427,7 @@ let overload seed full dataset hosts json csv =
   let out = Bwc_experiments.Overload.run ~ticks ~seed ds in
   Bwc_experiments.Overload.print out;
   maybe_csv csv Bwc_experiments.Overload.save_csv out;
-  (match json with
-  | Some path ->
-      (try Bwc_experiments.Overload.save_json out path
-       with Sys_error msg ->
-         Format.eprintf "bwcluster: cannot write %s: %s@." path msg;
-         exit exit_io);
-      Format.printf "json written to %s@." path
-  | None -> ());
+  maybe_write "json" json (write_string (Bwc_experiments.Overload.to_json out));
   match Bwc_experiments.Overload.gate out with
   | [] -> ()
   | failures ->
@@ -471,7 +460,7 @@ let snapshot seed dataset hosts output =
   let ds = subset_hosts ~seed hosts (load_dataset ~seed dataset) in
   let sys = Bwc_core.System.create ~seed ds in
   let image = Bwc_persist.Snapshot.encode (`System sys) in
-  Bwc_persist.Codec.write_file output image;
+  write_with (fun path -> Bwc_persist.Codec.write_file path image) output;
   Format.printf "wrote %s: %d bytes, %d hosts, converged in %d rounds@." output
     (String.length image) (Bwc_core.System.size sys)
     (Bwc_core.Protocol.rounds_run (Bwc_core.System.protocol sys))
@@ -503,7 +492,10 @@ let restore seed dataset hosts input resnapshot cold_fallback k b =
   let resnap source =
     match resnapshot with
     | Some path ->
-        Bwc_persist.Codec.write_file path (Bwc_persist.Snapshot.encode source);
+        write_with
+          (fun path ->
+            Bwc_persist.Codec.write_file path (Bwc_persist.Snapshot.encode source))
+          path;
         Format.printf "re-snapshot written to %s@." path
     | None -> ()
   in
@@ -613,7 +605,7 @@ let dynamic_cmd =
 
 let gen seed dataset output =
   let ds = load_dataset ~seed dataset in
-  Bwc_dataset.Dataset.save_csv ds output;
+  write_with (Bwc_dataset.Dataset.save_csv ds) output;
   let lo, hi = Bwc_dataset.Dataset.percentile_range ds ~lo:20.0 ~hi:80.0 in
   Format.printf "wrote %s: %d hosts, bandwidth p20=%.1f p80=%.1f Mbps@." output
     (Bwc_dataset.Dataset.size ds) lo hi
@@ -634,15 +626,7 @@ let export_tree seed dataset output =
   let ds = load_dataset ~seed dataset in
   let sys = Bwc_core.System.create ~seed ds in
   let fw = Bwc_predtree.Ensemble.primary (Bwc_core.System.framework sys) in
-  let write path contents =
-    try
-      let oc = open_out path in
-      Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-          output_string oc contents)
-    with Sys_error msg ->
-      Format.eprintf "bwcluster: cannot write %s: %s@." path msg;
-      exit exit_io
-  in
+  let write path contents = write_with (write_string contents) path in
   let pred_path = output ^ ".prediction.dot" in
   let anchor_path = output ^ ".anchor.dot" in
   write pred_path
@@ -733,22 +717,11 @@ let query_cmd =
    stream.  Everything derives from --seed, so two runs with the same
    arguments produce byte-identical output. *)
 let build_observed ~seed ~dataset ~hosts ~drop ~duplicate ~jitter ~queries =
-  (match hosts with
-  | Some h when h < 2 ->
-      Format.eprintf "bwcluster: --hosts must be at least 2@.";
-      exit Cmdliner.Cmd.Exit.cli_error
-  | _ -> ());
   if drop < 0.0 || drop > 1.0 || duplicate < 0.0 || duplicate > 1.0 then begin
     Format.eprintf "bwcluster: --drop and --duplicate must be in [0,1]@.";
     exit Cmdliner.Cmd.Exit.cli_error
   end;
-  let ds = load_dataset ~seed dataset in
-  let ds =
-    match hosts with
-    | Some h when h < Bwc_dataset.Dataset.size ds ->
-        Bwc_dataset.Dataset.random_subset ds ~rng:(Bwc_stats.Rng.create seed) h
-    | _ -> ds
-  in
+  let ds = subset_hosts ~seed hosts (load_dataset ~seed dataset) in
   let n = Bwc_dataset.Dataset.size ds in
   let space = Bwc_dataset.Dataset.metric ds in
   let metrics = Bwc_obs.Registry.create () in
@@ -777,13 +750,7 @@ let build_observed ~seed ~dataset ~hosts ~drop ~duplicate ~jitter ~queries =
 let write_or_print output contents =
   match output with
   | Some path ->
-      (try
-         let oc = open_out path in
-         Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-             output_string oc contents)
-       with Sys_error msg ->
-         Format.eprintf "bwcluster: cannot write %s: %s@." path msg;
-         exit exit_io);
+      write_with (write_string contents) path;
       Format.printf "wrote %s@." path
   | None -> print_string contents
 
@@ -871,14 +838,7 @@ let analyze seed dataset hosts input json output =
             exit Cmdliner.Cmd.Exit.cli_error)
     | None ->
         (* default scenario: the seeded E13-style crash-recovery run *)
-        let ds = load_dataset ~seed dataset in
-        let ds =
-          match hosts with
-          | Some h when h < Bwc_dataset.Dataset.size ds ->
-              Bwc_dataset.Dataset.random_subset ds
-                ~rng:(Bwc_stats.Rng.create seed) h
-          | _ -> ds
-        in
+        let ds = subset_hosts ~seed hosts (load_dataset ~seed dataset) in
         fst (Bwc_experiments.Trace_analytics.recovery_events ~seed ds)
   in
   let report = Bwc_obs.Causal.analyze events in
@@ -939,13 +899,7 @@ let trace_diff_cmd =
       $ file 1 "Right trace (JSONL).")
 
 let trace_analytics seed dataset hosts kinds_csv csv =
-  let ds = load_dataset ~seed dataset in
-  let ds =
-    match hosts with
-    | Some h when h < Bwc_dataset.Dataset.size ds ->
-        Bwc_dataset.Dataset.random_subset ds ~rng:(Bwc_stats.Rng.create seed) h
-    | _ -> ds
-  in
+  let ds = subset_hosts ~seed hosts (load_dataset ~seed dataset) in
   let out = Bwc_experiments.Trace_analytics.run ~seed ds in
   Bwc_experiments.Trace_analytics.print out;
   maybe_csv csv Bwc_experiments.Trace_analytics.save_csv out;

@@ -23,9 +23,9 @@ let of_location ?key ?witness ~rule ~severity ~message (loc : Location.t) =
   make ?key ?witness ~rule ~severity ~file:p.pos_fname ~line:p.pos_lnum
     ~col:(p.pos_cnum - p.pos_bol) ~message ()
 
-(* Stable identity for baseline matching: whole-program findings carry a
-   symbolic key that survives unrelated edits; syntactic findings fall
-   back to their line anchor. *)
+(* Stable identity: whole-program findings carry a symbolic key that
+   survives unrelated edits; syntactic findings fall back to their line
+   anchor. *)
 let stable_key t =
   match t.key with Some k -> k | None -> Printf.sprintf "L%d" t.line
 

@@ -12,9 +12,9 @@ type t = {
   col : int;  (** 0-based, as reported by the compiler *)
   message : string;
   key : string option;
-      (** stable symbolic identity for baseline matching (whole-program
-          findings use function names, which survive unrelated edits);
-          [None] falls back to the line anchor *)
+      (** stable symbolic identity (whole-program findings use function
+          names, which survive unrelated edits); [None] falls back to the
+          line anchor *)
   witness : string list;
       (** interprocedural findings: the call chain from the reported
           function down to the primitive source, as qualified names *)
@@ -44,8 +44,8 @@ val of_location :
   t
 
 val stable_key : t -> string
-(** [key] if present, else ["L<line>"] — the identity used by
-    {!Baseline} matching. *)
+(** [key] if present, else ["L<line>"] — the identity the JSON report
+    carries as ["key"]. *)
 
 val compare : t -> t -> int
 (** Orders by (file, line, col, rule, stable key). *)

@@ -44,67 +44,30 @@ let suppression_audit ppf (r : Engine.result) =
 
 (* ----- JSON ----- *)
 
-let json_escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+let json_finding (f : Finding.t) : Bwc_json.t =
+  let open Bwc_json in
+  let witness =
+    if f.witness = [] then []
+    else [ ("witness", Arr (List.map (fun step -> Str step) f.witness)) ]
+  in
+  Obj
+    ([ ("file", Str f.file); ("line", Int f.line); ("col", Int f.col);
+       ("rule", Str f.rule); ("severity", Str (Finding.severity_label f.severity));
+       ("key", Str (Finding.stable_key f)); ("message", Str f.message) ]
+    @ witness)
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  json_escape buf s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
-let json_finding ppf (f : Finding.t) =
-  Format.fprintf ppf
-    "{\"file\":%s,\"line\":%d,\"col\":%d,\"rule\":%s,\"severity\":%s,\"key\":%s,\"message\":%s"
-    (json_string f.file) f.line f.col (json_string f.rule)
-    (json_string (Finding.severity_label f.severity))
-    (json_string (Finding.stable_key f))
-    (json_string f.message);
-  if f.witness <> [] then begin
-    Format.fprintf ppf ",\"witness\":[";
-    List.iteri
-      (fun i step ->
-        if i > 0 then Format.fprintf ppf ",";
-        Format.fprintf ppf "%s" (json_string step))
-      f.witness;
-    Format.fprintf ppf "]"
-  end;
-  Format.fprintf ppf "}"
-
-let json ppf (r : Engine.result) =
-  Format.fprintf ppf "{@[<v 1>@,\"files_scanned\": %d,@,\"errors\": %d,@,"
-    r.files_scanned
-    (count Finding.Error r.findings);
-  Format.fprintf ppf "\"warnings\": %d,@,\"suppressions_used\": %d,@,"
-    (count Finding.Warning r.findings)
-    r.suppressions_used;
-  Format.fprintf ppf "\"parse_failed\": %b,@,\"findings\": [@[<v 1>"
-    r.parse_failed;
-  List.iteri
-    (fun i f ->
-      if i > 0 then Format.fprintf ppf ",";
-      Format.fprintf ppf "@,%a" json_finding f)
-    r.findings;
-  Format.fprintf ppf "@]@,],@,\"suppressed\": [@[<v 1>";
-  List.iteri
-    (fun i ((f : Finding.t), reason) ->
-      if i > 0 then Format.fprintf ppf ",";
-      Format.fprintf ppf "@,{\"reason\":%s,\"finding\":%a}" (json_string reason)
-        json_finding f)
-    r.suppressed;
-  Format.fprintf ppf "@]@,]@]@,}@."
+let json (r : Engine.result) =
+  let open Bwc_json in
+  let suppressed (f, reason) = Obj [ ("reason", Str reason); ("finding", json_finding f) ] in
+  to_rows
+    (Obj
+       [ ("files_scanned", Int r.files_scanned);
+         ("errors", Int (count Finding.Error r.findings));
+         ("warnings", Int (count Finding.Warning r.findings));
+         ("suppressions_used", Int r.suppressions_used);
+         ("parse_failed", Bool r.parse_failed);
+         ("findings", Arr (List.map json_finding r.findings));
+         ("suppressed", Arr (List.map suppressed r.suppressed)) ])
 
 let rule_catalog ppf () =
   let line id sev doc =

@@ -14,14 +14,11 @@ val suppression_audit : Format.formatter -> Engine.result -> unit
 (** The audited-suppression trail: one line per silenced finding with
     its recorded reason. *)
 
-val json : Format.formatter -> Engine.result -> unit
-(** Machine-readable report:
+val json : Engine.result -> string
+(** Machine-readable report in the {!Bwc_json.to_rows} layout:
     [{"files_scanned":., "errors":., "warnings":., "suppressions_used":.,
       "parse_failed":., "findings":[{file,line,col,rule,severity,key,
       message,witness?}], "suppressed":[{reason,finding}]}] *)
-
-val json_string : string -> string
-(** JSON-quote and escape a string. *)
 
 val rule_catalog : Format.formatter -> unit -> unit
 (** Human-readable listing of every rule — syntactic catalog,

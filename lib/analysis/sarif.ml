@@ -3,8 +3,8 @@
 
    Suppressed findings are still emitted, carrying an inSource
    suppression object with the audit justification — the scanning UI is
-   the audit trail; only unsuppressed, non-baselined findings affect the
-   exit code (that logic lives in bin/bwclint, not here). *)
+   the audit trail; only unsuppressed findings affect the exit code
+   (that logic lives in bin/bwclint, not here). *)
 
 let schema = "https://json.schemastore.org/sarif-2.1.0.json"
 
@@ -14,86 +14,61 @@ let all_rules () =
 
 let level = function Finding.Error -> "error" | Finding.Warning -> "warning"
 
-let str = Report.json_string
+open Bwc_json
 
-let location (f : Finding.t) =
-  Printf.sprintf
-    "{ \"physicalLocation\": { \"artifactLocation\": { \"uri\": %s }, \
-     \"region\": { \"startLine\": %d, \"startColumn\": %d } } }"
-    (str f.file) (max 1 f.line)
-    (max 1 (f.col + 1))
+let text s = Obj [ ("text", Str s) ]
+
+let physical_location ?column (f : Finding.t) =
+  let column = match column with Some c -> [ ("startColumn", Int c) ] | None -> [] in
+  ( "physicalLocation",
+    Obj
+      [ ("artifactLocation", Obj [ ("uri", Str f.file) ]);
+        ("region", Obj (("startLine", Int (max 1 f.line)) :: column)) ] )
 
 let code_flow (f : Finding.t) =
-  if List.length f.witness < 2 then None
+  if List.length f.witness < 2 then []
   else
     let step i name =
-      let physical =
-        if i = 0 then
-          Printf.sprintf
-            " \"physicalLocation\": { \"artifactLocation\": { \"uri\": %s }, \
-             \"region\": { \"startLine\": %d } },"
-            (str f.file) (max 1 f.line)
-        else ""
+      let logical =
+        [ ("logicalLocations", Arr [ Obj [ ("fullyQualifiedName", Str name) ] ]);
+          ("message", text name) ]
       in
-      Printf.sprintf
-        "{ \"location\": {%s \"logicalLocations\": [ { \
-         \"fullyQualifiedName\": %s } ], \"message\": { \"text\": %s } } }"
-        physical (str name) (str name)
+      Obj [ ("location", Obj (if i = 0 then physical_location f :: logical else logical)) ]
     in
-    Some
-      (Printf.sprintf
-         "\"codeFlows\": [ { \"threadFlows\": [ { \"locations\": [ %s ] } ] } \
-          ], "
-         (String.concat ", " (List.mapi step f.witness)))
+    let thread = Obj [ ("locations", Arr (List.mapi step f.witness)) ] in
+    [ ("codeFlows", Arr [ Obj [ ("threadFlows", Arr [ thread ]) ] ]) ]
 
 let result ?suppression (f : Finding.t) =
-  let flow = match code_flow f with Some s -> s | None -> "" in
-  let sup =
+  let suppressions =
     match suppression with
-    | None -> ""
+    | None -> []
     | Some reason ->
-        Printf.sprintf
-          ", \"suppressions\": [ { \"kind\": \"inSource\", \"justification\": \
-           %s } ]"
-          (str (if reason = "" then "(no reason recorded)" else reason))
+        let reason = if reason = "" then "(no reason recorded)" else reason in
+        let audit = Obj [ ("kind", Str "inSource"); ("justification", Str reason) ] in
+        [ ("suppressions", Arr [ audit ]) ]
   in
-  Printf.sprintf
-    "{ \"ruleId\": %s, \"level\": %s, %s\"message\": { \"text\": %s }, \
-     \"locations\": [ %s ]%s }"
-    (str f.rule)
-    (str (level f.severity))
-    flow (str f.message) (location f) sup
+  Obj
+    ([ ("ruleId", Str f.rule); ("level", Str (level f.severity)) ]
+    @ code_flow f
+    @ [ ("message", text f.message);
+        ("locations", Arr [ Obj [ physical_location ~column:(max 1 (f.col + 1)) f ] ]) ]
+    @ suppressions)
 
 let to_string ?(suppressed = []) findings =
-  let rules =
-    List.map
-      (fun (id, sev, doc) ->
-        Printf.sprintf
-          "{ \"id\": %s, \"shortDescription\": { \"text\": %s }, \
-           \"defaultConfiguration\": { \"level\": %s } }"
-          (str id) (str doc)
-          (str (level sev)))
-      (all_rules ())
+  let rule (id, sev, doc) =
+    Obj
+      [ ("id", Str id); ("shortDescription", text doc);
+        ("defaultConfiguration", Obj [ ("level", Str (level sev)) ]) ]
+  in
+  let driver =
+    Obj
+      [ ("name", Str "bwclint");
+        ("informationUri", Str "https://example.invalid/bwcluster/docs/DESIGN.md");
+        ("version", Str "2.0.0"); ("rules", Arr (List.map rule (all_rules ()))) ]
   in
   let results =
     List.map (fun f -> result f) findings
     @ List.map (fun (f, reason) -> result ~suppression:reason f) suppressed
   in
-  Printf.sprintf
-    "{\n\
-    \  \"$schema\": %s,\n\
-    \  \"version\": \"2.1.0\",\n\
-    \  \"runs\": [ {\n\
-    \    \"tool\": { \"driver\": {\n\
-    \      \"name\": \"bwclint\",\n\
-    \      \"informationUri\": \
-     \"https://example.invalid/bwcluster/docs/DESIGN.md\",\n\
-    \      \"version\": \"2.0.0\",\n\
-    \      \"rules\": [ %s ]\n\
-    \    } },\n\
-    \    \"results\": [ %s ]\n\
-    \  } ]\n\
-     }\n"
-    (str schema)
-    (String.concat ", " rules)
-    (String.concat ", " results)
+  let run = Obj [ ("tool", Obj [ ("driver", driver) ]); ("results", Arr results) ] in
+  to_rows (Obj [ ("$schema", Str schema); ("version", Str "2.1.0"); ("runs", Arr [ run ]) ])

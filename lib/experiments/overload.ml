@@ -253,29 +253,22 @@ let save_csv (out : t) path =
          ])
        out.rows)
 
-let save_json (out : t) path =
-  let oc = open_out path in
-  let row_json r =
-    Printf.sprintf
-      "    {\"load\": %.2f, \"offered\": %d, \"answered_live\": %d, \
-       \"answered_degraded\": %d, \"acked\": %d, \"shed\": %d, \
-       \"timeouts\": %d, \"rejected\": %d, \"goodput\": %.4f, \
-       \"shed_rate\": %.4f, \"max_staleness\": %d, \"drain_ticks\": %d, \
-       \"deterministic\": %b, \"accounted\": %b}"
-      r.load r.offered r.answered_live r.answered_degraded r.acked r.shed
-      r.timeouts r.rejected r.goodput r.shed_rate r.max_staleness
-      r.drain_ticks r.deterministic r.accounted
+let to_json (out : t) =
+  let open Bwc_json in
+  let row r =
+    Obj
+      [ ("load", Num (r.load, 2)); ("offered", Int r.offered);
+        ("answered_live", Int r.answered_live);
+        ("answered_degraded", Int r.answered_degraded);
+        ("acked", Int r.acked); ("shed", Int r.shed); ("timeouts", Int r.timeouts);
+        ("rejected", Int r.rejected); ("goodput", Num (r.goodput, 4));
+        ("shed_rate", Num (r.shed_rate, 4)); ("max_staleness", Int r.max_staleness);
+        ("drain_ticks", Int r.drain_ticks); ("deterministic", Bool r.deterministic);
+        ("accounted", Bool r.accounted) ]
   in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"overload\",\n\
-    \  \"seed\": %d,\n\
-    \  \"dataset\": \"%s\",\n\
-    \  \"n\": %d,\n\
-    \  \"ticks\": %d,\n\
-    \  \"budget\": %d,\n\
-    \  \"plateau\": %.4f,\n\
-    \  \"rows\": [\n%s\n  ]\n}\n"
-    out.seed out.dataset out.n out.ticks out.budget out.plateau
-    (String.concat ",\n" (List.map row_json out.rows));
-  close_out oc
+  to_rows
+    (Obj
+       [ ("experiment", Str "overload"); ("seed", Int out.seed);
+         ("dataset", Str out.dataset); ("n", Int out.n); ("ticks", Int out.ticks);
+         ("budget", Int out.budget);
+         ("plateau", Num (out.plateau, 4)); ("rows", Arr (List.map row out.rows)) ])

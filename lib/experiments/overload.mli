@@ -62,6 +62,6 @@ val gate : ?tolerance:float -> t -> string list
 val print : t -> unit
 val save_csv : t -> string -> unit
 
-val save_json : t -> string -> unit
+val to_json : t -> string
 (** The machine-readable form CI archives and byte-compares across
-    same-seed reruns. *)
+    same-seed reruns ({!Bwc_json.to_rows} layout). *)

@@ -659,28 +659,20 @@ let save_restart_csv (output : restart_output) path =
          ])
        output.rows)
 
-let save_restart_json (output : restart_output) ~seed path =
-  let oc = open_out path in
-  let row_json r =
-    Printf.sprintf
-      "    {\"mode\": \"%s\", \"restore_ok\": %b, \"rejected_as\": \"%s\", \
-       \"rr_at_restart\": %.3f, \"post_rounds\": %d, \"post_msgs\": %d, \
-       \"round_speedup\": %.2f, \"msg_speedup\": %.2f, \"fixpoint_match\": %b}"
-      r.mode r.restore_ok r.rejected_as r.rr_at_restart r.post_rounds
-      r.post_msgs r.round_speedup r.msg_speedup r.fixpoint_match
+let restart_to_json (output : restart_output) ~seed =
+  let open Bwc_json in
+  let row r =
+    Obj
+      [ ("mode", Str r.mode); ("restore_ok", Bool r.restore_ok);
+        ("rejected_as", Str r.rejected_as); ("rr_at_restart", Num (r.rr_at_restart, 3));
+        ("post_rounds", Int r.post_rounds); ("post_msgs", Int r.post_msgs);
+        ("round_speedup", Num (r.round_speedup, 2));
+        ("msg_speedup", Num (r.msg_speedup, 2)); ("fixpoint_match", Bool r.fixpoint_match) ]
   in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"restart\",\n\
-    \  \"seed\": %d,\n\
-    \  \"dataset\": \"%s\",\n\
-    \  \"n\": %d,\n\
-    \  \"queries\": %d,\n\
-    \  \"snapshot_bytes\": %d,\n\
-    \  \"base_rounds\": %d,\n\
-    \  \"rr_clean\": %.3f,\n\
-    \  \"rows\": [\n%s\n  ]\n}\n"
-    seed output.dataset output.n output.queries output.snapshot_bytes
-    output.base_rounds output.rr_clean
-    (String.concat ",\n" (List.map row_json output.rows));
-  close_out oc
+  to_rows
+    (Obj
+       [ ("experiment", Str "restart"); ("seed", Int seed);
+         ("dataset", Str output.dataset); ("n", Int output.n);
+         ("queries", Int output.queries); ("snapshot_bytes", Int output.snapshot_bytes);
+         ("base_rounds", Int output.base_rounds); ("rr_clean", Num (output.rr_clean, 3));
+         ("rows", Arr (List.map row output.rows)) ])

@@ -184,6 +184,6 @@ val restart :
 val print_restart : restart_output -> unit
 val save_restart_csv : restart_output -> string -> unit
 
-val save_restart_json : restart_output -> seed:int -> string -> unit
+val restart_to_json : restart_output -> seed:int -> string
 (** The machine-readable form CI archives: one object with the run
-    parameters and one row per arm. *)
+    parameters and one row per arm ({!Bwc_json.to_rows} layout). *)

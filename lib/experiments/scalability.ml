@@ -213,20 +213,19 @@ let print_churn rows =
          ])
        rows)
 
-let save_churn_json rows ~seed path =
-  let oc = open_out path in
-  let row_json r =
-    Printf.sprintf
-      "    {\"n\": %d, \"events\": %d, \"exact_arm\": \"%s\", \
-       \"incremental_s\": %.6f, \"rebuild_s\": %.6f, \"speedup\": %.2f, \
-       \"checks\": %d, \"divergence\": %d}"
-      r.cn r.events r.exact_arm r.incremental_s r.rebuild_s r.speedup r.checks
-      r.divergence
+let churn_to_json rows ~seed =
+  let open Bwc_json in
+  let row r =
+    Obj
+      [ ("n", Int r.cn); ("events", Int r.events); ("exact_arm", Str r.exact_arm);
+        ("incremental_s", Num (r.incremental_s, 6)); ("rebuild_s", Num (r.rebuild_s, 6));
+        ("speedup", Num (r.speedup, 2)); ("checks", Int r.checks);
+        ("divergence", Int r.divergence) ]
   in
-  Printf.fprintf oc "{\n  \"bench\": \"index_churn\",\n  \"seed\": %d,\n  \"rows\": [\n%s\n  ]\n}\n"
-    seed
-    (String.concat ",\n" (List.map row_json rows));
-  close_out oc
+  to_rows
+    (Obj
+       [ ("bench", Str "index_churn"); ("seed", Int seed);
+         ("rows", Arr (List.map row rows)) ])
 
 let print output =
   Report.table

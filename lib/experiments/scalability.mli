@@ -75,6 +75,6 @@ val churn_divergence : churn_row list -> int
 
 val print_churn : churn_row list -> unit
 
-val save_churn_json : churn_row list -> seed:int -> string -> unit
-(** Writes the sweep as JSON ([BENCH_index.json] schema; see
-    EXPERIMENTS.md E14). *)
+val churn_to_json : churn_row list -> seed:int -> string
+(** The sweep as JSON ([BENCH_index.json] schema, {!Bwc_json.to_rows}
+    layout; see EXPERIMENTS.md E14). *)

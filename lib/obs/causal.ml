@@ -380,56 +380,60 @@ let to_text r =
   Buffer.contents buf
 
 let to_json r =
-  let buf = Buffer.create 4096 in
-  let p fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s) fmt in
-  p "{\"rounds\":%d" r.rounds;
-  (match r.quiesce_round with
-  | Some q -> p ",\"quiesce_round\":%d" q
-  | None -> p ",\"quiesce_round\":null");
-  p ",\"messages\":%d,\"delivered\":%d,\"dropped\":%d,\"query_hops\":%d,\"total_bytes\":%d"
-    r.messages r.delivered_events r.dropped_events r.query_hops r.total_bytes;
-  p ",\"critical_path\":{\"hops\":%d,\"cp_rounds\":%d,\"frac_explained\":%.4f,\"chain\":["
-    (List.length r.critical_path)
-    r.cp_rounds r.frac_explained;
-  List.iteri
-    (fun i h ->
-      if i > 0 then p ",";
-      p
-        "{\"msg\":%d,\"kind\":\"%s\",\"src\":%d,\"dst\":%d,\"send_round\":%d,\"deliver_round\":%d,\"bytes\":%d}"
-        h.h_msg
-        (Trace.kind_to_string h.h_kind)
-        h.h_src h.h_dst h.h_send_round h.h_deliver_round h.h_bytes)
-    r.critical_path;
-  p "]}";
-  p ",\"by_kind\":[";
-  List.iteri
-    (fun i (k, s) ->
-      if i > 0 then p ",";
-      p "{\"kind\":\"%s\",\"sends\":%d,\"bytes\":%d,\"delivered\":%d,\"dropped\":%d}"
-        (Trace.kind_to_string k) s.k_sends s.k_bytes s.k_delivered s.k_dropped)
-    r.by_kind;
-  p "],\"by_node\":[";
-  List.iteri
-    (fun i (node, s) ->
-      if i > 0 then p ",";
-      p "{\"node\":%d,\"sent\":%d,\"sent_bytes\":%d,\"recv\":%d,\"recv_bytes\":%d}" node
-        s.n_sent s.n_sent_bytes s.n_recv s.n_recv_bytes)
-    r.by_node;
-  p "],\"by_link\":[";
-  List.iteri
-    (fun i ((src, dst), l) ->
-      if i > 0 then p ",";
-      p "{\"src\":%d,\"dst\":%d,\"msgs\":%d,\"bytes\":%d}" src dst l.l_msgs l.l_bytes)
-    r.by_link;
-  p "],\"per_round\":[";
-  List.iteri
-    (fun i (round, s) ->
-      if i > 0 then p ",";
-      p "{\"round\":%d,\"sends\":%d,\"delivers\":%d,\"bytes\":%d}" round s.r_sends
-        s.r_delivers s.r_bytes)
-    r.per_round;
-  p "]}";
-  Buffer.contents buf
+  let open Bwc_json in
+  let rows f l = Arr (List.map f l) in
+  let hop h =
+    Obj
+      [ ("msg", Int h.h_msg); ("kind", Str (Trace.kind_to_string h.h_kind));
+        ("src", Int h.h_src); ("dst", Int h.h_dst); ("send_round", Int h.h_send_round);
+        ("deliver_round", Int h.h_deliver_round); ("bytes", Int h.h_bytes) ]
+  in
+  to_string
+    (Obj
+       [
+         ("rounds", Int r.rounds);
+         ("quiesce_round", match r.quiesce_round with Some q -> Int q | None -> Null);
+         ("messages", Int r.messages);
+         ("delivered", Int r.delivered_events);
+         ("dropped", Int r.dropped_events);
+         ("query_hops", Int r.query_hops);
+         ("total_bytes", Int r.total_bytes);
+         ( "critical_path",
+           Obj
+             [ ("hops", Int (List.length r.critical_path)); ("cp_rounds", Int r.cp_rounds);
+               ("frac_explained", Num (r.frac_explained, 4));
+               ("chain", rows hop r.critical_path) ] );
+         ( "by_kind",
+           rows
+             (fun (k, s) ->
+               Obj
+                 [ ("kind", Str (Trace.kind_to_string k)); ("sends", Int s.k_sends);
+                   ("bytes", Int s.k_bytes); ("delivered", Int s.k_delivered);
+                   ("dropped", Int s.k_dropped) ])
+             r.by_kind );
+         ( "by_node",
+           rows
+             (fun (node, s) ->
+               Obj
+                 [ ("node", Int node); ("sent", Int s.n_sent);
+                   ("sent_bytes", Int s.n_sent_bytes); ("recv", Int s.n_recv);
+                   ("recv_bytes", Int s.n_recv_bytes) ])
+             r.by_node );
+         ( "by_link",
+           rows
+             (fun ((src, dst), l) ->
+               Obj
+                 [ ("src", Int src); ("dst", Int dst); ("msgs", Int l.l_msgs);
+                   ("bytes", Int l.l_bytes) ])
+             r.by_link );
+         ( "per_round",
+           rows
+             (fun (round, s) ->
+               Obj
+                 [ ("round", Int round); ("sends", Int s.r_sends);
+                   ("delivers", Int s.r_delivers); ("bytes", Int s.r_bytes) ])
+             r.per_round );
+       ])
 
 let kind_stat_of r kind =
   match List.assoc_opt kind r.by_kind with Some s -> s | None -> zero_kind

@@ -267,55 +267,27 @@ let to_text snap = Format.asprintf "%a" pp_text snap
 
 (* ----- JSON rendering ----- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_of_entry buf (name, labels, s) =
-  Buffer.add_string buf (Printf.sprintf "{\"name\":\"%s\",\"labels\":{" (json_escape name));
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-    labels;
-  Buffer.add_string buf "},";
-  (match s with
-  | Counter v -> Buffer.add_string buf (Printf.sprintf "\"type\":\"counter\",\"value\":%d" v)
-  | Gauge v -> Buffer.add_string buf (Printf.sprintf "\"type\":\"gauge\",\"value\":%d" v)
-  | Histogram h ->
-      let q pct =
-        hist_quantile ~count:h.count ~max_value:h.max_value ~buckets:h.buckets ~pct
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\"type\":\"histogram\",\"count\":%d,\"sum\":%d,\"max\":%d,\"p50\":%d,\"p90\":%d,\"p99\":%d,\"buckets\":["
-           h.count h.sum h.max_value (q 50) (q 90) (q 99));
-      List.iteri
-        (fun i (b, c) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (Printf.sprintf "[%d,%d]" b c))
-        h.buckets;
-      Buffer.add_char buf ']');
-  Buffer.add_char buf '}'
+let json_of_entry (name, labels, s) : Bwc_json.t =
+  let open Bwc_json in
+  let sample =
+    match s with
+    | Counter v -> [ ("type", Str "counter"); ("value", Int v) ]
+    | Gauge v -> [ ("type", Str "gauge"); ("value", Int v) ]
+    | Histogram h ->
+        let q pct =
+          Int (hist_quantile ~count:h.count ~max_value:h.max_value ~buckets:h.buckets ~pct)
+        in
+        [
+          ("type", Str "histogram"); ("count", Int h.count); ("sum", Int h.sum);
+          ("max", Int h.max_value); ("p50", q 50); ("p90", q 90); ("p99", q 99);
+          ("buckets", Arr (List.map (fun (b, c) -> Arr [ Int b; Int c ]) h.buckets));
+        ]
+  in
+  Obj
+    (("name", Str name)
+    :: ("labels", Obj (List.map (fun (k, v) -> (k, Str v)) labels))
+    :: sample)
 
 let to_json snap =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"metrics\":[";
-  List.iteri
-    (fun i entry ->
-      if i > 0 then Buffer.add_char buf ',';
-      json_of_entry buf entry)
-    snap;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let open Bwc_json in
+  to_string (Obj [ ("metrics", Arr (List.map json_of_entry snap)) ])

@@ -124,85 +124,68 @@ let cause_of_string = function
   | "purge" -> Some Purge
   | _ -> None
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let event_to_json = function
-  | Round_start { round } -> Printf.sprintf "{\"ev\":\"round_start\",\"round\":%d}" round
+(* The one event table: each constructor's wire name and its fields in
+   rendering order.  [event_to_json] walks it; [event_of_json] reads the
+   same fields back by name. *)
+let fields : event -> string * (string * Bwc_json.t) list =
+  let open Bwc_json in
+  function
+  | Round_start { round } -> ("round_start", [ ("round", Int round) ])
   | Send { round; msg; kind; bytes; lc; src; dst } ->
-      Printf.sprintf
-        "{\"ev\":\"send\",\"round\":%d,\"msg\":%d,\"kind\":\"%s\",\"bytes\":%d,\"lc\":%d,\"src\":%d,\"dst\":%d}"
-        round msg (kind_to_string kind) bytes lc src dst
+      ( "send",
+        [ ("round", Int round); ("msg", Int msg); ("kind", Str (kind_to_string kind));
+          ("bytes", Int bytes); ("lc", Int lc); ("src", Int src); ("dst", Int dst) ] )
   | Deliver { round; msg; kind; bytes; lc; src; dst } ->
-      Printf.sprintf
-        "{\"ev\":\"deliver\",\"round\":%d,\"msg\":%d,\"kind\":\"%s\",\"bytes\":%d,\"lc\":%d,\"src\":%d,\"dst\":%d}"
-        round msg (kind_to_string kind) bytes lc src dst
+      ( "deliver",
+        [ ("round", Int round); ("msg", Int msg); ("kind", Str (kind_to_string kind));
+          ("bytes", Int bytes); ("lc", Int lc); ("src", Int src); ("dst", Int dst) ] )
   | Drop { round; msg; kind; bytes; src; dst; cause } ->
-      Printf.sprintf
-        "{\"ev\":\"drop\",\"round\":%d,\"msg\":%d,\"kind\":\"%s\",\"bytes\":%d,\"src\":%d,\"dst\":%d,\"cause\":\"%s\"}"
-        round msg (kind_to_string kind) bytes src dst (cause_to_string cause)
+      ( "drop",
+        [ ("round", Int round); ("msg", Int msg); ("kind", Str (kind_to_string kind));
+          ("bytes", Int bytes); ("src", Int src); ("dst", Int dst);
+          ("cause", Str (cause_to_string cause)) ] )
   | Retransmit { round; src; dst } ->
-      Printf.sprintf "{\"ev\":\"retransmit\",\"round\":%d,\"src\":%d,\"dst\":%d}" round src
-        dst
-  | Crash { round; node } ->
-      Printf.sprintf "{\"ev\":\"crash\",\"round\":%d,\"node\":%d}" round node
-  | Restart { round; node } ->
-      Printf.sprintf "{\"ev\":\"restart\",\"round\":%d,\"node\":%d}" round node
+      ("retransmit", [ ("round", Int round); ("src", Int src); ("dst", Int dst) ])
+  | Crash { round; node } -> ("crash", [ ("round", Int round); ("node", Int node) ])
+  | Restart { round; node } -> ("restart", [ ("round", Int round); ("node", Int node) ])
   | Query_hop { round; msg; bytes; src; dst } ->
-      Printf.sprintf
-        "{\"ev\":\"query_hop\",\"round\":%d,\"msg\":%d,\"bytes\":%d,\"src\":%d,\"dst\":%d}"
-        round msg bytes src dst
+      ( "query_hop",
+        [ ("round", Int round); ("msg", Int msg); ("bytes", Int bytes); ("src", Int src);
+          ("dst", Int dst) ] )
   | Suspect { round; by; node } ->
-      Printf.sprintf "{\"ev\":\"suspect\",\"round\":%d,\"by\":%d,\"node\":%d}" round by
-        node
+      ("suspect", [ ("round", Int round); ("by", Int by); ("node", Int node) ])
   | Confirm_dead { round; by; node } ->
-      Printf.sprintf "{\"ev\":\"confirm_dead\",\"round\":%d,\"by\":%d,\"node\":%d}" round
-        by node
+      ("confirm_dead", [ ("round", Int round); ("by", Int by); ("node", Int node) ])
   | Regraft { round; node; new_parent } ->
-      Printf.sprintf "{\"ev\":\"regraft\",\"round\":%d,\"node\":%d,\"new_parent\":%d}"
-        round node new_parent
-  | Quiesce { round } -> Printf.sprintf "{\"ev\":\"quiesce\",\"round\":%d}" round
+      ( "regraft",
+        [ ("round", Int round); ("node", Int node); ("new_parent", Int new_parent) ] )
+  | Quiesce { round } -> ("quiesce", [ ("round", Int round) ])
   | Snapshot_write { round; bytes } ->
-      Printf.sprintf "{\"ev\":\"snapshot_write\",\"round\":%d,\"bytes\":%d}" round bytes
-  | Restore { round; warm } ->
-      Printf.sprintf "{\"ev\":\"restore\",\"round\":%d,\"warm\":%b}" round warm
+      ("snapshot_write", [ ("round", Int round); ("bytes", Int bytes) ])
+  | Restore { round; warm } -> ("restore", [ ("round", Int round); ("warm", Bool warm) ])
   | Restore_rejected { round; reason } ->
-      Printf.sprintf "{\"ev\":\"restore_rejected\",\"round\":%d,\"reason\":\"%s\"}" round
-        (escape_string reason)
+      ("restore_rejected", [ ("round", Int round); ("reason", Str reason) ])
   | Daemon_admit { round; cls; conn } ->
-      Printf.sprintf "{\"ev\":\"daemon_admit\",\"round\":%d,\"cls\":\"%s\",\"conn\":%d}"
-        round (escape_string cls) conn
+      ("daemon_admit", [ ("round", Int round); ("cls", Str cls); ("conn", Int conn) ])
   | Daemon_shed { round; cls; reason } ->
-      Printf.sprintf
-        "{\"ev\":\"daemon_shed\",\"round\":%d,\"cls\":\"%s\",\"reason\":\"%s\"}" round
-        (escape_string cls) (escape_string reason)
+      ("daemon_shed", [ ("round", Int round); ("cls", Str cls); ("reason", Str reason) ])
   | Daemon_timeout { round; waited; deadline } ->
-      Printf.sprintf
-        "{\"ev\":\"daemon_timeout\",\"round\":%d,\"waited\":%d,\"deadline\":%d}" round
-        waited deadline
+      ( "daemon_timeout",
+        [ ("round", Int round); ("waited", Int waited); ("deadline", Int deadline) ] )
   | Daemon_degrade { round; entered; staleness } ->
-      Printf.sprintf
-        "{\"ev\":\"daemon_degrade\",\"round\":%d,\"entered\":%b,\"staleness\":%d}" round
-        entered staleness
+      ( "daemon_degrade",
+        [ ("round", Int round); ("entered", Bool entered); ("staleness", Int staleness) ] )
   | Daemon_retry { round; cls; attempt; due } ->
-      Printf.sprintf
-        "{\"ev\":\"daemon_retry\",\"round\":%d,\"cls\":\"%s\",\"attempt\":%d,\"due\":%d}"
-        round (escape_string cls) attempt due
+      ( "daemon_retry",
+        [ ("round", Int round); ("cls", Str cls); ("attempt", Int attempt);
+          ("due", Int due) ] )
   | Daemon_watchdog { round; pending; stalled } ->
-      Printf.sprintf
-        "{\"ev\":\"daemon_watchdog\",\"round\":%d,\"pending\":%b,\"stalled\":%d}" round
-        pending stalled
+      ( "daemon_watchdog",
+        [ ("round", Int round); ("pending", Bool pending); ("stalled", Int stalled) ] )
+
+let event_to_json ev =
+  let name, fields = fields ev in
+  Bwc_json.to_string (Bwc_json.Obj (("ev", Bwc_json.Str name) :: fields))
 
 let to_jsonl t =
   let buf = Buffer.create 4096 in
@@ -215,222 +198,87 @@ let to_jsonl t =
 
 let pp_event ppf ev = Format.pp_print_string ppf (event_to_json ev)
 
-(* ----- parsing (the analyzer's input path) -----
-
-   A tiny flat-object JSON reader: every event renders as a single-line
-   object whose values are ints, booleans or strings, so nothing more
-   general is needed.  Mirrors Registry's hand-rolled reader — no JSON
-   dependency. *)
-
-type jval = Jint of int | Jstr of string | Jbool of bool
-
-exception Bad of string
-
-let parse_flat line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let fail msg = raise (Bad msg) in
-  let skip_ws () =
-    while !pos < n && (match line.[!pos] with ' ' | '\t' | '\r' -> true | _ -> false) do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if !pos >= n || line.[!pos] <> c then fail (Printf.sprintf "expected '%c'" c);
-    incr pos
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match line.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-          if !pos + 1 >= n then fail "dangling escape";
-          (match line.[!pos + 1] with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'u' ->
-              if !pos + 5 >= n then fail "short unicode escape";
-              let code = int_of_string ("0x" ^ String.sub line (!pos + 2) 4) in
-              Buffer.add_char buf (Char.chr (code land 0xff));
-              pos := !pos + 4
-          | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
-          pos := !pos + 2;
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          incr pos;
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_value () =
-    skip_ws ();
-    if !pos >= n then fail "missing value";
-    match line.[!pos] with
-    | '"' -> Jstr (parse_string ())
-    | 't' ->
-        if !pos + 4 <= n && String.sub line !pos 4 = "true" then begin
-          pos := !pos + 4;
-          Jbool true
-        end
-        else fail "bad literal"
-    | 'f' ->
-        if !pos + 5 <= n && String.sub line !pos 5 = "false" then begin
-          pos := !pos + 5;
-          Jbool false
-        end
-        else fail "bad literal"
-    | '-' | '0' .. '9' ->
-        let start = !pos in
-        if line.[!pos] = '-' then incr pos;
-        while !pos < n && (match line.[!pos] with '0' .. '9' -> true | _ -> false) do
-          incr pos
-        done;
-        if !pos = start then fail "empty number";
-        Jint (int_of_string (String.sub line start (!pos - start)))
-    | c -> fail (Printf.sprintf "unexpected '%c'" c)
-  in
-  expect '{';
-  skip_ws ();
-  let fields = ref [] in
-  if !pos < n && line.[!pos] = '}' then incr pos
-  else begin
-    let rec members () =
-      let key = (skip_ws (); parse_string ()) in
-      expect ':';
-      let v = parse_value () in
-      fields := (key, v) :: !fields;
-      skip_ws ();
-      if !pos < n && line.[!pos] = ',' then begin
-        incr pos;
-        members ()
-      end
-      else expect '}'
-    in
-    members ()
-  end;
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  List.rev !fields
+exception Missing
 
 let event_of_json line =
-  match parse_flat line with
-  | exception Bad _ -> None
-  | exception _ -> None
-  | fields -> (
-      let int k = match List.assoc_opt k fields with Some (Jint i) -> Some i | _ -> None in
-      let str k = match List.assoc_opt k fields with Some (Jstr s) -> Some s | _ -> None in
-      let bool k =
-        match List.assoc_opt k fields with Some (Jbool b) -> Some b | _ -> None
+  match Bwc_json.of_string line with
+  | Error _ -> None
+  | Ok obj -> (
+      let get k = Option.value ~default:Bwc_json.Null (Bwc_json.member k obj) in
+      let int k = match get k with Bwc_json.Int i -> i | _ -> raise Missing in
+      let str k = match get k with Bwc_json.Str s -> s | _ -> raise Missing in
+      let bool k = match get k with Bwc_json.Bool b -> b | _ -> raise Missing in
+      let parsed of_string k =
+        match of_string (str k) with Some v -> v | None -> raise Missing
       in
-      let kind k = Option.bind (str k) kind_of_string in
-      match str "ev" with
-      | Some "round_start" -> (
-          match int "round" with Some round -> Some (Round_start { round }) | None -> None)
-      | Some "send" -> (
-          match (int "round", int "msg", kind "kind", int "bytes", int "lc", int "src", int "dst") with
-          | Some round, Some msg, Some kind, Some bytes, Some lc, Some src, Some dst ->
-              Some (Send { round; msg; kind; bytes; lc; src; dst })
-          | _ -> None)
-      | Some "deliver" -> (
-          match (int "round", int "msg", kind "kind", int "bytes", int "lc", int "src", int "dst") with
-          | Some round, Some msg, Some kind, Some bytes, Some lc, Some src, Some dst ->
-              Some (Deliver { round; msg; kind; bytes; lc; src; dst })
-          | _ -> None)
-      | Some "drop" -> (
-          match
-            ( int "round",
-              int "msg",
-              kind "kind",
-              int "bytes",
-              int "src",
-              int "dst",
-              Option.bind (str "cause") cause_of_string )
-          with
-          | Some round, Some msg, Some kind, Some bytes, Some src, Some dst, Some cause ->
-              Some (Drop { round; msg; kind; bytes; src; dst; cause })
-          | _ -> None)
-      | Some "retransmit" -> (
-          match (int "round", int "src", int "dst") with
-          | Some round, Some src, Some dst -> Some (Retransmit { round; src; dst })
-          | _ -> None)
-      | Some "crash" -> (
-          match (int "round", int "node") with
-          | Some round, Some node -> Some (Crash { round; node })
-          | _ -> None)
-      | Some "restart" -> (
-          match (int "round", int "node") with
-          | Some round, Some node -> Some (Restart { round; node })
-          | _ -> None)
-      | Some "query_hop" -> (
-          match (int "round", int "msg", int "bytes", int "src", int "dst") with
-          | Some round, Some msg, Some bytes, Some src, Some dst ->
-              Some (Query_hop { round; msg; bytes; src; dst })
-          | _ -> None)
-      | Some "suspect" -> (
-          match (int "round", int "by", int "node") with
-          | Some round, Some by, Some node -> Some (Suspect { round; by; node })
-          | _ -> None)
-      | Some "confirm_dead" -> (
-          match (int "round", int "by", int "node") with
-          | Some round, Some by, Some node -> Some (Confirm_dead { round; by; node })
-          | _ -> None)
-      | Some "regraft" -> (
-          match (int "round", int "node", int "new_parent") with
-          | Some round, Some node, Some new_parent ->
-              Some (Regraft { round; node; new_parent })
-          | _ -> None)
-      | Some "quiesce" -> (
-          match int "round" with Some round -> Some (Quiesce { round }) | None -> None)
-      | Some "snapshot_write" -> (
-          match (int "round", int "bytes") with
-          | Some round, Some bytes -> Some (Snapshot_write { round; bytes })
-          | _ -> None)
-      | Some "restore" -> (
-          match (int "round", bool "warm") with
-          | Some round, Some warm -> Some (Restore { round; warm })
-          | _ -> None)
-      | Some "restore_rejected" -> (
-          match (int "round", str "reason") with
-          | Some round, Some reason -> Some (Restore_rejected { round; reason })
-          | _ -> None)
-      | Some "daemon_admit" -> (
-          match (int "round", str "cls", int "conn") with
-          | Some round, Some cls, Some conn -> Some (Daemon_admit { round; cls; conn })
-          | _ -> None)
-      | Some "daemon_shed" -> (
-          match (int "round", str "cls", str "reason") with
-          | Some round, Some cls, Some reason ->
-              Some (Daemon_shed { round; cls; reason })
-          | _ -> None)
-      | Some "daemon_timeout" -> (
-          match (int "round", int "waited", int "deadline") with
-          | Some round, Some waited, Some deadline ->
-              Some (Daemon_timeout { round; waited; deadline })
-          | _ -> None)
-      | Some "daemon_degrade" -> (
-          match (int "round", bool "entered", int "staleness") with
-          | Some round, Some entered, Some staleness ->
-              Some (Daemon_degrade { round; entered; staleness })
-          | _ -> None)
-      | Some "daemon_retry" -> (
-          match (int "round", str "cls", int "attempt", int "due") with
-          | Some round, Some cls, Some attempt, Some due ->
-              Some (Daemon_retry { round; cls; attempt; due })
-          | _ -> None)
-      | Some "daemon_watchdog" -> (
-          match (int "round", bool "pending", int "stalled") with
-          | Some round, Some pending, Some stalled ->
-              Some (Daemon_watchdog { round; pending; stalled })
-          | _ -> None)
-      | Some _ | None -> None)
+      let kind k = parsed kind_of_string k and cause k = parsed cause_of_string k in
+      try
+        match str "ev" with
+        | "round_start" -> Some (Round_start { round = int "round" })
+        | "send" ->
+            Some
+              (Send
+                 { round = int "round"; msg = int "msg"; kind = kind "kind";
+                   bytes = int "bytes"; lc = int "lc"; src = int "src"; dst = int "dst" })
+        | "deliver" ->
+            Some
+              (Deliver
+                 { round = int "round"; msg = int "msg"; kind = kind "kind";
+                   bytes = int "bytes"; lc = int "lc"; src = int "src"; dst = int "dst" })
+        | "drop" ->
+            Some
+              (Drop
+                 { round = int "round"; msg = int "msg"; kind = kind "kind";
+                   bytes = int "bytes"; src = int "src"; dst = int "dst";
+                   cause = cause "cause" })
+        | "retransmit" ->
+            Some (Retransmit { round = int "round"; src = int "src"; dst = int "dst" })
+        | "crash" -> Some (Crash { round = int "round"; node = int "node" })
+        | "restart" -> Some (Restart { round = int "round"; node = int "node" })
+        | "query_hop" ->
+            Some
+              (Query_hop
+                 { round = int "round"; msg = int "msg"; bytes = int "bytes";
+                   src = int "src"; dst = int "dst" })
+        | "suspect" ->
+            Some (Suspect { round = int "round"; by = int "by"; node = int "node" })
+        | "confirm_dead" ->
+            Some (Confirm_dead { round = int "round"; by = int "by"; node = int "node" })
+        | "regraft" ->
+            Some
+              (Regraft
+                 { round = int "round"; node = int "node"; new_parent = int "new_parent" })
+        | "quiesce" -> Some (Quiesce { round = int "round" })
+        | "snapshot_write" ->
+            Some (Snapshot_write { round = int "round"; bytes = int "bytes" })
+        | "restore" -> Some (Restore { round = int "round"; warm = bool "warm" })
+        | "restore_rejected" ->
+            Some (Restore_rejected { round = int "round"; reason = str "reason" })
+        | "daemon_admit" ->
+            Some (Daemon_admit { round = int "round"; cls = str "cls"; conn = int "conn" })
+        | "daemon_shed" ->
+            Some
+              (Daemon_shed { round = int "round"; cls = str "cls"; reason = str "reason" })
+        | "daemon_timeout" ->
+            Some
+              (Daemon_timeout
+                 { round = int "round"; waited = int "waited"; deadline = int "deadline" })
+        | "daemon_degrade" ->
+            Some
+              (Daemon_degrade
+                 { round = int "round"; entered = bool "entered";
+                   staleness = int "staleness" })
+        | "daemon_retry" ->
+            Some
+              (Daemon_retry
+                 { round = int "round"; cls = str "cls"; attempt = int "attempt";
+                   due = int "due" })
+        | "daemon_watchdog" ->
+            Some
+              (Daemon_watchdog
+                 { round = int "round"; pending = bool "pending"; stalled = int "stalled" })
+        | _ -> None
+      with Missing -> None)
 
 let of_jsonl s =
   let lines = String.split_on_char '\n' s in

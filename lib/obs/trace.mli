@@ -145,9 +145,10 @@ val to_jsonl : t -> string
     each terminated by ['\n']). *)
 
 val event_of_json : string -> event option
-(** Inverse of {!event_to_json}; [None] on malformed input or unknown
-    event names (forward compatibility is deliberate — analyzers skip
-    nothing, {!of_jsonl} rejects instead). *)
+(** Inverse of {!event_to_json}: fields are read back by name, in any
+    order.  [None] on malformed input, a missing or mistyped field, or
+    an unknown event name (forward compatibility is deliberate —
+    analyzers skip nothing, {!of_jsonl} rejects instead). *)
 
 val of_jsonl : string -> (event list, string) result
 (** Parse a whole JSONL trace (blank lines ignored).  [Error] names the

@@ -1,6 +1,6 @@
 (* Seeded property-based differential harness.
 
-   Four properties, each over freshly generated random inputs:
+   Six properties, each over freshly generated random inputs:
 
    1. churn-differential — after ANY sequence of Index.add_host /
       Index.remove_host events, the incrementally maintained
@@ -17,7 +17,10 @@
       (loss, duplication, jitter, crash windows), Causal.reconstruct
       yields a well-formed happens-before DAG: every Deliver matches a
       Send, Lamport stamps respect happens-before, predecessor edges
-      point strictly backwards (acyclicity) and chain lengths add up.
+      point strictly backwards (acyclicity) and chain lengths add up,
+      and the trace's JSONL parses back to exactly its events;
+   5. daemon-replay — see below;
+   6. json-roundtrip — Bwc_json's parser inverts both printers.
 
    The harness is deliberately NOT an alcotest suite: its stdout is
    fully deterministic for a given seed (no timings), so two runs with
@@ -317,6 +320,8 @@ let causal_dag () =
         ~classes ens
     in
     let (_ : int) = Protocol.run_aggregation ~max_rounds:300 p in
+    if Trace.of_jsonl (Trace.to_jsonl trace) <> Ok (Trace.events trace) then
+      fail_case prop case "trace JSONL does not parse back to its events";
     let dag = Causal.reconstruct (Trace.events trace) in
     if dag.Causal.unmatched_delivers <> [] then
       fail_case prop case "%d delivers without a visible send"
@@ -444,7 +449,10 @@ let daemon_replay () =
       let events = Script.run reactor script in
       if not (Reactor.drained reactor) then
         fail_case prop case "reactor failed to drain";
-      (events, Script.transcript events, Bwc_obs.Trace.to_jsonl trace)
+      let jsonl = Trace.to_jsonl trace in
+      if Trace.of_jsonl jsonl <> Ok (Trace.events trace) then
+        fail_case prop case "trace JSONL does not parse back to its events";
+      (events, Script.transcript events, jsonl)
     in
     let events, t1, tr1 = run () in
     let _, t2, tr2 = run () in
@@ -486,6 +494,64 @@ let daemon_replay () =
     "%s: %d cases, %d requests, %d typed responses, replays byte-identical [ok]\n"
     prop n_cases !requests_total !responses_total
 
+(* 6. json-roundtrip — every value printed by Bwc_json, compact or in
+   the rows layout, parses back to a value that prints to the same
+   bytes.  Values cover strings over all 256 bytes (keys too), ints out
+   to min_int/max_int, finite fixed-decimals numbers of any magnitude
+   and precision, and nested lists and objects. *)
+
+let json_roundtrip () =
+  let prop = "json-roundtrip" in
+  let module J = Bwc_json in
+  let gen_string rng = String.init (Rng.int rng 12) (fun _ -> Char.chr (Rng.int rng 256)) in
+  let gen_int rng =
+    match Rng.int rng 4 with
+    | 0 -> min_int
+    | 1 -> max_int
+    | 2 -> Int64.to_int (Rng.bits64 rng)
+    | _ -> Rng.int rng 2001 - 1000
+  in
+  let rec gen_float rng =
+    let f =
+      if Rng.bool rng then Int64.float_of_bits (Rng.bits64 rng)
+      else Rng.uniform rng (-1e4) 1e4
+    in
+    if Float.is_finite f then f else gen_float rng
+  in
+  let rec gen rng depth =
+    match Rng.int rng (if depth >= 4 then 5 else 7) with
+    | 0 -> J.Null
+    | 1 -> J.Bool (Rng.bool rng)
+    | 2 -> J.Int (gen_int rng)
+    | 3 -> J.Num (gen_float rng, Rng.int rng 10)
+    | 4 -> J.Str (gen_string rng)
+    | k -> container rng k depth
+  and container rng k depth =
+    let items () = List.init (Rng.int rng 5) (fun _ -> gen rng (depth + 1)) in
+    if k = 5 then J.Arr (items ())
+    else J.Obj (List.map (fun v -> (gen_string rng, v)) (items ()))
+  in
+  let bytes = ref 0 in
+  for case = 0 to cases - 1 do
+    let rng = case_rng (400_000 + case) in
+    (* mostly containers at the top, where the rows layout differs *)
+    let v = if Rng.int rng 4 = 0 then gen rng 0 else container rng (5 + Rng.int rng 2) 0 in
+    List.iter
+      (fun (layout, print) ->
+        let s = print v in
+        bytes := !bytes + String.length s;
+        match J.of_string s with
+        | Error e -> fail_case prop case "%s rendering does not parse: %s" layout e
+        | Ok v' ->
+            let s' = print v' in
+            if not (String.equal s s') then
+              fail_case prop case "%s reprint differs (%d vs %d bytes)" layout
+                (String.length s) (String.length s'))
+      [ ("compact", J.to_string); ("rows", J.to_rows) ]
+  done;
+  Printf.printf "%s: %d values, %d bytes, both layouts reprint byte-identical [ok]\n"
+    prop cases !bytes
+
 let () =
   Printf.printf "bwc property harness (seed %d, %d churn sequences)\n" seed cases;
   churn_differential ();
@@ -493,4 +559,5 @@ let () =
   oracle_noisy ();
   causal_dag ();
   daemon_replay ();
+  json_roundtrip ();
   Printf.printf "all properties hold\n"

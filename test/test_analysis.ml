@@ -2,7 +2,7 @@
    fixture, suppression semantics, path scoping, the reporters, and the
    whole-program layer — call-graph resolution (cross-module, aliases,
    shadowing), interprocedural taint with witness paths, the
-   domain-safety audit, baseline diffing, and SARIF shape.
+   domain-safety audit, and SARIF shape.
 
    Fixture sources are inline strings.  Suppression comments inside
    fixtures are assembled with [sup]/[sup_all] rather than written
@@ -17,7 +17,6 @@ module Report = Bwc_analysis.Report
 module Rules = Bwc_analysis.Rules
 module Callgraph = Bwc_analysis.Callgraph
 module Taint = Bwc_analysis.Taint
-module Baseline = Bwc_analysis.Baseline
 module Sarif = Bwc_analysis.Sarif
 
 let sup ?(reason = "test audit") rule =
@@ -521,74 +520,6 @@ let test_domain_safe_shapes () =
   in
   Alcotest.(check (list string)) "no findings" [] (rule_ids r)
 
-(* ----- baseline ----- *)
-
-let entry_strings es =
-  List.map
-    (fun (e : Baseline.entry) ->
-      Printf.sprintf "%s|%s|%s" e.Baseline.b_rule e.Baseline.b_file
-        e.Baseline.b_key)
-    es
-
-let mk_finding ?key ~rule ~file ~line () =
-  Finding.make ?key ~rule ~severity:Finding.Warning ~file ~line ~col:0
-    ~message:"m" ()
-
-let test_baseline_roundtrip () =
-  let fs =
-    [
-      mk_finding ~rule:"r1" ~file:"a.ml" ~line:3 ();
-      mk_finding ~key:"Engine.run->Tbl.iter#Hashtbl.iter" ~rule:"r2"
-        ~file:"b.ml" ~line:9 ();
-    ]
-  in
-  let entries = Baseline.of_findings fs in
-  let path = Filename.temp_file "bwclint_test" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Baseline.save ~path entries;
-      match Baseline.load ~path with
-      | Error msg -> Alcotest.failf "load failed: %s" msg
-      | Ok loaded ->
-          Alcotest.(check (list string))
-            "round trip" (entry_strings entries) (entry_strings loaded))
-
-let test_baseline_apply () =
-  let old = mk_finding ~rule:"r1" ~file:"a.ml" ~line:3 () in
-  let entries = Baseline.of_findings [ old ] in
-  (* same findings: all matched, nothing fresh or gone *)
-  let d = Baseline.apply entries [ old ] in
-  Alcotest.(check int) "no fresh" 0 (List.length d.Baseline.fresh);
-  Alcotest.(check int) "one matched" 1 (List.length d.Baseline.matched);
-  Alcotest.(check int) "none gone" 0 (List.length d.Baseline.gone);
-  (* a new finding is fresh; the baselined one still matches *)
-  let fresh_f = mk_finding ~rule:"r2" ~file:"c.ml" ~line:1 () in
-  let d = Baseline.apply entries [ old; fresh_f ] in
-  Alcotest.(check (list string))
-    "fresh rule" [ "r2" ]
-    (List.map (fun f -> f.Finding.rule) d.Baseline.fresh);
-  (* the baselined finding disappearing makes the entry stale *)
-  let d = Baseline.apply entries [] in
-  Alcotest.(check (list string))
-    "gone entry" (entry_strings entries) (entry_strings d.Baseline.gone)
-
-let test_baseline_symbolic_key_survives_line_drift () =
-  let key = "Engine.run->Tbl.iter#Hashtbl.iter" in
-  let v1 = mk_finding ~key ~rule:"determinism-taint" ~file:"e.ml" ~line:10 () in
-  let v2 = mk_finding ~key ~rule:"determinism-taint" ~file:"e.ml" ~line:42 () in
-  let entries = Baseline.of_findings [ v1 ] in
-  let d = Baseline.apply entries [ v2 ] in
-  Alcotest.(check int) "still matched" 1 (List.length d.Baseline.matched);
-  Alcotest.(check int) "nothing fresh" 0 (List.length d.Baseline.fresh);
-  (* positional findings do NOT survive drift: the L<line> key changes *)
-  let p1 = mk_finding ~rule:"no-print-in-lib" ~file:"e.ml" ~line:10 () in
-  let p2 = mk_finding ~rule:"no-print-in-lib" ~file:"e.ml" ~line:42 () in
-  let d = Baseline.apply (Baseline.of_findings [ p1 ]) [ p2 ] in
-  Alcotest.(check int) "positional drift is fresh" 1
-    (List.length d.Baseline.fresh);
-  Alcotest.(check int) "and stale" 1 (List.length d.Baseline.gone)
-
 (* ----- SARIF ----- *)
 
 let test_sarif_shape () =
@@ -658,23 +589,18 @@ let test_discover_skips_fixture_dirs () =
 
 let test_json_report () =
   let r = lint "let x = Random.int 5\n" in
-  let out = Format.asprintf "%a" Report.json r in
+  let out = Report.json r in
   let has sub = contains sub out in
-  Alcotest.(check bool) "rule field" true (has "\"rule\":\"no-stdlib-random\"");
-  Alcotest.(check bool) "severity field" true (has "\"severity\":\"error\"");
-  Alcotest.(check bool) "file field" true (has "\"file\":\"lib/core/fixture.ml\"");
+  Alcotest.(check bool) "rule field" true (has "\"rule\": \"no-stdlib-random\"");
+  Alcotest.(check bool) "severity field" true (has "\"severity\": \"error\"");
+  Alcotest.(check bool) "file field" true (has "\"file\": \"lib/core/fixture.ml\"");
   Alcotest.(check bool) "errors count" true (has "\"errors\": 1")
 
 let test_json_witness_and_suppressed () =
   let r = Engine.lint_sources chain_files in
-  let out = Format.asprintf "%a" Report.json r in
-  Alcotest.(check bool) "witness array" true (contains "\"witness\":[" out);
+  let out = Report.json r in
+  Alcotest.(check bool) "witness array" true (contains "\"witness\": [" out);
   Alcotest.(check bool) "suppressed array" true (contains "\"suppressed\"" out)
-
-let test_json_escaping () =
-  Alcotest.(check string)
-    "quotes and newlines escaped" "\"a\\\"b\\nc\\\\d\""
-    (Report.json_string "a\"b\nc\\d")
 
 let test_human_report () =
   let r = lint "let f acc x = acc @ [ x ]\n" in
@@ -795,13 +721,6 @@ let () =
           Alcotest.test_case "capture flagged" `Quick test_domain_unsafe_capture;
           Alcotest.test_case "safe shapes clean" `Quick test_domain_safe_shapes;
         ] );
-      ( "baseline",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_baseline_roundtrip;
-          Alcotest.test_case "apply semantics" `Quick test_baseline_apply;
-          Alcotest.test_case "symbolic key survives drift" `Quick
-            test_baseline_symbolic_key_survives_line_drift;
-        ] );
       ( "sarif",
         [
           Alcotest.test_case "document shape" `Quick test_sarif_shape;
@@ -821,7 +740,6 @@ let () =
           Alcotest.test_case "json" `Quick test_json_report;
           Alcotest.test_case "json witness+suppressed" `Quick
             test_json_witness_and_suppressed;
-          Alcotest.test_case "json escaping" `Quick test_json_escaping;
           Alcotest.test_case "human" `Quick test_human_report;
           Alcotest.test_case "human witness line" `Quick test_human_witness_line;
         ] );

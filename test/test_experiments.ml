@@ -379,6 +379,30 @@ let test_recovery_critical_path () =
     (Bwc_obs.Causal.to_json report)
     (Bwc_obs.Causal.to_json (Bwc_obs.Causal.analyze events'))
 
+(* a dataset path is user input: the JSON reports must escape its name *)
+let test_json_dataset_name () =
+  let name = "my\"set\\x.csv" in
+  let dataset what json =
+    match Bwc_json.of_string json with
+    | Error e -> Alcotest.failf "%s JSON does not parse: %s" what e
+    | Ok v -> (
+        match Bwc_json.member "dataset" v with
+        | Some (Bwc_json.Str s) -> s
+        | _ -> Alcotest.failf "%s JSON has no dataset string" what)
+  in
+  let overload =
+    { Bwc_experiments.Overload.dataset = name; n = 8; ticks = 4; budget = 8; seed = 1;
+      plateau = 1.5; rows = [] }
+  in
+  Alcotest.(check string) "overload" name
+    (dataset "overload" (Bwc_experiments.Overload.to_json overload));
+  let restart =
+    { Bwc_experiments.Robustness.dataset = name; n = 8; queries = 4; snapshot_bytes = 100;
+      base_rounds = 3; rr_clean = 1.0; rows = [] }
+  in
+  Alcotest.(check string) "restart" name
+    (dataset "restart" (Bwc_experiments.Robustness.restart_to_json restart ~seed:1))
+
 let test_csv_export () =
   let ds = small_dataset ~seed:26 50 in
   let out = Bwc_experiments.Tradeoff.run ~rounds:1 ~per_k:2 ~seed:27 ds in
@@ -409,7 +433,11 @@ let () =
           Alcotest.test_case "k fractions" `Quick test_workload_k_fractions;
           Alcotest.test_case "bandwidth range" `Quick test_bandwidth_range_percentiles;
         ] );
-      ("report", [ Alcotest.test_case "renders" `Quick test_report_renders ]);
+      ( "report",
+        [
+          Alcotest.test_case "renders" `Quick test_report_renders;
+          Alcotest.test_case "json escapes dataset name" `Quick test_json_dataset_name;
+        ] );
       ( "shapes",
         [
           Alcotest.test_case "accuracy (Fig.3)" `Slow test_accuracy_shapes;

@@ -150,6 +150,56 @@ let test_text_rendering () =
   Alcotest.(check bool) "gauge line" true (has "g.depth 4 gauge");
   Alcotest.(check bool) "histogram line" true (has "q.hops histogram count=3")
 
+(* ----- the JSON codec (Bwc_json) ----- *)
+
+let test_json_escaping () =
+  Alcotest.(check string)
+    "quotes and newlines escaped" "\"a\\\"b\\nc\\\\d\""
+    (Bwc_json.to_string (Bwc_json.Str "a\"b\nc\\d"));
+  Alcotest.(check string)
+    "tab, CR and other control bytes" {|"\t\r\u0001\u001f"|}
+    (Bwc_json.to_string (Bwc_json.Str "\t\r\001\031"))
+
+let test_json_rows_layout () =
+  let v =
+    Bwc_json.(
+      Obj
+        [ ("bench", Str "x"); ("pct", Num (1.5, 2)); ("empty", Arr []);
+          ("rows", Arr [ Obj [ ("n", Int 1); ("ok", Bool true) ]; Arr [ Null; Int (-2) ] ]) ])
+  in
+  Alcotest.(check string) "rows"
+    "{\n\
+    \  \"bench\": \"x\",\n\
+    \  \"pct\": 1.50,\n\
+    \  \"empty\": [],\n\
+    \  \"rows\": [\n\
+    \    {\"n\": 1, \"ok\": true},\n\
+    \    [null, -2]\n\
+    \  ]\n\
+     }\n"
+    (Bwc_json.to_rows v);
+  Alcotest.(check string) "compact"
+    {|{"bench":"x","pct":1.50,"empty":[],"rows":[{"n":1,"ok":true},[null,-2]]}|}
+    (Bwc_json.to_string v);
+  Alcotest.(check bool) "parses back" true (Bwc_json.of_string (Bwc_json.to_rows v) = Ok v)
+
+let test_json_parse () =
+  (* compared through the compact printer, which tells -0 from 0 *)
+  let reads s v =
+    Alcotest.(check (result string string))
+      s
+      (Ok (Bwc_json.to_string v))
+      (Result.map Bwc_json.to_string (Bwc_json.of_string s))
+  in
+  reads {| "\u00e9\/\u0041" |} (Bwc_json.Str "\u{e9}/A");
+  reads "-0" (Bwc_json.Num (-0.0, 0));
+  reads "-0.50" (Bwc_json.Num (-0.5, 2));
+  reads "[ 1 , {\"a\" : null} ]" Bwc_json.(Arr [ Int 1; Obj [ ("a", Null) ] ]);
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) ("rejects " ^ s) true (Result.is_error (Bwc_json.of_string s)))
+    [ ""; "{"; "[1,]"; "tru"; {|"\x"|}; {|"\ud83d"|}; "1e3"; "1 2"; "{\"a\" 1}"; "-" ]
+
 (* ----- trace sink ----- *)
 
 let test_trace_order_and_jsonl () =
@@ -174,6 +224,10 @@ let test_trace_order_and_jsonl () =
   Trace.clear tr;
   Alcotest.(check int) "cleared" 0 (List.length (Trace.events tr))
 
+(* every byte class the string escaper distinguishes: quote, backslash,
+   newline, tab, CR and a bare control character *)
+let nasty = "a\"b\\c\nd\te\rf\001g"
+
 let test_trace_jsonl_round_trip () =
   (* every event constructor renders and parses back exactly *)
   let evs =
@@ -197,6 +251,12 @@ let test_trace_jsonl_round_trip () =
       Trace.Snapshot_write { round = 7; bytes = 1024 };
       Trace.Restore { round = 8; warm = true };
       Trace.Restore_rejected { round = 9; reason = "bad \"magic\"\nline" };
+      Trace.Daemon_admit { round = 11; cls = nasty; conn = 3 };
+      Trace.Daemon_shed { round = 12; cls = nasty; reason = nasty };
+      Trace.Daemon_timeout { round = 13; waited = 9; deadline = 8 };
+      Trace.Daemon_degrade { round = 14; entered = true; staleness = 5 };
+      Trace.Daemon_retry { round = 15; cls = nasty; attempt = 2; due = 19 };
+      Trace.Daemon_watchdog { round = 16; pending = false; stalled = 4 };
     ]
   in
   let tr = Trace.create () in
@@ -212,6 +272,27 @@ let test_trace_jsonl_round_trip () =
     (match Trace.of_jsonl "{\"ev\":\"warp\",\"round\":1}" with
     | Error _ -> true
     | Ok _ -> false)
+
+let test_trace_daemon_events_jsonl () =
+  (* no golden trace carries daemon events, so their bytes are pinned here *)
+  List.iter
+    (fun (ev, line) -> Alcotest.(check string) line line (Trace.event_to_json ev))
+    [
+      ( Trace.Daemon_admit { round = 11; cls = nasty; conn = 3 },
+        {|{"ev":"daemon_admit","round":11,"cls":"a\"b\\c\nd\te\rf\u0001g","conn":3}|} );
+      ( Trace.Daemon_shed { round = 12; cls = nasty; reason = nasty },
+        {|{"ev":"daemon_shed","round":12,"cls":"a\"b\\c\nd\te\rf\u0001g","reason":"a\"b\\c\nd\te\rf\u0001g"}|}
+      );
+      ( Trace.Daemon_timeout { round = 13; waited = 9; deadline = 8 },
+        {|{"ev":"daemon_timeout","round":13,"waited":9,"deadline":8}|} );
+      ( Trace.Daemon_degrade { round = 14; entered = true; staleness = 5 },
+        {|{"ev":"daemon_degrade","round":14,"entered":true,"staleness":5}|} );
+      ( Trace.Daemon_retry { round = 15; cls = nasty; attempt = 2; due = 19 },
+        {|{"ev":"daemon_retry","round":15,"cls":"a\"b\\c\nd\te\rf\u0001g","attempt":2,"due":19}|}
+      );
+      ( Trace.Daemon_watchdog { round = 16; pending = false; stalled = 4 },
+        {|{"ev":"daemon_watchdog","round":16,"pending":false,"stalled":4}|} );
+    ]
 
 let test_trace_failure_events_jsonl () =
   (* the failure-detection lifecycle: crash, suspicion, confirmation,
@@ -471,12 +552,19 @@ let () =
           Alcotest.test_case "json rendering" `Quick test_json_rendering;
           Alcotest.test_case "text rendering" `Quick test_text_rendering;
         ] );
+      ( "json",
+        [
+          Alcotest.test_case "string escaping" `Quick test_json_escaping;
+          Alcotest.test_case "rows layout" `Quick test_json_rows_layout;
+          Alcotest.test_case "parse" `Quick test_json_parse;
+        ] );
       ( "trace",
         [
           Alcotest.test_case "order and jsonl" `Quick test_trace_order_and_jsonl;
           Alcotest.test_case "jsonl round-trip" `Quick test_trace_jsonl_round_trip;
           Alcotest.test_case "failure events jsonl" `Quick
             test_trace_failure_events_jsonl;
+          Alcotest.test_case "daemon events jsonl" `Quick test_trace_daemon_events_jsonl;
           Alcotest.test_case "ring capacity" `Quick test_trace_ring_capacity;
         ] );
       ( "determinism",
