@@ -75,21 +75,10 @@ let dataset_arg =
   Arg.(value & opt string "hp-small" & info [ "dataset" ] ~docv:"NAME" ~doc)
 
 let load_dataset ~seed name =
-  match name with
-  | "hp" -> Bwc_dataset.Planetlab.hp_like ~seed
-  | "umd" -> Bwc_dataset.Planetlab.umd_like ~seed
-  | "hp-small" ->
-      Bwc_dataset.Planetlab.generate
-        ~rng:(Bwc_stats.Rng.create seed)
-        ~name:"HP-like-small"
-        { Bwc_dataset.Planetlab.hp_target with n = 120 }
-  | "umd-small" ->
-      Bwc_dataset.Planetlab.generate
-        ~rng:(Bwc_stats.Rng.create seed)
-        ~name:"UMD-like-small"
-        { Bwc_dataset.Planetlab.umd_target with n = 120 }
-  | path -> (
-      try Bwc_dataset.Dataset.load_csv ~name:(Filename.basename path) path
+  match Bwc_dataset.Planetlab.named ~seed name with
+  | Some ds -> ds
+  | None -> (
+      try Bwc_dataset.Dataset.load_csv ~name:(Filename.basename name) name
       with Sys_error msg ->
         Format.eprintf "bwcluster: cannot read dataset: %s@." msg;
         exit exit_io)

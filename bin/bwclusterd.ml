@@ -28,19 +28,10 @@ let logf fmt = Printf.eprintf ("bwclusterd: " ^^ fmt ^^ "\n%!")
 (* ----- dataset (same names as bwcluster) ----- *)
 
 let load_dataset ~seed name =
-  match name with
-  | "hp" -> Bwc_dataset.Planetlab.hp_like ~seed
-  | "umd" -> Bwc_dataset.Planetlab.umd_like ~seed
-  | "hp-small" ->
-      Bwc_dataset.Planetlab.generate ~rng:(Rng.create seed)
-        ~name:"HP-like-small"
-        { Bwc_dataset.Planetlab.hp_target with n = 120 }
-  | "umd-small" ->
-      Bwc_dataset.Planetlab.generate ~rng:(Rng.create seed)
-        ~name:"UMD-like-small"
-        { Bwc_dataset.Planetlab.umd_target with n = 120 }
-  | path -> (
-      try Bwc_dataset.Dataset.load_csv ~name:(Filename.basename path) path
+  match Bwc_dataset.Planetlab.named ~seed name with
+  | Some ds -> ds
+  | None -> (
+      try Bwc_dataset.Dataset.load_csv ~name:(Filename.basename name) name
       with Sys_error msg ->
         logf "cannot read dataset: %s" msg;
         exit exit_io)

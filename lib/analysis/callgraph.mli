@@ -1,14 +1,17 @@
-(** Cross-module call-graph builder over untyped Parsetrees.
+(** Cross-module call graph and reference index over untyped
+    Parsetrees.
 
     Each scanned [.ml] file is a compilation unit named by its
     capitalized basename; defs are keyed by (directory, qualified name)
     so same-named units in different libraries (lib/sim/engine.ml vs
-    lib/analysis/engine.ml) never alias.  Resolution handles module
-    aliases ([module P = Protocol]), nested submodules, local shadowing
-    (bound names and let-module), intra-directory unit references and
-    wrapped-library paths ([Bwc_sim.Engine.run] via the
-    bwc_<d> <-> lib/<d> convention).  Misses are conservative: an
-    unresolvable reference produces no edge, never a wrong one. *)
+    lib/analysis/engine.ml) never alias.  One scope-aware walk per unit
+    resolves every identifier — in named defs, [let () =] bodies,
+    functor bodies, partial applications — through local bindings,
+    nested submodules, opens, module aliases ([module P = Protocol]),
+    intra-directory unit references and wrapped-library paths
+    ([Bwc_sim.Engine.run] via the bwc_<d> <-> lib/<d> convention).
+    Misses are conservative: an unresolvable reference produces no
+    edge, never a wrong one, and a [Named] reference. *)
 
 type call = {
   callee : string;  (** internal id of the target def *)
@@ -30,6 +33,15 @@ type def = {
   mutable calls : call list;  (** resolved, deduped, in source order *)
 }
 
+type target =
+  | Value of string  (** a value's id, [dir ^ "//" ^ "Unit.Sub.name"] *)
+  | Prefix of string
+      (** a module used as a whole (include, functor argument,
+          first-class packing): every value whose id starts with this *)
+  | Named of string
+      (** an unresolved path through a module of the program: every
+          value with this name *)
+
 type t
 
 val build : (string * Ast_scan.file) list -> t
@@ -42,8 +54,9 @@ val defs : t -> def list
 val find : t -> string -> def option
 (** Look up a def by internal id. *)
 
-val find_by_name : t -> string -> def list
-(** Look up defs by display name (may match several directories). *)
+val references : t -> (string * target list) list
+(** Every reference of each scanned [.ml] file, sorted by path; a bare
+    name yields one [Value] per scope it may come from. *)
 
 val callers : t -> (string, string list) Hashtbl.t
 (** Reverse adjacency: callee id -> caller ids (possibly with

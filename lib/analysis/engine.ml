@@ -3,10 +3,10 @@
    The run is now two-layered.  Every file is parsed exactly once; the
    per-file syntactic rules run first, then (unless [whole_program] is
    off) the call graph is built over all parsed structures and the
-   whole-program passes (determinism taint, domain-safety audit) run on
-   top.  All passes share one Suppress table per file, and staleness is
-   computed only after every pass has had its chance to mark entries
-   used — so a suppression justified purely by an interprocedural
+   whole-program passes (determinism taint, domain-safety audit, dead
+   exports) run on top.  All passes share one Suppress table per file,
+   and staleness is computed only after every pass has had its chance
+   to mark entries used — so a suppression justified purely by an interprocedural
    finding (the callee-side audit of a taint source) is not reported
    stale by the per-file layer. *)
 
@@ -96,9 +96,8 @@ let lint_sources ?(rules = Rules.all) ?(whole_program = true) sources =
     parsed;
   (* layer 2+3: effect summaries and whole-program passes *)
   if whole_program then begin
-    let cg =
-      Callgraph.build (List.map (fun (path, file, _) -> (path, file)) parsed)
-    in
+    let files = List.map (fun (path, file, _) -> (path, file)) parsed in
+    let cg = Callgraph.build files in
     let audited ~rule ~file ~line =
       match Hashtbl.find_opt supp_of file with
       | None -> None
@@ -107,9 +106,11 @@ let lint_sources ?(rules = Rules.all) ?(whole_program = true) sources =
           | Some entry -> Some entry.Suppress.reason
           | None -> None)
     in
-    let outcome = Taint.run ~audited cg in
-    findings := outcome.Taint.findings @ !findings;
-    suppressed := outcome.Taint.suppressed @ !suppressed
+    List.iter
+      (fun (outcome : Taint.outcome) ->
+        findings := outcome.findings @ !findings;
+        suppressed := outcome.suppressed @ !suppressed)
+      [ Taint.run ~audited cg; Exports.run ~audited cg files ]
   end;
   (* only now, after every pass has marked what it uses, judge the
      suppression comments themselves *)
@@ -158,9 +159,6 @@ let lint_sources ?(rules = Rules.all) ?(whole_program = true) sources =
     suppressions_used = !used_total;
     parse_failed = !parse_failed;
   }
-
-let lint_source ?rules ?(whole_program = false) ~path source =
-  lint_sources ?rules ~whole_program [ (path, source) ]
 
 let read_file path =
   let ic = open_in_bin path in

@@ -1,6 +1,7 @@
 (** The lint driver: parse sources with compiler-libs, run the
     syntactic rule catalog, build the cross-module call graph, run the
-    whole-program passes (determinism taint, domain-safety audit), and
+    whole-program passes (determinism taint, domain-safety audit, dead
+    exports), and
     judge suppressions last.
 
     All passes share one suppression table per file and staleness is
@@ -44,11 +45,6 @@ val lint_sources :
   result
 (** Lint a set of (path, source) pairs as one program.
     [whole_program] (default [true]) controls the call-graph passes. *)
-
-val lint_source :
-  ?rules:Rules.t list -> ?whole_program:bool -> path:string -> string -> result
-(** Single-file convenience; [whole_program] defaults to [false] here
-    (a lone file is rarely a meaningful program). *)
 
 val discover : string list -> string list
 (** Expand files/directories into a sorted list of .ml/.mli files.

@@ -84,6 +84,6 @@ let rule_catalog ppf () =
           (String.concat ", " r.allow_paths))
     Rules.all;
   Format.fprintf ppf "@.whole-program rules:@.";
-  List.iter (fun (id, sev, doc) -> line id sev doc) Taint.rules;
+  List.iter (fun (id, sev, doc) -> line id sev doc) (Taint.rules @ Exports.rules);
   Format.fprintf ppf "@.driver meta rules:@.";
   List.iter (fun (id, sev, doc) -> line id sev doc) meta_rules

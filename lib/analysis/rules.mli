@@ -34,20 +34,5 @@ val wall_clock_idents : string list
 val print_idents : string list
 val partial_idents : string list
 
-val no_stdlib_random : t
-val no_unordered_hashtbl_iter : t
-val no_polymorphic_compare_on_floats : t
-val no_partial_stdlib : t
-val no_quadratic_append : t
-val no_print_in_lib : t
-val no_wall_clock_in_lib : t
-val naked_failwith : t
-val no_obj_magic : t
-
-val no_marshal : t
-(** [Marshal.to_*]/[from_*] banned in [lib/]: snapshot bytes must go
-    through [Bwc_persist.Codec]'s versioned, checksummed, validating
-    format so a restore can verify and reject instead of crashing. *)
-
 val all : t list
 val find : string -> t option

@@ -10,7 +10,7 @@ let schema = "https://json.schemastore.org/sarif-2.1.0.json"
 
 let all_rules () =
   List.map (fun (r : Rules.t) -> (r.id, r.severity, r.doc)) Rules.all
-  @ Taint.rules @ Report.meta_rules
+  @ Taint.rules @ Exports.rules @ Report.meta_rules
 
 let level = function Finding.Error -> "error" | Finding.Warning -> "warning"
 

@@ -125,11 +125,4 @@ let find t ~rule ~line =
       Some e
   | None -> None
 
-let suppressed t ~rule ~line = find t ~rule ~line <> None
-let count t = List.length t.entries
 let entries t = t.entries
-
-let unused t =
-  List.filter_map
-    (fun e -> if e.used then None else Some (e.s_line, e.rules))
-    t.entries

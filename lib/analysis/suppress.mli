@@ -26,13 +26,4 @@ val find : t -> rule:string -> line:int -> entry option
     justified only by an interprocedural finding is still "used" and not
     reported stale. *)
 
-val suppressed : t -> rule:string -> line:int -> bool
-(** [find <> None]. *)
-
-val count : t -> int
-
 val entries : t -> entry list
-
-val unused : t -> (int * string list) list
-(** Suppressions that never matched a finding in any pass (line, rule
-    ids) — stale comments that should be deleted. *)

@@ -31,7 +31,6 @@ let count t = Array.length t.bws
 let c t = t.c
 let bandwidths t = Array.copy t.bws
 let distances t = Array.copy t.ls
-let bandwidth t i = t.bws.(i)
 let distance t i = t.ls.(i)
 
 let class_for t ~b =
@@ -45,10 +44,3 @@ let class_for t ~b =
     end
   in
   search 0 n
-
-let class_for_distance t ~l =
-  if l <= 0.0 then None else class_for t ~b:(t.c /. l)
-
-let pp ppf t =
-  Format.fprintf ppf "classes (C=%g):" t.c;
-  Array.iteri (fun i b -> Format.fprintf ppf " [%d] %.1f Mbps (l=%.2f)" i b t.ls.(i)) t.bws

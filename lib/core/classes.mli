@@ -27,7 +27,6 @@ val distances : t -> float array
 (** The corresponding distance classes [l], index-aligned with
     {!bandwidths} (so {e descending}). *)
 
-val bandwidth : t -> int -> float
 val distance : t -> int -> float
 
 val class_for : t -> b:float -> int option
@@ -35,8 +34,3 @@ val class_for : t -> b:float -> int option
     smallest class bandwidth [>= b].  [None] when [b] exceeds every
     class (the decentralized system then cannot promise [b]; the paper's
     "limited flexibility" tradeoff). *)
-
-val class_for_distance : t -> l:float -> int option
-(** Same, in distance units: the largest class distance [<= l]. *)
-
-val pp : Format.formatter -> t -> unit

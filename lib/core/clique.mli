@@ -19,10 +19,6 @@ type verdict =
   | Infeasible
   | Unknown              (** budget exhausted *)
 
-val threshold_adjacency :
-  Bwc_metric.Space.t -> l:float -> int -> int -> bool
-(** Edge predicate of the threshold graph: [dist i j <= l] (and [i <> j]). *)
-
 val exists_clique :
   ?budget:int -> adj:(int -> int -> bool) -> n:int -> k:int -> unit -> verdict
 (** [exists_clique ~adj ~n ~k ()] decides whether the graph has a clique
@@ -32,6 +28,7 @@ val exists_cluster :
   ?budget:int -> Bwc_metric.Space.t -> k:int -> l:float -> verdict
 (** The clustering question on a space, via the threshold graph. *)
 
+(* bwclint: allow test-only-export -- reference oracle: the Bron-Kerbosch maximum clique test/test_core.ml checks Algorithm 1 against *)
 val max_clique_size :
   ?budget:int -> adj:(int -> int -> bool) -> n:int -> unit -> (int, [ `Budget of int ]) result
 (** Exact maximum clique size, or [`Budget lower_bound] when the budget

@@ -61,7 +61,6 @@ let watch t ~watcher ~peer ~round =
 
 let unwatch t ~watcher ~peer = Hashtbl.remove t.edges (watcher, peer)
 let clear t = Hashtbl.reset t.edges
-let watched t = Hashtbl.length t.edges
 
 let heard t ~watcher ~peer ~round =
   match Hashtbl.find_opt t.edges (watcher, peer) with

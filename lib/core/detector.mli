@@ -53,9 +53,6 @@ val watch : t -> watcher:int -> peer:int -> round:int -> unit
 val unwatch : t -> watcher:int -> peer:int -> unit
 val clear : t -> unit
 
-val watched : t -> int
-(** Number of monitored directed edges. *)
-
 val heard : t -> watcher:int -> peer:int -> round:int -> unit
 (** Renew the lease: [watcher] received a message from [peer] at
     [round].  Clears suspicion — any sign of life revives the peer. *)

@@ -96,25 +96,10 @@ let index_leave t h =
   | Some idx -> Find_cluster.Index.remove_host idx h
   | None -> ()
 
-let stabilize t =
-  Protocol.refresh_topology t.protocol;
-  Protocol.run_aggregation t.protocol
-
-let join t h =
-  Ensemble.add_host ~rng:(Rng.split t.rng) t.fw h;
-  index_join t h;
-  let (_ : int) = stabilize t in
-  ()
-
-let leave t h =
-  Ensemble.remove_host ~rng:(Rng.split t.rng) t.fw h;
-  index_leave t h;
-  let (_ : int) = stabilize t in
-  ()
-
 (* membership + index deltas only, no restabilisation: the daemon's
    deferred path, where aggregation work is budgeted across ticks and a
-   storm of events must not block behind reconvergence *)
+   storm of events must not block behind reconvergence.  The protocol
+   refreshes its topology when it is next read. *)
 let apply_deferred t events =
   let applied = ref 0 in
   List.iter
@@ -133,11 +118,12 @@ let apply_deferred t events =
             incr applied
           end)
     events;
+  if !applied > 0 then Protocol.invalidate_topology t.protocol;
   !applied
 
 let apply t events =
   if apply_deferred t events > 0 then begin
-    let (_ : int) = stabilize t in
+    let (_ : int) = Protocol.run_aggregation t.protocol in
     ()
   end
 

@@ -66,33 +66,22 @@ val index_opt : t -> Find_cluster.Index.t option
 
 val members : t -> int list
 val member_count : t -> int
-val is_member : t -> int -> bool
 val protocol : t -> Protocol.t
 val ensemble : t -> Bwc_predtree.Ensemble.t
 val classes : t -> Classes.t
 
-val join : t -> int -> unit
-(** Adds the host and restabilises the aggregation.  The host must be a
-    point of the dataset that is not currently a member. *)
-
-val leave : t -> int -> unit
-(** Removes the host and restabilises.  Refuses ([Invalid_argument]) to
-    remove the last member. *)
-
-val apply : t -> Bwc_sim.Churn.event list -> unit
-(** Applies a batch of joins/leaves, restabilising once at the end —
-    events for hosts already in the requested state are ignored, so
-    schedules generated independently of the current state are safe. *)
-
 val apply_deferred : t -> Bwc_sim.Churn.event list -> int
-(** Like {!apply} but {e without} restabilising: membership and the
-    maintained index are updated by delta, and the aggregation protocol
-    is left stale until the caller runs {!stabilize} (or budgets rounds
-    itself via {!Protocol.refresh_topology} + {!Protocol.run_round}).
-    Returns the number of events actually applied (no-ops are skipped
-    exactly as in {!apply}).  This is the daemon's deferred path:
-    cluster answers from the index stay membership-fresh while
-    reconvergence proceeds in bounded background steps. *)
+(** Applies a batch of joins and leaves {e without} restabilising:
+    membership and the maintained index are updated by delta, and the
+    protocol's topology is marked stale ({!Protocol.invalidate_topology});
+    its next round, query or dump refreshes it, and rounds
+    ({!Protocol.run_round}, {!Protocol.run_aggregation}) reconverge it.
+    Events for hosts already in the requested state are ignored, as is
+    a leave of the last member, so schedules generated independently of
+    the current state are safe.  Returns the number of events actually
+    applied.  This is the daemon's deferred path: cluster answers from
+    the index stay membership-fresh while reconvergence proceeds in
+    bounded background steps. *)
 
 val run_scenario :
   t -> churn:Bwc_sim.Churn.t -> rounds:int -> on_round:(int -> t -> unit) -> unit
@@ -115,7 +104,3 @@ val query_centralized : t -> k:int -> b:float -> int list option
     [l = C / b] — the centralized baseline the dynamic experiments
     compare the decentralized protocol against, kept valid under churn
     without rebuilds. *)
-
-val stabilize : t -> int
-(** Re-runs background aggregation until quiescent; returns rounds run.
-    Normally called internally. *)

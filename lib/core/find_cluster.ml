@@ -72,8 +72,6 @@ let find ?(verify = false) space ~k ~l =
     !result
   end
 
-let exists space ~k ~l = find space ~k ~l <> None
-
 let max_size space ~l =
   if space.Space.n = 0 then 0
   else begin
@@ -178,7 +176,6 @@ module Index = struct
   let build space = build_subset space (List.init space.Space.n Fun.id)
 
   let size t = Array.length t.members
-  let members t = Array.to_list t.members
   let is_member t h = h >= 0 && h < t.space.Space.n && t.active.(h)
 
   (* ----- incremental maintenance ----- *)

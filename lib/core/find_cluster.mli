@@ -25,17 +25,11 @@ val diam_tol : float
 val members : Bwc_metric.Space.t -> p:int -> q:int -> int list
 (** [S*_pq], ascending node order ([p] and [q] are members). *)
 
-val count_members : Bwc_metric.Space.t -> p:int -> q:int -> int
-(** [|S*_pq|] by counting loop — the scan hot path never materialises the
-    member list just to measure it. *)
-
 val find :
   ?verify:bool -> Bwc_metric.Space.t -> k:int -> l:float -> int list option
 (** One-shot Algorithm 1.  Returns [k] members of the first satisfying
     [S*_pq] ([p] and [q] always included).  [verify] defaults to
     [false]. *)
-
-val exists : Bwc_metric.Space.t -> k:int -> l:float -> bool
 
 val max_size : Bwc_metric.Space.t -> l:float -> int
 (** Largest cluster size achievable with diameter [<= l]
@@ -67,9 +61,6 @@ module Index : sig
 
   val size : t -> int
   (** Current member count. *)
-
-  val members : t -> int list
-  (** Ascending host ids. *)
 
   val is_member : t -> int -> bool
 

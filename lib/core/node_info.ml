@@ -10,9 +10,4 @@ let space_of infos =
   Bwc_metric.Space.make ~n:(Array.length infos) ~dist:(fun i j ->
       if i = j then 0.0 else dist infos.(i) infos.(j))
 
-let equal a b = a.host = b.host
 let compare_host a b = compare a.host b.host
-
-let pp ppf t =
-  Format.fprintf ppf "node %d (depth %d)" t.host
-    (if Array.length t.labels = 0 then 0 else Bwc_predtree.Label.depth t.labels.(0))

@@ -19,8 +19,4 @@ val space_of : t array -> Bwc_metric.Space.t
     space is [infos.(i)], distances are label distances (Algorithms 3 and
     4 run {!Find_cluster} on exactly this). *)
 
-val equal : t -> t -> bool
-(** Host identity (labels are per-host, so ids suffice). *)
-
 val compare_host : t -> t -> int
-val pp : Format.formatter -> t -> unit

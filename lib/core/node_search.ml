@@ -24,29 +24,3 @@ let best_bw ?c space ~targets =
   match best space ~targets ~exclude:[] with
   | None -> None
   | Some (x, radius) -> Some (x, Bwc_metric.Bandwidth.of_distance ?c radius)
-
-let local protocol ~at ~targets =
-  Bwc_obs.Registry.Counter.incr
-    (Bwc_obs.Registry.counter (Protocol.metrics protocol) "node_search.calls");
-  if targets = [] then None
-  else begin
-    let infos = Protocol.clustering_space protocol at in
-    let target_hosts = List.map (fun i -> i.Node_info.host) targets in
-    let best = ref None in
-    Array.iter
-      (fun cand ->
-        if
-          (not (List.mem cand.Node_info.host target_hosts))
-          (* never hand out a host the local failure detector suspects *)
-          && not (Protocol.routing_suspects protocol ~at cand.Node_info.host)
-        then begin
-          let radius =
-            List.fold_left (fun acc s -> Float.max acc (Node_info.dist cand s)) 0.0 targets
-          in
-          match !best with
-          | Some (_, r) when r <= radius -> ()
-          | _ -> best := Some (cand.Node_info.host, radius)
-        end)
-      infos;
-    !best
-  end

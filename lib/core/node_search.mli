@@ -14,11 +14,3 @@ val best :
 val best_bw :
   ?c:float -> Bwc_metric.Space.t -> targets:int list -> (int * float) option
 (** Same, reported as minimum bandwidth to the target set. *)
-
-val local : Protocol.t -> at:int -> targets:Node_info.t list -> (int * float) option
-(** Decentralized approximation: the best candidate within the clustering
-    space of host [at] (what a node can answer from local state).  The
-    targets are given as node infos so distances are label-predicted.
-    Candidates the local failure detector suspects
-    ({!Protocol.routing_suspects}) are skipped.  Each call bumps
-    [node_search.calls] in the protocol's registry. *)

@@ -71,6 +71,7 @@ type t = {
   mutable on_evict : int -> unit;    (* observer of detector/repair evictions *)
   mutable unacked : int;             (* live out entries awaiting an ack, system-wide *)
   mutable step_changed : bool;       (* any node changed state this round *)
+  mutable stale : bool;              (* membership moved since the last refresh *)
   c_retransmissions : Registry.Counter.t;
   c_dup_suppressed : Registry.Counter.t;
   c_stale_discarded : Registry.Counter.t;
@@ -161,6 +162,7 @@ let create ~rng ?(n_cut = 10) ?edge_delay ?faults ?(resend_timeout = 3)
       on_evict = ignore;
       unacked = 0;
       step_changed = false;
+      stale = false;
       c_retransmissions = Registry.counter metrics "protocol.retransmissions";
       c_dup_suppressed = Registry.counter metrics "protocol.dup_suppressed";
       c_stale_discarded = Registry.counter metrics "protocol.stale_discarded";
@@ -180,20 +182,14 @@ let create ~rng ?(n_cut = 10) ?edge_delay ?faults ?(resend_timeout = 3)
   watch_all t;
   t
 
-let n t =
-  Array.fold_left (fun acc slot -> if slot = None then acc else acc + 1) 0 t.nodes
-
 let get_node t x =
   match t.nodes.(x) with
   | Some node -> node
   | None -> invalid_arg "Protocol: host is not a member"
 
 let n_cut t = t.n_cut
-let classes t = t.classes
-let framework t = t.fw
 let metrics t = Engine.metrics t.engine
 let detector t = t.detector
-let epoch t = t.epoch
 
 let emit t ev = match t.trace with Some tr -> Trace.emit tr ev | None -> ()
 
@@ -572,6 +568,29 @@ let relink t ~round a b =
   half a b;
   half b a
 
+(* Rebuilding the slots from scratch both refreshes labels/neighborhoods
+   after a framework change and tracks membership changes (joins create a
+   slot, leaves clear one).  In-flight traffic belongs to the old
+   topology and sequence numbering, so it is discarded wholesale — the
+   fresh slots repropagate everything anyway. *)
+let refresh_topology t =
+  t.stale <- false;
+  t.nodes <- node_slots t.fw t.classes;
+  t.unacked <- 0;
+  Engine.clear_in_flight t.engine;
+  sync_engine_active t;
+  match t.detector with
+  | None -> ()
+  | Some d ->
+      Detector.clear d;
+      watch_all t
+
+let invalidate_topology t = t.stale <- true
+
+(* the refresh is lazy: a storm of membership changes costs one refresh
+   when node state is next read, not one per change *)
+let refresh_if_stale t = if t.stale then refresh_topology t
+
 let repair_one t dead_h =
   match t.nodes.(dead_h) with
   | None -> ()
@@ -627,6 +646,7 @@ let repair_one t dead_h =
       t.on_evict dead_h
 
 let repair t ~dead =
+  refresh_if_stale t;
   let dead = List.sort_uniq compare (List.filter (fun h -> t.nodes.(h) <> None) dead) in
   if dead <> [] then begin
     t.epoch <- t.epoch + 1;
@@ -638,11 +658,21 @@ let repair t ~dead =
 let set_on_evict t f = t.on_evict <- f
 
 let crash_host t h =
+  refresh_if_stale t;
   let (_ : node) = get_node t h in
   emit t (Trace.Crash { round = Engine.round t.engine; node = h });
   Engine.set_active t.engine h false
 
+let quiescent t =
+  (not t.stale) && t.unacked = 0
+  && Array.for_all (function Some node -> not node.dirty | None -> true) t.nodes
+  &&
+  match t.detector with
+  | None -> true
+  | Some d -> not (Detector.pending d ~round:(Engine.round t.engine))
+
 let run_round t =
+  refresh_if_stale t;
   t.step_changed <- false;
   let active = Engine.run_round t.engine ~step:(step t) in
   t.rounds <- t.rounds + 1;
@@ -678,13 +708,6 @@ let run_aggregation ?max_rounds t =
 
 (* ----- queries (Algorithm 4) ----- *)
 
-let clustering_space t x = clustering_space_node (get_node t x)
-
-let routing_suspects t ~at h =
-  match t.detector with
-  | None -> false
-  | Some d -> Detector.suspects d ~watcher:at ~peer:h
-
 (* failure-detector detour: directions under suspicion become last
    resorts — probably dead, but not yet written off *)
 let detour t x ordered =
@@ -704,6 +727,7 @@ let local_find t node ~k ~cls =
   | Some idxs -> Some (List.map (fun i -> infos.(i).Node_info.host) idxs)
 
 let query ?(policy = `Best_crt) ?hop_budget ?(retries = 2) t ~at ~k ~cls =
+  refresh_if_stale t;
   if k < 2 then invalid_arg "Protocol.query: k < 2";
   if cls < 0 || cls >= Classes.count t.classes then invalid_arg "Protocol.query: bad class";
   if retries < 0 then invalid_arg "Protocol.query: negative retries";
@@ -795,13 +819,8 @@ let query_bandwidth ?policy ?hop_budget ?retries t ~at ~k ~b =
   | Some cls -> query ?policy ?hop_budget ?retries t ~at ~k ~cls
   | None -> Query.not_found_at at
 
-let aggregated_nodes t x m =
-  let node = get_node t x in
-  if not (List.exists (fun nb -> nb.Node_info.host = m) node.neighbors) then
-    raise Not_found
-  else match Hashtbl.find_opt node.aggr_node m with Some l -> l | None -> []
-
 let crt_row t x v =
+  refresh_if_stale t;
   let node = get_node t x in
   if v = x then Array.copy node.own_row
   else if not (List.exists (fun nb -> nb.Node_info.host = v) node.neighbors) then
@@ -812,6 +831,7 @@ let crt_row t x v =
     | None -> Array.make (Classes.count t.classes) 0
 
 let max_reachable t x ~cls =
+  refresh_if_stale t;
   let node = get_node t x in
   List.fold_left
     (fun acc nb ->
@@ -822,15 +842,10 @@ let max_reachable t x ~cls =
 
 let messages_sent t = Engine.messages_sent t.engine
 let rounds_run t = t.rounds
-let retries t = Registry.Counter.value t.c_retransmissions
-let duplicates_suppressed t = Registry.Counter.value t.c_dup_suppressed
-let stale_discarded t = Registry.Counter.value t.c_stale_discarded
 let give_ups t = Registry.Counter.value t.c_give_up
 let heartbeats_sent t = Registry.Counter.value t.c_heartbeats
-let epoch_discarded t = Registry.Counter.value t.c_epoch_discarded
 let repairs_run t = Registry.Counter.value t.c_repairs
 let regrafts_applied t = Registry.Counter.value t.c_regrafts
-let pending_unacked t = t.unacked
 
 let mark_all_dirty t =
   Array.iter (function Some node -> node.dirty <- true | None -> ()) t.nodes
@@ -884,6 +899,7 @@ type dump = {
 let sorted_assoc tbl = List.map (fun k -> (k, Hashtbl.find tbl k)) (Bwc_stats.Tbl.sorted_keys tbl)
 
 let dump t =
+  refresh_if_stale t;
   let nodes = ref [] in
   for id = Array.length t.nodes - 1 downto 0 do
     match t.nodes.(id) with
@@ -1039,6 +1055,7 @@ let of_dump ?edge_delay ?faults ?metrics ?trace ~classes fw d =
       on_evict = ignore;
       unacked = !unacked;
       step_changed = false;
+      stale = false;
       c_retransmissions = Registry.counter metrics "protocol.retransmissions";
       c_dup_suppressed = Registry.counter metrics "protocol.dup_suppressed";
       c_stale_discarded = Registry.counter metrics "protocol.stale_discarded";
@@ -1065,19 +1082,3 @@ let of_dump ?edge_delay ?faults ?metrics ?trace ~classes fw d =
   t
 
 let current_round t = Engine.round t.engine
-
-(* Rebuilding the slots from scratch both refreshes labels/neighborhoods
-   after a framework change and tracks membership changes (joins create a
-   slot, leaves clear one).  In-flight traffic belongs to the old
-   topology and sequence numbering, so it is discarded wholesale — the
-   fresh slots repropagate everything anyway. *)
-let refresh_topology t =
-  t.nodes <- node_slots t.fw t.classes;
-  t.unacked <- 0;
-  Engine.clear_in_flight t.engine;
-  sync_engine_active t;
-  match t.detector with
-  | None -> ()
-  | Some d ->
-      Detector.clear d;
-      watch_all t

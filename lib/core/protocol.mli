@@ -20,7 +20,7 @@
     The implementation runs on the round-based {!Bwc_sim.Engine}; each
     round every host consumes its inbox, updates its tables, and
     (re)propagates to neighbors when something changed, so a static
-    network reaches quiescence and [run_until_stable] detects it.
+    network reaches quiescence and {!run_aggregation} detects it.
 
     Delivery is made reliable against an unreliable network
     ({!Bwc_sim.Fault}): every update carries a per-link sequence number,
@@ -96,12 +96,7 @@ val create :
     [Query_hop], [Suspect], [Confirm_dead], [Regraft] and [Quiesce] —
     and is off when omitted. *)
 
-val n : t -> int
-(** Current member count. *)
-
 val n_cut : t -> int
-val classes : t -> Classes.t
-val framework : t -> Bwc_predtree.Ensemble.t
 
 val run_aggregation : ?max_rounds:int -> t -> int
 (** Runs rounds until quiescent (returns the number of rounds) or until
@@ -141,15 +136,6 @@ val set_on_evict : t -> (int -> unit) -> unit
 val detector : t -> Detector.t option
 (** The failure detector, when [create] was given a config. *)
 
-val epoch : t -> int
-(** The current repair epoch (bumped once per repair batch; 0 before any
-    repair). *)
-
-val routing_suspects : t -> at:int -> int -> bool
-(** [routing_suspects t ~at h]: whether [at]'s failure detector currently
-    suspects (or has confirmed) [h], i.e. whether query routing at [at]
-    should detour around [h].  Always [false] without a detector. *)
-
 val query :
   ?policy:[ `Best_crt | `First ] ->
   ?hop_budget:int ->
@@ -178,21 +164,12 @@ val query_bandwidth :
 (** Convenience: maps [b] to the cheapest class that guarantees it; a miss
     when no class covers [b]. *)
 
-val clustering_space : t -> int -> Node_info.t array
-(** [V_x]: the host itself plus everything aggregated from its neighbors
-    (the space Algorithms 3 and 4 cluster in). *)
-
-val aggregated_nodes : t -> int -> int -> Node_info.t list
-(** [aggregated_nodes t x m]: [x]'s [aggrNode[m]] — the node information
-    received from neighbor [m] (Algorithm 2's table; empty before any
-    aggregation round).  Raises [Not_found] if [m] is not a neighbor of
-    [x]. *)
-
 val crt_row : t -> int -> int -> int array
 (** [crt_row t x v]: [x]'s CRT column for neighbor (or self) [v]; one
     entry per class.  Raises [Not_found] if [v] is neither [x] nor a
     neighbor of [x]. *)
 
+(* bwclint: allow test-only-export -- reference oracle: the CRT promise test/test_core.ml and test/test_persist.ml check Algorithm 4's answers against *)
 val max_reachable : t -> int -> cls:int -> int
 (** The largest cluster size host [x] believes exists anywhere (its own
     row and every neighbor column). *)
@@ -205,28 +182,12 @@ val metrics : t -> Bwc_obs.Registry.t
 val messages_sent : t -> int
 val rounds_run : t -> int
 
-val retries : t -> int
-(** Timeout-triggered retransmissions of unacknowledged updates
-    ([protocol.retransmissions]). *)
-
-val duplicates_suppressed : t -> int
-(** Updates received with an already-seen sequence number and discarded
-    ([protocol.dup_suppressed]). *)
-
-val stale_discarded : t -> int
-(** Updates received out of order (older than the applied state) and
-    discarded ([protocol.stale_discarded]). *)
-
 val give_ups : t -> int
 (** Updates retired unacknowledged after [max_retransmits] fruitless
     retransmissions ([protocol.give_up]). *)
 
 val heartbeats_sent : t -> int
 (** Detector heartbeats sent over idle links ([protocol.heartbeats]). *)
-
-val epoch_discarded : t -> int
-(** Messages fenced off by the link-epoch guard — in-flight leftovers
-    from before a self-healing link reset ([protocol.epoch_discarded]). *)
 
 val repairs_run : t -> int
 (** Confirmed-dead nodes evicted and healed around
@@ -235,10 +196,6 @@ val repairs_run : t -> int
 val regrafts_applied : t -> int
 (** Orphaned overlay children re-attached to their grandparent during
     repair ([protocol.regrafts]). *)
-
-val pending_unacked : t -> int
-(** Updates still awaiting acknowledgement and not yet given up (0 at
-    quiescence). *)
 
 val current_round : t -> int
 (** The engine's round clock (survives snapshot/restore, unlike
@@ -311,8 +268,9 @@ val of_dump :
     is indistinguishable from one that never crashed.  Validates
     membership agreement with the ensemble, neighbor-keyed table
     integrity, arity of CRT rows and label vectors, and clock/epoch
-    bounds; raises [Invalid_argument] on any violation.  [pending_unacked]
-    is recomputed from the out-entries, never trusted from the file. *)
+    bounds; raises [Invalid_argument] on any violation.  The unacked
+    count is recomputed from the out-entries, never trusted from the
+    file. *)
 
 val mark_all_dirty : t -> unit
 (** Forces every host to recompute and repropagate — used after the
@@ -320,9 +278,23 @@ val mark_all_dirty : t -> unit
 
 val refresh_topology : t -> unit
 (** Re-reads membership, labels and anchor neighborhoods from the
-    framework (after joins, leaves, {!Bwc_predtree.Framework.refresh_host}
-    or a rebuild), clears stale aggregation state, and marks everything
-    dirty.  Aggregation then reconverges with further rounds.  With a
-    detector, all lease state is reset and the fresh edges are watched
-    from the current round.  Functions taking a host raise
-    [Invalid_argument] for non-members. *)
+    framework (after joins, leaves or a rebuild), clears stale
+    aggregation state, and marks everything dirty.  Aggregation then
+    reconverges with further rounds.  With a detector, all lease state
+    is reset and the fresh edges are watched from the current round.
+    Functions taking a host raise [Invalid_argument] for non-members. *)
+
+val invalidate_topology : t -> unit
+(** Marks the topology stale after the framework's membership moved.
+    Every function that reads or changes node state ({!run_round},
+    {!repair}, {!crash_host}, {!query}, {!query_bandwidth}, {!crt_row},
+    {!max_reachable} and {!dump}) first runs {!refresh_topology}.
+    {!mark_all_dirty} needs no refresh: the pending one marks every host
+    dirty anyway.  The refresh is lazy, so a burst of membership changes
+    costs one refresh, and none while nothing reads the protocol. *)
+
+val quiescent : t -> bool
+(** No stale topology, no node with state left to propagate, no update
+    awaiting an acknowledgement and no failure-detector lease running
+    out: further rounds would change nothing.  A protocol restored from
+    a snapshot taken mid-convergence is not quiescent. *)

@@ -1,18 +1,3 @@
-type t = {
-  k : int;
-  l : float;
-}
-
-let make ~k ~l =
-  if k < 2 then invalid_arg "Query.make: k < 2";
-  if l <= 0.0 then invalid_arg "Query.make: l <= 0";
-  { k; l }
-
-let of_bandwidth ?c ~k b =
-  let l = Bwc_metric.Bandwidth.to_distance ?c b in
-  make ~k ~l
-let bandwidth_of ?c t = Bwc_metric.Bandwidth.of_distance ?c t.l
-
 type result = {
   cluster : int list option;
   hops : int;
@@ -23,8 +8,6 @@ type result = {
 let found r = r.cluster <> None
 let not_found_at node = { cluster = None; hops = 0; retries = 0; path = [ node ] }
 let no_members = { cluster = None; hops = 0; retries = 0; path = [] }
-
-let pp ppf t = Format.fprintf ppf "(k=%d, l=%.3f)" t.k t.l
 
 let pp_result ppf r =
   let pp_retries ppf n = if n > 0 then Format.fprintf ppf " (%d retries)" n in

@@ -5,19 +5,6 @@
     distance-constrained query: [k] hosts with pairwise distance at most
     [l = C / b] (Sec. III). *)
 
-type t = {
-  k : int;    (** cluster size; at least 2 *)
-  l : float;  (** diameter constraint, in distance units *)
-}
-
-val make : k:int -> l:float -> t
-val of_bandwidth : ?c:float -> k:int -> float -> t
-(** [of_bandwidth ~c ~k b] converts the bandwidth constraint [b] (Mbps)
-    with [l = c / b]. *)
-
-val bandwidth_of : ?c:float -> t -> float
-(** The bandwidth constraint this query's [l] corresponds to. *)
-
 type result = {
   cluster : int list option; (** the [k] hosts, or [None] when not found *)
   hops : int;                (** query forwardings (0 = answered where submitted) *)
@@ -33,5 +20,4 @@ val no_members : result
 (** A miss with an empty path: the system had no member to submit the
     query at. *)
 
-val pp : Format.formatter -> t -> unit
 val pp_result : Format.formatter -> result -> unit

@@ -64,7 +64,6 @@ let query_centralized t ~k ~b =
   Find_cluster.Index.find (index t) ~k ~l
 
 let real_bw t i j = Dataset.bw t.dataset i j
-let predicted_bw t i j = Ensemble.predicted_bw ~c:t.c t.fw i j
 
 let verify_cluster t ~b cluster =
   let rec pairs acc = function

@@ -71,15 +71,7 @@ val query_centralized : t -> k:int -> b:float -> int list option
 (** The centralized comparison (TREE-CENTRAL): Algorithm 1 over the full
     framework-predicted space, with the exact constraint [l = C / b]. *)
 
-val index : t -> Find_cluster.Index.t
-(** The centralized index over the cached framework-predicted space,
-    built lazily on first use and shared by every subsequent centralized
-    query.  A [System] has fixed membership, so no deltas ever apply
-    here; the churn path ({!Dynamic.index}) is the one that maintains
-    its index incrementally. *)
-
 val real_bw : t -> int -> int -> float
-val predicted_bw : t -> int -> int -> float
 
 val verify_cluster : t -> b:float -> int list -> (int * int) list
 (** The pairs of the cluster whose {e real} bandwidth is below [b] — the
@@ -89,6 +81,7 @@ val find_feeder : t -> targets:int list -> (int * float) option
 (** Node-search extension: host maximising its minimum real-predicted
     bandwidth to [targets], with that bandwidth. *)
 
+(* bwclint: allow test-only-export -- test/test_core.ml (system refresh) is the only caller; deleting it, Noise.relative_clamp and their two tests is queued on ROADMAP *)
 val refresh : ?drift:float -> seed:int -> t -> t
 (** Dynamic-network step: perturbs every pairwise bandwidth by up to
     [drift] (relative, default 0.1), rebuilds the prediction framework

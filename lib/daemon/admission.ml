@@ -29,13 +29,6 @@ type limits = { cap : int; rate : int; burst : int }
 
 type config = { churn : limits; query : limits; meas : limits }
 
-let default_config =
-  {
-    churn = { cap = 64; rate = 4; burst = 8 };
-    query = { cap = 128; rate = 16; burst = 32 };
-    meas = { cap = 256; rate = 32; burst = 64 };
-  }
-
 let limits_of config = function
   | Churn -> config.churn
   | Query -> config.query

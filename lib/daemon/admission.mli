@@ -15,8 +15,6 @@ type cls = Churn | Query | Meas
 val cls_name : cls -> string
 (** Wire name: ["churn"], ["query"], ["meas"]. *)
 
-val all_classes : cls list
-
 type shed_reason =
   | Queue_full    (** the lane's bounded FIFO is at capacity *)
   | Rate_limited  (** the lane's token bucket is empty this tick *)
@@ -34,8 +32,6 @@ type limits = {
 }
 
 type config = { churn : limits; query : limits; meas : limits }
-
-val default_config : config
 
 type 'a t
 
@@ -58,6 +54,3 @@ val refill : 'a t -> unit
 val depth : 'a t -> cls -> int
 val backlog : 'a t -> int
 (** Total queued items across all lanes. *)
-
-val under_pressure : 'a t -> bool
-(** The churn-storm signal: churn lane above half capacity. *)

@@ -1,5 +1,5 @@
-(* Daemon lifecycle: warm boot over rotated snapshot generations,
-   periodic rotation, drain-then-snapshot shutdown.
+(* Daemon lifecycle: warm boot over rotated snapshot generations and
+   rotation of new images.
 
    All file IO lives in Bwc_persist (Codec's atomic temp-and-rename
    write, Snapshot.rotate/load_any); this module only orchestrates, so
@@ -45,16 +45,4 @@ let snapshot ?metrics ?trace ?keep ~path dyn =
   let bytes = Snapshot.encode ?metrics ?trace (`Dynamic dyn) in
   match Snapshot.rotate ?metrics ?keep ~path bytes with
   | Ok () -> Ok (String.length bytes)
-  | Error e -> Error e
-
-let drain_and_snapshot ?metrics ?trace ?keep ?(max_ticks = 10_000) ~path ~now
-    ~on_output reactor =
-  Reactor.drain reactor ~now;
-  let tick = ref now in
-  while (not (Reactor.drained reactor)) && !tick - now < max_ticks do
-    incr tick;
-    List.iter on_output (Reactor.tick reactor ~now:!tick)
-  done;
-  match snapshot ?metrics ?trace ?keep ~path (Reactor.system reactor) with
-  | Ok bytes -> Ok (!tick, bytes)
   | Error e -> Error e

@@ -1,5 +1,6 @@
-(** Daemon lifecycle: warm boot across rotated snapshot generations,
-    periodic rotation, drain-then-snapshot shutdown.
+(** Daemon lifecycle: warm boot across rotated snapshot generations and
+    rotation of new images (periodic, on request, and the final one
+    after a drain).
 
     All file IO is delegated to [Bwc_persist] (atomic temp-and-rename
     writes, container-verified rotation, newest-first generation
@@ -38,17 +39,3 @@ val snapshot :
 (** Encode and rotate one image in (crash-safe: verification before the
     chain moves, atomic final write).  Returns the image size in
     bytes. *)
-
-val drain_and_snapshot :
-  ?metrics:Bwc_obs.Registry.t ->
-  ?trace:Bwc_obs.Trace.t ->
-  ?keep:int ->
-  ?max_ticks:int ->
-  path:string ->
-  now:int ->
-  on_output:(Reactor.output -> unit) ->
-  Reactor.t ->
-  (int * int, Bwc_persist.Codec.error) result
-(** Graceful shutdown: {!Reactor.drain}, tick until {!Reactor.drained}
-    (at most [max_ticks], default 10000) delivering late responses via
-    [on_output], then {!snapshot}.  Returns [(final_tick, bytes)]. *)

@@ -120,7 +120,6 @@ type t = {
   trace : Trace.t option;
   mutable mode : mode;
   mutable dirty : bool;
-  mutable needs_refresh : bool;
   mutable dirty_since : int;
   mutable last_converged : int;
   mutable meas_accum : int;
@@ -156,6 +155,8 @@ let create ?metrics ?trace config dyn =
   (* force the index now: the first degraded answer must not pay the
      O(n^3) initial build inside a single tick *)
   let (_ : Bwc_core.Find_cluster.Index.t) = Dynamic.index dyn in
+  (* a system restored mid-convergence still has rounds to run *)
+  let dirty = not (Protocol.quiescent (Dynamic.protocol dyn)) in
   {
     config;
     dyn;
@@ -164,8 +165,7 @@ let create ?metrics ?trace config dyn =
     metrics;
     trace;
     mode = Normal;
-    dirty = false;
-    needs_refresh = false;
+    dirty;
     dirty_since = 0;
     last_converged = 0;
     meas_accum = 0;
@@ -281,18 +281,12 @@ let process_ingest t ~now ~out ~id ~conn ~cls ~op ~enq ~attempts =
     (match op with
     | Op_join h ->
         let applied = Dynamic.apply_deferred t.dyn [ Bwc_sim.Churn.Join h ] > 0 in
-        if applied then begin
-          t.needs_refresh <- true;
-          mark_dirty t ~now
-        end;
+        if applied then mark_dirty t ~now;
         t.churn_this_tick <- true;
         push (Wire.Acked { id; cls = cls_n; applied })
     | Op_leave h ->
         let applied = Dynamic.apply_deferred t.dyn [ Bwc_sim.Churn.Leave h ] > 0 in
-        if applied then begin
-          t.needs_refresh <- true;
-          mark_dirty t ~now
-        end;
+        if applied then mark_dirty t ~now;
         t.churn_this_tick <- true;
         push (Wire.Acked { id; cls = cls_n; applied })
     | Op_meas _ ->
@@ -395,10 +389,7 @@ let stabilization t ~now =
       | Degraded -> not t.churn_this_tick
     in
     if allowed then begin
-      if t.needs_refresh then begin
-        Protocol.refresh_topology (Dynamic.protocol t.dyn);
-        t.needs_refresh <- false
-      end;
+      (* the first round refreshes a topology membership moved *)
       let active = ref true in
       let rounds = ref 0 in
       while !active && !rounds < t.config.stabilize_budget do
@@ -426,7 +417,7 @@ let watchdog t ~now =
       (Trace.Daemon_watchdog { round = now; pending; stalled = now - t.dirty_since });
     (* repair: force a full topology refresh on the next stabilization
        pass and stop queries from waiting on it *)
-    t.needs_refresh <- true;
+    Protocol.invalidate_topology p;
     enter_degraded t ~now;
     t.dirty_since <- now
   end

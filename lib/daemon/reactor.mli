@@ -60,7 +60,9 @@ val create :
   t
 (** Wraps a running system.  Forces the maintained index once so the
     first degraded answer never pays the initial O(n^3) build inside a
-    tick.  With [?metrics]: [daemon.admitted{class}],
+    tick.  A system restored mid-convergence (its protocol not
+    {!Bwc_core.Protocol.quiescent}) starts dirty, so ticks keep running
+    rounds until it has converged.  With [?metrics]: [daemon.admitted{class}],
     [daemon.shed{class,reason}], [daemon.answers{served}],
     [daemon.timeouts], [daemon.rejected{class}], [daemon.retries{class}],
     [daemon.watchdog_fires], [daemon.degraded_entries], [daemon.drains],
@@ -102,5 +104,6 @@ val mode : t -> mode
 val staleness : t -> now:int -> int
 (** Ticks since the aggregation last converged (0 when converged). *)
 
+(* bwclint: allow dead-export -- perfbench/twin.ml samples it for reactor.backlog_max; perfbench is outside the lint paths *)
 val backlog : t -> int
 (** Queued items plus pending retries. *)

@@ -49,8 +49,6 @@ type served =
   | Live   (** routed through the decentralized protocol (Algorithm 4) *)
   | Index  (** answered from the last consistent centralized index *)
 
-val served_name : served -> string
-
 type response =
   | Pong
   | Answer of {

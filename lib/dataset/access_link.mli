@@ -11,6 +11,7 @@ val of_capacities : name:string -> float array -> Dataset.t
 (** [of_capacities ~name caps] has [BW(u,v) = min caps.(u) caps.(v)].
     Capacities must be positive and finite. *)
 
+(* bwclint: allow test-only-export -- reference model: the exact access-link tree metrics test/test_core.ml and test/test_dataset.ml check the pipeline against *)
 val generate :
   rng:Bwc_stats.Rng.t -> ?mu:float -> ?sigma:float -> n:int -> unit -> Dataset.t
 (** [generate ~rng ~mu ~sigma ~n ()] draws capacities from a log-normal

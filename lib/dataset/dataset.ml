@@ -38,47 +38,6 @@ let random_subset t ~rng m =
   let idx = Bwc_stats.Rng.sample_without_replacement rng m (size t) in
   subset t idx
 
-let complete_submatrix ~name raw n =
-  let alive = Array.make n true in
-  let missing i j = alive.(i) && alive.(j) && i <> j && raw i j = None in
-  let missing_count i =
-    let c = ref 0 in
-    for j = 0 to n - 1 do
-      if missing i j || missing j i then incr c
-    done;
-    !c
-  in
-  let rec prune () =
-    let worst = ref (-1) and worst_count = ref 0 in
-    for i = 0 to n - 1 do
-      if alive.(i) then begin
-        let c = missing_count i in
-        if c > !worst_count then begin
-          worst := i;
-          worst_count := c
-        end
-      end
-    done;
-    if !worst_count > 0 then begin
-      alive.(!worst) <- false;
-      prune ()
-    end
-  in
-  prune ();
-  let idx = ref [] in
-  for i = n - 1 downto 0 do
-    if alive.(i) then idx := i :: !idx
-  done;
-  let idx = Array.of_list !idx in
-  let k = Array.length idx in
-  if k < 2 then failwith "Dataset.complete_submatrix: fewer than two complete hosts";
-  let value i j =
-    match raw idx.(i) idx.(j) with
-    | Some v -> v
-    | None -> assert false
-  in
-  symmetrize_asymmetric ~name value k
-
 let bandwidth_values t = Dmatrix.off_diagonal_values t.bw
 let bandwidth_cdf t = Bwc_stats.Cdf.make (bandwidth_values t)
 

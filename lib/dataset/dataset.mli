@@ -33,13 +33,6 @@ val random_subset : t -> rng:Bwc_stats.Rng.t -> int -> t
 (** [random_subset t ~rng m] keeps [m] uniformly chosen hosts (used by the
     scalability experiment, Sec. IV-D). *)
 
-val complete_submatrix : name:string -> (int -> int -> float option) -> int -> t
-(** [complete_submatrix ~name raw n] mimics the paper's extraction of a full
-    n-to-n matrix from an incomplete measurement set: greedily drops the
-    host with the most missing measurements until the remaining matrix is
-    complete, then symmetrizes.  Raises [Failure] if fewer than two hosts
-    survive. *)
-
 val bandwidth_values : t -> float array
 (** All off-diagonal bandwidths (each unordered pair once). *)
 

@@ -16,9 +16,6 @@ type params = {
   jitter_sigma : float;  (** multiplicative log-normal measurement jitter *)
 }
 
-val default_params : params
-(** Metro access of a few ms, long-haul up to ~60 ms, mild jitter. *)
-
 val generate :
   rng:Bwc_stats.Rng.t -> ?params:params -> ?c:float -> n:int -> name:string -> unit ->
   Dataset.t

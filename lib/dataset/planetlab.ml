@@ -61,3 +61,14 @@ let generate ~rng ~name target =
 
 let hp_like ~seed = generate ~rng:(Rng.create seed) ~name:"HP-PlanetLab-like" hp_target
 let umd_like ~seed = generate ~rng:(Rng.create seed) ~name:"UMD-PlanetLab-like" umd_target
+
+let named ~seed = function
+  | "hp" -> Some (hp_like ~seed)
+  | "umd" -> Some (umd_like ~seed)
+  | "hp-small" ->
+      Some
+        (generate ~rng:(Rng.create seed) ~name:"HP-like-small" { hp_target with n = 120 })
+  | "umd-small" ->
+      Some
+        (generate ~rng:(Rng.create seed) ~name:"UMD-like-small" { umd_target with n = 120 })
+  | _ -> None

@@ -31,3 +31,8 @@ val hp_like : seed:int -> Dataset.t
 
 val umd_like : seed:int -> Dataset.t
 (** [generate] with {!umd_target}, named ["UMD-PlanetLab-like"]. *)
+
+val named : seed:int -> string -> Dataset.t option
+(** The named datasets [bwcluster] and [bwclusterd] accept: ["hp"]
+    ({!hp_like}), ["umd"] ({!umd_like}), and ["hp-small"]/["umd-small"]
+    (120-host variants for quick runs).  [None] for any other name. *)

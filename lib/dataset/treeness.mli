@@ -11,9 +11,6 @@ type entry = {
   epsilon_avg : float;  (** measured treeness (sampled) *)
 }
 
-val default_sigmas : float list
-(** Six levels: [0.0; 0.1; 0.2; 0.4; 0.8; 1.6]. *)
-
 val sweep :
   rng:Bwc_stats.Rng.t -> ?sigmas:float list -> ?epsilon_samples:int -> n:int -> unit ->
   entry list
@@ -21,6 +18,7 @@ val sweep :
     shared perfect-tree base (same hosts, same base topology), measures
     [epsilon_avg] of each and returns them ordered as given. *)
 
+(* bwclint: allow test-only-export -- test/test_dataset.ml (treeness subset selection) is the only caller; deleting it with that test is queued on ROADMAP *)
 val subset_with_treeness :
   rng:Bwc_stats.Rng.t -> ?epsilon_samples:int -> Dataset.t -> size:int -> tries:int ->
   high:bool -> entry

@@ -14,10 +14,6 @@ let add_edge g u v =
   g.adj.(u) <- v :: g.adj.(u);
   g.edges <- g.edges + 1
 
-let left_size g = g.nl
-let right_size g = g.nr
-let edge_count g = g.edges
-
 let infinity_dist = Stdlib.max_int
 
 (* Hopcroft-Karp.  [match_l.(u)] / [match_r.(v)] hold the partner or -1. *)

@@ -12,10 +12,7 @@ val create : left:int -> right:int -> t
 val add_edge : t -> int -> int -> unit
 (** [add_edge g u v] connects left vertex [u] to right vertex [v]. *)
 
-val left_size : t -> int
-val right_size : t -> int
-val edge_count : t -> int
-
+(* bwclint: allow test-only-export -- reference oracle: test/test_euclid.ml checks the Koenig MIS size against it *)
 val max_matching : t -> int
 (** Size of a maximum matching (Hopcroft-Karp, O(E sqrt V)). *)
 

@@ -127,11 +127,9 @@ module Index = struct
   type t = {
     points : Coord.t array;
     by_index : (int * int * float) array;
-    by_dist : (int * int * float) array;
   }
 
-  let build points =
-    { points; by_index = index_pairs points; by_dist = sorted_pairs points }
+  let build points = { points; by_index = index_pairs points }
 
   let find t ~k ~l =
     if k < 2 then invalid_arg "Kdiam.Index.find: k < 2";
@@ -155,25 +153,5 @@ module Index = struct
            t.by_index
        with Exit -> ());
       !result
-    end
-
-  let max_size t ~l =
-    let points = t.points in
-    if Array.length points = 0 then 0
-    else begin
-      let best = ref 1 in
-      (try
-         Array.iter
-           (fun (p, q, r) ->
-             if r > l then raise Exit;
-             if List.length (lens_members ~points ~p ~q) > !best then begin
-               let cand = best_in_lens ~points ~p ~q in
-               let size = List.length cand in
-               if size > !best && diameter points cand <= l *. (1.0 +. 1e-9) then
-                 best := size
-             end)
-           t.by_dist
-       with Exit -> ());
-      !best
     end
 end

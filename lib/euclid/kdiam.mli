@@ -9,6 +9,7 @@
     pairwise-close subset is a maximum independent set obtained through
     König's theorem. *)
 
+(* bwclint: allow test-only-export -- reference oracle: the direct search test/test_euclid.ml checks Kdiam.Index against *)
 val find_cluster :
   points:Bwc_vivaldi.Coord.t array -> k:int -> l:float -> int list option
 (** [find_cluster ~points ~k ~l] returns [k] point indices with pairwise
@@ -18,6 +19,7 @@ val find_cluster :
     Algorithm 1 in this repository, which keeps WPR comparisons fair).
     Requires [k >= 2]. *)
 
+(* bwclint: allow test-only-export -- reference oracle: the direct maximum test/test_euclid.ml checks Kdiam.Index.find against *)
 val max_cluster_size : points:Bwc_vivaldi.Coord.t array -> l:float -> int
 (** Size of the largest subset with pairwise distance [<= l] (at least 1
     for a non-empty point set). *)
@@ -34,6 +36,4 @@ module Index : sig
   val build : Bwc_vivaldi.Coord.t array -> t
   val find : t -> k:int -> l:float -> int list option
   (** Same result as {!find_cluster} on the indexed points. *)
-
-  val max_size : t -> l:float -> int
 end

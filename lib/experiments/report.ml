@@ -31,12 +31,6 @@ let f x = Printf.sprintf "%.4g" x
 let f3 x = Printf.sprintf "%.3f" x
 let i n = string_of_int n
 
-let series ?out ~title ~xlabel ~ylabels rows =
-  let rows =
-    List.map (fun (x, ys) -> f x :: List.map f ys) rows
-  in
-  table ?out ~title ~headers:(xlabel :: ylabels) rows
-
 let cdf_series ?out ~title ~resolution cdfs =
   let fractions =
     List.init resolution (fun idx ->

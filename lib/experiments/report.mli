@@ -14,11 +14,6 @@ val f3 : float -> string
 
 val i : int -> string
 
-val series :
-  ?out:Format.formatter -> title:string -> xlabel:string ->
-  ylabels:string list -> (float * float list) list -> unit
-(** A table whose first column is the x value. *)
-
 val cdf_series :
   ?out:Format.formatter -> title:string -> resolution:int ->
   (string * Bwc_stats.Cdf.t) list -> unit

@@ -62,17 +62,6 @@ let run ?(sizes = [ 50; 100; 150; 200; 250 ]) ?(subsets_per_size = 2)
   in
   { base_dataset = base.Dataset.name; rows }
 
-let concaveish output =
-  match output.rows with
-  | [] | [ _ ] | [ _; _ ] -> true
-  | rows ->
-      let arr = Array.of_list rows in
-      let m = Array.length arr in
-      let mid = m / 2 in
-      let first = arr.(mid).avg_hops -. arr.(0).avg_hops in
-      let second = arr.(m - 1).avg_hops -. arr.(mid).avg_hops in
-      second <= first +. 0.75
-
 (* ----- E14: incremental index maintenance under churn ----- *)
 
 module Index = Bwc_core.Find_cluster.Index

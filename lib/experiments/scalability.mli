@@ -27,11 +27,6 @@ val run :
     rounds; defaults here: sizes 50-250 step 50, 2 subsets, 100 queries,
     1 round). *)
 
-val concaveish : output -> bool
-(** Growth sanity used by tests: the hop increment over the second half of
-    the size range does not exceed the increment over the first half by
-    more than a small slack. *)
-
 val print : output -> unit
 
 val save_csv : output -> string -> unit

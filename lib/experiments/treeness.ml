@@ -114,13 +114,6 @@ let run ?(n = 100) ?(sigmas = [ 0.02; 0.05; 0.1; 0.2; 0.4; 0.8 ]) ?(rounds = 2)
   in
   { curves }
 
-let monotone_in_fb curve =
-  let rec check = function
-    | a :: (b :: _ as rest) -> a.wpr <= b.wpr +. 0.05 && check rest
-    | _ -> true
-  in
-  check curve.bins
-
 let print output =
   List.iter
     (fun curve ->

@@ -29,19 +29,12 @@ type curve = {
 
 type output = { curves : curve list }
 
-val alpha : float
-(** 3.2, the paper's constant. *)
-
 val run :
   ?n:int -> ?sigmas:float list -> ?rounds:int -> ?queries_per_round:int ->
   ?k:int -> ?bins:int -> ?window:float -> seed:int -> unit -> output
 (** Defaults: 100-node datasets, sigmas [0.02 .. 0.8], 2 rounds, 300
     queries per round, k = 5, 6 f_b bins, [window] 10 Mbps (the paper:
     six datasets, 10 rounds, 2000 queries). *)
-
-val monotone_in_fb : curve -> bool
-(** Whether WPR is non-decreasing along the curve's bins (the paper's
-    first observation). *)
 
 val print : output -> unit
 

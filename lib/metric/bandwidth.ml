@@ -8,6 +8,4 @@ let of_distance ?(c = default_c) d =
   if d < 0.0 then invalid_arg "Bandwidth.of_distance: negative distance";
   if Float.equal d 0.0 then Float.infinity else c /. d
 
-let linear_to_distance ~c bw = Float.max 0.0 (c -. bw)
-let linear_of_distance ~c d = c -. d
 let symmetrize fwd rev = (fwd +. rev) /. 2.0

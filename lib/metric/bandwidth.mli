@@ -3,8 +3,8 @@
     Bandwidth is "higher is better" while a metric distance is "smaller is
     closer", so the paper represents bandwidth as a metric through the
     {e rational transform} [d(u,v) = C / BW(u,v)] with a positive constant
-    [C].  The linear transform [d = C - BW], which prior work showed embeds
-    poorly, is also provided for completeness. *)
+    [C].  The linear transform [d = C - BW] embeds poorly (prior work)
+    and is not provided. *)
 
 val default_c : float
 (** The constant [C] used throughout this library when none is supplied
@@ -19,11 +19,6 @@ val of_distance : ?c:float -> float -> float
 (** [of_distance ~c d] is [c /. d], the inverse transform used for
     prediction: [BW_T(u,v) = C / d_T(u,v)].  A distance of [0.] maps to
     [infinity]. *)
-
-val linear_to_distance : c:float -> float -> float
-(** [linear_to_distance ~c bw] is [max 0. (c -. bw)]. *)
-
-val linear_of_distance : c:float -> float -> float
 
 val symmetrize : float -> float -> float
 (** [symmetrize fwd rev] averages forward and reverse measurements, the

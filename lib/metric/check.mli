@@ -19,6 +19,7 @@ val verify : ?tol:float -> ?max_triples:int -> rng:Bwc_stats.Rng.t -> Space.t ->
     (default [200_000]) of them.  [tol] (default [1e-9]) is a relative
     slack on the triangle inequality. *)
 
+(* bwclint: allow test-only-export -- reference oracle: the metric-axiom verdict test/test_metric.ml and test/test_dataset.ml check generators against *)
 val is_metric : report -> bool
 (** True when all properties hold and no triangle violations were seen. *)
 

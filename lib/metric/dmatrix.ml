@@ -35,10 +35,6 @@ let get t i j =
   check t i j;
   t.cells.(index t.n i j)
 
-let set t i j v =
-  check t i j;
-  t.cells.(index t.n i j) <- v
-
 let map_off_diagonal t f =
   let m = { n = t.n; cells = Array.copy t.cells } in
   for i = 0 to t.n - 1 do
@@ -83,36 +79,3 @@ let iter_pairs t f =
       f i j t.cells.(index t.n i j)
     done
   done
-
-let diameter_of t nodes =
-  let rec loop acc = function
-    | [] -> acc
-    | x :: rest ->
-        let acc = List.fold_left (fun a y -> Float.max a (get t x y)) acc rest in
-        loop acc rest
-  in
-  loop 0.0 nodes
-
-let max_symmetric_error a b =
-  if a.n <> b.n then invalid_arg "Dmatrix.max_symmetric_error: size mismatch";
-  let err = ref 0.0 in
-  Array.iteri
-    (fun k v ->
-      let w = b.cells.(k) in
-      (* identical entries (including equal infinities) differ by zero *)
-      let diff = if v = w then 0.0 else Float.abs (v -. w) in
-      err := Float.max !err diff)
-    a.cells;
-  !err
-
-let copy t = { n = t.n; cells = Array.copy t.cells }
-
-let pp ppf t =
-  if t.n > 12 then Format.fprintf ppf "<%dx%d matrix>" t.n t.n
-  else
-    for i = 0 to t.n - 1 do
-      for j = 0 to t.n - 1 do
-        Format.fprintf ppf "%8.2f " (get t i j)
-      done;
-      Format.fprintf ppf "@."
-    done

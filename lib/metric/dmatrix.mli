@@ -17,9 +17,6 @@ val of_fun : int -> diag:float -> (int -> int -> float) -> t
 
 val size : t -> int
 val get : t -> int -> int -> float
-val set : t -> int -> int -> float -> unit
-(** [set m i j v] also sets [(j, i)].  Setting a diagonal entry is
-    allowed. *)
 
 val map_off_diagonal : t -> (int -> int -> float -> float) -> t
 (** Fresh matrix with every off-diagonal entry transformed; the diagonal is
@@ -34,16 +31,3 @@ val off_diagonal_values : t -> float array
 
 val iter_pairs : t -> (int -> int -> float -> unit) -> unit
 (** Iterates over all [i < j] with the stored value. *)
-
-val diameter_of : t -> int list -> float
-(** Maximum pairwise entry over a set of indices; [0.] for sets smaller than
-    two. *)
-
-val max_symmetric_error : t -> t -> float
-(** [max_symmetric_error a b] is the largest absolute difference over all
-    entries; requires equal sizes. *)
-
-val copy : t -> t
-
-val pp : Format.formatter -> t -> unit
-(** Prints small matrices in full; larger ones as a size summary. *)

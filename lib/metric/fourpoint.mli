@@ -11,17 +11,10 @@
     perfect tree metric, and the average over quadruples ([epsilon_avg]) is
     the paper's per-dataset treeness statistic. *)
 
-val sums : Space.t -> int -> int -> int -> int -> float * float * float
-(** The three pairing sums sorted ascending. *)
-
 val epsilon : Space.t -> int -> int -> int -> int -> float
 (** Epsilon of one quadruple, as defined above.  Returns [0.] when the
     smallest sum is zero and the metric is degenerate but consistent
     ([s3 = s2]); returns [infinity] if [s1 = 0.] yet [s3 > s2]. *)
-
-val satisfies_4pc : ?tol:float -> Space.t -> int -> int -> int -> int -> bool
-(** Whether the quadruple's two largest sums agree within relative
-    tolerance [tol] (default [1e-9]). *)
 
 val epsilon_avg : ?samples:int -> rng:Bwc_stats.Rng.t -> Space.t -> float
 (** Average epsilon over quadruples.  Spaces with at most [~samples]
@@ -36,5 +29,6 @@ val epsilon_star : float -> float
 (** [epsilon_star e] maps [epsilon_avg] in [0, inf) to [0, 1):
     [1 - 1/(1+e)] (Sec. IV-C). *)
 
+(* bwclint: allow test-only-export -- reference oracle: the four-point verdict test/test_metric.ml and test/test_dataset.ml check generators against *)
 val is_tree_metric : ?tol:float -> Space.t -> bool
 (** Exhaustive 4PC check, intended for small test fixtures. *)

@@ -24,6 +24,7 @@ val cached : t -> t
 (** [cached s] evaluates every pair once and serves lookups from a dense
     matrix. *)
 
+(* bwclint: allow test-only-export -- perfbench/drive.ml builds its reference answers with it; perfbench is outside the lint paths *)
 val restrict : t -> int array -> t
 (** [restrict s idx] is the subspace on points [idx]; point [i] of the
     result is point [idx.(i)] of [s]. *)

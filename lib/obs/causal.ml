@@ -435,9 +435,6 @@ let to_json r =
              r.per_round );
        ])
 
-let kind_stat_of r kind =
-  match List.assoc_opt kind r.by_kind with Some s -> s | None -> zero_kind
-
 let engine_sends r =
   List.fold_left
     (fun acc (k, s) -> if k = Trace.Query then acc else acc + s.k_sends)

@@ -101,9 +101,6 @@ val to_text : report -> string
 val to_json : report -> string
 (** Canonical single-line JSON rendering of the whole report. *)
 
-val kind_stat_of : report -> Trace.msg_kind -> kind_stat
-(** The row for one kind (all-zero when the kind never appeared). *)
-
 val engine_sends : report -> int
 (** Sum of [k_sends] over every non-[Query] kind.  Equals the engine's
     [msgs_sent] counter exactly on any unbounded trace: every

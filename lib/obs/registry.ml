@@ -44,7 +44,6 @@ module Gauge = struct
 
   let set g v = g := v
   let add g d = g := !g + d
-  let value g = !g
 end
 
 module Histogram = struct
@@ -62,10 +61,6 @@ module Histogram = struct
     if v > h.h_max then h.h_max <- v;
     let b = bucket_of v in
     h.h_buckets.(b) <- h.h_buckets.(b) + 1
-
-  let count h = h.h_count
-  let sum h = h.h_sum
-  let max_value h = h.h_max
 
   let bucket_bounds i =
     if i <= 0 then (0, 0) else (1 lsl (i - 1), (1 lsl i) - 1)
@@ -223,12 +218,6 @@ let hist_quantile ~count ~max_value ~buckets ~pct =
     in
     go 0 buckets
   end
-
-let quantile s ~pct =
-  match s with
-  | Counter _ | Gauge _ -> None
-  | Histogram { count; max_value; buckets; _ } ->
-      Some (hist_quantile ~count ~max_value ~buckets ~pct)
 
 (* ----- text rendering ----- *)
 

@@ -40,7 +40,6 @@ module Gauge : sig
 
   val set : t -> int -> unit
   val add : t -> int -> unit
-  val value : t -> int
 end
 
 module Histogram : sig
@@ -50,10 +49,6 @@ module Histogram : sig
   (** Records a non-negative sample into log2 buckets: bucket 0 holds
       the value 0, bucket [i >= 1] holds values in [[2^(i-1), 2^i)].
       Negative samples raise [Invalid_argument]. *)
-
-  val count : t -> int
-  val sum : t -> int
-  val max_value : t -> int
 
   val bucket_bounds : int -> int * int
   (** [bucket_bounds i] is the inclusive [(lo, hi)] value range of
@@ -81,6 +76,7 @@ type snapshot = (string * labels * sample) list
 
 val snapshot : t -> snapshot
 
+(* bwclint: allow test-only-export -- test/test_obs.ml (registry diff and reset) is the only caller; deleting it with that test is queued on ROADMAP *)
 val diff : before:snapshot -> after:snapshot -> snapshot
 (** Per-metric change from [before] to [after]: counters and histogram
     counts/sums/buckets subtract; gauges and histogram [max_value] keep
@@ -88,6 +84,7 @@ val diff : before:snapshot -> after:snapshot -> snapshot
     from [before] appear unchanged; metrics absent from [after] are
     dropped. *)
 
+(* bwclint: allow test-only-export -- test/test_obs.ml (registry diff and reset) is the only caller; deleting it with that test is queued on ROADMAP *)
 val reset : t -> unit
 (** Zeroes every registered metric in place (handles stay valid). *)
 
@@ -101,21 +98,7 @@ val sum_by_name : snapshot -> string -> int
 (** Sum of {!get} over every label set registered under [name] — e.g.
     total [predtree.measurements] across [tree=i] labels. *)
 
-val quantile : sample -> pct:int -> int option
-(** [quantile s ~pct] estimates the [pct]-th percentile of a
-    {!Histogram} sample from its log2 buckets: the covering bucket is
-    found by cumulative rank (ceil(pct*count/100)) and interpolated
-    linearly inside its bounds, clamped to the observed max.  Integer
-    arithmetic only, so the estimate is byte-stable across runs.
-    [None] on counters/gauges; 0 on an empty histogram.  Raises when
-    [pct] is outside [0, 100].  The text and JSON renderings surface
-    p50/p90/p99 computed this way. *)
-
 (** {2 Rendering} *)
-
-val pp_text : Format.formatter -> snapshot -> unit
-(** One metric per line, [name{k=v} value]; histograms show
-    count/sum/max, derived p50/p90/p99 and non-empty bucket ranges. *)
 
 val to_text : snapshot -> string
 

@@ -24,15 +24,8 @@ let time t f =
   let t0 = Unix.gettimeofday () in
   Fun.protect ~finally:(fun () -> record t (Unix.gettimeofday () -. t0)) f
 
-let count t = t.count
 let total_s t = t.total_s
 let mean_s t = if t.count = 0 then 0.0 else t.total_s /. float_of_int t.count
-let max_s t = t.max_s
-
-let reset t =
-  t.count <- 0;
-  t.total_s <- 0.0;
-  t.max_s <- 0.0
 
 let pp_duration ppf s =
   if s >= 1.0 then Format.fprintf ppf "%.3f s" s

@@ -19,22 +19,11 @@ val time : t -> (unit -> 'a) -> 'a
 (** [time span f] runs [f ()] and charges its wall-clock duration to
     the span (also on exception). *)
 
-val count : t -> int
-(** Completed timings. *)
-
 val total_s : t -> float
 (** Accumulated wall-clock seconds. *)
 
 val mean_s : t -> float
 (** [total_s / count]; 0 when never timed. *)
 
-val max_s : t -> float
-(** Longest single timing. *)
-
-val reset : t -> unit
-
 val pp : Format.formatter -> t -> unit
 (** [name: total count mean max] with human units. *)
-
-val pp_duration : Format.formatter -> float -> unit
-(** Seconds rendered with an adaptive unit (ns/us/ms/s). *)

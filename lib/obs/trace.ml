@@ -109,7 +109,6 @@ let emit t ev =
 
 let events t = List.of_seq (Queue.to_seq t.q)
 let emitted t = t.emitted
-let clear t = Queue.clear t.q
 
 let cause_to_string = function
   | Fault_loss -> "fault_loss"
@@ -195,8 +194,6 @@ let to_jsonl t =
       Buffer.add_char buf '\n')
     t.q;
   Buffer.contents buf
-
-let pp_event ppf ev = Format.pp_print_string ppf (event_to_json ev)
 
 exception Missing
 

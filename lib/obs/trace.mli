@@ -34,8 +34,6 @@ type msg_kind =
 val kind_to_string : msg_kind -> string
 (** Lowercase wire name, e.g. ["heartbeat"]. *)
 
-val kind_of_string : string -> msg_kind option
-
 val all_kinds : msg_kind list
 (** Every kind once, in a fixed canonical order (the order reports
     enumerate attribution rows in). *)
@@ -130,11 +128,7 @@ val events : t -> event list
 val emitted : t -> int
 (** Total events ever emitted (>= [List.length (events t)] for rings). *)
 
-val clear : t -> unit
-(** Drops retained events; [emitted] keeps counting from its old value. *)
-
 val cause_to_string : drop_cause -> string
-val cause_of_string : string -> drop_cause option
 
 val event_to_json : event -> string
 (** One canonical single-line JSON object, e.g.
@@ -144,14 +138,6 @@ val to_jsonl : t -> string
 (** Retained events as JSONL (one {!event_to_json} line per event,
     each terminated by ['\n']). *)
 
-val event_of_json : string -> event option
-(** Inverse of {!event_to_json}: fields are read back by name, in any
-    order.  [None] on malformed input, a missing or mistyped field, or
-    an unknown event name (forward compatibility is deliberate —
-    analyzers skip nothing, {!of_jsonl} rejects instead). *)
-
 val of_jsonl : string -> (event list, string) result
 (** Parse a whole JSONL trace (blank lines ignored).  [Error] names the
     first unparseable line. *)
-
-val pp_event : Format.formatter -> event -> unit

@@ -24,6 +24,7 @@ type outcome = {
           error class each surfaced as *)
 }
 
+(* bwclint: allow test-only-export -- test/test_persist.ml (chaos crash-restart schedule) is the only caller; deleting the harness with its tests is queued on ROADMAP *)
 val run :
   ?metrics:Bwc_obs.Registry.t ->
   ?trace:Bwc_obs.Trace.t ->

@@ -36,12 +36,6 @@ val corrupt : ('a, unit, string, 'b) format4 -> 'a
 (** [corrupt fmt ...] raises {!Error}[ (Corrupt msg)].  Reader primitives
     and payload decoders use this for every structural violation. *)
 
-val crc32 : string -> int
-(** CRC-32 (IEEE), as used in the container header. *)
-
-val magic : string
-val version : int
-
 val encode : string -> string
 (** Wraps a payload in the container (header lines + checksum). *)
 
@@ -77,7 +71,6 @@ module W : sig
   (** Section marker; {!R.tag} requires it verbatim, so reader/writer
       drift fails fast with a named section instead of a token soup. *)
 
-  val count : t -> int -> unit
   val list : t -> ('a -> unit) -> 'a list -> unit
   val array : t -> ('a -> unit) -> 'a array -> unit
   val option : t -> ('a -> unit) -> 'a option -> unit
@@ -95,7 +88,6 @@ module R : sig
   val bool : t -> bool
   val str : t -> string
   val tag : t -> string -> unit
-  val count : t -> int
 
   val list : t -> (unit -> 'a) -> 'a list
   (** Reads a count then that many items, in stream order. *)

@@ -510,10 +510,6 @@ let restored_round = function
   | Restored_system sys -> Protocol.current_round (System.protocol sys)
   | Restored_dynamic dyn -> Protocol.current_round (Dynamic.protocol dyn)
 
-let restored_protocol = function
-  | Restored_system sys -> System.protocol sys
-  | Restored_dynamic dyn -> Dynamic.protocol dyn
-
 let bump metrics name =
   match metrics with
   | Some m -> Registry.Counter.incr (Registry.counter m name)
@@ -544,9 +540,6 @@ let decode ?metrics ?trace bytes =
       emit trace
         (Trace.Restore_rejected { round = 0; reason = Codec.error_to_string e });
       Error e
-
-let save ?metrics ?trace src path =
-  Codec.write_file path (encode ?metrics ?trace src)
 
 let load ?metrics ?trace path = decode ?metrics ?trace (Codec.read_file path)
 

@@ -47,15 +47,6 @@ val decode :
     corruption — truncation, bit flips, stale versions, semantic
     violations — comes back as [Error]; this function never raises. *)
 
-val save :
-  ?metrics:Bwc_obs.Registry.t ->
-  ?trace:Bwc_obs.Trace.t ->
-  source ->
-  string ->
-  unit
-(** [save src path]: {!encode} then {!Codec.write_file} (atomic
-    temp-and-rename, so a crash mid-save never tears the file). *)
-
 val load :
   ?metrics:Bwc_obs.Registry.t ->
   ?trace:Bwc_obs.Trace.t ->
@@ -109,6 +100,3 @@ val load_any :
     when every generation fails — an empty list means no generation
     exists at all.  A successful fallback past generation 0 counts
     [persist.generation_fallbacks]. *)
-
-val restored_protocol : restored -> Bwc_core.Protocol.t
-val restored_round : restored -> int

@@ -43,8 +43,6 @@ let remove_leaf t h =
     Ok ()
   end
 
-let size t = Hashtbl.length t.kids
-
 (* ----- self-healing repair primitives -----
 
    Crash repair re-wires the overlay locally instead of rebuilding it:
@@ -130,8 +128,6 @@ let neighbors t h =
   | Some p -> p :: children t h
   | None -> children t h
 
-let degree t h = List.length (neighbors t h)
-
 let depth t h =
   let rec up h acc = match parent t h with Some p -> up p (acc + 1) | None -> acc in
   up h 0
@@ -139,7 +135,6 @@ let depth t h =
 let hosts t = Bwc_stats.Tbl.sorted_keys t.kids
 
 let max_depth t = List.fold_left (fun acc h -> Stdlib.max acc (depth t h)) 0 (hosts t)
-let max_degree t = List.fold_left (fun acc h -> Stdlib.max acc (degree t h)) 0 (hosts t)
 
 let iter_edges t f =
   Bwc_stats.Tbl.iter_sorted (fun child p -> f p child) t.parents
@@ -200,16 +195,6 @@ let of_dump d =
       up 0 h)
     d.d_nodes;
   t
-
-let pp ppf t =
-  match t.root with
-  | None -> Format.fprintf ppf "<empty anchor tree>"
-  | Some r ->
-      let rec show indent h =
-        Format.fprintf ppf "%sh%d@." indent h;
-        List.iter (show (indent ^ "  ")) (List.rev (children t h))
-      in
-      show "" r
 
 let to_dot ?(label = "anchor tree") t =
   let buf = Buffer.create 1024 in

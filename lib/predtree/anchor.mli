@@ -19,6 +19,7 @@ val add : t -> parent:int -> int -> unit
 val remove_leaf : t -> int -> (unit, [ `Not_leaf ]) result
 (** Removes a childless, non-root host. *)
 
+(* bwclint: allow test-only-export -- test/test_predtree.ml (anchor regraft) is the only caller; deleting it with that test is queued on ROADMAP *)
 val regraft : t -> host:int -> parent:int -> (unit, [ `Is_root | `Would_cycle ]) result
 (** [regraft t ~host ~parent] detaches [host] (with its whole subtree)
     from its current parent and re-attaches it under [parent] — the
@@ -26,6 +27,7 @@ val regraft : t -> host:int -> parent:int -> (unit, [ `Is_root | `Would_cycle ])
     ([`Is_root]); a parent inside [host]'s own subtree is rejected
     ([`Would_cycle]).  Unknown hosts raise [Invalid_argument]. *)
 
+(* bwclint: allow test-only-export -- test/test_predtree.ml (anchor remove subtree) is the only caller; deleting it with that test is queued on ROADMAP *)
 val remove_subtree : t -> int -> (int list, [ `Is_root ]) result
 (** Removes the host and its entire subtree; returns the removed hosts in
     ascending order.  Unknown hosts raise [Invalid_argument]. *)
@@ -40,7 +42,6 @@ val remove_node : t -> int -> ((int * int) list, [ `Last_host ]) result
 
 val root : t -> int
 val mem : t -> int -> bool
-val size : t -> int
 val parent : t -> int -> int option
 (** [None] for the root. *)
 
@@ -48,17 +49,12 @@ val children : t -> int -> int list
 val neighbors : t -> int -> int list
 (** Parent (if any) plus children: the overlay neighborhood. *)
 
-val degree : t -> int -> int
 val depth : t -> int -> int
 (** Hops from the root. *)
 
 val max_depth : t -> int
-val max_degree : t -> int
 
 val hosts : t -> int list
-
-val iter_edges : t -> (int -> int -> unit) -> unit
-(** [iter_edges t f] calls [f parent child] once per overlay edge. *)
 
 (** {2 Persistence} *)
 
@@ -75,8 +71,6 @@ val dump : t -> dump
 val of_dump : dump -> t
 (** Validates rootedness, unique parentage and acyclicity; raises
     [Invalid_argument] on any violation. *)
-
-val pp : Format.formatter -> t -> unit
 
 val to_dot : ?label:string -> t -> string
 (** Graphviz rendering of the anchor overlay (a rooted tree of hosts). *)

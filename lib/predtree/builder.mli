@@ -26,15 +26,6 @@ type outcome = {
   measurements : int;  (** pairwise measurements charged to this addition *)
 }
 
-val select_end :
-  d:(int -> int -> float) -> anchor:Anchor.t -> strategy:end_strategy ->
-  x:int -> z:int -> candidates:int list -> int * int
-(** [select_end ~d ~anchor ~strategy ~x ~z ~candidates] returns the chosen
-    end node and the number of measurements performed.  [candidates] are
-    the hosts currently present ([`Exact] scans them; [`Anchor_guided]
-    ignores the list and walks [anchor]).  There must be at least one
-    candidate different from [z]. *)
-
 val add_host :
   d:(int -> int -> float) ->
   rng:Bwc_stats.Rng.t ->

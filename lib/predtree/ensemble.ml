@@ -57,9 +57,6 @@ let label_dist la lb =
 let predicted t i j =
   median (Array.map (fun fw -> Framework.predicted fw i j) t.frameworks)
 
-let predicted_bw ?c t i j =
-  if i = j then Float.infinity else Bwc_metric.Bandwidth.of_distance ?c (predicted t i j)
-
 let measured t i j = t.space.Space.dist i j
 
 let anchor_neighbors t h = Framework.anchor_neighbors (primary t) h

@@ -17,9 +17,6 @@
 
 type t
 
-val default_size : int
-(** 3. *)
-
 val build :
   rng:Bwc_stats.Rng.t -> ?mode:Framework.mode -> ?size:int -> ?members:int list ->
   ?metrics:Bwc_obs.Registry.t -> Bwc_metric.Space.t -> t
@@ -52,6 +49,7 @@ val evict_host : t -> int -> (int * int) list
     must re-aggregate over. *)
 
 val primary : t -> Framework.t
+(* bwclint: allow test-only-export -- reference oracle: the per-tree predictions test/test_predtree.ml checks the ensemble median against *)
 val frameworks : t -> Framework.t array
 
 val labels : t -> int -> Label.t array
@@ -62,8 +60,6 @@ val label_dist : Label.t array -> Label.t array -> float
     same length (labels of two hosts from the same ensemble). *)
 
 val predicted : t -> int -> int -> float
-val predicted_bw : ?c:float -> t -> int -> int -> float
-val measured : t -> int -> int -> float
 
 val anchor_neighbors : t -> int -> int list
 (** Overlay neighborhood in the primary tree. *)

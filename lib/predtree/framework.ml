@@ -73,30 +73,9 @@ let label t h =
   | Some l -> l
   | None -> invalid_arg "Framework.label: unknown host"
 
-let insertion_order t = Array.of_list (members t)
 let predicted t i j = Label.dist (label t i) (label t j)
 
-let predicted_bw ?c t i j =
-  if i = j then Float.infinity else Bwc_metric.Bandwidth.of_distance ?c (predicted t i j)
-
-let measured t i j = t.space.Space.dist i j
 let measurements_total t = Registry.Counter.value t.c_measurements
-
-let relative_errors ?c t =
-  let members = Array.of_list (members t) in
-  let m = Array.length members in
-  let out = Array.make (Stdlib.max 1 (m * (m - 1) / 2)) 0.0 in
-  let pos = ref 0 in
-  for a = 0 to m - 1 do
-    for b = a + 1 to m - 1 do
-      let i = members.(a) and j = members.(b) in
-      let real = Bwc_metric.Bandwidth.of_distance ?c (measured t i j) in
-      let pred = Bwc_metric.Bandwidth.of_distance ?c (predicted t i j) in
-      out.(!pos) <- Float.abs (real -. pred) /. real;
-      incr pos
-    done
-  done;
-  Array.sub out 0 !pos
 
 let rebuild ~rng t =
   t.tree <- Tree.create ();
@@ -150,27 +129,6 @@ let evict_host t h =
   | Error `Last_host ->
       (* unreachable: [size t > 1] means the anchor holds another host *)
       assert false
-
-(* Labels depend on ancestors' geometry, so after a leaf-level change only
-   the re-added host's label is recomputed by [insert]; a structural change
-   (dependents) invalidates descendants' labels and forces a rebuild. *)
-let refresh_host ~rng t h =
-  check_host t h;
-  if not (is_member t h) then invalid_arg "Framework.refresh_host: not a member";
-  if Anchor.root t.anchor = h then rebuild ~rng t
-  else begin
-    let removable =
-      match Tree.remove_host t.tree ~host:h with
-      | Ok () -> (
-          match Anchor.remove_leaf t.anchor h with
-          | Ok () ->
-              Hashtbl.remove t.labels h;
-              true
-          | Error `Not_leaf -> false)
-      | Error `Has_dependents -> false
-    in
-    if removable then insert ~rng t h else rebuild ~rng t
-  end
 
 let anchor_neighbors t h = Anchor.neighbors t.anchor h
 

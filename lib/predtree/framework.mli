@@ -49,27 +49,14 @@ val is_member : t -> int -> bool
 val tree : t -> Tree.t
 val anchor : t -> Anchor.t
 val label : t -> int -> Label.t
-val insertion_order : t -> int array
 
 val predicted : t -> int -> int -> float
 (** Predicted distance [d_T(i, j)], computed from the two labels. *)
-
-val predicted_bw : ?c:float -> t -> int -> int -> float
-(** [BW_T(i, j) = C / d_T(i, j)]. *)
-
-val measured : t -> int -> int -> float
-(** The underlying measured distance (for evaluation only; a real node
-    does not have this). *)
 
 val measurements_total : t -> int
 (** Total pairwise measurements charged during construction and
     maintenance — the cost the framework saves compared to full n-to-n
     probing ([predtree.measurements] under this framework's labels). *)
-
-val relative_errors : ?c:float -> t -> float array
-(** Per-pair relative bandwidth-prediction error
-    [|BW - BW_T| / BW] over all host pairs — the statistic plotted as a
-    CDF in Fig. 3(b,d). *)
 
 val add_host : rng:Bwc_stats.Rng.t -> t -> int -> unit
 (** A host joins the system: it is placed into the prediction tree and the
@@ -92,12 +79,6 @@ val evict_host : t -> int -> (int * int) list
     of not being able to re-measure on a crash.  Returns the
     [(child, new_parent)] overlay regrafts.  Evicting a non-member or the
     last member raises [Invalid_argument]. *)
-
-val refresh_host : rng:Bwc_stats.Rng.t -> t -> int -> unit
-(** Re-inserts one host using current measurements (network conditions
-    changed).  Falls back to removing and re-adding; if the host anchors
-    other subtrees the whole framework is rebuilt with the original
-    insertion order. *)
 
 val anchor_neighbors : t -> int -> int list
 (** Overlay neighborhood of a host. *)

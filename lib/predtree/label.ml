@@ -11,12 +11,6 @@ let root = [||]
 let extend label ~host ~offset ~leaf =
   Array.append label [| { host; offset; leaf } |]
 
-let host label =
-  let m = Array.length label in
-  if m = 0 then None else Some label.(m - 1).host
-
-let depth = Array.length
-
 (* Distance from the labelled host up to the inner node of entry [i]:
    climb the own leaf edge, then hop from inner node to inner node along
    each intermediate anchor's leaf edge. *)
@@ -41,10 +35,6 @@ let dist la lb =
   else if j = mb then la.(j).offset +. descent la j
   else descent la j +. descent lb j +. Float.abs (la.(j).offset -. lb.(j).offset)
 
-let dist_to_root label = dist label root
-
-let chain label = Array.to_list (Array.map (fun e -> e.host) label)
-
 let valid label =
   let ok = ref true in
   Array.iteri
@@ -54,9 +44,3 @@ let valid label =
       if e.offset > parent_leaf +. 1e-6 then ok := false)
     label;
   !ok
-
-let pp ppf label =
-  Format.fprintf ppf "(root)";
-  Array.iter
-    (fun e -> Format.fprintf ppf " -%.2f-[t]-%.2f-> h%d" e.offset e.leaf e.host)
-    label

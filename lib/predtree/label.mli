@@ -35,22 +35,9 @@ val extend : t -> host:int -> offset:float -> leaf:float -> t
 (** [extend anchor_label ~host ~offset ~leaf] is the label of a node
     anchored under the host labelled by [anchor_label]. *)
 
-val host : t -> int option
-(** The labelled host ([None] for the root's label). *)
-
-val depth : t -> int
-(** Anchor-tree depth (0 for the root). *)
-
 val dist : t -> t -> float
 (** Predicted tree distance between the two labelled hosts.  Exact: equals
     {!Tree.dist} on the tree both labels came from (property-tested). *)
 
-val dist_to_root : t -> float
-
-val chain : t -> int list
-(** Anchor chain host ids, root child first, labelled host last. *)
-
 val valid : t -> bool
 (** Checks the geometric invariant above. *)
-
-val pp : Format.formatter -> t -> unit

@@ -75,19 +75,8 @@ let other_end e v = if e.a = v then e.b else e.a
 
 let vertex_of_host t h = Hashtbl.find t.host_vertex h
 
-let kind t v =
-  if v < 0 || v >= t.vcount then invalid_arg "Tree.kind: bad vertex";
-  t.kinds.(v)
-
 let hosts t = Bwc_stats.Tbl.sorted_keys t.host_vertex
 let vertex_count t = t.vcount
-
-let neighbors t v =
-  List.map
-    (fun id ->
-      let e = t.edges.(id) in
-      (other_end e v, e.weight, e.owner))
-    t.adj.(v)
 
 let degree t v = List.length t.adj.(v)
 
@@ -289,8 +278,6 @@ let is_tree t =
     n_reached = n_live && List.length edges = n_live - 1
   end
 
-let total_weight t = List.fold_left (fun acc e -> acc +. e.weight) 0.0 (live_edges t)
-
 (* The dump captures the geometry exactly as stored: every edge slot ever
    allocated (dead ones included, so edge ids — and therefore adjacency
    order — survive a round trip) and the host->vertex map separately from
@@ -340,20 +327,6 @@ let of_dump d =
     d.d_hosts;
   if not (is_tree t) then fail "not a tree";
   t
-
-let pp ppf t =
-  Format.fprintf ppf "prediction tree: %d vertices, %d hosts@." t.vcount
-    (Hashtbl.length t.host_vertex);
-  List.iter
-    (fun e ->
-      let show v =
-        match t.kinds.(v) with
-        | Host h -> Printf.sprintf "h%d" h
-        | Inner -> Printf.sprintf "i%d" v
-      in
-      Format.fprintf ppf "  %s -- %s  w=%.3f owner=h%d@." (show e.a) (show e.b) e.weight
-        e.owner)
-    (live_edges t)
 
 let to_dot ?(label = "prediction tree") t =
   let buf = Buffer.create 1024 in

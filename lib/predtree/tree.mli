@@ -51,27 +51,21 @@ val remove_host : t -> host:int -> (unit, [ `Has_dependents ]) result
 val vertex_of_host : t -> int -> vertex
 (** Raises [Not_found] for unknown hosts. *)
 
-val kind : t -> vertex -> kind
 val hosts : t -> int list
 (** All host ids currently in the tree. *)
 
+(* bwclint: allow test-only-export -- reference model: test/prop.ml grows exact tree metrics through Tree (tree_metric_space) *)
 val vertex_count : t -> int
 
 val dist : t -> vertex -> vertex -> float
 (** Exact path-sum distance. *)
 
+(* bwclint: allow test-only-export -- reference oracle: the exact tree distance test/prop.ml, test/test_core.ml and test/test_predtree.ml check label distances against *)
 val host_dist : t -> int -> int -> float
 (** [dist] between two hosts' vertices. *)
 
-val neighbors : t -> vertex -> (vertex * float * int) list
-(** Adjacent vertices with edge weight and owner host. *)
-
-val degree : t -> vertex -> int
-
 val is_tree : t -> bool
 (** Structural sanity: connected and acyclic (used by tests). *)
-
-val total_weight : t -> float
 
 (** {2 Persistence}
 
@@ -102,8 +96,6 @@ val of_dump : dump -> t
 (** Validates vertex ranges, edge weights, host-map consistency and
     treeness; raises [Invalid_argument] on any violation (a corrupt
     snapshot must never build a broken tree). *)
-
-val pp : Format.formatter -> t -> unit
 
 val to_dot : ?label:string -> t -> string
 (** Graphviz rendering of the live tree: hosts as boxes, inner nodes as

@@ -38,9 +38,3 @@ let random ~rng ~n ~rounds ~leave_prob ~rejoin_prob =
 
 let events_at t round =
   match Hashtbl.find_opt t.by_round round with Some l -> l | None -> []
-
-let all_events t =
-  List.rev
-    (Bwc_stats.Tbl.fold_sorted
-       (fun r evs acc -> List.fold_left (fun acc e -> (r, e) :: acc) acc evs)
-       t.by_round [])

@@ -17,5 +17,3 @@ val random :
     (it is the overlay root). *)
 
 val events_at : t -> int -> event list
-val all_events : t -> (int * event) list
-(** Sorted by round. *)

@@ -78,7 +78,6 @@ let create ?(faults = Fault.none) ?(edge_delay = fun ~src:_ ~dst:_ -> 1) ?metric
     g_in_flight = Registry.gauge metrics "engine.in_flight";
   }
 
-let n t = t.n
 let round t = t.round
 let faults t = t.faults
 let metrics t = t.metrics
@@ -111,10 +110,6 @@ let fresh_msg_id t =
   let id = t.next_msg_id in
   t.next_msg_id <- id + 1;
   id
-
-let lamport t i =
-  check t i;
-  t.lamport.(i)
 
 let enqueue t ~due entry =
   let waiting = Option.value ~default:[] (Hashtbl.find_opt t.in_flight due) in
@@ -177,8 +172,6 @@ let set_active t i b =
 let is_active t i =
   check t i;
   t.active.(i)
-
-let active_count t = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 t.active
 
 let clear_in_flight t =
   (* purge everything, oldest delivery round first so the trace is
@@ -245,21 +238,4 @@ let run_round t ~step =
   Registry.Gauge.set t.g_in_flight t.flying;
   !changed || !delivered > 0 || t.flying > 0
 
-let run_until_stable t ~max_rounds ~step =
-  let rec loop r =
-    if r >= max_rounds then `Max_rounds
-    else if run_round t ~step then loop (r + 1)
-    else begin
-      emit t (Trace.Quiesce { round = t.round });
-      `Stable (r + 1)
-    end
-  in
-  loop 0
-
 let messages_sent t = Registry.Counter.value t.c_sent
-let delivered t = Registry.Counter.value t.c_delivered
-let dropped_by t cause = Registry.Counter.value (drop_counter t cause)
-
-let dropped t =
-  dropped_by t Fault_loss + dropped_by t Partition + dropped_by t Dead_dst
-  + dropped_by t Purge

@@ -47,7 +47,6 @@ val create :
     one is allocated when omitted); [trace] enables structured event
     emission (off when omitted). *)
 
-val n : 'msg t -> int
 val round : 'msg t -> int
 (** Rounds completed so far. *)
 
@@ -94,11 +93,6 @@ val fresh_msg_id : 'msg t -> int
     for traffic that bypasses the in-flight queue (synchronous query
     hops) but must still be causally identifiable in the trace. *)
 
-val lamport : 'msg t -> int -> int
-(** [lamport t i] is node [i]'s current Lamport clock (0 until it first
-    sends or receives).  Maintained whether or not a trace is attached;
-    never feeds back into protocol behaviour. *)
-
 val set_active : 'msg t -> int -> bool -> unit
 (** Deactivating a node drops its queued inbox and everything in flight
     towards it (a crash loses undelivered traffic, counted under
@@ -106,7 +100,6 @@ val set_active : 'msg t -> int -> bool -> unit
     active again by delivery time. *)
 
 val is_active : 'msg t -> int -> bool
-val active_count : 'msg t -> int
 
 val clear_in_flight : 'msg t -> unit
 (** Drops every undelivered message (counted under [Purge]).  Used when
@@ -121,21 +114,5 @@ val run_round : 'msg t -> step:(int -> (int * 'msg) list -> bool) -> bool
     node changed, any message was delivered, or messages are still in
     flight. *)
 
-val run_until_stable :
-  'msg t -> max_rounds:int -> step:(int -> (int * 'msg) list -> bool) ->
-  [ `Stable of int | `Max_rounds ]
-(** Runs rounds until one reports no change (returns how many rounds ran),
-    or gives up after [max_rounds].  Emits a [Quiesce] trace event when
-    the system stabilises. *)
-
 val messages_sent : 'msg t -> int
 (** [engine.msgs_sent]. *)
-
-val delivered : 'msg t -> int
-(** Messages handed to an active destination ([engine.msgs_delivered]). *)
-
-val dropped_by : 'msg t -> drop_cause -> int
-(** One cause's [engine.drops{cause=...}] counter. *)
-
-val dropped : 'msg t -> int
-(** Total drops, summed over every cause. *)

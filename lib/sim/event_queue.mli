@@ -5,8 +5,11 @@
 
 type 'a t
 
+(* bwclint: allow test-only-export -- test/test_sim.ml (event_queue tests) is the only caller; deleting the module with its five tests is queued on ROADMAP *)
 val create : unit -> 'a t
+(* bwclint: allow test-only-export -- test/test_sim.ml (event_queue tests) is the only caller; deleting the module with its five tests is queued on ROADMAP *)
 val is_empty : 'a t -> bool
+(* bwclint: allow test-only-export -- test/test_sim.ml (event_queue tests) is the only caller; deleting the module with its five tests is queued on ROADMAP *)
 val size : 'a t -> int
 
 val add : 'a t -> time:float -> 'a -> unit
@@ -15,7 +18,6 @@ val add : 'a t -> time:float -> 'a -> unit
 val pop : 'a t -> (float * 'a) option
 (** Earliest event; ties resolve in insertion order. *)
 
-val peek_time : 'a t -> float option
-
+(* bwclint: allow test-only-export -- test/test_sim.ml (event_queue tests) is the only caller; deleting the module with its five tests is queued on ROADMAP *)
 val drain_until : 'a t -> time:float -> (float * 'a) list
 (** Removes and returns every event with timestamp [<= time], in order. *)

@@ -32,7 +32,6 @@ type t = {
   partitions : partition list;
   transitions : (int, (int * bool) list) Hashtbl.t; (* round -> (node, up) *)
   system_crashes : system_crash list; (* ascending crash_round *)
-  metrics : Registry.t;
   c_lost : Registry.Counter.t;
   c_duplicated : Registry.Counter.t;
   c_delayed : Registry.Counter.t;
@@ -95,7 +94,6 @@ let make ?metrics ~rng ~drop ~duplicate ~jitter ~partitions ~crashes
     partitions;
     transitions;
     system_crashes;
-    metrics;
     c_lost = Registry.counter metrics "fault.lost";
     c_duplicated = Registry.counter metrics "fault.duplicated";
     c_delayed = Registry.counter metrics "fault.delayed";
@@ -109,11 +107,6 @@ let none =
 let create ?(drop = 0.0) ?(duplicate = 0.0) ?(jitter = 0) ?(partitions = [])
     ?(crashes = []) ?(system_crashes = []) ?metrics ~rng () =
   make ?metrics ~rng ~drop ~duplicate ~jitter ~partitions ~crashes ~system_crashes ()
-
-let isolate ~starts ~heals ~group =
-  let inside = Hashtbl.create (Stdlib.max 1 (List.length group)) in
-  List.iter (fun h -> Hashtbl.replace inside h ()) group;
-  { starts; heals; severs = (fun ~src ~dst -> Hashtbl.mem inside src <> Hashtbl.mem inside dst) }
 
 let partitioned t ~round ~src ~dst =
   List.exists
@@ -154,8 +147,6 @@ let on_send t ~round ~src ~dst =
 let crashes_at t round =
   Option.value ~default:[] (Hashtbl.find_opt t.transitions round)
 
-let system_crashes t = t.system_crashes
-
 let system_crash_at t round =
   List.find_opt (fun sc -> sc.crash_round = round) t.system_crashes
 
@@ -186,9 +177,3 @@ let corrupt_snapshot ~rng mode bytes =
       | None -> "BWCSNAP 999"
       | Some nl ->
           "BWCSNAP 999" ^ String.sub bytes nl (len - nl))
-
-let metrics t = t.metrics
-let lost t = Registry.Counter.value t.c_lost
-let duplicated t = Registry.Counter.value t.c_duplicated
-let delayed t = Registry.Counter.value t.c_delayed
-let partition_dropped t = Registry.Counter.value t.c_partition_dropped

@@ -77,10 +77,6 @@ val create :
     [fault.partition_dropped]); a private registry is allocated when
     omitted, so the counters always exist. *)
 
-val isolate : starts:int -> heals:int -> group:int list -> partition
-(** A partition cutting every link between [group] and the rest of the
-    system during [\[starts, heals)]. *)
-
 (** {2 Decisions (consulted by the engine and by query routing)} *)
 
 type verdict =
@@ -103,11 +99,6 @@ val sample_loss : t -> bool
 val crashes_at : t -> int -> (int * bool) list
 (** [(node, up)] transitions scheduled for the given round. *)
 
-val system_crashes : t -> system_crash list
-(** The whole-system crash schedule, ascending by round.  [create]
-    validates it (rounds >= 1, non-negative delays, at most one crash per
-    round). *)
-
 val system_crash_at : t -> int -> system_crash option
 (** The system crash scheduled for the given round, if any.  Consulted by
     snapshot-capable drivers, never by the engine. *)
@@ -119,19 +110,3 @@ val corrupt_snapshot :
     the header line to format version 999, which no decoder accepts. *)
 
 (** {2 Injection counters} *)
-
-val metrics : t -> Bwc_obs.Registry.t
-(** The registry holding the injection counters (the [?metrics] argument
-    of {!create}, or the plan's private registry). *)
-
-val lost : t -> int
-(** Messages lost to stochastic drop ([fault.lost]). *)
-
-val duplicated : t -> int
-(** Messages enqueued twice ([fault.duplicated]). *)
-
-val delayed : t -> int
-(** Copies given a non-zero jitter ([fault.delayed]). *)
-
-val partition_dropped : t -> int
-(** Messages blocked by a scripted partition ([fault.partition_dropped]). *)

@@ -47,20 +47,3 @@ let fraction_in t ~lo ~hi =
     let last = count_le t hi in
     float_of_int (last - first) /. float_of_int n
   end
-
-let slope_at t ~x ~halfwidth =
-  let range = t.sorted.(size t - 1) -. t.sorted.(0) in
-  if range <= 0.0 || halfwidth <= 0.0 then 0.0
-  else begin
-    let frac = fraction_in t ~lo:(x -. halfwidth) ~hi:(x +. halfwidth) in
-    frac /. (2.0 *. halfwidth /. range)
-  end
-
-let points t ~resolution =
-  let n = size t in
-  let resolution = Stdlib.max 2 (Stdlib.min resolution n) in
-  Array.init resolution (fun i ->
-      let idx = i * (n - 1) / (resolution - 1) in
-      (t.sorted.(idx), float_of_int (idx + 1) /. float_of_int n))
-
-let values t = Array.copy t.sorted

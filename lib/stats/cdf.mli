@@ -10,8 +10,6 @@ type t
 val make : float array -> t
 (** Builds the empirical CDF of the sample.  The input is copied. *)
 
-val size : t -> int
-
 val eval : t -> float -> float
 (** [eval cdf x] is the fraction of samples [<= x], in [0, 1]. *)
 
@@ -21,17 +19,3 @@ val quantile : t -> float -> float
 
 val fraction_in : t -> lo:float -> hi:float -> float
 (** Fraction of samples in the closed interval [[lo, hi]]. *)
-
-val slope_at : t -> x:float -> halfwidth:float -> float
-(** [slope_at cdf ~x ~halfwidth] is the local slope of the CDF at [x],
-    estimated over [[x - halfwidth, x + halfwidth]] and normalised so that a
-    uniform distribution over the sample's full range has slope [~1]:
-    it returns [fraction_in / (2 * halfwidth / range)].  This is the paper's
-    [f_a] ("how steep the slope of CDF at b is") made explicit. *)
-
-val points : t -> resolution:int -> (float * float) array
-(** [points cdf ~resolution] samples the CDF at [resolution] evenly spaced
-    sample indexes, suitable for plotting: pairs [(value, cumulative)]. *)
-
-val values : t -> float array
-(** The sorted underlying sample (a fresh copy). *)

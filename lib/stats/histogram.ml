@@ -20,9 +20,6 @@ let add t x =
   t.total <- t.total + 1
 
 let add_all t xs = Array.iter (add t) xs
-let count t = t.total
-let bin_count t i = t.counts.(i)
-let bins t = Array.length t.counts
 
 let bin_bounds t i =
   let bins = float_of_int (Array.length t.counts) in

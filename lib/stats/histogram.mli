@@ -9,10 +9,7 @@ val create : lo:float -> hi:float -> bins:int -> t
 
 val add : t -> float -> unit
 val add_all : t -> float array -> unit
-val count : t -> int
-val bin_count : t -> int -> int
 val bin_bounds : t -> int -> float * float
-val bins : t -> int
 val normalized : t -> float array
 (** Per-bin fraction of the total count (all zeros when empty). *)
 

@@ -53,16 +53,7 @@ let gaussian t =
   let u1 = nonzero () and u2 = float t 1.0 in
   sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
 
-let gaussian_scaled t ~mean ~sigma = mean +. (sigma *. gaussian t)
-
 let log_normal t ~mu ~sigma = exp (mu +. (sigma *. gaussian t))
-
-let exponential t ~rate =
-  let rec nonzero () =
-    let u = float t 1.0 in
-    if u <= 1e-300 then nonzero () else u
-  in
-  -.log (nonzero ()) /. rate
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

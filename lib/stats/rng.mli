@@ -47,12 +47,8 @@ val bool : t -> bool
 val gaussian : t -> float
 (** Standard normal deviate (Box-Muller). *)
 
-val gaussian_scaled : t -> mean:float -> sigma:float -> float
-
 val log_normal : t -> mu:float -> sigma:float -> float
 (** [log_normal rng ~mu ~sigma] is [exp (gaussian * sigma + mu)]. *)
-
-val exponential : t -> rate:float -> float
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

@@ -40,8 +40,6 @@ let percentile xs p =
 
 let median xs = percentile xs 50.0
 
-let mean_opt xs = if Array.length xs = 0 then None else Some (mean xs)
-
 type t = {
   count : int;
   mean : float;

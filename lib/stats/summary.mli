@@ -19,9 +19,6 @@ val percentile : float array -> float -> float
 
 val median : float array -> float
 
-val mean_opt : float array -> float option
-(** [mean_opt xs] is [None] on an empty array. *)
-
 type t = {
   count : int;
   mean : float;

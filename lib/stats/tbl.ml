@@ -30,6 +30,3 @@ let fold_sorted ?cmp f t init =
       match Hashtbl.find_opt t k with Some v -> f k v acc | None -> acc)
     init
     (sorted_keys ?cmp t)
-
-let sorted_bindings ?cmp t =
-  List.rev (fold_sorted ?cmp (fun k v acc -> (k, v) :: acc) t [])

@@ -8,11 +8,6 @@
     Only the most-recent binding of each key is visited; [cmp] defaults
     to [Stdlib.compare]. *)
 
-val keys : ('k, 'v) Hashtbl.t -> 'k list
-(** All keys, in unspecified order (possibly with duplicates when keys
-    were shadowed via [Hashtbl.add]).  Sort before letting the result
-    reach state or output. *)
-
 val sorted_keys : ?cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k list
 (** Distinct keys in ascending [cmp] order. *)
 
@@ -27,7 +22,3 @@ val fold_sorted :
   'acc ->
   'acc
 (** [fold_sorted f t init] folds over bindings in ascending key order. *)
-
-val sorted_bindings :
-  ?cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * 'v) list
-(** All bindings as a list sorted by key. *)

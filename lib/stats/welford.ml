@@ -12,10 +12,8 @@ let add t x =
   t.mean <- t.mean +. (delta /. float_of_int t.n);
   t.m2 <- t.m2 +. (delta *. (x -. t.mean))
 
-let count t = t.n
 let mean t = if t.n = 0 then 0.0 else t.mean
 let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-let stddev t = sqrt (variance t)
 
 let merge a b =
   if a.n = 0 then { n = b.n; mean = b.mean; m2 = b.m2 }

@@ -4,15 +4,17 @@
 
 type t
 
+(* bwclint: allow test-only-export -- test/test_stats.ml (welford tests) is the only caller; deleting the module with its three tests is queued on ROADMAP *)
 val create : unit -> t
 val add : t -> float -> unit
-val count : t -> int
+(* bwclint: allow test-only-export -- test/test_stats.ml (welford tests) is the only caller; deleting the module with its three tests is queued on ROADMAP *)
 val mean : t -> float
 (** [0.] when empty. *)
 
+(* bwclint: allow test-only-export -- test/test_stats.ml (welford tests) is the only caller; deleting the module with its three tests is queued on ROADMAP *)
 val variance : t -> float
 (** Unbiased sample variance; [0.] for fewer than two samples. *)
 
-val stddev : t -> float
+(* bwclint: allow test-only-export -- test/test_stats.ml (welford tests) is the only caller; deleting the module with its three tests is queued on ROADMAP *)
 val merge : t -> t -> t
 (** Combines two accumulators as if all samples had been added to one. *)

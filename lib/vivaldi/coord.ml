@@ -3,7 +3,6 @@ type t = {
   y : float;
 }
 
-let zero = { x = 0.0; y = 0.0 }
 let add a b = { x = a.x +. b.x; y = a.y +. b.y }
 let sub a b = { x = a.x -. b.x; y = a.y -. b.y }
 let scale k a = { x = k *. a.x; y = k *. a.y }
@@ -24,5 +23,3 @@ let random_in_box ~rng ~halfwidth =
     x = Bwc_stats.Rng.uniform rng (-.halfwidth) halfwidth;
     y = Bwc_stats.Rng.uniform rng (-.halfwidth) halfwidth;
   }
-
-let pp ppf a = Format.fprintf ppf "(%.3f, %.3f)" a.x a.y

@@ -5,7 +5,6 @@ type t = {
   y : float;
 }
 
-val zero : t
 val add : t -> t -> t
 val sub : t -> t -> t
 val scale : float -> t -> t
@@ -18,4 +17,3 @@ val unit_towards : from:t -> towards:t -> rng:Bwc_stats.Rng.t -> t
     lets colocated nodes repel). *)
 
 val random_in_box : rng:Bwc_stats.Rng.t -> halfwidth:float -> t
-val pp : Format.formatter -> t -> unit

@@ -57,8 +57,6 @@ let predicted_bw ?c t i j =
   if i = j then Float.infinity
   else Bwc_metric.Bandwidth.of_distance ?c (Float.max 1e-9 (predicted t i j))
 
-let space t = Space.make ~n:(Array.length t.pos) ~dist:(predicted t)
-
 let relative_errors ?c t measured =
   let n = measured.Space.n in
   let out = Array.make (n * (n - 1) / 2) 0.0 in

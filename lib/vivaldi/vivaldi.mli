@@ -32,13 +32,11 @@ val predicted : t -> int -> int -> float
 
 val predicted_bw : ?c:float -> t -> int -> int -> float
 
-val space : t -> Bwc_metric.Space.t
-(** The embedding as a metric space (cached coordinates). *)
-
 val relative_errors : ?c:float -> t -> Bwc_metric.Space.t -> float array
 (** Per-pair relative bandwidth-prediction error against the measured
     space, as in Fig. 3(b,d). *)
 
+(* bwclint: allow test-only-export -- reference measure: test/test_vivaldi.ml's convergence tests check the embedding against it *)
 val mean_fit_error : t -> Bwc_metric.Space.t -> float
 (** Mean relative distance error — the embedding-quality number Vivaldi
     papers report; used by convergence tests. *)

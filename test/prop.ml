@@ -1,6 +1,6 @@
 (* Seeded property-based differential harness.
 
-   Six properties, each over freshly generated random inputs:
+   Seven properties, each over freshly generated random inputs:
 
    1. churn-differential — after ANY sequence of Index.add_host /
       Index.remove_host events, the incrementally maintained
@@ -20,7 +20,9 @@
       point strictly backwards (acyclicity) and chain lengths add up,
       and the trace's JSONL parses back to exactly its events;
    5. daemon-replay — see below;
-   6. json-roundtrip — Bwc_json's parser inverts both printers.
+   6. json-roundtrip — Bwc_json's parser inverts both printers;
+   7. snapshot-anywhere — every image a daemon can write restores and
+      answers as the writer (see below).
 
    The harness is deliberately NOT an alcotest suite: its stdout is
    fully deterministic for a given seed (no timings), so two runs with
@@ -126,7 +128,7 @@ let check_feasible prop case ~event space is_member cl ~k ~l =
 
 (* returns the incremental find answer for the witness check *)
 let check_agreement prop case ~event idx rebuilt ~k ~l =
-  if Index.members idx <> Index.members rebuilt then
+  if (Index.dump idx).Index.d_members <> (Index.dump rebuilt).Index.d_members then
     fail_case prop case "event %d: member lists differ" event;
   let e_inc = Index.exists idx ~k ~l and e_reb = Index.exists rebuilt ~k ~l in
   if e_inc <> e_reb then
@@ -224,7 +226,7 @@ let oracle_tree () =
       incr queries;
       let k = 2 + Rng.int rng (n - 1) in
       let l = thresholds.(Rng.int rng (Array.length thresholds)) in
-      let alg1 = Find_cluster.exists space ~k ~l in
+      let alg1 = Find_cluster.find space ~k ~l <> None in
       match Clique.exists_cluster space ~k ~l with
       | Clique.Feasible _ ->
           if not alg1 then
@@ -253,7 +255,7 @@ let oracle_noisy () =
       incr queries;
       let k = 2 + Rng.int rng (n - 1) in
       let l = thresholds.(Rng.int rng (Array.length thresholds)) in
-      let alg1 = Find_cluster.exists space ~k ~l in
+      let alg1 = Find_cluster.find space ~k ~l <> None in
       match Clique.exists_cluster space ~k ~l with
       | Clique.Feasible _ ->
           (* Algorithm 1 is complete on every metric: the diameter pair
@@ -393,59 +395,69 @@ let causal_dag () =
    to exactly one typed response (answer, ack, shed, timeout, or
    rejection — never a silent drop). *)
 
+module Reactor = Bwc_daemon.Reactor
+module Script = Bwc_daemon.Script
+module Wire = Bwc_daemon.Wire
+
+(* A random request script over an [n]-host system: queries, gossip,
+   churn, stray and malformed lines, a few per tick. *)
+let daemon_script rng =
+  let n = 10 + Rng.int rng 8 in
+  let ticks = 4 + Rng.int rng 8 in
+  let per_tick = 2 + Rng.int rng 6 in
+  let script =
+    List.concat
+      (List.init ticks (fun at ->
+           List.init per_tick (fun i ->
+               let id = Printf.sprintf "r%d_%d" at i in
+               let line =
+                 match Rng.int rng 12 with
+                 | 0 | 1 | 2 | 3 ->
+                     Printf.sprintf "QUERY %s k=%d b=%f deadline=%d" id
+                       (2 + Rng.int rng 3)
+                       (1. +. Rng.float rng 40.)
+                       (4 + Rng.int rng 20)
+                 | 4 | 5 | 6 | 7 ->
+                     Printf.sprintf "MEAS %s src=%d dst=%d bw=%f" id
+                       (Rng.int rng n) (Rng.int rng n)
+                       (1. +. Rng.float rng 80.)
+                 | 8 -> Printf.sprintf "JOIN %s host=%d" id (Rng.int rng n)
+                 | 9 -> Printf.sprintf "LEAVE %s host=%d" id (Rng.int rng n)
+                 | 10 -> Printf.sprintf "PING stray=%s" id
+                 | _ -> Printf.sprintf "BOGUS %s" id
+               in
+               Script.line ~at ~conn:(Rng.int rng 3) line)))
+  in
+  (n, ticks, script)
+
+let daemon_config sys_seed =
+  {
+    Reactor.default_config with
+    Reactor.ingest_fail = 0.2;
+    stabilize_budget = 2;
+    seed = sys_seed;
+  }
+
+let daemon_system ~sys_seed n =
+  let dataset =
+    Bwc_dataset.Planetlab.generate ~rng:(Rng.create sys_seed)
+      ~name:"prop-daemon" { Bwc_dataset.Planetlab.hp_target with n }
+  in
+  Bwc_core.Dynamic.create ~seed:sys_seed dataset
+
 let daemon_replay () =
   let prop = "daemon-replay" in
   let n_cases = Stdlib.max 1 (cases / 20) in
-  let module Reactor = Bwc_daemon.Reactor in
-  let module Script = Bwc_daemon.Script in
-  let module Wire = Bwc_daemon.Wire in
   let requests_total = ref 0 in
   let responses_total = ref 0 in
   for case = 0 to n_cases - 1 do
     let rng = case_rng case in
-    let n = 10 + Rng.int rng 8 in
-    let ticks = 4 + Rng.int rng 8 in
-    let per_tick = 2 + Rng.int rng 6 in
-    let script =
-      List.concat
-        (List.init ticks (fun at ->
-             List.init per_tick (fun i ->
-                 let id = Printf.sprintf "r%d_%d" at i in
-                 let line =
-                   match Rng.int rng 12 with
-                   | 0 | 1 | 2 | 3 ->
-                       Printf.sprintf "QUERY %s k=%d b=%f deadline=%d" id
-                         (2 + Rng.int rng 3)
-                         (1. +. Rng.float rng 40.)
-                         (4 + Rng.int rng 20)
-                   | 4 | 5 | 6 | 7 ->
-                       Printf.sprintf "MEAS %s src=%d dst=%d bw=%f" id
-                         (Rng.int rng n) (Rng.int rng n)
-                         (1. +. Rng.float rng 80.)
-                   | 8 -> Printf.sprintf "JOIN %s host=%d" id (Rng.int rng n)
-                   | 9 -> Printf.sprintf "LEAVE %s host=%d" id (Rng.int rng n)
-                   | 10 -> Printf.sprintf "PING stray=%s" id
-                   | _ -> Printf.sprintf "BOGUS %s" id
-                 in
-                 Script.line ~at ~conn:(Rng.int rng 3) line)))
-    in
+    let n, _, script = daemon_script rng in
     let sys_seed = (seed * 7) + case in
-    let config =
-      {
-        Reactor.default_config with
-        Reactor.ingest_fail = 0.2;
-        stabilize_budget = 2;
-        seed = sys_seed;
-      }
-    in
+    let config = daemon_config sys_seed in
     let run () =
       let trace = Bwc_obs.Trace.create () in
-      let dataset =
-        Bwc_dataset.Planetlab.generate ~rng:(Rng.create sys_seed)
-          ~name:"prop-daemon" { Bwc_dataset.Planetlab.hp_target with n }
-      in
-      let dyn = Bwc_core.Dynamic.create ~seed:sys_seed dataset in
-      let reactor = Reactor.create ~trace config dyn in
+      let reactor = Reactor.create ~trace config (daemon_system ~sys_seed n) in
       let events = Script.run reactor script in
       if not (Reactor.drained reactor) then
         fail_case prop case "reactor failed to drain";
@@ -552,6 +564,161 @@ let json_roundtrip () =
   Printf.printf "%s: %d values, %d bytes, both layouts reprint byte-identical [ok]\n"
     prop cases !bytes
 
+(* 7. snapshot-anywhere — a daemon may write its image after any tick,
+   mid-churn-storm included.  Over daemon-replay scripts (half of them
+   with a JOIN and a LEAVE on every tick under a backlog bound that
+   degrades the reactor), the writer encodes its system after every
+   tick, and:
+   - every image decodes, and re-encoding the decoded system gives the
+     same bytes;
+   - a reactor booted from the image, ticked until it is no longer
+     dirty, answers a fixed probe set (index queries, and live queries
+     with an explicit [at]) exactly as the writer's system does once
+     its own aggregation has converged;
+   - snapshots never perturb the writer: its transcript equals the same
+     script run without them. *)
+
+let snapshot_anywhere () =
+  let prop = "snapshot-anywhere" in
+  let module Dynamic = Bwc_core.Dynamic in
+  let module Snapshot = Bwc_persist.Snapshot in
+  let n_cases = Stdlib.max 1 (cases / 20) in
+  let images_total = ref 0 and probes_total = ref 0 in
+  let storms = ref 0 and degraded_ticks = ref 0 in
+  for case = 0 to n_cases - 1 do
+    let rng = case_rng (500_000 + case) in
+    let n, ticks, script = daemon_script rng in
+    let storm = case mod 2 = 1 in
+    let script =
+      if not storm then script
+      else begin
+        incr storms;
+        script
+        @ List.concat
+            (List.init ticks (fun at ->
+                 let churn conn verb tag =
+                   Script.line ~at ~conn
+                     (Printf.sprintf "%s %s%d host=%d" verb tag at (Rng.int rng n))
+                 in
+                 [ churn 0 "JOIN" "s"; churn 1 "LEAVE" "t" ]))
+      end
+    in
+    let sys_seed = (seed * 11) + case in
+    let config =
+      let config = daemon_config sys_seed in
+      if storm then { config with Reactor.work_budget = 2; degrade_backlog = 3 } else config
+    in
+    let fresh () = Reactor.create config (daemon_system ~sys_seed n) in
+    (* Script.run, one tick at a time: [after k r] runs after the k-th
+       tick; [stop] ends the run after that tick *)
+    let drive ?stop ~after reactor =
+      let entries =
+        List.stable_sort (fun a b -> compare a.Script.at b.Script.at) script
+      in
+      let horizon = List.fold_left (fun acc e -> Stdlib.max acc e.Script.at) 0 entries in
+      let events = ref [] and k = ref 0 in
+      let push now =
+        List.iter (fun (o : Reactor.output) ->
+            events :=
+              { Script.tick = now; conn = o.Reactor.conn; response = o.Reactor.response }
+              :: !events)
+      in
+      let tick now =
+        push now (Reactor.tick reactor ~now);
+        incr k;
+        after !k reactor;
+        if stop = Some !k then raise Exit
+      in
+      (try
+         for now = 0 to horizon do
+           List.iter
+             (fun (e : Script.entry) ->
+               if e.Script.at = now then
+                 push now
+                   (Reactor.handle_line reactor ~now ~conn:e.Script.conn e.Script.line))
+             entries;
+           tick now
+         done;
+         Reactor.drain reactor ~now:horizon;
+         let now = ref horizon in
+         while (not (Reactor.drained reactor)) && !now - horizon < 1000 do
+           incr now;
+           tick !now
+         done
+       with Exit -> ());
+      List.rev !events
+    in
+    let images = ref [] in
+    let written =
+      drive (fresh ())
+        ~after:(fun _ r ->
+          if Reactor.mode r = Reactor.Degraded then incr degraded_ticks;
+          images := Snapshot.encode (`Dynamic (Reactor.system r)) :: !images)
+    in
+    let plain = Script.run (fresh ()) script in
+    if not (String.equal (Script.transcript written) (Script.transcript plain)) then
+      fail_case prop case "snapshots perturbed the writer's transcript";
+    (* tick a fresh reactor over [dyn] until it is no longer dirty *)
+    let converge dyn =
+      let r = Reactor.create config dyn in
+      let rec go now =
+        if now > 2000 then fail_case prop case "booted reactor never converged";
+        let (_ : Reactor.output list) = Reactor.tick r ~now in
+        if Reactor.staleness r ~now > 0 then go (now + 1)
+      in
+      go 1
+    in
+    let probe dyn =
+      let bs = [ 5.0; 15.0; 30.0 ] and ks = [ 2; 3 ] in
+      let index =
+        List.concat_map
+          (fun k -> List.map (fun b -> Dynamic.query_centralized dyn ~k ~b) bs)
+          ks
+      in
+      let live =
+        List.concat_map
+          (fun at ->
+            List.concat_map
+              (fun k ->
+                List.map
+                  (fun b -> (Dynamic.query dyn ~at ~k ~b).Bwc_core.Query.cluster)
+                  bs)
+              ks)
+          (Dynamic.members dyn)
+      in
+      probes_total := !probes_total + List.length index + List.length live;
+      (Dynamic.members dyn, index, live)
+    in
+    List.iteri
+      (fun i image ->
+        let k = List.length !images - i in
+        incr images_total;
+        match Snapshot.decode image with
+        | Error e ->
+            fail_case prop case "image after tick %d does not decode: %s" k
+              (Bwc_persist.Codec.error_to_string e)
+        | Ok (Snapshot.Restored_system _) ->
+            fail_case prop case "image %d is not dynamic" k
+        | Ok (Snapshot.Restored_dynamic restored) ->
+            if not (String.equal image (Snapshot.encode (`Dynamic restored))) then
+              fail_case prop case "image after tick %d re-encodes differently" k;
+            converge restored;
+            (* the writer as it was after tick k, replayed without snapshots *)
+            let writer = ref None in
+            let (_ : Script.event list) =
+              drive (fresh ()) ~stop:k ~after:(fun j r ->
+                  if j = k then writer := Some (Reactor.system r))
+            in
+            let writer = Option.get !writer in
+            let (_ : int) = Bwc_core.Protocol.run_aggregation (Dynamic.protocol writer) in
+            if probe restored <> probe writer then
+              fail_case prop case "booted from the image after tick %d, answers differ from the writer" k)
+      !images
+  done;
+  Printf.printf
+    "%s: %d cases (%d storms, %d degraded ticks), %d images, %d probes, every image restores and answers as the writer [ok]\n"
+    prop n_cases !storms !degraded_ticks !images_total !probes_total
+
 let () =
   Printf.printf "bwc property harness (seed %d, %d churn sequences)\n" seed cases;
   churn_differential ();
@@ -560,4 +727,5 @@ let () =
   causal_dag ();
   daemon_replay ();
   json_roundtrip ();
+  snapshot_anywhere ();
   Printf.printf "all properties hold\n"

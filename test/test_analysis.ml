@@ -27,7 +27,8 @@ let sup_all () = sup "all"
 
 (* default fixture path sits inside lib/core so every path-scoped rule
    (no-partial-stdlib, no-print-in-lib) is live *)
-let lint ?(path = "lib/core/fixture.ml") src = Engine.lint_source ~path src
+let lint ?(path = "lib/core/fixture.ml") src =
+  Engine.lint_sources ~whole_program:false [ (path, src) ]
 
 let rule_ids result =
   List.map (fun f -> f.Finding.rule) result.Engine.findings
@@ -305,16 +306,17 @@ let build_cg files =
          | Error _ -> None)
        files)
 
-let callee_names cg name =
-  match Callgraph.find_by_name cg name with
-  | [ d ] ->
+(* defs are keyed by directory and qualified name *)
+let callee_names ?(dir = "lib/x") cg name =
+  match Callgraph.find cg (dir ^ "//" ^ name) with
+  | Some d ->
       List.filter_map
         (fun (c : Callgraph.call) ->
           Option.map
             (fun (d : Callgraph.def) -> d.Callgraph.name)
             (Callgraph.find cg c.Callgraph.callee))
         d.Callgraph.calls
-  | ds -> Alcotest.failf "expected one def named %s, got %d" name (List.length ds)
+  | None -> Alcotest.failf "no def %s in %s" name dir
 
 let chain_files =
   [
@@ -375,7 +377,7 @@ let test_callgraph_wrapped_library () =
   Alcotest.(check (list string))
     "bwc_<lib> prefix maps to lib/<dir>"
     [ "Tbl.iter_sorted" ]
-    (callee_names cg "Engine.run")
+    (callee_names ~dir:"lib/sim" cg "Engine.run")
 
 let test_callgraph_same_name_units_isolated () =
   (* two engine.ml units in different directories must not alias *)
@@ -387,12 +389,100 @@ let test_callgraph_same_name_units_isolated () =
         ("lib/y/engine.ml", "let run () = ()\n");
       ]
   in
-  match Callgraph.find_by_name cg "Engine.run" with
-  | [ a; b ] ->
+  match (Callgraph.find cg "lib/x//Engine.run", Callgraph.find cg "lib/y//Engine.run") with
+  | Some a, Some b ->
       Alcotest.(check bool)
         "distinct dirs" true
         (a.Callgraph.unit_dir <> b.Callgraph.unit_dir)
-  | ds -> Alcotest.failf "expected two Engine.run defs, got %d" (List.length ds)
+  | _ -> Alcotest.fail "expected an Engine.run def in lib/x and in lib/y"
+
+(* ----- dead exports ----- *)
+
+let export_findings files =
+  List.filter_map
+    (fun (f : Finding.t) ->
+      if f.Finding.rule = "dead-export" || f.Finding.rule = "test-only-export" then
+        Some (f.Finding.rule ^ " " ^ f.Finding.message)
+      else None)
+    (Engine.lint_sources files).Engine.findings
+
+let util_files =
+  [
+    ( "lib/x/util.mli",
+      "val used : int -> int\nval unused : int -> int\nval internal : int -> int\n\
+       val for_tests : int -> int\nmodule Sub : sig\n  val deep : int\nend\n" );
+    ( "lib/x/util.ml",
+      "let used x = x\nlet unused x = x\nlet internal x = x + 1\n\
+       let for_tests x = internal x\nmodule Sub = struct let deep = 3 end\n" );
+    ("bin/main.ml", "let () = print_int (Util.used 1)\n");
+    ("test/check.ml", "let () = assert (Util.for_tests 1 = 2)\n");
+  ]
+
+let test_dead_export_rules () =
+  Alcotest.(check (list string))
+    "findings"
+    [
+      "dead-export Util.unused is exported but unused: delete it";
+      "dead-export Util.internal is exported but used only inside its unit: drop it \
+       from the .mli";
+      "test-only-export Util.for_tests is exported but only test/ references it \
+       (test/check.ml)";
+      "dead-export Util.Sub.deep is exported but unused: delete it";
+    ]
+    (export_findings util_files)
+
+let test_dead_export_reference_kinds () =
+  (* a reference is any resolved identifier: partial applications
+     through an alias, functions passed as arguments, [let () =] bodies
+     under a local open, let-module aliases and nested module paths *)
+  let files =
+    [
+      ( "lib/y/m.mli",
+        "val a : int -> int -> int\nval b : int -> int\nval c : int\nval d : int\n\
+         module N : sig\n  val e : int\nend\n" );
+      ( "lib/y/m.ml",
+        "let a x y = x + y\nlet b x = x\nlet c = 1\nlet d = 2\n\
+         module N = struct let e = 5 end\n" );
+      ( "bin/use.ml",
+        "module P = M\nlet f = P.a 1\nlet g = List.map M.b\n\
+         let () = print_int (let open M in c)\nlet h = let module Q = M in Q.d\nlet i = M.N.e\n" );
+    ]
+  in
+  Alcotest.(check (list string)) "every export referenced" [] (export_findings files)
+
+let test_dead_export_unresolved_hides () =
+  (* a path through an unpacked first-class module resolves to nothing:
+     it counts as a use of every export with that name *)
+  let files =
+    [
+      ("lib/z/k.mli", "val probe : int\n");
+      ("lib/z/k.ml", "let probe = 1\n");
+      ( "bin/use.ml",
+        "module type S = sig val probe : int end\nlet f (module X : S) = X.probe\n" );
+    ]
+  in
+  Alcotest.(check (list string)) "miss hides, never invents" [] (export_findings files)
+
+let test_dead_export_allow () =
+  let files =
+    List.map
+      (fun (path, src) ->
+        if path = "lib/x/util.mli" then
+          ( path,
+            "val used : int -> int\nval unused : int -> int\nval internal : int -> int\n"
+            ^ sup ~reason:"test/check.ml compares against it" "test-only-export"
+            ^ "\nval for_tests : int -> int\nmodule Sub : sig\n  val deep : int\nend\n" )
+        else (path, src))
+      util_files
+  in
+  let r = Engine.lint_sources files in
+  Alcotest.(check bool) "allowed export suppressed" false
+    (List.exists
+       (fun (f : Finding.t) -> f.Finding.rule = "test-only-export")
+       r.Engine.findings);
+  Alcotest.(check (list string)) "audit trail names the caller"
+    [ "test/check.ml compares against it" ]
+    (List.map snd r.Engine.suppressed)
 
 (* ----- whole-program taint ----- *)
 
@@ -700,6 +790,13 @@ let () =
             test_callgraph_wrapped_library;
           Alcotest.test_case "same-name units isolated" `Quick
             test_callgraph_same_name_units_isolated;
+        ] );
+      ( "exports",
+        [
+          Alcotest.test_case "dead and test-only" `Quick test_dead_export_rules;
+          Alcotest.test_case "reference kinds" `Quick test_dead_export_reference_kinds;
+          Alcotest.test_case "unresolved hides" `Quick test_dead_export_unresolved_hides;
+          Alcotest.test_case "allow names its caller" `Quick test_dead_export_allow;
         ] );
       ( "taint",
         [

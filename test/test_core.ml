@@ -16,6 +16,7 @@ module Ensemble = Bwc_predtree.Ensemble
 module Anchor = Bwc_predtree.Anchor
 
 let feq ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps *. Float.max 1.0 (Float.abs a)
+let index_members idx = (Find_cluster.Index.dump idx).Find_cluster.Index.d_members
 
 let tree_space ~seed n =
   Space.of_dmatrix (Bwc_dataset.Hier_tree.distance_matrix ~rng:(Rng.create seed) ~n ())
@@ -162,8 +163,8 @@ let test_index_incremental_grow_shrink () =
   in
   let agree idx members =
     let fresh = Find_cluster.Index.build_subset space members in
-    Alcotest.(check (list int)) "members" (Find_cluster.Index.members fresh)
-      (Find_cluster.Index.members idx);
+    Alcotest.(check (list int)) "members" (index_members fresh)
+      (index_members idx);
     List.iter
       (fun l ->
         Alcotest.(check int) "max_size" (Find_cluster.Index.max_size fresh ~l)
@@ -204,7 +205,7 @@ let test_index_delta_contract () =
   Find_cluster.Index.remove_host idx 2;
   Find_cluster.Index.add_host idx 2;
   Alcotest.(check (list int)) "members restored" [ 0; 2; 4 ]
-    (Find_cluster.Index.members idx);
+    (index_members idx);
   Alcotest.(check (array int)) "answers restored" before
     (Find_cluster.Index.max_sizes idx ~ls:[| 1.0; 100.0; 1e4 |])
 
@@ -219,9 +220,7 @@ let test_classes_mapping () =
   Alcotest.(check (option int)) "b=80 -> 80" (Some 3) (Classes.class_for classes ~b:80.0);
   Alcotest.(check (option int)) "b beyond classes" None (Classes.class_for classes ~b:81.0);
   (* distances are index-aligned inverses *)
-  Alcotest.(check (float 1e-9)) "distance" 50.0 (Classes.distance classes 1);
-  Alcotest.(check (option int)) "distance mapping" (Some 1)
-    (Classes.class_for_distance classes ~l:50.0)
+  Alcotest.(check (float 1e-9)) "distance" 50.0 (Classes.distance classes 1)
 
 let test_classes_guarantee () =
   (* the mapped class always guarantees the requested bandwidth *)
@@ -231,7 +230,8 @@ let test_classes_guarantee () =
     let b = Rng.uniform rng 1.0 91.0 in
     match Classes.class_for classes ~b with
     | None -> Alcotest.fail "b within range must map"
-    | Some i -> Alcotest.(check bool) "guarantee" true (Classes.bandwidth classes i >= b)
+    | Some i ->
+        Alcotest.(check bool) "guarantee" true ((Classes.bandwidths classes).(i) >= b)
   done
 
 let test_classes_of_percentiles () =
@@ -245,12 +245,28 @@ let test_classes_of_percentiles () =
 
 (* ----- Protocol: aggregation correctness (Theorems 3.2 / 3.3) ----- *)
 
+let protocol_classes ds = Classes.of_percentiles ~count:5 ds
+
+(* x's aggrNode[m] (Algorithm 2's table) as the durable dump records it *)
+let aggregated_nodes protocol x m =
+  let nd =
+    List.find (fun nd -> nd.Protocol.nd_id = x) (Protocol.dump protocol).Protocol.d_nodes
+  in
+  Option.value ~default:[] (List.assoc_opt m nd.Protocol.nd_aggr_node)
+
+let epoch p = (Protocol.dump p).Protocol.d_epoch
+
+(* one series of a registry (a counter, a gauge), read through a snapshot *)
+let reading metrics name = Bwc_obs.Registry.get (Bwc_obs.Registry.snapshot metrics) name
+
 let build_protocol ?ensemble_size ~seed n =
   let ds = small_dataset ~seed n in
   let space = Bwc_dataset.Dataset.metric ds in
   let ens = Ensemble.build ~rng:(Rng.create (seed + 1)) ?size:ensemble_size space in
-  let classes = Classes.of_percentiles ~count:5 ds in
-  let protocol = Protocol.create ~rng:(Rng.create (seed + 2)) ~n_cut:4 ~classes ens in
+  let protocol =
+    Protocol.create ~rng:(Rng.create (seed + 2)) ~n_cut:4
+      ~classes:(protocol_classes ds) ens
+  in
   let (_ : int) = Protocol.run_aggregation protocol in
   (ds, ens, protocol)
 
@@ -273,7 +289,7 @@ let test_theorem_3_2_aggr_node () =
   for x = 0 to 27 do
     List.iter
       (fun m ->
-        let got = Protocol.aggregated_nodes protocol x m in
+        let got = aggregated_nodes protocol x m in
         let u = reachable_via anchor_tree ~x ~m in
         let labels_x = Ensemble.labels ens x in
         let dist_to_x h = Ensemble.label_dist labels_x (Ensemble.labels ens h) in
@@ -310,7 +326,7 @@ let test_theorem_3_2_weak_for_ensembles () =
   for x = 0 to 21 do
     List.iter
       (fun m ->
-        let got = Protocol.aggregated_nodes protocol x m in
+        let got = aggregated_nodes protocol x m in
         let u = reachable_via anchor_tree ~x ~m in
         Alcotest.(check int) "cardinality" (Stdlib.min n_cut (List.length u))
           (List.length got);
@@ -330,16 +346,16 @@ let test_payload_bounded_by_ncut () =
   for x = 0 to 29 do
     List.iter
       (fun m ->
-        let got = Protocol.aggregated_nodes protocol x m in
+        let got = aggregated_nodes protocol x m in
         if List.length got > n_cut then
           Alcotest.failf "aggrNode[%d->%d] exceeds n_cut" x m)
       (Ensemble.anchor_neighbors ens x)
   done
 
 let test_theorem_3_3_aggr_crt () =
-  let _, ens, protocol = build_protocol ~seed:10 24 in
+  let ds, ens, protocol = build_protocol ~seed:10 24 in
   let anchor_tree = Bwc_predtree.Framework.anchor (Ensemble.primary ens) in
-  let classes = Protocol.classes protocol in
+  let classes = protocol_classes ds in
   for x = 0 to 23 do
     List.iter
       (fun m ->
@@ -363,8 +379,8 @@ let test_global_max_agrees_everywhere () =
   (* the CRT aggregation propagates the max cluster size across the whole
      anchor tree, so after convergence every host believes the same
      global maximum per class *)
-  let _, _, protocol = build_protocol ~seed:31 26 in
-  let classes = Protocol.classes protocol in
+  let ds, _, protocol = build_protocol ~seed:31 26 in
+  let classes = protocol_classes ds in
   for cls = 0 to Classes.count classes - 1 do
     let values =
       List.init 26 (fun x -> Protocol.max_reachable protocol x ~cls)
@@ -452,6 +468,9 @@ let check_same_fixpoint ~n ens clean faulty =
       (Ensemble.anchor_neighbors ens x)
   done
 
+(* a partition cutting every link between [group] and the rest *)
+let cut_off group ~src ~dst = List.mem src group <> List.mem dst group
+
 let test_faults_reach_same_fixpoint () =
   (* message loss, duplication and reordering jitter slow convergence but
      must not change what the aggregation converges to (the acceptance
@@ -466,8 +485,10 @@ let test_faults_reach_same_fixpoint () =
     (ens, p, rounds)
   in
   let ens, clean, clean_rounds = make () in
+  let fault_metrics = Bwc_obs.Registry.create () in
   let faults =
-    Bwc_sim.Fault.create ~drop:0.2 ~duplicate:0.1 ~jitter:2 ~rng:(Rng.create 73) ()
+    Bwc_sim.Fault.create ~drop:0.2 ~duplicate:0.1 ~jitter:2 ~metrics:fault_metrics
+      ~rng:(Rng.create 73) ()
   in
   let _, faulty, faulty_rounds = make ~faults () in
   Alcotest.(check bool) "converged under faults" true (faulty_rounds < 600);
@@ -479,14 +500,16 @@ let test_faults_reach_same_fixpoint () =
     true
     (faulty_rounds <= (8 * clean_rounds) + 40);
   check_same_fixpoint ~n:20 ens clean faulty;
-  Alcotest.(check bool) "losses were injected" true (Bwc_sim.Fault.lost faults > 0);
+  Alcotest.(check bool) "losses were injected" true
+    (reading fault_metrics "fault.lost" > 0);
   Alcotest.(check bool) "duplicates were injected" true
-    (Bwc_sim.Fault.duplicated faults > 0);
-  Alcotest.(check bool) "retransmissions happened" true (Protocol.retries faulty > 0);
+    (reading fault_metrics "fault.duplicated" > 0);
+  Alcotest.(check bool) "retransmissions happened" true
+    (reading (Protocol.metrics faulty) "protocol.retransmissions" > 0);
   Alcotest.(check bool) "duplicates suppressed" true
-    (Protocol.duplicates_suppressed faulty > 0);
+    (reading (Protocol.metrics faulty) "protocol.dup_suppressed" > 0);
   Alcotest.(check int) "nothing pending at quiescence" 0
-    (Protocol.pending_unacked faulty)
+    (reading (Protocol.metrics faulty) "protocol.unacked")
 
 let test_crash_restart_converges () =
   (* hosts that crash mid-aggregation and restart later: retransmission
@@ -514,7 +537,7 @@ let test_crash_restart_converges () =
   Alcotest.(check bool) "converged after restarts" true (rounds < 600);
   check_same_fixpoint ~n:18 ens clean faulty;
   Alcotest.(check int) "nothing pending at quiescence" 0
-    (Protocol.pending_unacked faulty)
+    (reading (Protocol.metrics faulty) "protocol.unacked")
 
 let test_partition_heals_and_queries_succeed () =
   (* a scripted partition splits the overlay for a window; once it heals,
@@ -530,15 +553,17 @@ let test_partition_heals_and_queries_succeed () =
     (ens, p, rounds)
   in
   let ens, clean, _ = make () in
+  let fault_metrics = Bwc_obs.Registry.create () in
   let faults =
     Bwc_sim.Fault.create
-      ~partitions:[ Bwc_sim.Fault.isolate ~starts:2 ~heals:9 ~group:[ 3; 7 ] ]
+      ~partitions:[ { Bwc_sim.Fault.starts = 2; heals = 9; severs = cut_off [ 3; 7 ] } ]
+      ~metrics:fault_metrics
       ~rng:(Rng.create 81) ()
   in
   let _, faulty, rounds = make ~faults () in
   Alcotest.(check bool) "converged after heal" true (rounds < 600);
   Alcotest.(check bool) "partition actually cut traffic" true
-    (Bwc_sim.Fault.partition_dropped faults > 0);
+    (reading fault_metrics "fault.partition_dropped" > 0);
   check_same_fixpoint ~n:20 ens clean faulty;
   for x = 0 to 19 do
     for cls = 0 to Classes.count classes - 1 do
@@ -552,8 +577,8 @@ let test_partition_heals_and_queries_succeed () =
   done
 
 let test_query_hop_budget () =
-  let _, _, protocol = build_protocol ~seed:82 24 in
-  let classes = Protocol.classes protocol in
+  let ds, _, protocol = build_protocol ~seed:82 24 in
+  let classes = protocol_classes ds in
   let forwarding_needed = ref 0 in
   for x = 0 to 23 do
     for cls = 0 to Classes.count classes - 1 do
@@ -603,7 +628,7 @@ let test_query_skips_dead_hosts () =
   Alcotest.(check bool) "some update was given up on" true
     (Protocol.give_ups protocol > 0);
   Alcotest.(check int) "given-up updates leave the unacked pool" 0
-    (Protocol.pending_unacked protocol);
+    (reading (Protocol.metrics protocol) "protocol.unacked");
   for x = 0 to 19 do
     if x <> dead then
       for cls = 0 to Classes.count classes - 1 do
@@ -684,9 +709,7 @@ let test_detector_clean_run_quiet () =
   check_same_fixpoint ~n:20 ens plain detected;
   Alcotest.(check bool) "heartbeats flowed" true (Protocol.heartbeats_sent detected > 0);
   Alcotest.(check int) "no repairs" 0 (Protocol.repairs_run detected);
-  (match Protocol.detector detected with
-  | None -> Alcotest.fail "detector missing"
-  | Some d -> Alcotest.(check bool) "edges watched" true (Detector.watched d > 0));
+  Alcotest.(check bool) "detector present" true (Protocol.detector detected <> None);
   Alcotest.(check int) "nothing given up" 0 (Protocol.give_ups detected)
 
 let test_detector_heals_crash () =
@@ -725,7 +748,7 @@ let test_detector_heals_crash () =
         (Printf.sprintf "orphan %d under grandparent" c)
         (Some grandparent) (Anchor.parent anchor c))
     orphans;
-  Alcotest.(check int) "repair bumped the epoch" 1 (Protocol.epoch p);
+  Alcotest.(check int) "repair bumped the epoch" 1 (epoch p);
   (* the healed state is the fixed point, not an approximation: a fresh
      protocol on the already-repaired ensemble must agree everywhere *)
   let fresh = Protocol.create ~rng:(Rng.create 93) ~n_cut:4 ~classes ens in
@@ -773,8 +796,8 @@ let test_eviction_drives_index_delta () =
     (Find_cluster.Index.is_member idx victim);
   let fresh = Find_cluster.Index.build_subset space (Ensemble.members ens) in
   Alcotest.(check (list int)) "members match survivors"
-    (Find_cluster.Index.members fresh)
-    (Find_cluster.Index.members idx);
+    (index_members fresh)
+    (index_members idx);
   let ls = [| 10.0; 100.0; 1000.0 |] in
   Alcotest.(check (array int)) "answers match a fresh build"
     (Find_cluster.Index.max_sizes fresh ~ls)
@@ -826,8 +849,8 @@ let test_incremental_repair_matches_full () =
     (repair_msgs < full_msgs)
 
 let test_routing_detours_suspects () =
-  (* while a node is suspected but not yet confirmed, local node search
-     must stop handing it out (and queries prefer healthy directions) *)
+  (* a crashed node is suspected, and so detoured around by query
+     routing, before it is confirmed and repaired *)
   let ds = small_dataset ~seed:97 20 in
   let space = Bwc_dataset.Dataset.metric ds in
   let classes = Classes.of_percentiles ~count:5 ds in
@@ -843,15 +866,15 @@ let test_routing_detours_suspects () =
     | w :: _ -> w
     | [] -> Alcotest.fail "victim has no neighbors"
   in
-  Alcotest.(check bool) "not suspected while alive" false
-    (Protocol.routing_suspects p ~at:watcher victim);
-  Protocol.crash_host p victim;
-  (* run rounds until suspicion sets in, stopping before confirmation *)
   let d =
     match Protocol.detector p with
     | Some d -> d
     | None -> Alcotest.fail "detector missing"
   in
+  Alcotest.(check bool) "not suspected while alive" false
+    (Detector.suspects d ~watcher ~peer:victim);
+  Protocol.crash_host p victim;
+  (* run rounds until suspicion sets in, stopping before confirmation *)
   let rec wait i =
     if i > 2 * (Detector.config d).Detector.suspect_after + 4 then
       Alcotest.fail "never suspected"
@@ -863,18 +886,7 @@ let test_routing_detours_suspects () =
   wait 0;
   Alcotest.(check int) "suspected, not yet repaired" 0 (Protocol.repairs_run p);
   Alcotest.(check bool) "suspect flagged for routing" true
-    (Protocol.routing_suspects p ~at:watcher victim);
-  (* node search at the watcher: make every live member a target, so the
-     only possible answer would be the suspected victim — it must refuse *)
-  let targets =
-    List.filter_map
-      (fun h ->
-        if h = victim then None
-        else Some (Node_info.make ~host:h ~labels:(Ensemble.labels ens h)))
-      (Ensemble.members ens)
-  in
-  Alcotest.(check bool) "node search skips the suspect" true
-    (Bwc_core.Node_search.local p ~at:watcher ~targets = None)
+    (Detector.suspects d ~watcher ~peer:victim)
 
 let test_detector_config_validation () =
   (* satellite coverage: every config field boundary.  The thresholds are
@@ -925,27 +937,27 @@ let test_epoch_monotone_across_repairs () =
       ~detector:Detector.default_config ~classes ens
   in
   let (_ : int) = Protocol.run_aggregation ~max_rounds:600 p in
-  Alcotest.(check int) "epoch starts at 0" 0 (Protocol.epoch p);
+  Alcotest.(check int) "epoch starts at 0" 0 (epoch p);
   let cycles = 4 in
   let last = ref 0 in
   for i = 1 to cycles do
     Protocol.crash_host p (find_midtree_victim ens);
     let (_ : int) = drive_until_healed p ~until_repairs:i in
-    let e = Protocol.epoch p in
+    let e = epoch p in
     Alcotest.(check bool)
       (Printf.sprintf "epoch grew at cycle %d" i)
       true (e > !last);
     last := e
   done;
-  Alcotest.(check int) "one epoch bump per repair batch" cycles (Protocol.epoch p);
+  Alcotest.(check int) "one epoch bump per repair batch" cycles (epoch p);
   Alcotest.(check int) "all victims repaired" cycles (Protocol.repairs_run p);
   (* a query at a surviving member still routes on the repaired overlay *)
   let survivor = List.hd (Ensemble.members ens) in
   let (_ : Query.result) = Protocol.query p ~at:survivor ~k:2 ~cls:0 in
   (* the epoch clock is part of the durable state *)
   let p2 = Protocol.of_dump ~classes ens (Protocol.dump p) in
-  Alcotest.(check int) "epoch preserved by dump round trip" (Protocol.epoch p)
-    (Protocol.epoch p2)
+  Alcotest.(check int) "epoch preserved by dump round trip" (epoch p)
+    (epoch p2)
 
 let test_dynamic_empty_members_query () =
   (* satellite regression: a query against an empty membership must be a
@@ -961,8 +973,8 @@ let test_dynamic_empty_members_query () =
 (* ----- Algorithm 4: query routing ----- *)
 
 let test_query_finds_promised_clusters () =
-  let _, _, protocol = build_protocol ~seed:12 26 in
-  let classes = Protocol.classes protocol in
+  let ds, _, protocol = build_protocol ~seed:12 26 in
+  let classes = protocol_classes ds in
   for x = 0 to 25 do
     for cls = 0 to Classes.count classes - 1 do
       let promised = Protocol.max_reachable protocol x ~cls in
@@ -979,8 +991,8 @@ let test_query_finds_promised_clusters () =
   done
 
 let test_query_miss_beyond_promise () =
-  let _, _, protocol = build_protocol ~seed:13 20 in
-  let classes = Protocol.classes protocol in
+  let ds, _, protocol = build_protocol ~seed:13 20 in
+  let classes = protocol_classes ds in
   for x = 0 to 19 do
     let cls = Classes.count classes - 1 in
     let promised = Protocol.max_reachable protocol x ~cls in
@@ -991,8 +1003,8 @@ let test_query_miss_beyond_promise () =
   done
 
 let test_query_cluster_satisfies_predicted_constraint () =
-  let _, ens, protocol = build_protocol ~seed:14 26 in
-  let classes = Protocol.classes protocol in
+  let ds, ens, protocol = build_protocol ~seed:14 26 in
+  let classes = protocol_classes ds in
   let rng = Rng.create 15 in
   for _ = 1 to 60 do
     let at = Rng.int rng 26 in
@@ -1016,11 +1028,11 @@ let test_query_cluster_satisfies_predicted_constraint () =
   done
 
 let test_query_hops_bounded () =
-  let _, ens, protocol = build_protocol ~seed:16 30 in
+  let ds, ens, protocol = build_protocol ~seed:16 30 in
   let anchor_tree = Bwc_predtree.Framework.anchor (Ensemble.primary ens) in
   let bound = 2 * Anchor.max_depth anchor_tree in
   let rng = Rng.create 17 in
-  let classes = Protocol.classes protocol in
+  let classes = protocol_classes ds in
   for _ = 1 to 100 do
     let at = Rng.int rng 30 in
     let cls = Rng.int rng (Classes.count classes) in
@@ -1048,14 +1060,11 @@ let test_decentral_rr_bounded_by_central () =
 (* ----- Query module ----- *)
 
 let test_query_constructors () =
-  let q = Query.of_bandwidth ~c:1000.0 ~k:5 40.0 in
-  Alcotest.(check (float 1e-9)) "l" 25.0 q.Query.l;
-  Alcotest.(check (float 1e-9)) "roundtrip" 40.0 (Query.bandwidth_of ~c:1000.0 q);
-  Alcotest.(check bool) "k<2 rejected" true
-    (try
-       ignore (Query.make ~k:1 ~l:1.0);
-       false
-     with Invalid_argument _ -> true)
+  let miss = Query.not_found_at 3 in
+  Alcotest.(check bool) "miss" false (Query.found miss);
+  Alcotest.(check (list int)) "never left the submission node" [ 3 ] miss.Query.path;
+  Alcotest.(check int) "no hops" 0 miss.Query.hops;
+  Alcotest.(check (list int)) "no member to submit at" [] Query.no_members.Query.path
 
 (* ----- Clique oracle ----- *)
 
@@ -1138,25 +1147,32 @@ let test_clique_threshold_matches_space () =
 
 (* ----- Dynamic membership ----- *)
 
+(* membership changes the daemon's way: deferred deltas, then rounds
+   until the aggregation is quiescent again *)
+let churn dyn events =
+  ignore (Bwc_core.Dynamic.apply_deferred dyn events : int);
+  ignore (Protocol.run_aggregation (Bwc_core.Dynamic.protocol dyn) : int)
+
+let is_member dyn h = List.mem h (Bwc_core.Dynamic.members dyn)
+
 let test_dynamic_join_leave () =
   let ds = small_dataset ~seed:42 30 in
   let dyn =
     Bwc_core.Dynamic.create ~seed:43 ~initial_members:(List.init 20 Fun.id) ds
   in
   Alcotest.(check int) "initial" 20 (Bwc_core.Dynamic.member_count dyn);
-  Bwc_core.Dynamic.join dyn 25;
-  Alcotest.(check bool) "joined" true (Bwc_core.Dynamic.is_member dyn 25);
+  churn dyn [ Bwc_sim.Churn.Join 25 ];
+  Alcotest.(check bool) "joined" true (is_member dyn 25);
   Alcotest.(check int) "count up" 21 (Bwc_core.Dynamic.member_count dyn);
-  Bwc_core.Dynamic.leave dyn 5;
-  Alcotest.(check bool) "left" false (Bwc_core.Dynamic.is_member dyn 5);
+  churn dyn [ Bwc_sim.Churn.Leave 5 ];
+  Alcotest.(check bool) "left" false (is_member dyn 5);
   (* queries keep working and never include non-members *)
   let r = Bwc_core.Dynamic.query dyn ~k:4 ~b:25.0 in
   (match r.Query.cluster with
   | Some cluster ->
       List.iter
         (fun h ->
-          if not (Bwc_core.Dynamic.is_member dyn h) then
-            Alcotest.failf "non-member %d in cluster" h)
+          if not (is_member dyn h) then Alcotest.failf "non-member %d in cluster" h)
         cluster
   | None -> Alcotest.fail "easy query after churn must succeed");
   (* the protocol refuses queries at departed hosts *)
@@ -1174,14 +1190,14 @@ let test_dynamic_maintained_index () =
   let check_tracks () =
     Alcotest.(check (list int)) "index tracks membership"
       (List.sort compare (Bwc_core.Dynamic.members dyn))
-      (Find_cluster.Index.members (Bwc_core.Dynamic.index dyn))
+      (index_members (Bwc_core.Dynamic.index dyn))
   in
   (* materialise the index, then churn: joins and leaves must flow into
      it as deltas *)
   check_tracks ();
-  Bwc_core.Dynamic.join dyn 20;
-  Bwc_core.Dynamic.leave dyn 3;
-  Bwc_core.Dynamic.apply dyn [ Bwc_sim.Churn.Join 21; Bwc_sim.Churn.Leave 7 ];
+  churn dyn [ Bwc_sim.Churn.Join 20 ];
+  churn dyn [ Bwc_sim.Churn.Leave 3 ];
+  churn dyn [ Bwc_sim.Churn.Join 21; Bwc_sim.Churn.Leave 7 ];
   check_tracks ();
   (* the centralized query path answers from the maintained index with a
      cluster that satisfies the converted bandwidth constraint *)
@@ -1192,7 +1208,7 @@ let test_dynamic_maintained_index () =
       Alcotest.(check int) "size" 4 (List.length cluster);
       List.iter
         (fun h ->
-          if not (Bwc_core.Dynamic.is_member dyn h) then
+          if not (is_member dyn h) then
             Alcotest.failf "non-member %d in centralized cluster" h)
         cluster;
       let space = Bwc_dataset.Dataset.metric ds in
@@ -1204,8 +1220,7 @@ let test_dynamic_theorem_3_3_after_churn () =
   (* aggregated CRT entries stay exact on the surviving overlay *)
   let ds = small_dataset ~seed:44 24 in
   let dyn = Bwc_core.Dynamic.create ~seed:45 ds in
-  Bwc_core.Dynamic.apply dyn
-    [ Bwc_sim.Churn.Leave 3; Bwc_sim.Churn.Leave 11; Bwc_sim.Churn.Leave 17 ];
+  churn dyn [ Bwc_sim.Churn.Leave 3; Bwc_sim.Churn.Leave 11; Bwc_sim.Churn.Leave 17 ];
   let protocol = Bwc_core.Dynamic.protocol dyn in
   let ens = Bwc_core.Dynamic.ensemble dyn in
   let anchor_tree = Bwc_predtree.Framework.anchor (Ensemble.primary ens) in
@@ -1299,6 +1314,8 @@ let test_node_search_empty_targets () =
 
 (* ----- System facade ----- *)
 
+let predicted sys i j = Ensemble.predicted (System.framework sys) i j
+
 let test_system_end_to_end () =
   let ds = small_dataset ~seed:23 50 in
   let sys = System.create ~seed:24 ds in
@@ -1318,10 +1335,10 @@ let test_system_end_to_end () =
       Alcotest.(check int) "verify_cluster" !manual
         (List.length (System.verify_cluster sys ~b:30.0 cluster))
   | None -> Alcotest.fail "easy query must succeed");
-  (* predicted_bw is symmetric with infinite diagonal *)
+  (* predictions are symmetric with a zero diagonal *)
   Alcotest.(check bool) "pred symmetric" true
-    (feq (System.predicted_bw sys 1 2) (System.predicted_bw sys 2 1));
-  Alcotest.(check bool) "pred diagonal" true (Float.equal (System.predicted_bw sys 4 4) Float.infinity)
+    (feq (predicted sys 1 2) (predicted sys 2 1));
+  Alcotest.(check bool) "pred diagonal" true (Float.equal (predicted sys 4 4) 0.0)
 
 let test_system_deterministic () =
   let ds = small_dataset ~seed:25 30 in
@@ -1329,7 +1346,7 @@ let test_system_deterministic () =
   let b = System.create ~seed:26 ds in
   for i = 0 to 29 do
     for j = i + 1 to 29 do
-      if not (feq (System.predicted_bw a i j) (System.predicted_bw b i j)) then
+      if not (feq (predicted a i j) (predicted b i j)) then
         Alcotest.fail "same seed, same predictions"
     done
   done

@@ -486,6 +486,89 @@ let test_corrupt_fallback_across_generations () =
     (List.length boot2.Lifecycle.rejected);
   cleanup path
 
+let test_degraded_join_snapshot_boots_warm () =
+  (* a degraded reactor admits a JOIN and snapshots before any round
+     has run: the image must restore, so the next boot is warm *)
+  let path = tmpname "join.bwcsnap" in
+  cleanup path;
+  let config =
+    { Reactor.default_config with Reactor.stabilize_budget = 0; stall_after = 2 }
+  in
+  let r = reactor ~config () in
+  let (_ : Reactor.output list) = Reactor.handle_line r ~now:0 ~conn:0 "LEAVE c1 host=2" in
+  for now = 1 to 4 do
+    let (_ : Reactor.output list) = Reactor.tick r ~now in
+    ()
+  done;
+  Alcotest.(check string) "degraded" "degraded" (Reactor.mode_name (Reactor.mode r));
+  let (_ : Reactor.output list) = Reactor.handle_line r ~now:5 ~conn:0 "JOIN j1 host=15" in
+  check_strings "join acked" [ "ACK j1 class=churn applied=1" ]
+    (render_all (Reactor.tick r ~now:5));
+  check_strings "snapshot requested" [ "SNAPSHOTTING" ]
+    (render_all (Reactor.handle_line r ~now:6 ~conn:0 "SNAPSHOT"));
+  Alcotest.(check bool) "snapshot due" true (Reactor.take_snapshot_request r);
+  (match Lifecycle.snapshot ~path (Reactor.system r) with
+  | Ok (_ : int) -> ()
+  | Error e -> Alcotest.failf "snapshot failed: %s" (Codec.error_to_string e));
+  let boot =
+    Lifecycle.boot ~path ~cold:(fun () -> Alcotest.fail "must not cold start") ()
+  in
+  Alcotest.(check bool) "warm" true boot.Lifecycle.warm;
+  Alcotest.(check (list int)) "joined host restored" (Dynamic.members (Reactor.system r))
+    (Dynamic.members boot.Lifecycle.system);
+  cleanup path
+
+let test_warm_boot_mid_convergence () =
+  (* an image taken mid-convergence (deferred LEAVE, refresh, two rounds)
+     restores dirty nodes and unacked updates: the booted reactor must
+     keep running rounds until it converges, and then answer exactly as
+     the writer does once the writer has converged too *)
+  let d = Dynamic.create ~seed:7 ~initial_members:(range 40) (dataset ~seed:8 48) in
+  let p = Dynamic.protocol d in
+  let (_ : int) = Dynamic.apply_deferred d [ Bwc_sim.Churn.Leave 5 ] in
+  Bwc_core.Protocol.refresh_topology p;
+  for _ = 1 to 2 do
+    let (_ : bool) = Bwc_core.Protocol.run_round p in
+    ()
+  done;
+  let restored =
+    match Snapshot.decode (Snapshot.encode (`Dynamic d)) with
+    | Ok (Snapshot.Restored_dynamic d) -> d
+    | Ok (Snapshot.Restored_system _) -> Alcotest.fail "wrong kind"
+    | Error e -> Alcotest.failf "decode failed: %s" (Codec.error_to_string e)
+  in
+  let r = Reactor.create Reactor.default_config restored in
+  for now = 1 to 50 do
+    let (_ : Reactor.output list) = Reactor.tick r ~now in
+    ()
+  done;
+  Alcotest.(check int) "converged" 0 (Reactor.staleness r ~now:50);
+  let (_ : int) = Bwc_core.Protocol.run_aggregation p in
+  let classes = Bwc_core.Classes.count (Dynamic.classes d) in
+  List.iter
+    (fun at ->
+      List.iter
+        (fun k ->
+          for cls = 0 to classes - 1 do
+            let probe sys = Bwc_core.Protocol.query (Dynamic.protocol sys) ~at ~k ~cls in
+            if probe d <> probe restored then
+              Alcotest.failf "live query at=%d k=%d cls=%d differs from the writer"
+                at k cls
+          done)
+        [ 2; 4; 8 ])
+    (Dynamic.members d);
+  let expected = Dynamic.query d ~k:4 ~b:10.0 in
+  let (_ : Reactor.output list) =
+    Reactor.handle_line r ~now:51 ~conn:0 "QUERY q1 k=4 b=10"
+  in
+  match Reactor.tick r ~now:52 with
+  | [ { Reactor.response = Wire.Answer { id = "q1"; cluster; served = Wire.Live; _ }; _ } ] ->
+      Alcotest.(check (option (list int)))
+        "live answer" expected.Bwc_core.Query.cluster cluster;
+      Alcotest.(check bool) "found" true (cluster <> None)
+  | out ->
+      Alcotest.failf "expected a live answer, got [%s]" (String.concat "; " (render_all out))
+
 let () =
   Alcotest.run "bwc_daemon"
     [
@@ -513,6 +596,10 @@ let () =
         [
           Alcotest.test_case "rotate keeps generations" `Quick
             test_rotate_keeps_generations;
+          Alcotest.test_case "degraded join snapshot boots warm" `Quick
+            test_degraded_join_snapshot_boots_warm;
+          Alcotest.test_case "warm boot mid-convergence converges" `Quick
+            test_warm_boot_mid_convergence;
           Alcotest.test_case "corrupt fallback" `Quick
             test_corrupt_fallback_across_generations;
         ] );

@@ -42,16 +42,6 @@ let test_random_subset () =
   let sub = Dataset.random_subset ds ~rng:(Rng.create 3) 7 in
   Alcotest.(check int) "size" 7 (Dataset.size sub)
 
-let test_complete_submatrix () =
-  (* host 2 is missing most measurements; pruning must drop exactly it *)
-  let raw i j =
-    if i = j then None
-    else if i = 2 || j = 2 then (if (i, j) = (2, 0) then Some 5.0 else None)
-    else Some (float_of_int (i + j + 1))
-  in
-  let ds = Dataset.complete_submatrix ~name:"pruned" raw 5 in
-  Alcotest.(check int) "dropped one host" 4 (Dataset.size ds)
-
 let test_percentile_range () =
   let raw i j = float_of_int (i + j) in
   let ds = Dataset.symmetrize_asymmetric ~name:"p" raw 10 in
@@ -131,18 +121,20 @@ let test_planetlab_deterministic () =
       { Bwc_dataset.Planetlab.hp_target with n = 40 } in
   let b = Bwc_dataset.Planetlab.generate ~rng:(Rng.create 3) ~name:"b"
       { Bwc_dataset.Planetlab.hp_target with n = 40 } in
-  Alcotest.(check (float 1e-9))
-    "same matrix" 0.0
-    (Dmatrix.max_symmetric_error a.Dataset.bw b.Dataset.bw)
+  Alcotest.(check (array (float 1e-9)))
+    "same matrix"
+    (Dmatrix.off_diagonal_values a.Dataset.bw)
+    (Dmatrix.off_diagonal_values b.Dataset.bw)
 
 (* ----- noise ----- *)
 
 let test_noise_zero_sigma_identity () =
   let base = Bwc_dataset.Hier_tree.generate ~rng:(Rng.create 10) ~n:15 ~name:"b" () in
   let noisy = Bwc_dataset.Noise.multiplicative ~rng:(Rng.create 11) ~sigma:0.0 base in
-  Alcotest.(check (float 1e-9))
-    "identity" 0.0
-    (Dmatrix.max_symmetric_error base.Dataset.bw noisy.Dataset.bw)
+  Alcotest.(check (array (float 1e-9)))
+    "identity"
+    (Dmatrix.off_diagonal_values base.Dataset.bw)
+    (Dmatrix.off_diagonal_values noisy.Dataset.bw)
 
 let test_noise_bounded_drift () =
   let base = Bwc_dataset.Hier_tree.generate ~rng:(Rng.create 12) ~n:15 ~name:"b" () in
@@ -264,7 +256,6 @@ let () =
           Alcotest.test_case "symmetrize asymmetric" `Quick test_symmetrize_asymmetric;
           Alcotest.test_case "subset" `Quick test_subset_indices;
           Alcotest.test_case "random subset" `Quick test_random_subset;
-          Alcotest.test_case "complete submatrix" `Quick test_complete_submatrix;
           Alcotest.test_case "percentile range" `Quick test_percentile_range;
           Alcotest.test_case "csv roundtrip" `Quick test_csv_roundtrip;
         ] );

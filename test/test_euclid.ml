@@ -201,9 +201,11 @@ let test_kdiam_index_agrees () =
       let direct = Kdiam.find_cluster ~points ~k ~l in
       let via_index = Kdiam.Index.find index ~k ~l in
       Alcotest.(check bool) "same feasibility" (direct <> None) (via_index <> None);
-      Alcotest.(check int) "same max size"
-        (Kdiam.max_cluster_size ~points ~l)
-        (Kdiam.Index.max_size index ~l))
+      let m = Kdiam.max_cluster_size ~points ~l in
+      Alcotest.(check bool) "index finds the direct max size" true
+        (m < 2 || Kdiam.Index.find index ~k:m ~l <> None);
+      Alcotest.(check bool) "and nothing larger" true
+        (Kdiam.Index.find index ~k:(m + 1) ~l = None))
     [ (3, 1.0); (5, 2.0); (8, 4.0); (12, 12.0) ]
 
 let test_kdiam_pair_query () =

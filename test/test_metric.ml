@@ -18,9 +18,8 @@ let check_float ?eps msg expected actual =
 (* ----- Dmatrix ----- *)
 
 let test_dmatrix_symmetry () =
-  let m = Dmatrix.create 5 ~diag:0.0 ~off:1.0 in
-  Dmatrix.set m 1 3 42.0;
-  check_float "set propagates" 42.0 (Dmatrix.get m 3 1);
+  let m = Dmatrix.of_fun 5 ~diag:0.0 (fun i j -> if i = 1 && j = 3 then 42.0 else 1.0) in
+  check_float "one cell per pair" 42.0 (Dmatrix.get m 3 1);
   check_float "diag" 0.0 (Dmatrix.get m 2 2)
 
 let test_dmatrix_of_fun () =
@@ -57,8 +56,9 @@ let test_dmatrix_iter_pairs () =
 
 let test_dmatrix_diameter () =
   let m = Dmatrix.of_fun 5 ~diag:0.0 (fun i j -> float_of_int (i + j)) in
-  check_float "diam {0,1,4}" 5.0 (Dmatrix.diameter_of m [ 0; 1; 4 ]);
-  check_float "diam singleton" 0.0 (Dmatrix.diameter_of m [ 2 ])
+  let space = Space.of_dmatrix m in
+  check_float "diam {0,1,4}" 5.0 (Space.diameter space [ 0; 1; 4 ]);
+  check_float "diam singleton" 0.0 (Space.diameter space [ 2 ])
 
 let test_dmatrix_map_off_diagonal () =
   let m = Dmatrix.of_fun 3 ~diag:7.0 (fun _ _ -> 2.0) in
@@ -78,10 +78,9 @@ let test_bandwidth_roundtrip () =
     (Float.equal (Bandwidth.of_distance 0.0) Float.infinity)
 
 let test_bandwidth_paper_example () =
-  (* Fig. 1: with C = 100 and d_T(b,c) = 23, BW_T(b,c) ~ 4.3; the text's
-     "77" is 100 - 23 under the linear transform; both are exercised. *)
-  check_float "rational" (100.0 /. 23.0) (Bandwidth.of_distance ~c:100.0 23.0);
-  check_float "linear" 77.0 (Bandwidth.linear_of_distance ~c:100.0 23.0)
+  (* Fig. 1: with C = 100 and d_T(b,c) = 23, BW_T(b,c) ~ 4.3 under the
+     rational transform (the text's "77" is 100 - 23 under the linear one) *)
+  check_float "rational" (100.0 /. 23.0) (Bandwidth.of_distance ~c:100.0 23.0)
 
 let test_bandwidth_rejects () =
   Alcotest.check_raises "zero bw"
@@ -195,8 +194,7 @@ let test_check_valid_metric () =
   Alcotest.(check bool) "is metric" true (Check.is_metric r)
 
 let test_check_triangle_violation () =
-  let m = Dmatrix.create 3 ~diag:0.0 ~off:1.0 in
-  Dmatrix.set m 0 2 5.0;
+  let m = Dmatrix.of_fun 3 ~diag:0.0 (fun i j -> if i = 0 && j = 2 then 5.0 else 1.0) in
   (* d(0,2)=5 > d(0,1)+d(1,2)=2 *)
   let r = Check.verify ~rng:(Rng.create 1) (Space.of_dmatrix m) in
   Alcotest.(check bool) "violations found" true (r.Check.triangle_violations > 0.0)

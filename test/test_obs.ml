@@ -48,15 +48,18 @@ let test_gauge () =
   let g = Registry.gauge r "g" in
   Registry.Gauge.set g 10;
   Registry.Gauge.add g (-3);
-  Alcotest.(check int) "set/add" 7 (Registry.Gauge.value g)
+  Alcotest.(check int) "set/add" 7 (Registry.get (Registry.snapshot r) "g")
 
 let test_histogram_buckets () =
   let r = Registry.create () in
   let h = Registry.histogram r "h" in
   List.iter (Registry.Histogram.observe h) [ 0; 1; 2; 3; 4; 1000 ];
-  Alcotest.(check int) "count" 6 (Registry.Histogram.count h);
-  Alcotest.(check int) "sum" 1010 (Registry.Histogram.sum h);
-  Alcotest.(check int) "max" 1000 (Registry.Histogram.max_value h);
+  (match Registry.find (Registry.snapshot r) "h" with
+  | Some (Registry.Histogram { count; sum; max_value; _ }) ->
+      Alcotest.(check int) "count" 6 count;
+      Alcotest.(check int) "sum" 1010 sum;
+      Alcotest.(check int) "max" 1000 max_value
+  | _ -> Alcotest.fail "histogram sample expected");
   (* bucket 0 = {0}, bucket i >= 1 = [2^(i-1), 2^i) *)
   Alcotest.(check (pair int int)) "bucket 0" (0, 0) (Registry.Histogram.bucket_bounds 0);
   Alcotest.(check (pair int int)) "bucket 1" (1, 1) (Registry.Histogram.bucket_bounds 1);
@@ -121,7 +124,7 @@ let test_diff_and_reset () =
   | _ -> Alcotest.fail "histogram sample expected");
   Registry.reset r;
   Alcotest.(check int) "reset zeroes counters" 0 (Registry.Counter.value c);
-  Alcotest.(check int) "handles stay valid" 0 (Registry.Histogram.count h);
+  Alcotest.(check int) "handles stay valid" 0 (Registry.get (Registry.snapshot r) "h");
   Registry.Counter.incr c;
   Alcotest.(check int) "and keep working" 1 (Registry.Counter.value c)
 
@@ -220,9 +223,7 @@ let test_trace_order_and_jsonl () =
      {\"ev\":\"send\",\"round\":1,\"msg\":0,\"kind\":\"aggregate\",\"bytes\":96,\"lc\":1,\"src\":0,\"dst\":2}\n\
      {\"ev\":\"drop\",\"round\":1,\"msg\":0,\"kind\":\"aggregate\",\"bytes\":96,\"src\":0,\"dst\":2,\"cause\":\"fault_loss\"}\n\
      {\"ev\":\"quiesce\",\"round\":2}\n"
-    (Trace.to_jsonl tr);
-  Trace.clear tr;
-  Alcotest.(check int) "cleared" 0 (List.length (Trace.events tr))
+    (Trace.to_jsonl tr)
 
 (* every byte class the string escaper distinguishes: quote, backslash,
    newline, tab, CR and a bare control character *)
@@ -338,15 +339,18 @@ let engine_scenario () =
   let e = Engine.create ~faults ~metrics ~trace ~rng:(Rng.create 43) 8 in
   let source = Rng.create 44 in
   let budget = ref 40 in
-  let (_ : [ `Stable of int | `Max_rounds ]) =
-    Engine.run_until_stable e ~max_rounds:100 ~step:(fun id _ ->
-        if !budget > 0 && id = 0 then begin
-          decr budget;
-          Engine.send e ~kind:Trace.Aggregate ~bytes:8 ~src:0 ~dst:(1 + Rng.int source 7) ();
-          true
-        end
-        else false)
+  let step id _ =
+    if !budget > 0 && id = 0 then begin
+      decr budget;
+      Engine.send e ~kind:Trace.Aggregate ~bytes:8 ~src:0 ~dst:(1 + Rng.int source 7) ();
+      true
+    end
+    else false
   in
+  let rounds = ref 0 in
+  while !rounds < 100 && Engine.run_round e ~step do
+    incr rounds
+  done;
   (Trace.to_jsonl trace, Registry.to_json (Registry.snapshot metrics))
 
 let test_same_seed_identical_trace () =
@@ -530,12 +534,15 @@ let test_span () =
   let v = Span.time s (fun () -> 41 + 1) in
   Alcotest.(check int) "passes result through" 42 v;
   (try Span.time s (fun () -> raise Exit) with Exit -> ());
-  Alcotest.(check int) "counts timings, also on exception" 2 (Span.count s);
-  Alcotest.(check bool) "total >= max" true (Span.total_s s >= Span.max_s s);
-  Alcotest.(check bool) "mean <= max" true (Span.mean_s s <= Span.max_s s);
-  Span.reset s;
-  Alcotest.(check int) "reset" 0 (Span.count s);
-  Alcotest.(check (float 0.0)) "reset total" 0.0 (Span.total_s s)
+  let shown = Format.asprintf "%a" Span.pp s in
+  let has sub =
+    let n = String.length shown and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub shown i m = sub || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "counts timings, also on exception" true (has "over 2 runs");
+  Alcotest.(check bool) "mean is half the total" true
+    (Float.abs ((2.0 *. Span.mean_s s) -. Span.total_s s) <= 1e-12)
 
 let () =
   Alcotest.run "bwc_obs"

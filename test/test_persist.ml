@@ -128,7 +128,9 @@ let test_snapshot_future_is_deterministic () =
 
 let test_snapshot_dynamic_roundtrip () =
   let dyn = Dynamic.create ~seed:5 (dataset ~seed:6 20) in
-  Dynamic.leave dyn (List.hd (Dynamic.members dyn));
+  let first = List.hd (Dynamic.members dyn) in
+  ignore (Dynamic.apply_deferred dyn [ Bwc_sim.Churn.Leave first ] : int);
+  ignore (Protocol.run_aggregation (Dynamic.protocol dyn) : int);
   ignore (Dynamic.query_centralized dyn ~k:3 ~b:30.0 : int list option);
   let bytes = Snapshot.encode (`Dynamic dyn) in
   let restored =
@@ -143,9 +145,31 @@ let test_snapshot_dynamic_roundtrip () =
   Alcotest.(check bool) "re-snapshot byte-identical" true (String.equal bytes again);
   (* the restored eviction hook still maintains the restored index *)
   let victim = List.hd (Dynamic.members restored) in
-  Dynamic.leave restored victim;
+  ignore (Dynamic.apply_deferred restored [ Bwc_sim.Churn.Leave victim ] : int);
   Alcotest.(check bool) "index tracked the leave" false
     (Bwc_core.Find_cluster.Index.is_member (Dynamic.index restored) victim)
+
+let test_snapshot_after_deferred_churn () =
+  (* an image taken after a deferred LEAVE or JOIN, before any round
+     has refreshed the protocol's topology, must restore: the dump
+     refreshes a stale topology before it reads node state *)
+  let dyn =
+    Dynamic.create ~seed:1 ~initial_members:(List.init 12 Fun.id) (dataset ~seed:1 16)
+  in
+  let restores label =
+    match Snapshot.decode (Snapshot.encode (`Dynamic dyn)) with
+    | Ok (Snapshot.Restored_dynamic d) ->
+        Alcotest.(check (list int))
+          (label ^ ": members") (Dynamic.members dyn) (Dynamic.members d)
+    | Ok (Snapshot.Restored_system _) -> Alcotest.fail "wrong kind"
+    | Error e -> Alcotest.failf "%s: decode failed: %s" label (Codec.error_to_string e)
+  in
+  Alcotest.(check int) "leave applied" 1
+    (Dynamic.apply_deferred dyn [ Bwc_sim.Churn.Leave 3 ]);
+  restores "after leave";
+  Alcotest.(check int) "join applied" 1
+    (Dynamic.apply_deferred dyn [ Bwc_sim.Churn.Join 14 ]);
+  restores "after join"
 
 let test_snapshot_mid_convergence () =
   (* crash in the middle of aggregation: in-flight messages die with the
@@ -181,6 +205,9 @@ let test_snapshot_detector_mid_lease () =
   done;
   let restored = decode_system (Snapshot.encode (`System sys)) in
   let pr = System.protocol restored in
+  (* a running lease is work still to do: a reactor booted from this
+     image must start dirty and keep running rounds *)
+  Alcotest.(check bool) "restored mid-lease is not quiescent" false (Protocol.quiescent pr);
   (* the crashed-but-not-yet-evicted member restores crashed: a query
      submitted there is an immediate miss *)
   let q = Protocol.query pr ~at:victim ~k:2 ~cls:0 in
@@ -190,6 +217,7 @@ let test_snapshot_detector_mid_lease () =
   let (_ : int) = Protocol.run_aggregation ~max_rounds:400 pr in
   Alcotest.(check bool) "victim evicted after restore" false
     (Ensemble.is_member (System.framework restored) victim);
+  Alcotest.(check bool) "quiescent once evicted" true (Protocol.quiescent pr);
   Alcotest.(check bool) "original also evicts" true
     (let (_ : int) = Protocol.run_aggregation ~max_rounds:400 p in
      not (Ensemble.is_member (System.framework sys) victim))
@@ -274,7 +302,7 @@ let test_save_load_file () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       let sys = system () in
-      Snapshot.save (`System sys) path;
+      Codec.write_file path (Snapshot.encode (`System sys));
       let restored = match Snapshot.load path with
         | Ok r -> unwrap_system r
         | Error e -> Alcotest.failf "load: %s" (Codec.error_to_string e)
@@ -449,6 +477,7 @@ let () =
           Alcotest.test_case "deterministic future" `Quick
             test_snapshot_future_is_deterministic;
           Alcotest.test_case "dynamic round trip" `Quick test_snapshot_dynamic_roundtrip;
+          Alcotest.test_case "after deferred churn" `Quick test_snapshot_after_deferred_churn;
           Alcotest.test_case "mid-convergence crash" `Quick test_snapshot_mid_convergence;
           Alcotest.test_case "detector mid-lease" `Quick test_snapshot_detector_mid_lease;
           Alcotest.test_case "save/load file" `Quick test_save_load_file;

@@ -8,6 +8,31 @@ module Engine = Bwc_sim.Engine
 module Churn = Bwc_sim.Churn
 module Fault = Bwc_sim.Fault
 module Trace = Bwc_obs.Trace
+module Registry = Bwc_obs.Registry
+
+(* the engine's and the fault plan's counters, read through their
+   registries *)
+let count metrics name = Registry.get (Registry.snapshot metrics) name
+let drops e = Registry.sum_by_name (Registry.snapshot (Engine.metrics e)) "engine.drops"
+let drops_by e cause =
+  Registry.get (Registry.snapshot (Engine.metrics e))
+    ~labels:[ ("cause", Trace.cause_to_string cause) ]
+    "engine.drops"
+
+(* rounds until the engine reports no activity *)
+let until_stable e ~max_rounds ~step =
+  let rec loop r =
+    if r >= max_rounds then `Max_rounds
+    else if Engine.run_round e ~step then loop (r + 1)
+    else `Stable (r + 1)
+  in
+  loop 0
+
+(* every event of a schedule, in round order *)
+let all_events c ~rounds =
+  List.concat_map
+    (fun r -> List.map (fun ev -> (r, ev)) (Churn.events_at c r))
+    (List.init rounds Fun.id)
 
 (* ----- Event_queue ----- *)
 
@@ -98,27 +123,28 @@ let test_engine_inactive_nodes_drop () =
   Engine.send e ~kind:Trace.Aggregate ~bytes:8 ~src:0 ~dst:2 "lost";
   (* the sender cannot know the destination is down: the message is
      enqueued normally and only dropped at delivery time *)
-  Alcotest.(check int) "not dropped at send" 0 (Engine.dropped e);
+  Alcotest.(check int) "not dropped at send" 0 (drops e);
   let stepped = ref [] in
   let (_ : bool) =
     Engine.run_round e ~step:(fun id _ ->
         stepped := id :: !stepped;
         false)
   in
-  Alcotest.(check int) "dropped at delivery" 1 (Engine.dropped e);
+  Alcotest.(check int) "dropped at delivery" 1 (drops e);
   Alcotest.(check int) "attributed to the dead destination" 1
-    (Engine.dropped_by e Engine.Dead_dst);
+    (drops_by e Engine.Dead_dst);
   Alcotest.(check int) "no other causes" 0
-    (Engine.dropped_by e Engine.Fault_loss + Engine.dropped_by e Engine.Purge);
+    (drops_by e Engine.Fault_loss + drops_by e Engine.Purge);
   Alcotest.(check bool) "inactive not stepped" false (List.mem 2 !stepped);
-  Alcotest.(check int) "active count" 2 (Engine.active_count e)
+  Alcotest.(check (list bool)) "active nodes" [ true; true; false ]
+    (List.map (Engine.is_active e) [ 0; 1; 2 ])
 
 let test_engine_until_stable () =
   (* a protocol that floods a token at most 5 hops: must stabilise *)
   let e = Engine.create ~rng:(Rng.create 7) 4 in
   Engine.send e ~kind:Trace.Aggregate ~bytes:8 ~src:0 ~dst:1 5;
   let result =
-    Engine.run_until_stable e ~max_rounds:50 ~step:(fun id inbox ->
+    until_stable e ~max_rounds:50 ~step:(fun id inbox ->
         List.iter
           (fun (_, ttl) -> if ttl > 0 then Engine.send e ~kind:Trace.Aggregate ~bytes:8 ~src:id ~dst:((id + 1) mod 4) (ttl - 1))
           inbox;
@@ -133,7 +159,7 @@ let test_engine_change_keeps_running () =
   let e = Engine.create ~rng:(Rng.create 8) 2 in
   let countdown = ref 3 in
   let result =
-    Engine.run_until_stable e ~max_rounds:50 ~step:(fun id _ ->
+    until_stable e ~max_rounds:50 ~step:(fun id _ ->
         if id = 0 && !countdown > 0 then begin
           decr countdown;
           true
@@ -162,8 +188,8 @@ let test_engine_reactivation () =
   in
   Alcotest.(check (list string)) "crash loses only in-flight traffic"
     [ "in transit"; "delivered" ] !got;
-  Alcotest.(check int) "purge counted" 1 (Engine.dropped e);
-  Alcotest.(check int) "attributed to the purge" 1 (Engine.dropped_by e Engine.Purge)
+  Alcotest.(check int) "purge counted" 1 (drops e);
+  Alcotest.(check int) "attributed to the purge" 1 (drops_by e Engine.Purge)
 
 let test_engine_delayed_delivery () =
   (* a 3-round edge delivers exactly at +3 rounds, FIFO *)
@@ -196,7 +222,7 @@ let test_engine_message_conservation () =
   let received = ref 0 in
   let to_send = ref 60 in
   let result =
-    Engine.run_until_stable e ~max_rounds:200 ~step:(fun id inbox ->
+    until_stable e ~max_rounds:200 ~step:(fun id inbox ->
         received := !received + List.length inbox;
         if !to_send > 0 && id = 0 then begin
           decr to_send;
@@ -208,14 +234,17 @@ let test_engine_message_conservation () =
   (match result with
   | `Stable _ -> ()
   | `Max_rounds -> Alcotest.fail "must quiesce");
-  Alcotest.(check int) "all delivered" (Engine.messages_sent e - Engine.dropped e)
+  Alcotest.(check int) "all delivered" (Engine.messages_sent e - drops e)
     !received;
-  Alcotest.(check int) "delivered counter agrees" (Engine.delivered e) !received
+  Alcotest.(check int) "delivered counter agrees"
+    (count (Engine.metrics e) "engine.msgs_delivered")
+    !received
 
 (* ----- Fault injection ----- *)
 
 let test_fault_drop_all () =
-  let faults = Fault.create ~drop:1.0 ~rng:(Rng.create 20) () in
+  let m = Registry.create () in
+  let faults = Fault.create ~drop:1.0 ~metrics:m ~rng:(Rng.create 20) () in
   let e = Engine.create ~faults ~rng:(Rng.create 21) 2 in
   Engine.send e ~kind:Trace.Aggregate ~bytes:8 ~src:0 ~dst:1 "a";
   Engine.send e ~kind:Trace.Aggregate ~bytes:8 ~src:0 ~dst:1 "b";
@@ -229,14 +258,15 @@ let test_fault_drop_all () =
     ()
   done;
   Alcotest.(check int) "nothing delivered" 0 !got;
-  Alcotest.(check int) "losses counted by the plan" 2 (Fault.lost faults);
-  Alcotest.(check int) "losses counted by the engine" 2 (Engine.dropped e);
+  Alcotest.(check int) "losses counted by the plan" 2 (count m "fault.lost");
+  Alcotest.(check int) "losses counted by the engine" 2 (drops e);
   Alcotest.(check int) "attributed to fault loss" 2
-    (Engine.dropped_by e Engine.Fault_loss);
+    (drops_by e Engine.Fault_loss);
   Alcotest.(check int) "sends still counted" 2 (Engine.messages_sent e)
 
 let test_fault_duplicate_all () =
-  let faults = Fault.create ~duplicate:1.0 ~rng:(Rng.create 22) () in
+  let m = Registry.create () in
+  let faults = Fault.create ~duplicate:1.0 ~metrics:m ~rng:(Rng.create 22) () in
   let e = Engine.create ~faults ~rng:(Rng.create 23) 2 in
   Engine.send e ~kind:Trace.Aggregate ~bytes:8 ~src:0 ~dst:1 "x";
   let got = ref 0 in
@@ -249,10 +279,11 @@ let test_fault_duplicate_all () =
     ()
   done;
   Alcotest.(check int) "delivered twice" 2 !got;
-  Alcotest.(check int) "duplication counted" 1 (Fault.duplicated faults)
+  Alcotest.(check int) "duplication counted" 1 (count m "fault.duplicated")
 
 let test_fault_jitter_reorders () =
-  let faults = Fault.create ~jitter:3 ~rng:(Rng.create 24) () in
+  let m = Registry.create () in
+  let faults = Fault.create ~jitter:3 ~metrics:m ~rng:(Rng.create 24) () in
   let e = Engine.create ~faults ~rng:(Rng.create 25) 2 in
   for i = 1 to 20 do
     Engine.send e ~kind:Trace.Aggregate ~bytes:8 ~src:0 ~dst:1 i
@@ -269,14 +300,17 @@ let test_fault_jitter_reorders () =
     ()
   done;
   Alcotest.(check int) "all delivered eventually" 20 !got;
-  Alcotest.(check bool) "some messages jittered" true (Fault.delayed faults > 0);
+  Alcotest.(check bool) "some messages jittered" true (count m "fault.delayed" > 0);
   Alcotest.(check bool) "arrivals spread over several rounds" true (!rounds > 1);
-  Alcotest.(check int) "none lost" 0 (Engine.dropped e)
+  Alcotest.(check int) "none lost" 0 (drops e)
 
 let test_fault_partition_window () =
   (* every link between {1} and the rest is cut during rounds [0, 2) *)
-  let p = Fault.isolate ~starts:0 ~heals:2 ~group:[ 1 ] in
-  let faults = Fault.create ~partitions:[ p ] ~rng:(Rng.create 26) () in
+  let p =
+    { Fault.starts = 0; heals = 2; severs = (fun ~src ~dst -> (src = 1) <> (dst = 1)) }
+  in
+  let m = Registry.create () in
+  let faults = Fault.create ~partitions:[ p ] ~metrics:m ~rng:(Rng.create 26) () in
   let e = Engine.create ~faults ~rng:(Rng.create 27) 2 in
   let got = ref [] in
   let step id inbox =
@@ -291,9 +325,9 @@ let test_fault_partition_window () =
   Engine.send e ~kind:Trace.Aggregate ~bytes:8 ~src:0 ~dst:1 "healed";
   let (_ : bool) = Engine.run_round e ~step in
   Alcotest.(check (list string)) "only post-heal traffic" [ "healed" ] !got;
-  Alcotest.(check int) "partition drops counted" 2 (Fault.partition_dropped faults);
+  Alcotest.(check int) "partition drops counted" 2 (count m "fault.partition_dropped");
   Alcotest.(check int) "attributed to the partition" 2
-    (Engine.dropped_by e Engine.Partition);
+    (drops_by e Engine.Partition);
   Alcotest.(check bool) "link cut during the window" true
     (Fault.partitioned faults ~round:1 ~src:0 ~dst:1);
   Alcotest.(check bool) "link restored after the window" false
@@ -321,17 +355,18 @@ let test_fault_crash_schedule () =
   Alcotest.(check bool) "restarted" true (Engine.is_active e 1);
   Alcotest.(check (list string)) "traffic due at restart is received"
     [ "arrives at restart" ] !got;
-  Alcotest.(check int) "crash losses counted" 2 (Engine.dropped e);
+  Alcotest.(check int) "crash losses counted" 2 (drops e);
   (* the copy in flight at the crash is purged; the copy sent while the
      node was down is dropped at delivery time *)
-  Alcotest.(check int) "in-flight copy purged" 1 (Engine.dropped_by e Engine.Purge);
+  Alcotest.(check int) "in-flight copy purged" 1 (drops_by e Engine.Purge);
   Alcotest.(check int) "while-down copy dropped at delivery" 1
-    (Engine.dropped_by e Engine.Dead_dst)
+    (drops_by e Engine.Dead_dst)
 
 let test_fault_same_seed_deterministic () =
   let run seed =
+    let m = Registry.create () in
     let faults =
-      Fault.create ~drop:0.3 ~duplicate:0.2 ~jitter:2 ~rng:(Rng.create seed) ()
+      Fault.create ~drop:0.3 ~duplicate:0.2 ~jitter:2 ~metrics:m ~rng:(Rng.create seed) ()
     in
     let e = Engine.create ~faults ~rng:(Rng.create 99) 4 in
     let got = ref [] in
@@ -346,7 +381,7 @@ let test_fault_same_seed_deterministic () =
       in
       ()
     done;
-    (!got, Fault.lost faults, Fault.duplicated faults, Fault.delayed faults)
+    (!got, count m "fault.lost", count m "fault.duplicated", count m "fault.delayed")
   in
   let a = run 42 and b = run 42 and c = run 43 in
   Alcotest.(check bool) "same seed, same trace" true (a = b);
@@ -366,7 +401,7 @@ let test_fault_none_is_transparent () =
     !got
   in
   Alcotest.(check bool) "bit-identical to no plan" true (trace e = trace e');
-  Alcotest.(check int) "no losses" 0 (Fault.lost Fault.none)
+  Alcotest.(check int) "no losses" 0 (drops e)
 
 let test_fault_rejects_bad_config () =
   Alcotest.check_raises "drop > 1"
@@ -380,7 +415,7 @@ let test_churn_scripted () =
   Alcotest.(check int) "round 1" 1 (List.length (Churn.events_at c 1));
   Alcotest.(check int) "round 3" 2 (List.length (Churn.events_at c 3));
   Alcotest.(check int) "round 2" 0 (List.length (Churn.events_at c 2));
-  let all = Churn.all_events c in
+  let all = all_events c ~rounds:4 in
   Alcotest.(check int) "total" 3 (List.length all);
   (match all with
   | (r, _) :: _ -> Alcotest.(check int) "sorted" 1 r
@@ -403,7 +438,7 @@ let test_churn_random_consistent () =
       | Churn.Join i ->
           if up.(i) then Alcotest.fail "join while up";
           up.(i) <- true)
-    (Churn.all_events c)
+    (all_events c ~rounds:50)
 
 let test_churn_root_protected () =
   let c = Churn.random ~rng:(Rng.create 10) ~n:10 ~rounds:200 ~leave_prob:0.5 ~rejoin_prob:0.5 in
@@ -412,7 +447,7 @@ let test_churn_root_protected () =
       match ev with
       | Churn.Leave 0 | Churn.Join 0 -> Alcotest.fail "root must not churn"
       | Churn.Leave _ | Churn.Join _ -> ())
-    (Churn.all_events c)
+    (all_events c ~rounds:200)
 
 let () =
   Alcotest.run "bwc_sim"
