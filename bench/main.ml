@@ -20,6 +20,11 @@ let section title =
 let write_file path contents =
   Out_channel.with_open_text path (fun oc -> output_string oc contents)
 
+(* the experiments' acceptance gates: any failure line fails the bench *)
+let enforce tag failures =
+  List.iter (fun m -> Format.eprintf "%s: %s@." tag m) failures;
+  if failures <> [] then exit 1
+
 let hp_dataset ~seed =
   if full then Bwc_dataset.Planetlab.hp_like ~seed
   else
@@ -45,9 +50,7 @@ let fig3 () =
   List.iter
     (fun ds ->
       let out = Bwc_experiments.Relerr.run ~rounds ~seed:1 ds in
-      Bwc_experiments.Relerr.print ~resolution:10 out;
-      Format.printf "median gap (eucl - tree): %.4f@."
-        (Bwc_experiments.Relerr.median_gap out))
+      Bwc_experiments.Relerr.print out)
     [ hp_dataset ~seed:11; umd_dataset ~seed:12 ]
 
 let fig4 () =
@@ -127,7 +130,8 @@ let ablations () =
       ~queries:(if full then 200 else 60)
       ~seed:10 small
   in
-  Bwc_experiments.Robustness.print out
+  Bwc_experiments.Robustness.print out;
+  enforce "E12" (Bwc_experiments.Robustness.gate out)
 
 let restart () =
   section "Crash-consistent restart: warm restore vs cold reconvergence  [E15]";
@@ -142,7 +146,8 @@ let restart () =
       ~queries:(if full then 200 else 60)
       ~seed:3 small
   in
-  Bwc_experiments.Robustness.print_restart out
+  Bwc_experiments.Robustness.print_restart out;
+  enforce "E15" (Bwc_experiments.Robustness.restart_gate out)
 
 let index_churn () =
   section "Incremental index maintenance under churn  [E14]";
@@ -155,13 +160,7 @@ let index_churn () =
   Bwc_experiments.Scalability.print_churn rows;
   write_file "BENCH_index.json" (Bwc_experiments.Scalability.churn_to_json rows ~seed:1);
   Format.printf "churn sweep written to BENCH_index.json@.";
-  let diverged = Bwc_experiments.Scalability.churn_divergence rows in
-  if diverged > 0 then begin
-    Format.eprintf
-      "E14: %d divergences (failed find witnesses or incremental-vs-rebuilt disagreements)@."
-      diverged;
-    exit 1
-  end
+  enforce "E14" (Bwc_experiments.Scalability.churn_gate rows)
 
 (* BENCH_trace_overhead.json: one row per sink arm, each
    (name, (best_s, mean_s, engine_sends, events_emitted, events_retained)) *)
@@ -382,11 +381,7 @@ let daemon () =
   Bwc_experiments.Overload.print out;
   write_file "BENCH_daemon.json" (Bwc_experiments.Overload.to_json out);
   Format.printf "overload sweep written to BENCH_daemon.json@.";
-  match Bwc_experiments.Overload.gate out with
-  | [] -> ()
-  | failures ->
-      List.iter (fun m -> Format.eprintf "E17: %s@." m) failures;
-      exit 1
+  enforce "E17" (Bwc_experiments.Overload.gate out)
 
 (* Wall-clock phase profile via Bwc_obs.Span — the opt-in timing layer
    that is deliberately kept out of registries and traces (bench output

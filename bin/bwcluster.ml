@@ -56,15 +56,8 @@ let write_with save path =
 let write_string contents path =
   Out_channel.with_open_text path (fun oc -> output_string oc contents)
 
-(* [--csv]/[--json]: write when the option is given and say so *)
-let maybe_write what path save =
-  Option.iter
-    (fun path ->
-      write_with save path;
-      Format.printf "%s written to %s@." what path)
-    path
-
-let maybe_csv csv save output = maybe_write "csv" csv (save output)
+let json_arg doc =
+  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
 let dataset_arg =
   let doc =
@@ -83,17 +76,29 @@ let load_dataset ~seed name =
         Format.eprintf "bwcluster: cannot read dataset: %s@." msg;
         exit exit_io)
 
-(* [--hosts N]: values below 2 are rejected while parsing, so every
-   command gets Cmdliner's usage error (exit 124) *)
-let hosts_arg =
+(* A numeric converter that rejects values outside [ok] while parsing,
+   so every command gets Cmdliner's usage error (exit 124) before it
+   does any work *)
+let checked conv ok ~must =
   let parse s =
-    match Arg.conv_parser Arg.int s with
-    | Ok h when h < 2 -> Error (`Msg "must be at least 2")
+    match Arg.conv_parser conv s with
+    | Ok v when not (ok v) -> Error (`Msg ("must be " ^ must))
     | r -> r
   in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let at_least n =
+  checked Arg.int (fun v -> v >= n) ~must:(Printf.sprintf "at least %d" n)
+
+let positive = checked Arg.float (fun v -> v > 0.0) ~must:"positive"
+
+let probability =
+  checked Arg.float (fun p -> p >= 0.0 && p <= 1.0) ~must:"in [0,1]"
+
+let hosts_arg =
   Arg.(
     value
-    & opt (some (conv (parse, Format.pp_print_int))) None
+    & opt (some (at_least 2)) None
     & info [ "hosts" ] ~docv:"N"
         ~doc:"Restrict the dataset to a random N-host subset, N >= 2 (quick runs).")
 
@@ -103,111 +108,108 @@ let subset_hosts ~seed hosts ds =
       Bwc_dataset.Dataset.random_subset ds ~rng:(Bwc_stats.Rng.create seed) h
   | _ -> ds
 
+(* ----- the experiment runner ----- *)
+
+(* Every experiment subcommand runs through [experiment]: [term] parses
+   the subcommand's own flags into a function of the common options
+   --seed, --full and --csv ([~full:false] and [~csv:false] leave them
+   out) and of the dataset.  The dataset is loaded from --dataset (from
+   its default when [~dataset:false]) the first time the experiment
+   forces it, and cut to --hosts when [~hosts:true]; without --hosts,
+   [default_hosts full] caps its size. *)
+let experiment ?(dataset = true) ?(full = true) ?(csv = true) ?(hosts = false)
+    ?default_hosts name ~doc term =
+  let flag on arg default = if on then arg else Term.const default in
+  let run f seed full csv name hosts =
+    let hosts =
+      match (hosts, default_hosts) with
+      | None, Some cap -> Some (cap full)
+      | hosts, _ -> hosts
+    in
+    f ~seed ~full ~csv (lazy (subset_hosts ~seed hosts (load_dataset ~seed name)))
+  in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(
+      const run $ term $ seed_arg $ flag full full_arg false $ flag csv csv_arg None
+      $ flag dataset dataset_arg "hp-small"
+      $ flag hosts hosts_arg None)
+
+(* The end of every experiment: print the text report, write the files
+   the output options name (in order, saying so), and exit [exit_gate]
+   when the gate lists failures, one stderr line each under [gate]'s
+   name *)
+let report ?(files = []) ?gate print out =
+  print out;
+  List.iter
+    (fun (what, path, save) ->
+      Option.iter
+        (fun path ->
+          write_with (save out) path;
+          Format.printf "%s written to %s@." what path)
+        path)
+    files;
+  Option.iter
+    (fun (name, gate) ->
+      let failures = gate out in
+      List.iter (fun m -> Format.eprintf "%s: %s@." name m) failures;
+      if failures <> [] then exit exit_gate)
+    gate
+
+let csv_out path save = ("csv", path, save)
+let json_out path to_json = ("json", path, fun out -> write_string (to_json out))
+
+module E = Bwc_experiments
+
 (* ----- accuracy (E1) ----- *)
 
-let accuracy seed full dataset csv =
-  let ds = load_dataset ~seed dataset in
-  let rounds, queries = if full then (10, 1000) else (3, 250) in
-  let out = Bwc_experiments.Accuracy.run ~rounds ~queries_per_round:queries ~seed ds in
-  Bwc_experiments.Accuracy.print out;
-  maybe_csv csv Bwc_experiments.Accuracy.save_csv out
-
 let accuracy_cmd =
-  let doc = "Fig. 3(a,c): WPR vs bandwidth constraint for the three approaches." in
-  Cmd.v
-    (Cmd.info "accuracy" ~doc)
-    Term.(const accuracy $ seed_arg $ full_arg $ dataset_arg $ csv_arg)
+  experiment "accuracy"
+    ~doc:"Fig. 3(a,c): WPR vs bandwidth constraint for the three approaches."
+    (Term.const (fun ~seed ~full ~csv ds ->
+         let rounds, queries = if full then (10, 1000) else (3, 250) in
+         E.Accuracy.run ~rounds ~queries_per_round:queries ~seed (Lazy.force ds)
+         |> report E.Accuracy.print ~files:[ csv_out csv E.Accuracy.save_csv ]))
 
 (* ----- relative error CDF (E2) ----- *)
 
-let relerr seed full dataset csv =
-  let ds = load_dataset ~seed dataset in
-  let rounds = if full then 10 else 3 in
-  let out = Bwc_experiments.Relerr.run ~rounds ~seed ds in
-  Bwc_experiments.Relerr.print ~resolution:10 out;
-  Format.printf "median gap (eucl - tree): %.4f@." (Bwc_experiments.Relerr.median_gap out);
-  maybe_csv csv (fun o p -> Bwc_experiments.Relerr.save_csv o p) out
-
 let relerr_cmd =
-  let doc = "Fig. 3(b,d): CDF of relative bandwidth-prediction errors." in
-  Cmd.v (Cmd.info "relerr" ~doc)
-    Term.(const relerr $ seed_arg $ full_arg $ dataset_arg $ csv_arg)
+  experiment "relerr" ~doc:"Fig. 3(b,d): CDF of relative bandwidth-prediction errors."
+    (Term.const (fun ~seed ~full ~csv ds ->
+         E.Relerr.run ~rounds:(if full then 10 else 3) ~seed (Lazy.force ds)
+         |> report E.Relerr.print ~files:[ csv_out csv E.Relerr.save_csv ]))
 
 (* ----- tradeoff (E3 + E7) ----- *)
 
-let tradeoff seed full dataset ablate csv =
-  let ds = load_dataset ~seed dataset in
-  let rounds, per_k = if full then (20, 5) else (4, 4) in
-  if ablate then begin
-    let rows = Bwc_experiments.Tradeoff.ncut_ablation ~rounds ~per_k ~seed ds in
-    Bwc_experiments.Tradeoff.print_ablation ~dataset:ds.Bwc_dataset.Dataset.name rows
-  end
-  else begin
-    let out = Bwc_experiments.Tradeoff.run ~rounds ~per_k ~seed ds in
-    Bwc_experiments.Tradeoff.print out;
-    maybe_csv csv Bwc_experiments.Tradeoff.save_csv out
-  end
-
 let tradeoff_cmd =
-  let doc = "Fig. 4: return rate vs k, centralized vs decentralized." in
   let ablate =
     Arg.(value & flag & info [ "ablate-ncut" ] ~doc:"Sweep n_cut instead (E7 ablation).")
   in
-  Cmd.v
-    (Cmd.info "tradeoff" ~doc)
-    Term.(const tradeoff $ seed_arg $ full_arg $ dataset_arg $ ablate $ csv_arg)
+  experiment "tradeoff" ~doc:"Fig. 4: return rate vs k, centralized vs decentralized."
+    Term.(
+      const (fun ablate ~seed ~full ~csv ds ->
+          let ds = Lazy.force ds in
+          let rounds, per_k = if full then (20, 5) else (4, 4) in
+          if ablate then
+            E.Tradeoff.ncut_ablation ~rounds ~per_k ~seed ds
+            |> report (E.Tradeoff.print_ablation ~dataset:ds.Bwc_dataset.Dataset.name)
+          else
+            E.Tradeoff.run ~rounds ~per_k ~seed ds
+            |> report E.Tradeoff.print ~files:[ csv_out csv E.Tradeoff.save_csv ])
+      $ ablate)
 
 (* ----- treeness (E4) ----- *)
 
-let treeness seed full csv =
-  let rounds, queries = if full then (10, 2000) else (2, 300) in
-  let out =
-    Bwc_experiments.Treeness.run ~n:100 ~rounds ~queries_per_round:queries ~seed ()
-  in
-  Bwc_experiments.Treeness.print out;
-  maybe_csv csv Bwc_experiments.Treeness.save_csv out
-
 let treeness_cmd =
-  let doc = "Fig. 5: effect of dataset treeness (epsilon) on WPR." in
-  Cmd.v (Cmd.info "treeness" ~doc) Term.(const treeness $ seed_arg $ full_arg $ csv_arg)
+  experiment "treeness" ~dataset:false
+    ~doc:"Fig. 5: effect of dataset treeness (epsilon) on WPR."
+    (Term.const (fun ~seed ~full ~csv _ ->
+         let rounds, queries = if full then (10, 2000) else (2, 300) in
+         E.Treeness.run ~n:100 ~rounds ~queries_per_round:queries ~seed ()
+         |> report E.Treeness.print ~files:[ csv_out csv E.Treeness.save_csv ]))
 
-(* ----- scalability (E5) ----- *)
-
-let scalability seed full dataset churn json csv =
-  if churn then begin
-    let sizes = if full then [ 64; 128; 256; 384; 1024 ] else [ 64; 128; 256 ] in
-    let rows =
-      Bwc_experiments.Scalability.churn_sweep ~sizes
-        ~events_per_size:(if full then 32 else 16)
-        ~seed ()
-    in
-    Bwc_experiments.Scalability.print_churn rows;
-    maybe_write "json" json
-      (write_string (Bwc_experiments.Scalability.churn_to_json rows ~seed));
-    let diverged = Bwc_experiments.Scalability.churn_divergence rows in
-    if diverged > 0 then begin
-      Format.eprintf "churn sweep: %d divergences or failed witnesses@." diverged;
-      exit exit_gate
-    end
-  end
-  else begin
-    let ds = load_dataset ~seed dataset in
-    let sizes, subsets, queries, rounds =
-      if full then ([ 50; 100; 150; 200; 250; 300 ], 10, 1000, 10)
-      else ([ 40; 80; 120 ], 2, 80, 1)
-    in
-    let n = Bwc_dataset.Dataset.size ds in
-    let sizes = List.filter (fun s -> s <= n) sizes in
-    let out =
-      Bwc_experiments.Scalability.run ~sizes ~subsets_per_size:subsets
-        ~queries_per_subset:queries ~rounds ~seed ds
-    in
-    Bwc_experiments.Scalability.print out;
-    maybe_csv csv Bwc_experiments.Scalability.save_csv out
-  end
+(* ----- scalability (E5), churn sweep (E14) ----- *)
 
 let scalability_cmd =
-  let doc = "Fig. 6: mean query routing hops vs system size." in
   let churn =
     Arg.(
       value & flag
@@ -218,97 +220,78 @@ let scalability_cmd =
              (exits non-zero on any divergence).")
   in
   let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"With $(b,--churn): also write the sweep as JSON (BENCH_index.json schema).")
+    json_arg "With $(b,--churn): also write the sweep as JSON (BENCH_index.json schema)."
   in
-  Cmd.v
-    (Cmd.info "scalability" ~doc)
-    Term.(const scalability $ seed_arg $ full_arg $ dataset_arg $ churn $ json $ csv_arg)
+  experiment "scalability" ~doc:"Fig. 6: mean query routing hops vs system size."
+    Term.(
+      const (fun churn json ~seed ~full ~csv ds ->
+          if churn then
+            E.Scalability.churn_sweep
+              ~sizes:(if full then [ 64; 128; 256; 384; 1024 ] else [ 64; 128; 256 ])
+              ~events_per_size:(if full then 32 else 16)
+              ~seed ()
+            |> report E.Scalability.print_churn
+                 ~files:[ json_out json (E.Scalability.churn_to_json ~seed) ]
+                 ~gate:("churn sweep", E.Scalability.churn_gate)
+          else begin
+            let ds = Lazy.force ds in
+            let sizes, subsets, queries, rounds =
+              if full then ([ 50; 100; 150; 200; 250; 300 ], 10, 1000, 10)
+              else ([ 40; 80; 120 ], 2, 80, 1)
+            in
+            let n = Bwc_dataset.Dataset.size ds in
+            let sizes = List.filter (fun s -> s <= n) sizes in
+            E.Scalability.run ~sizes ~subsets_per_size:subsets ~queries_per_subset:queries
+              ~rounds ~seed ds
+            |> report E.Scalability.print ~files:[ csv_out csv E.Scalability.save_csv ]
+          end)
+      $ churn $ json)
 
 (* ----- embedding ablation (E8) ----- *)
 
-let embedding seed full dataset =
-  let ds = load_dataset ~seed dataset in
-  let rounds = if full then 5 else 2 in
-  let rows = Bwc_experiments.Embedding.run ~rounds ~seed ds in
-  Bwc_experiments.Embedding.print ~dataset:ds.Bwc_dataset.Dataset.name rows
-
 let embedding_cmd =
-  let doc = "Ablation: embedding error vs construction mode and ensemble size." in
-  Cmd.v
-    (Cmd.info "embedding" ~doc)
-    Term.(const embedding $ seed_arg $ full_arg $ dataset_arg)
+  experiment "embedding" ~csv:false
+    ~doc:"Ablation: embedding error vs construction mode and ensemble size."
+    (Term.const (fun ~seed ~full ~csv:_ ds ->
+         let ds = Lazy.force ds in
+         E.Embedding.run ~rounds:(if full then 5 else 2) ~seed ds
+         |> report (E.Embedding.print ~dataset:ds.Bwc_dataset.Dataset.name)))
 
 (* ----- oracle ablation (E9) ----- *)
 
-let oracle seed full dataset csv =
-  let ds = load_dataset ~seed dataset in
-  let queries = if full then 100 else 30 in
-  let out = Bwc_experiments.Oracle.run ~queries_per_k:queries ~seed ds in
-  Bwc_experiments.Oracle.print out;
-  maybe_csv csv Bwc_experiments.Oracle.save_csv out
-
 let oracle_cmd =
-  let doc = "Ablation: Algorithm 1 on real data vs the exact k-clique oracle." in
-  Cmd.v (Cmd.info "oracle" ~doc)
-    Term.(const oracle $ seed_arg $ full_arg $ dataset_arg $ csv_arg)
+  experiment "oracle"
+    ~doc:"Ablation: Algorithm 1 on real data vs the exact k-clique oracle."
+    (Term.const (fun ~seed ~full ~csv ds ->
+         E.Oracle.run ~queries_per_k:(if full then 100 else 30) ~seed (Lazy.force ds)
+         |> report E.Oracle.print ~files:[ csv_out csv E.Oracle.save_csv ]))
 
 (* ----- overhead (E10) ----- *)
 
-let overhead seed full dataset csv =
-  let ds = load_dataset ~seed dataset in
-  let n = Bwc_dataset.Dataset.size ds in
-  let sizes =
-    List.filter (fun s -> s <= n)
-      (if full then [ 50; 100; 150; 200; 250; 300 ] else [ 40; 80; 120 ])
-  in
-  let out = Bwc_experiments.Overhead.run ~sizes ~repeats:(if full then 5 else 2) ~seed ds in
-  Bwc_experiments.Overhead.print out;
-  maybe_csv csv Bwc_experiments.Overhead.save_csv out
-
 let overhead_cmd =
-  let doc = "Background protocol overhead (measurements, messages) vs system size." in
-  Cmd.v (Cmd.info "overhead" ~doc)
-    Term.(const overhead $ seed_arg $ full_arg $ dataset_arg $ csv_arg)
+  experiment "overhead"
+    ~doc:"Background protocol overhead (measurements, messages) vs system size."
+    (Term.const (fun ~seed ~full ~csv ds ->
+         let ds = Lazy.force ds in
+         let n = Bwc_dataset.Dataset.size ds in
+         let sizes =
+           List.filter (fun s -> s <= n)
+             (if full then [ 50; 100; 150; 200; 250; 300 ] else [ 40; 80; 120 ])
+         in
+         E.Overhead.run ~sizes ~repeats:(if full then 5 else 2) ~seed ds
+         |> report E.Overhead.print ~files:[ csv_out csv E.Overhead.save_csv ]))
 
 (* ----- routing-policy ablation (E11) ----- *)
 
-let routing seed full dataset csv =
-  let ds = load_dataset ~seed dataset in
-  let rounds, queries = if full then (5, 200) else (2, 60) in
-  let out = Bwc_experiments.Routing.run ~rounds ~queries_per_k:queries ~seed ds in
-  Bwc_experiments.Routing.print out;
-  maybe_csv csv Bwc_experiments.Routing.save_csv out
-
 let routing_cmd =
-  let doc = "Ablation: forwarding-policy comparison (best-CRT vs first neighbor)." in
-  Cmd.v (Cmd.info "routing" ~doc)
-    Term.(const routing $ seed_arg $ full_arg $ dataset_arg $ csv_arg)
+  experiment "routing"
+    ~doc:"Ablation: forwarding-policy comparison (best-CRT vs first neighbor)."
+    (Term.const (fun ~seed ~full ~csv ds ->
+         let rounds, queries = if full then (5, 200) else (2, 60) in
+         E.Routing.run ~rounds ~queries_per_k:queries ~seed (Lazy.force ds)
+         |> report E.Routing.print ~files:[ csv_out csv E.Routing.save_csv ]))
 
-(* ----- robustness under faults (E12) ----- *)
-
-let robustness seed full dataset hosts recover csv =
-  let ds = subset_hosts ~seed hosts (load_dataset ~seed dataset) in
-  if recover then begin
-    let victim_counts, queries =
-      if full then ([ 1; 2; 3; 4 ], 200) else ([ 1; 2 ], 60)
-    in
-    let out = Bwc_experiments.Robustness.recovery ~victim_counts ~queries ~seed ds in
-    Bwc_experiments.Robustness.print_recovery out;
-    maybe_csv csv Bwc_experiments.Robustness.save_recovery_csv out
-  end
-  else begin
-    let drops, crash_rates, queries =
-      if full then ([ 0.0; 0.05; 0.1; 0.2; 0.3 ], [ 0.0; 0.1; 0.2 ], 200)
-      else ([ 0.0; 0.1; 0.2 ], [ 0.0; 0.15 ], 60)
-    in
-    let out = Bwc_experiments.Robustness.run ~drops ~crash_rates ~queries ~seed ds in
-    Bwc_experiments.Robustness.print out;
-    maybe_csv csv Bwc_experiments.Robustness.save_csv out
-  end
+(* ----- robustness under faults (E12), crash recovery (E13) ----- *)
 
 let robustness_cmd =
   let doc =
@@ -325,56 +308,29 @@ let robustness_cmd =
             "Run the crash-recovery experiment (failure detection, \
              self-healing repair, messages saved vs full stabilization).")
   in
-  Cmd.v
-    (Cmd.info "robustness" ~doc)
+  let module R = E.Robustness in
+  experiment "robustness" ~hosts:true ~doc
     Term.(
-      const robustness $ seed_arg $ full_arg $ dataset_arg $ hosts_arg $ recover
-      $ csv_arg)
+      const (fun recover ~seed ~full ~csv ds ->
+          let ds = Lazy.force ds in
+          if recover then
+            let victim_counts, queries =
+              if full then ([ 1; 2; 3; 4 ], 200) else ([ 1; 2 ], 60)
+            in
+            R.recovery ~victim_counts ~queries ~seed ds
+            |> report R.print_recovery ~files:[ csv_out csv R.save_recovery_csv ]
+                 ~gate:("recovery gate", R.recovery_gate)
+          else
+            let drops, crash_rates, queries =
+              if full then ([ 0.0; 0.05; 0.1; 0.2; 0.3 ], [ 0.0; 0.1; 0.2 ], 200)
+              else ([ 0.0; 0.1; 0.2 ], [ 0.0; 0.15 ], 60)
+            in
+            R.run ~drops ~crash_rates ~queries ~seed ds
+            |> report R.print ~files:[ csv_out csv R.save_csv ]
+                 ~gate:("robustness gate", R.gate))
+      $ recover)
 
 (* ----- crash-consistent restart (E15) ----- *)
-
-let restart seed full dataset hosts json csv =
-  let ds = subset_hosts ~seed hosts (load_dataset ~seed dataset) in
-  let queries = if full then 200 else 60 in
-  let out = Bwc_experiments.Robustness.restart ~queries ~seed ds in
-  Bwc_experiments.Robustness.print_restart out;
-  maybe_csv csv Bwc_experiments.Robustness.save_restart_csv out;
-  maybe_write "json" json
-    (write_string (Bwc_experiments.Robustness.restart_to_json out ~seed));
-  (* acceptance gate: the warm restore must verify and land on the
-     reference fixed point, every corrupted image must be rejected, and
-     at experiment scale the restart must actually be cheap *)
-  let module R = Bwc_experiments.Robustness in
-  let failures =
-    List.concat_map
-      (fun (r : R.restart_row) ->
-        match r.R.mode with
-        | "warm" ->
-            (if r.R.restore_ok then [] else [ "warm restore was rejected" ])
-            @ (if r.R.fixpoint_match then []
-               else [ "warm restore missed the reference fixed point" ])
-            @ (if out.R.n < 64 then []
-               else if r.R.round_speedup < 5.0 then
-                 [
-                   Printf.sprintf "warm round speedup %.2f < 5 at n=%d"
-                     r.R.round_speedup out.R.n;
-                 ]
-               else if r.R.msg_speedup < 5.0 then
-                 [
-                   Printf.sprintf "warm message speedup %.2f < 5 at n=%d"
-                     r.R.msg_speedup out.R.n;
-                 ]
-               else [])
-        | "cold" -> []
-        | mode ->
-            if r.R.restore_ok then [ mode ^ " snapshot was not rejected" ]
-            else [])
-      out.R.rows
-  in
-  if failures <> [] then begin
-    List.iter (fun m -> Format.eprintf "restart gate: %s@." m) failures;
-    exit exit_gate
-  end
 
 let restart_cmd =
   let doc =
@@ -383,45 +339,18 @@ let restart_cmd =
      (truncation, bit flips, stale format version) that must degrade \
      gracefully.  Exits 3 when the acceptance gate fails."
   in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Also write the result as JSON.")
-  in
-  Cmd.v (Cmd.info "restart" ~doc)
+  let module R = E.Robustness in
+  experiment "restart" ~hosts:true ~doc
     Term.(
-      const restart $ seed_arg $ full_arg $ dataset_arg $ hosts_arg $ json
-      $ csv_arg)
+      const (fun json ~seed ~full ~csv ds ->
+          R.restart ~queries:(if full then 200 else 60) ~seed (Lazy.force ds)
+          |> report R.print_restart
+               ~files:
+                 [ csv_out csv R.save_restart_csv; json_out json (R.restart_to_json ~seed) ]
+               ~gate:("restart gate", R.restart_gate))
+      $ json_arg "Also write the result as JSON.")
 
 (* ----- overload (E17) ----- *)
-
-let overload seed full dataset hosts json csv =
-  let ds = subset_hosts ~seed hosts (load_dataset ~seed dataset) in
-  let ds =
-    (* the sweep runs 8 daemon instances (4 loads x 2 replay runs); keep
-       the default system small enough that the arm cost is the scripted
-       load, not index construction *)
-    match hosts with
-    | Some _ -> ds
-    | None ->
-        let cap = if full then 96 else 48 in
-        if Bwc_dataset.Dataset.size ds > cap then
-          Bwc_dataset.Dataset.random_subset ds
-            ~rng:(Bwc_stats.Rng.create seed)
-            cap
-        else ds
-  in
-  let ticks = if full then 600 else 200 in
-  let out = Bwc_experiments.Overload.run ~ticks ~seed ds in
-  Bwc_experiments.Overload.print out;
-  maybe_csv csv Bwc_experiments.Overload.save_csv out;
-  maybe_write "json" json (write_string (Bwc_experiments.Overload.to_json out));
-  match Bwc_experiments.Overload.gate out with
-  | [] -> ()
-  | failures ->
-      List.iter (fun m -> Format.eprintf "overload gate: %s@." m) failures;
-      exit exit_gate
 
 let overload_cmd =
   let doc =
@@ -432,16 +361,19 @@ let overload_cmd =
      explicit staleness bound, and same-seed replays must be \
      byte-identical.  Exits 3 when the acceptance gate fails."
   in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Also write the result as JSON.")
-  in
-  Cmd.v (Cmd.info "overload" ~doc)
+  (* the sweep runs 8 daemon instances (4 loads x 2 replay runs); without
+     --hosts keep the system small enough that the arm cost is the
+     scripted load, not index construction *)
+  experiment "overload" ~hosts:true
+    ~default_hosts:(fun full -> if full then 96 else 48)
+    ~doc
     Term.(
-      const overload $ seed_arg $ full_arg $ dataset_arg $ hosts_arg $ json
-      $ csv_arg)
+      const (fun json ~seed ~full ~csv ds ->
+          E.Overload.run ~ticks:(if full then 600 else 200) ~seed (Lazy.force ds)
+          |> report E.Overload.print
+               ~files:[ csv_out csv E.Overload.save_csv; json_out json E.Overload.to_json ]
+               ~gate:("overload gate", fun out -> E.Overload.gate out))
+      $ json_arg "Also write the result as JSON.")
 
 (* ----- snapshot / restore ----- *)
 
@@ -546,12 +478,15 @@ let restore_cmd =
              exiting 4.")
   in
   let k =
-    Arg.(value & opt int 8 & info [ "k" ] ~docv:"K" ~doc:"Proving-query cluster size.")
+    Arg.(
+      value
+      & opt (at_least 2) 8
+      & info [ "k" ] ~docv:"K" ~doc:"Proving-query cluster size.")
   in
   let b =
     Arg.(
       value
-      & opt float 40.0
+      & opt positive 40.0
       & info [ "b" ] ~docv:"MBPS" ~doc:"Proving-query bandwidth constraint (Mbps).")
   in
   Cmd.v (Cmd.info "restore" ~doc)
@@ -586,7 +521,8 @@ let dynamic seed dataset epochs =
 let dynamic_cmd =
   let doc = "Run a churn scenario: hosts join and leave while queries keep flowing." in
   let epochs =
-    Arg.(value & opt int 8 & info [ "epochs" ] ~docv:"N" ~doc:"Churn epochs to run.")
+    Arg.(
+      value & opt (at_least 0) 8 & info [ "epochs" ] ~docv:"N" ~doc:"Churn epochs to run.")
   in
   Cmd.v (Cmd.info "dynamic" ~doc) Term.(const dynamic $ seed_arg $ dataset_arg $ epochs)
 
@@ -688,12 +624,13 @@ let query seed dataset k b =
 let query_cmd =
   let doc = "Stand up a system and run one bandwidth-constrained cluster query." in
   let k =
-    Arg.(value & opt int 8 & info [ "k" ] ~docv:"K" ~doc:"Cluster size constraint.")
+    Arg.(
+      value & opt (at_least 2) 8 & info [ "k" ] ~docv:"K" ~doc:"Cluster size constraint.")
   in
   let b =
     Arg.(
       value
-      & opt float 40.0
+      & opt positive 40.0
       & info [ "b" ] ~docv:"MBPS" ~doc:"Minimum pairwise bandwidth constraint (Mbps).")
   in
   Cmd.v (Cmd.info "query" ~doc) Term.(const query $ seed_arg $ dataset_arg $ k $ b)
@@ -706,10 +643,6 @@ let query_cmd =
    stream.  Everything derives from --seed, so two runs with the same
    arguments produce byte-identical output. *)
 let build_observed ~seed ~dataset ~hosts ~drop ~duplicate ~jitter ~queries =
-  if drop < 0.0 || drop > 1.0 || duplicate < 0.0 || duplicate > 1.0 then begin
-    Format.eprintf "bwcluster: --drop and --duplicate must be in [0,1]@.";
-    exit Cmdliner.Cmd.Exit.cli_error
-  end;
   let ds = subset_hosts ~seed hosts (load_dataset ~seed dataset) in
   let n = Bwc_dataset.Dataset.size ds in
   let space = Bwc_dataset.Dataset.metric ds in
@@ -744,19 +677,19 @@ let write_or_print output contents =
   | None -> print_string contents
 
 let drop_arg =
-  Arg.(value & opt float 0.1
+  Arg.(value & opt probability 0.1
        & info [ "drop" ] ~docv:"P" ~doc:"Per-message loss probability.")
 
 let duplicate_arg =
-  Arg.(value & opt float 0.05
+  Arg.(value & opt probability 0.05
        & info [ "duplicate" ] ~docv:"P" ~doc:"Per-message duplication probability.")
 
 let jitter_arg =
-  Arg.(value & opt int 1
+  Arg.(value & opt (at_least 0) 1
        & info [ "jitter" ] ~docv:"R" ~doc:"Maximum extra delivery delay in rounds.")
 
 let queries_arg =
-  Arg.(value & opt int 20
+  Arg.(value & opt (at_least 0) 20
        & info [ "queries" ] ~docv:"N" ~doc:"Queries to replay after aggregation.")
 
 let out_arg doc = Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
@@ -811,11 +744,7 @@ let analyze seed dataset hosts input json output =
     match input with
     | Some path ->
         let contents =
-          try
-            let ic = open_in_bin path in
-            Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
-              (fun () -> really_input_string ic (in_channel_length ic))
+          try In_channel.with_open_bin path In_channel.input_all
           with Sys_error msg ->
             Format.eprintf "bwcluster: cannot read %s: %s@." path msg;
             exit exit_io
@@ -887,24 +816,6 @@ let trace_diff_cmd =
       $ file 0 "Left trace (JSONL)."
       $ file 1 "Right trace (JSONL).")
 
-let trace_analytics seed dataset hosts kinds_csv csv =
-  let ds = subset_hosts ~seed hosts (load_dataset ~seed dataset) in
-  let out = Bwc_experiments.Trace_analytics.run ~seed ds in
-  Bwc_experiments.Trace_analytics.print out;
-  maybe_csv csv Bwc_experiments.Trace_analytics.save_csv out;
-  maybe_csv kinds_csv Bwc_experiments.Trace_analytics.save_kinds_csv out;
-  if
-    not
-      (List.for_all
-         (fun r -> r.Bwc_experiments.Trace_analytics.send_sum_matches)
-         out.Bwc_experiments.Trace_analytics.rows)
-  then begin
-    Format.eprintf
-      "GATE FAILED: per-kind send attribution does not sum to the engine \
-       counter@.";
-    exit exit_gate
-  end
-
 let trace_analytics_cmd =
   let doc =
     "E16: causal trace analytics over the standard fault scenarios (clean, \
@@ -920,11 +831,15 @@ let trace_analytics_cmd =
       & info [ "kinds-csv" ] ~docv:"FILE"
           ~doc:"Also write the per-(scenario, kind) attribution table as CSV.")
   in
-  Cmd.v
-    (Cmd.info "trace-analytics" ~doc)
+  let module T = E.Trace_analytics in
+  experiment "trace-analytics" ~full:false ~hosts:true ~doc
     Term.(
-      const trace_analytics $ seed_arg $ dataset_arg $ hosts_arg $ kinds_csv
-      $ csv_arg)
+      const (fun kinds_csv ~seed ~full:_ ~csv ds ->
+          T.run ~seed (Lazy.force ds)
+          |> report T.print
+               ~files:[ csv_out csv T.save_csv; csv_out kinds_csv T.save_kinds_csv ]
+               ~gate:("GATE FAILED", T.gate))
+      $ kinds_csv)
 
 let main_cmd =
   let doc = "Bandwidth-constrained cluster search (ICDCS 2011 reproduction)." in

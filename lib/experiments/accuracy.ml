@@ -97,20 +97,20 @@ let run ?(rounds = 3) ?(queries_per_round = 200) ?k ?(bins = 6) ~seed dataset =
     rr_eucl_central = rr teuc;
   }
 
+let columns =
+  Report.
+    [
+      col "b (Mbps)" "b_mbps" (fun r -> f r.b);
+      col "TREE-DECENTRAL" "wpr_tree_decentral" (fun r -> f3 r.wpr_tree_decentral);
+      col "TREE-CENTRAL" "wpr_tree_central" (fun r -> f3 r.wpr_tree_central);
+      col "EUCL-CENTRAL" "wpr_eucl_central" (fun r -> f3 r.wpr_eucl_central);
+      col "queries" "queries" (fun r -> i r.queries);
+    ]
+
 let print output =
-  Report.table
+  Report.print
     ~title:(Printf.sprintf "Fig.3 accuracy (WPR vs b) -- %s" output.dataset)
-    ~headers:[ "b (Mbps)"; "TREE-DECENTRAL"; "TREE-CENTRAL"; "EUCL-CENTRAL"; "queries" ]
-    (List.map
-       (fun r ->
-         [
-           Report.f r.b;
-           Report.f3 r.wpr_tree_decentral;
-           Report.f3 r.wpr_tree_central;
-           Report.f3 r.wpr_eucl_central;
-           Report.i r.queries;
-         ])
-       output.rows);
+    columns output.rows;
   Report.table ~title:"  overall return rates"
     ~headers:[ "TREE-DECENTRAL"; "TREE-CENTRAL"; "EUCL-CENTRAL" ]
     [
@@ -121,16 +121,4 @@ let print output =
       ];
     ]
 
-let save_csv output path =
-  Report.save_csv ~path
-    ~headers:[ "b_mbps"; "wpr_tree_decentral"; "wpr_tree_central"; "wpr_eucl_central"; "queries" ]
-    (List.map
-       (fun r ->
-         [
-           Report.f r.b;
-           Report.f3 r.wpr_tree_decentral;
-           Report.f3 r.wpr_tree_central;
-           Report.f3 r.wpr_eucl_central;
-           Report.i r.queries;
-         ])
-       output.rows)
+let save_csv output = Report.save_csv columns output.rows

@@ -64,40 +64,24 @@ let run ?(ks = [ 3; 5; 8; 12 ]) ?(queries_per_k = 30) ?budget ~seed dataset =
   in
   { dataset = dataset.Dataset.name; epsilon_avg; rows }
 
+let columns =
+  Report.
+    [
+      col "k" "k" (fun r -> i r.k);
+      col "queries" "queries" (fun r -> i r.queries);
+      col "oracle feasible" "oracle_feasible" (fun r -> i r.oracle_feasible);
+      col "unknown" "oracle_unknown" (fun r -> i r.oracle_unknown);
+      col "alg1 found" "alg1_found" (fun r -> i r.alg1_found);
+      col "missed" "missed" (fun r -> i r.missed);
+      col "invalid" "invalid" (fun r -> i r.invalid);
+    ]
+
 let print output =
-  Report.table
+  Report.print
     ~title:
       (Printf.sprintf
          "Ablation: Algorithm 1 on real data vs exact k-clique -- %s (eps_avg=%.4f)"
          output.dataset output.epsilon_avg)
-    ~headers:
-      [ "k"; "queries"; "oracle feasible"; "unknown"; "alg1 found"; "missed"; "invalid" ]
-    (List.map
-       (fun r ->
-         [
-           Report.i r.k;
-           Report.i r.queries;
-           Report.i r.oracle_feasible;
-           Report.i r.oracle_unknown;
-           Report.i r.alg1_found;
-           Report.i r.missed;
-           Report.i r.invalid;
-         ])
-       output.rows)
+    columns output.rows
 
-let save_csv output path =
-  Report.save_csv ~path
-    ~headers:
-      [ "k"; "queries"; "oracle_feasible"; "oracle_unknown"; "alg1_found"; "missed"; "invalid" ]
-    (List.map
-       (fun r ->
-         [
-           Report.i r.k;
-           Report.i r.queries;
-           Report.i r.oracle_feasible;
-           Report.i r.oracle_unknown;
-           Report.i r.alg1_found;
-           Report.i r.missed;
-           Report.i r.invalid;
-         ])
-       output.rows)
+let save_csv output = Report.save_csv columns output.rows

@@ -62,45 +62,23 @@ let run ?(sizes = [ 40; 80; 120 ]) ?(repeats = 2) ?(n_cut = 10) ~seed base =
   in
   { base_dataset = base.Dataset.name; n_cut; rows }
 
+let columns =
+  Report.
+    [
+      col "n" "n" (fun r -> i r.n);
+      col "predtree.measurements" "predtree_measurements" (fun r -> i r.measurements);
+      col "full mesh" "full_mesh" (fun r -> i r.full_mesh);
+      col "rounds" "rounds" (fun r -> i r.rounds_to_quiescence);
+      col "engine.msgs_sent" "engine_msgs_sent" (fun r -> i r.messages_total);
+      col "msgs/host" "msgs_per_host" (fun r -> f r.messages_per_host);
+      col "anchor depth" "anchor_depth" (fun r -> i r.anchor_depth);
+    ]
+
 let print output =
-  Report.table
+  Report.print
     ~title:
       (Printf.sprintf "Background overhead vs system size (n_cut=%d) -- %s" output.n_cut
          output.base_dataset)
-    ~headers:
-      [
-        "n"; "predtree.measurements"; "full mesh"; "rounds"; "engine.msgs_sent";
-        "msgs/host"; "anchor depth";
-      ]
-    (List.map
-       (fun r ->
-         [
-           Report.i r.n;
-           Report.i r.measurements;
-           Report.i r.full_mesh;
-           Report.i r.rounds_to_quiescence;
-           Report.i r.messages_total;
-           Report.f r.messages_per_host;
-           Report.i r.anchor_depth;
-         ])
-       output.rows)
+    columns output.rows
 
-let save_csv output path =
-  Report.save_csv ~path
-    ~headers:
-      [
-        "n"; "predtree_measurements"; "full_mesh"; "rounds"; "engine_msgs_sent";
-        "msgs_per_host"; "anchor_depth";
-      ]
-    (List.map
-       (fun r ->
-         [
-           Report.i r.n;
-           Report.i r.measurements;
-           Report.i r.full_mesh;
-           Report.i r.rounds_to_quiescence;
-           Report.i r.messages_total;
-           Report.f r.messages_per_host;
-           Report.i r.anchor_depth;
-         ])
-       output.rows)
+let save_csv output = Report.save_csv columns output.rows

@@ -190,68 +190,38 @@ let gate ?(tolerance = 0.10) (out : t) =
   | _ -> ());
   List.rev !failures
 
-let b v = if v then "yes" else "no"
+let columns =
+  Report.
+    [
+      col ~csv:(fun r -> Printf.sprintf "%.2f" r.load) "load" "load"
+        (fun r -> Printf.sprintf "%.1fx" r.load);
+      col "offered" "offered" (fun r -> i r.offered);
+      col "live" "answered_live" (fun r -> i r.answered_live);
+      col "degraded" "answered_degraded" (fun r -> i r.answered_degraded);
+      col "acked" "acked" (fun r -> i r.acked);
+      col "shed" "shed" (fun r -> i r.shed);
+      col "timeout" "timeouts" (fun r -> i r.timeouts);
+      col "rejected" "rejected" (fun r -> i r.rejected);
+      col ~csv:(fun r -> Printf.sprintf "%.4f" r.goodput) "goodput/tick" "goodput"
+        (fun r -> f r.goodput);
+      col ~csv:(fun r -> Printf.sprintf "%.4f" r.shed_rate) "shed rate" "shed_rate"
+        (fun r -> f3 r.shed_rate);
+      col "max staleness" "max_staleness" (fun r -> i r.max_staleness);
+      col "drain" "drain_ticks" (fun r -> i r.drain_ticks);
+      col "replay" "deterministic" (fun r -> yes_no r.deterministic);
+      col "accounted" "accounted" (fun r -> yes_no r.accounted);
+    ]
 
 let print (out : t) =
-  Report.table
+  Report.print
     ~title:
       (Printf.sprintf
          "Overload: offered-load sweep through bwclusterd's reactor \
           (budget %d items/tick, %d ticks, plateau %.2f/tick) -- %s n=%d"
          out.budget out.ticks out.plateau out.dataset out.n)
-    ~headers:
-      [
-        "load"; "offered"; "live"; "degraded"; "acked"; "shed"; "timeout";
-        "rejected"; "goodput/tick"; "shed rate"; "max staleness"; "drain";
-        "replay"; "accounted";
-      ]
-    (List.map
-       (fun r ->
-         [
-           Printf.sprintf "%.1fx" r.load;
-           Report.i r.offered;
-           Report.i r.answered_live;
-           Report.i r.answered_degraded;
-           Report.i r.acked;
-           Report.i r.shed;
-           Report.i r.timeouts;
-           Report.i r.rejected;
-           Report.f r.goodput;
-           Report.f3 r.shed_rate;
-           Report.i r.max_staleness;
-           Report.i r.drain_ticks;
-           b r.deterministic;
-           b r.accounted;
-         ])
-       out.rows)
+    columns out.rows
 
-let save_csv (out : t) path =
-  Report.save_csv ~path
-    ~headers:
-      [
-        "load"; "offered"; "answered_live"; "answered_degraded"; "acked";
-        "shed"; "timeouts"; "rejected"; "goodput"; "shed_rate";
-        "max_staleness"; "drain_ticks"; "deterministic"; "accounted";
-      ]
-    (List.map
-       (fun r ->
-         [
-           Printf.sprintf "%.2f" r.load;
-           Report.i r.offered;
-           Report.i r.answered_live;
-           Report.i r.answered_degraded;
-           Report.i r.acked;
-           Report.i r.shed;
-           Report.i r.timeouts;
-           Report.i r.rejected;
-           Printf.sprintf "%.4f" r.goodput;
-           Printf.sprintf "%.4f" r.shed_rate;
-           Report.i r.max_staleness;
-           Report.i r.drain_ticks;
-           b r.deterministic;
-           b r.accounted;
-         ])
-       out.rows)
+let save_csv (out : t) = Report.save_csv columns out.rows
 
 let to_json (out : t) =
   let open Bwc_json in

@@ -26,21 +26,24 @@ let run ?(rounds = 3) ~seed dataset =
 let median_gap output =
   Bwc_stats.Cdf.quantile output.eucl 0.5 -. Bwc_stats.Cdf.quantile output.tree 0.5
 
-let print ?(resolution = 10) output =
-  Report.cdf_series
+(* rows are cumulative fractions; the CSV carries more digits *)
+let columns output =
+  let q cdf fmt p = Printf.sprintf fmt (Bwc_stats.Cdf.quantile cdf p) in
+  Report.
+    [
+      col ~csv:(Printf.sprintf "%.4f") "cum.frac" "cum_frac" f3;
+      col ~csv:(q output.tree "%.6f") "TREE" "tree_rel_err" (q output.tree "%.4g");
+      col ~csv:(q output.eucl "%.6f") "EUCL" "eucl_rel_err" (q output.eucl "%.4g");
+    ]
+
+let fractions resolution =
+  List.init resolution (fun idx -> float_of_int (idx + 1) /. float_of_int resolution)
+
+let print output =
+  Report.print
     ~title:
       (Printf.sprintf "Fig.3 relative bandwidth-prediction error CDF -- %s" output.dataset)
-    ~resolution
-    [ ("TREE", output.tree); ("EUCL", output.eucl) ]
+    (columns output) (fractions 10);
+  Report.line (Printf.sprintf "median gap (eucl - tree): %.4f" (median_gap output))
 
-let save_csv ?(resolution = 100) output path =
-  let rows =
-    List.init resolution (fun idx ->
-        let p = float_of_int (idx + 1) /. float_of_int resolution in
-        [
-          Printf.sprintf "%.4f" p;
-          Printf.sprintf "%.6f" (Bwc_stats.Cdf.quantile output.tree p);
-          Printf.sprintf "%.6f" (Bwc_stats.Cdf.quantile output.eucl p);
-        ])
-  in
-  Report.save_csv ~path ~headers:[ "cum_frac"; "tree_rel_err"; "eucl_rel_err" ] rows
+let save_csv output = Report.save_csv (columns output) (fractions 100)

@@ -16,7 +16,8 @@ val median_gap : output -> float
 (** [median(eucl) - median(tree)]; positive when the tree embedding is
     more accurate. *)
 
-val print : ?resolution:int -> output -> unit
+val print : output -> unit
+(** Both CDFs at ten cumulative fractions, then the {!median_gap}. *)
 
-val save_csv : ?resolution:int -> output -> string -> unit
-(** Writes quantile rows of both CDFs as CSV. *)
+val save_csv : output -> string -> unit
+(** Writes both CDFs at a hundred cumulative fractions as CSV. *)

@@ -27,21 +27,30 @@ let table ?(out = default_out) ~title ~headers rows =
   List.iter print_row rows;
   Format.fprintf out "@?"
 
+let line s = Format.fprintf default_out "%s@." s
+
 let f x = Printf.sprintf "%.4g" x
 let f3 x = Printf.sprintf "%.3f" x
 let i n = string_of_int n
+let yes_no v = if v then "yes" else "no"
 
-let cdf_series ?out ~title ~resolution cdfs =
-  let fractions =
-    List.init resolution (fun idx ->
-        float_of_int (idx + 1) /. float_of_int resolution)
-  in
-  let rows =
-    List.map
-      (fun p -> f3 p :: List.map (fun (_, cdf) -> f (Bwc_stats.Cdf.quantile cdf p)) cdfs)
-      fractions
-  in
-  table ?out ~title ~headers:("cum.frac" :: List.map fst cdfs) rows
+type 'r column = {
+  header : string option;
+  csv_header : string;
+  cell : 'r -> string;
+  csv_cell : 'r -> string;
+}
+
+let col ?csv header csv_header cell =
+  { header = Some header; csv_header; cell; csv_cell = Option.value csv ~default:cell }
+
+let csv_only csv_header cell = { header = None; csv_header; cell; csv_cell = cell }
+
+let print ?out ~title columns rows =
+  let shown = List.filter (fun c -> c.header <> None) columns in
+  table ?out ~title
+    ~headers:(List.filter_map (fun c -> c.header) shown)
+    (List.map (fun r -> List.map (fun c -> c.cell r) shown) rows)
 
 let csv_escape cell =
   let needs_quoting =
@@ -59,19 +68,11 @@ let csv_escape cell =
     Buffer.contents buf
   end
 
-let save_csv ~path ~headers rows =
-  let cols = List.length headers in
-  List.iter
-    (fun row ->
-      if List.length row <> cols then invalid_arg "Report.save_csv: ragged row")
-    rows;
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      let write_row row =
-        output_string oc (String.concat "," (List.map csv_escape row));
+let save_csv columns rows path =
+  Out_channel.with_open_text path (fun oc ->
+      let write_row cells =
+        output_string oc (String.concat "," (List.map csv_escape cells));
         output_char oc '\n'
       in
-      write_row headers;
-      List.iter write_row rows)
+      write_row (List.map (fun c -> c.csv_header) columns);
+      List.iter (fun r -> write_row (List.map (fun c -> c.csv_cell r) columns)) rows)

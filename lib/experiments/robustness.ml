@@ -64,13 +64,14 @@ let random_crashes ~rng ~n ~crash_rate =
   done;
   !crashes
 
-(* the same seeded query stream is replayed against every configuration *)
-let measure_rr ~seed ~queries ~n ~lo ~hi protocol =
+(* the same seeded query stream is replayed against every configuration,
+   submitted at [hosts] (after a crash, only at the survivors) *)
+let measure_rr ~seed ~queries ~hosts ~lo ~hi protocol =
   let rng = Rng.create seed in
   let found = ref 0 in
   let retries = ref 0 in
   for _ = 1 to queries do
-    let at = Rng.int rng n in
+    let at = hosts.(Rng.int rng (Array.length hosts)) in
     let k = 2 + Rng.int rng 6 in
     let b = Rng.uniform rng lo hi in
     let r = Protocol.query_bandwidth protocol ~at ~k ~b in
@@ -83,6 +84,7 @@ let run ?(drops = [ 0.0; 0.1; 0.2; 0.3 ]) ?(crash_rates = [ 0.0; 0.15 ])
     ?(duplicate = 0.1) ?(jitter = 2) ?(queries = 60) ?(max_rounds = 600)
     ?(n_cut = 4) ?(class_count = 5) ~seed dataset =
   let n = Dataset.size dataset in
+  let hosts = Array.init n Fun.id in
   let space = Dataset.metric dataset in
   let classes = Bwc_core.Classes.of_percentiles ~count:class_count dataset in
   let lo, hi = Workload.bandwidth_range dataset in
@@ -100,7 +102,7 @@ let run ?(drops = [ 0.0; 0.1; 0.2; 0.3 ]) ?(crash_rates = [ 0.0; 0.15 ])
   in
   let ens, clean, clean_rounds = build ~metrics:(Registry.create ()) () in
   let clean_messages = Protocol.messages_sent clean in
-  let rr_clean, _ = measure_rr ~seed:(seed + 3) ~queries ~n ~lo ~hi clean in
+  let rr_clean, _ = measure_rr ~seed:(seed + 3) ~queries ~hosts ~lo ~hi clean in
   let rows =
     List.concat_map
       (fun drop ->
@@ -120,7 +122,7 @@ let run ?(drops = [ 0.0; 0.1; 0.2; 0.3 ]) ?(crash_rates = [ 0.0; 0.15 ])
             in
             let _, p, rounds = build ~faults ~metrics () in
             let rr, query_retries =
-              measure_rr ~seed:(seed + 3) ~queries ~n ~lo ~hi p
+              measure_rr ~seed:(seed + 3) ~queries ~hosts ~lo ~hi p
             in
             (* the row is read off the configuration's registry snapshot:
                the same numbers `bwcluster metrics` would report *)
@@ -190,20 +192,6 @@ type recovery_output = {
   rows : recovery_row list;
 }
 
-(* the replayed query stream, restricted to the given submission points
-   (post-repair, evicted hosts can no longer be queried at) *)
-let measure_rr_at ~seed ~queries ~hosts ~lo ~hi protocol =
-  let rng = Rng.create seed in
-  let found = ref 0 in
-  for _ = 1 to queries do
-    let at = hosts.(Rng.int rng (Array.length hosts)) in
-    let k = 2 + Rng.int rng 6 in
-    let b = Rng.uniform rng lo hi in
-    if Bwc_core.Query.found (Protocol.query_bandwidth protocol ~at ~k ~b) then
-      incr found
-  done;
-  float_of_int !found /. float_of_int queries
-
 (* [v] pairwise non-adjacent, non-root members of the primary anchor
    overlay: independent failures, so each repair is a local event *)
 let pick_victims ~rng ens v =
@@ -234,6 +222,7 @@ let recovery ?(victim_counts = [ 1; 2; 3 ]) ?(queries = 60)
     ?(detector = Detector.default_config) ?(max_rounds = 400) ?(n_cut = 4)
     ?(class_count = 5) ~seed dataset =
   let n = Dataset.size dataset in
+  let hosts = Array.init n Fun.id in
   let space = Dataset.metric dataset in
   let classes = Bwc_core.Classes.of_percentiles ~count:class_count dataset in
   let lo, hi = Workload.bandwidth_range dataset in
@@ -252,7 +241,7 @@ let recovery ?(victim_counts = [ 1; 2; 3 ]) ?(queries = 60)
     (ens, p, rounds)
   in
   let _, clean, base_rounds = build ~detector () in
-  let rr_clean, _ = measure_rr ~seed:(seed + 3) ~queries ~n ~lo ~hi clean in
+  let rr_clean, _ = measure_rr ~seed:(seed + 3) ~queries ~hosts ~lo ~hi clean in
   let rows =
     List.map
       (fun v ->
@@ -323,8 +312,8 @@ let recovery ?(victim_counts = [ 1; 2; 3 ]) ?(queries = 60)
                       (Ensemble.anchor_neighbors ens_inc x))
                (Ensemble.members ens_inc)
         in
-        let rr_after =
-          measure_rr_at ~seed:(seed + 3) ~queries
+        let rr_after, _ =
+          measure_rr ~seed:(seed + 3) ~queries
             ~hosts:(Array.of_list (Ensemble.members ens_inc))
             ~lo ~hi p_inc
         in
@@ -354,131 +343,94 @@ let recovery ?(victim_counts = [ 1; 2; 3 ]) ?(queries = 60)
   ({ dataset = dataset.Dataset.name; n; queries; base_rounds; rr_clean; rows }
     : recovery_output)
 
-let b v = if v then "yes" else "no"
+let recovery_columns =
+  Report.
+    [
+      col "victims" "victims" (fun r -> i r.victims);
+      col "healed" "healed" (fun r -> yes_no r.healed);
+      col "detect" "detect_rounds" (fun r -> i r.detect_rounds);
+      col "reconv" "reconverge_rounds" (fun r -> i r.reconverge_rounds);
+      col "full rds" "full_rounds" (fun r -> i r.full_rounds);
+      col "repair msgs" "repair_msgs" (fun r -> i r.repair_msgs);
+      col "hb" "heartbeats" (fun r -> i r.heartbeats);
+      col "full msgs" "full_msgs" (fun r -> i r.full_msgs);
+      col "saved" "msgs_saved" (fun r -> f3 r.msgs_saved);
+      col "fixpoint" "fixpoint_match" (fun r -> yes_no r.fixpoint_match);
+      col "overlay" "overlay_match" (fun r -> yes_no r.overlay_match);
+      col "RR during" "rr_during" (fun r -> f3 r.rr_during);
+      col "RR after" "rr_after" (fun r -> f3 r.rr_after);
+      csv_only "suspects" (fun r -> i r.suspects);
+      csv_only "give_ups" (fun r -> i r.give_ups);
+      csv_only "regrafts" (fun r -> i r.regrafts);
+    ]
 
 let print_recovery (output : recovery_output) =
-  Report.table
+  Report.print
     ~title:
       (Printf.sprintf
          "Crash recovery: incremental self-healing vs full stabilize (clean: %d \
           rounds, RR %.3f) -- %s n=%d"
          output.base_rounds output.rr_clean output.dataset output.n)
-    ~headers:
-      [
-        "victims"; "healed"; "detect"; "reconv"; "full rds"; "repair msgs"; "hb";
-        "full msgs"; "saved"; "fixpoint"; "overlay"; "RR during"; "RR after";
-      ]
-    (List.map
-       (fun r ->
-         [
-           Report.i r.victims;
-           b r.healed;
-           Report.i r.detect_rounds;
-           Report.i r.reconverge_rounds;
-           Report.i r.full_rounds;
-           Report.i r.repair_msgs;
-           Report.i r.heartbeats;
-           Report.i r.full_msgs;
-           Report.f3 r.msgs_saved;
-           b r.fixpoint_match;
-           b r.overlay_match;
-           Report.f3 r.rr_during;
-           Report.f3 r.rr_after;
-         ])
-       output.rows)
+    recovery_columns output.rows
 
-let save_recovery_csv (output : recovery_output) path =
-  Report.save_csv ~path
-    ~headers:
-      [
-        "victims"; "healed"; "detect_rounds"; "reconverge_rounds"; "full_rounds";
-        "repair_msgs"; "heartbeats"; "full_msgs"; "msgs_saved"; "fixpoint_match";
-        "overlay_match"; "rr_during"; "rr_after"; "suspects"; "give_ups";
-        "regrafts";
-      ]
-    (List.map
-       (fun r ->
-         [
-           Report.i r.victims;
-           b r.healed;
-           Report.i r.detect_rounds;
-           Report.i r.reconverge_rounds;
-           Report.i r.full_rounds;
-           Report.i r.repair_msgs;
-           Report.i r.heartbeats;
-           Report.i r.full_msgs;
-           Report.f3 r.msgs_saved;
-           b r.fixpoint_match;
-           b r.overlay_match;
-           Report.f3 r.rr_during;
-           Report.f3 r.rr_after;
-           Report.i r.suspects;
-           Report.i r.give_ups;
-           Report.i r.regrafts;
-         ])
-       output.rows)
+let save_recovery_csv (output : recovery_output) =
+  Report.save_csv recovery_columns output.rows
+
+let recovery_gate (output : recovery_output) =
+  List.concat_map
+    (fun r ->
+      let fail ok what =
+        if ok then [] else [ Printf.sprintf "victims %d: %s" r.victims what ]
+      in
+      fail r.healed "crashed hosts were not healed"
+      @ fail r.fixpoint_match "repaired CRT tables differ from full stabilization"
+      @ fail r.overlay_match "repaired anchor overlay differs from full stabilization")
+    output.rows
+
+let columns =
+  Report.
+    [
+      col "drop" "drop" (fun r -> f3 r.drop);
+      col "crash" "crash_rate" (fun r -> f3 r.crash_rate);
+      col "windows" "crash_windows" (fun r -> i r.crashes);
+      col "conv" "converged" (fun r -> yes_no r.converged);
+      col "fixpoint" "fixpoint_match" (fun (r : row) -> yes_no r.fixpoint_match);
+      col "rounds" "rounds" (fun r -> i r.rounds);
+      col "x rounds" "round_overhead" (fun r -> f3 r.round_overhead);
+      col "msgs" "messages" (fun r -> i r.messages);
+      col "x msgs" "message_overhead" (fun r -> f3 r.message_overhead);
+      col "retries" "retries" (fun r -> i r.retries);
+      csv_only "dup_suppressed" (fun r -> i r.dup_suppressed);
+      csv_only "lost" (fun r -> i r.lost);
+      csv_only "duplicated" (fun r -> i r.duplicated);
+      csv_only "delayed" (fun r -> i r.delayed);
+      col "RR" "rr" (fun r -> f3 r.rr);
+      col "dRR" "rr_delta" (fun r -> f3 r.rr_delta);
+      csv_only "query_retries" (fun r -> i r.query_retries);
+    ]
 
 let print (output : output) =
-  Report.table
+  Report.print
     ~title:
       (Printf.sprintf
          "Robustness under faults (dup=%.2f jitter=%d, clean: %d rounds, RR %.3f) -- %s \
           n=%d"
          output.duplicate output.jitter output.clean_rounds output.rr_clean
          output.dataset output.n)
-    ~headers:
-      [
-        "drop"; "crash"; "windows"; "conv"; "fixpoint"; "rounds"; "x rounds"; "msgs";
-        "x msgs"; "retries"; "RR"; "dRR";
-      ]
-    (List.map
-       (fun r ->
-         [
-           Report.f3 r.drop;
-           Report.f3 r.crash_rate;
-           Report.i r.crashes;
-           b r.converged;
-           b r.fixpoint_match;
-           Report.i r.rounds;
-           Report.f3 r.round_overhead;
-           Report.i r.messages;
-           Report.f3 r.message_overhead;
-           Report.i r.retries;
-           Report.f3 r.rr;
-           Report.f3 r.rr_delta;
-         ])
-       output.rows)
+    columns output.rows
 
-let save_csv (output : output) path =
-  Report.save_csv ~path
-    ~headers:
-      [
-        "drop"; "crash_rate"; "crash_windows"; "converged"; "fixpoint_match"; "rounds";
-        "round_overhead"; "messages"; "message_overhead"; "retries"; "dup_suppressed";
-        "lost"; "duplicated"; "delayed"; "rr"; "rr_delta"; "query_retries";
-      ]
-    (List.map
-       (fun r ->
-         [
-           Report.f3 r.drop;
-           Report.f3 r.crash_rate;
-           Report.i r.crashes;
-           b r.converged;
-           b r.fixpoint_match;
-           Report.i r.rounds;
-           Report.f3 r.round_overhead;
-           Report.i r.messages;
-           Report.f3 r.message_overhead;
-           Report.i r.retries;
-           Report.i r.dup_suppressed;
-           Report.i r.lost;
-           Report.i r.duplicated;
-           Report.i r.delayed;
-           Report.f3 r.rr;
-           Report.f3 r.rr_delta;
-           Report.i r.query_retries;
-         ])
-       output.rows)
+let save_csv (output : output) = Report.save_csv columns output.rows
+
+let gate (output : output) =
+  List.concat_map
+    (fun r ->
+      let fail ok what =
+        if ok then []
+        else [ Printf.sprintf "drop %.3f crash %.3f: %s" r.drop r.crash_rate what ]
+      in
+      fail r.converged "aggregation did not converge"
+      @ fail r.fixpoint_match "CRT tables differ from the fault-free fixed point")
+    output.rows
 
 (* ----- E15: crash-consistent restart, warm restore vs cold reconvergence ----- *)
 
@@ -518,6 +470,7 @@ let err_class = function
 let restart ?(queries = 60) ?(max_rounds = 600) ?(n_cut = 4) ?(class_count = 5)
     ~seed dataset =
   let n = Dataset.size dataset in
+  let hosts = Array.init n Fun.id in
   let lo, hi = Workload.bandwidth_range dataset in
   (* the reference system converges once; its image, taken at quiescence
      before any query runs, is what every restart arm starts from *)
@@ -528,7 +481,7 @@ let restart ?(queries = 60) ?(max_rounds = 600) ?(n_cut = 4) ?(class_count = 5)
   let ref_p = System.protocol reference in
   let base_rounds = Protocol.rounds_run ref_p in
   let image = Snapshot.encode (`System reference) in
-  let rr_clean, _ = measure_rr ~seed:(seed + 3) ~queries ~n ~lo ~hi ref_p in
+  let rr_clean, _ = measure_rr ~seed:(seed + 3) ~queries ~hosts ~lo ~hi ref_p in
   (* a cold start is the same build with aggregation suppressed: the state
      a node has after a restart with no (or no usable) snapshot *)
   let cold_build () =
@@ -539,7 +492,7 @@ let restart ?(queries = 60) ?(max_rounds = 600) ?(n_cut = 4) ?(class_count = 5)
      aggregation to a fixed point and count what it cost *)
   let arm ~mode ~restore_ok ~rejected_as sys =
     let p = System.protocol sys in
-    let rr_at_restart, _ = measure_rr ~seed:(seed + 3) ~queries ~n ~lo ~hi p in
+    let rr_at_restart, _ = measure_rr ~seed:(seed + 3) ~queries ~hosts ~lo ~hi p in
     let msgs0 = Protocol.messages_sent p in
     let post_rounds = Protocol.run_aggregation ~max_rounds p in
     let post_msgs = Protocol.messages_sent p - msgs0 in
@@ -609,55 +562,54 @@ let restart ?(queries = 60) ?(max_rounds = 600) ?(n_cut = 4) ?(class_count = 5)
    }
     : restart_output)
 
+let restart_columns =
+  Report.
+    [
+      col "mode" "mode" (fun r -> r.mode);
+      col "restored" "restore_ok" (fun r -> yes_no r.restore_ok);
+      col "rejected as" "rejected_as" (fun r -> r.rejected_as);
+      col "RR at restart" "rr_at_restart" (fun r -> f3 r.rr_at_restart);
+      col "post rounds" "post_rounds" (fun r -> i r.post_rounds);
+      col "post msgs" "post_msgs" (fun r -> i r.post_msgs);
+      col "x rounds" "round_speedup" (fun r -> f r.round_speedup);
+      col "x msgs" "msg_speedup" (fun r -> f r.msg_speedup);
+      col "fixpoint" "fixpoint_match" (fun r -> yes_no r.fixpoint_match);
+    ]
+
 let print_restart (output : restart_output) =
-  Report.table
+  Report.print
     ~title:
       (Printf.sprintf
          "Restart: warm restore vs cold reconvergence (snapshot %d bytes, \
           converged in %d rounds, RR %.3f) -- %s n=%d"
          output.snapshot_bytes output.base_rounds output.rr_clean output.dataset
          output.n)
-    ~headers:
-      [
-        "mode"; "restored"; "rejected as"; "RR at restart"; "post rounds";
-        "post msgs"; "x rounds"; "x msgs"; "fixpoint";
-      ]
-    (List.map
-       (fun r ->
-         [
-           r.mode;
-           b r.restore_ok;
-           r.rejected_as;
-           Report.f3 r.rr_at_restart;
-           Report.i r.post_rounds;
-           Report.i r.post_msgs;
-           Report.f r.round_speedup;
-           Report.f r.msg_speedup;
-           b r.fixpoint_match;
-         ])
-       output.rows)
+    restart_columns output.rows
 
-let save_restart_csv (output : restart_output) path =
-  Report.save_csv ~path
-    ~headers:
-      [
-        "mode"; "restore_ok"; "rejected_as"; "rr_at_restart"; "post_rounds";
-        "post_msgs"; "round_speedup"; "msg_speedup"; "fixpoint_match";
-      ]
-    (List.map
-       (fun r ->
-         [
-           r.mode;
-           b r.restore_ok;
-           r.rejected_as;
-           Report.f3 r.rr_at_restart;
-           Report.i r.post_rounds;
-           Report.i r.post_msgs;
-           Report.f r.round_speedup;
-           Report.f r.msg_speedup;
-           b r.fixpoint_match;
-         ])
-       output.rows)
+let save_restart_csv (output : restart_output) =
+  Report.save_csv restart_columns output.rows
+
+(* the warm restore must verify and land on the reference fixed point,
+   every corrupted image must be rejected, and at experiment scale
+   (n >= 64) the restart must actually be cheap *)
+let restart_gate ({ n; rows; _ } : restart_output) =
+  List.concat_map
+    (fun r ->
+      match r.mode with
+      | "warm" ->
+          (if r.restore_ok then [] else [ "warm restore was rejected" ])
+          @ (if r.fixpoint_match then []
+             else [ "warm restore missed the reference fixed point" ])
+          @
+          if n < 64 then []
+          else if r.round_speedup < 5.0 then
+            [ Printf.sprintf "warm round speedup %.2f < 5 at n=%d" r.round_speedup n ]
+          else if r.msg_speedup < 5.0 then
+            [ Printf.sprintf "warm message speedup %.2f < 5 at n=%d" r.msg_speedup n ]
+          else []
+      | "cold" -> []
+      | mode -> if r.restore_ok then [ mode ^ " snapshot was not rejected" ] else [])
+    rows
 
 let restart_to_json (output : restart_output) ~seed =
   let open Bwc_json in

@@ -58,6 +58,22 @@ val run :
 val print : output -> unit
 val save_csv : output -> string -> unit
 
+val gate : output -> string list
+(** Failure messages, empty when every row converged to the fault-free
+    fixed point; each message names its row's drop and crash rates. *)
+
+val measure_rr :
+  seed:int -> queries:int -> hosts:int array -> lo:float -> hi:float ->
+  Bwc_core.Protocol.t -> float * int
+(** Recall of [queries] seeded queries (k in 2..7, b uniform in
+    [[lo, hi)]) submitted at random members of [hosts], and the hop
+    retransmissions they took. *)
+
+val pick_victims : rng:Bwc_stats.Rng.t -> Bwc_predtree.Ensemble.t -> int -> int list
+(** [pick_victims ~rng ens v]: up to [v] pairwise non-adjacent, non-root
+    members of the primary anchor overlay, so each crash is repaired
+    locally. *)
+
 (** {1 E13: crash recovery}
 
     Kills a set of pairwise non-adjacent hosts silently and compares two
@@ -126,6 +142,11 @@ val recovery :
 val print_recovery : recovery_output -> unit
 val save_recovery_csv : recovery_output -> string -> unit
 
+val recovery_gate : recovery_output -> string list
+(** Failure messages, empty when every row healed and its repaired CRT
+    tables and anchor overlay match full stabilization; each message
+    names its row's victim count. *)
+
 (** {1 E15: crash-consistent restart}
 
     Converges a system once, snapshots it ({!Bwc_persist.Snapshot}), and
@@ -183,6 +204,12 @@ val restart :
 
 val print_restart : restart_output -> unit
 val save_restart_csv : restart_output -> string -> unit
+
+val restart_gate : restart_output -> string list
+(** Failure messages, empty when the warm arm restored and reached the
+    reference fixed point, every corrupted arm was rejected, and from
+    n = 64 up the warm arm needed at most a fifth of the cold arm's
+    rounds and messages. *)
 
 val restart_to_json : restart_output -> seed:int -> string
 (** The machine-readable form CI archives: one object with the run

@@ -80,33 +80,20 @@ let run ?ks ?(queries_per_k = 60) ?(rounds = 2) ~seed dataset =
   in
   { dataset = dataset.Dataset.name; rows }
 
-let print output =
-  Report.table
-    ~title:(Printf.sprintf "Ablation: forwarding policy -- %s" output.dataset)
-    ~headers:[ "k"; "queries"; "RR best"; "RR first"; "hops best"; "hops first" ]
-    (List.map
-       (fun r ->
-         [
-           Report.i r.k;
-           Report.i r.queries;
-           Report.f3 r.rr_best;
-           Report.f3 r.rr_first;
-           Report.f3 r.hops_best;
-           Report.f3 r.hops_first;
-         ])
-       output.rows)
+let columns =
+  Report.
+    [
+      col "k" "k" (fun r -> i r.k);
+      col "queries" "queries" (fun r -> i r.queries);
+      col "RR best" "rr_best" (fun r -> f3 r.rr_best);
+      col "RR first" "rr_first" (fun r -> f3 r.rr_first);
+      col "hops best" "hops_best" (fun r -> f3 r.hops_best);
+      col "hops first" "hops_first" (fun r -> f3 r.hops_first);
+    ]
 
-let save_csv output path =
-  Report.save_csv ~path
-    ~headers:[ "k"; "queries"; "rr_best"; "rr_first"; "hops_best"; "hops_first" ]
-    (List.map
-       (fun r ->
-         [
-           Report.i r.k;
-           Report.i r.queries;
-           Report.f3 r.rr_best;
-           Report.f3 r.rr_first;
-           Report.f3 r.hops_best;
-           Report.f3 r.hops_first;
-         ])
-       output.rows)
+let print output =
+  Report.print
+    ~title:(Printf.sprintf "Ablation: forwarding policy -- %s" output.dataset)
+    columns output.rows
+
+let save_csv output = Report.save_csv columns output.rows

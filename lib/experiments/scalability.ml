@@ -181,7 +181,10 @@ let churn_sweep ?(sizes = [ 64; 128; 256 ]) ?(events_per_size = 16)
         ~rebuild:(n <= rebuild_max))
     (List.sort compare sizes)
 
-let churn_divergence rows = List.fold_left (fun acc r -> acc + r.divergence) 0 rows
+let churn_gate rows =
+  match List.fold_left (fun acc r -> acc + r.divergence) 0 rows with
+  | 0 -> []
+  | d -> [ Printf.sprintf "%d divergences or failed witnesses" d ]
 
 let print_churn rows =
   Report.table ~title:"E14 incremental index maintenance under churn"
@@ -216,30 +219,19 @@ let churn_to_json rows ~seed =
        [ ("bench", Str "index_churn"); ("seed", Int seed);
          ("rows", Arr (List.map row rows)) ])
 
-let print output =
-  Report.table
-    ~title:(Printf.sprintf "Fig.6 query routing scalability -- %s" output.base_dataset)
-    ~headers:[ "n"; "avg hops"; "max hops"; "RR"; "queries" ]
-    (List.map
-       (fun r ->
-         [
-           Report.i r.n;
-           Report.f3 r.avg_hops;
-           Report.i r.max_hops;
-           Report.f3 r.rr;
-           Report.i r.queries;
-         ])
-       output.rows)
+let columns =
+  Report.
+    [
+      col "n" "n" (fun r -> i r.n);
+      col "avg hops" "avg_hops" (fun r -> f3 r.avg_hops);
+      col "max hops" "max_hops" (fun r -> i r.max_hops);
+      col "RR" "rr" (fun r -> f3 r.rr);
+      col "queries" "queries" (fun r -> i r.queries);
+    ]
 
-let save_csv output path =
-  Report.save_csv ~path ~headers:[ "n"; "avg_hops"; "max_hops"; "rr"; "queries" ]
-    (List.map
-       (fun r ->
-         [
-           Report.i r.n;
-           Report.f3 r.avg_hops;
-           Report.i r.max_hops;
-           Report.f3 r.rr;
-           Report.i r.queries;
-         ])
-       output.rows)
+let print output =
+  Report.print
+    ~title:(Printf.sprintf "Fig.6 query routing scalability -- %s" output.base_dataset)
+    columns output.rows
+
+let save_csv output = Report.save_csv columns output.rows

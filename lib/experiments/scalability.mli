@@ -64,9 +64,9 @@ val churn_sweep :
 (** Defaults: sizes 64/128/256, 16 events per size, 4 probes per event.
     Rows ascend in [n]. *)
 
-val churn_divergence : churn_row list -> int
-(** Total failed witnesses and disagreements across the sweep (the
-    acceptance gate). *)
+val churn_gate : churn_row list -> string list
+(** The acceptance gate: one failure line giving the total of failed
+    witnesses and disagreements across the sweep, or [[]]. *)
 
 val print_churn : churn_row list -> unit
 

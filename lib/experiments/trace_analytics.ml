@@ -1,8 +1,6 @@
 module Rng = Bwc_stats.Rng
 module Dataset = Bwc_dataset.Dataset
 module Ensemble = Bwc_predtree.Ensemble
-module Framework = Bwc_predtree.Framework
-module Anchor = Bwc_predtree.Anchor
 module Fault = Bwc_sim.Fault
 module Protocol = Bwc_core.Protocol
 module Detector = Bwc_core.Detector
@@ -35,35 +33,6 @@ type row = {
 }
 
 type output = { dataset : string; n : int; seed : int; rows : row list }
-
-(* same convention as Robustness.pick_victims: non-root, pairwise
-   non-adjacent members of the primary anchor overlay *)
-let pick_victims ~rng ens v =
-  let anchor = Framework.anchor (Ensemble.primary ens) in
-  let root = Anchor.root anchor in
-  let rec pick chosen remaining k =
-    if k = 0 || remaining = [] then List.rev chosen
-    else begin
-      let arr = Array.of_list remaining in
-      let h = arr.(Rng.int rng (Array.length arr)) in
-      let nbrs = Anchor.neighbors anchor h in
-      let remaining =
-        List.filter (fun x -> x <> h && not (List.mem x nbrs)) remaining
-      in
-      pick (h :: chosen) remaining (k - 1)
-    end
-  in
-  pick [] (List.filter (fun h -> h <> root) (Ensemble.members ens)) v
-
-(* queries land on live members only: crash recovery evicts victims *)
-let replay_queries ~seed ~queries ~hosts ~lo ~hi protocol =
-  let rng = Rng.create seed in
-  for _ = 1 to queries do
-    let at = hosts.(Rng.int rng (Array.length hosts)) in
-    let k = 2 + Rng.int rng 6 in
-    let b = Rng.uniform rng lo hi in
-    ignore (Protocol.query_bandwidth protocol ~at ~k ~b)
-  done
 
 let row_of ~scenario ~engine_sends report =
   let kinds =
@@ -122,7 +91,7 @@ let recovery_events ?(victims = 2) ?(queries = 40) ?(max_rounds = 400)
     build_system ~detector:Detector.default_config ~n_cut ~class_count
       ~max_rounds ~seed dataset
   in
-  let chosen = pick_victims ~rng:(Rng.create (seed + 11)) ens victims in
+  let chosen = Robustness.pick_victims ~rng:(Rng.create (seed + 11)) ens victims in
   let vcount = List.length chosen in
   List.iter (Protocol.crash_host p) chosen;
   let rec heal i =
@@ -132,8 +101,10 @@ let recovery_events ?(victims = 2) ?(queries = 40) ?(max_rounds = 400)
     end
   in
   heal 0;
+  (* queries land on live members only: crash recovery evicts victims *)
   let live = Array.of_list (Ensemble.members ens) in
-  replay_queries ~seed:(seed + 3) ~queries ~hosts:live ~lo ~hi p;
+  ignore
+    (Robustness.measure_rr ~seed:(seed + 3) ~queries ~hosts:live ~lo ~hi p : float * int);
   (Trace.events trace, Protocol.messages_sent p)
 
 let run ?(drop = 0.1) ?(duplicate = 0.05) ?(jitter = 1) ?(victims = 2)
@@ -143,7 +114,9 @@ let run ?(drop = 0.1) ?(duplicate = 0.05) ?(jitter = 1) ?(victims = 2)
   let lo, hi = Workload.bandwidth_range dataset in
   let all_hosts = Array.init n Fun.id in
   let finish ~scenario p trace =
-    replay_queries ~seed:(seed + 3) ~queries ~hosts:all_hosts ~lo ~hi p;
+    ignore
+      (Robustness.measure_rr ~seed:(seed + 3) ~queries ~hosts:all_hosts ~lo ~hi p
+        : float * int);
     let report = Causal.analyze (Trace.events trace) in
     row_of ~scenario ~engine_sends:(Protocol.messages_sent p) report
   in
@@ -174,91 +147,61 @@ let run ?(drop = 0.1) ?(duplicate = 0.05) ?(jitter = 1) ?(victims = 2)
   ({ dataset = dataset.Dataset.name; n; seed; rows = [ clean; faulty; recovery ] }
     : output)
 
-let b v = if v then "yes" else "no"
+let columns =
+  Report.
+    [
+      col "scenario" "scenario" (fun r -> r.scenario);
+      col "rounds" "rounds" (fun r -> i r.rounds);
+      col "msgs" "messages" (fun r -> i r.messages);
+      col "delivered" "delivered" (fun (r : row) -> i r.delivered);
+      col "dropped" "dropped" (fun (r : row) -> i r.dropped);
+      col "qhops" "query_hops" (fun r -> i r.query_hops);
+      col "bytes" "total_bytes" (fun r -> i r.total_bytes);
+      col "cp len" "cp_len" (fun r -> i r.cp_len);
+      col "cp rds" "cp_rounds" (fun r -> i r.cp_rounds);
+      col "frac" "frac_explained" (fun r -> f3 r.frac_explained);
+      csv_only "cp_kinds" (fun r -> r.cp_kinds);
+      col "sum ok" "send_sum_matches" (fun r -> yes_no r.send_sum_matches);
+    ]
+
+(* rows are (scenario, kind); the text tables, one per scenario, skip
+   kinds that were never sent nor dropped *)
+let kind_columns =
+  Report.
+    [
+      csv_only "scenario" (fun (r, _) -> r.scenario);
+      col "kind" "kind" (fun (_, k) -> k.kind);
+      col "sends" "sends" (fun (_, k) -> i k.sends);
+      col "bytes" "bytes" (fun (_, k) -> i k.bytes);
+      col "delivered" "delivered" (fun (_, (k : kind_row)) -> i k.delivered);
+      col "dropped" "dropped" (fun (_, (k : kind_row)) -> i k.dropped);
+    ]
+
+let kind_rows r = List.map (fun k -> (r, k)) r.kinds
 
 let print (output : output) =
-  Report.table
+  Report.print
     ~title:
       (Printf.sprintf
          "Trace analytics: critical path and attribution -- %s n=%d seed=%d"
          output.dataset output.n output.seed)
-    ~headers:
-      [
-        "scenario"; "rounds"; "msgs"; "delivered"; "dropped"; "qhops"; "bytes";
-        "cp len"; "cp rds"; "frac"; "sum ok";
-      ]
-    (List.map
-       (fun r ->
-         [
-           r.scenario;
-           Report.i r.rounds;
-           Report.i r.messages;
-           Report.i r.delivered;
-           Report.i r.dropped;
-           Report.i r.query_hops;
-           Report.i r.total_bytes;
-           Report.i r.cp_len;
-           Report.i r.cp_rounds;
-           Report.f3 r.frac_explained;
-           b r.send_sum_matches;
-         ])
-       output.rows);
+    columns output.rows;
   List.iter
     (fun r ->
-      Report.table
+      Report.print
         ~title:
           (Printf.sprintf "Byte budget by kind -- %s (critical path: %s)"
              r.scenario
              (if r.cp_kinds = "" then "<empty>" else r.cp_kinds))
-        ~headers:[ "kind"; "sends"; "bytes"; "delivered"; "dropped" ]
-        (List.filter_map
-           (fun k ->
-             if k.sends = 0 && k.dropped = 0 then None
-             else
-               Some
-                 [
-                   k.kind; Report.i k.sends; Report.i k.bytes;
-                   Report.i k.delivered; Report.i k.dropped;
-                 ])
-           r.kinds))
+        kind_columns
+        (List.filter (fun (_, k) -> k.sends <> 0 || k.dropped <> 0) (kind_rows r)))
     output.rows
 
-let save_csv (output : output) path =
-  Report.save_csv ~path
-    ~headers:
-      [
-        "scenario"; "rounds"; "messages"; "delivered"; "dropped"; "query_hops";
-        "total_bytes"; "cp_len"; "cp_rounds"; "frac_explained"; "cp_kinds";
-        "send_sum_matches";
-      ]
-    (List.map
-       (fun r ->
-         [
-           r.scenario;
-           Report.i r.rounds;
-           Report.i r.messages;
-           Report.i r.delivered;
-           Report.i r.dropped;
-           Report.i r.query_hops;
-           Report.i r.total_bytes;
-           Report.i r.cp_len;
-           Report.i r.cp_rounds;
-           Report.f3 r.frac_explained;
-           r.cp_kinds;
-           b r.send_sum_matches;
-         ])
-       output.rows)
+let save_csv (output : output) = Report.save_csv columns output.rows
 
-let save_kinds_csv (output : output) path =
-  Report.save_csv ~path
-    ~headers:[ "scenario"; "kind"; "sends"; "bytes"; "delivered"; "dropped" ]
-    (List.concat_map
-       (fun r ->
-         List.map
-           (fun k ->
-             [
-               r.scenario; k.kind; Report.i k.sends; Report.i k.bytes;
-               Report.i k.delivered; Report.i k.dropped;
-             ])
-           r.kinds)
-       output.rows)
+let save_kinds_csv (output : output) =
+  Report.save_csv kind_columns (List.concat_map kind_rows output.rows)
+
+let gate (output : output) =
+  if List.for_all (fun r -> r.send_sum_matches) output.rows then []
+  else [ "per-kind send attribution does not sum to the engine counter" ]

@@ -60,3 +60,7 @@ val print : output -> unit
 val save_csv : output -> string -> unit
 val save_kinds_csv : output -> string -> unit
 (** Long-format per-(scenario, kind) attribution table. *)
+
+val gate : output -> string list
+(** Failure messages, empty when every scenario's per-kind send
+    attribution sums exactly to the engine's send counter. *)

@@ -81,16 +81,21 @@ let ncut_ablation ?(rounds = 3) ?(per_k = 3) ?ks ?(n_cuts = [ 2; 5; 10; 20 ]) ~s
       { a_n_cut = n_cut; a_rr = (if asked = 0 then 0.0 else found /. float_of_int asked) })
     n_cuts
 
+let columns =
+  Report.
+    [
+      col "k" "k" (fun r -> i r.k);
+      col "RR central" "rr_central" (fun r -> f3 r.rr_central);
+      col "RR decentral" "rr_decentral" (fun r -> f3 r.rr_decentral);
+      col "queries" "queries" (fun r -> i r.queries);
+    ]
+
 let print output =
-  Report.table
+  Report.print
     ~title:
       (Printf.sprintf "Fig.4 tradeoff of decentralization (RR vs k, n_cut=%d) -- %s"
          output.n_cut output.dataset)
-    ~headers:[ "k"; "RR central"; "RR decentral"; "queries" ]
-    (List.map
-       (fun r ->
-         [ Report.i r.k; Report.f3 r.rr_central; Report.f3 r.rr_decentral; Report.i r.queries ])
-       output.rows)
+    columns output.rows
 
 let print_ablation ~dataset rows =
   Report.table
@@ -98,9 +103,4 @@ let print_ablation ~dataset rows =
     ~headers:[ "n_cut"; "RR decentral (pooled)" ]
     (List.map (fun r -> [ Report.i r.a_n_cut; Report.f3 r.a_rr ]) rows)
 
-let save_csv output path =
-  Report.save_csv ~path ~headers:[ "k"; "rr_central"; "rr_decentral"; "queries" ]
-    (List.map
-       (fun r ->
-         [ Report.i r.k; Report.f3 r.rr_central; Report.f3 r.rr_decentral; Report.i r.queries ])
-       output.rows)
+let save_csv output = Report.save_csv columns output.rows

@@ -114,44 +114,29 @@ let run ?(n = 100) ?(sigmas = [ 0.02; 0.05; 0.1; 0.2; 0.4; 0.8 ]) ?(rounds = 2)
   in
   { curves }
 
+(* one text table per curve; the CSV holds every curve's bins *)
+let columns =
+  Report.
+    [
+      csv_only "sigma" (fun (c, _) -> Printf.sprintf "%.2f" c.sigma);
+      csv_only "epsilon_avg" (fun (c, _) -> Printf.sprintf "%.4f" c.epsilon_avg);
+      col "f_b" "f_b" (fun (_, b) -> f3 b.f_b);
+      col "WPR" "wpr" (fun (_, b) -> f3 b.wpr);
+      col "f_a*" "f_a_star" (fun (_, b) -> f3 b.f_a_star);
+      col "WPR^f_a*" "wpr_norm" (fun (_, b) -> f3 b.wpr_norm);
+      col "queries" "queries" (fun (_, b) -> i b.queries);
+    ]
+
+let rows curve = List.map (fun b -> (curve, b)) curve.bins
+
 let print output =
   List.iter
     (fun curve ->
-      Report.table
+      Report.print
         ~title:
           (Printf.sprintf "Fig.5 treeness: sigma=%.2f eps_avg=%.4f" curve.sigma
              curve.epsilon_avg)
-        ~headers:[ "f_b"; "WPR"; "f_a*"; "WPR^f_a*"; "queries" ]
-        (List.map
-           (fun b ->
-             [
-               Report.f3 b.f_b;
-               Report.f3 b.wpr;
-               Report.f3 b.f_a_star;
-               Report.f3 b.wpr_norm;
-               Report.i b.queries;
-             ])
-           curve.bins))
+        columns (rows curve))
     output.curves
 
-let save_csv output path =
-  let rows =
-    List.concat_map
-      (fun curve ->
-        List.map
-          (fun b ->
-            [
-              Printf.sprintf "%.2f" curve.sigma;
-              Printf.sprintf "%.4f" curve.epsilon_avg;
-              Report.f3 b.f_b;
-              Report.f3 b.wpr;
-              Report.f3 b.f_a_star;
-              Report.f3 b.wpr_norm;
-              Report.i b.queries;
-            ])
-          curve.bins)
-      output.curves
-  in
-  Report.save_csv ~path
-    ~headers:[ "sigma"; "epsilon_avg"; "f_b"; "wpr"; "f_a_star"; "wpr_norm"; "queries" ]
-    rows
+let save_csv output = Report.save_csv columns (List.concat_map rows output.curves)

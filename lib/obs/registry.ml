@@ -131,50 +131,6 @@ let snapshot t =
        (fun (name, labels) m acc -> (name, labels, sample_of m) :: acc)
        t.tbl [])
 
-let diff ~before ~after =
-  let prior = Hashtbl.create (List.length before) in
-  List.iter (fun (name, labels, s) -> Hashtbl.replace prior (name, labels) s) before;
-  List.map
-    (fun (name, labels, s) ->
-      let s =
-        match (s, Hashtbl.find_opt prior (name, labels)) with
-        | Counter a, Some (Counter b) -> Counter (a - b)
-        | Gauge a, _ -> Gauge a
-        | Histogram a, Some (Histogram b) ->
-            let old = Hashtbl.create 8 in
-            List.iter (fun (i, c) -> Hashtbl.replace old i c) b.buckets;
-            let buckets =
-              List.filter_map
-                (fun (i, c) ->
-                  let c = c - Option.value ~default:0 (Hashtbl.find_opt old i) in
-                  if c > 0 then Some (i, c) else None)
-                a.buckets
-            in
-            Histogram
-              {
-                count = a.count - b.count;
-                sum = a.sum - b.sum;
-                max_value = a.max_value;
-                buckets;
-              }
-        | s, _ -> s
-      in
-      (name, labels, s))
-    after
-
-let reset t =
-  Bwc_stats.Tbl.iter_sorted
-    (fun _ m ->
-      match m with
-      | M_counter c -> c := 0
-      | M_gauge g -> g := 0
-      | M_hist h ->
-          h.h_count <- 0;
-          h.h_sum <- 0;
-          h.h_max <- 0;
-          Array.fill h.h_buckets 0 n_buckets 0)
-    t.tbl
-
 let find snap ?(labels = []) name =
   let labels = normalize_labels labels in
   List.find_map

@@ -76,18 +76,6 @@ type snapshot = (string * labels * sample) list
 
 val snapshot : t -> snapshot
 
-(* bwclint: allow test-only-export -- test/test_obs.ml (registry diff and reset) is the only caller; deleting it with that test is queued on ROADMAP *)
-val diff : before:snapshot -> after:snapshot -> snapshot
-(** Per-metric change from [before] to [after]: counters and histogram
-    counts/sums/buckets subtract; gauges and histogram [max_value] keep
-    the [after] value (a max cannot be un-observed).  Metrics absent
-    from [before] appear unchanged; metrics absent from [after] are
-    dropped. *)
-
-(* bwclint: allow test-only-export -- test/test_obs.ml (registry diff and reset) is the only caller; deleting it with that test is queued on ROADMAP *)
-val reset : t -> unit
-(** Zeroes every registered metric in place (handles stay valid). *)
-
 val find : snapshot -> ?labels:labels -> string -> sample option
 
 val get : snapshot -> ?labels:labels -> string -> int

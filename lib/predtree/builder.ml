@@ -96,8 +96,8 @@ let add_host ~d ~rng ~base ~strategy ~tree ~anchor ~labels x =
           ~between:(Tree.vertex_of_host tree only, Tree.vertex_of_host tree only)
           ~at:0.0 ~leaf_weight:w
       in
-      (* [Tree.add_host] special-cases the two-vertex tree and ignores
-         [between]/[at]; the root acts as the inner node. *)
+      (* [Tree.add_host] special-cases the one-host tree and ignores
+         [between]/[at]; [only]'s vertex acts as the inner node. *)
       Anchor.add anchor ~parent:anchor_host x;
       Hashtbl.replace labels x
         (Label.extend (Hashtbl.find labels anchor_host) ~host:x ~offset ~leaf:w);

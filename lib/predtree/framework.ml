@@ -86,8 +86,9 @@ let rebuild ~rng t =
 let add_host ~rng t h =
   check_host t h;
   if is_member t h then invalid_arg "Framework.add_host: already a member";
-  t.rev_order <- h :: t.rev_order;
-  insert ~rng t h
+  (* membership is recorded only once the placement has succeeded *)
+  insert ~rng t h;
+  t.rev_order <- h :: t.rev_order
 
 (* Splice the leaf out when nothing anchors beneath it; otherwise rebuild
    the whole framework from the remaining members (their labels would

@@ -133,14 +133,17 @@ let split_edge t id ~from ~at =
 let add_host t ~host ~between:(z, y) ~at ~leaf_weight =
   if Hashtbl.mem t.host_vertex host then invalid_arg "Tree.add_host: host already present";
   let leaf_weight = Float.max 0.0 leaf_weight in
-  if t.vcount = 1 then begin
-    (* Second host: the root vertex acts as its inner node. *)
-    let root = 0 in
-    let hv = new_vertex t (Host host) in
-    let (_ : int) = new_edge t ~a:root ~b:hv ~weight:leaf_weight ~owner:host in
-    match t.kinds.(root) with
-    | Host anchor -> (hv, root, anchor, 0.0)
-    | Inner -> assert false
+  if Hashtbl.length t.host_vertex = 1 then begin
+    (* Second host: the only host's vertex acts as its inner node.  Leaf
+       splices leave dead vertices behind, so a one-host tree is
+       recognised by its host count, not its vertex count. *)
+    match hosts t with
+    | [ anchor ] ->
+        let root = vertex_of_host t anchor in
+        let hv = new_vertex t (Host host) in
+        let (_ : int) = new_edge t ~a:root ~b:hv ~weight:leaf_weight ~owner:host in
+        (hv, root, anchor, 0.0)
+    | _ -> assert false
   end
   else begin
     let edges = path_edges t z y in

@@ -33,13 +33,13 @@ val add_host :
     host's inner node on the path from [z] to [y] at distance [at] from
     [z] (clamped into [[0, dist z y]]), splitting the edge it lands on, and
     hangs the host leaf off it with [leaf_weight] (clamped to
-    non-negative).  With a single-vertex tree (only the root host), [at]
-    is ignored and the host is attached directly to the root with the
-    root as its inner node.
+    non-negative).  With a one-host tree, [between] and [at] are ignored
+    and the host is attached directly to that host's vertex, which acts
+    as its inner node.
 
     Returns [(host_vertex, inner_vertex, anchor_host, anchor_offset)]
-    where [anchor_host] owns the edge the inner node landed on (the root
-    host for the second insertion) and [anchor_offset] is the tree
+    where [anchor_host] owns the edge the inner node landed on (the only
+    host for an insertion into a one-host tree) and [anchor_offset] is the tree
     distance from the anchor host's own vertex to the inner node. *)
 
 val remove_host : t -> host:int -> (unit, [ `Has_dependents ]) result

@@ -1182,6 +1182,34 @@ let test_dynamic_join_leave () =
        false
      with Invalid_argument _ -> true)
 
+(* LEAVEs down to one member, then a JOIN: the leaf splices leave dead
+   vertices in the one-host prediction tree, and the join must still
+   place the newcomer and answer queries *)
+let test_dynamic_join_after_one_member () =
+  List.iter
+    (fun n ->
+      let ds = small_dataset ~seed:1 n in
+      let dyn = Bwc_core.Dynamic.create ~seed:1 ds in
+      List.iter
+        (fun h -> churn dyn [ Bwc_sim.Churn.Leave h ])
+        (Bwc_core.Dynamic.members dyn);
+      Alcotest.(check int) (Printf.sprintf "n=%d: one member left" n) 1
+        (Bwc_core.Dynamic.member_count dyn);
+      let last = List.hd (Bwc_core.Dynamic.members dyn) in
+      let newcomer = if last = 0 then 1 else 0 in
+      churn dyn [ Bwc_sim.Churn.Join newcomer ];
+      Alcotest.(check (list int)) (Printf.sprintf "n=%d: members" n)
+        (List.sort compare [ last; newcomer ])
+        (List.sort compare (Bwc_core.Dynamic.members dyn));
+      let r = Bwc_core.Dynamic.query ~at:newcomer dyn ~k:2 ~b:1.0 in
+      match r.Query.cluster with
+      | Some cluster ->
+          Alcotest.(check (list int)) (Printf.sprintf "n=%d: answer" n)
+            (List.sort compare [ last; newcomer ])
+            (List.sort compare cluster)
+      | None -> Alcotest.failf "n=%d: no answer after the join" n)
+    [ 4; 8 ]
+
 let test_dynamic_maintained_index () =
   let ds = small_dataset ~seed:52 24 in
   let dyn =
@@ -1596,6 +1624,8 @@ let () =
       ( "dynamic",
         [
           Alcotest.test_case "join and leave" `Quick test_dynamic_join_leave;
+          Alcotest.test_case "join after shrinking to one member" `Quick
+            test_dynamic_join_after_one_member;
           Alcotest.test_case "maintained index under churn" `Quick
             test_dynamic_maintained_index;
           Alcotest.test_case "Theorem 3.3 after churn" `Quick

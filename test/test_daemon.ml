@@ -368,6 +368,42 @@ let test_overload_accounting () =
   Alcotest.(check int) "every response matched a request" (List.length script)
     (Hashtbl.length tbl)
 
+(* LEAVEs shrink the system to one member; the next JOIN must apply
+   and the system must go on answering *)
+let test_join_after_one_member () =
+  let r = reactor ~n:8 () in
+  let leave h = Script.line ~at:h ~conn:0 (Printf.sprintf "LEAVE l%d host=%d" h h) in
+  let events =
+    Script.run r
+      (List.concat
+         [
+           List.map leave (range 6);
+           [
+             Script.line ~at:10 ~conn:0 "JOIN j1 host=7";
+             Script.line ~at:40 ~conn:0 "QUERY q1 k=2 b=1.0";
+           ];
+         ])
+  in
+  let rendered =
+    List.map (fun (e : Script.event) -> Wire.render e.Script.response) events
+  in
+  Alcotest.(check bool) "join applied" true
+    (List.mem "ACK j1 class=churn applied=1" rendered);
+  Alcotest.(check (list int)) "members" [ 6; 7 ]
+    (List.sort compare (Dynamic.members (Reactor.system r)));
+  match
+    List.find_map
+      (fun (e : Script.event) ->
+        match e.Script.response with
+        | Wire.Answer { id = "q1"; cluster; _ } -> Some cluster
+        | _ -> None)
+      events
+  with
+  | Some (Some cluster) ->
+      Alcotest.(check (list int)) "answer" [ 6; 7 ] (List.sort compare cluster)
+  | Some None -> Alcotest.fail "query found no cluster"
+  | None -> Alcotest.fail "query got no answer"
+
 (* ----- replay determinism ----- *)
 
 let test_replay_determinism () =
@@ -590,6 +626,7 @@ let () =
           Alcotest.test_case "retry backoff" `Quick test_retry_backoff;
           Alcotest.test_case "drain shutdown" `Quick test_drain_shutdown;
           Alcotest.test_case "overload accounting" `Quick test_overload_accounting;
+          Alcotest.test_case "join after one member" `Quick test_join_after_one_member;
           Alcotest.test_case "replay determinism" `Quick test_replay_determinism;
         ] );
       ( "lifecycle",

@@ -68,6 +68,38 @@ let test_report_renders () =
        false
      with Invalid_argument _ -> true)
 
+(* one column list renders both outputs: the CSV-only column appears in
+   the CSV alone, the override changes the CSV cell alone, and cells
+   with commas or quotes are quoted in the CSV *)
+let test_report_columns () =
+  let open Bwc_experiments.Report in
+  let columns =
+    [
+      col "name" "name" fst;
+      csv_only "note" (fun (n, _) -> if n = "b" then "x,\"y\"" else "");
+      col
+        ~csv:(fun (_, v) -> Printf.sprintf "%.2f" v)
+        "value" "value_exact"
+        (fun (_, v) -> f3 v);
+    ]
+  in
+  let rows = [ ("a", 0.5); ("bb", 12.25); ("b", 1.0) ] in
+  let buf = Buffer.create 256 in
+  let out = Format.formatter_of_buffer buf in
+  print ~out ~title:"title" columns rows;
+  Format.pp_print_flush out ();
+  Alcotest.(check string) "text"
+    "\ntitle\n------------\nname   value\n   a   0.500\n  bb  12.250\n   b   1.000\n"
+    (Buffer.contents buf);
+  let path = Filename.temp_file "bwc" ".csv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      save_csv columns rows path;
+      Alcotest.(check string) "csv"
+        "name,note,value_exact\na,,0.50\nbb,,12.25\nb,\"x,\"\"y\"\"\",1.00\n"
+        (In_channel.with_open_text path In_channel.input_all))
+
 (* ----- Experiment shapes ----- *)
 
 let test_accuracy_shapes () =
@@ -301,6 +333,37 @@ let test_recovery_shapes () =
        && r.rr_after <= 1.0))
     out.Bwc_experiments.Robustness.rows
 
+(* the E12/E13 gates: empty on a passing run, one line naming the row
+   for each failed check *)
+let test_robustness_gates () =
+  let module R = Bwc_experiments.Robustness in
+  let out =
+    R.run ~drops:[ 0.0; 0.1 ] ~crash_rates:[ 0.0 ] ~queries:10 ~seed:5
+      (small_dataset ~seed:4 16)
+  in
+  Alcotest.(check (list string)) "E12 passes" [] (R.gate out);
+  let rows =
+    List.map
+      (fun r -> if r.R.drop > 0.0 then { r with R.converged = false } else r)
+      out.R.rows
+  in
+  Alcotest.(check (list string)) "E12 names the row"
+    [ "drop 0.100 crash 0.000: aggregation did not converge" ]
+    (R.gate { out with R.rows });
+  let rec_out =
+    R.recovery ~victim_counts:[ 1 ] ~queries:10 ~seed:7 (small_dataset ~seed:6 20)
+  in
+  Alcotest.(check (list string)) "E13 passes" [] (R.recovery_gate rec_out);
+  let rows =
+    List.map (fun r -> { r with R.healed = false; overlay_match = false }) rec_out.R.rows
+  in
+  Alcotest.(check (list string)) "E13 names the row"
+    [
+      "victims 1: crashed hosts were not healed";
+      "victims 1: repaired anchor overlay differs from full stabilization";
+    ]
+    (R.recovery_gate { rec_out with R.rows })
+
 let test_trace_analytics_shapes () =
   let ds = small_dataset ~seed:32 32 in
   let out = Bwc_experiments.Trace_analytics.run ~victims:2 ~queries:20 ~seed:33 ds in
@@ -436,6 +499,7 @@ let () =
       ( "report",
         [
           Alcotest.test_case "renders" `Quick test_report_renders;
+          Alcotest.test_case "columns render text and csv" `Quick test_report_columns;
           Alcotest.test_case "json escapes dataset name" `Quick test_json_dataset_name;
         ] );
       ( "shapes",
@@ -453,6 +517,7 @@ let () =
           Alcotest.test_case "routing policy (E11)" `Slow test_routing_shapes;
           Alcotest.test_case "robustness (E12)" `Slow test_robustness_shapes;
           Alcotest.test_case "crash recovery (E13)" `Slow test_recovery_shapes;
+          Alcotest.test_case "robustness gates (E12, E13)" `Slow test_robustness_gates;
           Alcotest.test_case "trace analytics (E16)" `Slow
             test_trace_analytics_shapes;
           Alcotest.test_case "recovery critical path (E16)" `Slow

@@ -1,5 +1,5 @@
-(* Tests for bwc_obs: registry semantics (handles, snapshots, diff,
-   exact JSON rendering), trace sinks (ordering, ring capacity, JSONL), span
+(* Tests for bwc_obs: registry semantics (handles, snapshots, exact
+   JSON rendering), trace sinks (ordering, ring capacity, JSONL), span
    timers, and the end-to-end determinism contract — the same seed and
    fault plan must produce a byte-identical JSONL trace. *)
 
@@ -98,35 +98,6 @@ let test_snapshot_sorted () =
     (Registry.get snap ~labels:[ ("cause", "purge") ] "a.drops");
   Alcotest.(check int) "sum over labels" 3 (Registry.sum_by_name snap "a.drops");
   Alcotest.(check int) "absent metric reads 0" 0 (Registry.get snap "nope")
-
-let test_diff_and_reset () =
-  let r = Registry.create () in
-  let c = Registry.counter r "c" in
-  let g = Registry.gauge r "g" in
-  let h = Registry.histogram r "h" in
-  Registry.Counter.incr ~by:5 c;
-  Registry.Gauge.set g 10;
-  Registry.Histogram.observe h 3;
-  let before = Registry.snapshot r in
-  Registry.Counter.incr ~by:2 c;
-  Registry.Gauge.set g 4;
-  Registry.Histogram.observe h 64;
-  let after = Registry.snapshot r in
-  let d = Registry.diff ~before ~after in
-  Alcotest.(check int) "counter delta" 2 (Registry.get d "c");
-  Alcotest.(check int) "gauge keeps after" 4 (Registry.get d "g");
-  (match Registry.find d "h" with
-  | Some (Registry.Histogram { count; sum; max_value; buckets }) ->
-      Alcotest.(check int) "hist count delta" 1 count;
-      Alcotest.(check int) "hist sum delta" 64 sum;
-      Alcotest.(check int) "hist max keeps after" 64 max_value;
-      Alcotest.(check (list (pair int int))) "hist bucket delta" [ (7, 1) ] buckets
-  | _ -> Alcotest.fail "histogram sample expected");
-  Registry.reset r;
-  Alcotest.(check int) "reset zeroes counters" 0 (Registry.Counter.value c);
-  Alcotest.(check int) "handles stay valid" 0 (Registry.get (Registry.snapshot r) "h");
-  Registry.Counter.incr c;
-  Alcotest.(check int) "and keep working" 1 (Registry.Counter.value c)
 
 let test_json_rendering () =
   (* the emitter's exact bytes: labels inline, histograms with derived
@@ -555,7 +526,6 @@ let () =
           Alcotest.test_case "gauge" `Quick test_gauge;
           Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
           Alcotest.test_case "snapshot sorted" `Quick test_snapshot_sorted;
-          Alcotest.test_case "diff and reset" `Quick test_diff_and_reset;
           Alcotest.test_case "json rendering" `Quick test_json_rendering;
           Alcotest.test_case "text rendering" `Quick test_text_rendering;
         ] );

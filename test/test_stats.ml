@@ -1,12 +1,11 @@
 (* Tests for bwc_stats: PRNG determinism and distribution sanity, summary
-   statistics against hand-computed values, empirical CDFs, histograms,
-   and the online Welford accumulator against the batch formulas. *)
+   statistics against hand-computed values, empirical CDFs and
+   histograms. *)
 
 module Rng = Bwc_stats.Rng
 module Summary = Bwc_stats.Summary
 module Cdf = Bwc_stats.Cdf
 module Histogram = Bwc_stats.Histogram
-module Welford = Bwc_stats.Welford
 
 let feq ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps *. Float.max 1.0 (Float.abs a)
 
@@ -205,25 +204,6 @@ let test_histogram_normalized () =
   check_float "low" (1.0 /. 3.0) fracs.(0);
   check_float "high" (2.0 /. 3.0) fracs.(1)
 
-(* ----- Welford ----- *)
-
-let test_welford_matches_batch () =
-  let rng = Rng.create 41 in
-  let xs = Array.init 500 (fun _ -> Rng.float rng 10.0) in
-  let w = Welford.create () in
-  Array.iter (Welford.add w) xs;
-  check_float ~eps:1e-9 "mean" (Summary.mean xs) (Welford.mean w);
-  check_float ~eps:1e-9 "variance" (Summary.variance xs) (Welford.variance w)
-
-let test_welford_merge () =
-  let rng = Rng.create 43 in
-  let xs = Array.init 300 (fun _ -> Rng.float rng 5.0) in
-  let a = Welford.create () and b = Welford.create () in
-  Array.iteri (fun i x -> Welford.add (if i < 120 then a else b) x) xs;
-  let m = Welford.merge a b in
-  check_float ~eps:1e-9 "merged mean" (Summary.mean xs) (Welford.mean m);
-  check_float ~eps:1e-9 "merged var" (Summary.variance xs) (Welford.variance m)
-
 (* ----- qcheck properties ----- *)
 
 let qcheck_tests =
@@ -243,13 +223,6 @@ let qcheck_tests =
         let lo = Float.min x1 x2 and hi = Float.max x1 x2 in
         let a = Cdf.eval cdf lo and b = Cdf.eval cdf hi in
         0.0 <= a && a <= b && b <= 1.0);
-    Test.make ~name:"welford equals batch" ~count:100
-      (array_of_size (Gen.int_range 2 100) (float_range (-50.0) 50.0))
-      (fun xs ->
-        let w = Welford.create () in
-        Array.iter (Welford.add w) xs;
-        Float.abs (Welford.mean w -. Summary.mean xs) < 1e-6
-        && Float.abs (Welford.variance w -. Summary.variance xs) < 1e-6);
   ]
 
 let () =
@@ -292,11 +265,6 @@ let () =
         [
           Alcotest.test_case "binning and clamping" `Quick test_histogram_basic;
           Alcotest.test_case "normalized" `Quick test_histogram_normalized;
-        ] );
-      ( "welford",
-        [
-          Alcotest.test_case "matches batch" `Quick test_welford_matches_batch;
-          Alcotest.test_case "merge" `Quick test_welford_merge;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]
