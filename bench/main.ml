@@ -305,17 +305,17 @@ let micro_tests () =
       spaces
   in
   let ds = hp_dataset ~seed:11 in
-  let sys = Bwc_core.System.create ~seed:8 ds in
-  let protocol = Bwc_core.System.protocol sys in
+  let sys = Bwc_core.Dynamic.create ~seed:8 ds in
+  let protocol = Bwc_core.Dynamic.protocol sys in
   let rng = Rng.create 9 in
-  let n = Bwc_core.System.size sys in
+  let n = Bwc_core.Dynamic.member_count sys in
   let query_bench =
     Test.make ~name:"decentralized-query"
       (Staged.stage (fun () ->
            let at = Rng.int rng n in
            ignore (Bwc_core.Protocol.query protocol ~at ~k:8 ~cls:3)))
   in
-  let ens = Bwc_core.System.framework sys in
+  let ens = Bwc_core.Dynamic.ensemble sys in
   let labels_a = Bwc_predtree.Ensemble.labels ens 0 in
   let labels_b = Bwc_predtree.Ensemble.labels ens (n - 1) in
   let label_bench =

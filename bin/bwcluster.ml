@@ -379,12 +379,12 @@ let overload_cmd =
 
 let snapshot seed dataset hosts output =
   let ds = subset_hosts ~seed hosts (load_dataset ~seed dataset) in
-  let sys = Bwc_core.System.create ~seed ds in
-  let image = Bwc_persist.Snapshot.encode (`System sys) in
+  let sys = Bwc_core.Dynamic.create ~seed ds in
+  let image = Bwc_persist.Snapshot.encode (`Dynamic sys) in
   write_with (fun path -> Bwc_persist.Codec.write_file path image) output;
   Format.printf "wrote %s: %d bytes, %d hosts, converged in %d rounds@." output
-    (String.length image) (Bwc_core.System.size sys)
-    (Bwc_core.Protocol.rounds_run (Bwc_core.System.protocol sys))
+    (String.length image) (Bwc_core.Dynamic.member_count sys)
+    (Bwc_core.Protocol.rounds_run (Bwc_core.Dynamic.protocol sys))
 
 let snapshot_cmd =
   let doc =
@@ -407,36 +407,28 @@ let restore seed dataset hosts input resnapshot cold_fallback k b =
       Format.eprintf "bwcluster: cannot read snapshot: %s@." msg;
       exit exit_io
   in
-  (* re-snapshot before the proving query: the query draws a submission
-     point from the system RNG, and the restored image must stay
-     byte-identical to what was on disk *)
-  let resnap source =
-    match resnapshot with
-    | Some path ->
-        write_with
-          (fun path ->
-            Bwc_persist.Codec.write_file path (Bwc_persist.Snapshot.encode source))
-          path;
-        Format.printf "re-snapshot written to %s@." path
-    | None -> ()
-  in
   let prove_system ~warm sys =
     Format.printf "%s: %d hosts live at round %d@."
       (if warm then "restored warm" else "cold start")
-      (Bwc_core.System.size sys)
-      (Bwc_core.Protocol.current_round (Bwc_core.System.protocol sys));
-    resnap (`System sys);
+      (Bwc_core.Dynamic.member_count sys)
+      (Bwc_core.Protocol.current_round (Bwc_core.Dynamic.protocol sys));
+    (* re-snapshot before the proving query: the query draws a submission
+       point from the system RNG, and the restored image must stay
+       byte-identical to what was on disk *)
+    (match resnapshot with
+    | Some path ->
+        write_with
+          (fun path ->
+            Bwc_persist.Codec.write_file path
+              (Bwc_persist.Snapshot.encode (`Dynamic sys)))
+          path;
+        Format.printf "re-snapshot written to %s@." path
+    | None -> ());
     Format.printf "query: %a@." Bwc_core.Query.pp_result
-      (Bwc_core.System.query sys ~k ~b)
+      (Bwc_core.Dynamic.query sys ~k ~b)
   in
   match Bwc_persist.Snapshot.decode bytes with
-  | Ok (Bwc_persist.Snapshot.Restored_system sys) -> prove_system ~warm:true sys
-  | Ok (Bwc_persist.Snapshot.Restored_dynamic dyn) ->
-      Format.printf "restored warm: %d members live@."
-        (Bwc_core.Dynamic.member_count dyn);
-      resnap (`Dynamic dyn);
-      Format.printf "query: %a@." Bwc_core.Query.pp_result
-        (Bwc_core.Dynamic.query dyn ~k ~b)
+  | Ok sys -> prove_system ~warm:true sys
   | Error e ->
       Format.eprintf "bwcluster: persist.restore_rejected: %s@."
         (Bwc_persist.Codec.error_to_string e);
@@ -444,7 +436,7 @@ let restore seed dataset hosts input resnapshot cold_fallback k b =
       Format.printf "falling back to cold reconvergence over --dataset %s@."
         dataset;
       prove_system ~warm:false
-        (Bwc_core.System.create ~seed
+        (Bwc_core.Dynamic.create ~seed
            (subset_hosts ~seed hosts (load_dataset ~seed dataset)))
 
 let restore_cmd =
@@ -549,8 +541,8 @@ let gen_cmd =
 
 let export_tree seed dataset output =
   let ds = load_dataset ~seed dataset in
-  let sys = Bwc_core.System.create ~seed ds in
-  let fw = Bwc_predtree.Ensemble.primary (Bwc_core.System.framework sys) in
+  let sys = Bwc_core.Dynamic.create ~seed ds in
+  let fw = Bwc_predtree.Ensemble.primary (Bwc_core.Dynamic.ensemble sys) in
   let write path contents = write_with (write_string contents) path in
   let pred_path = output ^ ".prediction.dot" in
   let anchor_path = output ^ ".anchor.dot" in
@@ -602,20 +594,27 @@ let inspect_cmd =
 
 let query seed dataset k b =
   let ds = load_dataset ~seed dataset in
-  let sys = Bwc_core.System.create ~seed ds in
+  let sys = Bwc_core.Dynamic.create ~seed ds in
   Format.printf "system of %d hosts up (aggregation: %d rounds, %d messages)@."
-    (Bwc_core.System.size sys)
-    (Bwc_core.Protocol.rounds_run (Bwc_core.System.protocol sys))
-    (Bwc_core.Protocol.messages_sent (Bwc_core.System.protocol sys));
-  let result = Bwc_core.System.query sys ~k ~b in
+    (Bwc_core.Dynamic.member_count sys)
+    (Bwc_core.Protocol.rounds_run (Bwc_core.Dynamic.protocol sys))
+    (Bwc_core.Protocol.messages_sent (Bwc_core.Dynamic.protocol sys));
+  let result = Bwc_core.Dynamic.query sys ~k ~b in
   Format.printf "decentralized: %a@." Bwc_core.Query.pp_result result;
   (match result.Bwc_core.Query.cluster with
   | Some cluster ->
-      let bad = Bwc_core.System.verify_cluster sys ~b cluster in
+      let bad = Bwc_core.Dynamic.verify_cluster sys ~b cluster in
       Format.printf "real-bandwidth violations: %d of %d pairs@." (List.length bad)
         (List.length cluster * (List.length cluster - 1) / 2)
   | None -> ());
-  match Bwc_core.System.query_centralized sys ~k ~b with
+  (* TREE-CENTRAL: one-shot Algorithm 1 over the predicted distances *)
+  let predicted =
+    Bwc_metric.Space.cached
+      (Bwc_predtree.Ensemble.predicted_space (Bwc_core.Dynamic.ensemble sys))
+  in
+  match
+    Bwc_core.Find_cluster.find predicted ~k ~l:(Bwc_metric.Bandwidth.to_distance b)
+  with
   | Some cluster ->
       Format.printf "centralized:   found {%s}@."
         (String.concat ", " (List.map string_of_int cluster))

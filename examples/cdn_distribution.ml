@@ -23,10 +23,10 @@ let partition ~b ~max_cluster dataset =
     else begin
       let sub = Dataset.subset dataset remaining in
       let sys =
-        Bwc_core.System.create ~seed:(1000 + m) ~class_count:4 sub
+        Bwc_core.Dynamic.create ~seed:(1000 + m) ~class_count:4 sub
       in
       let k = Stdlib.min max_cluster (Stdlib.max 2 (m / 4)) in
-      match Bwc_core.System.query sys ~k ~b with
+      match Bwc_core.Dynamic.query sys ~k ~b with
       | { Bwc_core.Query.cluster = Some local_hosts; _ } ->
           (* indices are relative to [sub]; map back *)
           let cluster = List.map (fun i -> remaining.(i)) local_hosts in

@@ -54,11 +54,11 @@ let () =
   let wf = cybershake_like in
   Format.printf "desktop grid of %d hosts; workflow needs %d workers@." n wf.workers_needed;
 
-  let sys = Bwc_core.System.create ~seed:11 dataset in
+  let sys = Bwc_core.Dynamic.create ~seed:11 dataset in
 
   (* 1. Bandwidth-constrained placement: ask for pairwise >= 40 Mbps. *)
   let smart =
-    match Bwc_core.System.query sys ~k:wf.workers_needed ~b:40.0 with
+    match Bwc_core.Dynamic.query sys ~k:wf.workers_needed ~b:40.0 with
     | { Bwc_core.Query.cluster = Some hosts; hops; _ } ->
         Format.printf "cluster placement found after %d hops@." hops;
         hosts
@@ -86,7 +86,7 @@ let () =
 
   (* Bonus: pick a data-staging node with high bandwidth to the whole
      cluster (the node-search extension of Sec. VI). *)
-  match Bwc_core.System.find_feeder sys ~targets:smart with
+  match Bwc_core.Dynamic.find_feeder sys ~targets:smart with
   | Some (feeder, bw) ->
       Format.printf "@.data-staging node: host %d (predicted >= %.1f Mbps to every worker)@."
         feeder bw

@@ -22,7 +22,7 @@ let measure_wpr ~label sys current_truth =
   let wrong = ref 0 and pairs = ref 0 and found = ref 0 in
   for _ = 1 to queries_per_epoch do
     let b = Rng.uniform rng lo hi in
-    match (Bwc_core.System.query sys ~k:8 ~b).Bwc_core.Query.cluster with
+    match (Bwc_core.Dynamic.query sys ~k:8 ~b).Bwc_core.Query.cluster with
     | None -> ()
     | Some cluster ->
         incr found;
@@ -46,7 +46,7 @@ let () =
     Bwc_dataset.Planetlab.generate ~rng:(Rng.create 31) ~name:"dynamic-net"
       { Bwc_dataset.Planetlab.hp_target with n = 100 }
   in
-  let stale_sys = Bwc_core.System.create ~seed:2 initial in
+  let stale_sys = Bwc_core.Dynamic.create ~seed:2 initial in
   let truth = ref initial in
   let fresh_sys = ref stale_sys in
   for epoch = 0 to epochs - 1 do
@@ -61,7 +61,7 @@ let () =
           ~amplitude:drift !truth;
       (* ...and the refreshed system rebuilds its prediction framework
          and re-runs aggregation on the new measurements. *)
-      fresh_sys := Bwc_core.System.create ~seed:2 !truth
+      fresh_sys := Bwc_core.Dynamic.create ~seed:2 !truth
     end
   done;
   Format.printf

@@ -16,10 +16,10 @@ let () =
   (* A hierarchical ISP topology measured in milliseconds: metro links of
      a few ms, long-haul up to ~60 ms, with measurement jitter. *)
   let dataset = Bwc_dataset.Latency.generate ~rng ~n:140 ~name:"latency-140" () in
-  let sys = Bwc_core.System.create ~seed:5 dataset in
+  let sys = Bwc_core.Dynamic.create ~seed:5 dataset in
 
   let find_within_ms ~k ~ms =
-    Bwc_core.System.query sys ~k ~b:(Bwc_dataset.Latency.bandwidth_constraint_for ms)
+    Bwc_core.Dynamic.query sys ~k ~b:(Bwc_dataset.Latency.bandwidth_constraint_for ms)
   in
 
   List.iter

@@ -17,21 +17,21 @@ let () =
   (* One call builds the whole stack: the decentralized bandwidth
      prediction framework (prediction trees + anchor overlay), then runs
      the background aggregation protocols to quiescence. *)
-  let sys = Bwc_core.System.create ~seed:7 dataset in
-  let protocol = Bwc_core.System.protocol sys in
+  let sys = Bwc_core.Dynamic.create ~seed:7 dataset in
+  let protocol = Bwc_core.Dynamic.protocol sys in
   Format.printf "aggregation: %d rounds, %d messages@."
     (Bwc_core.Protocol.rounds_run protocol)
     (Bwc_core.Protocol.messages_sent protocol);
 
   (* Ask any host for 10 nodes with pairwise bandwidth of at least
      40 Mbps.  The query routes itself through the overlay. *)
-  let result = Bwc_core.System.query sys ~k:10 ~b:40.0 in
+  let result = Bwc_core.Dynamic.query sys ~k:10 ~b:40.0 in
   (match result.Bwc_core.Query.cluster with
   | Some hosts ->
       Format.printf "cluster found after %d hops: {%s}@." result.Bwc_core.Query.hops
         (String.concat ", " (List.map string_of_int hosts));
       (* Check the answer against the ground-truth bandwidth matrix. *)
-      let violations = Bwc_core.System.verify_cluster sys ~b:40.0 hosts in
+      let violations = Bwc_core.Dynamic.verify_cluster sys ~b:40.0 hosts in
       Format.printf "ground truth: %d of %d pairs below 40 Mbps@."
         (List.length violations)
         (List.length hosts * (List.length hosts - 1) / 2)
@@ -39,7 +39,12 @@ let () =
 
   (* The centralized Algorithm 1 over the same predicted distances, for
      comparison. *)
-  match Bwc_core.System.query_centralized sys ~k:10 ~b:40.0 with
+  let predicted =
+    Bwc_metric.Space.cached
+      (Bwc_predtree.Ensemble.predicted_space (Bwc_core.Dynamic.ensemble sys))
+  in
+  let l = Bwc_metric.Bandwidth.to_distance 40.0 in
+  match Bwc_core.Find_cluster.find predicted ~k:10 ~l with
   | Some hosts ->
       Format.printf "centralized algorithm agrees: {%s}@."
         (String.concat ", " (List.map string_of_int hosts))

@@ -30,7 +30,7 @@ let sync_time ds nodes =
   !worst
 
 let place sys label =
-  match Bwc_core.System.query sys ~k:replicas ~b:45.0 with
+  match Bwc_core.Dynamic.query sys ~k:replicas ~b:45.0 with
   | { Bwc_core.Query.cluster = Some nodes; hops; _ } ->
       Format.printf "%s: replicas on {%s} (found after %d hops)@." label
         (String.concat ", " (List.map string_of_int nodes))
@@ -45,12 +45,12 @@ let () =
     Bwc_dataset.Planetlab.generate ~rng:(Rng.create 41) ~name:"storage-peers"
       { Bwc_dataset.Planetlab.hp_target with n = 130 }
   in
-  let sys = Bwc_core.System.create ~seed:9 dataset in
+  let sys = Bwc_core.Dynamic.create ~seed:9 dataset in
   match place sys "initial placement" with
   | None -> ()
   | Some nodes ->
       Format.printf "  anti-entropy round: %.1f s@." (sync_time dataset nodes);
-      (match Bwc_core.System.find_feeder sys ~targets:nodes with
+      (match Bwc_core.Dynamic.find_feeder sys ~targets:nodes with
       | Some (ingest, bw) ->
           Format.printf "  ingest node: host %d (>= %.0f Mbps to every replica)@."
             ingest bw
@@ -64,7 +64,7 @@ let () =
       let drifted =
         Bwc_dataset.Noise.host_drift ~rng:(Rng.create 42) ~amplitude:2.0 dataset
       in
-      let sys' = Bwc_core.System.create ~seed:9 drifted in
+      let sys' = Bwc_core.Dynamic.create ~seed:9 drifted in
       Format.printf "@.after access-link drift:@.";
       Format.printf "  old placement sync round on new network: %.1f s@."
         (sync_time drifted nodes);

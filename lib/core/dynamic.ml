@@ -22,19 +22,19 @@ let install_evict_hook t =
           Find_cluster.Index.remove_host idx h
       | Some _ | None -> ())
 
-let create ?(seed = 1) ?(c = Bwc_metric.Bandwidth.default_c) ?n_cut ?(class_count = 8)
-    ?ensemble_size ?initial_members ?detector ?metrics ?trace dataset =
+let create ?(seed = 1) ?n_cut ?(class_count = 8) ?classes ?initial_members
+    ?aggregation_rounds dataset =
+  let c = Bwc_metric.Bandwidth.default_c in
   let rng = Rng.create seed in
   let space = Dataset.metric ~c dataset in
-  let fw =
-    Ensemble.build ~rng:(Rng.split rng) ?size:ensemble_size ?members:initial_members
-      ?metrics space
+  let fw = Ensemble.build ~rng:(Rng.split rng) ?members:initial_members space in
+  let classes =
+    match classes with
+    | Some cl -> cl
+    | None -> Classes.of_percentiles ~c ~count:class_count dataset
   in
-  let classes = Classes.of_percentiles ~c ~count:class_count dataset in
-  let protocol =
-    Protocol.create ~rng:(Rng.split rng) ?n_cut ?detector ?metrics ?trace ~classes fw
-  in
-  let (_ : int) = Protocol.run_aggregation protocol in
+  let protocol = Protocol.create ~rng:(Rng.split rng) ?n_cut ~classes fw in
+  let (_ : int) = Protocol.run_aggregation ?max_rounds:aggregation_rounds protocol in
   let t =
     {
       rng;
@@ -144,3 +144,25 @@ let query ?at t ~k ~b =
 let query_centralized t ~k ~b =
   let l = Bwc_metric.Bandwidth.to_distance ~c:t.c b in
   Find_cluster.Index.find (index t) ~k ~l
+
+let verify_cluster t ~b cluster =
+  let rec pairs acc = function
+    | [] -> acc
+    | x :: rest ->
+        let acc =
+          List.fold_left
+            (fun a y -> if Dataset.bw t.dataset x y < b then (x, y) :: a else a)
+            acc rest
+        in
+        pairs acc rest
+  in
+  List.rev (pairs [] cluster)
+
+(* predictions exist only between members: hosts outside the overlay are
+   no candidates *)
+let find_feeder t ~targets =
+  let absent =
+    List.filter (fun h -> not (is_member t h)) (List.init (Dataset.size t.dataset) Fun.id)
+  in
+  Node_search.best (Ensemble.predicted_space t.fw) ~targets ~exclude:absent
+  |> Option.map (fun (x, radius) -> (x, Bwc_metric.Bandwidth.of_distance ~c:t.c radius))

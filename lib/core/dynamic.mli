@@ -1,6 +1,17 @@
-(** Dynamic membership: hosts joining and leaving a running system
+(** The system facade: one call stands up the whole stack — prediction
+    framework, aggregation protocol, centralized index — over a bandwidth
+    dataset, and hosts keep joining and leaving it afterwards
     (requirement 5 of Sec. I, "members of each cluster should adaptively
-    change as network condition changes").
+    change as network condition changes").  The experiments, the
+    examples, the CLI and [bwclusterd] all run on it.
+
+    {[
+      let ds = Bwc_dataset.Planetlab.hp_like ~seed:1 in
+      let sys = Bwc_core.Dynamic.create ~seed:1 ds in
+      match Bwc_core.Dynamic.query sys ~k:10 ~b:40.0 with
+      | { cluster = Some hosts; hops; _ } -> (* use hosts *)
+      | _ -> (* relax the constraints *)
+    ]}
 
     A join inserts the host into every prediction tree of the ensemble
     (the same Gromov placement a bootstrap uses) and a leave splices it
@@ -21,21 +32,19 @@ type t
 
 val create :
   ?seed:int ->
-  ?c:float ->
   ?n_cut:int ->
   ?class_count:int ->
-  ?ensemble_size:int ->
+  ?classes:Classes.t ->
   ?initial_members:int list ->
-  ?detector:Detector.config ->
-  ?metrics:Bwc_obs.Registry.t ->
-  ?trace:Bwc_obs.Trace.t ->
+  ?aggregation_rounds:int ->
   Bwc_dataset.Dataset.t ->
   t
-(** [initial_members] defaults to all hosts of the dataset.
-    [detector]/[metrics]/[trace] are threaded into the underlying
-    {!Protocol.create} (and [metrics] into the ensemble build), so a
-    long-running host such as [bwclusterd] observes the whole stack
-    through one registry and one trace sink. *)
+(** Builds the prediction framework over [initial_members] (default: all
+    hosts of the dataset), creates the decentralized protocol and runs
+    background aggregation to quiescence, or for at most
+    [aggregation_rounds] rounds.  [class_count] (default 8) bandwidth
+    classes are placed at percentiles of the dataset's bandwidth
+    distribution; an explicit [classes] overrides both. *)
 
 val assemble :
   dataset:Bwc_dataset.Dataset.t ->
@@ -90,9 +99,20 @@ val run_scenario :
     queries). *)
 
 val query : ?at:int -> t -> k:int -> b:float -> Query.result
-(** Submits at a uniformly random current member by default.  When the
-    member list is empty (churn removed everyone), answers
+(** Decentralized query (Algorithm 4).  Submitted at host [at] (default:
+    a uniformly random current member, as in the paper's experiments).
+    [b] is mapped to the cheapest bandwidth class that guarantees it.
+    When the member list is empty (churn removed everyone), answers
     {!Query.no_members} instead of raising. *)
+
+val verify_cluster : t -> b:float -> int list -> (int * int) list
+(** The pairs of the cluster whose {e real} bandwidth is below [b] — the
+    per-query ingredient of the WPR accuracy metric. *)
+
+val find_feeder : t -> targets:int list -> (int * float) option
+(** Node-search extension: the current member maximising its minimum
+    predicted bandwidth to [targets] (which must be members), with that
+    bandwidth. *)
 
 val index : t -> Find_cluster.Index.t
 (** The maintained centralized index over the measured metric restricted

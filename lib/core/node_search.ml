@@ -19,8 +19,3 @@ let best space ~targets ~exclude =
     done;
     !best
   end
-
-let best_bw ?c space ~targets =
-  match best space ~targets ~exclude:[] with
-  | None -> None
-  | Some (x, radius) -> Some (x, Bwc_metric.Bandwidth.of_distance ?c radius)

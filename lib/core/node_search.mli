@@ -10,7 +10,3 @@ val best :
 (** [best space ~targets ~exclude] returns the host (not a target, not
     excluded) minimising the maximum distance to the targets, with that
     distance.  [None] when no candidate exists or [targets] is empty. *)
-
-val best_bw :
-  ?c:float -> Bwc_metric.Space.t -> targets:int list -> (int * float) option
-(** Same, reported as minimum bandwidth to the target set. *)

@@ -187,7 +187,6 @@ let get_node t x =
   | Some node -> node
   | None -> invalid_arg "Protocol: host is not a member"
 
-let n_cut t = t.n_cut
 let metrics t = Engine.metrics t.engine
 let detector t = t.detector
 

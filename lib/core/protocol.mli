@@ -96,8 +96,6 @@ val create :
     [Query_hop], [Suspect], [Confirm_dead], [Regraft] and [Quiesce] —
     and is off when omitted. *)
 
-val n_cut : t -> int
-
 val run_aggregation : ?max_rounds:int -> t -> int
 (** Runs rounds until quiescent (returns the number of rounds) or until
     [max_rounds] (default [4 * n]). *)

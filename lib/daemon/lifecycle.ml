@@ -25,19 +25,8 @@ let bump metrics name =
 
 let boot ?metrics ?trace ?keep ~path ~cold () =
   match Snapshot.load_any ?metrics ?trace ?keep path with
-  | Ok (Snapshot.Restored_dynamic dyn, g) ->
-      { system = dyn; warm = true; generation = Some g; rejected = [] }
-  | Ok (Snapshot.Restored_system _, g) ->
-      (* wrong snapshot kind: a static System image cannot serve churn;
-         treat it like any other rejected generation *)
-      bump metrics "persist.cold_starts";
-      {
-        system = cold ();
-        warm = false;
-        generation = None;
-        rejected = [ (g, Codec.Corrupt "snapshot holds a static system, not a dynamic one") ];
-      }
-  | Error rejected ->
+  | Some (dyn, g), rejected -> { system = dyn; warm = true; generation = Some g; rejected }
+  | None, rejected ->
       bump metrics "persist.cold_starts";
       { system = cold (); warm = false; generation = None; rejected }
 

@@ -12,7 +12,8 @@ type boot = {
   generation : int option;
       (** the rotated generation that restored (0 = newest), when warm *)
   rejected : (int * Bwc_persist.Codec.error) list;
-      (** generations that existed but failed verification *)
+      (** generations that existed but failed verification, newest first
+          (on a warm boot, the ones tried before the winner) *)
 }
 
 val boot :

@@ -1,27 +1,16 @@
 module Rng = Bwc_stats.Rng
 module Dmatrix = Bwc_metric.Dmatrix
 
-let perturb ~factor ~name ds =
-  let bwm = Dmatrix.map_off_diagonal ds.Dataset.bw (fun _ _ v -> v *. factor ()) in
-  Dataset.make ~name bwm
-
 let multiplicative ~rng ~sigma ?name ds =
   let name =
     match name with
     | Some n -> n
     | None -> Printf.sprintf "%s+noise%.2f" ds.Dataset.name sigma
   in
-  perturb ~factor:(fun () -> exp (sigma *. Rng.gaussian rng)) ~name ds
-
-let relative_clamp ~rng ~amplitude ?name ds =
-  if amplitude < 0.0 || amplitude >= 1.0 then
-    invalid_arg "Noise.relative_clamp: amplitude must be in [0, 1)";
-  let name =
-    match name with
-    | Some n -> n
-    | None -> Printf.sprintf "%s+drift%.2f" ds.Dataset.name amplitude
+  let bwm =
+    Dmatrix.map_off_diagonal ds.Dataset.bw (fun _ _ v -> v *. exp (sigma *. Rng.gaussian rng))
   in
-  perturb ~factor:(fun () -> Rng.uniform rng (1.0 -. amplitude) (1.0 +. amplitude)) ~name ds
+  Dataset.make ~name bwm
 
 let host_drift ~rng ~amplitude ?name ds =
   if amplitude < 0.0 then invalid_arg "Noise.host_drift: negative amplitude";

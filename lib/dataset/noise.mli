@@ -12,12 +12,6 @@ val multiplicative :
 (** [multiplicative ~rng ~sigma ds] multiplies each pairwise bandwidth by
     an independent [exp (sigma * N(0,1))] factor. *)
 
-val relative_clamp :
-  rng:Bwc_stats.Rng.t -> amplitude:float -> ?name:string -> Dataset.t -> Dataset.t
-(** [relative_clamp ~rng ~amplitude ds] perturbs each bandwidth uniformly
-    in [[bw*(1-amplitude), bw*(1+amplitude)]]; a bounded alternative used
-    for the dynamic-network simulations, where drift must not explode. *)
-
 val host_drift :
   rng:Bwc_stats.Rng.t -> amplitude:float -> ?name:string -> Dataset.t -> Dataset.t
 (** [host_drift ~rng ~amplitude ds] models changing load on access links:

@@ -5,13 +5,14 @@
     - TREE-DECENTRAL: the full decentralized system (Algorithms 2-4 over
       the prediction framework);
     - TREE-CENTRAL: Algorithm 1 over the same framework's predicted
-      distances;
+      distances, indexed on first use;
     - EUCL-CENTRAL: the adapted Aggarwal k-diameter algorithm over a
       Vivaldi 2-d embedding of the same measurements. *)
 
 type t = {
   dataset : Bwc_dataset.Dataset.t;
-  sys : Bwc_core.System.t;
+  sys : Bwc_core.Dynamic.t;
+  tree_index : Bwc_core.Find_cluster.Index.t Lazy.t;
   vivaldi : Bwc_vivaldi.Vivaldi.t;
   eucl_index : Bwc_euclid.Kdiam.Index.t;
 }

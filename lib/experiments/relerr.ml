@@ -10,7 +10,7 @@ let run ?(rounds = 3) ~seed dataset =
     let ctx = Context.create ~seed:(seed + round) dataset in
     tree_errs :=
       Bwc_predtree.Ensemble.relative_errors ~c:(Context.c ctx)
-        (Bwc_core.System.framework ctx.Context.sys)
+        (Bwc_core.Dynamic.ensemble ctx.Context.sys)
       :: !tree_errs;
     eucl_errs :=
       Bwc_vivaldi.Vivaldi.relative_errors ~c:(Context.c ctx) ctx.Context.vivaldi

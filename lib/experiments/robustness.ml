@@ -434,7 +434,7 @@ let gate (output : output) =
 
 (* ----- E15: crash-consistent restart, warm restore vs cold reconvergence ----- *)
 
-module System = Bwc_core.System
+module Dynamic = Bwc_core.Dynamic
 module Snapshot = Bwc_persist.Snapshot
 module Codec = Bwc_persist.Codec
 
@@ -474,24 +474,22 @@ let restart ?(queries = 60) ?(max_rounds = 600) ?(n_cut = 4) ?(class_count = 5)
   let lo, hi = Workload.bandwidth_range dataset in
   (* the reference system converges once; its image, taken at quiescence
      before any query runs, is what every restart arm starts from *)
-  let reference =
-    System.create ~seed ~n_cut ~class_count dataset
-  in
-  let ens = System.framework reference in
-  let ref_p = System.protocol reference in
+  let reference = Dynamic.create ~seed ~n_cut ~class_count dataset in
+  let ens = Dynamic.ensemble reference in
+  let ref_p = Dynamic.protocol reference in
   let base_rounds = Protocol.rounds_run ref_p in
-  let image = Snapshot.encode (`System reference) in
+  let image = Snapshot.encode (`Dynamic reference) in
   let rr_clean, _ = measure_rr ~seed:(seed + 3) ~queries ~hosts ~lo ~hi ref_p in
   (* a cold start is the same build with aggregation suppressed: the state
      a node has after a restart with no (or no usable) snapshot *)
   let cold_build () =
-    System.create ~seed ~n_cut ~class_count ~aggregation_rounds:0 dataset
+    Dynamic.create ~seed ~n_cut ~class_count ~aggregation_rounds:0 dataset
   in
   (* one arm: replay the query workload immediately at restart (query
      availability while reconvergence is still pending), then run the
      aggregation to a fixed point and count what it cost *)
   let arm ~mode ~restore_ok ~rejected_as sys =
-    let p = System.protocol sys in
+    let p = Dynamic.protocol sys in
     let rr_at_restart, _ = measure_rr ~seed:(seed + 3) ~queries ~hosts ~lo ~hi p in
     let msgs0 = Protocol.messages_sent p in
     let post_rounds = Protocol.run_aggregation ~max_rounds p in
@@ -500,20 +498,12 @@ let restart ?(queries = 60) ?(max_rounds = 600) ?(n_cut = 4) ?(class_count = 5)
     (mode, restore_ok, rejected_as, rr_at_restart, post_rounds, post_msgs,
      fixpoint_match)
   in
-  let unwrap = function
-    | Snapshot.Restored_system s -> s
-    | Snapshot.Restored_dynamic _ -> cold_build ()
-  in
   let from_bytes ~mode bytes =
-    let restored, status =
-      Snapshot.restore_or_cold
-        ~cold:(fun () -> Snapshot.Restored_system (cold_build ()))
-        bytes
-    in
+    let restored, status = Snapshot.restore_or_cold ~cold:cold_build bytes in
     let restore_ok, rejected_as =
       match status with `Warm -> (true, "-") | `Cold e -> (false, err_class e)
     in
-    arm ~mode ~restore_ok ~rejected_as (unwrap restored)
+    arm ~mode ~restore_ok ~rejected_as restored
   in
   let corrupted ~mode ~salt corruption =
     from_bytes ~mode

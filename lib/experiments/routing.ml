@@ -38,8 +38,9 @@ let run ?ks ?(queries_per_k = 60) ?(rounds = 2) ~seed dataset =
         pair
   in
   for round = 0 to rounds - 1 do
-    let sys = Bwc_core.System.create ~seed:(seed + round) dataset in
-    let protocol = Bwc_core.System.protocol sys in
+    let protocol =
+      Bwc_core.Dynamic.protocol (Bwc_core.Dynamic.create ~seed:(seed + round) dataset)
+    in
     let rng = Rng.create (seed + (1000 * round) + 71) in
     List.iter
       (fun k ->

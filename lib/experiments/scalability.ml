@@ -29,7 +29,7 @@ let run ?(sizes = [ 50; 100; 150; 200; 250 ]) ?(subsets_per_size = 2)
           let ds = Dataset.random_subset base ~rng:sub_rng n in
           let lo, hi = Workload.bandwidth_range ds in
           for round = 0 to rounds - 1 do
-            let sys = Bwc_core.System.create ~seed:(seed + (1000 * subset) + round) ds in
+            let sys = Bwc_core.Dynamic.create ~seed:(seed + (1000 * subset) + round) ds in
             let rng = Rng.create (seed + (10 * n) + (100 * subset) + round) in
             (* Queries: uniform k drawn from the 5%-30% range, constraint
                and submission host uniform. *)
@@ -40,7 +40,7 @@ let run ?(sizes = [ 50; 100; 150; 200; 250 ]) ?(subsets_per_size = 2)
               let k = ks_arr.(Rng.int rng (Array.length ks_arr)) in
               let b = Rng.uniform rng lo hi in
               let at = Rng.int rng n in
-              let r = Bwc_core.System.query ~at sys ~k ~b in
+              let r = Bwc_core.Dynamic.query ~at sys ~k ~b in
               incr asked;
               if Bwc_core.Query.found r then begin
                 incr found;

@@ -56,9 +56,7 @@ let run ?(n = 100) ?(sigmas = [ 0.02; 0.05; 0.1; 0.2; 0.4; 0.8 ]) ?(rounds = 2)
         in
         let range = Workload.bandwidth_range ~lo_pct:3.0 ~hi_pct:97.0 ds in
         for round = 0 to rounds - 1 do
-          let sys =
-            Bwc_core.System.create ~seed:(seed + round) ~classes ds
-          in
+          let sys = Bwc_core.Dynamic.create ~seed:(seed + round) ~classes ds in
           let rng = Rng.create (seed + (1000 * round) + 29) in
           let queries =
             Workload.fixed_k ~rng ~range ~n ~k ~count:queries_per_round
@@ -71,7 +69,7 @@ let run ?(n = 100) ?(sigmas = [ 0.02; 0.05; 0.1; 0.2; 0.4; 0.8 ]) ?(rounds = 2)
               let bin = Stdlib.min (bins - 1) (int_of_float (fb *. float_of_int bins)) in
               let acc = accs.(bin) in
               match
-                (Bwc_core.System.query ~at:q.Workload.at sys ~k:q.Workload.k ~b)
+                (Bwc_core.Dynamic.query ~at:q.Workload.at sys ~k:q.Workload.k ~b)
                   .Bwc_core.Query.cluster
               with
               | None -> ()
@@ -81,7 +79,7 @@ let run ?(n = 100) ?(sigmas = [ 0.02; 0.05; 0.1; 0.2; 0.4; 0.8 ]) ?(rounds = 2)
                   acc.fa_sum <- acc.fa_sum +. fa;
                   acc.wrong <-
                     acc.wrong
-                    + List.length (Bwc_core.System.verify_cluster sys ~b cluster);
+                    + List.length (Bwc_core.Dynamic.verify_cluster sys ~b cluster);
                   acc.pairs <- acc.pairs + (List.length cluster * (List.length cluster - 1) / 2))
             queries
         done;

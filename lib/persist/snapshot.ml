@@ -27,15 +27,13 @@ module Protocol = Bwc_core.Protocol
 module Classes = Bwc_core.Classes
 module Node_info = Bwc_core.Node_info
 module Index = Bwc_core.Find_cluster.Index
-module System = Bwc_core.System
 module Dynamic = Bwc_core.Dynamic
 module Registry = Bwc_obs.Registry
 module Trace = Bwc_obs.Trace
 module W = Codec.W
 module R = Codec.R
 
-type source = [ `System of System.t | `Dynamic of Dynamic.t ]
-type restored = Restored_system of System.t | Restored_dynamic of Dynamic.t
+type source = [ `Dynamic of Dynamic.t ]
 
 (* ----- dataset: name + upper-triangular bandwidth matrix ----- *)
 
@@ -421,54 +419,18 @@ let dec_index r : Index.dump =
 
 (* ----- whole systems ----- *)
 
-let encode_payload (src : source) =
+let encode_payload dyn =
   let w = W.create () in
   W.tag w "snapshot";
-  (match src with
-  | `System sys ->
-      W.str w "system";
-      W.int w (System.seed sys);
-      W.i64 w (System.rng_state sys);
-      W.float w (System.c sys);
-      enc_dataset w (System.dataset sys);
-      enc_classes w (System.classes sys);
-      enc_ensemble w (Ensemble.dump (System.framework sys));
-      enc_protocol w (Protocol.dump (System.protocol sys));
-      W.option w (fun i -> enc_index w (Index.dump i)) (System.index_opt sys)
-  | `Dynamic dyn ->
-      W.str w "dynamic";
-      W.i64 w (Dynamic.rng_state dyn);
-      W.float w (Dynamic.c dyn);
-      enc_dataset w (Dynamic.dataset dyn);
-      enc_classes w (Dynamic.classes dyn);
-      enc_ensemble w (Ensemble.dump (Dynamic.ensemble dyn));
-      enc_protocol w (Protocol.dump (Dynamic.protocol dyn));
-      W.option w (fun i -> enc_index w (Index.dump i)) (Dynamic.index_opt dyn));
+  W.str w "dynamic";
+  W.i64 w (Dynamic.rng_state dyn);
+  W.float w (Dynamic.c dyn);
+  enc_dataset w (Dynamic.dataset dyn);
+  enc_classes w (Dynamic.classes dyn);
+  enc_ensemble w (Ensemble.dump (Dynamic.ensemble dyn));
+  enc_protocol w (Protocol.dump (Dynamic.protocol dyn));
+  W.option w (fun i -> enc_index w (Index.dump i)) (Dynamic.index_opt dyn);
   Codec.encode (W.contents w)
-
-let dec_system ?metrics ?trace r =
-  let seed = R.int r in
-  let rng_state = R.i64 r in
-  let c = R.float r in
-  let dataset = dec_dataset r in
-  let classes = dec_classes r in
-  let ens_dump = dec_ensemble r in
-  let proto_dump = dec_protocol r in
-  let index_dump = R.option r (fun () -> dec_index r) in
-  R.eof r;
-  let fw = Ensemble.of_dump ?metrics (Dataset.metric ~c dataset) ens_dump in
-  let protocol = Protocol.of_dump ?metrics ?trace ~classes fw proto_dump in
-  let index =
-    Option.map
-      (fun d ->
-        let predicted =
-          Space.cached
-            (Space.make ~n:(Dataset.size dataset) ~dist:(Ensemble.predicted fw))
-        in
-        Index.of_dump predicted d)
-      index_dump
-  in
-  System.assemble ~seed ~dataset ~c ~fw ~protocol ~classes ~rng_state ~index
 
 let dec_dynamic ?metrics ?trace r =
   let rng_state = R.i64 r in
@@ -488,13 +450,14 @@ let dec_dynamic ?metrics ?trace r =
   in
   Dynamic.assemble ~dataset ~c ~fw ~protocol ~classes ~rng_state ~index ()
 
+(* the kind tag stays in the payload: an image of the retired static
+   ["system"] kind is refused like any other corruption *)
 let decode_payload ?metrics ?trace payload =
   try
     let r = R.create payload in
     R.tag r "snapshot";
     match R.str r with
-    | "system" -> Ok (Restored_system (dec_system ?metrics ?trace r))
-    | "dynamic" -> Ok (Restored_dynamic (dec_dynamic ?metrics ?trace r))
+    | "dynamic" -> Ok (dec_dynamic ?metrics ?trace r)
     | k -> Codec.corrupt "unknown snapshot kind %S" k
   with
   | Codec.Error e -> Error e
@@ -502,13 +465,7 @@ let decode_payload ?metrics ?trace payload =
 
 (* ----- instrumented entry points ----- *)
 
-let source_round = function
-  | `System sys -> Protocol.current_round (System.protocol sys)
-  | `Dynamic dyn -> Protocol.current_round (Dynamic.protocol dyn)
-
-let restored_round = function
-  | Restored_system sys -> Protocol.current_round (System.protocol sys)
-  | Restored_dynamic dyn -> Protocol.current_round (Dynamic.protocol dyn)
+let round dyn = Protocol.current_round (Dynamic.protocol dyn)
 
 let bump metrics name =
   match metrics with
@@ -517,12 +474,10 @@ let bump metrics name =
 
 let emit trace ev = match trace with Some tr -> Trace.emit tr ev | None -> ()
 
-let encode ?metrics ?trace (src : source) =
-  let bytes = encode_payload src in
+let encode ?metrics ?trace (`Dynamic dyn : source) =
+  let bytes = encode_payload dyn in
   bump metrics "persist.snapshots";
-  emit trace
-    (Trace.Snapshot_write
-       { round = source_round src; bytes = String.length bytes });
+  emit trace (Trace.Snapshot_write { round = round dyn; bytes = String.length bytes });
   bytes
 
 let decode ?metrics ?trace bytes =
@@ -531,10 +486,10 @@ let decode ?metrics ?trace bytes =
     | Error e -> Error e
     | Ok payload -> decode_payload ?metrics ?trace payload
   with
-  | Ok restored ->
+  | Ok dyn ->
       bump metrics "persist.restores";
-      emit trace (Trace.Restore { round = restored_round restored; warm = true });
-      Ok restored
+      emit trace (Trace.Restore { round = round dyn; warm = true });
+      Ok dyn
   | Error e ->
       bump metrics "persist.restore_rejected";
       emit trace
@@ -570,25 +525,24 @@ let rotate ?metrics ?(keep = 3) ~path bytes =
 let load_any ?metrics ?trace ?(keep = 3) path =
   if keep < 1 then invalid_arg "Snapshot.load_any: keep < 1";
   let rec go g errs =
-    if g >= keep then Error (List.rev errs)
+    if g >= keep then (None, List.rev errs)
     else
       let p = gen_path path g in
       if not (Sys.file_exists p) then go (g + 1) errs
       else
         match load ?metrics ?trace p with
-        | Ok restored ->
+        | Ok dyn ->
             if g > 0 then bump metrics "persist.generation_fallbacks";
-            Ok (restored, g)
+            (Some (dyn, g), List.rev errs)
         | Error e -> go (g + 1) ((g, e) :: errs)
   in
   go 0 []
 
 let restore_or_cold ?metrics ?trace ~cold bytes =
   match decode ?metrics ?trace bytes with
-  | Ok restored -> (restored, `Warm)
+  | Ok dyn -> (dyn, `Warm)
   | Error e ->
-      let restored = cold () in
+      let dyn = cold () in
       bump metrics "persist.cold_starts";
-      emit trace
-        (Trace.Restore { round = restored_round restored; warm = false });
-      (restored, `Cold e)
+      emit trace (Trace.Restore { round = round dyn; warm = false });
+      (dyn, `Cold e)

@@ -27,11 +27,10 @@
     [persist.cold_starts]; with [?trace] they emit [Snapshot_write],
     [Restore] and [Restore_rejected] events. *)
 
-type source = [ `System of Bwc_core.System.t | `Dynamic of Bwc_core.Dynamic.t ]
-
-type restored =
-  | Restored_system of Bwc_core.System.t
-  | Restored_dynamic of Bwc_core.Dynamic.t
+type source = [ `Dynamic of Bwc_core.Dynamic.t ]
+(** One constructor: the system facade has a single kind of image.  An
+    image of the retired static ["system"] kind decodes as
+    {!Codec.Corrupt}. *)
 
 val encode :
   ?metrics:Bwc_obs.Registry.t -> ?trace:Bwc_obs.Trace.t -> source -> string
@@ -41,7 +40,7 @@ val decode :
   ?metrics:Bwc_obs.Registry.t ->
   ?trace:Bwc_obs.Trace.t ->
   string ->
-  (restored, Codec.error) result
+  (Bwc_core.Dynamic.t, Codec.error) result
 (** Verifies the container (magic, version, length, CRC-32), then decodes
     and validates every layer, then re-assembles a live system.  Any
     corruption — truncation, bit flips, stale versions, semantic
@@ -51,14 +50,14 @@ val load :
   ?metrics:Bwc_obs.Registry.t ->
   ?trace:Bwc_obs.Trace.t ->
   string ->
-  (restored, Codec.error) result
+  (Bwc_core.Dynamic.t, Codec.error) result
 
 val restore_or_cold :
   ?metrics:Bwc_obs.Registry.t ->
   ?trace:Bwc_obs.Trace.t ->
-  cold:(unit -> restored) ->
+  cold:(unit -> Bwc_core.Dynamic.t) ->
   string ->
-  restored * [ `Warm | `Cold of Codec.error ]
+  Bwc_core.Dynamic.t * [ `Warm | `Cold of Codec.error ]
 (** Graceful degradation: a verified snapshot restores warm; any
     rejection falls back to [cold ()] (typically a full rebuild +
     reconvergence) and reports why.  Counts [persist.cold_starts] and
@@ -92,11 +91,11 @@ val load_any :
   ?trace:Bwc_obs.Trace.t ->
   ?keep:int ->
   string ->
-  (restored * int, (int * Codec.error) list) result
+  (Bwc_core.Dynamic.t * int) option * (int * Codec.error) list
 (** Walk the rotated generations newest-first and restore the first
-    image that verifies; [Ok (restored, g)] names the generation that
-    won.  Missing files are skipped silently; existing-but-rejected
-    generations are reported (with their index) in the [Error] list
-    when every generation fails — an empty list means no generation
-    exists at all.  A successful fallback past generation 0 counts
-    [persist.generation_fallbacks]. *)
+    image that verifies; [Some (dyn, g)] names the generation that won,
+    [None] means none did.  The list reports, with their index, the
+    existing generations rejected on the way — every one of them when
+    none restores; it is empty when no generation exists at all.
+    Missing files are skipped silently.  A successful fallback past
+    generation 0 counts [persist.generation_fallbacks]. *)

@@ -57,6 +57,8 @@ let label_dist la lb =
 let predicted t i j =
   median (Array.map (fun fw -> Framework.predicted fw i j) t.frameworks)
 
+let predicted_space t = Space.make ~n:(hosts t) ~dist:(predicted t)
+
 let measured t i j = t.space.Space.dist i j
 
 let anchor_neighbors t h = Framework.anchor_neighbors (primary t) h

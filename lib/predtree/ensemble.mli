@@ -61,6 +61,10 @@ val label_dist : Label.t array -> Label.t array -> float
 
 val predicted : t -> int -> int -> float
 
+val predicted_space : t -> Bwc_metric.Space.t
+(** The median predictor as a space over all [hosts] ids; distances are
+    defined between current members only. *)
+
 val anchor_neighbors : t -> int -> int list
 (** Overlay neighborhood in the primary tree. *)
 

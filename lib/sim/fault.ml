@@ -18,12 +18,6 @@ type snapshot_corruption =
   | Flip_bits of int
   | Stale_version
 
-type system_crash = {
-  crash_round : int;
-  restore_after : int;
-  corrupt : snapshot_corruption option;
-}
-
 type t = {
   rng : Rng.t;
   drop : float;
@@ -31,15 +25,14 @@ type t = {
   jitter : int;
   partitions : partition list;
   transitions : (int, (int * bool) list) Hashtbl.t; (* round -> (node, up) *)
-  system_crashes : system_crash list; (* ascending crash_round *)
   c_lost : Registry.Counter.t;
   c_duplicated : Registry.Counter.t;
   c_delayed : Registry.Counter.t;
   c_partition_dropped : Registry.Counter.t;
 }
 
-let make ?metrics ~rng ~drop ~duplicate ~jitter ~partitions ~crashes
-    ~system_crashes () =
+let create ?(drop = 0.0) ?(duplicate = 0.0) ?(jitter = 0) ?(partitions = [])
+    ?(crashes = []) ?metrics ~rng () =
   if drop < 0.0 || drop > 1.0 then invalid_arg "Fault.create: drop not in [0,1]";
   if duplicate < 0.0 || duplicate > 1.0 then
     invalid_arg "Fault.create: duplicate not in [0,1]";
@@ -55,28 +48,6 @@ let make ?metrics ~rng ~drop ~duplicate ~jitter ~partitions ~crashes
       schedule c.down_from (c.node, false);
       if c.up_at < max_int then schedule c.up_at (c.node, true))
     crashes;
-  List.iter
-    (fun sc ->
-      if sc.crash_round < 1 then invalid_arg "Fault.create: system crash before round 1";
-      if sc.restore_after < 0 then invalid_arg "Fault.create: negative restore delay";
-      (match sc.corrupt with
-      | Some (Truncate keep) when keep < 0 ->
-          invalid_arg "Fault.create: negative truncation"
-      | Some (Flip_bits k) when k < 1 ->
-          invalid_arg "Fault.create: Flip_bits needs at least one bit"
-      | Some (Truncate _ | Flip_bits _ | Stale_version) | None -> ()))
-    system_crashes;
-  let system_crashes =
-    List.sort (fun a b -> compare a.crash_round b.crash_round) system_crashes
-  in
-  (let rec dup = function
-     | a :: (b :: _ as rest) ->
-         if a.crash_round = b.crash_round then
-           invalid_arg "Fault.create: two system crashes in the same round";
-         dup rest
-     | [ _ ] | [] -> ()
-   in
-   dup system_crashes);
   (* downs before ups within a round, insertion order otherwise.
      Order-independent: each round's bucket is rewritten in isolation. *)
   (* bwclint: allow no-unordered-hashtbl-iter -- each round bucket is rewritten in isolation; relative order within a bucket is preserved *)
@@ -93,20 +64,13 @@ let make ?metrics ~rng ~drop ~duplicate ~jitter ~partitions ~crashes
     jitter;
     partitions;
     transitions;
-    system_crashes;
     c_lost = Registry.counter metrics "fault.lost";
     c_duplicated = Registry.counter metrics "fault.duplicated";
     c_delayed = Registry.counter metrics "fault.delayed";
     c_partition_dropped = Registry.counter metrics "fault.partition_dropped";
   }
 
-let none =
-  make ~rng:(Rng.create 0) ~drop:0.0 ~duplicate:0.0 ~jitter:0 ~partitions:[]
-    ~crashes:[] ~system_crashes:[] ()
-
-let create ?(drop = 0.0) ?(duplicate = 0.0) ?(jitter = 0) ?(partitions = [])
-    ?(crashes = []) ?(system_crashes = []) ?metrics ~rng () =
-  make ?metrics ~rng ~drop ~duplicate ~jitter ~partitions ~crashes ~system_crashes ()
+let none = create ~rng:(Rng.create 0) ()
 
 let partitioned t ~round ~src ~dst =
   List.exists
@@ -147,12 +111,9 @@ let on_send t ~round ~src ~dst =
 let crashes_at t round =
   Option.value ~default:[] (Hashtbl.find_opt t.transitions round)
 
-let system_crash_at t round =
-  List.find_opt (fun sc -> sc.crash_round = round) t.system_crashes
-
 (* Byte-mangling a snapshot image.  This is deliberately a pure function
-   of (rng, mode, bytes): the chaos harness and the experiments corrupt
-   in-memory images or files alike with it, and tests can assert the
+   of (rng, mode, bytes): the experiments corrupt in-memory images or
+   files alike with it, and tests can assert the
    exact rejection class each mode must produce. *)
 let corrupt_snapshot ~rng mode bytes =
   let len = String.length bytes in

@@ -26,30 +26,13 @@ type crash = {
   up_at : int;      (** round the node restarts; [max_int] = never *)
 }
 
-(** {2 Whole-system crash/restore schedules}
-
-    Unlike per-node [crash] windows (which the engine applies itself), a
-    {!system_crash} describes the {e entire} system going down at once —
-    the scenario the persistence layer exists for.  The engine ignores
-    these entries; a snapshot-capable driver (the [bwc_persist] chaos
-    harness, experiment E15) interprets them: at [crash_round] it
-    snapshots the system, optionally corrupts the image, discards the
-    live system, waits [restore_after] rounds of downtime, and restarts
-    from the snapshot — falling back to a cold rebuild when the restore
-    is rejected. *)
-
+(** How a snapshot image is damaged on disk (see {!corrupt_snapshot});
+    experiment E15 and the persistence tests inject these. *)
 type snapshot_corruption =
   | Truncate of int  (** keep only the first [n] bytes of the image *)
   | Flip_bits of int  (** flip [n] seeded-random bit positions *)
   | Stale_version
       (** rewrite the header line to an unknown format version *)
-
-type system_crash = {
-  crash_round : int;  (** the whole system goes down at this round (>= 1) *)
-  restore_after : int;  (** rounds of downtime before the restart (>= 0) *)
-  corrupt : snapshot_corruption option;
-      (** what happens to the snapshot image while the system is down *)
-}
 
 val none : t
 (** The empty plan: no losses, no duplicates, no jitter, no partitions,
@@ -62,7 +45,6 @@ val create :
   ?jitter:int ->
   ?partitions:partition list ->
   ?crashes:crash list ->
-  ?system_crashes:system_crash list ->
   ?metrics:Bwc_obs.Registry.t ->
   rng:Bwc_stats.Rng.t ->
   unit ->
@@ -98,10 +80,6 @@ val sample_loss : t -> bool
 
 val crashes_at : t -> int -> (int * bool) list
 (** [(node, up)] transitions scheduled for the given round. *)
-
-val system_crash_at : t -> int -> system_crash option
-(** The system crash scheduled for the given round, if any.  Consulted by
-    snapshot-capable drivers, never by the engine. *)
 
 val corrupt_snapshot :
   rng:Bwc_stats.Rng.t -> snapshot_corruption -> string -> string

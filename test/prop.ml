@@ -697,9 +697,7 @@ let snapshot_anywhere () =
         | Error e ->
             fail_case prop case "image after tick %d does not decode: %s" k
               (Bwc_persist.Codec.error_to_string e)
-        | Ok (Snapshot.Restored_system _) ->
-            fail_case prop case "image %d is not dynamic" k
-        | Ok (Snapshot.Restored_dynamic restored) ->
+        | Ok restored ->
             if not (String.equal image (Snapshot.encode (`Dynamic restored))) then
               fail_case prop case "image after tick %d re-encodes differently" k;
             converge restored;

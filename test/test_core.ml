@@ -10,7 +10,7 @@ module Find_cluster = Bwc_core.Find_cluster
 module Classes = Bwc_core.Classes
 module Node_info = Bwc_core.Node_info
 module Protocol = Bwc_core.Protocol
-module System = Bwc_core.System
+module Dynamic = Bwc_core.Dynamic
 module Query = Bwc_core.Query
 module Ensemble = Bwc_predtree.Ensemble
 module Anchor = Bwc_predtree.Anchor
@@ -259,12 +259,15 @@ let epoch p = (Protocol.dump p).Protocol.d_epoch
 (* one series of a registry (a counter, a gauge), read through a snapshot *)
 let reading metrics name = Bwc_obs.Registry.get (Bwc_obs.Registry.snapshot metrics) name
 
+(* the aggregation payload bound every [build_protocol] system runs with *)
+let n_cut = 4
+
 let build_protocol ?ensemble_size ~seed n =
   let ds = small_dataset ~seed n in
   let space = Bwc_dataset.Dataset.metric ds in
   let ens = Ensemble.build ~rng:(Rng.create (seed + 1)) ?size:ensemble_size space in
   let protocol =
-    Protocol.create ~rng:(Rng.create (seed + 2)) ~n_cut:4
+    Protocol.create ~rng:(Rng.create (seed + 2)) ~n_cut
       ~classes:(protocol_classes ds) ens
   in
   let (_ : int) = Protocol.run_aggregation protocol in
@@ -285,7 +288,6 @@ let test_theorem_3_2_aggr_node () =
      tree, so exact top-n_cut optimality only holds at ensemble size 1. *)
   let _, ens, protocol = build_protocol ~ensemble_size:1 ~seed:9 28 in
   let anchor_tree = Bwc_predtree.Framework.anchor (Ensemble.primary ens) in
-  let n_cut = Protocol.n_cut protocol in
   for x = 0 to 27 do
     List.iter
       (fun m ->
@@ -322,7 +324,6 @@ let test_theorem_3_2_weak_for_ensembles () =
      subsets of the reachable hosts with the right cardinality *)
   let _, ens, protocol = build_protocol ~seed:9 22 in
   let anchor_tree = Bwc_predtree.Framework.anchor (Ensemble.primary ens) in
-  let n_cut = Protocol.n_cut protocol in
   for x = 0 to 21 do
     List.iter
       (fun m ->
@@ -342,7 +343,6 @@ let test_payload_bounded_by_ncut () =
   (* the n_cut knob really bounds what travels in every aggregation
      message, for every node and neighbor *)
   let _, ens, protocol = build_protocol ~seed:35 30 in
-  let n_cut = Protocol.n_cut protocol in
   for x = 0 to 29 do
     List.iter
       (fun m ->
@@ -916,12 +916,7 @@ let test_detector_config_validation () =
       (mk ~heartbeat_every:1 ~suspect_after:3 ~confirm_after:4 ())
   in
   Alcotest.(check int) "tightest valid config accepted" 1
-    (Detector.config d).Detector.heartbeat_every;
-  (* the System facade forwards the config to the same validation *)
-  let ds = small_dataset ~seed:44 10 in
-  match Bwc_core.System.create ~seed:45 ~detector:(mk ~confirm_after:3 ()) ds with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "System.create accepted a bad detector config"
+    (Detector.config d).Detector.heartbeat_every
 
 let test_epoch_monotone_across_repairs () =
   (* satellite coverage: the repair epoch over repeated crash/repair
@@ -1045,14 +1040,20 @@ let test_query_hops_bounded () =
 
 let test_decentral_rr_bounded_by_central () =
   let ds = small_dataset ~seed:18 40 in
-  let sys = System.create ~seed:19 ds in
+  let sys = Dynamic.create ~seed:19 ds in
+  (* TREE-CENTRAL: Algorithm 1 over the full predicted space *)
+  let central =
+    Find_cluster.Index.build
+      (Space.cached (Ensemble.predicted_space (Dynamic.ensemble sys)))
+  in
   let rng = Rng.create 20 in
   let lo, hi = Bwc_dataset.Dataset.percentile_range ds ~lo:20.0 ~hi:80.0 in
   for _ = 1 to 80 do
     let k = 2 + Rng.int rng 20 in
     let b = Rng.uniform rng lo hi in
-    let dec = Query.found (System.query sys ~k ~b) in
-    let cen = System.query_centralized sys ~k ~b <> None in
+    let dec = Query.found (Dynamic.query sys ~k ~b) in
+    let l = Bwc_metric.Bandwidth.to_distance b in
+    let cen = Find_cluster.Index.find central ~k ~l <> None in
     (* decentralized spaces are subsets of the full space *)
     if dec && not cen then Alcotest.fail "decentralized found what centralized cannot"
   done
@@ -1340,28 +1341,32 @@ let test_node_search_empty_targets () =
   Alcotest.(check bool) "none" true
     (Bwc_core.Node_search.best space ~targets:[] ~exclude:[] = None)
 
-(* ----- System facade ----- *)
+(* ----- system facade ----- *)
 
-let predicted sys i j = Ensemble.predicted (System.framework sys) i j
+let predicted sys i j = Ensemble.predicted (Dynamic.ensemble sys) i j
+
+(* the pairs of a cluster below [b] in the real matrix, counted by hand *)
+let violations ds ~b cluster =
+  let bad = ref 0 in
+  List.iteri
+    (fun i x ->
+      List.iteri
+        (fun j y -> if j > i && Bwc_dataset.Dataset.bw ds x y < b then incr bad)
+        cluster)
+    cluster;
+  !bad
 
 let test_system_end_to_end () =
   let ds = small_dataset ~seed:23 50 in
-  let sys = System.create ~seed:24 ds in
-  Alcotest.(check int) "size" 50 (System.size sys);
-  let r = System.query sys ~at:3 ~k:5 ~b:30.0 in
+  let sys = Dynamic.create ~seed:24 ds in
+  Alcotest.(check int) "size" 50 (Dynamic.member_count sys);
+  let r = Dynamic.query sys ~at:3 ~k:5 ~b:30.0 in
   (match r.Query.cluster with
   | Some cluster ->
       Alcotest.(check int) "k" 5 (List.length cluster);
       (* verify_cluster agrees with a manual recount *)
-      let manual = ref 0 in
-      List.iteri
-        (fun i x ->
-          List.iteri
-            (fun j y -> if j > i && System.real_bw sys x y < 30.0 then incr manual)
-            cluster)
-        cluster;
-      Alcotest.(check int) "verify_cluster" !manual
-        (List.length (System.verify_cluster sys ~b:30.0 cluster))
+      Alcotest.(check int) "verify_cluster" (violations ds ~b:30.0 cluster)
+        (List.length (Dynamic.verify_cluster sys ~b:30.0 cluster))
   | None -> Alcotest.fail "easy query must succeed");
   (* predictions are symmetric with a zero diagonal *)
   Alcotest.(check bool) "pred symmetric" true
@@ -1370,22 +1375,14 @@ let test_system_end_to_end () =
 
 let test_system_deterministic () =
   let ds = small_dataset ~seed:25 30 in
-  let a = System.create ~seed:26 ds in
-  let b = System.create ~seed:26 ds in
+  let a = Dynamic.create ~seed:26 ds in
+  let b = Dynamic.create ~seed:26 ds in
   for i = 0 to 29 do
     for j = i + 1 to 29 do
       if not (feq (predicted a i j) (predicted b i j)) then
         Alcotest.fail "same seed, same predictions"
     done
   done
-
-let test_system_refresh () =
-  let ds = small_dataset ~seed:27 25 in
-  let sys = System.create ~seed:28 ds in
-  let sys' = System.refresh ~drift:0.2 ~seed:29 sys in
-  Alcotest.(check int) "size preserved" (System.size sys) (System.size sys');
-  let r = System.query sys' ~k:4 ~b:25.0 in
-  Alcotest.(check bool) "refreshed system answers" true (Query.found r)
 
 let test_protocol_refresh_topology () =
   let _, _, protocol = build_protocol ~seed:30 18 in
@@ -1403,24 +1400,31 @@ let test_exact_pipeline_zero_wpr () =
      must satisfy the real constraint (WPR = 0) and the centralized
      search must agree with brute force feasibility. *)
   let ds = Bwc_dataset.Access_link.generate ~rng:(Rng.create 60) ~n:40 () in
-  let sys =
-    System.create ~seed:61 ~mode:Bwc_predtree.Framework.centralized_mode
-      ~ensemble_size:1 ds
+  (* one stream seeds both layers, then draws the submission hosts *)
+  let submit = Rng.create 61 in
+  let ens =
+    Ensemble.build ~rng:(Rng.split submit) ~mode:Bwc_predtree.Framework.centralized_mode
+      ~size:1 (Bwc_dataset.Dataset.metric ds)
   in
+  let protocol =
+    Protocol.create ~rng:(Rng.split submit) ~classes:(Classes.of_percentiles ds) ens
+  in
+  let (_ : int) = Protocol.run_aggregation protocol in
+  let central = Find_cluster.Index.build (Space.cached (Ensemble.predicted_space ens)) in
+  let n = Bwc_dataset.Dataset.size ds in
   let rng = Rng.create 62 in
   let lo, hi = Bwc_dataset.Dataset.percentile_range ds ~lo:20.0 ~hi:80.0 in
   for _ = 1 to 60 do
     let b = Rng.uniform rng lo hi in
     let k = 2 + Rng.int rng 8 in
-    (match System.query_centralized sys ~k ~b with
+    (match Find_cluster.Index.find central ~k ~l:(Bwc_metric.Bandwidth.to_distance b) with
     | Some cluster ->
-        Alcotest.(check int) "no real violations" 0
-          (List.length (System.verify_cluster sys ~b cluster))
+        Alcotest.(check int) "no real violations" 0 (violations ds ~b cluster)
     | None -> ());
-    match (System.query sys ~k ~b).Query.cluster with
+    let at = Rng.int submit n in
+    match (Protocol.query_bandwidth protocol ~at ~k ~b).Query.cluster with
     | Some cluster ->
-        Alcotest.(check int) "decentral: no real violations" 0
-          (List.length (System.verify_cluster sys ~b cluster))
+        Alcotest.(check int) "decentral: no real violations" 0 (violations ds ~b cluster)
     | None -> ()
   done
 
@@ -1428,20 +1432,30 @@ let test_minimal_system () =
   (* the smallest meaningful system: two hosts *)
   let bwm = Bwc_metric.Dmatrix.create 2 ~diag:Float.infinity ~off:50.0 in
   let ds = Bwc_dataset.Dataset.make ~name:"pair" bwm in
-  let sys = System.create ~seed:63 ~class_count:2 ds in
-  let r = System.query sys ~at:0 ~k:2 ~b:30.0 in
+  let sys = Dynamic.create ~seed:63 ~class_count:2 ds in
+  let r = Dynamic.query sys ~at:0 ~k:2 ~b:30.0 in
   (match r.Query.cluster with
   | Some [ _; _ ] -> ()
   | Some _ | None -> Alcotest.fail "the pair itself is the cluster");
   Alcotest.(check bool) "infeasible beyond classes" true
-    (not (Query.found (System.query sys ~at:1 ~k:2 ~b:500.0)))
+    (not (Query.found (Dynamic.query sys ~at:1 ~k:2 ~b:500.0)))
 
 let test_protocol_single_class () =
   let ds = small_dataset ~seed:64 15 in
-  let sys = System.create ~seed:65 ~class_count:1 ds in
-  Alcotest.(check int) "one class" 1 (Classes.count (System.classes sys));
-  let r = System.query sys ~k:3 ~b:1.0 in
+  let sys = Dynamic.create ~seed:65 ~class_count:1 ds in
+  Alcotest.(check int) "one class" 1 (Classes.count (Dynamic.classes sys));
+  let r = Dynamic.query sys ~k:3 ~b:1.0 in
   Alcotest.(check bool) "low constraint maps to the single class" true (Query.found r)
+
+let test_find_feeder_among_members () =
+  (* hosts outside the overlay have no labels: only members compete *)
+  let ds = small_dataset ~seed:67 20 in
+  let sys = Dynamic.create ~seed:68 ~initial_members:(List.init 12 Fun.id) ds in
+  match Dynamic.find_feeder sys ~targets:[ 0; 1; 2 ] with
+  | Some (feeder, bw) ->
+      Alcotest.(check bool) "a member outside the targets" true (feeder >= 3 && feeder < 12);
+      Alcotest.(check bool) "positive bandwidth" true (bw > 0.0)
+  | None -> Alcotest.fail "members outside the targets exist"
 
 let test_query_path_starts_at_submission () =
   let _, _, protocol = build_protocol ~seed:66 20 in
@@ -1650,7 +1664,7 @@ let () =
           Alcotest.test_case "path starts at submission" `Quick
             test_query_path_starts_at_submission;
           Alcotest.test_case "deterministic" `Quick test_system_deterministic;
-          Alcotest.test_case "refresh" `Quick test_system_refresh;
+          Alcotest.test_case "feeder among members" `Quick test_find_feeder_among_members;
           Alcotest.test_case "protocol refresh_topology" `Quick
             test_protocol_refresh_topology;
         ] );

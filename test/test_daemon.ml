@@ -522,6 +522,50 @@ let test_corrupt_fallback_across_generations () =
     (List.length boot2.Lifecycle.rejected);
   cleanup path
 
+let test_retired_kind_falls_back_a_generation () =
+  (* generation 0 holds the fixture image of the retired static
+     ["system"] kind, generation 1 a daemon image: the boot must reject
+     the first with a typed error and restore the second, not start
+     cold *)
+  let path = tmpname "kind.bwcsnap" in
+  cleanup path;
+  let d = dyn ~seed:51 () in
+  Codec.write_file (Snapshot.gen_path path 1) (Snapshot.encode (`Dynamic d));
+  Codec.write_file path (Codec.read_file "fixtures/snapshot/system-kind.bwcsnap");
+  let metrics = Registry.create () in
+  let trace = Trace.create () in
+  let boot =
+    Lifecycle.boot ~metrics ~trace ~keep:3 ~path
+      ~cold:(fun () -> Alcotest.fail "must not cold start")
+      ()
+  in
+  Alcotest.(check bool) "warm" true boot.Lifecycle.warm;
+  Alcotest.(check (option int)) "generation 1 won" (Some 1) boot.Lifecycle.generation;
+  (match boot.Lifecycle.rejected with
+  | [ (0, Codec.Corrupt _) ] -> ()
+  | rejected ->
+      Alcotest.failf "expected generation 0 rejected as corrupt, got [%s]"
+        (String.concat "; "
+           (List.map
+              (fun (g, e) -> Printf.sprintf "%d: %s" g (Codec.error_to_string e))
+              rejected)));
+  Alcotest.(check (list int)) "membership restored" (Dynamic.members d)
+    (Dynamic.members boot.Lifecycle.system);
+  let count name = Registry.get (Registry.snapshot metrics) name in
+  Alcotest.(check int) "persist.restore_rejected" 1 (count "persist.restore_rejected");
+  Alcotest.(check int) "persist.restores" 1 (count "persist.restores");
+  Alcotest.(check int) "persist.cold_starts" 0 (count "persist.cold_starts");
+  let restore_events =
+    List.filter_map
+      (function
+        | Trace.Restore_rejected _ -> Some "rejected"
+        | Trace.Restore { warm; _ } -> Some (if warm then "warm" else "cold")
+        | _ -> None)
+      (Trace.events trace)
+  in
+  check_strings "restore trace" [ "rejected"; "warm" ] restore_events;
+  cleanup path
+
 let test_degraded_join_snapshot_boots_warm () =
   (* a degraded reactor admits a JOIN and snapshots before any round
      has run: the image must restore, so the next boot is warm *)
@@ -569,8 +613,7 @@ let test_warm_boot_mid_convergence () =
   done;
   let restored =
     match Snapshot.decode (Snapshot.encode (`Dynamic d)) with
-    | Ok (Snapshot.Restored_dynamic d) -> d
-    | Ok (Snapshot.Restored_system _) -> Alcotest.fail "wrong kind"
+    | Ok d -> d
     | Error e -> Alcotest.failf "decode failed: %s" (Codec.error_to_string e)
   in
   let r = Reactor.create Reactor.default_config restored in
@@ -639,5 +682,7 @@ let () =
             test_warm_boot_mid_convergence;
           Alcotest.test_case "corrupt fallback" `Quick
             test_corrupt_fallback_across_generations;
+          Alcotest.test_case "retired snapshot kind falls back a generation" `Quick
+            test_retired_kind_falls_back_a_generation;
         ] );
     ]

@@ -3,7 +3,7 @@
    identity, restart-without-reconvergence (a warm restore is already at
    the fixed point and behaves byte-identically to the system that never
    crashed), graceful degradation to cold start, detector mid-lease
-   restore, and the crash-restart chaos harness. *)
+   restore, and rotated generations. *)
 
 module Rng = Bwc_stats.Rng
 module Fault = Bwc_sim.Fault
@@ -11,27 +11,20 @@ module Registry = Bwc_obs.Registry
 module Trace = Bwc_obs.Trace
 module Protocol = Bwc_core.Protocol
 module Detector = Bwc_core.Detector
-module System = Bwc_core.System
 module Dynamic = Bwc_core.Dynamic
 module Ensemble = Bwc_predtree.Ensemble
 module Codec = Bwc_persist.Codec
 module Snapshot = Bwc_persist.Snapshot
-module Chaos = Bwc_persist.Chaos
 
 let dataset ~seed n =
   Bwc_dataset.Planetlab.generate ~rng:(Rng.create seed) ~name:"persist-ds"
     { Bwc_dataset.Planetlab.hp_target with n }
 
-let system ?detector ?(seed = 7) ?(n = 24) () =
-  System.create ~seed ?detector (dataset ~seed:(seed + 1) n)
-
-let unwrap_system = function
-  | Snapshot.Restored_system s -> s
-  | Snapshot.Restored_dynamic _ -> Alcotest.fail "expected a system snapshot"
+let system ?(seed = 7) ?(n = 24) () = Dynamic.create ~seed (dataset ~seed:(seed + 1) n)
 
 let decode_system bytes =
   match Snapshot.decode bytes with
-  | Ok r -> unwrap_system r
+  | Ok d -> d
   | Error e -> Alcotest.failf "decode failed: %s" (Codec.error_to_string e)
 
 let err_name = function
@@ -89,25 +82,25 @@ let test_float_roundtrip_exact () =
 let test_snapshot_byte_identity () =
   let sys = system () in
   (* force the lazy index so its counts are in the snapshot too *)
-  ignore (System.query_centralized sys ~k:3 ~b:30.0 : int list option);
-  let bytes = Snapshot.encode (`System sys) in
-  let again = Snapshot.encode (`System (decode_system bytes)) in
+  ignore (Dynamic.query_centralized sys ~k:3 ~b:30.0 : int list option);
+  let bytes = Snapshot.encode (`Dynamic sys) in
+  let again = Snapshot.encode (`Dynamic (decode_system bytes)) in
   Alcotest.(check bool) "re-snapshot byte-identical" true (String.equal bytes again)
 
 let test_snapshot_restart_without_reconvergence () =
   let sys = system ~n:32 () in
-  let restored = decode_system (Snapshot.encode (`System sys)) in
+  let restored = decode_system (Snapshot.encode (`Dynamic sys)) in
   (* quiesced before the crash => nothing left to reconverge *)
-  let rounds = Protocol.run_aggregation (System.protocol restored) in
+  let rounds = Protocol.run_aggregation (Dynamic.protocol restored) in
   Alcotest.(check int) "already at the fixed point" 1 rounds;
   Alcotest.(check int) "no messages resent"
-    (Protocol.messages_sent (System.protocol restored))
-    (Protocol.messages_sent (System.protocol restored));
+    (Protocol.messages_sent (Dynamic.protocol restored))
+    (Protocol.messages_sent (Dynamic.protocol restored));
   (* same submission-RNG state: the restored system serves the same
      queries as the original from here on *)
   for _ = 1 to 10 do
-    let a = System.query sys ~k:4 ~b:25.0 in
-    let b = System.query restored ~k:4 ~b:25.0 in
+    let a = Dynamic.query sys ~k:4 ~b:25.0 in
+    let b = Dynamic.query restored ~k:4 ~b:25.0 in
     Alcotest.(check bool) "same query answers" true (a.Bwc_core.Query.cluster = b.Bwc_core.Query.cluster)
   done
 
@@ -116,15 +109,15 @@ let test_snapshot_future_is_deterministic () =
      at every step, because the whole engine state (round clock, RNG
      stream) survived *)
   let sys = system ~seed:11 () in
-  let restored = decode_system (Snapshot.encode (`System sys)) in
+  let restored = decode_system (Snapshot.encode (`Dynamic sys)) in
   for _ = 1 to 3 do
-    ignore (Protocol.run_round (System.protocol sys) : bool);
-    ignore (Protocol.run_round (System.protocol restored) : bool)
+    ignore (Protocol.run_round (Dynamic.protocol sys) : bool);
+    ignore (Protocol.run_round (Dynamic.protocol restored) : bool)
   done;
   Alcotest.(check bool) "futures agree" true
     (String.equal
-       (Snapshot.encode (`System sys))
-       (Snapshot.encode (`System restored)))
+       (Snapshot.encode (`Dynamic sys))
+       (Snapshot.encode (`Dynamic restored)))
 
 let test_snapshot_dynamic_roundtrip () =
   let dyn = Dynamic.create ~seed:5 (dataset ~seed:6 20) in
@@ -133,12 +126,7 @@ let test_snapshot_dynamic_roundtrip () =
   ignore (Protocol.run_aggregation (Dynamic.protocol dyn) : int);
   ignore (Dynamic.query_centralized dyn ~k:3 ~b:30.0 : int list option);
   let bytes = Snapshot.encode (`Dynamic dyn) in
-  let restored =
-    match Snapshot.decode bytes with
-    | Ok (Snapshot.Restored_dynamic d) -> d
-    | Ok (Snapshot.Restored_system _) -> Alcotest.fail "wrong kind"
-    | Error e -> Alcotest.failf "decode failed: %s" (Codec.error_to_string e)
-  in
+  let restored = decode_system bytes in
   Alcotest.(check (list int)) "members survive" (Dynamic.members dyn)
     (Dynamic.members restored);
   let again = Snapshot.encode (`Dynamic restored) in
@@ -158,10 +146,9 @@ let test_snapshot_after_deferred_churn () =
   in
   let restores label =
     match Snapshot.decode (Snapshot.encode (`Dynamic dyn)) with
-    | Ok (Snapshot.Restored_dynamic d) ->
+    | Ok d ->
         Alcotest.(check (list int))
           (label ^ ": members") (Dynamic.members dyn) (Dynamic.members d)
-    | Ok (Snapshot.Restored_system _) -> Alcotest.fail "wrong kind"
     | Error e -> Alcotest.failf "%s: decode failed: %s" label (Codec.error_to_string e)
   in
   Alcotest.(check int) "leave applied" 1
@@ -176,13 +163,13 @@ let test_snapshot_mid_convergence () =
      process, and the retransmission layer still drives the restored
      system to the same fixed point a never-crashed run reaches *)
   let ds = dataset ~seed:3 24 in
-  let reference = System.create ~seed:9 ds in
-  let sys = System.create ~seed:9 ~aggregation_rounds:3 ds in
-  let restored = decode_system (Snapshot.encode (`System sys)) in
-  let (_ : int) = Protocol.run_aggregation (System.protocol restored) in
-  let p_ref = System.protocol reference and p_res = System.protocol restored in
+  let reference = Dynamic.create ~seed:9 ds in
+  let sys = Dynamic.create ~seed:9 ~aggregation_rounds:3 ds in
+  let restored = decode_system (Snapshot.encode (`Dynamic sys)) in
+  let (_ : int) = Protocol.run_aggregation (Dynamic.protocol restored) in
+  let p_ref = Dynamic.protocol reference and p_res = Dynamic.protocol restored in
   let n = Bwc_dataset.Dataset.size ds in
-  let classes = System.classes reference in
+  let classes = Dynamic.classes reference in
   for h = 0 to n - 1 do
     for cls = 0 to Bwc_core.Classes.count classes - 1 do
       Alcotest.(check int)
@@ -195,16 +182,28 @@ let test_snapshot_mid_convergence () =
 (* ----- detector state ----- *)
 
 let test_snapshot_detector_mid_lease () =
-  let sys = system ~detector:Detector.default_config ~n:16 () in
-  let p = System.protocol sys in
-  let victim = List.hd (List.rev (Ensemble.members (System.framework sys))) in
+  (* the facade runs no detector: build one through the layers *)
+  let dataset = dataset ~seed:8 16 in
+  let c = Bwc_metric.Bandwidth.default_c in
+  let rng = Rng.create 7 in
+  let fw = Ensemble.build ~rng:(Rng.split rng) (Bwc_dataset.Dataset.metric ~c dataset) in
+  let classes = Bwc_core.Classes.of_percentiles ~c dataset in
+  let p =
+    Protocol.create ~rng:(Rng.split rng) ~detector:Detector.default_config ~classes fw
+  in
+  let (_ : int) = Protocol.run_aggregation p in
+  let sys =
+    Dynamic.assemble ~dataset ~c ~fw ~protocol:p ~classes ~rng_state:(Rng.state rng)
+      ~index:None ()
+  in
+  let victim = List.hd (List.rev (Ensemble.members fw)) in
   Protocol.crash_host p victim;
   (* run only until suspicion can exist, not until confirmation *)
   for _ = 1 to Detector.default_config.Detector.suspect_after + 2 do
     ignore (Protocol.run_round p : bool)
   done;
-  let restored = decode_system (Snapshot.encode (`System sys)) in
-  let pr = System.protocol restored in
+  let restored = decode_system (Snapshot.encode (`Dynamic sys)) in
+  let pr = Dynamic.protocol restored in
   (* a running lease is work still to do: a reactor booted from this
      image must start dirty and keep running rounds *)
   Alcotest.(check bool) "restored mid-lease is not quiescent" false (Protocol.quiescent pr);
@@ -216,11 +215,11 @@ let test_snapshot_detector_mid_lease () =
      evict without re-observing the full silence window *)
   let (_ : int) = Protocol.run_aggregation ~max_rounds:400 pr in
   Alcotest.(check bool) "victim evicted after restore" false
-    (Ensemble.is_member (System.framework restored) victim);
+    (Ensemble.is_member (Dynamic.ensemble restored) victim);
   Alcotest.(check bool) "quiescent once evicted" true (Protocol.quiescent pr);
   Alcotest.(check bool) "original also evicts" true
     (let (_ : int) = Protocol.run_aggregation ~max_rounds:400 p in
-     not (Ensemble.is_member (System.framework sys) victim))
+     not (Ensemble.is_member (Dynamic.ensemble sys) victim))
 
 (* ----- corruption / graceful degradation ----- *)
 
@@ -234,7 +233,7 @@ let corruption_modes =
 
 let test_corruption_never_panics () =
   let sys = system () in
-  let bytes = Snapshot.encode (`System sys) in
+  let bytes = Snapshot.encode (`Dynamic sys) in
   let rng = Rng.create 99 in
   List.iter
     (fun (name, mode, allowed) ->
@@ -258,12 +257,12 @@ let test_restore_or_cold_falls_back () =
   let metrics = Registry.create () in
   let trace = Trace.create () in
   let sys = system () in
-  let bytes = Snapshot.encode ~metrics ~trace (`System sys) in
+  let bytes = Snapshot.encode ~metrics ~trace (`Dynamic sys) in
   let mangled = Fault.corrupt_snapshot ~rng:(Rng.create 1) Fault.Stale_version bytes in
   let cold_calls = ref 0 in
   let cold () =
     incr cold_calls;
-    Snapshot.Restored_system (system ())
+    system ()
   in
   (* warm path: cold never invoked *)
   let _, status = Snapshot.restore_or_cold ~metrics ~trace ~cold bytes in
@@ -276,7 +275,7 @@ let test_restore_or_cold_falls_back () =
   | `Cold e -> Alcotest.failf "wrong error: %s" (Codec.error_to_string e)
   | `Warm -> Alcotest.fail "accepted a stale snapshot");
   Alcotest.(check int) "cold invoked once" 1 !cold_calls;
-  let q = System.query (unwrap_system restored) ~k:3 ~b:25.0 in
+  let q = Dynamic.query restored ~k:3 ~b:25.0 in
   Alcotest.(check bool) "query served after fallback" true
     (match q.Bwc_core.Query.cluster with Some _ -> true | None -> true);
   (* observability of the whole episode *)
@@ -302,14 +301,14 @@ let test_save_load_file () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       let sys = system () in
-      Codec.write_file path (Snapshot.encode (`System sys));
+      Codec.write_file path (Snapshot.encode (`Dynamic sys));
       let restored = match Snapshot.load path with
-        | Ok r -> unwrap_system r
+        | Ok r -> r
         | Error e -> Alcotest.failf "load: %s" (Codec.error_to_string e)
       in
       Alcotest.(check bool) "identical bytes after reload" true
-        (String.equal (Snapshot.encode (`System sys))
-           (Snapshot.encode (`System restored))))
+        (String.equal (Snapshot.encode (`Dynamic sys))
+           (Snapshot.encode (`Dynamic restored))))
 
 (* ----- rotation ----- *)
 
@@ -330,7 +329,7 @@ let with_rotation_chain f =
 let test_rotate_never_displaces_valid_image () =
   with_rotation_chain (fun path ->
       let sys = system ~seed:51 () in
-      let good = Snapshot.encode (`System sys) in
+      let good = Snapshot.encode (`Dynamic sys) in
       (match Snapshot.rotate ~keep:3 ~path good with
       | Ok () -> ()
       | Error e -> Alcotest.failf "rotate: %s" (Codec.error_to_string e));
@@ -350,7 +349,7 @@ let test_rotate_fallback_across_generations () =
       (* three distinct generations, newest last *)
       let images =
         List.map
-          (fun seed -> Snapshot.encode (`System (system ~seed ())))
+          (fun seed -> Snapshot.encode (`Dynamic (system ~seed ())))
           [ 61; 62; 63 ]
       in
       List.iter
@@ -362,12 +361,11 @@ let test_rotate_fallback_across_generations () =
       (* on-disk: gen 0 = seed 63, gen 1 = seed 62, gen 2 = seed 61 *)
       let metrics = Registry.create () in
       (match Snapshot.load_any ~metrics ~keep:3 path with
-      | Ok (r, 0) ->
+      | Some (r, 0), [] ->
           Alcotest.(check bool) "newest wins when intact" true
-            (String.equal (List.nth images 2)
-               (Snapshot.encode (`System (unwrap_system r))))
-      | Ok (_, g) -> Alcotest.failf "wrong generation %d" g
-      | Error _ -> Alcotest.fail "load_any failed on intact chain");
+            (String.equal (List.nth images 2) (Snapshot.encode (`Dynamic r)))
+      | Some (_, g), _ -> Alcotest.failf "wrong generation %d" g
+      | None, _ -> Alcotest.fail "load_any failed on intact chain");
       (* corrupt the two newest generations with different modes: the
          restore must walk past both and land on generation 2 *)
       let rng = Rng.create 17 in
@@ -377,12 +375,13 @@ let test_rotate_fallback_across_generations () =
       Codec.write_file g1
         (Fault.corrupt_snapshot ~rng Fault.Stale_version (Codec.read_file g1));
       (match Snapshot.load_any ~metrics ~keep:3 path with
-      | Ok (r, 2) ->
+      | Some (r, 2), rejected ->
           Alcotest.(check bool) "oldest generation restores" true
-            (String.equal (List.nth images 0)
-               (Snapshot.encode (`System (unwrap_system r))))
-      | Ok (_, g) -> Alcotest.failf "restored wrong generation %d" g
-      | Error _ -> Alcotest.fail "fallback generation not restored");
+            (String.equal (List.nth images 0) (Snapshot.encode (`Dynamic r)));
+          Alcotest.(check (list int)) "skipped generations reported" [ 0; 1 ]
+            (List.map fst rejected)
+      | Some (_, g), _ -> Alcotest.failf "restored wrong generation %d" g
+      | None, _ -> Alcotest.fail "fallback generation not restored");
       Alcotest.(check int) "fallback counted" 1
         (Registry.get (Registry.snapshot metrics) "persist.generation_fallbacks");
       (* corrupt the last one too: every generation reports a typed error *)
@@ -390,69 +389,14 @@ let test_rotate_fallback_across_generations () =
       Codec.write_file g2
         (Fault.corrupt_snapshot ~rng (Fault.Truncate 30) (Codec.read_file g2));
       match Snapshot.load_any ~keep:3 path with
-      | Ok _ -> Alcotest.fail "restored from a fully corrupt chain"
-      | Error rejected ->
+      | Some _, _ -> Alcotest.fail "restored from a fully corrupt chain"
+      | None, rejected ->
           Alcotest.(check (list int)) "every generation reported" [ 0; 1; 2 ]
             (List.map fst rejected))
-
-(* ----- chaos harness ----- *)
-
-let test_chaos_schedule () =
-  let ds = dataset ~seed:21 20 in
-  let make () = System.create ~seed:13 ds in
-  let faults =
-    Fault.create ~rng:(Rng.create 2)
-      ~system_crashes:
-        [
-          { Fault.crash_round = 4; restore_after = 0; corrupt = None };
-          { Fault.crash_round = 9; restore_after = 2; corrupt = Some (Fault.Flip_bits 8) };
-          { Fault.crash_round = 15; restore_after = 1; corrupt = Some Fault.Stale_version };
-          { Fault.crash_round = 20; restore_after = 0; corrupt = None };
-        ]
-      ()
-  in
-  let final, outcome =
-    Chaos.run ~rng:(Rng.create 4) ~faults ~ticks:30 ~cold:make (make ())
-  in
-  Alcotest.(check int) "crashes" 4 outcome.Chaos.crashes;
-  Alcotest.(check int) "warm restores" 2 outcome.Chaos.warm_restores;
-  Alcotest.(check int) "cold restores" 2 outcome.Chaos.cold_restores;
-  Alcotest.(check int) "rejections recorded" 2 (List.length outcome.Chaos.rejections);
-  Alcotest.(check int) "downtime" 3 outcome.Chaos.downtime;
-  (* the survivor serves queries and is at the fixed point *)
-  let rounds = Protocol.run_aggregation (System.protocol final) in
-  Alcotest.(check bool) "stable after chaos" true (rounds <= 2);
-  let q = System.query final ~k:3 ~b:25.0 in
-  Alcotest.(check bool) "query completes" true (q.Bwc_core.Query.hops >= 0)
 
 (* ----- fault plan validation ----- *)
 
 let test_fault_schedule_validation () =
-  let bad mk = match mk () with
-    | (_ : Fault.t) -> Alcotest.fail "invalid schedule accepted"
-    | exception Invalid_argument _ -> ()
-  in
-  bad (fun () ->
-      Fault.create ~rng:(Rng.create 2)
-        ~system_crashes:[ { Fault.crash_round = 0; restore_after = 0; corrupt = None } ]
-        ());
-  bad (fun () ->
-      Fault.create ~rng:(Rng.create 2)
-        ~system_crashes:[ { Fault.crash_round = 2; restore_after = -1; corrupt = None } ]
-        ());
-  bad (fun () ->
-      Fault.create ~rng:(Rng.create 2)
-        ~system_crashes:
-          [
-            { Fault.crash_round = 2; restore_after = 0; corrupt = None };
-            { Fault.crash_round = 2; restore_after = 1; corrupt = None };
-          ]
-        ());
-  bad (fun () ->
-      Fault.create ~rng:(Rng.create 2)
-        ~system_crashes:
-          [ { Fault.crash_round = 2; restore_after = 0; corrupt = Some (Fault.Flip_bits 0) } ]
-        ());
   (* corrupt_snapshot's stale header is the one the codec rejects *)
   let mangled = Fault.corrupt_snapshot ~rng:(Rng.create 1) Fault.Stale_version (Codec.encode "i 1\n") in
   match Codec.decode mangled with
@@ -492,6 +436,4 @@ let () =
           Alcotest.test_case "cold fallback" `Quick test_restore_or_cold_falls_back;
           Alcotest.test_case "schedule validation" `Quick test_fault_schedule_validation;
         ] );
-      ( "chaos",
-        [ Alcotest.test_case "crash-restart schedule" `Quick test_chaos_schedule ] );
     ]
