@@ -16,16 +16,14 @@ let make ?(c = Bwc_metric.Bandwidth.default_c) bws =
 
 let of_percentiles ?c ?(count = 8) ds =
   if count < 1 then invalid_arg "Classes.of_percentiles: count < 1";
-  let values = Bwc_dataset.Dataset.bandwidth_values ds in
-  let classes =
-    List.init count (fun i ->
-        let p =
-          if count = 1 then 50.0
-          else 20.0 +. (60.0 *. float_of_int i /. float_of_int (count - 1))
-        in
-        Bwc_stats.Summary.percentile values p)
+  let ps =
+    Array.init count (fun i ->
+        if count = 1 then 50.0
+        else 20.0 +. (60.0 *. float_of_int i /. float_of_int (count - 1)))
   in
-  make ?c classes
+  make ?c
+    (Array.to_list
+       (Bwc_stats.Summary.percentiles (Bwc_dataset.Dataset.bandwidth_values ds) ps))
 
 let count t = Array.length t.bws
 let c t = t.c

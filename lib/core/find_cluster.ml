@@ -72,17 +72,37 @@ let find ?(verify = false) space ~k ~l =
     !result
   end
 
-let max_size space ~l =
-  if space.Space.n = 0 then 0
-  else begin
-    let best = ref 1 in
-    iter_pairs_until space.Space.n (fun p q ->
-        if space.Space.dist p q <= l then begin
-          let size = count_members space ~p ~q in
-          if size > !best then best := size
-        end);
-    !best
-  end
+(* The largest |S*_pq| over pairs with d(p,q) <= l, for every class l in
+   one pass: a pair farther apart than the widest class fits none, and a
+   kept pair's |S*_pq| is counted once for all the classes it fits.  The
+   distances are read out of the space once, so the O(n^3) count loop
+   indexes an unboxed array instead of calling [dist]. *)
+let max_sizes space ~ls =
+  let n = space.Space.n in
+  let d = Float.Array.create (n * n) in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      Float.Array.set d ((i * n) + j) (space.Space.dist i j)
+    done
+  done;
+  let best = Array.make (Array.length ls) (if n = 0 then 0 else 1) in
+  let l_max = Array.fold_left (fun acc l -> if l > acc then l else acc) neg_infinity ls in
+  for p = 0 to n - 1 do
+    for q = p + 1 to n - 1 do
+      let dpq = Float.Array.get d ((p * n) + q) in
+      if dpq <= l_max then begin
+        let size = ref 0 in
+        for x = 0 to n - 1 do
+          if Float.Array.get d ((x * n) + p) <= dpq && Float.Array.get d ((x * n) + q) <= dpq
+          then incr size
+        done;
+        for c = 0 to Array.length ls - 1 do
+          if dpq <= ls.(c) && !size > best.(c) then best.(c) <- !size
+        done
+      end
+    done
+  done;
+  best
 
 module Index = struct
   (* One active pair (u < v, host ids of the universe space).  [size] is
@@ -321,8 +341,6 @@ module Index = struct
       let limit = last_within t l in
       if limit < 0 then 1 else Stdlib.max 1 t.prefix_max.(limit)
     end
-
-  let max_sizes t ~ls = Array.map (fun l -> max_size t ~l) ls
 
   (* ----- persistence -----
 

@@ -31,10 +31,13 @@ val find :
     [S*_pq] ([p] and [q] always included).  [verify] defaults to
     [false]. *)
 
-val max_size : Bwc_metric.Space.t -> l:float -> int
-(** Largest cluster size achievable with diameter [<= l]
-    (the quantity aggregated into cluster routing tables by
-    Algorithm 3); at least 1 when the space is non-empty. *)
+val max_sizes : Bwc_metric.Space.t -> ls:float array -> int array
+(** For each distance class [l] of [ls], the largest cluster size
+    achievable with diameter [<= l] (the quantity aggregated into cluster
+    routing tables by Algorithm 3): at least 1 when the space is
+    non-empty, 0 when it is empty.  One pass over the pairs counts each
+    [|S*_pq|] once and skips pairs farther apart than the largest
+    class. *)
 
 (** Precomputed all-pairs index for repeated queries: O(n^3) once, then
     O(log n) feasibility and max-size lookups — and {e incrementally
@@ -82,8 +85,6 @@ module Index : sig
 
   val exists : t -> k:int -> l:float -> bool
   val max_size : t -> l:float -> int
-  val max_sizes : t -> ls:float array -> int array
-  (** Vectorised {!max_size} for a whole set of distance classes. *)
 
   (** {2 Persistence} *)
 

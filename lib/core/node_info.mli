@@ -17,6 +17,7 @@ val dist : t -> t -> float
 val space_of : t array -> Bwc_metric.Space.t
 (** The clustering space spanned by a set of node infos: point [i] of the
     space is [infos.(i)], distances are label distances (Algorithms 3 and
-    4 run {!Find_cluster} on exactly this). *)
+    4 run {!Find_cluster} on exactly this).  Every pair's distance is
+    computed once, up front, and served from a dense matrix. *)
 
 val compare_host : t -> t -> int

@@ -45,6 +45,9 @@ type node = {
   aggr_node : (int, Node_info.t list) Hashtbl.t;    (* neighbor -> received propNode *)
   aggr_crt : (int, int array) Hashtbl.t;            (* neighbor -> received propCRT *)
   mutable own_row : int array;                      (* aggrCRT[self] *)
+  (* V_x with its pairwise label distances, kept across rounds; [None]
+     wherever V_x may have changed, rebuilt on the next read *)
+  mutable space : (Node_info.t array * Bwc_metric.Space.t) option;
   out : (int, out_entry) Hashtbl.t;                 (* neighbor -> last update sent *)
   seen_seq : (int, int) Hashtbl.t;                  (* neighbor -> highest seq received *)
   link_epoch : (int, int) Hashtbl.t;                (* neighbor -> link repair epoch *)
@@ -100,6 +103,7 @@ let fresh_node fw classes host =
     aggr_node = Hashtbl.create 8;
     aggr_crt = Hashtbl.create 8;
     own_row = Array.make (Classes.count classes) 1;
+    space = None;
     out = Hashtbl.create 8;
     seen_seq = Hashtbl.create 8;
     link_epoch = Hashtbl.create 8;
@@ -259,14 +263,20 @@ let clustering_space_node node =
     node.neighbors;
   Array.of_list (List.rev !acc)
 
+let clustering_space node =
+  match node.space with
+  | Some cached -> cached
+  | None ->
+      let infos = clustering_space_node node in
+      let cached = (infos, Node_info.space_of infos) in
+      node.space <- Some cached;
+      cached
+
+(* Runs on every changed step, cached space or not: a query may have
+   built the space after V_x last changed but before this recount. *)
 let recompute_own_row t node =
-  let infos = clustering_space_node node in
-  (* cache the pairwise label distances: the index scan evaluates each
-     pair O(|V|) times and ensemble-median label distances are not
-     cheap *)
-  let space = Bwc_metric.Space.cached (Node_info.space_of infos) in
-  let index = Find_cluster.Index.build space in
-  node.own_row <- Find_cluster.Index.max_sizes index ~ls:(Classes.distances t.classes)
+  let _, space = clustering_space node in
+  node.own_row <- Find_cluster.max_sizes space ~ls:(Classes.distances t.classes)
 
 (* ----- message construction ----- *)
 
@@ -290,11 +300,14 @@ let prop_node_for t node ~recipient =
         | Some infos -> List.iter consider infos
         | None -> ())
     node.neighbors;
-  let cand = Array.of_list !acc in
-  Array.sort
-    (fun a b -> compare (Node_info.dist recipient a) (Node_info.dist recipient b))
-    cand;
-  Array.to_list (Array.sub cand 0 (Stdlib.min t.n_cut (Array.length cand)))
+  (* decorate-sort: each candidate's distance is computed once, and the
+     sort makes the same comparisons on the same keys as sorting the bare
+     infos by distance would, so ties land in the same order *)
+  let cand =
+    Array.of_list (List.map (fun info -> (Node_info.dist recipient info, info)) !acc)
+  in
+  Array.sort (fun (a, _) (b, _) -> Float.compare a b) cand;
+  List.init (Stdlib.min t.n_cut (Array.length cand)) (fun i -> snd cand.(i))
 
 (* Algorithm 3, lines 9-10: max over own row and every other neighbor's
    aggregated column. *)
@@ -478,7 +491,10 @@ let apply_update t node ~src ~epoch ~seq payload =
           | Some prev -> List.compare Node_info.compare_host prev payload.prop_node <> 0
           | None -> true
         in
-        if node_diff then Hashtbl.replace node.aggr_node src payload.prop_node;
+        if node_diff then begin
+          Hashtbl.replace node.aggr_node src payload.prop_node;
+          node.space <- None
+        end;
         let crt_diff =
           match Hashtbl.find_opt node.aggr_crt src with
           | Some prev -> prev <> payload.prop_crt
@@ -559,6 +575,7 @@ let relink t ~round a b =
         Hashtbl.remove node.last_sent y;
         Hashtbl.replace node.link_epoch y t.epoch;
         node.neighbors <- neighbor_infos t.fw x;
+        node.space <- None;
         mark_dirty node Trace.Repair;
         (match t.detector with
         | Some d -> Detector.watch d ~watcher:x ~peer:y ~round
@@ -631,6 +648,7 @@ let repair_one t dead_h =
               Hashtbl.remove node.link_epoch dead_h;
               Hashtbl.remove node.last_sent dead_h;
               node.neighbors <- neighbor_infos t.fw x;
+              node.space <- None;
               mark_dirty node Trace.Invalidate)
         old_nbrs;
       List.iter
@@ -719,8 +737,7 @@ let detour t x ordered =
       healthy @ suspected
 
 let local_find t node ~k ~cls =
-  let infos = clustering_space_node node in
-  let space = Bwc_metric.Space.cached (Node_info.space_of infos) in
+  let infos, space = clustering_space node in
   match Find_cluster.find space ~k ~l:(Classes.distance t.classes cls) with
   | None -> None
   | Some idxs -> Some (List.map (fun i -> infos.(i).Node_info.host) idxs)

@@ -42,8 +42,8 @@ let bandwidth_values t = Dmatrix.off_diagonal_values t.bw
 let bandwidth_cdf t = Bwc_stats.Cdf.make (bandwidth_values t)
 
 let percentile_range t ~lo ~hi =
-  let values = bandwidth_values t in
-  (Bwc_stats.Summary.percentile values lo, Bwc_stats.Summary.percentile values hi)
+  let ps = Bwc_stats.Summary.percentiles (bandwidth_values t) [| lo; hi |] in
+  (ps.(0), ps.(1))
 
 let save_csv t path =
   let oc = open_out path in

@@ -42,20 +42,35 @@ let frameworks t = Array.copy t.frameworks
 
 let labels t host = Array.map (fun fw -> Framework.label fw host) t.frameworks
 
-let median values =
-  let sorted = Array.copy values in
-  Array.sort compare sorted;
-  let m = Array.length sorted in
-  if m land 1 = 1 then sorted.(m / 2)
-  else (sorted.((m / 2) - 1) +. sorted.(m / 2)) /. 2.0
+(* Median of the tree-wise values, sorted in place: an insertion sort on
+   the unboxed array, since an ensemble holds a handful of trees. *)
+let median a =
+  let m = Float.Array.length a in
+  for i = 1 to m - 1 do
+    let x = Float.Array.get a i in
+    let j = ref (i - 1) in
+    while !j >= 0 && Float.compare (Float.Array.get a !j) x > 0 do
+      Float.Array.set a (!j + 1) (Float.Array.get a !j);
+      decr j
+    done;
+    Float.Array.set a (!j + 1) x
+  done;
+  if m land 1 = 1 then Float.Array.get a (m / 2)
+  else (Float.Array.get a ((m / 2) - 1) +. Float.Array.get a (m / 2)) /. 2.0
 
 let label_dist la lb =
   let m = Array.length la in
   if m <> Array.length lb then invalid_arg "Ensemble.label_dist: label arity mismatch";
-  median (Array.init m (fun i -> Label.dist la.(i) lb.(i)))
+  let a = Float.Array.create m in
+  for i = 0 to m - 1 do
+    Float.Array.set a i (Label.dist la.(i) lb.(i))
+  done;
+  median a
 
 let predicted t i j =
-  median (Array.map (fun fw -> Framework.predicted fw i j) t.frameworks)
+  let a = Float.Array.create (size t) in
+  Array.iteri (fun k fw -> Float.Array.set a k (Framework.predicted fw i j)) t.frameworks;
+  median a
 
 let predicted_space t = Space.make ~n:(hosts t) ~dist:(predicted t)
 

@@ -23,20 +23,28 @@ let max xs =
   check xs;
   Array.fold_left Stdlib.max xs.(0) xs
 
-let percentile xs p =
+(* one copy and one sort serve every requested percentile *)
+let percentiles xs ps =
   check xs;
-  if p < 0.0 || p > 100.0 then invalid_arg "Summary.percentile: p out of range";
+  Array.iter
+    (fun p -> if p < 0.0 || p > 100.0 then invalid_arg "Summary.percentile: p out of range")
+    ps;
   let sorted = Array.copy xs in
-  Array.sort compare sorted;
+  Array.sort Float.compare sorted;
   let n = Array.length sorted in
-  if n = 1 then sorted.(0)
-  else begin
-    let rank = p /. 100.0 *. float_of_int (n - 1) in
-    let lo = int_of_float (Float.floor rank) in
-    let hi = int_of_float (Float.ceil rank) in
-    let frac = rank -. float_of_int lo in
-    (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
-  end
+  Array.map
+    (fun p ->
+      if n = 1 then sorted.(0)
+      else begin
+        let rank = p /. 100.0 *. float_of_int (n - 1) in
+        let lo = int_of_float (Float.floor rank) in
+        let hi = int_of_float (Float.ceil rank) in
+        let frac = rank -. float_of_int lo in
+        (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
+      end)
+    ps
+
+let percentile xs p = (percentiles xs [| p |]).(0)
 
 let median xs = percentile xs 50.0
 
@@ -54,6 +62,7 @@ type t = {
 let of_array xs =
   if Array.length xs = 0 then None
   else
+    let ps = percentiles xs [| 50.0; 90.0; 99.0 |] in
     Some
       {
         count = Array.length xs;
@@ -61,9 +70,9 @@ let of_array xs =
         stddev = stddev xs;
         min = min xs;
         max = max xs;
-        p50 = percentile xs 50.0;
-        p90 = percentile xs 90.0;
-        p99 = percentile xs 99.0;
+        p50 = ps.(0);
+        p90 = ps.(1);
+        p99 = ps.(2);
       }
 
 let pp ppf t =

@@ -17,6 +17,10 @@ val percentile : float array -> float -> float
     order statistics (the same convention as numpy's default).  The input
     need not be sorted.  Raises [Invalid_argument] on an empty array. *)
 
+val percentiles : float array -> float array -> float array
+(** [percentiles xs ps] is [Array.map (percentile xs) ps] from one sorted
+    copy of [xs]. *)
+
 val median : float array -> float
 
 type t = {

@@ -1,11 +1,12 @@
 (* Seeded property-based differential harness.
 
-   Seven properties, each over freshly generated random inputs:
+   Eight properties, each over freshly generated random inputs:
 
    1. churn-differential — after ANY sequence of Index.add_host /
       Index.remove_host events, the incrementally maintained
-      Find_cluster.Index answers (exists, max_size, max_sizes, find)
-      exactly as a fresh Index.build_subset of the same membership, and
+      Find_cluster.Index answers (exists, max_size, find) exactly as a
+      fresh Index.build_subset of the same membership, its max_size per
+      class equals a one-shot Find_cluster.max_sizes over the members, and
       every find witness passes a direct distance check that shares no
       code with the index;
    2. alg1-oracle-tree — on exact tree metrics Algorithm 1 agrees with
@@ -22,7 +23,9 @@
    5. daemon-replay — see below;
    6. json-roundtrip — Bwc_json's parser inverts both printers;
    7. snapshot-anywhere — every image a daemon can write restores and
-      answers as the writer (see below).
+      answers as the writer (see below);
+   8. cached-space — a node's cached clustering space never changes an
+      answer or outlives the own CRT row it should yield (see below).
 
    The harness is deliberately NOT an alcotest suite: its stdout is
    fully deterministic for a given seed (no timings), so two runs with
@@ -190,7 +193,10 @@ let churn_differential () =
       done;
       incr total_checks;
       let ls = Array.init 6 (fun i -> float_of_int i *. l_max /. 5.0) in
-      if Index.max_sizes idx ~ls <> Index.max_sizes rebuilt ~ls then
+      let one_shot =
+        Find_cluster.max_sizes (Space.restrict space (Array.of_list (members ()))) ~ls
+      in
+      if Array.map (fun l -> Index.max_size idx ~l) ls <> one_shot then
         fail_case prop case "event %d: max_sizes vector diverged" event
     done
   done;
@@ -717,6 +723,149 @@ let snapshot_anywhere () =
     "%s: %d cases (%d storms, %d degraded ticks), %d images, %d probes, every image restores and answers as the writer [ok]\n"
     prop n_cases !storms !degraded_ticks !images_total !probes_total
 
+(* 8. cached-space — every node keeps its clustering space V_x, with the
+   pairwise label distances, across rounds, and drops it wherever V_x
+   may change.  Over seeded systems with a failure detector, random
+   interleavings of rounds, mark_all_dirty, membership changes that
+   refresh the topology, crashes the detector turns into evictions
+   (repair, relink, regrafts), and live queries at random members, some
+   of them before a node's first step, check at every round boundary:
+   (a) every live answer equals the answer of
+       Protocol.of_dump (Protocol.dump t), whose nodes start without a
+       cached space;
+   (b) every node the dump marks clean holds the own CRT row an
+       Index.max_size oracle gives per class, over its clustering space
+       rebuilt from the dump as the node plus every host in its
+       aggrNode tables. *)
+
+module Classes = Bwc_core.Classes
+module Node_info = Bwc_core.Node_info
+module Framework = Bwc_predtree.Framework
+module Anchor = Bwc_predtree.Anchor
+
+let own_row_oracle ens classes (nd : Protocol.node_dump) =
+  let self = Node_info.make ~host:nd.nd_id ~labels:(Ensemble.labels ens nd.nd_id) in
+  let infos =
+    List.fold_left
+      (fun acc (i : Node_info.t) ->
+        if List.exists (fun (j : Node_info.t) -> j.host = i.host) acc then acc else i :: acc)
+      []
+      (self :: List.concat_map snd nd.nd_aggr_node)
+    |> List.rev |> Array.of_list
+  in
+  let space =
+    Space.make ~n:(Array.length infos) ~dist:(fun i j ->
+        if i = j then 0.0 else Node_info.dist infos.(i) infos.(j))
+  in
+  let idx = Index.build (Space.cached space) in
+  Array.map (fun l -> Index.max_size idx ~l) (Classes.distances classes)
+
+let cached_space () =
+  let prop = "cached-space" in
+  let n_cases = Stdlib.max 1 (cases / 10) in
+  let boundaries = ref 0 and answers = ref 0 and rows = ref 0 in
+  let queries = ref 0 and refreshes = ref 0 and evictions = ref 0 in
+  for case = 0 to n_cases - 1 do
+    let rng = case_rng (700_000 + case) in
+    let n = 12 + Rng.int rng 29 in
+    let ds =
+      Bwc_dataset.Planetlab.generate ~rng:(Rng.split rng) ~name:"prop-space"
+        { Bwc_dataset.Planetlab.hp_target with n }
+    in
+    let classes = Classes.of_percentiles ~count:4 ds in
+    let n_classes = Classes.count classes in
+    let ens =
+      Ensemble.build ~rng:(Rng.split rng)
+        ~members:(List.init (n - 1 - Rng.int rng 3) Fun.id)
+        (Bwc_dataset.Dataset.metric ds)
+    in
+    let p =
+      Protocol.create ~rng:(Rng.split rng) ~n_cut:(2 + Rng.int rng 4)
+        ~detector:Bwc_core.Detector.default_config ~classes ens
+    in
+    let crashed = ref [] in
+    let live_query t ~at ~k ~cls =
+      let r = Protocol.query t ~at ~k ~cls in
+      (r.Bwc_core.Query.cluster, r.Bwc_core.Query.path)
+    in
+    let check_boundary () =
+      incr boundaries;
+      let d = Protocol.dump p in
+      let restored = Protocol.of_dump ~classes ens d in
+      List.iter
+        (fun at ->
+          for cls = 0 to n_classes - 1 do
+            List.iter
+              (fun k ->
+                incr answers;
+                if live_query p ~at ~k ~cls <> live_query restored ~at ~k ~cls then
+                  fail_case prop case
+                    "round %d: query at %d k=%d class %d differs from the restored copy"
+                    (Protocol.rounds_run p) at k cls)
+              [ 2; 3; 5 ]
+          done)
+        (Ensemble.members ens);
+      List.iter
+        (fun (nd : Protocol.node_dump) ->
+          if not nd.nd_dirty then begin
+            incr rows;
+            if nd.nd_own_row <> own_row_oracle ens classes nd then
+              fail_case prop case "round %d: clean node %d holds a stale own row"
+                (Protocol.rounds_run p) nd.nd_id
+          end)
+        d.Protocol.d_nodes
+    in
+    let events = 40 + Rng.int rng 40 in
+    for _ = 1 to events do
+      let members = Array.of_list (Ensemble.members ens) in
+      match Rng.int rng 20 with
+      | 0 -> Protocol.mark_all_dirty p
+      | 1 | 2 when !crashed = [] ->
+          (* membership moves only before the first crash: a JOIN after
+             an eviction can still raise (see ROADMAP) *)
+          incr refreshes;
+          let outs =
+            List.filter (fun h -> not (Ensemble.is_member ens h)) (List.init n Fun.id)
+          in
+          if outs <> [] && (Array.length members <= 8 || Rng.bool rng) then
+            Ensemble.add_host ~rng ens (Rng.choose rng (Array.of_list outs))
+          else Ensemble.remove_host ~rng ens (Rng.choose rng members);
+          Protocol.refresh_topology p
+      | 3 when List.length !crashed < 2 ->
+          (* a non-root member away from earlier victims *)
+          let anchor = Framework.anchor (Ensemble.primary ens) in
+          let near h x =
+            x = h || Anchor.parent anchor x = Some h || Anchor.parent anchor h = Some x
+          in
+          let eligible =
+            List.filter
+              (fun h ->
+                Anchor.parent anchor h <> None
+                && not (List.exists (fun x -> near h x) !crashed))
+              (Array.to_list members)
+          in
+          if eligible <> [] then begin
+            let victim = Rng.choose rng (Array.of_list eligible) in
+            crashed := victim :: !crashed;
+            Protocol.crash_host p victim
+          end
+      | 4 | 5 | 6 | 7 | 8 ->
+          incr queries;
+          let (_ : Bwc_core.Query.result) =
+            Protocol.query p ~at:(Rng.choose rng members) ~k:(2 + Rng.int rng 4)
+              ~cls:(Rng.int rng n_classes)
+          in
+          ()
+      | _ ->
+          let (_ : bool) = Protocol.run_round p in
+          check_boundary ()
+    done;
+    evictions := !evictions + Protocol.repairs_run p
+  done;
+  Printf.printf
+    "%s: %d cases, %d round boundaries, %d refreshes, %d evictions, %d queries, %d answers and %d own rows match a restore and the oracle [ok]\n"
+    prop n_cases !boundaries !refreshes !evictions !queries !answers !rows
+
 let () =
   Printf.printf "bwc property harness (seed %d, %d churn sequences)\n" seed cases;
   churn_differential ();
@@ -726,4 +875,5 @@ let () =
   daemon_replay ();
   json_roundtrip ();
   snapshot_anywhere ();
+  cached_space ();
   Printf.printf "all properties hold\n"

@@ -107,7 +107,8 @@ let test_max_size_vs_brute_force () =
     let values = Bwc_metric.Dmatrix.off_diagonal_values (Space.to_dmatrix space) in
     let l = Bwc_stats.Summary.percentile values 50.0 in
     let rec largest k = if k < 2 then 1 else if brute_exists space k l then k else largest (k - 1) in
-    Alcotest.(check int) "max size" (largest 7) (Find_cluster.max_size space ~l)
+    Alcotest.(check (array int)) "max size" [| largest 7 |]
+      (Find_cluster.max_sizes space ~ls:[| l |])
   done
 
 let test_find_infeasible () =
@@ -133,19 +134,24 @@ let test_index_consistency () =
           (* identical scan order must give identical clusters *)
           Alcotest.(check (option (list int))) "same cluster" direct indexed)
         [ 2; 4; 7 ];
-      Alcotest.(check int) "max size agrees"
-        (Find_cluster.max_size space ~l)
-        (Find_cluster.Index.max_size index ~l))
+      Alcotest.(check (array int)) "max size agrees"
+        (Find_cluster.max_sizes space ~ls:[| l |])
+        [| Find_cluster.Index.max_size index ~l |])
     [ 10.0; 40.0; 70.0; 95.0 ]
+
+(* the index's answer for every class of [ls] *)
+let index_max_sizes idx ls = Array.map (fun l -> Find_cluster.Index.max_size idx ~l) ls
 
 let test_index_max_sizes_vector () =
   let space = tree_space ~seed:6 14 in
   let index = Find_cluster.Index.build space in
   let ls = [| 1.0; 50.0; 500.0; 5000.0 |] in
-  let sizes = Find_cluster.Index.max_sizes index ~ls in
+  let sizes = Find_cluster.max_sizes space ~ls in
   Array.iteri
     (fun i l -> Alcotest.(check int) "entry" (Find_cluster.Index.max_size index ~l) sizes.(i))
     ls;
+  Alcotest.(check (array int)) "empty space" [| 0; 0; 0; 0 |]
+    (Find_cluster.max_sizes (Space.restrict space [||]) ~ls);
   (* max size is monotone in l *)
   for i = 1 to Array.length sizes - 1 do
     if sizes.(i) < sizes.(i - 1) then Alcotest.fail "max size must grow with l"
@@ -201,13 +207,13 @@ let test_index_delta_contract () =
   Alcotest.(check bool) "out-of-range add rejected" true
     (raises (fun () -> Find_cluster.Index.add_host idx 10));
   (* leave then re-join lands back on the identical index state *)
-  let before = Find_cluster.Index.max_sizes idx ~ls:[| 1.0; 100.0; 1e4 |] in
+  let before = index_max_sizes idx [| 1.0; 100.0; 1e4 |] in
   Find_cluster.Index.remove_host idx 2;
   Find_cluster.Index.add_host idx 2;
   Alcotest.(check (list int)) "members restored" [ 0; 2; 4 ]
     (index_members idx);
   Alcotest.(check (array int)) "answers restored" before
-    (Find_cluster.Index.max_sizes idx ~ls:[| 1.0; 100.0; 1e4 |])
+    (index_max_sizes idx [| 1.0; 100.0; 1e4 |])
 
 (* ----- Classes ----- *)
 
@@ -800,8 +806,85 @@ let test_eviction_drives_index_delta () =
     (index_members idx);
   let ls = [| 10.0; 100.0; 1000.0 |] in
   Alcotest.(check (array int)) "answers match a fresh build"
-    (Find_cluster.Index.max_sizes fresh ~ls)
-    (Find_cluster.Index.max_sizes idx ~ls)
+    (index_max_sizes fresh ls)
+    (index_max_sizes idx ls)
+
+(* The own CRT row a clean node must hold: Index.max_size per class over
+   its clustering space, rebuilt from the dump as the node plus every
+   host in its aggrNode tables. *)
+let own_row_oracle ens classes (nd : Protocol.node_dump) =
+  let self = Node_info.make ~host:nd.nd_id ~labels:(Ensemble.labels ens nd.nd_id) in
+  let infos =
+    List.fold_left
+      (fun acc (i : Node_info.t) ->
+        if List.exists (fun (j : Node_info.t) -> j.host = i.host) acc then acc else i :: acc)
+      []
+      (self :: List.concat_map snd nd.nd_aggr_node)
+    |> List.rev |> Array.of_list
+  in
+  let space =
+    Space.make ~n:(Array.length infos) ~dist:(fun i j ->
+        if i = j then 0.0 else Node_info.dist infos.(i) infos.(j))
+  in
+  let idx = Find_cluster.Index.build (Space.cached space) in
+  Array.map (fun l -> Find_cluster.Index.max_size idx ~l) (Classes.distances classes)
+
+let node_dump p x =
+  List.find (fun nd -> nd.Protocol.nd_id = x) (Protocol.dump p).Protocol.d_nodes
+
+let test_query_before_step_recounts () =
+  (* A query that a node answers itself builds the node's cached
+     clustering space.  Evicting a leaf shrinks its parent's space and no
+     neighbor re-sends to the parent, so the parent's next step is the
+     only recount: it must happen although the query already cached the
+     shrunken space. *)
+  let ds = small_dataset ~seed:61 24 in
+  let space = Bwc_dataset.Dataset.metric ds in
+  let classes = Classes.of_percentiles ~count:5 ds in
+  let build () =
+    let ens = Ensemble.build ~rng:(Rng.create 62) space in
+    let p = Protocol.create ~rng:(Rng.create 63) ~n_cut:4 ~classes ens in
+    (ens, p)
+  in
+  (* before aggregation: every own row is 1, so a query only routes *)
+  let ens, p = build () in
+  let at = List.hd (Ensemble.members ens) in
+  let (_ : Query.result) = Protocol.query p ~at ~k:2 ~cls:0 in
+  let (_ : int) = Protocol.run_aggregation p in
+  Alcotest.(check (array int)) "own row after aggregation"
+    (own_row_oracle ens classes (node_dump p at))
+    (Protocol.crt_row p at at);
+  (* the first leaf whose eviction leaves its parent's row stale *)
+  let anchor = Framework.anchor (Ensemble.primary ens) in
+  let leaves =
+    List.filter
+      (fun h -> Anchor.children anchor h = [] && Anchor.parent anchor h <> None)
+      (Ensemble.members ens)
+  in
+  let evict leaf =
+    let ens, p = build () in
+    let (_ : int) = Protocol.run_aggregation p in
+    let parent = Option.get (Anchor.parent (Framework.anchor (Ensemble.primary ens)) leaf) in
+    Protocol.repair p ~dead:[ leaf ];
+    (ens, p, parent)
+  in
+  let stale leaf =
+    let ens, p, parent = evict leaf in
+    Protocol.crt_row p parent parent <> own_row_oracle ens classes (node_dump p parent)
+  in
+  match List.find_opt stale leaves with
+  | None -> Alcotest.fail "no leaf eviction changes its parent's row"
+  | Some leaf ->
+      let ens, p, parent = evict leaf in
+      let row = Protocol.crt_row p parent parent in
+      let cls = ref 0 in
+      while row.(!cls) < 2 do incr cls done;
+      let r = Protocol.query p ~at:parent ~k:row.(!cls) ~cls:!cls in
+      Alcotest.(check (list int)) "answered at the parent" [ parent ] r.Query.path;
+      let (_ : int) = Protocol.run_aggregation p in
+      Alcotest.(check (array int)) "parent's own row recounted"
+        (own_row_oracle ens classes (node_dump p parent))
+        (Protocol.crt_row p parent parent)
 
 let test_incremental_repair_matches_full () =
   (* the tentpole property: manual incremental repair reaches the same
@@ -1605,6 +1688,8 @@ let () =
             test_incremental_repair_matches_full;
           Alcotest.test_case "eviction drives index delta" `Quick
             test_eviction_drives_index_delta;
+          Alcotest.test_case "query before a step still recounts" `Quick
+            test_query_before_step_recounts;
           Alcotest.test_case "routing detours suspects" `Quick
             test_routing_detours_suspects;
           Alcotest.test_case "detector config validation" `Quick
