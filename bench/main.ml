@@ -151,7 +151,7 @@ let restart () =
 
 let index_churn () =
   section "Incremental index maintenance under churn  [E14]";
-  let sizes = if full then [ 64; 128; 256; 384; 1024 ] else [ 64; 128; 256; 1024 ] in
+  let sizes = [ 64; 128; 256; 384; 1024 ] in
   let rows =
     Bwc_experiments.Scalability.churn_sweep ~sizes
       ~events_per_size:(if full then 32 else 16)

@@ -608,10 +608,7 @@ let query seed dataset k b =
         (List.length cluster * (List.length cluster - 1) / 2)
   | None -> ());
   (* TREE-CENTRAL: one-shot Algorithm 1 over the predicted distances *)
-  let predicted =
-    Bwc_metric.Space.cached
-      (Bwc_predtree.Ensemble.predicted_space (Bwc_core.Dynamic.ensemble sys))
-  in
+  let predicted = Bwc_predtree.Ensemble.predicted_space (Bwc_core.Dynamic.ensemble sys) in
   match
     Bwc_core.Find_cluster.find predicted ~k ~l:(Bwc_metric.Bandwidth.to_distance b)
   with

@@ -39,10 +39,7 @@ let () =
 
   (* The centralized Algorithm 1 over the same predicted distances, for
      comparison. *)
-  let predicted =
-    Bwc_metric.Space.cached
-      (Bwc_predtree.Ensemble.predicted_space (Bwc_core.Dynamic.ensemble sys))
-  in
+  let predicted = Bwc_predtree.Ensemble.predicted_space (Bwc_core.Dynamic.ensemble sys) in
   let l = Bwc_metric.Bandwidth.to_distance 40.0 in
   match Bwc_core.Find_cluster.find predicted ~k:10 ~l with
   | Some hosts ->

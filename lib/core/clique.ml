@@ -4,7 +4,7 @@ type verdict =
   | Unknown
 
 let threshold_adjacency space ~l i j =
-  i <> j && space.Bwc_metric.Space.dist i j <= l
+  i <> j && Bwc_metric.Space.dist space i j <= l
 
 exception Found of int list
 exception Budget_exhausted

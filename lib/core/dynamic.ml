@@ -6,8 +6,7 @@ type t = {
   rng : Rng.t;
   c : float;
   dataset : Dataset.t;
-  space : Bwc_metric.Space.t; (* measured metric, cached: the index universe *)
-  fw : Ensemble.t;
+  fw : Ensemble.t; (* its measured space is the index universe *)
   protocol : Protocol.t;
   classes : Classes.t;
   mutable index : Find_cluster.Index.t option; (* lazy, then delta-maintained *)
@@ -26,8 +25,9 @@ let create ?(seed = 1) ?n_cut ?(class_count = 8) ?classes ?initial_members
     ?aggregation_rounds dataset =
   let c = Bwc_metric.Bandwidth.default_c in
   let rng = Rng.create seed in
-  let space = Dataset.metric ~c dataset in
-  let fw = Ensemble.build ~rng:(Rng.split rng) ?members:initial_members space in
+  let fw =
+    Ensemble.build ~rng:(Rng.split rng) ?members:initial_members (Dataset.metric ~c dataset)
+  in
   let classes =
     match classes with
     | Some cl -> cl
@@ -35,31 +35,16 @@ let create ?(seed = 1) ?n_cut ?(class_count = 8) ?classes ?initial_members
   in
   let protocol = Protocol.create ~rng:(Rng.split rng) ?n_cut ~classes fw in
   let (_ : int) = Protocol.run_aggregation ?max_rounds:aggregation_rounds protocol in
-  let t =
-    {
-      rng;
-      c;
-      dataset;
-      space = Bwc_metric.Space.cached space;
-      fw;
-      protocol;
-      classes;
-      index = None;
-    }
-  in
+  let t = { rng; c; dataset; fw; protocol; classes; index = None } in
   install_evict_hook t;
   t
 
 (* Persistence: bwc_persist decodes each layer and re-assembles here.
-   The measured-metric universe is rebuilt from the (restored) dataset —
-   spaces are closures and never serialize — and the eviction hook is
-   re-installed, so a restored system keeps maintaining its index by
-   delta exactly like the original. *)
+   The index universe is the restored ensemble's measured space, and the
+   eviction hook is re-installed, so a restored system keeps maintaining
+   its index by delta exactly like the original. *)
 let assemble ~dataset ~c ~fw ~protocol ~classes ~rng_state ~index () =
-  let space = Bwc_metric.Space.cached (Dataset.metric ~c dataset) in
-  let t =
-    { rng = Rng.of_state rng_state; c; dataset; space; fw; protocol; classes; index }
-  in
+  let t = { rng = Rng.of_state rng_state; c; dataset; fw; protocol; classes; index } in
   install_evict_hook t;
   t
 
@@ -69,7 +54,7 @@ let rng_state t = Rng.state t.rng
 let index_opt t = t.index
 
 let members t = Ensemble.members t.fw
-let member_count t = List.length (members t)
+let member_count t = Ensemble.member_count t.fw
 let is_member t h = Ensemble.is_member t.fw h
 let protocol t = t.protocol
 let ensemble t = t.fw
@@ -79,7 +64,7 @@ let index t =
   match t.index with
   | Some i -> i
   | None ->
-      let i = Find_cluster.Index.build_subset t.space (members t) in
+      let i = Find_cluster.Index.build_subset (Ensemble.space t.fw) (members t) in
       t.index <- Some i;
       i
 
@@ -133,13 +118,19 @@ let run_scenario t ~churn ~rounds ~on_round =
     on_round epoch t
   done
 
+(* the submission host is drawn as [Rng.choose] over the member list
+   would draw it, without copying the list; churn can empty the member
+   list, and an empty system answers a miss, it does not crash *)
 let query ?at t ~k ~b =
-  (* [Rng.choose] rejects an empty array, and churn can empty the member
-     list — an empty system answers a miss, it does not crash *)
-  match at, members t with
-  | None, [] -> Query.no_members
-  | None, ms -> Protocol.query_bandwidth t.protocol ~at:(Rng.choose t.rng (Array.of_list ms)) ~k ~b
-  | Some at, _ -> Protocol.query_bandwidth t.protocol ~at ~k ~b
+  match at with
+  | Some at -> Protocol.query_bandwidth t.protocol ~at ~k ~b
+  | None ->
+      let count = member_count t in
+      if count = 0 then Query.no_members
+      else
+        Protocol.query_bandwidth t.protocol
+          ~at:(Ensemble.member_at t.fw (Rng.int t.rng count))
+          ~k ~b
 
 let query_centralized t ~k ~b =
   let l = Bwc_metric.Bandwidth.to_distance ~c:t.c b in
@@ -158,11 +149,17 @@ let verify_cluster t ~b cluster =
   in
   List.rev (pairs [] cluster)
 
-(* predictions exist only between members: hosts outside the overlay are
-   no candidates *)
+(* predictions exist only between members: the candidates are the
+   members, in ascending host order, so ties resolve to the lowest id;
+   their label distances are the ensemble's median predictions *)
 let find_feeder t ~targets =
-  let absent =
-    List.filter (fun h -> not (is_member t h)) (List.init (Dataset.size t.dataset) Fun.id)
+  let ms = Array.of_list (List.sort Int.compare (members t)) in
+  let local = Array.make (Dataset.size t.dataset) (-1) in
+  Array.iteri (fun i h -> local.(h) <- i) ms;
+  let space =
+    Node_info.space_of
+      (Array.map (fun h -> Node_info.make ~host:h ~labels:(Ensemble.labels t.fw h)) ms)
   in
-  Node_search.best (Ensemble.predicted_space t.fw) ~targets ~exclude:absent
-  |> Option.map (fun (x, radius) -> (x, Bwc_metric.Bandwidth.of_distance ~c:t.c radius))
+  Node_search.best space ~targets:(List.map (fun h -> local.(h)) targets) ~exclude:[]
+  |> Option.map (fun (x, radius) ->
+         (ms.(x), Bwc_metric.Bandwidth.of_distance ~c:t.c radius))

@@ -57,9 +57,10 @@ val assemble :
   unit ->
   t
 (** Snapshot restore only (see [Bwc_persist]): re-assembles a dynamic
-    system from already-restored layers.  Rebuilds the measured-metric
-    index universe from the dataset and re-installs the eviction hook
-    that keeps a maintained index valid under detector-driven repair.
+    system from already-restored layers.  The index universe is [fw]'s
+    measured space ({!Bwc_predtree.Ensemble.space}); the eviction hook
+    that keeps a maintained index valid under detector-driven repair is
+    re-installed.
     The trailing [unit] carries nothing; it is kept so existing callers
     still compile. *)
 

@@ -5,12 +5,19 @@ module Space = Bwc_metric.Space
    two paths can never disagree on a borderline verification. *)
 let diam_tol = 1e-9
 
+(* Kernels read the dense matrix directly: [Float.Array.get] is a
+   primitive and inlines, where a call to [Space.dist] from this module is
+   a real call that boxes its result (no flambda, [-opaque] dev builds).
+   Ball tests read rows [p] and [q], which equal the columns by symmetry
+   and are contiguous. *)
 let members space ~p ~q =
-  let d = space.Space.dist in
-  let dpq = d p q in
+  let n = space.Space.n and d = space.Space.d in
+  let dpq = Float.Array.get d ((p * n) + q) in
+  let rp = p * n and rq = q * n in
   let out = ref [] in
-  for x = space.Space.n - 1 downto 0 do
-    if d x p <= dpq && d x q <= dpq then out := x :: !out
+  for x = n - 1 downto 0 do
+    if Float.Array.get d (rp + x) <= dpq && Float.Array.get d (rq + x) <= dpq then
+      out := x :: !out
   done;
   !out
 
@@ -18,11 +25,12 @@ let members space ~p ~q =
    needs the count, and allocating an O(n) list per pair turned the
    O(n^3) scan into an allocation storm. *)
 let count_members space ~p ~q =
-  let d = space.Space.dist in
-  let dpq = d p q in
+  let n = space.Space.n and d = space.Space.d in
+  let dpq = Float.Array.get d ((p * n) + q) in
+  let rp = p * n and rq = q * n in
   let count = ref 0 in
-  for x = 0 to space.Space.n - 1 do
-    if d x p <= dpq && d x q <= dpq then incr count
+  for x = 0 to n - 1 do
+    if Float.Array.get d (rp + x) <= dpq && Float.Array.get d (rq + x) <= dpq then incr count
   done;
   !count
 
@@ -60,7 +68,7 @@ let find ?(verify = false) space ~k ~l =
   else begin
     let result = ref None in
     iter_pairs_until space.Space.n (fun p q ->
-        if space.Space.dist p q <= l then begin
+        if Float.Array.get space.Space.d ((p * space.Space.n) + q) <= l then begin
           if count_members space ~p ~q >= k then begin
             let cluster = pick_k ~p ~q k (members space ~p ~q) in
             if cluster_ok ~verify space ~l cluster then begin
@@ -74,27 +82,25 @@ let find ?(verify = false) space ~k ~l =
 
 (* The largest |S*_pq| over pairs with d(p,q) <= l, for every class l in
    one pass: a pair farther apart than the widest class fits none, and a
-   kept pair's |S*_pq| is counted once for all the classes it fits.  The
-   distances are read out of the space once, so the O(n^3) count loop
-   indexes an unboxed array instead of calling [dist]. *)
+   kept pair's |S*_pq| is counted once for all the classes it fits. *)
 let max_sizes space ~ls =
-  let n = space.Space.n in
-  let d = Float.Array.create (n * n) in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      Float.Array.set d ((i * n) + j) (space.Space.dist i j)
-    done
-  done;
+  let n = space.Space.n and d = space.Space.d in
   let best = Array.make (Array.length ls) (if n = 0 then 0 else 1) in
-  let l_max = Array.fold_left (fun acc l -> if l > acc then l else acc) neg_infinity ls in
+  let l_max = ref neg_infinity in
+  for c = 0 to Array.length ls - 1 do
+    if ls.(c) > !l_max then l_max := ls.(c)
+  done;
+  let l_max = !l_max in
   for p = 0 to n - 1 do
+    let rp = p * n in
     for q = p + 1 to n - 1 do
-      let dpq = Float.Array.get d ((p * n) + q) in
+      let dpq = Float.Array.get d (rp + q) in
       if dpq <= l_max then begin
+        let rq = q * n in
         let size = ref 0 in
         for x = 0 to n - 1 do
-          if Float.Array.get d ((x * n) + p) <= dpq && Float.Array.get d ((x * n) + q) <= dpq
-          then incr size
+          if Float.Array.get d (rp + x) <= dpq && Float.Array.get d (rq + x) <= dpq then
+            incr size
         done;
         for c = 0 to Array.length ls - 1 do
           if dpq <= ls.(c) && !size > best.(c) then best.(c) <- !size
@@ -105,54 +111,107 @@ let max_sizes space ~ls =
   best
 
 module Index = struct
-  (* One active pair (u < v, host ids of the universe space).  [size] is
-     |S*_uv| restricted to the current members and is the only mutable
-     field: membership deltas never change a pair's distance, so the
-     sorted query structure stays valid across updates. *)
-  type pair = {
-    u : int;
-    v : int;
-    d : float;
-    mutable size : int;
-  }
+  (* Struct-of-arrays over the universe's dense matrix.  A pair u < v of
+     members is keyed by [u * n + v], its index in the space's matrix; its
+     count |S*_uv ∩ members| lives at the same index of [size], so [find]
+     and [dump] read counts by (u, v) with no hash table.  The query order
+     is three parallel arrays sorted by (d, u, v) — equivalently by
+     (d, key) — with the running maximum of the counts along it.
 
+     A membership delta touches every pair once, streaming those arrays
+     against the moving host's matrix row; pair distances never change,
+     so counts are repaired in place and only the moving host's own pairs
+     enter or leave the order.  The pair arrays are sized for the whole
+     universe up front, so neither delta allocates anything proportional
+     to the pair count. *)
   type t = {
-    space : Space.t;            (* fixed universe; distances never change *)
-    active : bool array;        (* membership flag per universe point *)
-    mutable members : int array;    (* active host ids, ascending *)
-    pairs : (int, pair) Hashtbl.t;  (* key [u * space.n + v], u < v *)
-    mutable sorted : pair array;    (* ascending (d, u, v) *)
-    mutable prefix_max : int array; (* running max of sizes along sorted *)
+    space : Space.t;     (* fixed universe; distances never change *)
+    active : bool array; (* membership flag per universe point *)
+    members : int array; (* ascending member ids in [0, a) *)
+    mutable a : int;
+    size : int array;    (* |S*_uv ∩ members| at u * n + v, u < v members *)
+    mutable m : int;     (* pairs in the order: a (a - 1) / 2 *)
+    pd : Float.Array.t;  (* ascending (d, u, v) over [0, m) *)
+    pu : int array;
+    pv : int array;
+    prefix : int array;  (* running max of the counts along that order *)
   }
 
-  let key t u v = (u * t.space.Space.n) + v
+  let create space =
+    let n = space.Space.n in
+    let cap = n * (n - 1) / 2 in
+    {
+      space;
+      active = Array.make n false;
+      members = Array.make n 0;
+      a = 0;
+      size = Array.make (n * n) 0;
+      m = 0;
+      pd = Float.Array.make cap 0.0;
+      pu = Array.make cap 0;
+      pv = Array.make cap 0;
+      prefix = Array.make cap 0;
+    }
 
-  (* Primary order is the distance (what the binary search needs); the
-     (u, v) tie-break makes merges and rebuilds byte-deterministic. *)
-  let pair_cmp a b =
-    let c = Float.compare a.d b.d in
-    if c <> 0 then c
-    else begin
-      let c = Stdlib.compare a.u b.u in
-      if c <> 0 then c else Stdlib.compare a.v b.v
-    end
+  (* The (d, u, v) order on pair keys: distance first (what the binary
+     search needs), then the key, which orders (u, v) lexicographically
+     and makes merges and rebuilds byte-deterministic. *)
+  let key_cmp d a b =
+    let c = Float.compare (Float.Array.get d a) (Float.Array.get d b) in
+    if c <> 0 then c else Int.compare a b
 
-  (* |S*_uv ∩ members| by counting loop (cf. [count_members]). *)
-  let count_active t ~u ~v d =
-    let dist = t.space.Space.dist in
+  (* |S*_uv ∩ members| by counting loop (cf. [count_members]); the
+     distance is read here, so no float crosses the call boxed. *)
+  let count_active t ~u ~v =
+    let n = t.space.Space.n and d = t.space.Space.d in
+    let ru = u * n and rv = v * n in
+    let duv = Float.Array.get d (ru + v) in
     let count = ref 0 in
-    Array.iter (fun x -> if dist x u <= d && dist x v <= d then incr count) t.members;
+    for i = 0 to t.a - 1 do
+      let x = t.members.(i) in
+      if Float.Array.get d (ru + x) <= duv && Float.Array.get d (rv + x) <= duv then incr count
+    done;
     !count
 
-  let recompute_prefix_max t =
-    let m = Array.length t.sorted in
-    let prefix = Array.make m 0 in
+  let set_pair t pos key =
+    let n = t.space.Space.n in
+    Float.Array.set t.pd pos (Float.Array.get t.space.Space.d key);
+    t.pu.(pos) <- key / n;
+    t.pv.(pos) <- key mod n
+
+  let refresh_prefix t =
+    let n = t.space.Space.n in
     let run = ref 0 in
-    for i = 0 to m - 1 do
-      run := Stdlib.max !run t.sorted.(i).size;
-      prefix.(i) <- !run
+    for k = 0 to t.m - 1 do
+      let s = t.size.((t.pu.(k) * n) + t.pv.(k)) in
+      if s > !run then run := s;
+      t.prefix.(k) <- !run
+    done
+
+  (* An index over [members] (ascending, in range) whose pair at
+     row-major position [pos] over (i, j), i < j, of [members] has count
+     [count t pos u v]. *)
+  let load space members ~count =
+    let t = create space in
+    let n = space.Space.n and a = Array.length members in
+    Array.blit members 0 t.members 0 a;
+    Array.iter (fun h -> t.active.(h) <- true) members;
+    t.a <- a;
+    let keys = Array.make (a * (a - 1) / 2) 0 in
+    let pos = ref 0 in
+    for i = 0 to a - 1 do
+      for j = i + 1 to a - 1 do
+        let u = members.(i) and v = members.(j) in
+        t.size.((u * n) + v) <- count t !pos u v;
+        keys.(!pos) <- (u * n) + v;
+        incr pos
+      done
     done;
-    t.prefix_max <- prefix
+    Array.stable_sort (key_cmp space.Space.d) keys;
+    Array.iteri (set_pair t) keys;
+    t.m <- Array.length keys;
+    refresh_prefix t;
+    t
 
   let build_subset space hosts =
     let n = space.Space.n in
@@ -161,194 +220,179 @@ module Index = struct
       (fun h ->
         if h < 0 || h >= n then invalid_arg "Find_cluster.Index: host out of range")
       members;
-    let active = Array.make n false in
-    Array.iter (fun h -> active.(h) <- true) members;
-    let a = Array.length members in
-    let count = a * (a - 1) / 2 in
-    let t =
-      {
-        space;
-        active;
-        members;
-        pairs = Hashtbl.create (Stdlib.max 16 count);
-        sorted = [||];
-        prefix_max = [||];
-      }
-    in
-    let all = Array.make (Stdlib.max 1 count) { u = 0; v = 0; d = 0.0; size = 0 } in
-    let pos = ref 0 in
-    for i = 0 to a - 1 do
-      for j = i + 1 to a - 1 do
-        let u = members.(i) and v = members.(j) in
-        let d = space.Space.dist u v in
-        let pr = { u; v; d; size = count_active t ~u ~v d } in
-        Hashtbl.replace t.pairs (key t u v) pr;
-        all.(!pos) <- pr;
-        incr pos
-      done
-    done;
-    let all = if count = 0 then [||] else all in
-    Array.sort pair_cmp all;
-    t.sorted <- all;
-    recompute_prefix_max t;
-    t
+    load space members ~count:(fun t _ u v -> count_active t ~u ~v)
 
   let build space = build_subset space (List.init space.Space.n Fun.id)
 
-  let size t = Array.length t.members
+  let size t = t.a
   let is_member t h = h >= 0 && h < t.space.Space.n && t.active.(h)
 
   (* ----- incremental maintenance ----- *)
 
-  (* Sorted insertion of [h] into the member array: O(n). *)
-  let insert_member t h =
-    let a = Array.length t.members in
-    let out = Array.make (a + 1) h in
-    let i = ref 0 in
-    while !i < a && t.members.(!i) < h do
-      out.(!i) <- t.members.(!i);
-      incr i
-    done;
-    Array.blit t.members !i out (!i + 1) (a - !i);
-    t.members <- out
-
-  let delete_member t h =
-    t.members <- Array.of_list (List.filter (fun x -> x <> h) (Array.to_list t.members))
-
-  (* Merge of two pair arrays each sorted by [pair_cmp]: O(m + f). *)
-  let merge_sorted a b =
-    let la = Array.length a and lb = Array.length b in
-    if la = 0 then b
-    else if lb = 0 then a
-    else begin
-      let out = Array.make (la + lb) a.(0) in
-      let i = ref 0 and j = ref 0 in
-      for k = 0 to la + lb - 1 do
-        if !j >= lb || (!i < la && pair_cmp a.(!i) b.(!j) <= 0) then begin
-          out.(k) <- a.(!i);
-          incr i
-        end
-        else begin
-          out.(k) <- b.(!j);
-          incr j
-        end
-      done;
-      out
-    end
-
   let add_host t h =
-    if h < 0 || h >= t.space.Space.n then
-      invalid_arg "Find_cluster.Index.add_host: host out of range";
+    let n = t.space.Space.n and d = t.space.Space.d in
+    if h < 0 || h >= n then invalid_arg "Find_cluster.Index.add_host: host out of range";
     if t.active.(h) then invalid_arg "Find_cluster.Index.add_host: already a member";
-    let dist = t.space.Space.dist in
-    (* 1. every existing pair whose ball the newcomer falls into grows *)
-    Array.iter
-      (fun pr -> if dist h pr.u <= pr.d && dist h pr.v <= pr.d then pr.size <- pr.size + 1)
-      t.sorted;
-    (* 2. the newcomer's own pairs, sized against the grown membership *)
     t.active.(h) <- true;
-    insert_member t h;
-    let fresh =
-      Array.map
-        (fun p ->
-          let u = Stdlib.min p h and v = Stdlib.max p h in
-          let d = dist u v in
-          let pr = { u; v; d; size = count_active t ~u ~v d } in
-          Hashtbl.replace t.pairs (key t u v) pr;
-          pr)
-        (Array.of_list (List.filter (fun p -> p <> h) (Array.to_list t.members)))
-    in
-    (* 3. incremental merge keeps the binary-searchable order without a
-       full re-sort: the old run is already sorted and only the O(n)
-       fresh pairs need sorting *)
-    Array.sort pair_cmp fresh;
-    t.sorted <- merge_sorted t.sorted fresh;
-    recompute_prefix_max t
+    let i = ref t.a in
+    while !i > 0 && t.members.(!i - 1) > h do
+      t.members.(!i) <- t.members.(!i - 1);
+      decr i
+    done;
+    t.members.(!i) <- h;
+    t.a <- t.a + 1;
+    (* 1. the newcomer's own pairs, sized against the grown membership *)
+    let rh = h * n in
+    let fresh = Array.make (t.a - 1) 0 in
+    let f = ref 0 in
+    for i = 0 to t.a - 1 do
+      let p = t.members.(i) in
+      if p <> h then begin
+        let key = if p < h then (p * n) + h else rh + p in
+        t.size.(key) <- count_active t ~u:p ~v:h;
+        fresh.(!f) <- key;
+        incr f
+      end
+    done;
+    (* 2. only the fresh pairs are sorted (in place); they merge into the
+       sorted run in place, from the back, until none is left *)
+    Array.sort (key_cmp d) fresh;
+    let i = ref (t.m - 1) and j = ref (Array.length fresh - 1) in
+    let w = ref (t.m + Array.length fresh - 1) in
+    while !j >= 0 do
+      let old_last =
+        !i >= 0
+        &&
+        let c = Float.compare (Float.Array.get t.pd !i) (Float.Array.get d fresh.(!j)) in
+        c > 0 || (c = 0 && (t.pu.(!i) * n) + t.pv.(!i) > fresh.(!j))
+      in
+      if old_last then begin
+        Float.Array.set t.pd !w (Float.Array.get t.pd !i);
+        t.pu.(!w) <- t.pu.(!i);
+        t.pv.(!w) <- t.pv.(!i);
+        decr i
+      end
+      else begin
+        set_pair t !w fresh.(!j);
+        decr j
+      end;
+      decr w
+    done;
+    t.m <- t.m + Array.length fresh;
+    (* 3. one streaming pass against the newcomer's row: every older pair
+       whose ball it falls into grows, and the prefix maxima follow *)
+    let run = ref 0 in
+    for k = 0 to t.m - 1 do
+      let u = t.pu.(k) and v = t.pv.(k) in
+      let key = (u * n) + v in
+      if u <> h && v <> h then begin
+        let duv = Float.Array.get t.pd k in
+        if Float.Array.get d (rh + u) <= duv && Float.Array.get d (rh + v) <= duv then
+          t.size.(key) <- t.size.(key) + 1
+      end;
+      if t.size.(key) > !run then run := t.size.(key);
+      t.prefix.(k) <- !run
+    done
 
   let remove_host t h =
     if not (is_member t h) then invalid_arg "Find_cluster.Index.remove_host: not a member";
-    if Array.length t.members = 1 then Hashtbl.reset t.pairs
-    else
-      Array.iter
-        (fun p -> if p <> h then Hashtbl.remove t.pairs (key t (Stdlib.min p h) (Stdlib.max p h)))
-        t.members;
+    let n = t.space.Space.n and d = t.space.Space.d in
     t.active.(h) <- false;
-    delete_member t h;
-    let dist = t.space.Space.dist in
-    let kept =
-      Array.of_list
-        (List.filter (fun pr -> pr.u <> h && pr.v <> h) (Array.to_list t.sorted))
-    in
-    (* the departed host leaves every ball it was counted in *)
-    Array.iter
-      (fun pr -> if dist h pr.u <= pr.d && dist h pr.v <= pr.d then pr.size <- pr.size - 1)
-      kept;
-    t.sorted <- kept;
-    recompute_prefix_max t
+    let i = ref 0 in
+    while t.members.(!i) <> h do
+      incr i
+    done;
+    Array.blit t.members (!i + 1) t.members !i (t.a - !i - 1);
+    t.a <- t.a - 1;
+    (* one compacting pass against the departed host's row: its own pairs
+       leave the order, it leaves every ball it was counted in, and the
+       prefix maxima follow *)
+    let rh = h * n in
+    let w = ref 0 and run = ref 0 in
+    for k = 0 to t.m - 1 do
+      let u = t.pu.(k) and v = t.pv.(k) in
+      if u <> h && v <> h then begin
+        let duv = Float.Array.get t.pd k and key = (u * n) + v in
+        if Float.Array.get d (rh + u) <= duv && Float.Array.get d (rh + v) <= duv then
+          t.size.(key) <- t.size.(key) - 1;
+        Float.Array.set t.pd !w duv;
+        t.pu.(!w) <- u;
+        t.pv.(!w) <- v;
+        if t.size.(key) > !run then run := t.size.(key);
+        t.prefix.(!w) <- !run;
+        incr w
+      end
+    done;
+    t.m <- !w
 
   (* ----- queries ----- *)
 
   (* Rank of the last sorted pair with distance <= l, or -1. *)
   let last_within t l =
-    let n = Array.length t.sorted in
     let rec search lo hi =
       if lo >= hi then lo - 1
       else begin
         let mid = (lo + hi) / 2 in
-        if t.sorted.(mid).d <= l then search (mid + 1) hi else search lo mid
+        if Float.Array.get t.pd mid <= l then search (mid + 1) hi else search lo mid
       end
     in
-    search 0 n
-
-  (* S*_uv restricted to the active members, ascending host id. *)
-  let members_active t ~u ~v d =
-    let dist = t.space.Space.dist in
-    List.filter
-      (fun x -> dist x u <= d && dist x v <= d)
-      (Array.to_list t.members)
-
-  let find ?(verify = false) t ~k ~l =
-    if k < 2 then invalid_arg "Find_cluster.Index.find: k < 2";
-    let a = Array.length t.members in
-    let result = ref None in
-    (try
-       for i = 0 to a - 1 do
-         for j = i + 1 to a - 1 do
-           let u = t.members.(i) and v = t.members.(j) in
-           match Hashtbl.find_opt t.pairs (key t u v) with
-           | None -> ()
-           | Some pr ->
-               if pr.d <= l && pr.size >= k then begin
-                 let cluster = pick_k ~p:u ~q:v k (members_active t ~u ~v pr.d) in
-                 if cluster_ok ~verify t.space ~l cluster then begin
-                   result := Some cluster;
-                   raise Exit
-                 end
-               end
-         done
-       done
-     with Exit -> ());
-    !result
+    search 0 t.m
 
   let exists t ~k ~l =
     if k < 2 then invalid_arg "Find_cluster.Index.exists: k < 2";
     let limit = last_within t l in
-    limit >= 0 && t.prefix_max.(limit) >= k
+    limit >= 0 && t.prefix.(limit) >= k
 
   let max_size t ~l =
-    if Array.length t.members = 0 then 0
+    if t.a = 0 then 0
     else begin
       let limit = last_within t l in
-      if limit < 0 then 1 else Stdlib.max 1 t.prefix_max.(limit)
+      if limit < 0 then 1 else Stdlib.max 1 t.prefix.(limit)
+    end
+
+  (* S*_uv restricted to the active members, ascending host id. *)
+  let members_active t ~u ~v duv =
+    let n = t.space.Space.n and d = t.space.Space.d in
+    let out = ref [] in
+    for i = t.a - 1 downto 0 do
+      let x = t.members.(i) in
+      if Float.Array.get d ((u * n) + x) <= duv && Float.Array.get d ((v * n) + x) <= duv then
+        out := x :: !out
+    done;
+    !out
+
+  (* Member pairs in index order, as the one-shot [find] scans them. *)
+  let find ?(verify = false) t ~k ~l =
+    if k < 2 then invalid_arg "Find_cluster.Index.find: k < 2";
+    if not (exists t ~k ~l) then None
+    else begin
+      let n = t.space.Space.n and d = t.space.Space.d in
+      let result = ref None in
+      (try
+         for i = 0 to t.a - 1 do
+           for j = i + 1 to t.a - 1 do
+             let u = t.members.(i) and v = t.members.(j) in
+             let key = (u * n) + v in
+             let duv = Float.Array.get d key in
+             if duv <= l && t.size.(key) >= k then begin
+               let cluster = pick_k ~p:u ~q:v k (members_active t ~u ~v duv) in
+               if cluster_ok ~verify t.space ~l cluster then begin
+                 result := Some cluster;
+                 raise Exit
+               end
+             end
+           done
+         done
+       with Exit -> ());
+      !result
     end
 
   (* ----- persistence -----
 
-     The universe space is a function and cannot be serialized; the dump
-     carries the membership and the per-pair counts, and [of_dump]
-     recomputes pair distances against the caller-provided space.  Using
-     the stored counts (instead of recounting) keeps restore at
-     O(a^2 log a) instead of the O(a^3) of [build_subset]. *)
+     The dump carries the membership and the per-pair counts; [of_dump]
+     reads pair distances from the caller's universe space.  Using the
+     stored counts (instead of recounting) keeps restore at O(a^2 log a)
+     instead of the O(a^3) of [build_subset]. *)
 
   type dump = {
     d_members : int list; (* ascending *)
@@ -356,18 +400,16 @@ module Index = struct
   }
 
   let dump t =
-    let a = Array.length t.members in
-    let sizes = Array.make (Stdlib.max 1 (a * (a - 1) / 2)) 0 in
+    let n = t.space.Space.n in
+    let sizes = Array.make (t.a * (t.a - 1) / 2) 0 in
     let pos = ref 0 in
-    for i = 0 to a - 1 do
-      for j = i + 1 to a - 1 do
-        (match Hashtbl.find_opt t.pairs (key t t.members.(i) t.members.(j)) with
-        | Some pr -> sizes.(!pos) <- pr.size
-        | None -> assert false);
+    for i = 0 to t.a - 1 do
+      for j = i + 1 to t.a - 1 do
+        sizes.(!pos) <- t.size.((t.members.(i) * n) + t.members.(j));
         incr pos
       done
     done;
-    { d_members = Array.to_list t.members; d_sizes = Array.sub sizes 0 !pos }
+    { d_members = Array.to_list (Array.sub t.members 0 t.a); d_sizes = sizes }
 
   let of_dump space d =
     let fail msg = invalid_arg ("Find_cluster.Index.of_dump: " ^ msg) in
@@ -381,33 +423,5 @@ module Index = struct
       members;
     if Array.length d.d_sizes <> a * (a - 1) / 2 then fail "size table arity mismatch";
     Array.iter (fun s -> if s < 0 || s > a then fail "count out of range") d.d_sizes;
-    let active = Array.make n false in
-    Array.iter (fun h -> active.(h) <- true) members;
-    let count = a * (a - 1) / 2 in
-    let t =
-      {
-        space;
-        active;
-        members;
-        pairs = Hashtbl.create (Stdlib.max 16 count);
-        sorted = [||];
-        prefix_max = [||];
-      }
-    in
-    let all = Array.make (Stdlib.max 1 count) { u = 0; v = 0; d = 0.0; size = 0 } in
-    let pos = ref 0 in
-    for i = 0 to a - 1 do
-      for j = i + 1 to a - 1 do
-        let u = members.(i) and v = members.(j) in
-        let pr = { u; v; d = space.Space.dist u v; size = d.d_sizes.(!pos) } in
-        Hashtbl.replace t.pairs (key t u v) pr;
-        all.(!pos) <- pr;
-        incr pos
-      done
-    done;
-    let all = if count = 0 then [||] else all in
-    Array.sort pair_cmp all;
-    t.sorted <- all;
-    recompute_prefix_max t;
-    t
+    load space members ~count:(fun _ pos _ _ -> d.d_sizes.(pos))
 end

@@ -51,7 +51,9 @@ val max_sizes : Bwc_metric.Space.t -> ls:float array -> int array
     O(n^3) for a rebuild — while keeping the sorted-distance/prefix-max
     query structures valid (pair distances are immutable, so mutating
     counts in place and merging the O(n) new pairs preserves both the
-    sort order and the prefix-max invariant). *)
+    sort order and the prefix-max invariant).  An index reserves room for
+    every pair of its universe up front, about [24 n^2] bytes with its
+    per-pair counts, so neither delta reallocates. *)
 module Index : sig
   type t
 
@@ -99,7 +101,7 @@ module Index : sig
 
   val of_dump : Bwc_metric.Space.t -> dump -> t
   (** Reconstructs the index over the given universe space (pair
-      distances are recomputed from it; the counts come from the dump, so
+      distances are read from it; the counts come from the dump, so
       restore is O(a^2 log a) instead of a O(a^3) rebuild).  Validates
       membership ordering/range and count bounds; raises
       [Invalid_argument] on any violation. *)

@@ -18,6 +18,6 @@ val space_of : t array -> Bwc_metric.Space.t
 (** The clustering space spanned by a set of node infos: point [i] of the
     space is [infos.(i)], distances are label distances (Algorithms 3 and
     4 run {!Find_cluster} on exactly this).  Every pair's distance is
-    computed once, up front, and served from a dense matrix. *)
+    computed once, up front. *)
 
 val compare_host : t -> t -> int

@@ -10,7 +10,7 @@ let best space ~targets ~exclude =
     for x = 0 to space.Space.n - 1 do
       if not (Hashtbl.mem forbidden x) then begin
         let radius =
-          List.fold_left (fun acc s -> Float.max acc (space.Space.dist x s)) 0.0 targets
+          List.fold_left (fun acc s -> Float.max acc (Space.dist space x s)) 0.0 targets
         in
         match !best with
         | Some (_, r) when r <= radius -> ()

@@ -14,10 +14,7 @@ type t = {
 let create ~seed ?n_cut ?class_count dataset =
   let sys = Dynamic.create ~seed ?n_cut ?class_count dataset in
   let tree_index =
-    lazy
-      (Index.build
-         (Bwc_metric.Space.cached
-            (Bwc_predtree.Ensemble.predicted_space (Dynamic.ensemble sys))))
+    lazy (Index.build (Bwc_predtree.Ensemble.predicted_space (Dynamic.ensemble sys)))
   in
   let rng = Bwc_stats.Rng.create (seed + 0x5eed) in
   let vivaldi = Vivaldi.embed ~rng (Bwc_dataset.Dataset.metric ~c:(Dynamic.c sys) dataset) in

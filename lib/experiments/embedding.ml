@@ -19,7 +19,7 @@ let over2x_rate ens space =
     for j = i + 1 to n - 1 do
       incr total;
       (* distance under-prediction by 2x = bandwidth over-prediction by 2x *)
-      if Ensemble.predicted ens i j *. 2.0 <= space.Bwc_metric.Space.dist i j then incr overs
+      if Ensemble.predicted ens i j *. 2.0 <= Bwc_metric.Space.dist space i j then incr overs
     done
   done;
   float_of_int !overs /. float_of_int (Stdlib.max 1 !total)

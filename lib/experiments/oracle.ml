@@ -20,7 +20,7 @@ type output = {
 }
 
 let run ?(ks = [ 3; 5; 8; 12 ]) ?(queries_per_k = 30) ?budget ~seed dataset =
-  let space = Bwc_metric.Space.cached (Dataset.metric dataset) in
+  let space = Dataset.metric dataset in
   (* harder constraints than the accuracy workload: the interesting
      disagreements appear near the top of the bandwidth distribution *)
   let lo, hi = Workload.bandwidth_range ~lo_pct:50.0 ~hi_pct:98.0 dataset in

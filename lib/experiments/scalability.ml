@@ -103,7 +103,7 @@ let witness_ok ~dist ~is_member ~k ~l = function
    and every probe is differentially compared against it. *)
 let churn_one ~rng ~space ~events ~checks_per_event ~rebuild =
   let n = space.Bwc_metric.Space.n in
-  let dist = space.Bwc_metric.Space.dist in
+  let dist = Bwc_metric.Space.dist space in
   let is_member = Array.make n false in
   let initial = Rng.sample_without_replacement rng (Stdlib.max 2 (3 * n / 4)) n in
   Array.iter (fun h -> is_member.(h) <- true) initial;
@@ -165,8 +165,9 @@ let churn_one ~rng ~space ~events ~checks_per_event ~rebuild =
     exact_arm = (if rebuild then "full+rebuild" else "full");
   }
 
-(* the O(n^3)-per-event rebuild arm stops being tractable past this *)
-let rebuild_max = 256
+(* the O(n^3)-per-event rebuild arm stops being tractable past this:
+   churn_storm's n = 384 is the largest size it still covers *)
+let rebuild_max = 384
 
 let churn_sweep ?(sizes = [ 64; 128; 256 ]) ?(events_per_size = 16)
     ?(checks_per_event = 4) ~seed () =

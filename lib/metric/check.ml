@@ -10,7 +10,7 @@ let triple_count n = n * (n - 1) * (n - 2)
 
 let verify ?(tol = 1e-9) ?(max_triples = 200_000) ~rng space =
   let n = space.Space.n in
-  let d = space.Space.dist in
+  let d = Space.dist space in
   let non_negative = ref true in
   let zero_diagonal = ref true in
   let symmetric = ref true in

@@ -1,5 +1,5 @@
 let sums space w x y z =
-  let d = space.Space.dist in
+  let d = Space.dist space in
   let s_a = d w x +. d y z in
   let s_b = d w y +. d x z in
   let s_c = d w z +. d x y in

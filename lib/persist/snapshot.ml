@@ -5,8 +5,8 @@
    bytes and back.  Decoding reverses the dependency order the system is
    built in: dataset -> classes -> ensemble (geometry) -> protocol
    (per-link state over the restored ensemble) -> optional centralized
-   index -> facade assembly.  Spaces are closures and never serialize;
-   they are rebuilt from the dataset matrix, which reproduces the exact
+   index -> facade assembly.  Spaces never serialize: the measured space
+   is rebuilt once from the dataset matrix, which reproduces the exact
    same distances (pure arithmetic on the same floats).
 
    Deliberately absent from snapshots: metrics counters (a restored
@@ -16,7 +16,6 @@
 
 module Dataset = Bwc_dataset.Dataset
 module Dmatrix = Bwc_metric.Dmatrix
-module Space = Bwc_metric.Space
 module Tree = Bwc_predtree.Tree
 module Anchor = Bwc_predtree.Anchor
 module Framework = Bwc_predtree.Framework
@@ -441,13 +440,12 @@ let dec_dynamic ?metrics ?trace r =
   let proto_dump = dec_protocol r in
   let index_dump = R.option r (fun () -> dec_index r) in
   R.eof r;
-  let fw = Ensemble.of_dump ?metrics (Dataset.metric ~c dataset) ens_dump in
+  (* one measured universe, shared by the ensemble, the index and the
+     assembled system *)
+  let space = Dataset.metric ~c dataset in
+  let fw = Ensemble.of_dump ?metrics space ens_dump in
   let protocol = Protocol.of_dump ?metrics ?trace ~classes fw proto_dump in
-  let index =
-    Option.map
-      (fun d -> Index.of_dump (Space.cached (Dataset.metric ~c dataset)) d)
-      index_dump
-  in
+  let index = Option.map (Index.of_dump space) index_dump in
   Dynamic.assemble ~dataset ~c ~fw ~protocol ~classes ~rng_state ~index ()
 
 (* the kind tag stays in the payload: an image of the retired static

@@ -21,7 +21,10 @@ let build ~rng ?mode ?(size = default_size) ?members ?metrics space =
 
 let size t = Array.length t.frameworks
 let hosts t = t.space.Space.n
+let space t = t.space
 let members t = Framework.members t.frameworks.(0)
+let member_count t = Framework.size t.frameworks.(0)
+let member_at t i = Framework.member_at t.frameworks.(0) i
 let is_member t h = Framework.is_member t.frameworks.(0) h
 
 let add_host ~rng t h = Array.iter (fun fw -> Framework.add_host ~rng fw h) t.frameworks
@@ -74,7 +77,7 @@ let predicted t i j =
 
 let predicted_space t = Space.make ~n:(hosts t) ~dist:(predicted t)
 
-let measured t i j = t.space.Space.dist i j
+let measured t i j = Space.dist t.space i j
 
 let anchor_neighbors t h = Framework.anchor_neighbors (primary t) h
 

@@ -30,8 +30,17 @@ val size : t -> int
 val hosts : t -> int
 (** Size of the underlying space (the id range), not the member count. *)
 
+val space : t -> Bwc_metric.Space.t
+(** The measured universe the trees were built over. *)
+
 val members : t -> int list
 (** Current members, insertion order of the primary tree. *)
+
+val member_count : t -> int
+(** [List.length (members t)], in O(1). *)
+
+val member_at : t -> int -> int
+(** Element [i] of {!members}, without copying the list. *)
 
 val is_member : t -> int -> bool
 
@@ -62,8 +71,9 @@ val label_dist : Label.t array -> Label.t array -> float
 val predicted : t -> int -> int -> float
 
 val predicted_space : t -> Bwc_metric.Space.t
-(** The median predictor as a space over all [hosts] ids; distances are
-    defined between current members only. *)
+(** The median predictor as a space over all [hosts] ids, materialised
+    pair by pair: every host must be a member (a non-member has no label,
+    and {!Framework.label} raises). *)
 
 val anchor_neighbors : t -> int -> int list
 (** Overlay neighborhood in the primary tree. *)

@@ -25,7 +25,7 @@ type t = {
 
 let insert ~rng t host =
   let outcome =
-    Builder.add_host ~d:t.space.Space.dist ~rng ~base:t.mode.base
+    Builder.add_host ~d:(Space.dist t.space) ~rng ~base:t.mode.base
       ~strategy:t.mode.end_search ~tree:t.tree ~anchor:t.anchor ~labels:t.labels host
   in
   Registry.Counter.incr ~by:outcome.Builder.measurements t.c_measurements
@@ -67,6 +67,15 @@ let tree t = t.tree
 let anchor t = t.anchor
 let is_member t h = Hashtbl.mem t.labels h
 let members t = List.rev t.rev_order
+
+(* position [i] of [members t], walked off the reverse list without
+   copying it; an [i] out of range walks off its end *)
+let member_at t i =
+  let rec walk k = function
+    | [] -> invalid_arg "Framework.member_at: out of range"
+    | h :: rest -> if k = 0 then h else walk (k - 1) rest
+  in
+  walk (size t - 1 - i) t.rev_order
 
 let label t h =
   match Hashtbl.find_opt t.labels h with

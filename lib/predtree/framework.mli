@@ -45,6 +45,10 @@ val size : t -> int
 val members : t -> int list
 (** Current members in insertion order (root first). *)
 
+val member_at : t -> int -> int
+(** [member_at t i] is element [i] of {!members}, found without copying
+    the member list; raises [Invalid_argument] unless [0 <= i < size t]. *)
+
 val is_member : t -> int -> bool
 val tree : t -> Tree.t
 val anchor : t -> Anchor.t

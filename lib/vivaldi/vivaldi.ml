@@ -44,7 +44,7 @@ let embed ~rng ?(params = default_params) space =
           for _ = 1 to params.samples_per_round do
             let j = Rng.int rng (n - 1) in
             let j = if j >= i then j + 1 else j in
-            sample ~rng ~params t i j (space.Space.dist i j)
+            sample ~rng ~params t i j (Space.dist space i j)
           done)
         order
     done;
@@ -63,7 +63,7 @@ let relative_errors ?c t measured =
   let pos = ref 0 in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      let real = Bwc_metric.Bandwidth.of_distance ?c (measured.Space.dist i j) in
+      let real = Bwc_metric.Bandwidth.of_distance ?c (Space.dist measured i j) in
       let pred = predicted_bw ?c t i j in
       out.(!pos) <- Float.abs (real -. pred) /. real;
       incr pos
@@ -76,7 +76,7 @@ let mean_fit_error t measured =
   let acc = ref 0.0 and cnt = ref 0 in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      let real = measured.Space.dist i j in
+      let real = Space.dist measured i j in
       if real > 0.0 then begin
         acc := !acc +. (Float.abs (predicted t i j -. real) /. real);
         incr cnt

@@ -4,11 +4,13 @@
 
    1. churn-differential — after ANY sequence of Index.add_host /
       Index.remove_host events, the incrementally maintained
-      Find_cluster.Index answers (exists, max_size, find) exactly as a
-      fresh Index.build_subset of the same membership, its max_size per
-      class equals a one-shot Find_cluster.max_sizes over the members, and
-      every find witness passes a direct distance check that shares no
-      code with the index;
+      Find_cluster.Index dumps byte-identically to a fresh
+      Index.build_subset of the same membership and answers (exists,
+      max_size, find with and without ~verify) exactly as it, its
+      max_size per class equals a one-shot Find_cluster.max_sizes over
+      the members, and every find witness passes a direct distance check
+      that shares no code with the index; half the sequences run on
+      integer-weighted tree metrics where many pairs share one distance;
    2. alg1-oracle-tree — on exact tree metrics Algorithm 1 agrees with
       the exact Bron-Kerbosch clique oracle on every (k, l) query;
    3. alg1-oracle-noisy — on noisy near-tree spaces the two may disagree
@@ -98,6 +100,17 @@ let noisy_space rng ~sigma n =
   let ds = Bwc_dataset.Noise.multiplicative ~rng:(Rng.split rng) ~sigma ds in
   Space.cached (Bwc_dataset.Dataset.metric ds)
 
+(* A tie-heavy tree metric with integer distances: hosts are the leaves
+   of a complete ternary tree with unit edges, hung from it by pendant
+   edges of integer weight 1-3, so d(i,j) = w_i + w_j + 2 h(i,j) where
+   h is the height of the leaves' lowest common ancestor.  Pendant edges
+   keep it a tree metric; a handful of distinct values keeps most pairs
+   tied. *)
+let tie_space rng n =
+  let w = Array.init n (fun _ -> float_of_int (1 + Rng.int rng 3)) in
+  let rec height i j h = if i = j then h else height (i / 3) (j / 3) (h + 1) in
+  Space.make ~n ~dist:(fun i j -> w.(i) +. w.(j) +. float_of_int (2 * height i j 0))
+
 let off_diag_values space =
   Bwc_metric.Dmatrix.off_diagonal_values (Space.to_dmatrix space)
 
@@ -119,20 +132,19 @@ let check_feasible prop case ~event space is_member cl ~k ~l =
     cl;
   match cl with
   | u :: v :: _ ->
-      let duv = space.Space.dist u v in
+      let duv = Space.dist space u v in
       if duv > l then
         fail_case prop case "event %d: find anchors %.9g apart > l=%.9g" event duv l;
       List.iter
         (fun x ->
-          if space.Space.dist x u > duv || space.Space.dist x v > duv then
+          if Space.dist space x u > duv || Space.dist space x v > duv then
             fail_case prop case "event %d: find member %d outside S*_%d,%d" event x u v)
         cl
   | _ -> fail_case prop case "event %d: find returned fewer than 2 hosts" event
 
-(* returns the incremental find answer for the witness check *)
+(* returns the incremental find answers, without and with ~verify, for
+   the witness check *)
 let check_agreement prop case ~event idx rebuilt ~k ~l =
-  if (Index.dump idx).Index.d_members <> (Index.dump rebuilt).Index.d_members then
-    fail_case prop case "event %d: member lists differ" event;
   let e_inc = Index.exists idx ~k ~l and e_reb = Index.exists rebuilt ~k ~l in
   if e_inc <> e_reb then
     fail_case prop case "event %d: exists k=%d l=%.9g: incremental %b, rebuilt %b" event
@@ -144,18 +156,16 @@ let check_agreement prop case ~event idx rebuilt ~k ~l =
   let f_inc = Index.find idx ~k ~l and f_reb = Index.find rebuilt ~k ~l in
   if f_inc <> f_reb then
     fail_case prop case "event %d: find k=%d l=%.9g diverged" event k l;
-  f_inc
+  let v_inc = Index.find ~verify:true idx ~k ~l
+  and v_reb = Index.find ~verify:true rebuilt ~k ~l in
+  if v_inc <> v_reb then
+    fail_case prop case "event %d: verified find k=%d l=%.9g diverged" event k l;
+  List.filter_map Fun.id [ f_inc; v_inc ]
 
 let churn_differential () =
   let prop = "churn-differential" in
   let total_events = ref 0 and total_checks = ref 0 in
-  for case = 0 to cases - 1 do
-    let rng = case_rng case in
-    let n = 8 + Rng.int rng 17 in
-    let space =
-      if Rng.bool rng then tree_metric_space rng n
-      else noisy_space rng ~sigma:(0.1 +. Rng.float rng 0.4) n
-    in
+  let sequence case rng n space =
     let values = off_diag_values space in
     let l_max = Array.fold_left Float.max 0.0 values in
     let is_member = Array.make n false in
@@ -175,6 +185,9 @@ let churn_differential () =
       is_member.(h) <- joining;
       if joining then Index.add_host idx h else Index.remove_host idx h;
       let rebuilt = Index.build_subset space (members ()) in
+      incr total_checks;
+      if Index.dump idx <> Index.dump rebuilt then
+        fail_case prop case "event %d: dump differs from a rebuild's" event;
       (* probe with arbitrary thresholds and with exact pair distances
          (the tie-heavy case the sorted structure must survive) *)
       for _ = 1 to 4 do
@@ -185,11 +198,11 @@ let churn_differential () =
             Rng.float rng (Float.max 1e-6 (l_max *. 1.1))
           else values.(Rng.int rng (Array.length values))
         in
-        match check_agreement prop case ~event idx rebuilt ~k ~l with
-        | Some cl ->
+        List.iter
+          (fun cl ->
             incr total_checks;
-            check_feasible prop case ~event space is_member cl ~k ~l
-        | None -> ()
+            check_feasible prop case ~event space is_member cl ~k ~l)
+          (check_agreement prop case ~event idx rebuilt ~k ~l)
       done;
       incr total_checks;
       let ls = Array.init 6 (fun i -> float_of_int i *. l_max /. 5.0) in
@@ -199,9 +212,23 @@ let churn_differential () =
       if Array.map (fun l -> Index.max_size idx ~l) ls <> one_shot then
         fail_case prop case "event %d: max_sizes vector diverged" event
     done
+  in
+  for case = 0 to cases - 1 do
+    let rng = case_rng case in
+    let n = 8 + Rng.int rng 17 in
+    let space =
+      if Rng.bool rng then tree_metric_space rng n
+      else noisy_space rng ~sigma:(0.1 +. Rng.float rng 0.4) n
+    in
+    sequence case rng n space
   done;
-  Printf.printf "%s: %d sequences, %d events, %d checks, 0 divergences [ok]\n" prop
-    cases !total_events !total_checks
+  for case = 0 to cases - 1 do
+    let rng = case_rng (800_000 + case) in
+    let n = 8 + Rng.int rng 17 in
+    sequence (cases + case) rng n (tie_space rng n)
+  done;
+  Printf.printf "%s: %d sequences (%d tie-heavy), %d events, %d checks, 0 divergences [ok]\n"
+    prop (2 * cases) cases !total_events !total_checks
 
 (* ----- properties 2 & 3: Algorithm 1 vs the Bron-Kerbosch oracle ----- *)
 

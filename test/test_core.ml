@@ -33,7 +33,7 @@ let brute_exists space k l =
       let ok = ref true in
       List.iteri
         (fun i x ->
-          List.iteri (fun j y -> if j > i && space.Space.dist x y > l then ok := false) acc)
+          List.iteri (fun j y -> if j > i && Space.dist space x y > l then ok := false) acc)
         acc;
       !ok
     end
@@ -48,12 +48,12 @@ let test_members_definition () =
   let space = tree_space ~seed:1 12 in
   for p = 0 to 11 do
     for q = p + 1 to 11 do
-      let dpq = space.Space.dist p q in
+      let dpq = Space.dist space p q in
       let s = Find_cluster.members space ~p ~q in
       Alcotest.(check bool) "p in S" true (List.mem p s);
       Alcotest.(check bool) "q in S" true (List.mem q s);
       for x = 0 to 11 do
-        let belongs = space.Space.dist x p <= dpq && space.Space.dist x q <= dpq in
+        let belongs = Space.dist space x p <= dpq && Space.dist space x q <= dpq in
         if belongs <> List.mem x s then Alcotest.failf "membership wrong for %d" x
       done
     done
@@ -66,8 +66,8 @@ let test_theorem_3_1_diameter () =
     for q = p + 1 to 14 do
       let s = Find_cluster.members space ~p ~q in
       let diam = Space.diameter space s in
-      if not (feq ~eps:1e-6 diam (space.Space.dist p q)) then
-        Alcotest.failf "diam %g <> d(p,q) %g" diam (space.Space.dist p q)
+      if not (feq ~eps:1e-6 diam (Space.dist space p q)) then
+        Alcotest.failf "diam %g <> d(p,q) %g" diam (Space.dist space p q)
     done
   done
 
@@ -1411,7 +1411,7 @@ let test_node_search_brute_force () =
   | Some (best, radius) ->
       Alcotest.(check bool) "not a target" false (List.mem best targets);
       let radius_of x =
-        List.fold_left (fun acc s -> Float.max acc (space.Space.dist x s)) 0.0 targets
+        List.fold_left (fun acc s -> Float.max acc (Space.dist space x s)) 0.0 targets
       in
       Alcotest.(check bool) "radius consistent" true (feq radius (radius_of best));
       for x = 0 to 14 do
@@ -1530,6 +1530,81 @@ let test_protocol_single_class () =
   let r = Dynamic.query sys ~k:3 ~b:1.0 in
   Alcotest.(check bool) "low constraint maps to the single class" true (Query.found r)
 
+(* ----- allocation: the kernels read unboxed distances and the index
+   deltas reuse their arrays ----- *)
+
+(* Words [f] allocates: the minor heap's from [Gc.minor_words], plus
+   blocks too large for it, which go straight to the major heap (the
+   major words of [Gc.counters] less promotions).  The minor heap is
+   emptied first so nothing older is promoted meanwhile, and the
+   counters' own boxes are measured on a no-op and taken off.  The
+   counts are deterministic for a given program. *)
+let words_allocated f =
+  let measure f =
+    Gc.minor ();
+    let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+    f ();
+    let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+    minor1 -. minor0 +. (major1 -. promoted1 -. (major0 -. promoted0))
+  in
+  measure f -. measure ignore
+
+let check_words what ~bound words =
+  if words > bound then Alcotest.failf "%s allocated %.0f words, bound %.0f" what words bound
+
+let test_alloc_index_deltas () =
+  (* a = 200 members of a 240-point universe: 19,900 pairs.  Measured:
+     963 words for the join (its a - 1 fresh pairs and their in-place
+     sort) and none for the leave.  The bound 10 a = 2,000 words leaves
+     a 2x margin and is 10x below one word per pair, which any delta
+     that copies the pair order would allocate. *)
+  let space = tree_space ~seed:31 240 in
+  let idx = Find_cluster.Index.build_subset space (List.init 200 Fun.id) in
+  let bound = 10.0 *. 200.0 in
+  check_words "remove_host" ~bound
+    (words_allocated (fun () -> Find_cluster.Index.remove_host idx 17));
+  check_words "add_host" ~bound (words_allocated (fun () -> Find_cluster.Index.add_host idx 17));
+  Alcotest.(check int) "membership restored" 200 (Find_cluster.Index.size idx)
+
+let test_alloc_kernels () =
+  (* n = 80: 3,160 pairs and about 250,000 distance reads per full scan.
+     Measured: 6 words for [max_sizes] (its result row), 11 for an
+     infeasible [find] that counts every pair, 84 for a feasible [find]
+     that builds its answer from list cells.  The bound n = 80 words for
+     the scans (a 7x margin) is far below one box per pair, let alone
+     per distance read; the feasible scan gets 10 n. *)
+  let n = 80 in
+  let space = tree_space ~seed:32 n in
+  let values = Bwc_metric.Dmatrix.off_diagonal_values (Space.to_dmatrix space) in
+  let l = Bwc_stats.Summary.median values in
+  let ls = Array.init 5 (fun i -> float_of_int (i + 1) *. l /. 2.0) in
+  let bound = float_of_int n in
+  check_words "max_sizes" ~bound
+    (words_allocated (fun () -> ignore (Find_cluster.max_sizes space ~ls)));
+  let found = ref None in
+  check_words "infeasible find" ~bound
+    (words_allocated (fun () -> found := Find_cluster.find space ~k:n ~l));
+  Alcotest.(check bool) "infeasible" true (!found = None);
+  check_words "feasible find" ~bound:(10.0 *. bound)
+    (words_allocated (fun () -> found := Find_cluster.find space ~k:8 ~l));
+  Alcotest.(check bool) "feasible" true (!found <> None)
+
+let test_alloc_live_query () =
+  (* hp-like n = 190, a live query at a random member.  Measured: 156
+     words a query (the answer, the routing path, the protocol's
+     bookkeeping).  Copying the member list to draw the submission host,
+     or boxing the distances of the local scans, each cost hundreds of
+     words a query.  The bound, 581 words, leaves a 3.7x margin. *)
+  let ds = Bwc_dataset.Planetlab.hp_like ~seed:1 in
+  let sys = Dynamic.create ~seed:1 ds in
+  let rng = Rng.create 9 in
+  let queries = Array.init 200 (fun _ -> (2 + Rng.int rng 11, 10.0 +. Rng.float rng 80.0)) in
+  let words =
+    words_allocated (fun () ->
+        Array.iter (fun (k, b) -> ignore (Dynamic.query sys ~k ~b)) queries)
+  in
+  check_words "a live query" ~bound:581.0 (words /. 200.0)
+
 let test_find_feeder_among_members () =
   (* hosts outside the overlay have no labels: only members compete *)
   let ds = small_dataset ~seed:67 20 in
@@ -1602,7 +1677,7 @@ let qcheck_tests =
         for p = 0 to n - 1 do
           for q = p + 1 to n - 1 do
             let s = Find_cluster.members space ~p ~q in
-            if not (feq ~eps:1e-6 (Space.diameter space s) (space.Space.dist p q)) then
+            if not (feq ~eps:1e-6 (Space.diameter space s) (Space.dist space p q)) then
               ok := false
           done
         done;
@@ -1733,6 +1808,12 @@ let () =
             test_dynamic_random_churn_invariants;
           Alcotest.test_case "framework add/remove" `Quick
             test_framework_add_remove_roundtrip;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "index deltas are O(a)" `Quick test_alloc_index_deltas;
+          Alcotest.test_case "kernels box no distance" `Quick test_alloc_kernels;
+          Alcotest.test_case "live query" `Quick test_alloc_live_query;
         ] );
       ( "node_search",
         [

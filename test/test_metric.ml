@@ -95,13 +95,13 @@ let test_space_restrict () =
   let m = Dmatrix.of_fun 5 ~diag:0.0 (fun i j -> float_of_int (i + j)) in
   let s = Space.restrict (Space.of_dmatrix m) [| 3; 1 |] in
   Alcotest.(check int) "n" 2 s.Space.n;
-  check_float "dist" 4.0 (s.Space.dist 0 1)
+  check_float "dist" 4.0 (Space.dist s 0 1)
 
 let test_space_of_bandwidth () =
   let bw = Dmatrix.of_fun 3 ~diag:Float.infinity (fun _ _ -> 50.0) in
   let s = Space.of_bandwidth ~c:100.0 bw in
-  check_float "transform" 2.0 (s.Space.dist 0 1);
-  check_float "diag" 0.0 (s.Space.dist 1 1)
+  check_float "transform" 2.0 (Space.dist s 0 1);
+  check_float "diag" 0.0 (Space.dist s 1 1)
 
 let test_space_cached_consistent () =
   let calls = ref 0 in
@@ -112,8 +112,8 @@ let test_space_cached_consistent () =
   in
   let cached = Space.cached s in
   let before = !calls in
-  check_float "value" 2.0 (cached.Space.dist 1 3);
-  check_float "value" 2.0 (cached.Space.dist 3 1);
+  check_float "value" 2.0 (Space.dist cached 1 3);
+  check_float "value" 2.0 (Space.dist cached 3 1);
   Alcotest.(check int) "no further evaluation" before !calls
 
 (* ----- Fourpoint ----- *)

@@ -315,7 +315,7 @@ let test_exact_mode_embeds_tree_metric () =
   let fw = Framework.build ~rng:(Rng.create 9) ~mode:Framework.centralized_mode space in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      let real = space.Space.dist i j and pred = Framework.predicted fw i j in
+      let real = Space.dist space i j and pred = Framework.predicted fw i j in
       if not (feq ~eps:1e-6 real pred) then
         Alcotest.failf "embedding not exact at (%d,%d): %g vs %g" i j real pred
     done
@@ -331,7 +331,7 @@ let test_random_base_exact_search_also_exact () =
   in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      if not (feq ~eps:1e-6 (space.Space.dist i j) (Framework.predicted fw i j)) then
+      if not (feq ~eps:1e-6 (Space.dist space i j) (Framework.predicted fw i j)) then
         Alcotest.failf "not exact at (%d,%d)" i j
     done
   done
@@ -495,7 +495,7 @@ let qcheck_tests =
         let ok = ref true in
         for i = 0 to n - 1 do
           for j = i + 1 to n - 1 do
-            if not (feq ~eps:1e-6 (space.Space.dist i j) (Framework.predicted fw i j))
+            if not (feq ~eps:1e-6 (Space.dist space i j) (Framework.predicted fw i j))
             then ok := false
           done
         done;
