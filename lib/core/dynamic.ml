@@ -151,15 +151,14 @@ let verify_cluster t ~b cluster =
 
 (* predictions exist only between members: the candidates are the
    members, in ascending host order, so ties resolve to the lowest id;
-   their label distances are the ensemble's median predictions *)
+   their label distances are the ensemble's median predictions, each
+   pair evaluated lower host first as a materialised space would *)
 let find_feeder t ~targets =
   let ms = Array.of_list (List.sort Int.compare (members t)) in
   let local = Array.make (Dataset.size t.dataset) (-1) in
   Array.iteri (fun i h -> local.(h) <- i) ms;
-  let space =
-    Node_info.space_of
-      (Array.map (fun h -> Node_info.make ~host:h ~labels:(Ensemble.labels t.fw h)) ms)
-  in
-  Node_search.best space ~targets:(List.map (fun h -> local.(h)) targets) ~exclude:[]
+  let labels = Array.map (Ensemble.labels t.fw) ms in
+  let dist i j = Ensemble.label_dist labels.(Int.min i j) labels.(Int.max i j) in
+  Node_search.best ~n:(Array.length ms) ~dist ~targets:(List.map (fun h -> local.(h)) targets)
   |> Option.map (fun (x, radius) ->
          (ms.(x), Bwc_metric.Bandwidth.of_distance ~c:t.c radius))

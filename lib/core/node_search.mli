@@ -5,8 +5,11 @@
     Under the rational transform this is the 1-center problem restricted
     to the given targets: minimise [max over s of d(x, s)]. *)
 
-val best :
-  Bwc_metric.Space.t -> targets:int list -> exclude:int list -> (int * float) option
-(** [best space ~targets ~exclude] returns the host (not a target, not
-    excluded) minimising the maximum distance to the targets, with that
-    distance.  [None] when no candidate exists or [targets] is empty. *)
+val best : n:int -> dist:(int -> int -> float) -> targets:int list -> (int * float) option
+(** [best ~n ~dist ~targets] returns the point of [0 .. n-1], not a
+    target, minimising the maximum of [dist x s] over the targets [s],
+    with that distance; ties go to the lowest point.  [dist] is read
+    only between candidates and targets, so a search costs
+    [n * |targets|] distances.  [None] when no candidate exists or
+    [targets] is empty.  Raises [Invalid_argument] for a target outside
+    [0 .. n-1]. *)

@@ -53,7 +53,9 @@ let crc32 s =
   !c lxor 0xffffffff
 
 let magic = "BWCSNAP"
-let version = 1
+(* 2: the protocol section writes each node info once, in a slot table;
+   a version-1 image (infos inline) is refused as [Bad_version 1] *)
+let version = 2
 
 let encode payload =
   Printf.sprintf "%s %d\nlen %d crc %08x\n%s" magic version

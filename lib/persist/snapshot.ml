@@ -257,7 +257,14 @@ let dec_detector r : Detector.dump =
     d_edges;
   }
 
-(* ----- protocol ----- *)
+(* ----- protocol -----
+
+   Algorithm 2 hands the same node infos to every neighbour, so one info
+   is referenced from many aggrNode tables and out-entries.  The section
+   writes each distinct info once, in a slot table after its header
+   fields, and every reference as a slot index.  Slots are numbered in
+   first-reference order over the dump's traversal: nodes ascending, and
+   within a node its aggrNode tables, then its out-entries. *)
 
 let enc_info w (ni : Node_info.t) =
   W.int w ni.Node_info.host;
@@ -267,6 +274,51 @@ let dec_info r =
   let host = R.int r in
   let labels = R.array r (fun () -> dec_label r) in
   Node_info.make ~host ~labels
+
+(* Two infos share a slot when they have the same host and bit-equal
+   labels.  Physical equality is only the fast path: a restored system
+   holds infos decoded from the table beside infos rebuilt from the
+   ensemble, distinct objects with equal labels, and must number its
+   slots as the original does.  Bits, not [Float.equal]: [%h] writes
+   [-0.0] and [0.0] differently. *)
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_entry (a : Label.entry) (b : Label.entry) =
+  a.Label.host = b.Label.host
+  && same_bits a.Label.offset b.Label.offset
+  && same_bits a.Label.leaf b.Label.leaf
+
+let same_array same a b = Array.length a = Array.length b && Array.for_all2 same a b
+
+let same_info (a : Node_info.t) (b : Node_info.t) =
+  a == b
+  || (a.Node_info.host = b.Node_info.host
+     && same_array (same_array same_entry) a.Node_info.labels b.Node_info.labels)
+
+(* [slot info] is the info's slot, numbered on first sight; the table is
+   built by one pass over the traversal the encoder then repeats *)
+let slot_table (d : Protocol.dump) =
+  let by_host = Hashtbl.create 64 and table = ref [] and next = ref 0 in
+  let slot (info : Node_info.t) =
+    let host = info.Node_info.host in
+    match List.find_opt (fun (i, _) -> same_info i info) (Hashtbl.find_all by_host host) with
+    | Some (_, k) -> k
+    | None ->
+        let k = !next in
+        incr next;
+        table := info :: !table;
+        Hashtbl.add by_host host (info, k);
+        k
+  in
+  let visit infos = List.iter (fun i -> ignore (slot i : int)) infos in
+  List.iter
+    (fun (nd : Protocol.node_dump) ->
+      List.iter (fun (_, infos) -> visit infos) nd.Protocol.nd_aggr_node;
+      List.iter
+        (fun (o : Protocol.out_dump) -> visit o.Protocol.o_prop_node)
+        nd.Protocol.nd_out)
+    d.Protocol.d_nodes;
+  (slot, Array.of_list (List.rev !table))
 
 let enc_int_assoc w items =
   W.list w
@@ -282,6 +334,8 @@ let dec_int_assoc r =
       (k, v))
 
 let enc_protocol w (d : Protocol.dump) =
+  let slot, table = slot_table d in
+  let enc_refs infos = W.list w (fun i -> W.int w (slot i)) infos in
   W.tag w "protocol";
   W.int w d.Protocol.d_n_cut;
   W.int w d.Protocol.d_resend_timeout;
@@ -290,6 +344,7 @@ let enc_protocol w (d : Protocol.dump) =
   W.int w d.Protocol.d_epoch;
   W.int w d.Protocol.d_engine_round;
   W.i64 w d.Protocol.d_engine_rng;
+  W.array w (enc_info w) table;
   W.list w
     (fun (nd : Protocol.node_dump) ->
       W.int w nd.Protocol.nd_id;
@@ -299,7 +354,7 @@ let enc_protocol w (d : Protocol.dump) =
       W.list w
         (fun (peer, infos) ->
           W.int w peer;
-          W.list w (enc_info w) infos)
+          enc_refs infos)
         nd.Protocol.nd_aggr_node;
       W.list w
         (fun (peer, row) ->
@@ -311,7 +366,7 @@ let enc_protocol w (d : Protocol.dump) =
           W.int w o.Protocol.o_peer;
           W.int w o.Protocol.o_epoch;
           W.int w o.Protocol.o_seq;
-          W.list w (enc_info w) o.Protocol.o_prop_node;
+          enc_refs o.Protocol.o_prop_node;
           W.array w (W.int w) o.Protocol.o_prop_crt;
           W.int w o.Protocol.o_sent_round;
           W.int w o.Protocol.o_tries;
@@ -333,6 +388,15 @@ let dec_protocol r : Protocol.dump =
   let d_epoch = R.int r in
   let d_engine_round = R.int r in
   let d_engine_rng = R.i64 r in
+  (* each info is built once; every reference to its slot shares it *)
+  let table = R.array r (fun () -> dec_info r) in
+  let dec_refs () =
+    R.list r (fun () ->
+        let k = R.int r in
+        if k < 0 || k >= Array.length table then
+          Codec.corrupt "node-info slot %d outside [0, %d)" k (Array.length table);
+        table.(k))
+  in
   let d_nodes =
     R.list r (fun () ->
         let nd_id = R.int r in
@@ -342,7 +406,7 @@ let dec_protocol r : Protocol.dump =
         let nd_aggr_node =
           R.list r (fun () ->
               let peer = R.int r in
-              let infos = R.list r (fun () -> dec_info r) in
+              let infos = dec_refs () in
               (peer, infos))
         in
         let nd_aggr_crt =
@@ -356,7 +420,7 @@ let dec_protocol r : Protocol.dump =
               let o_peer = R.int r in
               let o_epoch = R.int r in
               let o_seq = R.int r in
-              let o_prop_node = R.list r (fun () -> dec_info r) in
+              let o_prop_node = dec_refs () in
               let o_prop_crt = R.array r (fun () -> R.int r) in
               let o_sent_round = R.int r in
               let o_tries = R.int r in
@@ -448,8 +512,9 @@ let dec_dynamic ?metrics ?trace r =
   let index = Option.map (Index.of_dump space) index_dump in
   Dynamic.assemble ~dataset ~c ~fw ~protocol ~classes ~rng_state ~index ()
 
-(* the kind tag stays in the payload: an image of the retired static
-   ["system"] kind is refused like any other corruption *)
+(* the kind tag stays in the payload: the retired static ["system"]
+   kind, which only version 1 wrote, is refused like any other
+   corruption should it appear in a current container *)
 let decode_payload ?metrics ?trace payload =
   try
     let r = R.create payload in

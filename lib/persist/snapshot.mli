@@ -17,6 +17,11 @@
     entries simply resend) and metrics counters (observability restarts
     from zero).
 
+    Algorithm 2 hands the same node infos (a host and its distance
+    labels) to every neighbour; an image writes each distinct info once,
+    in the protocol section's slot table, and every aggrNode table and
+    out-entry refers to it by slot.
+
     Encoding is deterministic: snapshot → restore → re-snapshot is
     byte-identical, which CI checks with [cmp].  All validation errors
     inside a structurally intact container surface as
@@ -28,9 +33,10 @@
     [Restore] and [Restore_rejected] events. *)
 
 type source = [ `Dynamic of Bwc_core.Dynamic.t ]
-(** One constructor: the system facade has a single kind of image.  An
-    image of the retired static ["system"] kind decodes as
-    {!Codec.Corrupt}. *)
+(** One constructor: the system facade has a single kind of image.  The
+    retired static ["system"] kind was only written as format version 1,
+    which decodes as {!Codec.Bad_version}[ 1]; that kind in a current
+    container decodes as {!Codec.Corrupt}. *)
 
 val encode :
   ?metrics:Bwc_obs.Registry.t -> ?trace:Bwc_obs.Trace.t -> source -> string

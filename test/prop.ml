@@ -604,6 +604,8 @@ let json_roundtrip () =
    tick, and:
    - every image decodes, and re-encoding the decoded system gives the
      same bytes;
+   - its slot table holds each distinct node info once (no two entries
+     bit-equal), numbered in first-reference order;
    - a reactor booted from the image, ticked until it is no longer
      dirty, answers a fixed probe set (index queries, and live queries
      with an explicit [at]) exactly as the writer's system does once
@@ -616,7 +618,7 @@ let snapshot_anywhere () =
   let module Dynamic = Bwc_core.Dynamic in
   let module Snapshot = Bwc_persist.Snapshot in
   let n_cases = Stdlib.max 1 (cases / 20) in
-  let images_total = ref 0 and probes_total = ref 0 in
+  let images_total = ref 0 and probes_total = ref 0 and slots_total = ref 0 in
   let storms = ref 0 and degraded_ticks = ref 0 in
   for case = 0 to n_cases - 1 do
     let rng = case_rng (500_000 + case) in
@@ -733,6 +735,14 @@ let snapshot_anywhere () =
         | Ok restored ->
             if not (String.equal image (Snapshot.encode (`Dynamic restored))) then
               fail_case prop case "image after tick %d re-encodes differently" k;
+            let keys = Array.to_list (Array.map Slot_table.key (Slot_table.read image)) in
+            slots_total := !slots_total + List.length keys;
+            if List.length (List.sort_uniq String.compare keys) <> List.length keys then
+              fail_case prop case "image after tick %d: two slot-table entries are bit-equal" k;
+            if keys <> Slot_table.first_references (Bwc_core.Protocol.dump (Dynamic.protocol restored))
+            then
+              fail_case prop case
+                "image after tick %d: slot table is not its infos in first-reference order" k;
             converge restored;
             (* the writer as it was after tick k, replayed without snapshots *)
             let writer = ref None in
@@ -747,8 +757,8 @@ let snapshot_anywhere () =
       !images
   done;
   Printf.printf
-    "%s: %d cases (%d storms, %d degraded ticks), %d images, %d probes, every image restores and answers as the writer [ok]\n"
-    prop n_cases !storms !degraded_ticks !images_total !probes_total
+    "%s: %d cases (%d storms, %d degraded ticks), %d images (%d node-info slots, none bit-equal to another), %d probes, every image restores and answers as the writer [ok]\n"
+    prop n_cases !storms !degraded_ticks !images_total !slots_total !probes_total
 
 (* 8. cached-space — every node keeps its clustering space V_x, with the
    pairwise label distances, across rounds, and drops it wherever V_x

@@ -1,0 +1,113 @@
+(* The node-info slot table of a snapshot image, read by tests without
+   the snapshot decoder.  The protocol section opens with seven header
+   tokens and then the table: a count, and per entry a host, a count of
+   labels and per label a count of (host, offset, leaf) entries.  The
+   node count follows, then the first node: id, two bools, its own CRT
+   row, then its aggrNode tables, each a peer and a counted list of slot
+   references.  The
+   dataset name is the payload's one string token; no test names a
+   dataset after a section tag. *)
+
+module Codec = Bwc_persist.Codec
+module Label = Bwc_predtree.Label
+module Node_info = Bwc_core.Node_info
+module Protocol = Bwc_core.Protocol
+
+type cursor = { lines : string array; mutable pos : int }
+
+let payload_lines image =
+  match Codec.decode image with
+  | Ok payload -> Array.of_list (String.split_on_char '\n' payload)
+  | Error e -> Alcotest.failf "not a snapshot container: %s" (Codec.error_to_string e)
+
+let open_protocol image =
+  let lines = payload_lines image in
+  let rec find i =
+    if i >= Array.length lines then Alcotest.fail "no protocol section"
+    else if String.equal lines.(i) "# protocol" then i
+    else find (i + 1)
+  in
+  { lines; pos = find 0 + 8 }
+
+let token c prefix =
+  let l = c.lines.(c.pos) in
+  if String.length l < 2 || l.[0] <> prefix then
+    Alcotest.failf "line %d: expected '%c' token, got %S" c.pos prefix l;
+  c.pos <- c.pos + 1;
+  String.sub l 2 (String.length l - 2)
+
+let int c = int_of_string (token c 'i')
+let float c = float_of_string (token c 'f')
+
+let counted c f =
+  let n = int_of_string (token c 'n') in
+  let rec go k acc = if k = 0 then Array.of_list (List.rev acc) else go (k - 1) (f () :: acc) in
+  go n []
+
+let read_table c =
+  counted c (fun () ->
+      let host = int c in
+      let labels =
+        counted c (fun () ->
+            counted c (fun () ->
+                let h = int c in
+                let offset = float c in
+                let leaf = float c in
+                { Label.host = h; offset; leaf }))
+      in
+      Node_info.make ~host ~labels)
+
+let read image = read_table (open_protocol image)
+
+(* [image] with the first reference of the first node's first aggrNode
+   table replaced by [slot], in a fresh container *)
+let with_first_ref image slot =
+  let c = open_protocol image in
+  let (_ : Node_info.t array) = read_table c in
+  if int_of_string (token c 'n') = 0 then Alcotest.fail "no node";
+  let (_ : int) = int c in
+  let (_ : string) = token c 'b' in
+  let (_ : string) = token c 'b' in
+  let (_ : int array) = counted c (fun () -> int c) in
+  if int_of_string (token c 'n') = 0 then Alcotest.fail "first node has no aggrNode table";
+  let (_ : int) = int c in
+  if int_of_string (token c 'n') = 0 then Alcotest.fail "first aggrNode table is empty";
+  c.lines.(c.pos) <- Printf.sprintf "i %d" slot;
+  Codec.encode (String.concat "\n" (Array.to_list c.lines))
+
+(* the dedup key, spelled out independently of the encoder: the host and
+   every label entry with its floats' bits *)
+let key (info : Node_info.t) =
+  let b = Buffer.create 256 in
+  Buffer.add_string b (string_of_int info.Node_info.host);
+  Array.iter
+    (fun (lab : Label.t) ->
+      Buffer.add_char b '|';
+      Array.iter
+        (fun (e : Label.entry) ->
+          Printf.bprintf b " %d:%Lx:%Lx" e.Label.host (Int64.bits_of_float e.Label.offset)
+            (Int64.bits_of_float e.Label.leaf))
+        lab)
+    info.Node_info.labels;
+  Buffer.contents b
+
+(* the table an image of [d] must carry: its distinct infos by [key], in
+   first-reference order over nodes ascending, then aggrNode tables,
+   then out-entries *)
+let first_references (d : Protocol.dump) =
+  let seen = Hashtbl.create 64 and order = ref [] in
+  let visit info =
+    let k = key info in
+    if not (Hashtbl.mem seen k) then begin
+      Hashtbl.add seen k ();
+      order := k :: !order
+    end
+  in
+  List.iter
+    (fun (nd : Protocol.node_dump) ->
+      List.iter (fun (_, infos) -> List.iter visit infos) nd.Protocol.nd_aggr_node;
+      List.iter
+        (fun (o : Protocol.out_dump) -> List.iter visit o.Protocol.o_prop_node)
+        nd.Protocol.nd_out)
+    d.Protocol.d_nodes;
+  List.rev !order

@@ -1406,7 +1406,7 @@ let test_framework_add_remove_roundtrip () =
 let test_node_search_brute_force () =
   let space = tree_space ~seed:21 15 in
   let targets = [ 2; 7; 11 ] in
-  match Bwc_core.Node_search.best space ~targets ~exclude:[] with
+  match Bwc_core.Node_search.best ~n:space.Space.n ~dist:(Space.dist space) ~targets with
   | None -> Alcotest.fail "candidates exist"
   | Some (best, radius) ->
       Alcotest.(check bool) "not a target" false (List.mem best targets);
@@ -1422,7 +1422,7 @@ let test_node_search_brute_force () =
 let test_node_search_empty_targets () =
   let space = tree_space ~seed:22 8 in
   Alcotest.(check bool) "none" true
-    (Bwc_core.Node_search.best space ~targets:[] ~exclude:[] = None)
+    (Bwc_core.Node_search.best ~n:space.Space.n ~dist:(Space.dist space) ~targets:[] = None)
 
 (* ----- system facade ----- *)
 
@@ -1604,6 +1604,20 @@ let test_alloc_live_query () =
         Array.iter (fun (k, b) -> ignore (Dynamic.query sys ~k ~b)) queries)
   in
   check_words "a live query" ~bound:581.0 (words /. 200.0)
+
+let test_alloc_find_feeder () =
+  (* hp-like n = 190, 5 targets: the search reads the label distances
+     between each of the 185 candidates and each target, a median over
+     the trees each.  Measured: 48,285 words.  Materialising the
+     members' whole label space first costs about 800,000 words (its
+     17,955 medians); the bound, 150,000 words, sits between the two. *)
+  let sys = Dynamic.create ~seed:1 (Bwc_dataset.Planetlab.hp_like ~seed:1) in
+  let targets = [ 0; 1; 2; 3; 4 ] in
+  let found = ref None in
+  check_words "find_feeder" ~bound:150_000.0
+    (words_allocated (fun () -> found := Dynamic.find_feeder sys ~targets));
+  Alcotest.(check bool) "a feeder outside the targets" true
+    (match !found with Some (f, _) -> not (List.mem f targets) | None -> false)
 
 let test_find_feeder_among_members () =
   (* hosts outside the overlay have no labels: only members compete *)
@@ -1814,6 +1828,8 @@ let () =
           Alcotest.test_case "index deltas are O(a)" `Quick test_alloc_index_deltas;
           Alcotest.test_case "kernels box no distance" `Quick test_alloc_kernels;
           Alcotest.test_case "live query" `Quick test_alloc_live_query;
+          Alcotest.test_case "find_feeder reads a x |targets| distances" `Quick
+            test_alloc_find_feeder;
         ] );
       ( "node_search",
         [

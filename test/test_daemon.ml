@@ -522,16 +522,15 @@ let test_corrupt_fallback_across_generations () =
     (List.length boot2.Lifecycle.rejected);
   cleanup path
 
-let test_retired_kind_falls_back_a_generation () =
-  (* generation 0 holds the fixture image of the retired static
-     ["system"] kind, generation 1 a daemon image: the boot must reject
-     the first with a typed error and restore the second, not start
-     cold *)
-  let path = tmpname "kind.bwcsnap" in
+(* generation 0 holds [fixture], an image the version-1 encoder wrote,
+   generation 1 a current daemon image: the boot must reject the first
+   by its version and restore the second, not start cold *)
+let boot_past_version_1 ~fixture ~seed =
+  let path = tmpname "v1.bwcsnap" in
   cleanup path;
-  let d = dyn ~seed:51 () in
+  let d = dyn ~seed () in
   Codec.write_file (Snapshot.gen_path path 1) (Snapshot.encode (`Dynamic d));
-  Codec.write_file path (Codec.read_file "fixtures/snapshot/system-kind.bwcsnap");
+  Codec.write_file path (Codec.read_file fixture);
   let metrics = Registry.create () in
   let trace = Trace.create () in
   let boot =
@@ -542,9 +541,9 @@ let test_retired_kind_falls_back_a_generation () =
   Alcotest.(check bool) "warm" true boot.Lifecycle.warm;
   Alcotest.(check (option int)) "generation 1 won" (Some 1) boot.Lifecycle.generation;
   (match boot.Lifecycle.rejected with
-  | [ (0, Codec.Corrupt _) ] -> ()
+  | [ (0, Codec.Bad_version 1) ] -> ()
   | rejected ->
-      Alcotest.failf "expected generation 0 rejected as corrupt, got [%s]"
+      Alcotest.failf "expected generation 0 rejected as version 1, got [%s]"
         (String.concat "; "
            (List.map
               (fun (g, e) -> Printf.sprintf "%d: %s" g (Codec.error_to_string e))
@@ -565,6 +564,13 @@ let test_retired_kind_falls_back_a_generation () =
   in
   check_strings "restore trace" [ "rejected"; "warm" ] restore_events;
   cleanup path
+
+(* the retired static ["system"] kind was only ever written as version 1 *)
+let test_retired_kind_falls_back_a_generation () =
+  boot_past_version_1 ~fixture:"fixtures/snapshot/system-kind.bwcsnap" ~seed:51
+
+let test_version_1_falls_back_a_generation () =
+  boot_past_version_1 ~fixture:"fixtures/snapshot/dynamic-v1.bwcsnap" ~seed:52
 
 let test_degraded_join_snapshot_boots_warm () =
   (* a degraded reactor admits a JOIN and snapshots before any round
@@ -684,5 +690,7 @@ let () =
             test_corrupt_fallback_across_generations;
           Alcotest.test_case "retired snapshot kind falls back a generation" `Quick
             test_retired_kind_falls_back_a_generation;
+          Alcotest.test_case "version-1 image falls back a generation" `Quick
+            test_version_1_falls_back_a_generation;
         ] );
     ]

@@ -3,7 +3,8 @@
    identity, restart-without-reconvergence (a warm restore is already at
    the fixed point and behaves byte-identically to the system that never
    crashed), graceful degradation to cold start, detector mid-lease
-   restore, and rotated generations. *)
+   restore, rotated generations, the protocol section's node-info slot
+   table, and format versions. *)
 
 module Rng = Bwc_stats.Rng
 module Fault = Bwc_sim.Fault
@@ -61,7 +62,8 @@ let test_container_rejects () =
   check_err "bit flip" "bad_checksum" (Bytes.to_string flipped);
   (* trailing garbage and mangled headers are structural corruption *)
   check_err "trailing bytes" "corrupt" (good ^ "x");
-  check_err "bad header" "corrupt" "BWCSNAP 1\nlen x crc zzzzzzzz\n"
+  check_err "bad header" "corrupt" "BWCSNAP 2\nlen x crc zzzzzzzz\n";
+  check_err "previous version" "bad_version" "BWCSNAP 1\nlen 0 crc 00000000\n"
 
 let test_float_roundtrip_exact () =
   let w = Codec.W.create () in
@@ -178,6 +180,146 @@ let test_snapshot_mid_convergence () =
         (Protocol.max_reachable p_res h ~cls)
     done
   done
+
+(* ----- node-info slot table ----- *)
+
+let table_keys image = Array.to_list (Array.map Slot_table.key (Slot_table.read image))
+
+(* the image carries exactly the dump's distinct infos, in first-reference
+   order *)
+let check_table label image dyn =
+  Alcotest.(check (list string))
+    (label ^ ": slot table is the dump's distinct infos in first-reference order")
+    (Slot_table.first_references (Protocol.dump (Dynamic.protocol dyn)))
+    (table_keys image)
+
+(* index queries, and live queries at every member with an explicit [at] *)
+let probe dyn =
+  let bs = [ 5.0; 15.0; 30.0 ] and ks = [ 2; 3; 5 ] in
+  let index =
+    List.concat_map (fun k -> List.map (fun b -> Dynamic.query_centralized dyn ~k ~b) bs) ks
+  in
+  let live =
+    List.concat_map
+      (fun at ->
+        List.concat_map
+          (fun k -> List.map (fun b -> (Dynamic.query dyn ~at ~k ~b).Bwc_core.Query.cluster) bs)
+          ks)
+      (Dynamic.members dyn)
+  in
+  (Dynamic.members dyn, index, live)
+
+let test_slot_table_after_repair () =
+  (* right after [repair] evicts the member with the most overlay
+     neighbours, its ex-neighbours' out-entries still carry its info: the
+     table holds an info of a host that is no longer a member *)
+  let sys = system ~seed:13 ~n:48 () in
+  let ens = Dynamic.ensemble sys in
+  let degree h = List.length (Ensemble.anchor_neighbors ens h) in
+  let victim =
+    List.fold_left
+      (fun best h -> if degree h > degree best then h else best)
+      (List.hd (Dynamic.members sys))
+      (Dynamic.members sys)
+  in
+  Protocol.repair (Dynamic.protocol sys) ~dead:[ victim ];
+  Alcotest.(check bool) "victim evicted" false (List.mem victim (Dynamic.members sys));
+  let image = Snapshot.encode (`Dynamic sys) in
+  let table = Slot_table.read image in
+  Alcotest.(check bool) "the table holds the evicted host's info" true
+    (Array.exists (fun (i : Bwc_core.Node_info.t) -> i.host = victim) table);
+  check_table "after repair" image sys;
+  let restored = decode_system image in
+  Alcotest.(check bool) "re-encode byte-identical" true
+    (String.equal image (Snapshot.encode (`Dynamic restored)));
+  let (_ : int) = Protocol.run_aggregation (Dynamic.protocol sys) in
+  let (_ : int) = Protocol.run_aggregation (Dynamic.protocol restored) in
+  Alcotest.(check bool) "restored answers the probe set as the writer" true
+    (probe sys = probe restored)
+
+let test_slot_out_of_range () =
+  let image = Snapshot.encode (`Dynamic (system ~n:16 ())) in
+  let slots = Array.length (Slot_table.read image) in
+  List.iter
+    (fun slot ->
+      match Snapshot.decode (Slot_table.with_first_ref image slot) with
+      | Ok _ -> Alcotest.failf "slot %d accepted" slot
+      | Error (Codec.Corrupt msg) ->
+          Alcotest.(check string) (Printf.sprintf "slot %d" slot)
+            (Printf.sprintf "node-info slot %d outside [0, %d)" slot slots)
+            msg
+      | Error e -> Alcotest.failf "slot %d: %s" slot (Codec.error_to_string e))
+    [ -1; slots; slots + 7 ];
+  (* the last slot is a valid reference: the edited image decodes *)
+  match Snapshot.decode (Slot_table.with_first_ref image (slots - 1)) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "slot %d: %s" (slots - 1) (Codec.error_to_string e)
+
+let test_restored_reencodes_like_original () =
+  (* a restored system holds infos decoded from the table beside infos
+     its nodes rebuild from the ensemble, distinct objects with equal
+     labels; run forward, it must number its slots as the original does.
+     A repair re-sends only around the evicted member, so the restored
+     nodes' own infos then travel beside decoded copies of them *)
+  let sys = system ~seed:19 ~n:32 () in
+  let restored = decode_system (Snapshot.encode (`Dynamic sys)) in
+  let step = ref 0 in
+  let both f =
+    incr step;
+    f sys;
+    f restored;
+    let a = Snapshot.encode (`Dynamic sys) and b = Snapshot.encode (`Dynamic restored) in
+    let label = Printf.sprintf "step %d" !step in
+    check_table label a sys;
+    Alcotest.(check bool) (label ^ ": restored re-encodes as the original") true
+      (String.equal a b)
+  in
+  let round d = ignore (Protocol.run_round (Dynamic.protocol d) : bool) in
+  let converge d = ignore (Protocol.run_aggregation (Dynamic.protocol d) : int) in
+  let victim = List.nth (Dynamic.members sys) 5 in
+  both (fun d ->
+      Protocol.repair (Dynamic.protocol d) ~dead:[ victim ];
+      round d);
+  both round;
+  both converge;
+  (* a deferred LEAVE refreshes the whole topology *)
+  let leaving = List.nth (Dynamic.members sys) 9 in
+  both (fun d ->
+      ignore (Dynamic.apply_deferred d [ Bwc_sim.Churn.Leave leaving ] : int);
+      round d);
+  both converge
+
+(* ----- format versions ----- *)
+
+(* the payload of a container, whatever its version *)
+let payload_of bytes =
+  let nl1 = String.index bytes '\n' in
+  let nl2 = String.index_from bytes (nl1 + 1) '\n' in
+  String.sub bytes (nl2 + 1) (String.length bytes - nl2 - 1)
+
+let test_version_1_refused () =
+  (* an image the version-1 encoder wrote (node infos inline) is refused
+     by its version, before its payload is read *)
+  let v1 = Codec.read_file "fixtures/snapshot/dynamic-v1.bwcsnap" in
+  (match Snapshot.decode v1 with
+  | Error (Codec.Bad_version 1) -> ()
+  | Error e -> Alcotest.failf "version-1 image: %s" (Codec.error_to_string e)
+  | Ok _ -> Alcotest.fail "version-1 image accepted");
+  (* the same payload under the current version does not parse *)
+  match Snapshot.decode (Codec.encode (payload_of v1)) with
+  | Error (Codec.Corrupt _) -> ()
+  | Error e -> Alcotest.failf "relabelled image: %s" (Codec.error_to_string e)
+  | Ok _ -> Alcotest.fail "the version-1 layout decoded as version 2"
+
+let test_retired_kind_still_corrupt () =
+  (* the retired static kind in a current container is refused by its
+     kind *)
+  let v1 = Codec.read_file "fixtures/snapshot/system-kind.bwcsnap" in
+  match Snapshot.decode (Codec.encode (payload_of v1)) with
+  | Error (Codec.Corrupt msg) ->
+      Alcotest.(check string) "kind named" "unknown snapshot kind \"system\"" msg
+  | Error e -> Alcotest.failf "system kind: %s" (Codec.error_to_string e)
+  | Ok _ -> Alcotest.fail "system kind accepted"
 
 (* ----- detector state ----- *)
 
@@ -429,6 +571,19 @@ let () =
             test_rotate_never_displaces_valid_image;
           Alcotest.test_case "rotate fallback chain" `Quick
             test_rotate_fallback_across_generations;
+        ] );
+      ( "slot_table",
+        [
+          Alcotest.test_case "after repair" `Quick test_slot_table_after_repair;
+          Alcotest.test_case "slot out of range" `Quick test_slot_out_of_range;
+          Alcotest.test_case "restored re-encodes like the original" `Quick
+            test_restored_reencodes_like_original;
+        ] );
+      ( "versions",
+        [
+          Alcotest.test_case "version 1 refused" `Quick test_version_1_refused;
+          Alcotest.test_case "retired kind still corrupt" `Quick
+            test_retired_kind_still_corrupt;
         ] );
       ( "degradation",
         [
