@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-full bench-index bench-trace bench-daemon overload restart prop examples clean doc lint lint-json lint-sarif trace metrics analyze trace-analytics
+.PHONY: all build test bench bench-full bench-index bench-trace bench-daemon overload restart prop examples clean doc lint lint-json lint-sarif trace metrics analyze trace-analytics identity
 
 all: build
 
@@ -82,6 +82,63 @@ restart:
 # a failure with BWC_PROP_SEED=<seed> BWC_PROP_CASES=<cases> make prop
 prop:
 	dune exec test/prop.exe
+
+# Byte-identity set: what a behaviour-preserving change must leave
+# byte-identical, written to _identity/ as <name>.out, <name>.err and
+# <name>.code (stdout, stderr, exit code) per command, beside the files
+# the commands write.  Every bwcluster subcommand runs at CI smoke size
+# (E14's churn sweep is left out: its timing fields vary run to run),
+# then snapshot -> restore --resnapshot, every --help=plain, and
+# test/prop.exe.  To compare a change with its parent, run
+# `make identity` in the change and `make -f <change>/Makefile identity`
+# in a checkout of the parent, then `diff -r` the two _identity/.
+identity:
+	dune build bin/bwcluster.exe bin/bwclusterd.exe test/prop.exe
+	rm -rf _identity
+	mkdir _identity
+	@B=_build/default/bin/bwcluster.exe; O=_identity; \
+	run() { name=$$1; shift; "$$@" > $$O/$$name.out 2> $$O/$$name.err; echo $$? > $$O/$$name.code; }; \
+	run accuracy $$B accuracy --csv $$O/accuracy.csv; \
+	run relerr $$B relerr --csv $$O/relerr.csv; \
+	run tradeoff $$B tradeoff --csv $$O/tradeoff.csv; \
+	run tradeoff-ablate $$B tradeoff --ablate-ncut; \
+	run treeness $$B treeness --csv $$O/treeness.csv; \
+	run scalability $$B scalability --csv $$O/scalability.csv; \
+	run embedding $$B embedding; \
+	run oracle $$B oracle --csv $$O/oracle.csv; \
+	run overhead $$B overhead --csv $$O/overhead.csv; \
+	run routing $$B routing --csv $$O/routing.csv; \
+	run robustness $$B robustness --hosts 20 --seed 1 --csv $$O/robustness.csv; \
+	run recovery $$B robustness --recovery --hosts 24 --seed 1 --csv $$O/recovery.csv; \
+	run restart $$B restart --dataset hp-small --hosts 64 --seed 3 \
+	  --csv $$O/restart.csv --json $$O/restart.json; \
+	run overload $$B overload --hosts 32 --seed 1 --csv $$O/overload.csv \
+	  --json $$O/overload.json; \
+	run trace-analytics $$B trace-analytics --hosts 24 --seed 1 \
+	  --csv $$O/trace-analytics.csv --kinds-csv $$O/trace-analytics-kinds.csv; \
+	run analyze $$B analyze --hosts 24 --seed 1; \
+	run analyze-json $$B analyze --hosts 24 --seed 1 --json -o $$O/analyze.json; \
+	run metrics $$B metrics --hosts 24 --seed 1; \
+	run metrics-json $$B metrics --hosts 24 --seed 1 --json -o $$O/metrics.json; \
+	run trace $$B trace --hosts 24 --seed 1 -o $$O/trace.jsonl; \
+	run dynamic $$B dynamic --epochs 4; \
+	run inspect $$B inspect; \
+	run query $$B query --dataset hp-small -k 8 -b 40 --seed 5; \
+	run gen $$B gen -o $$O/dataset.csv; \
+	run export-tree $$B export-tree -o $$O/overlay; \
+	run snapshot $$B snapshot --dataset hp-small --hosts 40 --seed 1 \
+	  -o $$O/snapshot.bwcsnap; \
+	run restore $$B restore -i $$O/snapshot.bwcsnap --resnapshot $$O/resnapshot.bwcsnap; \
+	run help $$B --help=plain; \
+	for c in $$($$B --help=plain | sed -n '/^COMMANDS/,/^COMMON OPTIONS/s/^       \([a-z-]*\) .*/\1/p'); do \
+	  run help-$$c $$B $$c --help=plain; \
+	done; \
+	run help-bwclusterd _build/default/bin/bwclusterd.exe --help=plain; \
+	for c in client serve; do \
+	  run help-bwclusterd-$$c _build/default/bin/bwclusterd.exe $$c --help=plain; \
+	done; \
+	run prop _build/default/test/prop.exe
+	@echo "identity set written to _identity/ ($$(ls _identity | wc -l) files)"
 
 examples:
 	dune exec examples/quickstart.exe

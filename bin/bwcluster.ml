@@ -90,7 +90,8 @@ let checked conv ok ~must =
 let at_least n =
   checked Arg.int (fun v -> v >= n) ~must:(Printf.sprintf "at least %d" n)
 
-let positive = checked Arg.float (fun v -> v > 0.0) ~must:"positive"
+let positive =
+  checked Arg.float (fun v -> v > 0.0 && Float.is_finite v) ~must:"positive and finite"
 
 let probability =
   checked Arg.float (fun p -> p >= 0.0 && p <= 1.0) ~must:"in [0,1]"
@@ -372,7 +373,7 @@ let overload_cmd =
           E.Overload.run ~ticks:(if full then 600 else 200) ~seed (Lazy.force ds)
           |> report E.Overload.print
                ~files:[ csv_out csv E.Overload.save_csv; json_out json E.Overload.to_json ]
-               ~gate:("overload gate", fun out -> E.Overload.gate out))
+               ~gate:("overload gate", E.Overload.gate))
       $ json_arg "Also write the result as JSON.")
 
 (* ----- snapshot / restore ----- *)

@@ -53,7 +53,7 @@ let parse ~path source =
              ~file:path ~line:1 ~col:0
              ~message:(Printexc.to_string exn) ()))
 
-let lint_sources ?(rules = Rules.all) ?(whole_program = true) sources =
+let lint_sources ?(whole_program = true) sources =
   let parse_findings = ref [] in
   let parse_failed = ref false in
   let parsed = ref [] in
@@ -90,7 +90,7 @@ let lint_sources ?(rules = Rules.all) ?(whole_program = true) sources =
         List.concat_map
           (fun rule ->
             if Rules.applies rule path then rule.Rules.check ~path file else [])
-          rules
+          Rules.all
       in
       keep_or_suppress supp raw)
     parsed;
@@ -193,6 +193,6 @@ let rec discover_path acc path =
 let discover paths =
   List.sort_uniq String.compare (List.fold_left discover_path [] paths)
 
-let lint_paths ?rules ?whole_program paths =
-  lint_sources ?rules ?whole_program
+let lint_paths ?whole_program paths =
+  lint_sources ?whole_program
     (List.map (fun path -> (path, read_file path)) (discover paths))

@@ -38,13 +38,10 @@ val parse :
 
 val read_file : string -> string
 
-val lint_sources :
-  ?rules:Rules.t list ->
-  ?whole_program:bool ->
-  (string * string) list ->
-  result
-(** Lint a set of (path, source) pairs as one program.
-    [whole_program] (default [true]) controls the call-graph passes. *)
+val lint_sources : ?whole_program:bool -> (string * string) list -> result
+(** Lint a set of (path, source) pairs as one program under every rule
+    of {!Rules.all}.  [whole_program] (default [true]) controls the
+    call-graph passes. *)
 
 val discover : string list -> string list
 (** Expand files/directories into a sorted list of .ml/.mli files.
@@ -52,6 +49,5 @@ val discover : string list -> string list
     named [fixtures] (deliberately-dirty lint corpora); explicitly
     passed paths are always taken. *)
 
-val lint_paths :
-  ?rules:Rules.t list -> ?whole_program:bool -> string list -> result
+val lint_paths : ?whole_program:bool -> string list -> result
 (** [discover] then lint everything as one program. *)

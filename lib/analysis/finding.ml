@@ -18,9 +18,9 @@ let severity_label = function Error -> "error" | Warning -> "warning"
 let make ?key ?(witness = []) ~rule ~severity ~file ~line ~col ~message () =
   { rule; severity; file; line; col; message; key; witness }
 
-let of_location ?key ?witness ~rule ~severity ~message (loc : Location.t) =
+let of_location ~rule ~severity ~message (loc : Location.t) =
   let p = loc.loc_start in
-  make ?key ?witness ~rule ~severity ~file:p.pos_fname ~line:p.pos_lnum
+  make ~rule ~severity ~file:p.pos_fname ~line:p.pos_lnum
     ~col:(p.pos_cnum - p.pos_bol) ~message ()
 
 (* Stable identity: whole-program findings carry a symbolic key that

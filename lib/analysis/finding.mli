@@ -35,8 +35,6 @@ val make :
   t
 
 val of_location :
-  ?key:string ->
-  ?witness:string list ->
   rule:string ->
   severity:severity ->
   message:string ->

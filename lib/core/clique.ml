@@ -56,7 +56,10 @@ let search ~adj ~k ~budget ~worth ~on_better p0 =
   in
   bk [] 0 p0 []
 
-let exists_clique ?(budget = 200_000) ~adj ~n ~k () =
+(* recursive expansions before a search gives up *)
+let default_budget = 200_000
+
+let exists_clique ?(budget = default_budget) ~adj ~n ~k () =
   if k <= 0 then invalid_arg "Clique.exists_clique: k <= 0";
   if k = 1 then (if n >= 1 then Feasible [ 0 ] else Infeasible)
   else begin
@@ -72,12 +75,12 @@ let exists_clique ?(budget = 200_000) ~adj ~n ~k () =
     | Budget_exhausted -> Unknown
   end
 
-let exists_cluster ?budget space ~k ~l =
-  exists_clique ?budget
+let exists_cluster space ~k ~l =
+  exists_clique
     ~adj:(threshold_adjacency space ~l)
     ~n:space.Bwc_metric.Space.n ~k ()
 
-let max_clique_size ?(budget = 200_000) ~adj ~n () =
+let max_clique_size ~adj ~n () =
   if n = 0 then Ok 0
   else begin
     let best = ref 1 in
@@ -86,7 +89,7 @@ let max_clique_size ?(budget = 200_000) ~adj ~n () =
       (* k = n + 1 can never be reached, so the search runs to completion;
          [best] tracks the incumbent and prunes branches that cannot beat
          it. *)
-      search ~adj ~k:(n + 1) ~budget
+      search ~adj ~k:(n + 1) ~budget:default_budget
         ~worth:(fun r_size p_len -> r_size + p_len > !best)
         ~on_better:(fun _ size -> if size > !best then best := size)
         vertices;

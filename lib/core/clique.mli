@@ -24,12 +24,13 @@ val exists_clique :
 (** [exists_clique ~adj ~n ~k ()] decides whether the graph has a clique
     of [k] vertices.  [budget] defaults to [200_000] expansions. *)
 
-val exists_cluster :
-  ?budget:int -> Bwc_metric.Space.t -> k:int -> l:float -> verdict
-(** The clustering question on a space, via the threshold graph. *)
+val exists_cluster : Bwc_metric.Space.t -> k:int -> l:float -> verdict
+(** The clustering question on a space, via the threshold graph, with
+    the default budget of [200_000] expansions. *)
 
 (* bwclint: allow test-only-export -- reference oracle: the Bron-Kerbosch maximum clique test/test_core.ml checks Algorithm 1 against *)
 val max_clique_size :
-  ?budget:int -> adj:(int -> int -> bool) -> n:int -> unit -> (int, [ `Budget of int ]) result
+  adj:(int -> int -> bool) -> n:int -> unit -> (int, [ `Budget of int ]) result
 (** Exact maximum clique size, or [`Budget lower_bound] when the budget
-    ran out ([lower_bound] is the best clique found so far). *)
+    of [200_000] expansions ran out ([lower_bound] is the best clique
+    found so far). *)

@@ -62,7 +62,7 @@ let iter_pairs_until n f =
     done
   with Exit -> ()
 
-let find ?(verify = false) space ~k ~l =
+let find space ~k ~l =
   if k < 2 then invalid_arg "Find_cluster.find: k < 2";
   if space.Space.n < k then None
   else begin
@@ -70,11 +70,8 @@ let find ?(verify = false) space ~k ~l =
     iter_pairs_until space.Space.n (fun p q ->
         if Float.Array.get space.Space.d ((p * space.Space.n) + q) <= l then begin
           if count_members space ~p ~q >= k then begin
-            let cluster = pick_k ~p ~q k (members space ~p ~q) in
-            if cluster_ok ~verify space ~l cluster then begin
-              result := Some cluster;
-              raise Exit
-            end
+            result := Some (pick_k ~p ~q k (members space ~p ~q));
+            raise Exit
           end
         end);
     !result

@@ -14,9 +14,10 @@
     over-confidently close and bias the accuracy evaluation.)
 
     On spaces that are only approximately tree metrics the guarantee
-    [diam S*_pq = d(p,q)] can fail; [~verify:true] re-checks the returned
-    cluster's diameter (the paper's evaluation does {e not} verify — the
-    resulting wrong pairs are exactly what WPR measures). *)
+    [diam S*_pq = d(p,q)] can fail; {!Index.find}'s [~verify:true]
+    re-checks the returned cluster's diameter (the paper's evaluation,
+    and the one-shot {!find}, do {e not} verify — the resulting wrong
+    pairs are exactly what WPR measures). *)
 
 val diam_tol : float
 (** Relative slack ([1e-9]) applied when a cluster diameter is verified
@@ -25,11 +26,10 @@ val diam_tol : float
 val members : Bwc_metric.Space.t -> p:int -> q:int -> int list
 (** [S*_pq], ascending node order ([p] and [q] are members). *)
 
-val find :
-  ?verify:bool -> Bwc_metric.Space.t -> k:int -> l:float -> int list option
+val find : Bwc_metric.Space.t -> k:int -> l:float -> int list option
 (** One-shot Algorithm 1.  Returns [k] members of the first satisfying
-    [S*_pq] ([p] and [q] always included).  [verify] defaults to
-    [false]. *)
+    [S*_pq] ([p] and [q] always included), without verifying its
+    diameter. *)
 
 val max_sizes : Bwc_metric.Space.t -> ls:float array -> int array
 (** For each distance class [l] of [ls], the largest cluster size
@@ -83,7 +83,9 @@ module Index : sig
 
   val find : ?verify:bool -> t -> k:int -> l:float -> int list option
   (** Same result as {!find} on the space restricted to the current
-      members (hosts are reported under their universe ids). *)
+      members (hosts are reported under their universe ids).  [verify]
+      (default [false]) skips satisfying pairs whose cluster's real
+      diameter exceeds [l]. *)
 
   val exists : t -> k:int -> l:float -> bool
   val max_size : t -> l:float -> int

@@ -63,8 +63,6 @@ type t = {
   fw : Ensemble.t;
   classes : Classes.t;
   n_cut : int;
-  resend_timeout : int;
-  max_retransmits : int;
   mutable nodes : node option array; (* indexed by host id; None = not a member *)
   engine : message Engine.t;
   detector : Detector.t option;
@@ -136,12 +134,47 @@ let watch_all t =
           | None -> ())
         t.nodes
 
-let create ~rng ?(n_cut = 10) ?edge_delay ?faults ?(resend_timeout = 3)
-    ?(max_retransmits = 16) ?detector ?metrics ?trace ~classes fw =
+(* Retransmission pacing: an update stays unacknowledged [resend_timeout]
+   rounds before it is resent, and after [max_retransmits] fruitless
+   resends the sender gives up on the peer. *)
+let resend_timeout = 3
+let max_retransmits = 16
+
+(* The one constructor behind [create] and [of_dump]: they differ only in
+   the state the nodes, engine and detector start from. *)
+let make ~fw ~classes ~n_cut ~nodes ~engine ~detector ~trace ~metrics ~rounds ~epoch
+    ~unacked =
+  {
+    fw;
+    classes;
+    n_cut;
+    nodes;
+    engine;
+    detector;
+    trace;
+    rounds;
+    epoch;
+    on_evict = ignore;
+    unacked;
+    step_changed = false;
+    stale = false;
+    c_retransmissions = Registry.counter metrics "protocol.retransmissions";
+    c_dup_suppressed = Registry.counter metrics "protocol.dup_suppressed";
+    c_stale_discarded = Registry.counter metrics "protocol.stale_discarded";
+    c_give_up = Registry.counter metrics "protocol.give_up";
+    c_heartbeats = Registry.counter metrics "protocol.heartbeats";
+    c_epoch_discarded = Registry.counter metrics "protocol.epoch_discarded";
+    c_repairs = Registry.counter metrics "protocol.repairs";
+    c_regrafts = Registry.counter metrics "protocol.regrafts";
+    g_unacked = Registry.gauge metrics "protocol.unacked";
+    h_query_hops = Registry.histogram metrics "query.hops";
+    c_query_retries = Registry.counter metrics "query.retries";
+    c_query_hits = Registry.counter metrics "query.hits";
+    c_query_misses = Registry.counter metrics "query.misses";
+  }
+
+let create ~rng ?(n_cut = 10) ?edge_delay ?faults ?detector ?metrics ?trace ~classes fw =
   if n_cut < 1 then invalid_arg "Protocol.create: n_cut < 1";
-  if resend_timeout < 1 then invalid_arg "Protocol.create: resend_timeout < 1";
-  if max_retransmits < 1 then invalid_arg "Protocol.create: max_retransmits < 1";
-  let n = Ensemble.hosts fw in
   let metrics = match metrics with Some m -> m | None -> Registry.create () in
   let detector =
     (* the split keeps the engine's stream untouched relative to
@@ -150,37 +183,10 @@ let create ~rng ?(n_cut = 10) ?edge_delay ?faults ?(resend_timeout = 3)
     | None -> None
     | Some cfg -> Some (Detector.create ~metrics ?trace ~rng:(Rng.split rng) cfg)
   in
+  let engine = Engine.create ?edge_delay ?faults ~metrics ?trace ~rng (Ensemble.hosts fw) in
   let t =
-    {
-      fw;
-      classes;
-      n_cut;
-      resend_timeout;
-      max_retransmits;
-      nodes = node_slots fw classes;
-      engine = Engine.create ?edge_delay ?faults ~metrics ?trace ~rng n;
-      detector;
-      trace;
-      rounds = 0;
-      epoch = 0;
-      on_evict = ignore;
-      unacked = 0;
-      step_changed = false;
-      stale = false;
-      c_retransmissions = Registry.counter metrics "protocol.retransmissions";
-      c_dup_suppressed = Registry.counter metrics "protocol.dup_suppressed";
-      c_stale_discarded = Registry.counter metrics "protocol.stale_discarded";
-      c_give_up = Registry.counter metrics "protocol.give_up";
-      c_heartbeats = Registry.counter metrics "protocol.heartbeats";
-      c_epoch_discarded = Registry.counter metrics "protocol.epoch_discarded";
-      c_repairs = Registry.counter metrics "protocol.repairs";
-      c_regrafts = Registry.counter metrics "protocol.regrafts";
-      g_unacked = Registry.gauge metrics "protocol.unacked";
-      h_query_hops = Registry.histogram metrics "query.hops";
-      c_query_retries = Registry.counter metrics "query.retries";
-      c_query_hits = Registry.counter metrics "query.hits";
-      c_query_misses = Registry.counter metrics "query.misses";
-    }
+    make ~fw ~classes ~n_cut ~nodes:(node_slots fw classes) ~engine ~detector ~trace
+      ~metrics ~rounds:0 ~epoch:0 ~unacked:0
   in
   sync_engine_active t;
   watch_all t;
@@ -387,9 +393,9 @@ let resend_pending t node =
       if
         (not entry.acked)
         && (not entry.gave_up)
-        && now - entry.sent_round >= t.resend_timeout
+        && now - entry.sent_round >= resend_timeout
       then
-        if entry.tries >= t.max_retransmits then begin
+        if entry.tries >= max_retransmits then begin
           entry.gave_up <- true;
           t.unacked <- t.unacked - 1;
           Registry.Counter.incr t.c_give_up
@@ -411,7 +417,7 @@ let revive_given_up t node src =
   | Some entry when entry.gave_up ->
       entry.gave_up <- false;
       entry.tries <- 0;
-      entry.sent_round <- Engine.round t.engine - t.resend_timeout;
+      entry.sent_round <- Engine.round t.engine - resend_timeout;
       t.unacked <- t.unacked + 1
   | Some _ | None -> ()
 
@@ -742,11 +748,13 @@ let local_find t node ~k ~cls =
   | None -> None
   | Some idxs -> Some (List.map (fun i -> infos.(i).Node_info.host) idxs)
 
-let query ?(policy = `Best_crt) ?hop_budget ?(retries = 2) t ~at ~k ~cls =
+(* hop retransmissions over a lossy link before the router falls back *)
+let hop_retries = 2
+
+let query ?(policy = `Best_crt) ?hop_budget t ~at ~k ~cls =
   refresh_if_stale t;
   if k < 2 then invalid_arg "Protocol.query: k < 2";
   if cls < 0 || cls >= Classes.count t.classes then invalid_arg "Protocol.query: bad class";
-  if retries < 0 then invalid_arg "Protocol.query: negative retries";
   let hop_budget =
     (* a routing path on the anchor tree is simple, so n hops is already
        unreachable — the default budget changes nothing on healthy runs *)
@@ -767,8 +775,8 @@ let query ?(policy = `Best_crt) ?hop_budget ?(retries = 2) t ~at ~k ~cls =
     { Query.cluster; hops; retries = !retries_used; path = List.rev path }
   in
   (* A hop to a dead or partitioned neighbor fails outright; a lossy link
-     gets up to [retries] retransmissions before the router falls back to
-     the next qualifying neighbor. *)
+     gets up to [hop_retries] retransmissions before the router falls back
+     to the next qualifying neighbor. *)
   let rec first_reachable x = function
     | [] -> None
     | h :: rest ->
@@ -783,7 +791,7 @@ let query ?(policy = `Best_crt) ?hop_budget ?(retries = 2) t ~at ~k ~cls =
               attempt (tries_left - 1)
             end
           in
-          if attempt retries then Some h else first_reachable x rest
+          if attempt hop_retries then Some h else first_reachable x rest
         end
   in
   let rec go x ~from ~path ~budget =
@@ -830,9 +838,9 @@ let query ?(policy = `Best_crt) ?hop_budget ?(retries = 2) t ~at ~k ~cls =
   if not (Engine.is_active t.engine at) then result None ~path:[ at ]
   else go at ~from:None ~path:[ at ] ~budget:hop_budget
 
-let query_bandwidth ?policy ?hop_budget ?retries t ~at ~k ~b =
+let query_bandwidth ?policy ?hop_budget t ~at ~k ~b =
   match Classes.class_for t.classes ~b with
-  | Some cls -> query ?policy ?hop_budget ?retries t ~at ~k ~cls
+  | Some cls -> query ?policy ?hop_budget t ~at ~k ~cls
   | None -> Query.not_found_at at
 
 let crt_row t x v =
@@ -954,8 +962,8 @@ let dump t =
   done;
   {
     d_n_cut = t.n_cut;
-    d_resend_timeout = t.resend_timeout;
-    d_max_retransmits = t.max_retransmits;
+    d_resend_timeout = resend_timeout;
+    d_max_retransmits = max_retransmits;
     d_rounds = t.rounds;
     d_epoch = t.epoch;
     d_engine_round = Engine.round t.engine;
@@ -964,20 +972,19 @@ let dump t =
     d_detector = Option.map Detector.dump t.detector;
   }
 
-let of_dump ?edge_delay ?faults ?metrics ?trace ~classes fw d =
+let of_dump ?metrics ?trace ~classes fw d =
   let fail msg = invalid_arg ("Protocol.of_dump: " ^ msg) in
   if d.d_n_cut < 1 then fail "n_cut < 1";
-  if d.d_resend_timeout < 1 then fail "resend_timeout < 1";
-  if d.d_max_retransmits < 1 then fail "max_retransmits < 1";
+  (* the image records the retransmission pacing it ran under; a restored
+     protocol runs under this build's constants, so they must agree *)
+  if d.d_resend_timeout <> resend_timeout then fail "resend_timeout differs";
+  if d.d_max_retransmits <> max_retransmits then fail "max_retransmits differs";
   if d.d_rounds < 0 || d.d_engine_round < 0 || d.d_epoch < 0 then fail "negative clock";
   let n = Ensemble.hosts fw in
   let n_classes = Classes.count classes in
   let n_trees = Ensemble.size fw in
   let metrics = match metrics with Some m -> m | None -> Registry.create () in
-  let engine =
-    Engine.create ?edge_delay ?faults ~metrics ?trace
-      ~rng:(Rng.of_state d.d_engine_rng) n
-  in
+  let engine = Engine.create ~metrics ?trace ~rng:(Rng.of_state d.d_engine_rng) n in
   Engine.restore_round engine d.d_engine_round;
   let detector = Option.map (Detector.of_dump ~metrics ?trace) d.d_detector in
   (* membership must match the ensemble exactly: every dumped node a
@@ -1056,36 +1063,8 @@ let of_dump ?edge_delay ?faults ?metrics ?trace ~classes fw d =
       nodes.(nd.nd_id) <- Some node)
     d.d_nodes;
   let t =
-    {
-      fw;
-      classes;
-      n_cut = d.d_n_cut;
-      resend_timeout = d.d_resend_timeout;
-      max_retransmits = d.d_max_retransmits;
-      nodes;
-      engine;
-      detector;
-      trace;
-      rounds = d.d_rounds;
-      epoch = d.d_epoch;
-      on_evict = ignore;
-      unacked = !unacked;
-      step_changed = false;
-      stale = false;
-      c_retransmissions = Registry.counter metrics "protocol.retransmissions";
-      c_dup_suppressed = Registry.counter metrics "protocol.dup_suppressed";
-      c_stale_discarded = Registry.counter metrics "protocol.stale_discarded";
-      c_give_up = Registry.counter metrics "protocol.give_up";
-      c_heartbeats = Registry.counter metrics "protocol.heartbeats";
-      c_epoch_discarded = Registry.counter metrics "protocol.epoch_discarded";
-      c_repairs = Registry.counter metrics "protocol.repairs";
-      c_regrafts = Registry.counter metrics "protocol.regrafts";
-      g_unacked = Registry.gauge metrics "protocol.unacked";
-      h_query_hops = Registry.histogram metrics "query.hops";
-      c_query_retries = Registry.counter metrics "query.retries";
-      c_query_hits = Registry.counter metrics "query.hits";
-      c_query_misses = Registry.counter metrics "query.misses";
-    }
+    make ~fw ~classes ~n_cut:d.d_n_cut ~nodes ~engine ~detector ~trace ~metrics
+      ~rounds:d.d_rounds ~epoch:d.d_epoch ~unacked:!unacked
   in
   (* liveness from the dump, not from membership: a crashed-but-not-yet-
      evicted member restores as crashed *)

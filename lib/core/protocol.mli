@@ -31,11 +31,11 @@
     point under message loss, duplication, reordering jitter and
     crash/restart windows as on a reliable network — it just takes more
     rounds and messages (tested; measured by the robustness
-    experiment).  Retransmission is bounded: after [max_retransmits]
-    fruitless tries the sender {e gives up} on the peer (counted under
-    [protocol.give_up]) so quiescence never hinges on a host that is
-    gone for good; any later sign of life from the peer revives the
-    retired update.
+    experiment).  An unacknowledged update is resent every 3 rounds.
+    Retransmission is bounded: after 16 fruitless tries the sender
+    {e gives up} on the peer (counted under [protocol.give_up]) so
+    quiescence never hinges on a host that is gone for good; any later
+    sign of life from the peer revives the retired update.
 
     With a [detector] config the protocol additionally runs the
     {!Detector} failure detector over the anchor-tree edges (heartbeats
@@ -55,8 +55,6 @@ val create :
   ?n_cut:int ->
   ?edge_delay:(src:int -> dst:int -> int) ->
   ?faults:Bwc_sim.Fault.t ->
-  ?resend_timeout:int ->
-  ?max_retransmits:int ->
   ?detector:Detector.config ->
   ?metrics:Bwc_obs.Registry.t ->
   ?trace:Bwc_obs.Trace.t ->
@@ -69,12 +67,11 @@ val create :
     converges to the same tables regardless (tested), it just takes
     proportionally longer.  [faults] (default {!Bwc_sim.Fault.none})
     injects message loss, duplication, jitter, partitions and
-    crash/restart windows.  [resend_timeout] (default 3) is how many
-    rounds an update stays unacknowledged before it is retransmitted;
-    [max_retransmits] (default 16) bounds how often before the sender
-    gives up on the peer.  With a fault plan that never heals (a
-    permanent crash or partition) and no [detector], the survivors give
-    up and quiesce without the dead peer's state repaired; with a
+    crash/restart windows.  An update stays unacknowledged 3 rounds
+    before it is retransmitted, and after 16 fruitless retransmissions
+    the sender gives up on the peer.  With a fault plan that never heals
+    (a permanent crash or partition) and no [detector], the survivors
+    give up and quiesce without the dead peer's state repaired; with a
     [detector] (off when omitted; see {!Detector.default_config}) the
     dead peer is detected, evicted and healed around.  The detector
     draws its (optional) jitter from a split of [rng]; omitting
@@ -111,7 +108,7 @@ val crash_host : t -> int -> unit
 (** Silently kills a member host: it stops stepping, and traffic to and
     from it is purged/dropped.  Nothing else is told — with a detector
     the survivors find out through lease expiry; without one they give
-    up on it after [max_retransmits].  Emits a [Crash] trace event.
+    up on it after 16 retransmissions.  Emits a [Crash] trace event.
     Raises [Invalid_argument] for non-members. *)
 
 val repair : t -> dead:int list -> unit
@@ -137,7 +134,6 @@ val detector : t -> Detector.t option
 val query :
   ?policy:[ `Best_crt | `First ] ->
   ?hop_budget:int ->
-  ?retries:int ->
   t -> at:int -> k:int -> cls:int -> Query.result
 (** Algorithm 4: submit the query for [k] hosts of class [cls] at host
     [at].  The paper forwards to "any" neighbor whose CRT column promises
@@ -147,7 +143,7 @@ val query :
 
     Robustness: a hop to a dead or partitioned neighbor falls back to the
     next qualifying neighbor; a hop over a lossy link is retried up to
-    [retries] times (default 2) before falling back; with a detector,
+    2 times before falling back; with a detector,
     directions the local failure detector suspects become last resorts
     (tried only when every healthy direction fails); [hop_budget]
     (default [n], unreachable on a simple tree path) caps the total
@@ -157,7 +153,6 @@ val query :
 val query_bandwidth :
   ?policy:[ `Best_crt | `First ] ->
   ?hop_budget:int ->
-  ?retries:int ->
   t -> at:int -> k:int -> b:float -> Query.result
 (** Convenience: maps [b] to the cheapest class that guarantees it; a miss
     when no class covers [b]. *)
@@ -181,8 +176,8 @@ val messages_sent : t -> int
 val rounds_run : t -> int
 
 val give_ups : t -> int
-(** Updates retired unacknowledged after [max_retransmits] fruitless
-    retransmissions ([protocol.give_up]). *)
+(** Updates retired unacknowledged after 16 fruitless retransmissions
+    ([protocol.give_up]). *)
 
 val heartbeats_sent : t -> int
 (** Detector heartbeats sent over idle links ([protocol.heartbeats]). *)
@@ -252,8 +247,6 @@ type dump = {
 val dump : t -> dump
 
 val of_dump :
-  ?edge_delay:(src:int -> dst:int -> int) ->
-  ?faults:Bwc_sim.Fault.t ->
   ?metrics:Bwc_obs.Registry.t ->
   ?trace:Bwc_obs.Trace.t ->
   classes:Classes.t ->
@@ -265,8 +258,11 @@ val of_dump :
     RNG state, so a same-seed run resumed from a snapshot at quiescence
     is indistinguishable from one that never crashed.  Validates
     membership agreement with the ensemble, neighbor-keyed table
-    integrity, arity of CRT rows and label vectors, and clock/epoch
-    bounds; raises [Invalid_argument] on any violation.  The unacked
+    integrity, arity of CRT rows and label vectors, clock/epoch bounds,
+    and that the dumped retransmission pacing equals the constants the
+    restored protocol runs under; raises [Invalid_argument] on any
+    violation.  The restored engine runs fault-free with unit link
+    delays.  The unacked
     count is recomputed from the out-entries, never trusted from the
     file. *)
 

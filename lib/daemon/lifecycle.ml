@@ -30,8 +30,8 @@ let boot ?metrics ?trace ?keep ~path ~cold () =
       bump metrics "persist.cold_starts";
       { system = cold (); warm = false; generation = None; rejected }
 
-let snapshot ?metrics ?trace ?keep ~path dyn =
-  let bytes = Snapshot.encode ?metrics ?trace (`Dynamic dyn) in
+let snapshot ?metrics ?keep ~path dyn =
+  let bytes = Snapshot.encode ?metrics (`Dynamic dyn) in
   match Snapshot.rotate ?metrics ?keep ~path bytes with
   | Ok () -> Ok (String.length bytes)
   | Error e -> Error e

@@ -32,7 +32,6 @@ val boot :
 
 val snapshot :
   ?metrics:Bwc_obs.Registry.t ->
-  ?trace:Bwc_obs.Trace.t ->
   ?keep:int ->
   path:string ->
   Bwc_core.Dynamic.t ->

@@ -48,12 +48,14 @@ type config = {
   meas_refresh : int;
   ingest_fail : float;
   retry_base : int;
-  retry_cap : int;
   retry_jitter : int;
   max_attempts : int;
   snapshot_every : int option;
   seed : int;
 }
+
+(* ceiling (ticks) on an ingest retry's exponential backoff *)
+let retry_cap = 16
 
 let default_config =
   {
@@ -72,7 +74,6 @@ let default_config =
     meas_refresh = 32;
     ingest_fail = 0.;
     retry_base = 2;
-    retry_cap = 16;
     retry_jitter = 2;
     max_attempts = 4;
     snapshot_every = None;
@@ -265,9 +266,7 @@ let process_ingest t ~now ~out ~id ~conn ~cls ~op ~enq ~attempts =
       push (Wire.Rejected { id; reason = "ingest_failed"; attempts })
     end
     else begin
-      let backoff =
-        min t.config.retry_cap (t.config.retry_base * (1 lsl (attempts - 1)))
-      in
+      let backoff = min retry_cap (t.config.retry_base * (1 lsl (attempts - 1))) in
       let jitter =
         if t.config.retry_jitter > 0 then Rng.int t.rng t.config.retry_jitter else 0
       in
@@ -490,6 +489,10 @@ let take_snapshot_request t =
 
 let host_ok t h = h >= 0 && h < Dataset.size (Dynamic.dataset t.dyn)
 
+(* a bandwidth is a positive, finite Mbps figure: nan, inf and overflowing
+   literals such as 1e400 are malformed *)
+let positive_finite v = v > 0. && Float.is_finite v
+
 let handle_line t ~now ~conn line =
   match Wire.parse line with
   | Error reason ->
@@ -507,7 +510,7 @@ let handle_line t ~now ~conn line =
           drain t ~now;
           [ { conn; response = Wire.Draining } ]
       | Wire.Query { id; k; b; deadline } ->
-          if k < 2 || b <= 0. then
+          if k < 2 || not (positive_finite b) then
             [
               {
                 conn;
@@ -560,7 +563,9 @@ let handle_line t ~now ~conn line =
                    attempts = 0;
                  })
       | Wire.Measure { id; src; dst; mbps } ->
-          if (not (host_ok t src)) || (not (host_ok t dst)) || src = dst || mbps <= 0.
+          if
+            (not (host_ok t src)) || (not (host_ok t dst)) || src = dst
+            || not (positive_finite mbps)
           then
             [
               {

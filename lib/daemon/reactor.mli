@@ -36,8 +36,8 @@ type config = {
   meas_refresh : int;     (** accepted samples per forced repropagation *)
   ingest_fail : float;    (** injected transient ingest failure rate
                               (deterministic, from [seed]) *)
-  retry_base : int;       (** backoff base: [base * 2^(attempt-1)] *)
-  retry_cap : int;        (** backoff ceiling (ticks) *)
+  retry_base : int;       (** backoff base: [base * 2^(attempt-1)], at
+                              most 16 ticks *)
   retry_jitter : int;     (** max seeded jitter added to each backoff *)
   max_attempts : int;     (** attempts before a typed REJECTED *)
   snapshot_every : int option;  (** periodic snapshot cadence (ticks) *)

@@ -10,7 +10,10 @@ let line ~at ~conn line = { at; conn; line }
 
 type event = { tick : int; conn : int; response : Wire.response }
 
-let run ?(drain_grace = 1000) reactor entries =
+(* extra ticks a drain may take before [run] gives up *)
+let drain_grace = 1000
+
+let run reactor entries =
   let entries =
     (* stable sort: same-tick entries keep script order *)
     List.stable_sort (fun a b -> compare a.at b.at) entries

@@ -14,12 +14,11 @@ val line : at:int -> conn:int -> string -> entry
 
 type event = { tick : int; conn : int; response : Wire.response }
 
-val run : ?drain_grace:int -> Reactor.t -> entry list -> event list
+val run : Reactor.t -> entry list -> event list
 (** Deliver entries at their ticks (stable script order within a tick,
     each tick's deliveries before its {!Reactor.tick}), then
-    {!Reactor.drain} and keep ticking until {!Reactor.drained} or
-    [drain_grace] (default 1000) extra ticks elapse.  Responses are
-    returned in emission order. *)
+    {!Reactor.drain} and keep ticking until {!Reactor.drained} or 1000
+    extra ticks elapse.  Responses are returned in emission order. *)
 
 val transcript : event list -> string
 (** Canonical rendering, one ["<tick> <conn> <response>"] line per

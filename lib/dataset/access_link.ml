@@ -10,6 +10,6 @@ let of_capacities ~name caps =
   in
   Dataset.make ~name bwm
 
-let generate ~rng ?(mu = 4.0) ?(sigma = 0.9) ~n () =
-  let caps = Array.init n (fun _ -> Bwc_stats.Rng.log_normal rng ~mu ~sigma) in
+let generate ~rng ~n () =
+  let caps = Array.init n (fun _ -> Bwc_stats.Rng.log_normal rng ~mu:4.0 ~sigma:0.9) in
   of_capacities ~name:(Printf.sprintf "access-link-%d" n) caps

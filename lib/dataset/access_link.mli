@@ -12,9 +12,8 @@ val of_capacities : name:string -> float array -> Dataset.t
     Capacities must be positive and finite. *)
 
 (* bwclint: allow test-only-export -- reference model: the exact access-link tree metrics test/test_core.ml and test/test_dataset.ml check the pipeline against *)
-val generate :
-  rng:Bwc_stats.Rng.t -> ?mu:float -> ?sigma:float -> n:int -> unit -> Dataset.t
-(** [generate ~rng ~mu ~sigma ~n ()] draws capacities from a log-normal
-    distribution ([mu] and [sigma] in log-space; defaults give a median of
+val generate : rng:Bwc_stats.Rng.t -> n:int -> unit -> Dataset.t
+(** [generate ~rng ~n ()] draws capacities from a log-normal
+    distribution ([mu] 4.0 and [sigma] 0.9 in log-space: a median of
     ~55 Mbps with a heavy tail, a shape similar to PlanetLab access
     links). *)

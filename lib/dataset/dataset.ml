@@ -26,13 +26,8 @@ let symmetrize_asymmetric ~name raw n =
   in
   make ~name bwm
 
-let subset t ?name idx =
-  let name =
-    match name with
-    | Some n -> n
-    | None -> Printf.sprintf "%s/sub%d" t.name (Array.length idx)
-  in
-  make ~name (Dmatrix.sub t.bw idx)
+let subset t idx =
+  make ~name:(Printf.sprintf "%s/sub%d" t.name (Array.length idx)) (Dmatrix.sub t.bw idx)
 
 let random_subset t ~rng m =
   let idx = Bwc_stats.Rng.sample_without_replacement rng m (size t) in

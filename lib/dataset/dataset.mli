@@ -26,8 +26,9 @@ val symmetrize_asymmetric :
     measurement function by averaging [raw i j] and [raw j i]
     (the paper's preprocessing of pathChirp matrices). *)
 
-val subset : t -> ?name:string -> int array -> t
-(** Principal sub-dataset on the given host indices. *)
+val subset : t -> int array -> t
+(** Principal sub-dataset on the given host indices, named
+    ["<name>/sub<m>"]. *)
 
 val random_subset : t -> rng:Bwc_stats.Rng.t -> int -> t
 (** [random_subset t ~rng m] keeps [m] uniformly chosen hosts (used by the

@@ -60,10 +60,10 @@ let distance_matrix ~rng ?(params = default_params) ~n () =
   Bwc_metric.Dmatrix.of_fun n ~diag:0.0 (fun i j ->
       host_access.(i) +. router_dist host_router.(i) host_router.(j) +. host_access.(j))
 
-let generate ~rng ?params ?(c = Bwc_metric.Bandwidth.default_c) ~n ~name () =
+let generate ~rng ?params ~n ~name () =
   let dm = distance_matrix ~rng ?params ~n () in
   let bwm =
     Bwc_metric.Dmatrix.of_fun n ~diag:Float.infinity (fun i j ->
-        c /. Bwc_metric.Dmatrix.get dm i j)
+        Bwc_metric.Bandwidth.default_c /. Bwc_metric.Dmatrix.get dm i j)
   in
   Dataset.make ~name bwm

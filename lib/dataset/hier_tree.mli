@@ -19,11 +19,10 @@ type params = {
 val default_params : params
 
 val generate :
-  rng:Bwc_stats.Rng.t -> ?params:params -> ?c:float -> n:int -> name:string -> unit ->
-  Dataset.t
-(** [generate ~rng ~params ~c ~n ~name ()] builds the topology, computes
-    all pairwise host distances and returns bandwidths [c / d].  [c]
-    defaults to {!Bwc_metric.Bandwidth.default_c}. *)
+  rng:Bwc_stats.Rng.t -> ?params:params -> n:int -> name:string -> unit -> Dataset.t
+(** [generate ~rng ~params ~n ~name ()] builds the topology, computes all
+    pairwise host distances and returns bandwidths [C / d], with [C]
+    {!Bwc_metric.Bandwidth.default_c}. *)
 
 val distance_matrix :
   rng:Bwc_stats.Rng.t -> ?params:params -> n:int -> unit -> Bwc_metric.Dmatrix.t

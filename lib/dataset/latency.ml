@@ -1,48 +1,30 @@
-type params = {
-  routers : int;
-  core_ms_lo : float;
-  core_ms_hi : float;
-  access_mu : float;
-  access_sigma : float;
-  jitter_sigma : float;
-}
+let c = Bwc_metric.Bandwidth.default_c
 
-let default_params =
+(* 20 routers with router-router delays log-uniform in [2, 60] ms and
+   log-normal host access delays (log-ms) *)
+let topology =
   {
-    routers = 20;
-    core_ms_lo = 2.0;
-    core_ms_hi = 60.0;
+    Hier_tree.routers = 20;
+    core_weight_lo = 2.0;
+    core_weight_hi = 60.0;
     access_mu = 1.2;
     access_sigma = 0.5;
-    jitter_sigma = 0.04;
   }
 
-let generate ~rng ?(params = default_params) ?(c = Bwc_metric.Bandwidth.default_c) ~n
-    ~name () =
-  let hier =
-    {
-      Hier_tree.routers = params.routers;
-      core_weight_lo = params.core_ms_lo;
-      core_weight_hi = params.core_ms_hi;
-      access_mu = params.access_mu;
-      access_sigma = params.access_sigma;
-    }
-  in
-  let ms = Hier_tree.distance_matrix ~rng ~params:hier ~n () in
+(* multiplicative log-normal measurement jitter *)
+let jitter_sigma = 0.04
+
+let generate ~rng ~n ~name () =
+  let ms = Hier_tree.distance_matrix ~rng ~params:topology ~n () in
   let bwm =
     Bwc_metric.Dmatrix.of_fun n ~diag:Float.infinity (fun i j ->
-        let jitter =
-          if params.jitter_sigma > 0.0 then
-            exp (params.jitter_sigma *. Bwc_stats.Rng.gaussian rng)
-          else 1.0
-        in
+        let jitter = exp (jitter_sigma *. Bwc_stats.Rng.gaussian rng) in
         c /. (Bwc_metric.Dmatrix.get ms i j *. jitter))
   in
   Dataset.make ~name bwm
 
-let latency_ms ?(c = Bwc_metric.Bandwidth.default_c) ds i j =
-  if i = j then 0.0 else c /. Dataset.bw ds i j
+let latency_ms ds i j = if i = j then 0.0 else c /. Dataset.bw ds i j
 
-let bandwidth_constraint_for ?(c = Bwc_metric.Bandwidth.default_c) ms =
+let bandwidth_constraint_for ms =
   if ms <= 0.0 then invalid_arg "Latency.bandwidth_constraint_for: ms <= 0";
   c /. ms

@@ -12,13 +12,9 @@ let multiplicative ~rng ~sigma ?name ds =
   in
   Dataset.make ~name bwm
 
-let host_drift ~rng ~amplitude ?name ds =
+let host_drift ~rng ~amplitude ds =
   if amplitude < 0.0 then invalid_arg "Noise.host_drift: negative amplitude";
-  let name =
-    match name with
-    | Some n -> n
-    | None -> Printf.sprintf "%s+hostdrift%.2f" ds.Dataset.name amplitude
-  in
+  let name = Printf.sprintf "%s+hostdrift%.2f" ds.Dataset.name amplitude in
   let c = Bwc_metric.Bandwidth.default_c in
   let n = Dataset.size ds in
   let dist i j = c /. Dataset.bw ds i j in

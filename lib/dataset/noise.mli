@@ -12,8 +12,7 @@ val multiplicative :
 (** [multiplicative ~rng ~sigma ds] multiplies each pairwise bandwidth by
     an independent [exp (sigma * N(0,1))] factor. *)
 
-val host_drift :
-  rng:Bwc_stats.Rng.t -> amplitude:float -> ?name:string -> Dataset.t -> Dataset.t
+val host_drift : rng:Bwc_stats.Rng.t -> amplitude:float -> Dataset.t -> Dataset.t
 (** [host_drift ~rng ~amplitude ds] models changing load on access links:
     each host [i] gets a drift term [a_i] added to its leaf distance, so
     the distance of every pair moves by [a_i + a_j] (with
@@ -21,4 +20,5 @@ val host_drift :
     preserves an exact tree metric exactly, which is what physically
     changing link capacities do.  [amplitude] scales the drift relative
     to a quarter of the median pairwise distance; negative drifts are
-    clamped so every bandwidth stays positive and finite. *)
+    clamped so every bandwidth stays positive and finite.  The result is
+    named ["<name>+hostdrift<amplitude>"]. *)

@@ -8,10 +8,7 @@ type entry = {
 
 let default_sigmas = [ 0.0; 0.1; 0.2; 0.4; 0.8; 1.6 ]
 
-let measure ?(epsilon_samples = 20_000) ~rng ds =
-  Bwc_metric.Fourpoint.epsilon_avg ~samples:epsilon_samples ~rng (Dataset.metric ds)
-
-let sweep ~rng ?(sigmas = default_sigmas) ?epsilon_samples ~n () =
+let sweep ~rng ?(sigmas = default_sigmas) ~n () =
   let base =
     Hier_tree.generate ~rng ~n ~name:(Printf.sprintf "tree-base-%d" n) ()
   in
@@ -24,20 +21,8 @@ let sweep ~rng ?(sigmas = default_sigmas) ?epsilon_samples ~n () =
             ~name:(Printf.sprintf "treeness-sigma%.2f" sigma)
             base
       in
-      { dataset; sigma; epsilon_avg = measure ?epsilon_samples ~rng dataset })
+      let epsilon_avg =
+        Bwc_metric.Fourpoint.epsilon_avg ~samples:20_000 ~rng (Dataset.metric dataset)
+      in
+      { dataset; sigma; epsilon_avg })
     sigmas
-
-let subset_with_treeness ~rng ?epsilon_samples ds ~size ~tries ~high =
-  if tries < 1 then invalid_arg "Treeness.subset_with_treeness: tries < 1";
-  let better a b = if high then a > b else a < b in
-  let best = ref None in
-  for _ = 1 to tries do
-    let sub = Dataset.random_subset ds ~rng size in
-    let eps = measure ?epsilon_samples ~rng sub in
-    match !best with
-    | Some (_, e) when not (better eps e) -> ()
-    | _ -> best := Some (sub, eps)
-  done;
-  match !best with
-  | Some (dataset, epsilon_avg) -> { dataset; sigma = Float.nan; epsilon_avg }
-  | None -> assert false

@@ -36,9 +36,12 @@ let record ctx acc ~b = function
 let wpr acc = if acc.pairs = 0 then 0.0 else float_of_int acc.wrong /. float_of_int acc.pairs
 let rr acc = if acc.asked = 0 then 0.0 else float_of_int acc.found /. float_of_int acc.asked
 
-let run ?(rounds = 3) ?(queries_per_round = 200) ?k ?(bins = 6) ~seed dataset =
+(* constraint bins the WPR series is reported in *)
+let bins = 6
+
+let run ?(rounds = 3) ?(queries_per_round = 200) ~seed dataset =
   let n = Bwc_dataset.Dataset.size dataset in
-  let k = match k with Some k -> k | None -> Stdlib.max 2 (n / 20) in
+  let k = Stdlib.max 2 (n / 20) in
   let ((lo, hi) as range) = Workload.bandwidth_range dataset in
   (* One accumulator triple per constraint bin, plus totals. *)
   let per_bin = Array.init bins (fun _ -> (fresh (), fresh (), fresh ())) in

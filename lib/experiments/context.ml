@@ -11,8 +11,8 @@ type t = {
   eucl_index : Kdiam.Index.t;
 }
 
-let create ~seed ?n_cut ?class_count dataset =
-  let sys = Dynamic.create ~seed ?n_cut ?class_count dataset in
+let create ~seed ?n_cut dataset =
+  let sys = Dynamic.create ~seed ?n_cut dataset in
   let tree_index =
     lazy (Index.build (Bwc_predtree.Ensemble.predicted_space (Dynamic.ensemble sys)))
   in

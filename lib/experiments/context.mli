@@ -17,8 +17,9 @@ type t = {
   eucl_index : Bwc_euclid.Kdiam.Index.t;
 }
 
-val create :
-  seed:int -> ?n_cut:int -> ?class_count:int -> Bwc_dataset.Dataset.t -> t
+val create : seed:int -> ?n_cut:int -> Bwc_dataset.Dataset.t -> t
+(** The system is {!Bwc_core.Dynamic.create}'s, with its 8 bandwidth
+    classes. *)
 
 val c : t -> float
 

@@ -19,7 +19,7 @@ type output = {
   rows : row list;
 }
 
-let run ?(ks = [ 3; 5; 8; 12 ]) ?(queries_per_k = 30) ?budget ~seed dataset =
+let run ?(ks = [ 3; 5; 8; 12 ]) ?(queries_per_k = 30) ~seed dataset =
   let space = Dataset.metric dataset in
   (* harder constraints than the accuracy workload: the interesting
      disagreements appear near the top of the bandwidth distribution *)
@@ -36,7 +36,7 @@ let run ?(ks = [ 3; 5; 8; 12 ]) ?(queries_per_k = 30) ?budget ~seed dataset =
         for _ = 1 to queries_per_k do
           let b = Rng.uniform rng lo hi in
           let l = Bwc_metric.Bandwidth.to_distance b in
-          let truth = Clique.exists_cluster ?budget space ~k ~l in
+          let truth = Clique.exists_cluster space ~k ~l in
           (match truth with
           | Clique.Feasible _ -> incr oracle_feasible
           | Clique.Unknown -> incr oracle_unknown

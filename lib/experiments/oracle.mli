@@ -32,11 +32,11 @@ type output = {
 }
 
 val run :
-  ?ks:int list -> ?queries_per_k:int -> ?budget:int -> seed:int ->
-  Bwc_dataset.Dataset.t -> output
+  ?ks:int list -> ?queries_per_k:int -> seed:int -> Bwc_dataset.Dataset.t -> output
 (** Constraints are drawn uniformly from the 50th-98th percentile band
     (disagreements concentrate at demanding constraints); defaults: k in
-    a small sweep, 30 queries per k. *)
+    a small sweep, 30 queries per k.  The oracle runs with
+    {!Bwc_core.Clique.exists_cluster}'s budget. *)
 
 val print : output -> unit
 

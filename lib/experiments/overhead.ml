@@ -19,7 +19,10 @@ type output = {
   rows : row list;
 }
 
-let run ?(sizes = [ 40; 80; 120 ]) ?(repeats = 2) ?(n_cut = 10) ~seed base =
+(* the paper's per-neighbor payload bound *)
+let n_cut = 10
+
+let run ?(sizes = [ 40; 80; 120 ]) ?(repeats = 2) ~seed base =
   let rows =
     List.map
       (fun n ->

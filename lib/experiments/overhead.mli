@@ -29,10 +29,9 @@ type output = {
 }
 
 val run :
-  ?sizes:int list -> ?repeats:int -> ?n_cut:int -> seed:int ->
-  Bwc_dataset.Dataset.t -> output
-(** Subsets of the base dataset; values averaged over [repeats]
-    (default 2). *)
+  ?sizes:int list -> ?repeats:int -> seed:int -> Bwc_dataset.Dataset.t -> output
+(** Subsets of the base dataset at [n_cut] 10; values averaged over
+    [repeats] (default 2). *)
 
 val print : output -> unit
 

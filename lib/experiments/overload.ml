@@ -79,22 +79,22 @@ let script ~rng ~n ~ticks ~per_tick =
              Script.line ~at ~conn:(i mod 4)
                (scripted_line rng ~n ~id:(Printf.sprintf "r%d_%d" at i)))))
 
-let run_once ~config ~seed ~ds entries =
+let run_once ~seed ~ds entries =
   let trace = Trace.create () in
   let dyn = Dynamic.create ~seed ds in
-  let reactor = Reactor.create ~trace config dyn in
+  let reactor = Reactor.create ~trace Reactor.default_config dyn in
   let events = Script.run reactor entries in
   (events, Script.transcript events, Trace.to_jsonl trace)
 
-let arm ~config ~seed ~ds ~n ~ticks ~budget load =
+let arm ~seed ~ds ~n ~ticks ~budget load =
   let entries =
     script
       ~rng:(Rng.create (seed + int_of_float (load *. 1000.)))
       ~n ~ticks
       ~per_tick:(load *. float_of_int budget)
   in
-  let events, t1, tr1 = run_once ~config ~seed ~ds entries in
-  let _, t2, tr2 = run_once ~config ~seed ~ds entries in
+  let events, t1, tr1 = run_once ~seed ~ds entries in
+  let _, t2, tr2 = run_once ~seed ~ds entries in
   let deterministic = String.equal t1 t2 && String.equal tr1 tr2 in
   let answered_live = ref 0
   and answered_degraded = ref 0
@@ -160,15 +160,17 @@ let arm ~config ~seed ~ds ~n ~ticks ~budget load =
     accounted;
   }
 
-let run ?(ticks = 200) ?(loads = [ 0.5; 1.0; 2.0; 4.0 ])
-    ?(config = Reactor.default_config) ~seed ds =
+let run ?(ticks = 200) ~seed ds =
   let n = Bwc_dataset.Dataset.size ds in
-  let budget = config.Reactor.work_budget in
-  let rows = List.map (arm ~config ~seed ~ds ~n ~ticks ~budget) loads in
+  let budget = Reactor.default_config.Reactor.work_budget in
+  let rows = List.map (arm ~seed ~ds ~n ~ticks ~budget) [ 0.5; 1.0; 2.0; 4.0 ] in
   let plateau = List.fold_left (fun m r -> Float.max m r.goodput) 0. rows in
   { dataset = ds.Bwc_dataset.Dataset.name; n; ticks; budget; seed; plateau; rows }
 
-let gate ?(tolerance = 0.10) (out : t) =
+(* how far below the plateau the heaviest arm's goodput may fall *)
+let tolerance = 0.10
+
+let gate (out : t) =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
   List.iter

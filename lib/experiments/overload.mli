@@ -44,20 +44,15 @@ type t = {
   rows : row list;
 }
 
-val run :
-  ?ticks:int ->
-  ?loads:float list ->
-  ?config:Bwc_daemon.Reactor.config ->
-  seed:int ->
-  Bwc_dataset.Dataset.t ->
-  t
-(** Defaults: 200 ticks per arm, loads [[0.5; 1.0; 2.0; 4.0]],
-    {!Bwc_daemon.Reactor.default_config}. *)
+val run : ?ticks:int -> seed:int -> Bwc_dataset.Dataset.t -> t
+(** Loads [[0.5; 1.0; 2.0; 4.0]] through reactors with
+    {!Bwc_daemon.Reactor.default_config}; [ticks] (default 200) per
+    arm. *)
 
-val gate : ?tolerance:float -> t -> string list
+val gate : t -> string list
 (** Failure messages, empty when the gate passes: every arm accounted
     and byte-identical on replay, and the heaviest arm's goodput within
-    [tolerance] (default 10%) of the sweep's plateau. *)
+    10% of the sweep's plateau. *)
 
 val print : t -> unit
 val save_csv : t -> string -> unit

@@ -51,6 +51,21 @@ let fixpoint_matches ~n ens a b =
   done;
   !ok
 
+(* The system E12, E13 and E16 rebuild for every configuration: the
+   ensemble from [seed + 1] and the protocol from [seed + 2], with n_cut
+   4 over five percentile classes, aggregated to quiescence or
+   [max_rounds].  Only the fault plan, the failure detector and the trace
+   sink vary, so any difference in outcome is attributable to them. *)
+let build_system ~seed ~metrics ~faults ~detector ~trace ~max_rounds dataset =
+  let classes = Bwc_core.Classes.of_percentiles ~count:5 dataset in
+  let ens = Ensemble.build ~rng:(Rng.create (seed + 1)) ~metrics (Dataset.metric dataset) in
+  let p =
+    Protocol.create ~rng:(Rng.create (seed + 2)) ~n_cut:4 ~faults ?detector ~metrics ?trace
+      ~classes ens
+  in
+  let rounds = Protocol.run_aggregation ~max_rounds p in
+  (ens, p, rounds)
+
 (* every host except the root gets at most one crash window *)
 let random_crashes ~rng ~n ~crash_rate =
   let crashes = ref [] in
@@ -80,27 +95,18 @@ let measure_rr ~seed ~queries ~hosts ~lo ~hi protocol =
   done;
   (float_of_int !found /. float_of_int queries, !retries)
 
-let run ?(drops = [ 0.0; 0.1; 0.2; 0.3 ]) ?(crash_rates = [ 0.0; 0.15 ])
-    ?(duplicate = 0.1) ?(jitter = 2) ?(queries = 60) ?(max_rounds = 600)
-    ?(n_cut = 4) ?(class_count = 5) ~seed dataset =
+let run ?(drops = [ 0.0; 0.1; 0.2; 0.3 ]) ?(crash_rates = [ 0.0; 0.15 ]) ?(queries = 60)
+    ~seed dataset =
+  let duplicate = 0.1 and jitter = 2 and max_rounds = 600 in
   let n = Dataset.size dataset in
   let hosts = Array.init n Fun.id in
-  let space = Dataset.metric dataset in
-  let classes = Bwc_core.Classes.of_percentiles ~count:class_count dataset in
   let lo, hi = Workload.bandwidth_range dataset in
-  (* identical ensemble and protocol seeds per configuration, so any
-     difference in the outcome is attributable to the fault plan alone;
-     each configuration gets its own registry so its snapshot is a
+  (* each configuration gets its own registry so its snapshot is a
      self-contained record of what the whole stack did *)
-  let build ?faults ~metrics () =
-    let ens = Ensemble.build ~rng:(Rng.create (seed + 1)) ~metrics space in
-    let p =
-      Protocol.create ~rng:(Rng.create (seed + 2)) ~n_cut ?faults ~metrics ~classes ens
-    in
-    let rounds = Protocol.run_aggregation ~max_rounds p in
-    (ens, p, rounds)
+  let build ~faults ~metrics =
+    build_system ~seed ~metrics ~faults ~detector:None ~trace:None ~max_rounds dataset
   in
-  let ens, clean, clean_rounds = build ~metrics:(Registry.create ()) () in
+  let ens, clean, clean_rounds = build ~faults:Fault.none ~metrics:(Registry.create ()) in
   let clean_messages = Protocol.messages_sent clean in
   let rr_clean, _ = measure_rr ~seed:(seed + 3) ~queries ~hosts ~lo ~hi clean in
   let rows =
@@ -120,7 +126,7 @@ let run ?(drops = [ 0.0; 0.1; 0.2; 0.3 ]) ?(crash_rates = [ 0.0; 0.15 ])
               Fault.create ~drop ~duplicate ~jitter ~crashes ~metrics
                 ~rng:(Rng.split crash_rng) ()
             in
-            let _, p, rounds = build ~faults ~metrics () in
+            let _, p, rounds = build ~faults ~metrics in
             let rr, query_retries =
               measure_rr ~seed:(seed + 3) ~queries ~hosts ~lo ~hi p
             in
@@ -218,35 +224,27 @@ let overlay_edges ens =
        (fun h -> List.map (fun c -> (h, c)) (Anchor.children anchor h))
        (Ensemble.members ens))
 
-let recovery ?(victim_counts = [ 1; 2; 3 ]) ?(queries = 60)
-    ?(detector = Detector.default_config) ?(max_rounds = 400) ?(n_cut = 4)
-    ?(class_count = 5) ~seed dataset =
+let recovery ?(victim_counts = [ 1; 2; 3 ]) ?(queries = 60) ~seed dataset =
+  let max_rounds = 400 in
   let n = Dataset.size dataset in
   let hosts = Array.init n Fun.id in
-  let space = Dataset.metric dataset in
-  let classes = Bwc_core.Classes.of_percentiles ~count:class_count dataset in
   let lo, hi = Workload.bandwidth_range dataset in
-  (* both arms of every row rebuild the same converged system (same
-     ensemble and protocol seeds); the only difference is how the crash is
-     handled: detector-driven incremental repair vs an oracle that evicts
-     immediately and re-propagates everything *)
-  let build ?detector () =
-    let metrics = Registry.create () in
-    let ens = Ensemble.build ~rng:(Rng.create (seed + 1)) ~metrics space in
-    let p =
-      Protocol.create ~rng:(Rng.create (seed + 2)) ~n_cut ?detector ~metrics
-        ~classes ens
-    in
-    let rounds = Protocol.run_aggregation ~max_rounds p in
-    (ens, p, rounds)
+  (* both arms of every row rebuild the same converged system; the only
+     difference is how the crash is handled: detector-driven incremental
+     repair vs an oracle that evicts immediately and re-propagates
+     everything *)
+  let build detector =
+    build_system ~seed ~metrics:(Registry.create ()) ~faults:Fault.none ~detector
+      ~trace:None ~max_rounds dataset
   in
-  let _, clean, base_rounds = build ~detector () in
+  let watched = Some Detector.default_config in
+  let _, clean, base_rounds = build watched in
   let rr_clean, _ = measure_rr ~seed:(seed + 3) ~queries ~hosts ~lo ~hi clean in
   let rows =
     List.map
       (fun v ->
-        let ens_inc, p_inc, _ = build ~detector () in
-        let ens_full, p_full, _ = build () in
+        let ens_inc, p_inc, _ = build watched in
+        let ens_full, p_full, _ = build None in
         let victims = pick_victims ~rng:(Rng.create (seed + 11 + v)) ens_inc v in
         let vcount = List.length victims in
         List.iter (Protocol.crash_host p_inc) victims;
@@ -467,8 +465,8 @@ let err_class = function
   | Codec.Bad_checksum -> "bad-checksum"
   | Codec.Corrupt _ -> "corrupt"
 
-let restart ?(queries = 60) ?(max_rounds = 600) ?(n_cut = 4) ?(class_count = 5)
-    ~seed dataset =
+let restart ?(queries = 60) ~seed dataset =
+  let max_rounds = 600 and n_cut = 4 and class_count = 5 in
   let n = Dataset.size dataset in
   let hosts = Array.init n Fun.id in
   let lo, hi = Workload.bandwidth_range dataset in

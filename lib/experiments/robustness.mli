@@ -43,17 +43,14 @@ type output = {
 val run :
   ?drops:float list ->
   ?crash_rates:float list ->
-  ?duplicate:float ->
-  ?jitter:int ->
   ?queries:int ->
-  ?max_rounds:int ->
-  ?n_cut:int ->
-  ?class_count:int ->
   seed:int ->
   Bwc_dataset.Dataset.t ->
   output
-(** Defaults: drops [0; 0.1; 0.2; 0.3], crash rates [0; 0.15],
-    duplicate 0.1, jitter 2, 60 queries, round cap 600. *)
+(** Defaults: drops [0; 0.1; 0.2; 0.3], crash rates [0; 0.15], 60
+    queries.  Every faulty configuration also duplicates 10% of its
+    messages and jitters them by up to 2 rounds; each system comes from
+    {!build_system} with a round cap of 600. *)
 
 val print : output -> unit
 val save_csv : output -> string -> unit
@@ -61,6 +58,22 @@ val save_csv : output -> string -> unit
 val gate : output -> string list
 (** Failure messages, empty when every row converged to the fault-free
     fixed point; each message names its row's drop and crash rates. *)
+
+val build_system :
+  seed:int ->
+  metrics:Bwc_obs.Registry.t ->
+  faults:Bwc_sim.Fault.t ->
+  detector:Bwc_core.Detector.config option ->
+  trace:Bwc_obs.Trace.t option ->
+  max_rounds:int ->
+  Bwc_dataset.Dataset.t ->
+  Bwc_predtree.Ensemble.t * Bwc_core.Protocol.t * int
+(** The system E12, E13 and E16 rebuild for every configuration: the
+    ensemble from [seed + 1] and the protocol from [seed + 2], with
+    [n_cut] 4 over five percentile classes, both writing to [metrics].
+    Returns them with the rounds the aggregation ran, to quiescence or
+    [max_rounds].  Only [faults] ({!Bwc_sim.Fault.none} for a
+    fault-free run), [detector] and [trace] vary between scenarios. *)
 
 val measure_rr :
   seed:int -> queries:int -> hosts:int array -> lo:float -> hi:float ->
@@ -129,15 +142,12 @@ type recovery_output = {
 val recovery :
   ?victim_counts:int list ->
   ?queries:int ->
-  ?detector:Bwc_core.Detector.config ->
-  ?max_rounds:int ->
-  ?n_cut:int ->
-  ?class_count:int ->
   seed:int ->
   Bwc_dataset.Dataset.t ->
   recovery_output
-(** Defaults: victim counts [1; 2; 3], 60 queries,
-    {!Bwc_core.Detector.default_config}, round cap 400. *)
+(** Defaults: victim counts [1; 2; 3], 60 queries.  Systems come from
+    {!build_system} with a round cap of 400; the incremental arm runs
+    {!Bwc_core.Detector.default_config}. *)
 
 val print_recovery : recovery_output -> unit
 val save_recovery_csv : recovery_output -> string -> unit
@@ -192,15 +202,9 @@ type restart_output = {
   rows : restart_row list;
 }
 
-val restart :
-  ?queries:int ->
-  ?max_rounds:int ->
-  ?n_cut:int ->
-  ?class_count:int ->
-  seed:int ->
-  Bwc_dataset.Dataset.t ->
-  restart_output
-(** Defaults: 60 queries, round cap 600, n_cut 4, 5 bandwidth classes. *)
+val restart : ?queries:int -> seed:int -> Bwc_dataset.Dataset.t -> restart_output
+(** Defaults: 60 queries.  Systems run with n_cut 4 over 5 bandwidth
+    classes and a round cap of 600. *)
 
 val print_restart : restart_output -> unit
 val save_restart_csv : restart_output -> string -> unit

@@ -20,13 +20,9 @@ type acc = {
   mutable hops : int;
 }
 
-let run ?ks ?(queries_per_k = 60) ?(rounds = 2) ~seed dataset =
+let run ?(queries_per_k = 60) ?(rounds = 2) ~seed dataset =
   let n = Dataset.size dataset in
-  let ks =
-    match ks with
-    | Some ks -> ks
-    | None -> Workload.k_fraction_range ~n ~lo:0.08 ~hi:0.30 ~steps:4
-  in
+  let ks = Workload.k_fraction_range ~n ~lo:0.08 ~hi:0.30 ~steps:4 in
   let lo, hi = Workload.bandwidth_range dataset in
   let table = Hashtbl.create 8 in
   let acc_for k =

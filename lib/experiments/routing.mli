@@ -22,8 +22,9 @@ type output = {
 }
 
 val run :
-  ?ks:int list -> ?queries_per_k:int -> ?rounds:int -> seed:int ->
-  Bwc_dataset.Dataset.t -> output
+  ?queries_per_k:int -> ?rounds:int -> seed:int -> Bwc_dataset.Dataset.t -> output
+(** Four values of [k] spanning 8%-30% of the dataset; defaults: 60
+    queries per [k] per round, 2 rounds. *)
 
 val print : output -> unit
 

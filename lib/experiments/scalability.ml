@@ -101,7 +101,10 @@ let witness_ok ~dist ~is_member ~k ~l = function
    fresh O(n^3) [Index.build_subset] per event — the original rebuild
    baseline, intractable past a few hundred points, hence size-gated —
    and every probe is differentially compared against it. *)
-let churn_one ~rng ~space ~events ~checks_per_event ~rebuild =
+(* probes re-verified after each membership event *)
+let checks_per_event = 4
+
+let churn_one ~rng ~space ~events ~rebuild =
   let n = space.Bwc_metric.Space.n in
   let dist = Bwc_metric.Space.dist space in
   let is_member = Array.make n false in
@@ -169,8 +172,7 @@ let churn_one ~rng ~space ~events ~checks_per_event ~rebuild =
    churn_storm's n = 384 is the largest size it still covers *)
 let rebuild_max = 384
 
-let churn_sweep ?(sizes = [ 64; 128; 256 ]) ?(events_per_size = 16)
-    ?(checks_per_event = 4) ~seed () =
+let churn_sweep ?(sizes = [ 64; 128; 256 ]) ?(events_per_size = 16) ~seed () =
   List.map
     (fun n ->
       let rng = Rng.create (seed + (13 * n)) in
@@ -178,8 +180,7 @@ let churn_sweep ?(sizes = [ 64; 128; 256 ]) ?(events_per_size = 16)
         Bwc_metric.Space.of_dmatrix
           (Bwc_dataset.Hier_tree.distance_matrix ~rng:(Rng.create (seed + n)) ~n ())
       in
-      churn_one ~rng ~space ~events:events_per_size ~checks_per_event
-        ~rebuild:(n <= rebuild_max))
+      churn_one ~rng ~space ~events:events_per_size ~rebuild:(n <= rebuild_max))
     (List.sort compare sizes)
 
 let churn_gate rows =

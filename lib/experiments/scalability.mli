@@ -59,8 +59,7 @@ type churn_row = {
 }
 
 val churn_sweep :
-  ?sizes:int list -> ?events_per_size:int -> ?checks_per_event:int ->
-  seed:int -> unit -> churn_row list
+  ?sizes:int list -> ?events_per_size:int -> seed:int -> unit -> churn_row list
 (** Defaults: sizes 64/128/256, 16 events per size, 4 probes per event.
     Rows ascend in [n]. *)
 

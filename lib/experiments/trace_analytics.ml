@@ -67,29 +67,23 @@ let row_of ~scenario ~engine_sends report =
     kinds;
   }
 
-(* every scenario rebuilds the same system (same ensemble and protocol
-   seeds) with an unbounded trace sink; the only variation is the fault
-   plan, so the per-scenario attribution tables are directly comparable *)
-let build_system ?faults ?detector ~n_cut ~class_count ~max_rounds ~seed dataset
-    =
-  let space = Dataset.metric dataset in
-  let classes = Bwc_core.Classes.of_percentiles ~count:class_count dataset in
-  let metrics = Registry.create () in
+let max_rounds = 400
+
+(* every scenario rebuilds the E12/E13 system with an unbounded trace
+   sink; the only variation is the fault plan, so the per-scenario
+   attribution tables are directly comparable *)
+let traced_system ~faults ~detector ~seed dataset =
   let trace = Trace.create () in
-  let ens = Ensemble.build ~rng:(Rng.create (seed + 1)) ~metrics space in
-  let p =
-    Protocol.create ~rng:(Rng.create (seed + 2)) ~n_cut ?faults ?detector
-      ~metrics ~trace ~classes ens
+  let ens, p, (_ : int) =
+    Robustness.build_system ~seed ~metrics:(Registry.create ()) ~faults ~detector
+      ~trace:(Some trace) ~max_rounds dataset
   in
-  let (_ : int) = Protocol.run_aggregation ~max_rounds p in
   (ens, p, trace)
 
-let recovery_events ?(victims = 2) ?(queries = 40) ?(max_rounds = 400)
-    ?(n_cut = 4) ?(class_count = 5) ~seed dataset =
+let recovery_events ?(victims = 2) ?(queries = 40) ~seed dataset =
   let lo, hi = Workload.bandwidth_range dataset in
   let ens, p, trace =
-    build_system ~detector:Detector.default_config ~n_cut ~class_count
-      ~max_rounds ~seed dataset
+    traced_system ~faults:Fault.none ~detector:(Some Detector.default_config) ~seed dataset
   in
   let chosen = Robustness.pick_victims ~rng:(Rng.create (seed + 11)) ens victims in
   let vcount = List.length chosen in
@@ -107,9 +101,7 @@ let recovery_events ?(victims = 2) ?(queries = 40) ?(max_rounds = 400)
     (Robustness.measure_rr ~seed:(seed + 3) ~queries ~hosts:live ~lo ~hi p : float * int);
   (Trace.events trace, Protocol.messages_sent p)
 
-let run ?(drop = 0.1) ?(duplicate = 0.05) ?(jitter = 1) ?(victims = 2)
-    ?(queries = 40) ?(max_rounds = 400) ?(n_cut = 4) ?(class_count = 5) ~seed
-    dataset =
+let run ?(victims = 2) ?(queries = 40) ~seed dataset =
   let n = Dataset.size dataset in
   let lo, hi = Workload.bandwidth_range dataset in
   let all_hosts = Array.init n Fun.id in
@@ -121,27 +113,20 @@ let run ?(drop = 0.1) ?(duplicate = 0.05) ?(jitter = 1) ?(victims = 2)
     row_of ~scenario ~engine_sends:(Protocol.messages_sent p) report
   in
   let clean =
-    let _, p, trace =
-      build_system ~n_cut ~class_count ~max_rounds ~seed dataset
-    in
+    let _, p, trace = traced_system ~faults:Fault.none ~detector:None ~seed dataset in
     finish ~scenario:"clean" p trace
   in
   let faulty =
     let faults_metrics = Registry.create () in
     let faults =
-      Fault.create ~drop ~duplicate ~jitter ~metrics:faults_metrics
+      Fault.create ~drop:0.1 ~duplicate:0.05 ~jitter:1 ~metrics:faults_metrics
         ~rng:(Rng.create (seed + 7)) ()
     in
-    let _, p, trace =
-      build_system ~faults ~n_cut ~class_count ~max_rounds ~seed dataset
-    in
+    let _, p, trace = traced_system ~faults ~detector:None ~seed dataset in
     finish ~scenario:"faulty" p trace
   in
   let recovery =
-    let events, engine_sends =
-      recovery_events ~victims ~queries ~max_rounds ~n_cut ~class_count ~seed
-        dataset
-    in
+    let events, engine_sends = recovery_events ~victims ~queries ~seed dataset in
     row_of ~scenario:"recovery" ~engine_sends (Causal.analyze events)
   in
   ({ dataset = dataset.Dataset.name; n; seed; rows = [ clean; faulty; recovery ] }

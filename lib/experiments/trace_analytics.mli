@@ -38,23 +38,21 @@ type row = {
 type output = { dataset : string; n : int; seed : int; rows : row list }
 
 val recovery_events :
-  ?victims:int -> ?queries:int -> ?max_rounds:int -> ?n_cut:int ->
-  ?class_count:int -> seed:int -> Bwc_dataset.Dataset.t ->
+  ?victims:int -> ?queries:int -> seed:int -> Bwc_dataset.Dataset.t ->
   Bwc_obs.Trace.event list * int
-(** The E13-style recovery scenario on its own: detector-watched system,
-    [victims] non-adjacent crashes after convergence, healed to
-    quiescence, then the seeded query stream.  Returns the full event
-    list and the engine's final [msgs_sent] counter (for the exact-sum
-    check).  This is the default scenario behind [bwcluster analyze]. *)
+(** The E13-style recovery scenario on its own: detector-watched system
+    ({!Robustness.build_system}, round cap 400), [victims] non-adjacent
+    crashes after convergence, healed to quiescence, then the seeded
+    query stream.  Returns the full event list and the engine's final
+    [msgs_sent] counter (for the exact-sum check).  This is the default
+    scenario behind [bwcluster analyze]. *)
 
-val run :
-  ?drop:float -> ?duplicate:float -> ?jitter:int -> ?victims:int ->
-  ?queries:int -> ?max_rounds:int -> ?n_cut:int -> ?class_count:int ->
-  seed:int -> Bwc_dataset.Dataset.t -> output
+val run : ?victims:int -> ?queries:int -> seed:int -> Bwc_dataset.Dataset.t -> output
 (** Same seed conventions as {!Robustness}: ensemble [seed+1], protocol
     [seed+2], query stream [seed+3], fault plan [seed+7], victim choice
     [seed+11] — so the scenarios here line up with E12/E13 runs on the
-    same seed. *)
+    same seed.  The faulty scenario drops 10% of messages, duplicates 5%
+    and jitters them by up to one round. *)
 
 val print : output -> unit
 val save_csv : output -> string -> unit

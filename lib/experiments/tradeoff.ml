@@ -13,13 +13,11 @@ type output = {
   rows : row list;
 }
 
-let default_ks n =
-  (* 2 up to ~47% of the system, matching the paper's ranges
-     (k = 2..90 of 190, 2..150 of 317). *)
-  Workload.k_fraction_range ~n ~lo:0.01 ~hi:0.47 ~steps:12
-
-let sweep ~rounds ~per_k ~ks ~n_cut ~seed dataset =
+let sweep ~rounds ~per_k ~n_cut ~seed dataset =
   let n = Bwc_dataset.Dataset.size dataset in
+  (* k from 2 up to ~47% of the system, matching the paper's ranges
+     (k = 2..90 of 190, 2..150 of 317) *)
+  let ks = Workload.k_fraction_range ~n ~lo:0.01 ~hi:0.47 ~steps:12 in
   let found_c = Hashtbl.create 16 and found_d = Hashtbl.create 16 in
   let asked = Hashtbl.create 16 in
   let bump tbl k by =
@@ -53,25 +51,18 @@ let sweep ~rounds ~per_k ~ks ~n_cut ~seed dataset =
   in
   { dataset = dataset.Bwc_dataset.Dataset.name; n_cut; rows }
 
-let run ?(rounds = 5) ?(per_k = 4) ?ks ?(n_cut = 10) ~seed dataset =
-  let ks =
-    match ks with Some ks -> ks | None -> default_ks (Bwc_dataset.Dataset.size dataset)
-  in
-  sweep ~rounds ~per_k ~ks ~n_cut ~seed dataset
+let run ?(rounds = 5) ?(per_k = 4) ~seed dataset =
+  sweep ~rounds ~per_k ~n_cut:10 ~seed dataset
 
 type ablation_row = {
   a_n_cut : int;
   a_rr : float;
 }
 
-let ncut_ablation ?(rounds = 3) ?(per_k = 3) ?ks ?(n_cuts = [ 2; 5; 10; 20 ]) ~seed dataset
-    =
-  let ks =
-    match ks with Some ks -> ks | None -> default_ks (Bwc_dataset.Dataset.size dataset)
-  in
+let ncut_ablation ?(rounds = 3) ?(per_k = 3) ?(n_cuts = [ 2; 5; 10; 20 ]) ~seed dataset =
   List.map
     (fun n_cut ->
-      let out = sweep ~rounds ~per_k ~ks ~n_cut ~seed dataset in
+      let out = sweep ~rounds ~per_k ~n_cut ~seed dataset in
       let found, asked =
         List.fold_left
           (fun (f, a) r ->

@@ -21,12 +21,10 @@ type output = {
   rows : row list; (** ascending k *)
 }
 
-val run :
-  ?rounds:int -> ?per_k:int -> ?ks:int list -> ?n_cut:int -> seed:int ->
-  Bwc_dataset.Dataset.t -> output
-(** Defaults: 5 rounds, 4 queries per [k] per round, [ks] spanning 2 to
-    ~half the dataset, [n_cut] 10 (the paper: 100 rounds, k up to 90/150,
-    n_cut 10). *)
+val run : ?rounds:int -> ?per_k:int -> seed:int -> Bwc_dataset.Dataset.t -> output
+(** Defaults: 5 rounds, 4 queries per [k] per round.  The [k] sweep spans
+    2 to ~half the dataset, at [n_cut] 10 (the paper: 100 rounds, k up
+    to 90/150, n_cut 10). *)
 
 type ablation_row = {
   a_n_cut : int;
@@ -34,8 +32,9 @@ type ablation_row = {
 }
 
 val ncut_ablation :
-  ?rounds:int -> ?per_k:int -> ?ks:int list -> ?n_cuts:int list -> seed:int ->
-  Bwc_dataset.Dataset.t -> ablation_row list
+  ?rounds:int -> ?per_k:int -> ?n_cuts:int list -> seed:int -> Bwc_dataset.Dataset.t ->
+  ablation_row list
+(** The {!run} sweep of [k] at each [n_cut]. *)
 
 val print : output -> unit
 val print_ablation : dataset:string -> ablation_row list -> unit

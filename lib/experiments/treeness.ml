@@ -40,8 +40,14 @@ type acc = {
   mutable count : int;
 }
 
+(* cluster size of every query, f_b bins, and the +-window (Mbps) around
+   [b] whose pair fraction is f_a *)
+let k = 5
+let bins = 6
+let window = 10.0
+
 let run ?(n = 100) ?(sigmas = [ 0.02; 0.05; 0.1; 0.2; 0.4; 0.8 ]) ?(rounds = 2)
-    ?(queries_per_round = 300) ?(k = 5) ?(bins = 6) ?(window = 10.0) ~seed () =
+    ?(queries_per_round = 300) ~seed () =
   let entries =
     Bwc_dataset.Treeness.sweep ~rng:(Rng.create seed) ~sigmas ~n ()
   in

@@ -30,11 +30,12 @@ type curve = {
 type output = { curves : curve list }
 
 val run :
-  ?n:int -> ?sigmas:float list -> ?rounds:int -> ?queries_per_round:int ->
-  ?k:int -> ?bins:int -> ?window:float -> seed:int -> unit -> output
+  ?n:int -> ?sigmas:float list -> ?rounds:int -> ?queries_per_round:int -> seed:int ->
+  unit -> output
 (** Defaults: 100-node datasets, sigmas [0.02 .. 0.8], 2 rounds, 300
-    queries per round, k = 5, 6 f_b bins, [window] 10 Mbps (the paper:
-    six datasets, 10 rounds, 2000 queries). *)
+    queries per round (the paper: six datasets, 10 rounds, 2000
+    queries).  Every query asks for k = 5 hosts; results fall in 6 f_b
+    bins, and [window] is 10 Mbps. *)
 
 val print : output -> unit
 

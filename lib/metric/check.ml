@@ -8,7 +8,13 @@ type report = {
 
 let triple_count n = n * (n - 1) * (n - 2)
 
-let verify ?(tol = 1e-9) ?(max_triples = 200_000) ~rng space =
+(* relative slack on symmetry and the triangle inequality *)
+let tol = 1e-9
+
+(* spaces with more ordered triples than this are sampled *)
+let max_triples = 200_000
+
+let verify ~rng space =
   let n = space.Space.n in
   let d = Space.dist space in
   let non_negative = ref true in

@@ -66,37 +66,6 @@ let reattach t h p =
   Hashtbl.replace t.parents h p;
   Hashtbl.replace t.kids p (h :: Hashtbl.find t.kids p)
 
-(* is [x] inside the subtree rooted at [r]?  Walks the ancestor chain of
-   [x]; tree depth bounds the walk. *)
-let in_subtree t ~root:r x =
-  let rec up y = y = r || (match parent t y with Some p -> up p | None -> false) in
-  up x
-
-let regraft t ~host ~parent:p =
-  if not (mem t host) then invalid_arg "Anchor.regraft: unknown host";
-  if not (mem t p) then invalid_arg "Anchor.regraft: unknown parent";
-  if t.root = Some host then Error `Is_root
-  else if in_subtree t ~root:host p then Error `Would_cycle
-  else begin
-    reattach t host p;
-    Ok ()
-  end
-
-let remove_subtree t h =
-  if not (mem t h) then invalid_arg "Anchor.remove_subtree: unknown host";
-  if t.root = Some h then Error `Is_root
-  else begin
-    let rec collect acc x = List.fold_left collect (x :: acc) (children t x) in
-    let doomed = collect [] h in
-    detach t h;
-    List.iter
-      (fun x ->
-        Hashtbl.remove t.parents x;
-        Hashtbl.remove t.kids x)
-      doomed;
-    Ok (List.sort compare doomed)
-  end
-
 let remove_node t h =
   if not (mem t h) then invalid_arg "Anchor.remove_node: unknown host";
   (* ascending child order keeps the regraft sequence (and everything

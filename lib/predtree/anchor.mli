@@ -19,19 +19,6 @@ val add : t -> parent:int -> int -> unit
 val remove_leaf : t -> int -> (unit, [ `Not_leaf ]) result
 (** Removes a childless, non-root host. *)
 
-(* bwclint: allow test-only-export -- test/test_predtree.ml (anchor regraft) is the only caller; deleting it with that test is queued on ROADMAP *)
-val regraft : t -> host:int -> parent:int -> (unit, [ `Is_root | `Would_cycle ]) result
-(** [regraft t ~host ~parent] detaches [host] (with its whole subtree)
-    from its current parent and re-attaches it under [parent] — the
-    self-healing repair primitive.  The root cannot be regrafted
-    ([`Is_root]); a parent inside [host]'s own subtree is rejected
-    ([`Would_cycle]).  Unknown hosts raise [Invalid_argument]. *)
-
-(* bwclint: allow test-only-export -- test/test_predtree.ml (anchor remove subtree) is the only caller; deleting it with that test is queued on ROADMAP *)
-val remove_subtree : t -> int -> (int list, [ `Is_root ]) result
-(** Removes the host and its entire subtree; returns the removed hosts in
-    ascending order.  Unknown hosts raise [Invalid_argument]. *)
-
 val remove_node : t -> int -> ((int * int) list, [ `Last_host ]) result
 (** Crash repair: removes a (possibly interior) host, re-grafting each
     orphaned child to the host's own parent — the grandparent.  A dead

@@ -17,16 +17,16 @@ let keys t =
   (* bwclint: allow no-unordered-hashtbl-iter -- key collection is order-independent: the result is sorted and deduplicated before any use *)
   Hashtbl.fold (fun k _ acc -> k :: acc) t []
 
-let sorted_keys ?(cmp = Stdlib.compare) t = List.sort_uniq cmp (keys t)
+let sorted_keys t = List.sort_uniq Stdlib.compare (keys t)
 
-let iter_sorted ?cmp f t =
+let iter_sorted f t =
   List.iter
     (fun k -> match Hashtbl.find_opt t k with Some v -> f k v | None -> ())
-    (sorted_keys ?cmp t)
+    (sorted_keys t)
 
-let fold_sorted ?cmp f t init =
+let fold_sorted f t init =
   List.fold_left
     (fun acc k ->
       match Hashtbl.find_opt t k with Some v -> f k v acc | None -> acc)
     init
-    (sorted_keys ?cmp t)
+    (sorted_keys t)

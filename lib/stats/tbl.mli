@@ -5,18 +5,16 @@
     results are reproducible run-to-run.  The [no-unordered-hashtbl-iter]
     lint rule (see [bin/bwclint.ml]) directs offending call sites here.
 
-    Only the most-recent binding of each key is visited; [cmp] defaults
-    to [Stdlib.compare]. *)
+    Only the most-recent binding of each key is visited; keys are
+    ordered by [Stdlib.compare]. *)
 
-val sorted_keys : ?cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k list
-(** Distinct keys in ascending [cmp] order. *)
+val sorted_keys : ('k, 'v) Hashtbl.t -> 'k list
+(** Distinct keys in ascending order. *)
 
-val iter_sorted :
-  ?cmp:('k -> 'k -> int) -> ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
+val iter_sorted : ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
 (** [iter_sorted f t] applies [f] to each binding in ascending key order. *)
 
 val fold_sorted :
-  ?cmp:('k -> 'k -> int) ->
   ('k -> 'v -> 'acc -> 'acc) ->
   ('k, 'v) Hashtbl.t ->
   'acc ->

@@ -1037,6 +1037,26 @@ let test_epoch_monotone_across_repairs () =
   Alcotest.(check int) "epoch preserved by dump round trip" (epoch p)
     (epoch p2)
 
+let test_of_dump_pacing_constants () =
+  (* an image records the retransmission pacing it ran under; a restored
+     protocol runs under this build's constants, so other values are
+     refused rather than silently replaced *)
+  let ds = small_dataset ~seed:96 12 in
+  let classes = Classes.of_percentiles ~count:5 ds in
+  let ens = Ensemble.build ~rng:(Rng.create 97) (Bwc_dataset.Dataset.metric ds) in
+  let p = Protocol.create ~rng:(Rng.create 98) ~n_cut:4 ~classes ens in
+  let (_ : int) = Protocol.run_aggregation p in
+  let d = Protocol.dump p in
+  let refused field d =
+    Alcotest.check_raises field
+      (Invalid_argument ("Protocol.of_dump: " ^ field ^ " differs"))
+      (fun () -> ignore (Protocol.of_dump ~classes ens d))
+  in
+  refused "resend_timeout" { d with Protocol.d_resend_timeout = 4 };
+  refused "max_retransmits" { d with Protocol.d_max_retransmits = 0 };
+  Alcotest.(check bool) "own dump restores quiescent" true
+    (Protocol.quiescent (Protocol.of_dump ~classes ens d))
+
 let test_dynamic_empty_members_query () =
   (* satellite regression: a query against an empty membership must be a
      clean miss, not an Rng.choose crash *)
@@ -1785,6 +1805,8 @@ let () =
             test_detector_config_validation;
           Alcotest.test_case "epoch monotone across repairs" `Quick
             test_epoch_monotone_across_repairs;
+          Alcotest.test_case "restore needs this build's retransmission pacing" `Quick
+            test_of_dump_pacing_constants;
           Alcotest.test_case "query on empty membership" `Quick
             test_dynamic_empty_members_query;
           Alcotest.test_case "hop budget caps forwarding" `Quick test_query_hop_budget;

@@ -184,6 +184,27 @@ let test_meas_ack_not_applied () =
   check_strings "meas acked, not applied" [ "ACK m1 class=meas applied=0" ]
     (render_all (Reactor.tick r ~now:1))
 
+(* a bandwidth must be positive and finite: nan, inf and an overflowing
+   literal are refused at the door, and no refused MEAS counts toward
+   the repropagation cadence *)
+let test_non_finite_bandwidth () =
+  let metrics = Registry.create () in
+  let r = reactor ~metrics () in
+  let refused line = render_all (Reactor.handle_line r ~now:0 ~conn:0 line) in
+  List.iter
+    (fun b ->
+      check_strings ("QUERY b=" ^ b)
+        [ "REJECTED q1 reason=bad_request attempts=0" ]
+        (refused ("QUERY q1 k=3 b=" ^ b));
+      check_strings ("MEAS bw=" ^ b)
+        [ "REJECTED m1 reason=bad_measurement attempts=0" ]
+        (refused ("MEAS m1 src=1 dst=2 bw=" ^ b)))
+    [ "nan"; "inf"; "-inf"; "1e400" ];
+  check_strings "nothing admitted, nothing answered" []
+    (render_all (Reactor.tick r ~now:1));
+  Alcotest.(check int) "no admissions" 0
+    (Registry.sum_by_name (Registry.snapshot metrics) "daemon.admitted")
+
 (* ----- graceful degradation ----- *)
 
 let test_degraded_staleness () =
@@ -670,6 +691,8 @@ let () =
           Alcotest.test_case "shed pressure" `Quick test_shed_pressure;
           Alcotest.test_case "deadline timeout" `Quick test_deadline_timeout;
           Alcotest.test_case "meas ack not applied" `Quick test_meas_ack_not_applied;
+          Alcotest.test_case "non-finite bandwidth rejected" `Quick
+            test_non_finite_bandwidth;
           Alcotest.test_case "degraded staleness" `Quick test_degraded_staleness;
           Alcotest.test_case "watchdog degrades" `Quick test_watchdog_degrades;
           Alcotest.test_case "retry backoff" `Quick test_retry_backoff;

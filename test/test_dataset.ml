@@ -198,21 +198,6 @@ let test_treeness_sweep_monotone () =
         && b.Bwc_dataset.Treeness.epsilon_avg < c.Bwc_dataset.Treeness.epsilon_avg)
   | _ -> Alcotest.fail "expected three entries"
 
-let test_subset_with_treeness () =
-  let base = Bwc_dataset.Planetlab.generate ~rng:(Rng.create 19) ~name:"b"
-      { Bwc_dataset.Planetlab.hp_target with n = 60 } in
-  let hi =
-    Bwc_dataset.Treeness.subset_with_treeness ~rng:(Rng.create 20) base ~size:30 ~tries:4
-      ~high:true
-  in
-  let lo =
-    Bwc_dataset.Treeness.subset_with_treeness ~rng:(Rng.create 20) base ~size:30 ~tries:4
-      ~high:false
-  in
-  Alcotest.(check int) "size" 30 (Dataset.size hi.Bwc_dataset.Treeness.dataset);
-  Alcotest.(check bool) "ordering" true
-    (lo.Bwc_dataset.Treeness.epsilon_avg <= hi.Bwc_dataset.Treeness.epsilon_avg)
-
 (* ----- qcheck ----- *)
 
 let qcheck_tests =
@@ -279,9 +264,6 @@ let () =
           Alcotest.test_case "nearly tree metric" `Quick test_latency_nearly_tree_metric;
         ] );
       ( "treeness",
-        [
-          Alcotest.test_case "sweep monotone" `Quick test_treeness_sweep_monotone;
-          Alcotest.test_case "subset selection" `Quick test_subset_with_treeness;
-        ] );
+        [ Alcotest.test_case "sweep monotone" `Quick test_treeness_sweep_monotone ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

@@ -174,43 +174,6 @@ let test_anchor_remove_leaf_errors () =
     (Invalid_argument "Anchor.remove_leaf: unknown host") (fun () ->
       ignore (Anchor.remove_leaf a 9))
 
-let test_anchor_regraft () =
-  let a = repair_fixture () in
-  (match Anchor.regraft a ~host:0 ~parent:4 with
-  | Error `Is_root -> ()
-  | _ -> Alcotest.fail "root regraft must be refused");
-  (match Anchor.regraft a ~host:1 ~parent:3 with
-  | Error `Would_cycle -> ()
-  | _ -> Alcotest.fail "regraft under own descendant must be refused");
-  (match Anchor.regraft a ~host:1 ~parent:1 with
-  | Error `Would_cycle -> ()
-  | _ -> Alcotest.fail "regraft under itself must be refused");
-  Alcotest.check_raises "unknown host"
-    (Invalid_argument "Anchor.regraft: unknown host") (fun () ->
-      ignore (Anchor.regraft a ~host:9 ~parent:0));
-  (* move the whole 1-subtree under the deepest leaf of the other branch *)
-  (match Anchor.regraft a ~host:1 ~parent:5 with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "valid regraft refused");
-  Alcotest.(check (option int)) "new parent" (Some 5) (Anchor.parent a 1);
-  Alcotest.(check (list int)) "old parent forgot it" [ 4 ] (Anchor.children a 0);
-  Alcotest.(check int) "subtree depth recomputed" 4 (Anchor.depth a 2);
-  check_anchor_tree a [ 0; 1; 2; 3; 4; 5 ]
-
-let test_anchor_remove_subtree () =
-  let a = repair_fixture () in
-  (match Anchor.remove_subtree a 0 with
-  | Error `Is_root -> ()
-  | Ok _ -> Alcotest.fail "root subtree removal must be refused");
-  Alcotest.check_raises "unknown host"
-    (Invalid_argument "Anchor.remove_subtree: unknown host") (fun () ->
-      ignore (Anchor.remove_subtree a 9));
-  (match Anchor.remove_subtree a 1 with
-  | Ok doomed -> Alcotest.(check (list int)) "removed, ascending" [ 1; 2; 3 ] doomed
-  | Error `Is_root -> Alcotest.fail "1 is not the root");
-  Alcotest.(check bool) "gone" false (Anchor.mem a 2);
-  check_anchor_tree a [ 0; 4; 5 ]
-
 let test_anchor_remove_node () =
   (* interior node: orphans regraft to the grandparent *)
   let a = repair_fixture () in
@@ -531,8 +494,6 @@ let () =
           Alcotest.test_case "remove leaf" `Quick test_anchor_remove_leaf;
           Alcotest.test_case "remove leaf error paths" `Quick
             test_anchor_remove_leaf_errors;
-          Alcotest.test_case "regraft" `Quick test_anchor_regraft;
-          Alcotest.test_case "remove subtree" `Quick test_anchor_remove_subtree;
           Alcotest.test_case "remove node" `Quick test_anchor_remove_node;
         ] );
       ( "label",

@@ -1,9 +1,8 @@
-(* Tests for bwc_sim: the event queue, the round-based engine's delivery
+(* Tests for bwc_sim: the round-based engine's delivery
    semantics (messages arrive next round, inactive nodes are isolated,
    quiescence is detected), and churn schedules. *)
 
 module Rng = Bwc_stats.Rng
-module Event_queue = Bwc_sim.Event_queue
 module Engine = Bwc_sim.Engine
 module Churn = Bwc_sim.Churn
 module Fault = Bwc_sim.Fault
@@ -33,61 +32,6 @@ let all_events c ~rounds =
   List.concat_map
     (fun r -> List.map (fun ev -> (r, ev)) (Churn.events_at c r))
     (List.init rounds Fun.id)
-
-(* ----- Event_queue ----- *)
-
-let test_eq_ordering () =
-  let q = Event_queue.create () in
-  Event_queue.add q ~time:3.0 "c";
-  Event_queue.add q ~time:1.0 "a";
-  Event_queue.add q ~time:2.0 "b";
-  let pop () = snd (Option.get (Event_queue.pop q)) in
-  let first = pop () in
-  let second = pop () in
-  let third = pop () in
-  let order = [ first; second; third ] in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] order;
-  Alcotest.(check bool) "empty" true (Event_queue.is_empty q)
-
-let test_eq_fifo_ties () =
-  let q = Event_queue.create () in
-  Event_queue.add q ~time:1.0 "first";
-  Event_queue.add q ~time:1.0 "second";
-  Event_queue.add q ~time:1.0 "third";
-  let pop () = snd (Option.get (Event_queue.pop q)) in
-  let a = pop () in
-  let b = pop () in
-  let c = pop () in
-  Alcotest.(check (list string)) "insertion order" [ "first"; "second"; "third" ] [ a; b; c ]
-
-let test_eq_drain_until () =
-  let q = Event_queue.create () in
-  List.iter (fun t -> Event_queue.add q ~time:t t) [ 5.0; 1.0; 3.0; 7.0 ];
-  let drained = Event_queue.drain_until q ~time:4.0 in
-  Alcotest.(check (list (float 1e-9))) "times" [ 1.0; 3.0 ] (List.map fst drained);
-  Alcotest.(check int) "left" 2 (Event_queue.size q)
-
-let test_eq_rejects_negative () =
-  let q = Event_queue.create () in
-  Alcotest.check_raises "negative" (Invalid_argument "Event_queue.add: negative time")
-    (fun () -> Event_queue.add q ~time:(-1.0) ())
-
-let test_eq_heap_stress () =
-  let rng = Rng.create 3 in
-  let q = Event_queue.create () in
-  for _ = 1 to 500 do
-    Event_queue.add q ~time:(Rng.float rng 100.0) ()
-  done;
-  let last = ref neg_infinity in
-  let rec drain () =
-    match Event_queue.pop q with
-    | None -> ()
-    | Some (t, ()) ->
-        if t < !last then Alcotest.fail "heap order violated";
-        last := t;
-        drain ()
-  in
-  drain ()
 
 (* ----- Engine ----- *)
 
@@ -452,14 +396,6 @@ let test_churn_root_protected () =
 let () =
   Alcotest.run "bwc_sim"
     [
-      ( "event_queue",
-        [
-          Alcotest.test_case "ordering" `Quick test_eq_ordering;
-          Alcotest.test_case "FIFO ties" `Quick test_eq_fifo_ties;
-          Alcotest.test_case "drain_until" `Quick test_eq_drain_until;
-          Alcotest.test_case "rejects negative time" `Quick test_eq_rejects_negative;
-          Alcotest.test_case "heap stress" `Quick test_eq_heap_stress;
-        ] );
       ( "engine",
         [
           Alcotest.test_case "next-round delivery" `Quick test_engine_next_round_delivery;
