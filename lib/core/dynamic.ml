@@ -98,7 +98,7 @@ let apply_deferred t events =
           end
       | Bwc_sim.Churn.Leave h ->
           if is_member t h && member_count t > 1 then begin
-            Ensemble.remove_host ~rng:(Rng.split t.rng) t.fw h;
+            let (_ : (int * int) list) = Ensemble.evict_host t.fw h in
             index_leave t h;
             incr applied
           end)

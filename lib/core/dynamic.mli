@@ -14,10 +14,12 @@
     ]}
 
     A join inserts the host into every prediction tree of the ensemble
-    (the same Gromov placement a bootstrap uses) and a leave splices it
-    out (or rebuilds when other hosts anchor beneath it); after each batch
-    of membership changes the aggregation protocols re-run to quiescence,
-    so cluster routing tables always describe the current overlay.
+    (the same Gromov placement a bootstrap uses, or the revival of the
+    host's ghost) and a leave evicts it exactly as crash repair does
+    ({!Bwc_predtree.Ensemble.evict_host}: no rebuild, surviving labels
+    unchanged); after each batch of membership changes the aggregation
+    protocols re-run to quiescence, so cluster routing tables always
+    describe the current overlay.
 
     The system also keeps the centralized Algorithm-1 comparison alive
     under churn: a {!Bwc_core.Find_cluster.Index} over the measured metric

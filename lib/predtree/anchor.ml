@@ -31,18 +31,6 @@ let children t h = match Hashtbl.find_opt t.kids h with Some c -> c | None -> []
 
 let parent t h = Hashtbl.find_opt t.parents h
 
-let remove_leaf t h =
-  if not (mem t h) then invalid_arg "Anchor.remove_leaf: unknown host";
-  if children t h <> [] || t.root = Some h then Error `Not_leaf
-  else begin
-    (match parent t h with
-    | Some p -> Hashtbl.replace t.kids p (List.filter (fun c -> c <> h) (Hashtbl.find t.kids p))
-    | None -> ());
-    Hashtbl.remove t.parents h;
-    Hashtbl.remove t.kids h;
-    Ok ()
-  end
-
 (* ----- self-healing repair primitives -----
 
    Crash repair re-wires the overlay locally instead of rebuilding it:

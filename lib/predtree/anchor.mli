@@ -16,9 +16,6 @@ val add : t -> parent:int -> int -> unit
 (** [add t ~parent h] attaches host [h] under [parent].  [parent] must be
     present already; [h] must not. *)
 
-val remove_leaf : t -> int -> (unit, [ `Not_leaf ]) result
-(** Removes a childless, non-root host. *)
-
 val remove_node : t -> int -> ((int * int) list, [ `Last_host ]) result
 (** Crash repair: removes a (possibly interior) host, re-grafting each
     orphaned child to the host's own parent — the grandparent.  A dead

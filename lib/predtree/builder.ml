@@ -3,9 +3,10 @@ type end_strategy = [ `Exact | `Anchor_guided of int ]
 
 let gromov ~d ~x ~y ~z = (d z x +. d z y -. d x y) /. 2.0
 
-type outcome = {
-  base : int;
-  end_node : int;
+type placement = {
+  anchor_host : int;
+  offset : float;
+  leaf : float;
   measurements : int;
 }
 
@@ -81,34 +82,23 @@ let select_end ~d ~anchor ~strategy ~x ~z ~candidates =
       if Float.equal !best_g Float.neg_infinity then invalid_arg "Builder.select_end: no candidate"
       else (!best_host, !measured)
 
-let add_host ~d ~rng ~base ~strategy ~tree ~anchor ~labels x =
-  let present = Tree.hosts tree in
-  match present with
-  | [] ->
-      let (_ : Tree.vertex) = Tree.add_first_host tree ~host:x in
-      Anchor.set_root anchor x;
-      Hashtbl.replace labels x Label.root;
-      { base = x; end_node = x; measurements = 0 }
+let place ~d ~rng ~base ~strategy ~tree ~anchor ~members x =
+  match members with
+  | [] -> invalid_arg "Builder.place: no member"
   | [ only ] ->
-      let w = d only x in
+      let v = Tree.vertex_of_host tree only in
+      let leaf = d only x in
       let _hv, _inner, anchor_host, offset =
-        Tree.add_host tree ~host:x
-          ~between:(Tree.vertex_of_host tree only, Tree.vertex_of_host tree only)
-          ~at:0.0 ~leaf_weight:w
+        Tree.add_host tree ~host:x ~between:(v, v) ~at:0.0 ~leaf_weight:leaf
       in
-      (* [Tree.add_host] special-cases the one-host tree and ignores
-         [between]/[at]; [only]'s vertex acts as the inner node. *)
-      Anchor.add anchor ~parent:anchor_host x;
-      Hashtbl.replace labels x
-        (Label.extend (Hashtbl.find labels anchor_host) ~host:x ~offset ~leaf:w);
-      { base = only; end_node = only; measurements = 1 }
+      { anchor_host; offset; leaf; measurements = 1 }
   | _ :: _ :: _ ->
       let z =
         match base with
         | `Root -> Anchor.root anchor
-        | `Random -> Bwc_stats.Rng.choose rng (Array.of_list present)
+        | `Random -> Bwc_stats.Rng.choose rng (Array.of_list members)
       in
-      let y, m = select_end ~d ~anchor ~strategy ~x ~z ~candidates:present in
+      let y, m = select_end ~d ~anchor ~strategy ~x ~z ~candidates:members in
       let gp = gromov ~d ~x ~y ~z in
       let leaf = Float.max 0.0 (gromov ~d ~x:y ~y:z ~z:x) in
       let _hv, _inner, anchor_host, offset =
@@ -116,9 +106,6 @@ let add_host ~d ~rng ~base ~strategy ~tree ~anchor ~labels x =
           ~between:(Tree.vertex_of_host tree z, Tree.vertex_of_host tree y)
           ~at:gp ~leaf_weight:leaf
       in
-      Anchor.add anchor ~parent:anchor_host x;
-      Hashtbl.replace labels x
-        (Label.extend (Hashtbl.find labels anchor_host) ~host:x ~offset ~leaf);
       (* +2 accounts for measuring x against the base and the end node
          during placement (already counted if the search touched them). *)
-      { base = z; end_node = y; measurements = m + 1 }
+      { anchor_host; offset; leaf; measurements = m + 1 }

@@ -6,7 +6,7 @@
     edge weight [(y|z)_x].
 
     Two end-node search strategies are provided:
-    - [`Exact]: argmax over every present host — what a centralised
+    - [`Exact]: argmax over every member — what a centralised
       builder with full measurements would do;
     - [`Anchor_guided budget]: budgeted best-first search over the
       anchor tree, the decentralised strategy of the authors' prediction
@@ -20,22 +20,26 @@ type end_strategy = [ `Exact | `Anchor_guided of int ]
 val gromov : d:(int -> int -> float) -> x:int -> y:int -> z:int -> float
 (** [(x|y)_z = (d z x + d z y - d x y) / 2]. *)
 
-type outcome = {
-  base : int;
-  end_node : int;
+type placement = {
+  anchor_host : int;  (** owner of the edge the inner node landed on *)
+  offset : float;  (** tree distance from the anchor host's vertex to the inner node *)
+  leaf : float;  (** weight of the new leaf edge *)
   measurements : int;  (** pairwise measurements charged to this addition *)
 }
 
-val add_host :
+val place :
   d:(int -> int -> float) ->
   rng:Bwc_stats.Rng.t ->
   base:base_strategy ->
   strategy:end_strategy ->
   tree:Tree.t ->
   anchor:Anchor.t ->
-  labels:(int, Label.t) Hashtbl.t ->
+  members:int list ->
   int ->
-  outcome
-(** Performs the full addition of one host: updates [tree], [anchor] and
-    [labels].  The first two hosts are handled specially (root, then the
-    root's single child). *)
+  placement
+(** Places a joining host into [tree], which must hold every one of
+    [members] (ascending host ids; the anchor overlay holds exactly
+    them).  The base, the end-node candidates and every measured host
+    are members.  With a single member the host hangs directly off its
+    vertex.  The caller derives the label and the overlay parent from
+    the placement. *)

@@ -28,10 +28,9 @@ let member_at t i = Framework.member_at t.frameworks.(0) i
 let is_member t h = Framework.is_member t.frameworks.(0) h
 
 let add_host ~rng t h = Array.iter (fun fw -> Framework.add_host ~rng fw h) t.frameworks
-let remove_host ~rng t h = Array.iter (fun fw -> Framework.remove_host ~rng fw h) t.frameworks
 
-(* crash repair: every tree evicts; the primary's regrafts describe the
-   overlay the protocols run on *)
+(* every tree evicts; the primary's regrafts describe the overlay the
+   protocols run on *)
 let evict_host t h =
   let primary_regrafts = ref [] in
   Array.iteri

@@ -45,17 +45,16 @@ val member_at : t -> int -> int
 val is_member : t -> int -> bool
 
 val add_host : rng:Bwc_stats.Rng.t -> t -> int -> unit
-(** Joins the host into every tree of the ensemble. *)
-
-val remove_host : rng:Bwc_stats.Rng.t -> t -> int -> unit
-(** Removes the host from every tree (see {!Framework.remove_host}). *)
+(** Joins the host into every tree of the ensemble; a tree that still
+    holds the host's ghost revives it (see {!Framework.add_host}). *)
 
 val evict_host : t -> int -> (int * int) list
-(** Crash repair: evicts the host from every tree without a rebuild (see
-    {!Framework.evict_host}); orphaned overlay children regraft to their
-    grandparent.  Returns the {e primary} overlay's
-    [(child, new_parent)] regrafts — the repair the clustering protocols
-    must re-aggregate over. *)
+(** The one removal path, for a graceful leave and a crash alike: evicts
+    the host from every tree without a rebuild (see
+    {!Framework.evict_host}); surviving labels stay bit-identical and
+    orphaned overlay children regraft to their grandparent.  Returns the
+    {e primary} overlay's [(child, new_parent)] regrafts — the repair
+    the clustering protocols must re-aggregate over. *)
 
 val primary : t -> Framework.t
 (* bwclint: allow test-only-export -- reference oracle: the per-tree predictions test/test_predtree.ml checks the ensemble median against *)

@@ -13,8 +13,8 @@ let centralized_mode = { base = `Root; end_search = `Exact }
 type t = {
   space : Space.t;
   mode : mode;
-  mutable tree : Tree.t;
-  mutable anchor : Anchor.t;
+  tree : Tree.t;
+  anchor : Anchor.t;
   labels : (int, Label.t) Hashtbl.t;
   (* reverse insertion order (newest member first): joins prepend in
      O(1) instead of copying the whole list with [@ [h]]; [members]
@@ -23,12 +23,49 @@ type t = {
   c_measurements : Registry.Counter.t;
 }
 
-let insert ~rng t host =
-  let outcome =
-    Builder.add_host ~d:(Space.dist t.space) ~rng ~base:t.mode.base
-      ~strategy:t.mode.end_search ~tree:t.tree ~anchor:t.anchor ~labels:t.labels host
+let is_member t h = Hashtbl.mem t.labels h
+
+(* A ghost's label is the prefix of every member label whose chain passes
+   through it; eviction keeps at least one such member. *)
+let tree_label t h =
+  match Hashtbl.find_opt t.labels h with
+  | Some l -> l
+  | None ->
+      let prefix m =
+        let l = Hashtbl.find t.labels m in
+        Option.map (fun i -> Array.sub l 0 (i + 1))
+          (Array.find_index (fun (e : Label.entry) -> e.host = h) l)
+      in
+      Option.get (List.find_map prefix (Bwc_stats.Tbl.sorted_keys t.labels))
+
+(* [h] takes its label [l] and hangs in the overlay under the nearest
+   member up its chain, or else under the overlay root *)
+let attach t h (l : Label.t) =
+  let rec up i =
+    if i < 0 then Anchor.root t.anchor
+    else if is_member t l.(i).host then l.(i).host
+    else up (i - 1)
   in
-  Registry.Counter.incr ~by:outcome.Builder.measurements t.c_measurements
+  Anchor.add t.anchor ~parent:(up (Array.length l - 2)) h;
+  Hashtbl.replace t.labels h l
+
+let insert ~rng t host =
+  if Hashtbl.length t.labels = 0 then begin
+    let (_ : Tree.vertex) = Tree.add_first_host t.tree ~host in
+    Anchor.set_root t.anchor host;
+    Hashtbl.replace t.labels host Label.root
+  end
+  else begin
+    let p =
+      Builder.place ~d:(Space.dist t.space) ~rng ~base:t.mode.base
+        ~strategy:t.mode.end_search ~tree:t.tree ~anchor:t.anchor
+        ~members:(Bwc_stats.Tbl.sorted_keys t.labels) host
+    in
+    Registry.Counter.incr ~by:p.Builder.measurements t.c_measurements;
+    attach t host
+      (Label.extend (tree_label t p.Builder.anchor_host) ~host ~offset:p.Builder.offset
+         ~leaf:p.Builder.leaf)
+  end
 
 let check_host t h =
   if h < 0 || h >= t.space.Space.n then invalid_arg "Framework: host id out of range"
@@ -65,7 +102,6 @@ let build ~rng ?(mode = default_mode) ?members ?metrics ?(metric_labels = []) sp
 let size t = Hashtbl.length t.labels
 let tree t = t.tree
 let anchor t = t.anchor
-let is_member t h = Hashtbl.mem t.labels h
 let members t = List.rev t.rev_order
 
 (* position [i] of [members t], walked off the reverse list without
@@ -86,54 +122,32 @@ let predicted t i j = Label.dist (label t i) (label t j)
 
 let measurements_total t = Registry.Counter.value t.c_measurements
 
-let rebuild ~rng t =
-  t.tree <- Tree.create ();
-  Hashtbl.reset t.labels;
-  t.anchor <- Anchor.create ();
-  List.iter (insert ~rng t) (members t)
-
+(* A ghost rejoins as itself: its vertex and label are still in the tree,
+   so it takes no measurement. *)
 let add_host ~rng t h =
   check_host t h;
   if is_member t h then invalid_arg "Framework.add_host: already a member";
   (* membership is recorded only once the placement has succeeded *)
-  insert ~rng t h;
+  if Tree.mem t.tree h then attach t h (tree_label t h) else insert ~rng t h;
   t.rev_order <- h :: t.rev_order
 
-(* Splice the leaf out when nothing anchors beneath it; otherwise rebuild
-   the whole framework from the remaining members (their labels would
-   dangle). *)
-let remove_host ~rng t h =
-  check_host t h;
-  if not (is_member t h) then invalid_arg "Framework.remove_host: not a member";
-  if size t <= 1 then invalid_arg "Framework.remove_host: cannot empty the framework";
-  t.rev_order <- List.filter (fun x -> x <> h) t.rev_order;
-  if Anchor.root t.anchor = h then rebuild ~rng t
-  else begin
-    match Tree.remove_host t.tree ~host:h with
-    | Ok () -> (
-        match Anchor.remove_leaf t.anchor h with
-        | Ok () -> Hashtbl.remove t.labels h
-        | Error `Not_leaf ->
-            (* the two structures disagree; cannot happen, but fail safe *)
-            rebuild ~rng t)
-    | Error `Has_dependents -> rebuild ~rng t
-  end
-
-(* Crash-time removal: a dead host cannot be asked to hand over its role
-   in the embedding, so (unlike [remove_host]) eviction never rebuilds.
-   Membership and the label are dropped, the anchor overlay is repaired
-   locally (orphans regraft to the grandparent), and the prediction-tree
-   geometry the host contributed is retained whenever other placements
-   depend on it — survivors' labels stay valid, the dead host just can no
-   longer be queried. *)
+(* Every removal is an eviction: the host leaves membership and the
+   overlay (orphans regraft to the grandparent), and the tree splices it
+   out unless a placement depends on it, in which case it stays as a
+   ghost and every label stays valid.  A ghost whose last dependent goes
+   is spliced too, up the chain. *)
 let evict_host t h =
   check_host t h;
   if not (is_member t h) then invalid_arg "Framework.evict_host: not a member";
   if size t <= 1 then invalid_arg "Framework.evict_host: cannot empty the framework";
+  let chain = label t h in
   t.rev_order <- List.filter (fun x -> x <> h) t.rev_order;
   Hashtbl.remove t.labels h;
-  (match Tree.remove_host t.tree ~host:h with
-  | Ok () | Error `Has_dependents -> ());
+  let rec splice i g =
+    if Tree.remove_host t.tree ~host:g && i >= 0 && not (is_member t chain.(i).host) then
+      splice (i - 1) chain.(i).host
+  in
+  splice (Array.length chain - 2) h;
   match Anchor.remove_node t.anchor h with
   | Ok regrafts -> regrafts
   | Error `Last_host ->
@@ -184,6 +198,16 @@ let of_dump ?metrics ?(metric_labels = []) space d =
   List.iter
     (fun h -> if not (Anchor.mem anchor h) then fail "member missing from overlay")
     members_sorted;
+  (* the tree names the members and the ghosts on their label chains,
+     whose labels are read off those chains *)
+  let named = Hashtbl.create 64 in
+  List.iter
+    (fun (h, l) ->
+      Hashtbl.replace named h ();
+      Array.iter (fun (e : Label.entry) -> Hashtbl.replace named e.host ()) l)
+    d.d_labels;
+  if Bwc_stats.Tbl.sorted_keys named <> List.map fst d.d_tree.Tree.d_hosts then
+    fail "tree hosts are not the members and their label chains";
   {
     space;
     mode = d.d_mode;

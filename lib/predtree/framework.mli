@@ -64,25 +64,27 @@ val measurements_total : t -> int
 
 val add_host : rng:Bwc_stats.Rng.t -> t -> int -> unit
 (** A host joins the system: it is placed into the prediction tree and the
-    anchor overlay exactly as during [build].  The host must be a point of
+    anchor overlay exactly as during [build], measuring members only.  A
+    ghost of the host (see {!evict_host}) revives instead: it keeps its
+    vertex and label, measures nothing, and hangs in the overlay under
+    the nearest member up its label chain, or else under the overlay
+    root.  A newcomer placed on a ghost's edge extends the ghost's label
+    and hangs in the overlay the same way.  The host must be a point of
     the underlying space and not yet a member. *)
 
-val remove_host : rng:Bwc_stats.Rng.t -> t -> int -> unit
-(** A host leaves.  When nothing anchors beneath it the leaf is spliced
-    out in O(tree); otherwise (or for the overlay root) the framework is
-    rebuilt from the remaining members.  Removing the last member is
-    refused. *)
-
 val evict_host : t -> int -> (int * int) list
-(** Crash repair: drops a host that is {e gone}, without the global
-    rebuild [remove_host] may fall back to.  Membership and the label are
-    removed and the anchor overlay is repaired locally with
-    {!Anchor.remove_node} (orphaned children regraft to the grandparent; a
-    dead root promotes its smallest child).  Prediction-tree geometry the
-    host anchored is retained, so surviving labels stay valid — the price
-    of not being able to re-measure on a crash.  Returns the
-    [(child, new_parent)] overlay regrafts.  Evicting a non-member or the
-    last member raises [Invalid_argument]. *)
+(** The one way a host leaves, gracefully or after a crash, without a
+    rebuild.  Membership and the label are removed and the anchor
+    overlay is repaired locally with {!Anchor.remove_node} (orphaned
+    children regraft to the grandparent; a dead root promotes its
+    smallest child).  In the prediction tree the host is spliced out
+    when no placement depends on it; otherwise it stays as a {e ghost}
+    whose vertex and edges keep every surviving label valid (labels stay
+    bit-identical).  A ghost whose last dependent is spliced out is
+    spliced too, up the label chain, so every ghost lies on some
+    member's chain.  Returns the [(child, new_parent)] overlay
+    regrafts.  Evicting a non-member or the last member raises
+    [Invalid_argument]. *)
 
 val anchor_neighbors : t -> int -> int list
 (** Overlay neighborhood of a host. *)
@@ -108,6 +110,7 @@ val of_dump :
 (** Reconstructs the framework over [space] (the measured metric the dump
     was built on; the dump itself carries no distance function).  The
     measurement counter restarts at zero — a restore performs no probes.
-    Validates label geometry and the agreement of membership across
-    labels, overlay and insertion order; raises [Invalid_argument] on any
-    violation. *)
+    Validates label geometry, the agreement of membership across labels,
+    overlay and insertion order, and that the tree names exactly the
+    members and the hosts on their label chains (a ghost's label is read
+    off those chains); raises [Invalid_argument] on any violation. *)

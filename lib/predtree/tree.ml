@@ -75,10 +75,8 @@ let other_end e v = if e.a = v then e.b else e.a
 
 let vertex_of_host t h = Hashtbl.find t.host_vertex h
 
-let hosts t = Bwc_stats.Tbl.sorted_keys t.host_vertex
+let mem t h = Hashtbl.mem t.host_vertex h
 let vertex_count t = t.vcount
-
-let degree t v = List.length t.adj.(v)
 
 (* Path from [u] to [v] as a list of edge ids, found by DFS (the graph is a
    tree, so the unique simple path). *)
@@ -130,24 +128,75 @@ let split_edge t id ~from ~at =
   let (_ : int) = new_edge t ~a:m ~b:far ~weight:(e.weight -. at) ~owner:e.owner in
   m
 
+(* A vertex is live while an edge touches it or a host is named at it. *)
+let live_vertex t v =
+  t.adj.(v) <> []
+  || match t.kinds.(v) with Host h -> Hashtbl.find_opt t.host_vertex h = Some v | Inner -> false
+
+(* Drops dead vertex and edge slots, keeping the live ones in id order,
+   and returns the old-to-new vertex map ([-1] for a dead vertex).  The
+   adjacency lists come out as [of_dump] rebuilds them. *)
+let compact t =
+  let remap = Array.make t.vcount (-1) in
+  let nv = ref 0 in
+  for v = 0 to t.vcount - 1 do
+    if live_vertex t v then begin
+      remap.(v) <- !nv;
+      t.kinds.(!nv) <- t.kinds.(v);
+      incr nv
+    end
+  done;
+  Array.fill t.adj 0 (Array.length t.adj) [];
+  let ne = ref 0 in
+  for id = 0 to t.ecount - 1 do
+    let e = t.edges.(id) in
+    if e.live then begin
+      let a = remap.(e.a) and b = remap.(e.b) in
+      t.edges.(!ne) <- { e with a; b };
+      t.adj.(a) <- !ne :: t.adj.(a);
+      t.adj.(b) <- !ne :: t.adj.(b);
+      incr ne
+    end
+  done;
+  List.iter
+    (fun h -> Hashtbl.replace t.host_vertex h remap.(Hashtbl.find t.host_vertex h))
+    (Bwc_stats.Tbl.sorted_keys t.host_vertex);
+  t.vcount <- !nv;
+  t.ecount <- !ne;
+  remap
+
+(* Removals leave dead slots behind; once they outnumber the live ones
+   (never during a build, which kills one edge per three it makes) the
+   next insertion compacts.  The tree is connected, so it has one live
+   vertex more than it has live edges. *)
+let sparse t =
+  let live = ref 0 in
+  for id = 0 to t.ecount - 1 do
+    if t.edges.(id).live then incr live
+  done;
+  t.ecount - !live > !live || t.vcount - (!live + 1) > !live + 1
+
 let add_host t ~host ~between:(z, y) ~at ~leaf_weight =
   if Hashtbl.mem t.host_vertex host then invalid_arg "Tree.add_host: host already present";
+  let z, y =
+    if sparse t then begin
+      let remap = compact t in
+      (remap.(z), remap.(y))
+    end
+    else (z, y)
+  in
   let leaf_weight = Float.max 0.0 leaf_weight in
-  if Hashtbl.length t.host_vertex = 1 then begin
-    (* Second host: the only host's vertex acts as its inner node.  Leaf
-       splices leave dead vertices behind, so a one-host tree is
-       recognised by its host count, not its vertex count. *)
-    match hosts t with
-    | [ anchor ] ->
-        let root = vertex_of_host t anchor in
+  if z = y then begin
+    (* The vertex of a lone member acts as the newcomer's inner node. *)
+    match t.kinds.(z) with
+    | Host anchor when Hashtbl.find_opt t.host_vertex anchor = Some z ->
         let hv = new_vertex t (Host host) in
-        let (_ : int) = new_edge t ~a:root ~b:hv ~weight:leaf_weight ~owner:host in
-        (hv, root, anchor, 0.0)
-    | _ -> assert false
+        let (_ : int) = new_edge t ~a:z ~b:hv ~weight:leaf_weight ~owner:host in
+        (hv, z, anchor, 0.0)
+    | Host _ | Inner -> invalid_arg "Tree.add_host: z = y is not a host"
   end
   else begin
     let edges = path_edges t z y in
-    if edges = [] then invalid_arg "Tree.add_host: z = y";
     let total = List.fold_left (fun acc id -> acc +. t.edges.(id).weight) 0.0 edges in
     let at = Float.max 0.0 (Float.min at total) in
     (* Walk the path to the edge containing the split point. *)
@@ -169,38 +218,41 @@ let add_host t ~host ~between:(z, y) ~at ~leaf_weight =
   end
 
 let remove_host t ~host =
-  match Hashtbl.find_opt t.host_vertex host with
-  | None -> invalid_arg "Tree.remove_host: unknown host"
-  | Some hv ->
-      (* The host still owns edges beyond its own leaf edge iff some later
-         insertion split one of them; those subtrees anchor on this host. *)
-      let owned_elsewhere = ref false in
-      for id = 0 to t.ecount - 1 do
-        let e = t.edges.(id) in
-        if e.live && e.owner = host && e.a <> hv && e.b <> hv then owned_elsewhere := true
-      done;
-      if !owned_elsewhere || degree t hv <> 1 then Error `Has_dependents
+  let hv =
+    match Hashtbl.find_opt t.host_vertex host with
+    | Some hv -> hv
+    | None -> invalid_arg "Tree.remove_host: unknown host"
+  in
+  match t.adj.(hv) with
+  | [ leaf ] when t.edges.(leaf).owner = host ->
+      let inner = other_end t.edges.(leaf) hv in
+      (* A later insertion split the leaf edge when the vertex next to
+         [hv] holds a second edge [host] owns: that subtree anchors here. *)
+      if List.exists (fun id -> id <> leaf && t.edges.(id).owner = host) t.adj.(inner)
+      then false
       else begin
-        match t.adj.(hv) with
-        | [ leaf_id ] ->
-            let inner = other_end t.edges.(leaf_id) hv in
-            kill_edge t leaf_id;
-            Hashtbl.remove t.host_vertex host;
-            (* Splice the inner node if it became a degree-2 pass-through. *)
-            (match (t.kinds.(inner), t.adj.(inner)) with
-            | Inner, [ e1; e2 ] ->
-                let a = other_end t.edges.(e1) inner in
-                let b = other_end t.edges.(e2) inner in
-                let w = t.edges.(e1).weight +. t.edges.(e2).weight in
-                let owner = t.edges.(e1).owner in
-                kill_edge t e1;
-                kill_edge t e2;
-                let (_ : int) = new_edge t ~a ~b ~weight:w ~owner in
-                ()
-            | _ -> ());
-            Ok ()
-        | _ -> Error `Has_dependents
+        kill_edge t leaf;
+        Hashtbl.remove t.host_vertex host;
+        (* Splice the inner node if it became a degree-2 pass-through. *)
+        (match (t.kinds.(inner), t.adj.(inner)) with
+        | Inner, [ e1; e2 ] ->
+            let a = other_end t.edges.(e1) inner in
+            let b = other_end t.edges.(e2) inner in
+            let w = t.edges.(e1).weight +. t.edges.(e2).weight in
+            let owner = t.edges.(e1).owner in
+            kill_edge t e1;
+            kill_edge t e2;
+            let (_ : int) = new_edge t ~a ~b ~weight:w ~owner in
+            ()
+        | _ -> ());
+        true
       end
+  | [ _ ] | [] ->
+      (* The first host owns no edge; its vertex stays where the second
+         host's leaf edge ends. *)
+      Hashtbl.remove t.host_vertex host;
+      true
+  | _ :: _ :: _ -> false
 
 (* ----- persistence (see below, after [is_tree]) ----- *)
 
@@ -245,16 +297,9 @@ let live_edges t =
 
 let is_tree t =
   let edges = live_edges t in
-  let reachable = Array.make (Stdlib.max 1 t.vcount) false in
-  let live_vertex = Array.make (Stdlib.max 1 t.vcount) false in
-  List.iter
-    (fun e ->
-      live_vertex.(e.a) <- true;
-      live_vertex.(e.b) <- true)
-    edges;
-  (* Isolated root (single-vertex tree) counts as live. *)
-  if t.vcount > 0 then live_vertex.(0) <- true;
-  let n_live = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 live_vertex in
+  let reachable = Array.make t.vcount false in
+  let live = Array.init t.vcount (live_vertex t) in
+  let n_live = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 live in
   let rec bfs = function
     | [] -> ()
     | v :: rest ->
@@ -273,13 +318,13 @@ let is_tree t =
         (* frontier order is irrelevant here (reachability count only) *)
         bfs (List.rev_append next rest)
   in
-  if t.vcount = 0 then true
-  else begin
-    reachable.(0) <- true;
-    bfs [ 0 ];
-    let n_reached = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 reachable in
-    n_reached = n_live && List.length edges = n_live - 1
-  end
+  match Array.find_index Fun.id live with
+  | None -> true
+  | Some start ->
+      reachable.(start) <- true;
+      bfs [ start ];
+      let n_reached = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 reachable in
+      n_reached = n_live && List.length edges = n_live - 1
 
 (* The dump captures the geometry exactly as stored: every edge slot ever
    allocated (dead ones included, so edge ids — and therefore adjacency
@@ -338,11 +383,10 @@ let to_dot ?(label = "prediction tree") t =
   Buffer.add_string buf "  node [fontsize=10];\n";
   for v = 0 to t.vcount - 1 do
     match t.kinds.(v) with
-    | Host h ->
-        if Hashtbl.mem t.host_vertex h then
-          Buffer.add_string buf
-            (Printf.sprintf "  v%d [shape=box, label=\"h%d\"];\n" v h)
-    | Inner ->
+    | Host h when Hashtbl.find_opt t.host_vertex h = Some v ->
+        Buffer.add_string buf
+          (Printf.sprintf "  v%d [shape=box, label=\"h%d\"];\n" v h)
+    | Host _ | Inner ->
         if t.adj.(v) <> [] then
           Buffer.add_string buf (Printf.sprintf "  v%d [shape=point];\n" v)
   done;

@@ -33,26 +33,35 @@ val add_host :
     host's inner node on the path from [z] to [y] at distance [at] from
     [z] (clamped into [[0, dist z y]]), splitting the edge it lands on, and
     hangs the host leaf off it with [leaf_weight] (clamped to
-    non-negative).  With a one-host tree, [between] and [at] are ignored
-    and the host is attached directly to that host's vertex, which acts
+    non-negative).  With [z = y], which must be a host's vertex, [at] is
+    ignored and the host is attached directly to that vertex, which acts
     as its inner node.
 
     Returns [(host_vertex, inner_vertex, anchor_host, anchor_offset)]
-    where [anchor_host] owns the edge the inner node landed on (the only
-    host for an insertion into a one-host tree) and [anchor_offset] is the tree
-    distance from the anchor host's own vertex to the inner node. *)
+    where [anchor_host] owns the edge the inner node landed on (the host
+    at [z] when [z = y]) and [anchor_offset] is the tree distance from
+    the anchor host's own vertex to the inner node.
 
-val remove_host : t -> host:int -> (unit, [ `Has_dependents ]) result
-(** Removes a host leaf and splices out its inner node.  Fails with
-    [`Has_dependents] if other subtrees are attached to edges this host
-    owns (their anchor would dangle); the caller then falls back to a
-    rebuild.  Removing the root host is also refused this way. *)
+    Once removals have left more dead vertex or edge slots than live
+    ones, the insertion first compacts the tree: vertex ids of earlier
+    calls are renumbered (look them up again with {!vertex_of_host});
+    [z] and [y] are translated. *)
+
+val remove_host : t -> host:int -> bool
+(** Drops a host that has left.  When no placement depends on it, its
+    leaf edge is removed, its inner node spliced out, and the result is
+    [true].  When a later insertion anchors on an edge it owns, its
+    vertex and edges stay as a {e ghost}: still named (see {!mem}), so
+    every distance in the tree is unchanged, and the result is [false];
+    calling it again splices the ghost once its last dependent is gone.
+    The first host owns no edge and is always removed; its vertex stays
+    as the end of the edge it shares. *)
 
 val vertex_of_host : t -> int -> vertex
 (** Raises [Not_found] for unknown hosts. *)
 
-val hosts : t -> int list
-(** All host ids currently in the tree. *)
+val mem : t -> int -> bool
+(** Whether the tree names the host: a member, or a ghost. *)
 
 (* bwclint: allow test-only-export -- reference model: test/prop.ml grows exact tree metrics through Tree (tree_metric_space) *)
 val vertex_count : t -> int
@@ -65,16 +74,18 @@ val host_dist : t -> int -> int -> float
 (** [dist] between two hosts' vertices. *)
 
 val is_tree : t -> bool
-(** Structural sanity: connected and acyclic (used by tests). *)
+(** Structural sanity: the live vertices (those an edge touches or a
+    host is named at) are connected and acyclic. *)
 
 (** {2 Persistence}
 
     A structural dump of the geometry, exact enough that
     [of_dump (dump t)] is indistinguishable from [t]: edge slots keep
     their ids (dead slots included, preserving adjacency-list order) and
-    the host map is dumped separately from the vertex kinds (a crash
-    eviction can orphan a [Host] kind).  All floats round-trip exactly
-    when the caller serializes them losslessly. *)
+    the host map, which names members and ghosts, is dumped separately
+    from the vertex kinds (a removed host leaves its [Host] kind
+    behind).  All floats round-trip exactly when the caller serializes
+    them losslessly. *)
 
 type edge_dump = {
   e_a : vertex;

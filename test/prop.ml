@@ -1,6 +1,6 @@
 (* Seeded property-based differential harness.
 
-   Eight properties, each over freshly generated random inputs:
+   Nine properties, each over freshly generated random inputs:
 
    1. churn-differential — after ANY sequence of Index.add_host /
       Index.remove_host events, the incrementally maintained
@@ -27,7 +27,10 @@
    7. snapshot-anywhere — every image a daemon can write restores and
       answers as the writer (see below);
    8. cached-space — a node's cached clustering space never changes an
-      answer or outlives the own CRT row it should yield (see below).
+      answer or outlives the own CRT row it should yield (see below);
+   9. fixpoint-oracle — every quiescent protocol state equals the
+      aggregation fixpoint computed by direct recursion over the overlay
+      (see below).
 
    The harness is deliberately NOT an alcotest suite: its stdout is
    fully deterministic for a given seed (no timings), so two runs with
@@ -780,14 +783,14 @@ module Node_info = Bwc_core.Node_info
 module Framework = Bwc_predtree.Framework
 module Anchor = Bwc_predtree.Anchor
 
-let own_row_oracle ens classes (nd : Protocol.node_dump) =
-  let self = Node_info.make ~host:nd.nd_id ~labels:(Ensemble.labels ens nd.nd_id) in
+(* Index.max_size per class over a host and the infos it aggregated *)
+let own_row ens classes host aggregated =
+  let self = Node_info.make ~host ~labels:(Ensemble.labels ens host) in
   let infos =
     List.fold_left
       (fun acc (i : Node_info.t) ->
         if List.exists (fun (j : Node_info.t) -> j.host = i.host) acc then acc else i :: acc)
-      []
-      (self :: List.concat_map snd nd.nd_aggr_node)
+      [] (self :: aggregated)
     |> List.rev |> Array.of_list
   in
   let space =
@@ -796,6 +799,9 @@ let own_row_oracle ens classes (nd : Protocol.node_dump) =
   in
   let idx = Index.build (Space.cached space) in
   Array.map (fun l -> Index.max_size idx ~l) (Classes.distances classes)
+
+let own_row_oracle ens classes (nd : Protocol.node_dump) =
+  own_row ens classes nd.nd_id (List.concat_map snd nd.nd_aggr_node)
 
 let cached_space () =
   let prop = "cached-space" in
@@ -820,7 +826,7 @@ let cached_space () =
       Protocol.create ~rng:(Rng.split rng) ~n_cut:(2 + Rng.int rng 4)
         ~detector:Bwc_core.Detector.default_config ~classes ens
     in
-    let crashed = ref [] in
+    let crashed = ref [] and awaiting = ref [] in
     let live_query t ~at ~k ~cls =
       let r = Protocol.query t ~at ~k ~cls in
       (r.Bwc_core.Query.cluster, r.Bwc_core.Query.path)
@@ -857,16 +863,17 @@ let cached_space () =
       let members = Array.of_list (Ensemble.members ens) in
       match Rng.int rng 20 with
       | 0 -> Protocol.mark_all_dirty p
-      | 1 | 2 when !crashed = [] ->
-          (* membership moves only before the first crash: a JOIN after
-             an eviction can still raise (see ROADMAP) *)
+      | 1 | 2 when not (List.exists (Ensemble.is_member ens) !awaiting) ->
+          (* not while a crash awaits its eviction: the refresh would
+             restart the crashed host *)
+          awaiting := [];
           incr refreshes;
           let outs =
             List.filter (fun h -> not (Ensemble.is_member ens h)) (List.init n Fun.id)
           in
           if outs <> [] && (Array.length members <= 8 || Rng.bool rng) then
             Ensemble.add_host ~rng ens (Rng.choose rng (Array.of_list outs))
-          else Ensemble.remove_host ~rng ens (Rng.choose rng members);
+          else ignore (Ensemble.evict_host ens (Rng.choose rng members) : (int * int) list);
           Protocol.refresh_topology p
       | 3 when List.length !crashed < 2 ->
           (* a non-root member away from earlier victims *)
@@ -884,6 +891,7 @@ let cached_space () =
           if eligible <> [] then begin
             let victim = Rng.choose rng (Array.of_list eligible) in
             crashed := victim :: !crashed;
+            awaiting := victim :: !awaiting;
             Protocol.crash_host p victim
           end
       | 4 | 5 | 6 | 7 | 8 ->
@@ -903,6 +911,171 @@ let cached_space () =
     "%s: %d cases, %d round boundaries, %d refreshes, %d evictions, %d queries, %d answers and %d own rows match a restore and the oracle [ok]\n"
     prop n_cases !boundaries !refreshes !evictions !queries !answers !rows
 
+(* 9. fixpoint-oracle — on a tree overlay the aggregation fixpoint is a
+   recursion over directed edges, computed here from the ensemble alone
+   (Ensemble.anchor_neighbors and Ensemble.labels), with no engine,
+   messages, caches or repair:
+   - prop(v->x): the n_cut hosts closest to x among v and every
+     prop(w->v) for v's other neighbours w, candidates in Algorithm 2's
+     order, sorted as it sorts them;
+   - crt(v->x): the element-wise max of v's own row and every crt(w->v);
+   - own(x): Index.max_size per class over x and every prop(v->x).
+   Over tree and noisy metrics, with and without a failure detector and
+   n_cut 2-10, random interleavings of JOIN (fresh and returning hosts),
+   LEAVE, crash, repair and mark_all_dirty run to quiescence after every
+   event (a crash first runs rounds until the detector has evicted the
+   host, or is repaired by hand without one), and at every quiescent
+   point each member's aggrNode tables, own row and aggrCRT columns in
+   Protocol.dump equal the oracle's. *)
+
+let fixpoint ens classes ~n_cut =
+  let info h = Node_info.make ~host:h ~labels:(Ensemble.labels ens h) in
+  let memo tbl key f =
+    match Hashtbl.find_opt tbl key with
+    | Some v -> v
+    | None ->
+        let v = f () in
+        Hashtbl.replace tbl key v;
+        v
+  in
+  let props = Hashtbl.create 64 and crts = Hashtbl.create 64 and owns = Hashtbl.create 64 in
+  let rec prop v x =
+    memo props (v, x) (fun () ->
+        let seen = Hashtbl.create 32 and acc = ref [] in
+        let consider (i : Node_info.t) =
+          if i.host <> x && not (Hashtbl.mem seen i.host) then begin
+            Hashtbl.add seen i.host ();
+            acc := i :: !acc
+          end
+        in
+        consider (info v);
+        List.iter
+          (fun w -> if w <> x then List.iter consider (prop w v))
+          (Ensemble.anchor_neighbors ens v);
+        let rx = info x in
+        let cand = Array.of_list (List.map (fun i -> (Node_info.dist rx i, i)) !acc) in
+        Array.sort (fun (a, _) (b, _) -> Float.compare a b) cand;
+        List.init (Stdlib.min n_cut (Array.length cand)) (fun i -> snd cand.(i)))
+  and own x =
+    memo owns x (fun () ->
+        own_row ens classes x
+          (List.concat_map (fun v -> prop v x) (Ensemble.anchor_neighbors ens x)))
+  and crt v x =
+    memo crts (v, x) (fun () ->
+        let out = Array.copy (own v) in
+        List.iter
+          (fun w ->
+            if w <> x then Array.iteri (fun i c -> if c > out.(i) then out.(i) <- c) (crt w v))
+          (Ensemble.anchor_neighbors ens v);
+        out)
+  in
+  (prop, own, crt)
+
+let fixpoint_oracle () =
+  let prop_name = "fixpoint-oracle" in
+  let n_cases = Stdlib.max 1 (cases / 10) in
+  let with_detector = ref 0 and points = ref 0 and checked = ref 0 in
+  let fresh = ref 0 and returning = ref 0 and leaves = ref 0 in
+  let crashes = ref 0 and repairs = ref 0 and dirtied = ref 0 in
+  for case = 0 to n_cases - 1 do
+    let rng = case_rng (800_000 + case) in
+    let n = 10 + Rng.int rng 21 in
+    let ds =
+      let tree =
+        Bwc_dataset.Hier_tree.generate ~rng:(Rng.split rng) ~n ~name:"prop-fixpoint" ()
+      in
+      if case mod 2 = 0 then tree
+      else Bwc_dataset.Noise.multiplicative ~rng:(Rng.split rng) ~sigma:0.3 tree
+    in
+    let classes = Classes.of_percentiles ~count:4 ds in
+    let n_cut = 2 + Rng.int rng 9 in
+    let detector =
+      if case mod 4 < 2 then Some Bwc_core.Detector.default_config else None
+    in
+    if detector <> None then incr with_detector;
+    let initial = n - 1 - Rng.int rng 3 in
+    let ens =
+      Ensemble.build ~rng:(Rng.split rng) ~members:(List.init initial Fun.id)
+        (Bwc_dataset.Dataset.metric ds)
+    in
+    let p = Protocol.create ~rng:(Rng.split rng) ~n_cut ?detector ~classes ens in
+    let ever = Array.init n (fun h -> h < initial) in
+    let check what =
+      let (_ : int) = Protocol.run_aggregation p in
+      if not (Protocol.quiescent p) then
+        fail_case prop_name case "%s: no quiescence after %d rounds" what (Protocol.rounds_run p);
+      incr points;
+      let prop, own, crt = fixpoint ens classes ~n_cut in
+      List.iter
+        (fun (nd : Protocol.node_dump) ->
+          incr checked;
+          let x = nd.nd_id in
+          let nbrs = List.sort compare (Ensemble.anchor_neighbors ens x) in
+          let tables = List.map fst nd.nd_aggr_node in
+          if tables <> nbrs || List.map fst nd.nd_aggr_crt <> nbrs then
+            fail_case prop_name case "%s: node %d holds tables for other neighbours" what x;
+          List.iter
+            (fun (v, infos) ->
+              if List.map Slot_table.key infos <> List.map Slot_table.key (prop v x) then
+                fail_case prop_name case "%s: aggrNode[%d] at %d is not prop(%d->%d)" what v x v x)
+            nd.nd_aggr_node;
+          if nd.nd_own_row <> own x then
+            fail_case prop_name case "%s: own row of %d differs from the oracle" what x;
+          List.iter
+            (fun (v, row) ->
+              if row <> crt v x then
+                fail_case prop_name case "%s: aggrCRT[%d] at %d is not crt(%d->%d)" what v x v x)
+            nd.nd_aggr_crt)
+        (Protocol.dump p).Protocol.d_nodes
+    in
+    check "converged";
+    let events = 15 + Rng.int rng 15 in
+    for event = 1 to events do
+      let members = Array.of_list (Ensemble.members ens) in
+      let what = Printf.sprintf "event %d" event in
+      let many = Array.length members > 3 in
+      (match Rng.int rng 5 with
+      | 0 ->
+          let outs = List.filter (fun h -> not (Ensemble.is_member ens h)) (List.init n Fun.id) in
+          if outs <> [] then begin
+            let h = Rng.choose rng (Array.of_list outs) in
+            if ever.(h) then incr returning else incr fresh;
+            ever.(h) <- true;
+            Ensemble.add_host ~rng ens h;
+            Protocol.refresh_topology p
+          end
+      | 1 when many ->
+          incr leaves;
+          ignore (Ensemble.evict_host ens (Rng.choose rng members) : (int * int) list);
+          Protocol.refresh_topology p
+      | 2 when many ->
+          incr crashes;
+          let victim = Rng.choose rng members in
+          Protocol.crash_host p victim;
+          (match detector with
+          | Some _ ->
+              let rounds = ref 0 in
+              while Ensemble.is_member ens victim do
+                incr rounds;
+                if !rounds > 200 then
+                  fail_case prop_name case "%s: crashed %d never evicted" what victim;
+                ignore (Protocol.run_round p : bool)
+              done
+          | None -> Protocol.repair p ~dead:[ victim ])
+      | 3 when many ->
+          incr repairs;
+          Protocol.repair p ~dead:[ Rng.choose rng members ]
+      | _ ->
+          incr dirtied;
+          Protocol.mark_all_dirty p);
+      check what
+    done
+  done;
+  Printf.printf
+    "%s: %d cases (%d with a detector), %d fresh joins, %d returning, %d leaves, %d crashes, %d repairs, %d mark_all_dirty, %d quiescent points, %d node states equal the fixpoint [ok]\n"
+    prop_name n_cases !with_detector !fresh !returning !leaves !crashes !repairs !dirtied
+    !points !checked
+
 let () =
   Printf.printf "bwc property harness (seed %d, %d churn sequences)\n" seed cases;
   churn_differential ();
@@ -913,4 +1086,5 @@ let () =
   json_roundtrip ();
   snapshot_anywhere ();
   cached_space ();
+  fixpoint_oracle ();
   Printf.printf "all properties hold\n"

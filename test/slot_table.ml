@@ -75,21 +75,22 @@ let with_first_ref image slot =
   c.lines.(c.pos) <- Printf.sprintf "i %d" slot;
   Codec.encode (String.concat "\n" (Array.to_list c.lines))
 
-(* the dedup key, spelled out independently of the encoder: the host and
-   every label entry with its floats' bits *)
-let key (info : Node_info.t) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b (string_of_int info.Node_info.host);
+(* a label's entries with their floats' bits: equal keys are bit-equal
+   labels *)
+let label_key (lab : Label.t) =
+  let b = Buffer.create 64 in
   Array.iter
-    (fun (lab : Label.t) ->
-      Buffer.add_char b '|';
-      Array.iter
-        (fun (e : Label.entry) ->
-          Printf.bprintf b " %d:%Lx:%Lx" e.Label.host (Int64.bits_of_float e.Label.offset)
-            (Int64.bits_of_float e.Label.leaf))
-        lab)
-    info.Node_info.labels;
+    (fun (e : Label.entry) ->
+      Printf.bprintf b " %d:%Lx:%Lx" e.Label.host (Int64.bits_of_float e.Label.offset)
+        (Int64.bits_of_float e.Label.leaf))
+    lab;
   Buffer.contents b
+
+(* the dedup key, spelled out independently of the encoder: the host and
+   every label's key *)
+let key (info : Node_info.t) =
+  String.concat "|"
+    (string_of_int info.Node_info.host :: Array.to_list (Array.map label_key info.Node_info.labels))
 
 (* the table an image of [d] must carry: its distinct infos by [key], in
    first-reference order over nodes ascending, then aggrNode tables,

@@ -1398,6 +1398,93 @@ let test_dynamic_random_churn_invariants () =
             (Array.length (Ensemble.labels ens h)))
         members)
 
+(* n = 48 with 36 members and a failure detector: the member with the
+   most overlay neighbours crashes and rounds run until the detector has
+   evicted it *)
+let evicted_system seed =
+  let ds = small_dataset ~seed 48 in
+  let ens =
+    Ensemble.build ~rng:(Rng.create (seed + 1)) ~members:(List.init 36 Fun.id)
+      (Bwc_dataset.Dataset.metric ds)
+  in
+  let classes = Classes.of_percentiles ~count:4 ds in
+  let p =
+    Protocol.create ~rng:(Rng.create (seed + 2)) ~detector:Detector.default_config ~classes
+      ens
+  in
+  let (_ : int) = Protocol.run_aggregation p in
+  let degree h = List.length (Ensemble.anchor_neighbors ens h) in
+  let victim =
+    List.fold_left
+      (fun best h -> if degree h > degree best then h else best)
+      (List.hd (Ensemble.members ens)) (Ensemble.members ens)
+  in
+  let labels_before = Ensemble.labels ens victim in
+  Protocol.crash_host p victim;
+  let rounds = ref 0 in
+  while Ensemble.is_member ens victim do
+    incr rounds;
+    if !rounds > 200 then Alcotest.failf "seed %d: %d never evicted" seed victim;
+    ignore (Protocol.run_round p : bool)
+  done;
+  (ens, victim, labels_before)
+
+(* every member pair: the label distance is the tree's path sum *)
+let check_labels_match_trees what ens =
+  Array.iteri
+    (fun i fw ->
+      let tree = Bwc_predtree.Framework.tree fw in
+      if not (Bwc_predtree.Tree.is_tree tree) then Alcotest.failf "%s: tree %d broken" what i;
+      let ms = Bwc_predtree.Framework.members fw in
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              if a < b then begin
+                let via_label = Bwc_predtree.Framework.predicted fw a b in
+                let via_tree = Bwc_predtree.Tree.host_dist tree a b in
+                if not (feq ~eps:1e-6 via_label via_tree) then
+                  Alcotest.failf "%s: tree %d (%d,%d) label %g vs tree %g" what i a b
+                    via_label via_tree
+              end)
+            ms)
+        ms)
+    (Ensemble.frameworks ens)
+
+let test_join_after_eviction () =
+  for seed = 1 to 40 do
+    let ens, _, _ = evicted_system seed in
+    for h = 36 to 47 do
+      Ensemble.add_host ~rng:(Rng.create (seed + h)) ens h
+    done;
+    check_labels_match_trees (Printf.sprintf "seed %d" seed) ens
+  done
+
+let test_evicted_host_rejoins () =
+  let revived = ref 0 in
+  for seed = 1 to 40 do
+    let ens, victim, labels_before = evicted_system seed in
+    let fws = Ensemble.frameworks ens in
+    let ghost =
+      Array.map (fun fw -> Bwc_predtree.Tree.mem (Bwc_predtree.Framework.tree fw) victim) fws
+    in
+    Ensemble.add_host ~rng:(Rng.create (seed + 3)) ens victim;
+    Alcotest.(check bool) "member again" true (Ensemble.is_member ens victim);
+    (* a tree that kept the victim's ghost revives it with its old label *)
+    Array.iteri
+      (fun i fw ->
+        if ghost.(i) then begin
+          incr revived;
+          if Slot_table.label_key (Bwc_predtree.Framework.label fw victim)
+             <> Slot_table.label_key labels_before.(i)
+          then
+            Alcotest.failf "seed %d: tree %d revived the ghost with another label" seed i
+        end)
+      fws;
+    check_labels_match_trees (Printf.sprintf "seed %d" seed) ens
+  done;
+  Alcotest.(check bool) "some ghosts revived" true (!revived > 0)
+
 let test_framework_add_remove_roundtrip () =
   let space = tree_space ~seed:49 16 in
   let fw =
@@ -1417,7 +1504,7 @@ let test_framework_add_remove_roundtrip () =
         if not (feq ~eps:1e-6 via_label via_tree) then Alcotest.fail "label mismatch"
       end)
     (Bwc_predtree.Framework.members fw);
-  Bwc_predtree.Framework.remove_host ~rng:(Rng.create 52) fw 14;
+  let (_ : (int * int) list) = Bwc_predtree.Framework.evict_host fw 14 in
   Alcotest.(check bool) "removed" false (Bwc_predtree.Framework.is_member fw 14);
   Alcotest.(check int) "count restored" 12 (Bwc_predtree.Framework.size fw)
 
@@ -1844,6 +1931,9 @@ let () =
             test_dynamic_random_churn_invariants;
           Alcotest.test_case "framework add/remove" `Quick
             test_framework_add_remove_roundtrip;
+          Alcotest.test_case "join after a detector eviction" `Quick
+            test_join_after_eviction;
+          Alcotest.test_case "evicted host rejoins" `Quick test_evicted_host_rejoins;
         ] );
       ( "allocation",
         [

@@ -289,6 +289,54 @@ let test_restored_reencodes_like_original () =
       round d);
   both converge
 
+(* ----- ghosts ----- *)
+
+let test_ghosts_in_images () =
+  (* a LEAVE of a host that other placements anchor on leaves its ghost
+     in the trees: the image carries it with no new field, restores it,
+     and a rejoin revives it alike on both sides *)
+  let sys = system ~seed:23 ~n:32 () in
+  let ens = Dynamic.ensemble sys in
+  let ghost h =
+    Array.exists
+      (fun fw -> Bwc_predtree.Tree.mem (Bwc_predtree.Framework.tree fw) h)
+      (Ensemble.frameworks ens)
+  in
+  let degree h = List.length (Ensemble.anchor_neighbors ens h) in
+  let leaving =
+    List.fold_left
+      (fun best h -> if degree h > degree best then h else best)
+      (List.hd (Dynamic.members sys)) (Dynamic.members sys)
+  in
+  let (_ : int) = Dynamic.apply_deferred sys [ Bwc_sim.Churn.Leave leaving ] in
+  Alcotest.(check bool) "a tree keeps the leaver's ghost" true (ghost leaving);
+  let image = Snapshot.encode (`Dynamic sys) in
+  let restored = decode_system image in
+  Alcotest.(check bool) "re-encode byte-identical" true
+    (String.equal image (Snapshot.encode (`Dynamic restored)));
+  List.iter
+    (fun d -> ignore (Dynamic.apply_deferred d [ Bwc_sim.Churn.Join leaving ] : int))
+    [ sys; restored ];
+  Alcotest.(check bool) "the rejoin revives alike" true
+    (String.equal (Snapshot.encode (`Dynamic sys)) (Snapshot.encode (`Dynamic restored)))
+
+let test_stray_tree_host_corrupt () =
+  (* a tree that names a non-member on no member's label chain has no
+     label to read the host's off: the image is refused *)
+  let ds = dataset ~seed:24 24 in
+  let sys = Dynamic.create ~seed:23 ~initial_members:(List.init 23 Fun.id) ds in
+  let tree = Bwc_predtree.Framework.tree (Ensemble.primary (Dynamic.ensemble sys)) in
+  let v = Bwc_predtree.Tree.vertex_of_host tree 0 in
+  let (_ : int * int * int * float) =
+    Bwc_predtree.Tree.add_host tree ~host:23 ~between:(v, v) ~at:0.0 ~leaf_weight:1.0
+  in
+  match Snapshot.decode (Snapshot.encode (`Dynamic sys)) with
+  | Error (Codec.Corrupt msg) ->
+      Alcotest.(check string) "reason"
+        "Framework.of_dump: tree hosts are not the members and their label chains" msg
+  | Error e -> Alcotest.failf "stray host surfaced as %s" (Codec.error_to_string e)
+  | Ok _ -> Alcotest.fail "a tree naming a stray host restored"
+
 (* ----- format versions ----- *)
 
 (* the payload of a container, whatever its version *)
@@ -578,6 +626,11 @@ let () =
           Alcotest.test_case "slot out of range" `Quick test_slot_out_of_range;
           Alcotest.test_case "restored re-encodes like the original" `Quick
             test_restored_reencodes_like_original;
+        ] );
+      ( "ghosts",
+        [
+          Alcotest.test_case "ghosts in images" `Quick test_ghosts_in_images;
+          Alcotest.test_case "stray tree host is corrupt" `Quick test_stray_tree_host_corrupt;
         ] );
       ( "versions",
         [

@@ -76,18 +76,21 @@ let test_tree_clamping () =
 let test_tree_remove_leaf () =
   let t, _, _ = fig1_fragment () in
   let d01 = Tree.host_dist t 0 1 in
-  (match Tree.remove_host t ~host:2 with
-  | Ok () -> ()
-  | Error `Has_dependents -> Alcotest.fail "d has no dependents");
+  Alcotest.(check bool) "d has no dependents: spliced" true (Tree.remove_host t ~host:2);
+  Alcotest.(check bool) "d gone" false (Tree.mem t 2);
   Alcotest.(check bool) "still a tree" true (Tree.is_tree t);
   Alcotest.(check (float 1e-9)) "d(a,b) unchanged" d01 (Tree.host_dist t 0 1)
 
 let test_tree_remove_refuses_dependents () =
   let t, _, _ = fig1_fragment () in
-  (* b owns the edge d anchors on: removing b must be refused *)
-  match Tree.remove_host t ~host:1 with
-  | Ok () -> Alcotest.fail "b has dependents"
-  | Error `Has_dependents -> ()
+  (* b owns the edge d anchors on: b stays as a ghost, geometry intact *)
+  Alcotest.(check bool) "b has dependents: kept" false (Tree.remove_host t ~host:1);
+  Alcotest.(check bool) "b's ghost still named" true (Tree.mem t 1);
+  Alcotest.(check (float 1e-9)) "d(a,d) unchanged" 35.0 (Tree.host_dist t 0 2);
+  (* once d is spliced, the ghost has no dependent left *)
+  Alcotest.(check bool) "d spliced" true (Tree.remove_host t ~host:2);
+  Alcotest.(check bool) "ghost spliced" true (Tree.remove_host t ~host:1);
+  Alcotest.(check bool) "a alone is a tree" true (Tree.is_tree t)
 
 let test_tree_degenerate_split () =
   (* split at exactly 0 keeps distances exact (zero-weight edges) *)
@@ -112,19 +115,6 @@ let test_anchor_structure () =
   Alcotest.(check int) "depth of 3" 2 (Anchor.depth a 3);
   Alcotest.(check int) "size" 4 (List.length (Anchor.hosts a));
   Alcotest.(check int) "max depth" 2 (Anchor.max_depth a)
-
-let test_anchor_remove_leaf () =
-  let a = Anchor.create () in
-  Anchor.set_root a 0;
-  Anchor.add a ~parent:0 1;
-  Anchor.add a ~parent:1 2;
-  (match Anchor.remove_leaf a 1 with
-  | Ok () -> Alcotest.fail "1 has a child"
-  | Error `Not_leaf -> ());
-  (match Anchor.remove_leaf a 2 with
-  | Ok () -> ()
-  | Error `Not_leaf -> Alcotest.fail "2 is a leaf");
-  Alcotest.(check (list int)) "children pruned" [] (Anchor.children a 1)
 
 (* The self-healing invariants — connectivity, no host loss, recomputed
    depths — boiled down to one walk from the root. *)
@@ -159,20 +149,6 @@ let repair_fixture () =
   Anchor.add a ~parent:0 4;
   Anchor.add a ~parent:4 5;
   a
-
-let test_anchor_remove_leaf_errors () =
-  let a = Anchor.create () in
-  Anchor.set_root a 0;
-  (match Anchor.remove_leaf a 0 with
-  | Ok () -> Alcotest.fail "a childless root must not be removable"
-  | Error `Not_leaf -> ());
-  Anchor.add a ~parent:0 1;
-  (match Anchor.remove_leaf a 0 with
-  | Ok () -> Alcotest.fail "the root must not be removable"
-  | Error `Not_leaf -> ());
-  Alcotest.check_raises "unknown host"
-    (Invalid_argument "Anchor.remove_leaf: unknown host") (fun () ->
-      ignore (Anchor.remove_leaf a 9))
 
 let test_anchor_remove_node () =
   (* interior node: orphans regraft to the grandparent *)
@@ -428,41 +404,151 @@ let test_dot_export () =
   Alcotest.(check bool) "anchor dot" true
     (String.length adot > 0 && String.sub adot 0 7 = "digraph")
 
+(* ----- eviction ----- *)
+
+let member_pairs fw f =
+  let ms = Framework.members fw in
+  List.iter (fun i -> List.iter (fun j -> if i < j then f i j) ms) ms
+
+let test_first_host_leaves_restorable () =
+  (* the first host owns no edge: evicting it (the overlay root) leaves a
+     tree whose dump restores *)
+  for seed = 1 to 20 do
+    let fw = Framework.build ~rng:(Rng.create seed) (tree_space ~seed 30) in
+    let first = Anchor.root (Framework.anchor fw) in
+    let (_ : (int * int) list) = Framework.evict_host fw first in
+    let tree = Framework.tree fw in
+    let restored = Tree.of_dump (Tree.dump tree) in
+    Alcotest.(check bool) "first host gone" false (Tree.mem restored first);
+    member_pairs fw (fun a b ->
+        if not (feq (Framework.predicted fw a b) (Tree.host_dist restored a b)) then
+          Alcotest.failf "seed %d: (%d,%d) label/tree mismatch" seed a b)
+  done
+
+let test_churn_keeps_storage_bounded () =
+  (* dead slots are compacted away: storage follows live geometry *)
+  let n = 48 in
+  let space = noisy_space ~seed:34 n 0.3 in
+  let ens = Ensemble.build ~rng:(Rng.create 35) ~members:(List.init 36 Fun.id) space in
+  let rng = Rng.create 36 in
+  for event = 1 to 5_000 do
+    let members = Array.of_list (Ensemble.members ens) in
+    let outs = List.filter (fun h -> not (Ensemble.is_member ens h)) (List.init n Fun.id) in
+    Ensemble.add_host ~rng ens (Rng.choose rng (Array.of_list outs));
+    let (_ : (int * int) list) = Ensemble.evict_host ens (Rng.choose rng members) in
+    Array.iteri
+      (fun i fw ->
+        let count = Tree.vertex_count (Framework.tree fw) in
+        if count > 4 * n then
+          Alcotest.failf "pair %d: tree %d holds %d vertex slots" event i count)
+      (Ensemble.frameworks ens)
+  done;
+  Array.iter
+    (fun fw ->
+      let tree = Framework.tree fw in
+      Alcotest.(check bool) "tree" true (Tree.is_tree tree);
+      Alcotest.(check bool) "dump round trip" true
+        (Tree.dump (Tree.of_dump (Tree.dump tree)) = Tree.dump tree))
+    (Ensemble.frameworks ens)
+
 (* ----- qcheck ----- *)
+
+(* Random churn over hosts [0, n) of [fw]: the first host leaves first,
+   then evictions and joins (fresh and returning hosts) interleave down
+   to one or two members, then every host joins again.  [check] runs
+   after every event, and every eviction must leave each surviving label
+   bit-identical. *)
+let churn fw rng n ~check =
+  let event = ref 0 in
+  let evict h =
+    incr event;
+    let before = List.map (fun m -> (m, Framework.label fw m)) (Framework.members fw) in
+    let (_ : (int * int) list) = Framework.evict_host fw h in
+    List.iter
+      (fun (m, l) ->
+        if m <> h && Slot_table.label_key l <> Slot_table.label_key (Framework.label fw m) then
+          QCheck.Test.fail_reportf "event %d: evicting %d changed %d's label" !event h m)
+      before;
+    check (Printf.sprintf "event %d (evict %d)" !event h)
+  in
+  let join h =
+    incr event;
+    Framework.add_host ~rng fw h;
+    check (Printf.sprintf "event %d (join %d)" !event h)
+  in
+  check "build";
+  evict (Anchor.root (Framework.anchor fw));
+  let floor = 1 + Rng.int rng 2 in
+  while Framework.size fw > floor do
+    let outs = List.filter (fun h -> not (Framework.is_member fw h)) (List.init n Fun.id) in
+    if outs <> [] && Rng.int rng 3 = 0 then join (Rng.choose rng (Array.of_list outs))
+    else evict (Rng.choose rng (Array.of_list (Framework.members fw)))
+  done;
+  for h = 0 to n - 1 do
+    if not (Framework.is_member fw h) then join h
+  done;
+  true
 
 let qcheck_tests =
   let open QCheck in
   [
-    Test.make ~name:"label distance = tree distance (random builds)" ~count:25
+    Test.make ~name:"label distance = tree distance (random builds and churn)" ~count:25
       (pair (int_range 4 30) (int_range 0 10_000))
       (fun (n, seed) ->
         let space = tree_space ~seed n in
-        let fw = Framework.build ~rng:(Rng.create (seed + 1)) space in
-        let tree = Framework.tree fw in
-        let ok = ref true in
-        for i = 0 to n - 1 do
-          for j = i + 1 to n - 1 do
-            if not (feq (Framework.predicted fw i j) (Tree.host_dist tree i j)) then
-              ok := false
-          done
-        done;
-        !ok && Tree.is_tree tree);
-    Test.make ~name:"exact mode is a lossless embedding of tree metrics" ~count:15
+        let fw =
+          Framework.build ~rng:(Rng.create (seed + 1)) ~members:(List.init (n - (n / 4)) Fun.id)
+            space
+        in
+        churn fw (Rng.create (seed + 4)) n ~check:(fun what ->
+            let tree = Framework.tree fw in
+            if not (Tree.is_tree tree) then Test.fail_reportf "%s: not a tree" what;
+            member_pairs fw (fun i j ->
+                if not (feq (Framework.predicted fw i j) (Tree.host_dist tree i j)) then
+                  Test.fail_reportf "%s: (%d,%d) label %g vs tree %g" what i j
+                    (Framework.predicted fw i j) (Tree.host_dist tree i j))));
+    Test.make ~name:"exact mode is a lossless embedding of tree metrics under churn" ~count:15
       (pair (int_range 4 25) (int_range 0 10_000))
       (fun (n, seed) ->
         let space = tree_space ~seed n in
         let fw =
           Framework.build ~rng:(Rng.create (seed + 2)) ~mode:Framework.centralized_mode
-            space
+            ~members:(List.init (n - (n / 4)) Fun.id) space
         in
-        let ok = ref true in
-        for i = 0 to n - 1 do
-          for j = i + 1 to n - 1 do
-            if not (feq ~eps:1e-6 (Space.dist space i j) (Framework.predicted fw i j))
-            then ok := false
-          done
-        done;
-        !ok);
+        (* The pairs the embedding measured: the later of the two was
+           placed while the other was a member and every member pair was
+           measured.  A revived ghost keeps its vertex, so its distance to
+           a host placed while it was away is a prediction. *)
+        let measured = Hashtbl.create 64 in
+        let members = ref [] and ghosts = ref [] in
+        let all_measured hs =
+          List.for_all (fun i -> List.for_all (fun j -> i >= j || Hashtbl.mem measured (i, j)) hs) hs
+        in
+        churn fw (Rng.create (seed + 5)) n ~check:(fun what ->
+            let now = Framework.members fw in
+            (if !members = [] then member_pairs fw (fun i j -> Hashtbl.replace measured (i, j) ())
+             else
+               match List.filter (fun h -> not (List.mem h !members)) now with
+               | [ x ] when not (List.mem x !ghosts) ->
+                   let clean = all_measured !members in
+                   for m = 0 to n - 1 do
+                     Hashtbl.remove measured (Int.min x m, Int.max x m);
+                     if clean && List.mem m !members then
+                       Hashtbl.replace measured (Int.min x m, Int.max x m) ()
+                   done
+               | _ -> ());
+            if not (Tree.is_tree (Framework.tree fw)) then Test.fail_reportf "%s: not a tree" what;
+            member_pairs fw (fun i j ->
+                if Hashtbl.mem measured (i, j)
+                   && not (feq ~eps:1e-6 (Space.dist space i j) (Framework.predicted fw i j))
+                then
+                  Test.fail_reportf "%s: (%d,%d) real %g vs predicted %g" what i j
+                    (Space.dist space i j) (Framework.predicted fw i j));
+            members := now;
+            ghosts :=
+              List.filter
+                (fun h -> Tree.mem (Framework.tree fw) h && not (Framework.is_member fw h))
+                (List.init n Fun.id)));
     Test.make ~name:"labels remain geometrically valid on noisy inputs" ~count:20
       (pair (int_range 4 25) (int_range 0 10_000))
       (fun (n, seed) ->
@@ -491,9 +577,6 @@ let () =
       ( "anchor",
         [
           Alcotest.test_case "structure" `Quick test_anchor_structure;
-          Alcotest.test_case "remove leaf" `Quick test_anchor_remove_leaf;
-          Alcotest.test_case "remove leaf error paths" `Quick
-            test_anchor_remove_leaf_errors;
           Alcotest.test_case "remove node" `Quick test_anchor_remove_node;
         ] );
       ( "label",
@@ -521,6 +604,10 @@ let () =
           Alcotest.test_case "measurements positive" `Quick
             test_builder_measurements_positive;
           Alcotest.test_case "dot export" `Quick test_dot_export;
+          Alcotest.test_case "first host leaves, dump restores" `Quick
+            test_first_host_leaves_restorable;
+          Alcotest.test_case "churn keeps storage bounded" `Quick
+            test_churn_keeps_storage_bounded;
         ] );
       ( "ensemble",
         [
