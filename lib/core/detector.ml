@@ -60,7 +60,6 @@ let watch t ~watcher ~peer ~round =
   Hashtbl.replace t.edges (watcher, peer) { last_heard = round; state = Alive; slack }
 
 let unwatch t ~watcher ~peer = Hashtbl.remove t.edges (watcher, peer)
-let clear t = Hashtbl.reset t.edges
 
 let heard t ~watcher ~peer ~round =
   match Hashtbl.find_opt t.edges (watcher, peer) with

@@ -51,7 +51,6 @@ val watch : t -> watcher:int -> peer:int -> round:int -> unit
     of [round]. *)
 
 val unwatch : t -> watcher:int -> peer:int -> unit
-val clear : t -> unit
 
 val heard : t -> watcher:int -> peer:int -> round:int -> unit
 (** Renew the lease: [watcher] received a message from [peer] at

@@ -12,8 +12,9 @@ type t = {
   mutable index : Find_cluster.Index.t option; (* lazy, then delta-maintained *)
 }
 
-(* detector/manual repairs evict members underneath us; the maintained
-   index follows by delta instead of being rebuilt *)
+(* every eviction — a leave, a manual or a detector-driven repair — runs
+   through the protocol; the maintained index follows by delta instead
+   of being rebuilt *)
 let install_evict_hook t =
   Protocol.set_on_evict t.protocol (fun h ->
       match t.index with
@@ -68,23 +69,13 @@ let index t =
       t.index <- Some i;
       i
 
-(* apply one membership delta to the maintained index, if materialised
-   (a not-yet-demanded index is simply built over the members of the
-   moment it is first used) *)
-let index_join t h =
-  match t.index with
-  | Some idx -> Find_cluster.Index.add_host idx h
-  | None -> ()
-
-let index_leave t h =
-  match t.index with
-  | Some idx -> Find_cluster.Index.remove_host idx h
-  | None -> ()
-
-(* membership + index deltas only, no restabilisation: the daemon's
-   deferred path, where aggregation work is budgeted across ticks and a
-   storm of events must not block behind reconvergence.  The protocol
-   refreshes its topology when it is next read. *)
+(* membership, index and protocol deltas, no restabilisation: the
+   daemon's deferred path, where aggregation work is budgeted across
+   ticks and a storm of events must not block behind reconvergence.  A
+   leave is the protocol's eviction, whose hook applies the index delta;
+   a join gives the newcomer its protocol slot through the refresh.  A
+   not-yet-demanded index is simply built over the members of the moment
+   it is first used. *)
 let apply_deferred t events =
   let applied = ref 0 in
   List.iter
@@ -93,17 +84,16 @@ let apply_deferred t events =
       | Bwc_sim.Churn.Join h ->
           if not (is_member t h) then begin
             Ensemble.add_host ~rng:(Rng.split t.rng) t.fw h;
-            index_join t h;
+            Option.iter (fun idx -> Find_cluster.Index.add_host idx h) t.index;
+            Protocol.refresh_topology t.protocol;
             incr applied
           end
       | Bwc_sim.Churn.Leave h ->
           if is_member t h && member_count t > 1 then begin
-            let (_ : (int * int) list) = Ensemble.evict_host t.fw h in
-            index_leave t h;
+            Protocol.repair t.protocol ~dead:[ h ];
             incr applied
           end)
     events;
-  if !applied > 0 then Protocol.invalidate_topology t.protocol;
   !applied
 
 let apply t events =

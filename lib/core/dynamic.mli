@@ -15,11 +15,11 @@
 
     A join inserts the host into every prediction tree of the ensemble
     (the same Gromov placement a bootstrap uses, or the revival of the
-    host's ghost) and a leave evicts it exactly as crash repair does
-    ({!Bwc_predtree.Ensemble.evict_host}: no rebuild, surviving labels
-    unchanged); after each batch of membership changes the aggregation
-    protocols re-run to quiescence, so cluster routing tables always
-    describe the current overlay.
+    host's ghost) and a leave is crash repair ({!Protocol.repair}: no
+    rebuild, surviving labels unchanged); either way only the protocol
+    state next to the change is touched, and after each batch of
+    membership changes the aggregation protocols re-run to quiescence,
+    so cluster routing tables always describe the current overlay.
 
     The system also keeps the centralized Algorithm-1 comparison alive
     under churn: a {!Bwc_core.Find_cluster.Index} over the measured metric
@@ -84,9 +84,12 @@ val classes : t -> Classes.t
 
 val apply_deferred : t -> Bwc_sim.Churn.event list -> int
 (** Applies a batch of joins and leaves {e without} restabilising:
-    membership and the maintained index are updated by delta, and the
-    protocol's topology is marked stale ({!Protocol.invalidate_topology});
-    its next round, query or dump refreshes it, and rounds
+    membership, the maintained index and the protocol are updated by
+    delta.  A leave is the protocol's eviction ({!Protocol.repair}, whose
+    observer applies the index delta); a join inserts the host into the
+    ensemble and the index, then gives it a protocol slot linked to its
+    overlay neighbours ({!Protocol.refresh_topology}).  Only the hosts
+    next to a change hold state to repropagate, and rounds
     ({!Protocol.run_round}, {!Protocol.run_aggregation}) reconverge it.
     Events for hosts already in the requested state are ignored, as is
     a leave of the last member, so schedules generated independently of

@@ -63,7 +63,7 @@ type t = {
   fw : Ensemble.t;
   classes : Classes.t;
   n_cut : int;
-  mutable nodes : node option array; (* indexed by host id; None = not a member *)
+  nodes : node option array; (* indexed by host id; None = not a member *)
   engine : message Engine.t;
   detector : Detector.t option;
   trace : Trace.t option;
@@ -72,7 +72,6 @@ type t = {
   mutable on_evict : int -> unit;    (* observer of detector/repair evictions *)
   mutable unacked : int;             (* live out entries awaiting an ack, system-wide *)
   mutable step_changed : bool;       (* any node changed state this round *)
-  mutable stale : bool;              (* membership moved since the last refresh *)
   c_retransmissions : Registry.Counter.t;
   c_dup_suppressed : Registry.Counter.t;
   c_stale_discarded : Registry.Counter.t;
@@ -110,30 +109,6 @@ let fresh_node fw classes host =
     dirty_kind = Trace.Aggregate;
   }
 
-let node_slots fw classes =
-  Array.init (Ensemble.hosts fw) (fun h ->
-      if Ensemble.is_member fw h then Some (fresh_node fw classes h) else None)
-
-let sync_engine_active t =
-  Array.iteri
-    (fun h slot -> Engine.set_active t.engine h (slot <> None))
-    t.nodes
-
-let watch_all t =
-  match t.detector with
-  | None -> ()
-  | Some d ->
-      let round = Engine.round t.engine in
-      Array.iter
-        (function
-          | Some node ->
-              List.iter
-                (fun nb ->
-                  Detector.watch d ~watcher:node.id ~peer:nb.Node_info.host ~round)
-                node.neighbors
-          | None -> ())
-        t.nodes
-
 (* Retransmission pacing: an update stays unacknowledged [resend_timeout]
    rounds before it is resent, and after [max_retransmits] fruitless
    resends the sender gives up on the peer. *)
@@ -141,9 +116,11 @@ let resend_timeout = 3
 let max_retransmits = 16
 
 (* The one constructor behind [create] and [of_dump]: they differ only in
-   the state the nodes, engine and detector start from. *)
+   the state the nodes, engine and detector start from.  A host without a
+   slot is no member, so its engine slot is inactive. *)
 let make ~fw ~classes ~n_cut ~nodes ~engine ~detector ~trace ~metrics ~rounds ~epoch
     ~unacked =
+  Array.iteri (fun h slot -> if slot = None then Engine.set_active engine h false) nodes;
   {
     fw;
     classes;
@@ -157,7 +134,6 @@ let make ~fw ~classes ~n_cut ~nodes ~engine ~detector ~trace ~metrics ~rounds ~e
     on_evict = ignore;
     unacked;
     step_changed = false;
-    stale = false;
     c_retransmissions = Registry.counter metrics "protocol.retransmissions";
     c_dup_suppressed = Registry.counter metrics "protocol.dup_suppressed";
     c_stale_discarded = Registry.counter metrics "protocol.stale_discarded";
@@ -184,13 +160,21 @@ let create ~rng ?(n_cut = 10) ?edge_delay ?faults ?detector ?metrics ?trace ~cla
     | Some cfg -> Some (Detector.create ~metrics ?trace ~rng:(Rng.split rng) cfg)
   in
   let engine = Engine.create ?edge_delay ?faults ~metrics ?trace ~rng (Ensemble.hosts fw) in
-  let t =
-    make ~fw ~classes ~n_cut ~nodes:(node_slots fw classes) ~engine ~detector ~trace
-      ~metrics ~rounds:0 ~epoch:0 ~unacked:0
+  let nodes =
+    Array.init (Ensemble.hosts fw) (fun h ->
+        if Ensemble.is_member fw h then Some (fresh_node fw classes h) else None)
   in
-  sync_engine_active t;
-  watch_all t;
-  t
+  (match detector with
+  | None -> ()
+  | Some d ->
+      Array.iter
+        (Option.iter (fun node ->
+             List.iter
+               (fun nb -> Detector.watch d ~watcher:node.id ~peer:nb.Node_info.host ~round:0)
+               node.neighbors))
+        nodes);
+  make ~fw ~classes ~n_cut ~nodes ~engine ~detector ~trace ~metrics ~rounds:0 ~epoch:0
+    ~unacked:0
 
 let get_node t x =
   match t.nodes.(x) with
@@ -570,8 +554,10 @@ let drop_out_entry t node peer =
   Hashtbl.remove node.out peer
 
 (* (re-)establish the live link [a]<->[b] at the current repair epoch:
-   per-link delivery state restarts from scratch on both sides *)
-let relink t ~round a b =
+   per-link delivery state restarts from scratch on both sides, and both
+   are marked dirty with [kind].  Neighbour lists are the caller's to
+   re-read, once per node however many of its links moved. *)
+let relink t ~round ~kind a b =
   let half x y =
     match t.nodes.(x) with
     | None -> ()
@@ -580,9 +566,7 @@ let relink t ~round a b =
         Hashtbl.remove node.seen_seq y;
         Hashtbl.remove node.last_sent y;
         Hashtbl.replace node.link_epoch y t.epoch;
-        node.neighbors <- neighbor_infos t.fw x;
-        node.space <- None;
-        mark_dirty node Trace.Repair;
+        mark_dirty node kind;
         (match t.detector with
         | Some d -> Detector.watch d ~watcher:x ~peer:y ~round
         | None -> ())
@@ -590,28 +574,35 @@ let relink t ~round a b =
   half a b;
   half b a
 
-(* Rebuilding the slots from scratch both refreshes labels/neighborhoods
-   after a framework change and tracks membership changes (joins create a
-   slot, leaves clear one).  In-flight traffic belongs to the old
-   topology and sequence numbering, so it is discarded wholesale — the
-   fresh slots repropagate everything anyway. *)
+let renew_neighbors node fw =
+  node.neighbors <- neighbor_infos fw node.id;
+  node.space <- None
+
+(* A join, fresh or a ghost's revival, hangs one leaf under one overlay
+   parent ([Framework.add_host]) and moves nothing else: the newcomer
+   takes a fresh slot and links with its neighbours.  Every eviction
+   clears its slot at once ([repair]), so the members without a slot are
+   the newest in insertion order. *)
 let refresh_topology t =
-  t.stale <- false;
-  t.nodes <- node_slots t.fw t.classes;
-  t.unacked <- 0;
-  Engine.clear_in_flight t.engine;
-  sync_engine_active t;
-  match t.detector with
-  | None -> ()
-  | Some d ->
-      Detector.clear d;
-      watch_all t
-
-let invalidate_topology t = t.stale <- true
-
-(* the refresh is lazy: a storm of membership changes costs one refresh
-   when node state is next read, not one per change *)
-let refresh_if_stale t = if t.stale then refresh_topology t
+  let round = Engine.round t.engine in
+  let rec join_newest i =
+    if i >= 0 then begin
+      let h = Ensemble.member_at t.fw i in
+      if t.nodes.(h) = None then begin
+        let node = fresh_node t.fw t.classes h in
+        t.nodes.(h) <- Some node;
+        Engine.set_active t.engine h true;
+        List.iter
+          (fun nb ->
+            let y = nb.Node_info.host in
+            relink t ~round ~kind:Trace.Aggregate h y;
+            Option.iter (fun ynode -> renew_neighbors ynode t.fw) t.nodes.(y))
+          node.neighbors;
+        join_newest (i - 1)
+      end
+    end
+  in
+  join_newest (Ensemble.member_count t.fw - 1)
 
 let repair_one t dead_h =
   match t.nodes.(dead_h) with
@@ -653,23 +644,24 @@ let repair_one t dead_h =
               Hashtbl.remove node.seen_seq dead_h;
               Hashtbl.remove node.link_epoch dead_h;
               Hashtbl.remove node.last_sent dead_h;
-              node.neighbors <- neighbor_infos t.fw x;
-              node.space <- None;
+              (* both ends of every regraft are ex-neighbours (orphans
+                 move to the dead node's parent or to a promoted orphan),
+                 so this is the one re-read each touched list needs *)
+              renew_neighbors node t.fw;
               mark_dirty node Trace.Invalidate)
         old_nbrs;
       List.iter
         (fun (c, p) ->
           Registry.Counter.incr t.c_regrafts;
           emit t (Trace.Regraft { round = now; node = c; new_parent = p });
-          relink t ~round:now c p;
-          mark_root_path t p)
+          relink t ~round:now ~kind:Trace.Repair c p)
         regrafts;
+      List.iter (mark_root_path t) (List.sort_uniq compare (List.map snd regrafts));
       (* membership observers (e.g. a maintained clustering index) apply
          the same eviction as a delta instead of rebuilding *)
       t.on_evict dead_h
 
 let repair t ~dead =
-  refresh_if_stale t;
   let dead = List.sort_uniq compare (List.filter (fun h -> t.nodes.(h) <> None) dead) in
   if dead <> [] then begin
     t.epoch <- t.epoch + 1;
@@ -681,13 +673,12 @@ let repair t ~dead =
 let set_on_evict t f = t.on_evict <- f
 
 let crash_host t h =
-  refresh_if_stale t;
   let (_ : node) = get_node t h in
   emit t (Trace.Crash { round = Engine.round t.engine; node = h });
   Engine.set_active t.engine h false
 
 let quiescent t =
-  (not t.stale) && t.unacked = 0
+  t.unacked = 0
   && Array.for_all (function Some node -> not node.dirty | None -> true) t.nodes
   &&
   match t.detector with
@@ -695,7 +686,6 @@ let quiescent t =
   | Some d -> not (Detector.pending d ~round:(Engine.round t.engine))
 
 let run_round t =
-  refresh_if_stale t;
   t.step_changed <- false;
   let active = Engine.run_round t.engine ~step:(step t) in
   t.rounds <- t.rounds + 1;
@@ -752,7 +742,6 @@ let local_find t node ~k ~cls =
 let hop_retries = 2
 
 let query ?(policy = `Best_crt) ?hop_budget t ~at ~k ~cls =
-  refresh_if_stale t;
   if k < 2 then invalid_arg "Protocol.query: k < 2";
   if cls < 0 || cls >= Classes.count t.classes then invalid_arg "Protocol.query: bad class";
   let hop_budget =
@@ -844,7 +833,6 @@ let query_bandwidth ?policy ?hop_budget t ~at ~k ~b =
   | None -> Query.not_found_at at
 
 let crt_row t x v =
-  refresh_if_stale t;
   let node = get_node t x in
   if v = x then Array.copy node.own_row
   else if not (List.exists (fun nb -> nb.Node_info.host = v) node.neighbors) then
@@ -855,7 +843,6 @@ let crt_row t x v =
     | None -> Array.make (Classes.count t.classes) 0
 
 let max_reachable t x ~cls =
-  refresh_if_stale t;
   let node = get_node t x in
   List.fold_left
     (fun acc nb ->
@@ -923,7 +910,6 @@ type dump = {
 let sorted_assoc tbl = List.map (fun k -> (k, Hashtbl.find tbl k)) (Bwc_stats.Tbl.sorted_keys tbl)
 
 let dump t =
-  refresh_if_stale t;
   let nodes = ref [] in
   for id = Array.length t.nodes - 1 downto 0 do
     match t.nodes.(id) with
@@ -1068,9 +1054,6 @@ let of_dump ?metrics ?trace ~classes fw d =
   in
   (* liveness from the dump, not from membership: a crashed-but-not-yet-
      evicted member restores as crashed *)
-  Array.iteri
-    (fun h slot -> if slot = None then Engine.set_active t.engine h false)
-    t.nodes;
   List.iter
     (fun nd -> if not nd.nd_active then Engine.set_active t.engine nd.nd_id false)
     d.d_nodes;

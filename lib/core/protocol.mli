@@ -112,20 +112,21 @@ val crash_host : t -> int -> unit
     Raises [Invalid_argument] for non-members. *)
 
 val repair : t -> dead:int list -> unit
-(** Manually evict the given (presumed dead) members and heal around
-    them, exactly as detector-driven repair would: ensemble eviction with
-    grandparent regrafts, link-epoch bump, invalidation of the dead
-    nodes' state at their ex-neighbors, root-path dirty marking.
-    Re-converge with further rounds.  Non-members in [dead] are ignored.
-    This is the incremental alternative to
-    {!Bwc_predtree.Ensemble.evict_host} + {!refresh_topology}. *)
+(** The leave side of membership, for a graceful leave and a confirmed
+    crash alike: evicts the given members and heals around them, exactly
+    as detector-driven repair does — ensemble eviction
+    ({!Bwc_predtree.Ensemble.evict_host}) with grandparent regrafts,
+    link-epoch bump, invalidation of the dead nodes' state at their
+    ex-neighbors (each touched neighbor list re-read once), root-path
+    dirty marking, and the {!set_on_evict} observer.  Re-converge with
+    further rounds.  Non-members in [dead] are ignored. *)
 
 val set_on_evict : t -> (int -> unit) -> unit
 (** Registers an observer called with each member evicted by {!repair}
-    (manual or detector-driven), after the ensemble and overlay have been
-    healed.  Lets owners of derived per-membership structures — e.g. a
-    maintained {!Find_cluster.Index} — apply the eviction as an O(n^2)
-    delta instead of rebuilding.  The previous observer is replaced;
+    (a leave, or a crash repaired by hand or by the detector), after the
+    ensemble and overlay have been healed.  Lets owners of derived
+    per-membership structures — e.g. a maintained {!Find_cluster.Index}
+    — apply the eviction as an O(n^2) delta instead of rebuilding.  The previous observer is replaced;
     [create] installs a no-op. *)
 
 val detector : t -> Detector.t option
@@ -183,8 +184,8 @@ val heartbeats_sent : t -> int
 (** Detector heartbeats sent over idle links ([protocol.heartbeats]). *)
 
 val repairs_run : t -> int
-(** Confirmed-dead nodes evicted and healed around
-    ([protocol.repairs]). *)
+(** Members evicted and healed around by {!repair} — confirmed crashes
+    and leaves alike ([protocol.repairs]). *)
 
 val regrafts_applied : t -> int
 (** Orphaned overlay children re-attached to their grandparent during
@@ -267,28 +268,24 @@ val of_dump :
     file. *)
 
 val mark_all_dirty : t -> unit
-(** Forces every host to recompute and repropagate — used after the
-    underlying framework is refreshed (dynamic network conditions). *)
+(** Forces every host to recompute and repropagate — the daemon's
+    repropagation after accepted measurement samples. *)
 
 val refresh_topology : t -> unit
-(** Re-reads membership, labels and anchor neighborhoods from the
-    framework (after joins, leaves or a rebuild), clears stale
-    aggregation state, and marks everything dirty.  Aggregation then
-    reconverges with further rounds.  With a detector, all lease state
-    is reset and the fresh edges are watched from the current round.
-    Functions taking a host raise [Invalid_argument] for non-members. *)
-
-val invalidate_topology : t -> unit
-(** Marks the topology stale after the framework's membership moved.
-    Every function that reads or changes node state ({!run_round},
-    {!repair}, {!crash_host}, {!query}, {!query_bandwidth}, {!crt_row},
-    {!max_reachable} and {!dump}) first runs {!refresh_topology}.
-    {!mark_all_dirty} needs no refresh: the pending one marks every host
-    dirty anyway.  The refresh is lazy, so a burst of membership changes
-    costs one refresh, and none while nothing reads the protocol. *)
+(** The join side of membership: gives every member that has no slot —
+    a host {!Bwc_predtree.Ensemble.add_host} joined since the last call,
+    fresh or a ghost's revival — a fresh slot, an active engine slot and
+    live links to its overlay neighbours (at the current repair epoch,
+    watched by the detector), and re-reads those neighbours' lists.  A
+    join hangs one leaf under one parent, so nothing else moves, and the
+    cost is the newcomer's overlay degree.  A leave is {!repair}, which
+    clears the slot at once, so on a protocol whose slots already match
+    the ensemble's membership a refresh changes nothing.  Aggregation
+    reconverges with further rounds.  Functions taking a host raise
+    [Invalid_argument] for non-members. *)
 
 val quiescent : t -> bool
-(** No stale topology, no node with state left to propagate, no update
-    awaiting an acknowledgement and no failure-detector lease running
-    out: further rounds would change nothing.  A protocol restored from
+(** No node with state left to propagate, no update awaiting an
+    acknowledgement and no failure-detector lease running out: further
+    rounds would change nothing.  A protocol restored from
     a snapshot taken mid-convergence is not quiescent. *)

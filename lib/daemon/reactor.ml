@@ -18,14 +18,15 @@
      storm), then queries (deadline-checked at dequeue: an expired
      query answers a typed TIMEOUT, it is never silently dropped),
      then measurement gossip;
-   - budgeted stabilization: a topology refresh when membership moved,
-     then at most [stabilize_budget] protocol rounds.  While the
-     aggregation is stale, queries are served from the last consistent
-     Find_cluster.Index — membership-fresh by delta maintenance — with
-     an explicit staleness bound instead of blocking on reconvergence;
+   - budgeted stabilization: at most [stabilize_budget] protocol rounds
+     (a JOIN or LEAVE already reached the protocol locally when it was
+     applied).  While the aggregation is stale, queries are served from
+     the last consistent Find_cluster.Index — membership-fresh by delta
+     maintenance — with an explicit staleness bound instead of blocking
+     on reconvergence;
    - mode transitions (backlog-driven degraded mode) and the watchdog
-     (stalled convergence fires a repair: forced refresh + degraded
-     mode, consulting Detector.pending for overdue heartbeats);
+     (stalled convergence enters degraded mode, consulting
+     Detector.pending for overdue heartbeats);
    - snapshot scheduling ([take_snapshot_request] tells the driver to
      rotate one out through Lifecycle; the reactor itself does no IO). *)
 
@@ -383,12 +384,11 @@ let stabilization t ~now =
     let allowed =
       match t.mode with
       | Normal | Draining -> true
-      (* degraded: reconvergence restarts on every membership change, so
+      (* degraded: every membership change sets reconvergence back, so
          only attempt it on quiet ticks — the index serves meanwhile *)
       | Degraded -> not t.churn_this_tick
     in
     if allowed then begin
-      (* the first round refreshes a topology membership moved *)
       let active = ref true in
       let rounds = ref 0 in
       while !active && !rounds < t.config.stabilize_budget do
@@ -414,9 +414,7 @@ let watchdog t ~now =
     bump t "daemon.watchdog_fires" [];
     emit t
       (Trace.Daemon_watchdog { round = now; pending; stalled = now - t.dirty_since });
-    (* repair: force a full topology refresh on the next stabilization
-       pass and stop queries from waiting on it *)
-    Protocol.invalidate_topology p;
+    (* stop queries from waiting on the stalled convergence *)
     enter_degraded t ~now;
     t.dirty_since <- now
   end

@@ -12,10 +12,9 @@
     A tick performs, in order: token-bucket refill; overdue ingest
     retries; budgeted queue work in class-priority order (churn up to
     [churn_share], then queries — deadline-checked at dequeue — then
-    measurement gossip); budgeted stabilization (topology refresh when
-    membership moved, then at most [stabilize_budget] protocol rounds);
-    degraded-mode transitions; the stalled-convergence watchdog; and
-    snapshot scheduling.
+    measurement gossip); budgeted stabilization (at most
+    [stabilize_budget] protocol rounds); degraded-mode transitions; the
+    stalled-convergence watchdog; and snapshot scheduling.
 
     While the aggregation is stale, queries are served from the last
     consistent {!Bwc_core.Find_cluster.Index} — kept membership-fresh

@@ -52,13 +52,15 @@ let fixpoint_matches ~n ens a b =
   !ok
 
 (* The system E12, E13 and E16 rebuild for every configuration: the
-   ensemble from [seed + 1] and the protocol from [seed + 2], with n_cut
-   4 over five percentile classes, aggregated to quiescence or
-   [max_rounds].  Only the fault plan, the failure detector and the trace
-   sink vary, so any difference in outcome is attributable to them. *)
-let build_system ~seed ~metrics ~faults ~detector ~trace ~max_rounds dataset =
+   ensemble from [seed + 1], less the [evict] hosts, and the protocol
+   from [seed + 2], with n_cut 4 over five percentile classes,
+   aggregated to quiescence or [max_rounds].  Only the fault plan, the
+   failure detector, the trace sink and E13's oracle evictions vary, so
+   any difference in outcome is attributable to them. *)
+let build_system ~seed ~metrics ~faults ~detector ~trace ~max_rounds ~evict dataset =
   let classes = Bwc_core.Classes.of_percentiles ~count:5 dataset in
   let ens = Ensemble.build ~rng:(Rng.create (seed + 1)) ~metrics (Dataset.metric dataset) in
+  List.iter (fun h -> ignore (Ensemble.evict_host ens h : (int * int) list)) evict;
   let p =
     Protocol.create ~rng:(Rng.create (seed + 2)) ~n_cut:4 ~faults ?detector ~metrics ?trace
       ~classes ens
@@ -104,7 +106,8 @@ let run ?(drops = [ 0.0; 0.1; 0.2; 0.3 ]) ?(crash_rates = [ 0.0; 0.15 ]) ?(queri
   (* each configuration gets its own registry so its snapshot is a
      self-contained record of what the whole stack did *)
   let build ~faults ~metrics =
-    build_system ~seed ~metrics ~faults ~detector:None ~trace:None ~max_rounds dataset
+    build_system ~seed ~metrics ~faults ~detector:None ~trace:None ~max_rounds ~evict:[]
+      dataset
   in
   let ens, clean, clean_rounds = build ~faults:Fault.none ~metrics:(Registry.create ()) in
   let clean_messages = Protocol.messages_sent clean in
@@ -229,26 +232,24 @@ let recovery ?(victim_counts = [ 1; 2; 3 ]) ?(queries = 60) ~seed dataset =
   let n = Dataset.size dataset in
   let hosts = Array.init n Fun.id in
   let lo, hi = Workload.bandwidth_range dataset in
-  (* both arms of every row rebuild the same converged system; the only
-     difference is how the crash is handled: detector-driven incremental
-     repair vs an oracle that evicts immediately and re-propagates
-     everything *)
-  let build detector =
+  (* both arms of every row build the same system; the only difference
+     is how the crash is handled: detector-driven incremental repair of
+     the converged system vs an oracle that evicts the victims before a
+     fresh protocol propagates everything *)
+  let build ~evict detector =
     build_system ~seed ~metrics:(Registry.create ()) ~faults:Fault.none ~detector
-      ~trace:None ~max_rounds dataset
+      ~trace:None ~max_rounds ~evict dataset
   in
   let watched = Some Detector.default_config in
-  let _, clean, base_rounds = build watched in
+  let _, clean, base_rounds = build ~evict:[] watched in
   let rr_clean, _ = measure_rr ~seed:(seed + 3) ~queries ~hosts ~lo ~hi clean in
   let rows =
     List.map
       (fun v ->
-        let ens_inc, p_inc, _ = build watched in
-        let ens_full, p_full, _ = build None in
+        let ens_inc, p_inc, _ = build ~evict:[] watched in
         let victims = pick_victims ~rng:(Rng.create (seed + 11 + v)) ens_inc v in
         let vcount = List.length victims in
         List.iter (Protocol.crash_host p_inc) victims;
-        List.iter (Protocol.crash_host p_full) victims;
         let crash_round = Protocol.rounds_run p_inc in
         let msgs0_inc = Protocol.messages_sent p_inc in
         let hb0 = Protocol.heartbeats_sent p_inc in
@@ -291,13 +292,10 @@ let recovery ?(victim_counts = [ 1; 2; 3 ]) ?(queries = 60) ~seed dataset =
           Protocol.messages_sent p_inc - msgs0_inc - heartbeats
         in
         let rr_during = float_of_int !hits /. float_of_int (max 1 !asked) in
-        (* oracle arm: told the victims immediately, evicts and rebuilds
-           every slot, then re-propagates from scratch *)
-        let msgs0_full = Protocol.messages_sent p_full in
-        List.iter (fun h -> ignore (Ensemble.evict_host ens_full h)) victims;
-        Protocol.refresh_topology p_full;
-        let full_rounds = Protocol.run_aggregation ~max_rounds p_full in
-        let full_msgs = Protocol.messages_sent p_full - msgs0_full in
+        (* oracle arm: told the victims immediately, evicts them before
+           its protocol starts, which then propagates from scratch *)
+        let ens_full, p_full, full_rounds = build ~evict:victims None in
+        let full_msgs = Protocol.messages_sent p_full in
         let overlay_match = overlay_edges ens_inc = overlay_edges ens_full in
         let fixpoint_match =
           overlay_match

@@ -66,14 +66,16 @@ val build_system :
   detector:Bwc_core.Detector.config option ->
   trace:Bwc_obs.Trace.t option ->
   max_rounds:int ->
+  evict:int list ->
   Bwc_dataset.Dataset.t ->
   Bwc_predtree.Ensemble.t * Bwc_core.Protocol.t * int
 (** The system E12, E13 and E16 rebuild for every configuration: the
-    ensemble from [seed + 1] and the protocol from [seed + 2], with
-    [n_cut] 4 over five percentile classes, both writing to [metrics].
-    Returns them with the rounds the aggregation ran, to quiescence or
-    [max_rounds].  Only [faults] ({!Bwc_sim.Fault.none} for a
-    fault-free run), [detector] and [trace] vary between scenarios. *)
+    ensemble from [seed + 1], with the hosts in [evict] evicted from it,
+    and the protocol from [seed + 2], with [n_cut] 4 over five
+    percentile classes, both writing to [metrics].  Returns them with
+    the rounds the aggregation ran, to quiescence or [max_rounds].  Only
+    [faults] ({!Bwc_sim.Fault.none} for a fault-free run), [detector],
+    [trace] and, for E13's oracle arm, [evict] vary between scenarios. *)
 
 val measure_rr :
   seed:int -> queries:int -> hosts:int array -> lo:float -> hi:float ->
@@ -98,9 +100,9 @@ val pick_victims : rng:Bwc_stats.Rng.t -> Bwc_predtree.Ensemble.t -> int -> int 
       regraft to their grandparent and only the state around the wound is
       re-propagated;
     - {b full stabilize}: an oracle evicts the victims immediately
-      ({!Bwc_predtree.Ensemble.evict_host}), then
-      {!Bwc_core.Protocol.refresh_topology} rebuilds every slot and the
-      whole aggregation re-propagates from scratch.
+      ({!Bwc_predtree.Ensemble.evict_host}) from a fresh build of the
+      same ensemble, and a fresh protocol over it propagates the whole
+      aggregation from scratch.
 
     Both arms must land on the identical overlay and CRT fixed point
     ([overlay_match] / [fixpoint_match]); the incremental arm should get

@@ -76,7 +76,7 @@ let traced_system ~faults ~detector ~seed dataset =
   let trace = Trace.create () in
   let ens, p, (_ : int) =
     Robustness.build_system ~seed ~metrics:(Registry.create ()) ~faults ~detector
-      ~trace:(Some trace) ~max_rounds dataset
+      ~trace:(Some trace) ~max_rounds ~evict:[] dataset
   in
   (ens, p, trace)
 

@@ -17,8 +17,7 @@ type drop_cause =
   | Fault_loss  (** lost by the fault plan at send time *)
   | Partition   (** blocked by a scripted partition at send time *)
   | Dead_dst    (** destination inactive at delivery time *)
-  | Purge       (** in-flight traffic purged by a crash/leave or
-                    [clear_in_flight] *)
+  | Purge       (** in-flight traffic purged by a crash/leave *)
 
 type msg_kind =
   | Heartbeat   (** failure-detector lease renewal *)

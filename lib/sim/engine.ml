@@ -173,17 +173,6 @@ let is_active t i =
   check t i;
   t.active.(i)
 
-let clear_in_flight t =
-  (* purge everything, oldest delivery round first so the trace is
-     deterministic *)
-  Bwc_stats.Tbl.iter_sorted
-    (fun _ waiting ->
-      List.iter (fun f -> drop_flight t f Purge) (List.rev waiting))
-    t.in_flight;
-  t.flying <- 0;
-  Hashtbl.reset t.in_flight;
-  Array.iter Queue.clear t.inbox
-
 let run_round t ~step =
   (* Advance the clock, then deliver everything due at the new round;
      sends during the round are stamped with the new time, so a 1-round

@@ -24,7 +24,7 @@ type drop_cause = Bwc_obs.Trace.drop_cause =
   | Partition  (** blocked by a scripted partition at send time *)
   | Dead_dst  (** destination inactive at delivery time *)
   | Purge
-      (** discarded in flight by {!set_active} [false] or {!clear_in_flight} *)
+      (** discarded in flight by {!set_active} [false] *)
 
 type 'msg t
 
@@ -100,11 +100,6 @@ val set_active : 'msg t -> int -> bool -> unit
     active again by delivery time. *)
 
 val is_active : 'msg t -> int -> bool
-
-val clear_in_flight : 'msg t -> unit
-(** Drops every undelivered message (counted under [Purge]).  Used when
-    the overlay is rebuilt and in-flight traffic belongs to a dead
-    topology. *)
 
 val run_round : 'msg t -> step:(int -> (int * 'msg) list -> bool) -> bool
 (** Applies scripted crash/restart transitions, delivers every message

@@ -766,17 +766,21 @@ let snapshot_anywhere () =
 (* 8. cached-space — every node keeps its clustering space V_x, with the
    pairwise label distances, across rounds, and drops it wherever V_x
    may change.  Over seeded systems with a failure detector, random
-   interleavings of rounds, mark_all_dirty, membership changes that
-   refresh the topology, crashes the detector turns into evictions
-   (repair, relink, regrafts), and live queries at random members, some
-   of them before a node's first step, check at every round boundary:
+   interleavings of rounds, mark_all_dirty, JOINs (a slot through
+   refresh_topology) and LEAVEs (an eviction through repair), also while
+   a crash awaits its eviction, crashes the detector turns into
+   evictions (repair, relink, regrafts), and live queries at random
+   members, some of them before a node's first step, check at every
+   round boundary:
    (a) every live answer equals the answer of
        Protocol.of_dump (Protocol.dump t), whose nodes start without a
        cached space;
    (b) every node the dump marks clean holds the own CRT row an
        Index.max_size oracle gives per class, over its clustering space
        rebuilt from the dump as the node plus every host in its
-       aggrNode tables. *)
+       aggrNode tables;
+   and at the end of every case, bounded rounds evict every crashed host
+   that is still a member (a membership move must not restart it). *)
 
 module Classes = Bwc_core.Classes
 module Node_info = Bwc_core.Node_info
@@ -807,7 +811,8 @@ let cached_space () =
   let prop = "cached-space" in
   let n_cases = Stdlib.max 1 (cases / 10) in
   let boundaries = ref 0 and answers = ref 0 and rows = ref 0 in
-  let queries = ref 0 and refreshes = ref 0 and evictions = ref 0 in
+  let queries = ref 0 and moves = ref 0 and moves_awaiting = ref 0 in
+  let crashes = ref 0 and evictions = ref 0 in
   for case = 0 to n_cases - 1 do
     let rng = case_rng (700_000 + case) in
     let n = 12 + Rng.int rng 29 in
@@ -863,18 +868,20 @@ let cached_space () =
       let members = Array.of_list (Ensemble.members ens) in
       match Rng.int rng 20 with
       | 0 -> Protocol.mark_all_dirty p
-      | 1 | 2 when not (List.exists (Ensemble.is_member ens) !awaiting) ->
-          (* not while a crash awaits its eviction: the refresh would
-             restart the crashed host *)
-          awaiting := [];
-          incr refreshes;
+      | 1 | 2 ->
+          (* JOIN or LEAVE, also while a crash awaits its eviction *)
+          incr moves;
+          awaiting := List.filter (Ensemble.is_member ens) !awaiting;
+          if !awaiting <> [] then incr moves_awaiting;
           let outs =
             List.filter (fun h -> not (Ensemble.is_member ens h)) (List.init n Fun.id)
           in
-          if outs <> [] && (Array.length members <= 8 || Rng.bool rng) then
-            Ensemble.add_host ~rng ens (Rng.choose rng (Array.of_list outs))
-          else ignore (Ensemble.evict_host ens (Rng.choose rng members) : (int * int) list);
-          Protocol.refresh_topology p
+          if outs <> [] && (Array.length members <= 8 || Rng.bool rng) then begin
+            (* an evicted victim may rejoin, alive *)
+            Ensemble.add_host ~rng ens (Rng.choose rng (Array.of_list outs));
+            Protocol.refresh_topology p
+          end
+          else Protocol.repair p ~dead:[ Rng.choose rng members ]
       | 3 when List.length !crashed < 2 ->
           (* a non-root member away from earlier victims *)
           let anchor = Framework.anchor (Ensemble.primary ens) in
@@ -892,6 +899,7 @@ let cached_space () =
             let victim = Rng.choose rng (Array.of_list eligible) in
             crashed := victim :: !crashed;
             awaiting := victim :: !awaiting;
+            incr crashes;
             Protocol.crash_host p victim
           end
       | 4 | 5 | 6 | 7 | 8 ->
@@ -905,11 +913,21 @@ let cached_space () =
           let (_ : bool) = Protocol.run_round p in
           check_boundary ()
     done;
+    (* no membership move restarted a crashed host: the detector evicts
+       every one *)
+    let rounds = ref 0 in
+    while List.exists (Ensemble.is_member ens) !awaiting do
+      incr rounds;
+      if !rounds > 200 then
+        fail_case prop case "a crashed member is still a member after %d rounds" 200;
+      ignore (Protocol.run_round p : bool)
+    done;
     evictions := !evictions + Protocol.repairs_run p
   done;
   Printf.printf
-    "%s: %d cases, %d round boundaries, %d refreshes, %d evictions, %d queries, %d answers and %d own rows match a restore and the oracle [ok]\n"
-    prop n_cases !boundaries !refreshes !evictions !queries !answers !rows
+    "%s: %d cases, %d round boundaries, %d JOIN/LEAVE (%d while a crash awaited its eviction), %d crashes all evicted, %d evictions, %d queries, %d answers and %d own rows match a restore and the oracle [ok]\n"
+    prop n_cases !boundaries !moves !moves_awaiting !crashes !evictions !queries !answers
+    !rows
 
 (* 9. fixpoint-oracle — on a tree overlay the aggregation fixpoint is a
    recursion over directed edges, computed here from the ensemble alone
@@ -921,10 +939,12 @@ let cached_space () =
    - crt(v->x): the element-wise max of v's own row and every crt(w->v);
    - own(x): Index.max_size per class over x and every prop(v->x).
    Over tree and noisy metrics, with and without a failure detector and
-   n_cut 2-10, random interleavings of JOIN (fresh and returning hosts),
-   LEAVE, crash, repair and mark_all_dirty run to quiescence after every
-   event (a crash first runs rounds until the detector has evicted the
-   host, or is repaired by hand without one), and at every quiescent
+   n_cut 2-10, random interleavings of JOIN (fresh and returning hosts,
+   a slot through refresh_topology), LEAVE (an eviction through repair,
+   as a repair by hand is), crash and mark_all_dirty run to quiescence
+   after every event (a crash first runs rounds until the detector has
+   evicted the host, or is repaired by hand without one), and at every
+   quiescent
    point each member's aggrNode tables, own row and aggrCRT columns in
    Protocol.dump equal the oracle's. *)
 
@@ -976,7 +996,7 @@ let fixpoint_oracle () =
   let n_cases = Stdlib.max 1 (cases / 10) in
   let with_detector = ref 0 and points = ref 0 and checked = ref 0 in
   let fresh = ref 0 and returning = ref 0 and leaves = ref 0 in
-  let crashes = ref 0 and repairs = ref 0 and dirtied = ref 0 in
+  let crashes = ref 0 and dirtied = ref 0 in
   for case = 0 to n_cases - 1 do
     let rng = case_rng (800_000 + case) in
     let n = 10 + Rng.int rng 21 in
@@ -1044,10 +1064,9 @@ let fixpoint_oracle () =
             Ensemble.add_host ~rng ens h;
             Protocol.refresh_topology p
           end
-      | 1 when many ->
+      | 1 | 3 when many ->
           incr leaves;
-          ignore (Ensemble.evict_host ens (Rng.choose rng members) : (int * int) list);
-          Protocol.refresh_topology p
+          Protocol.repair p ~dead:[ Rng.choose rng members ]
       | 2 when many ->
           incr crashes;
           let victim = Rng.choose rng members in
@@ -1062,9 +1081,6 @@ let fixpoint_oracle () =
                 ignore (Protocol.run_round p : bool)
               done
           | None -> Protocol.repair p ~dead:[ victim ])
-      | 3 when many ->
-          incr repairs;
-          Protocol.repair p ~dead:[ Rng.choose rng members ]
       | _ ->
           incr dirtied;
           Protocol.mark_all_dirty p);
@@ -1072,8 +1088,8 @@ let fixpoint_oracle () =
     done
   done;
   Printf.printf
-    "%s: %d cases (%d with a detector), %d fresh joins, %d returning, %d leaves, %d crashes, %d repairs, %d mark_all_dirty, %d quiescent points, %d node states equal the fixpoint [ok]\n"
-    prop_name n_cases !with_detector !fresh !returning !leaves !crashes !repairs !dirtied
+    "%s: %d cases (%d with a detector), %d fresh joins, %d returning, %d leaves, %d crashes, %d mark_all_dirty, %d quiescent points, %d node states equal the fixpoint [ok]\n"
+    prop_name n_cases !with_detector !fresh !returning !leaves !crashes !dirtied
     !points !checked
 
 let () =

@@ -892,14 +892,14 @@ let test_incremental_repair_matches_full () =
   let ds = small_dataset ~seed:94 24 in
   let space = Bwc_dataset.Dataset.metric ds in
   let classes = Classes.of_percentiles ~count:5 ds in
-  let make () =
-    let ens = Ensemble.build ~rng:(Rng.create 95) space in
+  let ensemble () = Ensemble.build ~rng:(Rng.create 95) space in
+  let converged ens =
     let p = Protocol.create ~rng:(Rng.create 96) ~n_cut:4 ~classes ens in
     let (_ : int) = Protocol.run_aggregation ~max_rounds:600 p in
-    (ens, p)
+    p
   in
-  let ens_inc, p_inc = make () in
-  let ens_full, p_full = make () in
+  let ens_inc = ensemble () in
+  let p_inc = converged ens_inc in
   let victim = find_midtree_victim ens_inc in
   (* incremental arm: evict + heal locally, reconverge *)
   Protocol.crash_host p_inc victim;
@@ -907,13 +907,12 @@ let test_incremental_repair_matches_full () =
   Protocol.repair p_inc ~dead:[ victim ];
   let (_ : int) = Protocol.run_aggregation ~max_rounds:600 p_inc in
   let repair_msgs = Protocol.messages_sent p_inc - msgs0_inc in
-  (* full arm: same eviction, then rebuild every slot and repropagate *)
-  Protocol.crash_host p_full victim;
-  let msgs0_full = Protocol.messages_sent p_full in
+  (* full arm: the same eviction, before a fresh protocol propagates
+     everything *)
+  let ens_full = ensemble () in
   let (_ : (int * int) list) = Ensemble.evict_host ens_full victim in
-  Protocol.refresh_topology p_full;
-  let (_ : int) = Protocol.run_aggregation ~max_rounds:600 p_full in
-  let full_msgs = Protocol.messages_sent p_full - msgs0_full in
+  let p_full = converged ens_full in
+  let full_msgs = Protocol.messages_sent p_full in
   (* both arms repaired the overlay identically (the nearest-live-ancestor
      rule does not depend on how the repair was driven) *)
   let edges ens =
@@ -1575,12 +1574,41 @@ let test_system_deterministic () =
   done
 
 let test_protocol_refresh_topology () =
+  (* every member already has its slot: the refresh changes nothing *)
   let _, _, protocol = build_protocol ~seed:30 18 in
+  let before = Protocol.dump protocol and sent = Protocol.messages_sent protocol in
   Protocol.refresh_topology protocol;
-  let rounds = Protocol.run_aggregation protocol in
-  Alcotest.(check bool) "reconverges" true (rounds > 0);
-  (* quiescent again afterwards *)
-  Alcotest.(check bool) "stable" false (Protocol.run_round protocol)
+  Alcotest.(check bool) "dump unchanged" true (Protocol.dump protocol = before);
+  Alcotest.(check bool) "quiescent" true (Protocol.quiescent protocol);
+  Alcotest.(check bool) "stable" false (Protocol.run_round protocol);
+  Alcotest.(check int) "nothing sent" sent (Protocol.messages_sent protocol)
+
+let test_protocol_join_relinks_locally () =
+  (* a join hangs one leaf under one overlay parent: the refresh gives
+     the newcomer its slot and dirties only it and its neighbours, and
+     the aggregation reconverges to a fresh protocol's fixed point *)
+  let ds = small_dataset ~seed:31 18 in
+  let classes = protocol_classes ds in
+  let ens =
+    Ensemble.build ~rng:(Rng.create 32) ~members:(List.init 17 Fun.id)
+      (Bwc_dataset.Dataset.metric ds)
+  in
+  let p = Protocol.create ~rng:(Rng.create 33) ~n_cut ~classes ens in
+  let (_ : int) = Protocol.run_aggregation p in
+  Ensemble.add_host ~rng:(Rng.create 34) ens 17;
+  Protocol.refresh_topology p;
+  let dirty =
+    List.filter_map
+      (fun nd -> if nd.Protocol.nd_dirty then Some nd.Protocol.nd_id else None)
+      (Protocol.dump p).Protocol.d_nodes
+  in
+  Alcotest.(check (list int)) "the newcomer and its neighbours"
+    (List.sort compare (17 :: Ensemble.anchor_neighbors ens 17))
+    dirty;
+  let (_ : int) = Protocol.run_aggregation p in
+  let fresh = Protocol.create ~rng:(Rng.create 33) ~n_cut ~classes ens in
+  let (_ : int) = Protocol.run_aggregation fresh in
+  check_members_fixpoint ens fresh p
 
 (* ----- end-to-end exactness on perfect tree metrics ----- *)
 
@@ -1961,6 +1989,8 @@ let () =
           Alcotest.test_case "feeder among members" `Quick test_find_feeder_among_members;
           Alcotest.test_case "protocol refresh_topology" `Quick
             test_protocol_refresh_topology;
+          Alcotest.test_case "protocol join relinks locally" `Quick
+            test_protocol_join_relinks_locally;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest (qcheck_tests @ qcheck_protocol_tests) );

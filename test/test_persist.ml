@@ -140,9 +140,9 @@ let test_snapshot_dynamic_roundtrip () =
     (Bwc_core.Find_cluster.Index.is_member (Dynamic.index restored) victim)
 
 let test_snapshot_after_deferred_churn () =
-  (* an image taken after a deferred LEAVE or JOIN, before any round
-     has refreshed the protocol's topology, must restore: the dump
-     refreshes a stale topology before it reads node state *)
+  (* an image taken after a deferred LEAVE or JOIN, before any round,
+     must restore: the protocol took the change when it was applied, so
+     its slots already match the membership the image records *)
   let dyn =
     Dynamic.create ~seed:1 ~initial_members:(List.init 12 Fun.id) (dataset ~seed:1 16)
   in
@@ -282,7 +282,7 @@ let test_restored_reencodes_like_original () =
       round d);
   both round;
   both converge;
-  (* a deferred LEAVE refreshes the whole topology *)
+  (* a deferred LEAVE runs the same eviction *)
   let leaving = List.nth (Dynamic.members sys) 9 in
   both (fun d ->
       ignore (Dynamic.apply_deferred d [ Bwc_sim.Churn.Leave leaving ] : int);
