@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-full bench-index bench-trace bench-daemon overload restart prop examples clean doc lint lint-json lint-sarif trace metrics analyze trace-analytics identity
+.PHONY: all build test bench bench-full bench-index bench-trace bench-daemon overload restart prop examples clean doc lint lint-json lint-sarif trace metrics analyze trace-analytics identity identity-diff
 
 all: build
 
@@ -89,9 +89,8 @@ prop:
 # the commands write.  Every bwcluster subcommand runs at CI smoke size
 # (E14's churn sweep is left out: its timing fields vary run to run),
 # then snapshot -> restore --resnapshot, every --help=plain, and
-# test/prop.exe.  To compare a change with its parent, run
-# `make identity` in the change and `make -f <change>/Makefile identity`
-# in a checkout of the parent, then `diff -r` the two _identity/.
+# test/prop.exe.  `make identity-diff` below compares a change with its
+# base.
 identity:
 	dune build bin/bwcluster.exe bin/bwclusterd.exe test/prop.exe
 	rm -rf _identity
@@ -139,6 +138,24 @@ identity:
 	done; \
 	run prop _build/default/test/prop.exe
 	@echo "identity set written to _identity/ ($$(ls _identity | wc -l) files)"
+
+# The byte-identity gate between two revisions: extracts BASE (default
+# origin/main) into a temporary directory outside the checkout, runs
+# this Makefile's identity target there and here, and writes `diff -r`
+# of the two sets to _identity.diff; the target fails when they differ.
+# Both sides run the same commands, so an empty diff means every output
+# of the set is byte-identical.  Example: make identity-diff BASE=HEAD~1
+BASE ?= origin/main
+
+identity-diff:
+	@git rev-parse --verify --quiet "$(BASE)^{commit}" > /dev/null || \
+	  { echo "identity-diff: no commit $(BASE)" >&2; exit 2; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	git archive --format=tar "$(BASE)" | tar -x -C "$$tmp" && \
+	$(MAKE) --no-print-directory -C "$$tmp" -f "$(CURDIR)/Makefile" identity && \
+	$(MAKE) --no-print-directory identity && \
+	{ diff -r "$$tmp/_identity" _identity > _identity.diff; status=$$?; \
+	  cat _identity.diff; exit $$status; }
 
 examples:
 	dune exec examples/quickstart.exe

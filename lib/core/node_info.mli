@@ -20,4 +20,7 @@ val space_of : t array -> Bwc_metric.Space.t
     4 run {!Find_cluster} on exactly this).  Every pair's distance is
     computed once, up front. *)
 
-val compare_host : t -> t -> int
+val compare : t -> t -> int
+(** By host, then by labels.  Two infos of one host can differ: a host
+    that leaves and is placed afresh on its next join gets a new label,
+    and nodes that aggregated the old one must see the change. *)

@@ -6,6 +6,7 @@ module Fault = Bwc_sim.Fault
 module Registry = Bwc_obs.Registry
 module Trace = Bwc_obs.Trace
 module Rng = Bwc_stats.Rng
+module Space = Bwc_metric.Space
 
 type payload = {
   prop_node : Node_info.t list;
@@ -14,7 +15,7 @@ type payload = {
 
 let payload_equal a b =
   a.prop_crt = b.prop_crt
-  && List.compare Node_info.compare_host a.prop_node b.prop_node = 0
+  && List.compare Node_info.compare a.prop_node b.prop_node = 0
 
 (* Updates carry a per-link sequence number so that receivers can discard
    duplicates and out-of-order copies (fault jitter breaks link FIFO-ness);
@@ -45,9 +46,13 @@ type node = {
   aggr_node : (int, Node_info.t list) Hashtbl.t;    (* neighbor -> received propNode *)
   aggr_crt : (int, int array) Hashtbl.t;            (* neighbor -> received propCRT *)
   mutable own_row : int array;                      (* aggrCRT[self] *)
-  (* V_x with its pairwise label distances, kept across rounds; [None]
-     wherever V_x may have changed, rebuilt on the next read *)
-  mutable space : (Node_info.t array * Bwc_metric.Space.t) option;
+  (* V_x with its pairwise label distances, kept across rounds: [None]
+     until the first read, rebuilt on the first read once [stale] *)
+  mutable space : (Node_info.t array * Space.t) option;
+  mutable stale : bool;
+  (* V_x may have changed since [own_row] and the propNode lists were
+     last recomputed *)
+  mutable moved : bool;
   out : (int, out_entry) Hashtbl.t;                 (* neighbor -> last update sent *)
   seen_seq : (int, int) Hashtbl.t;                  (* neighbor -> highest seq received *)
   link_epoch : (int, int) Hashtbl.t;                (* neighbor -> link repair epoch *)
@@ -72,6 +77,7 @@ type t = {
   mutable on_evict : int -> unit;    (* observer of detector/repair evictions *)
   mutable unacked : int;             (* live out entries awaiting an ack, system-wide *)
   mutable step_changed : bool;       (* any node changed state this round *)
+  slot : int array;                  (* host -> index in one V_x, -1 outside a use *)
   c_retransmissions : Registry.Counter.t;
   c_dup_suppressed : Registry.Counter.t;
   c_stale_discarded : Registry.Counter.t;
@@ -101,6 +107,8 @@ let fresh_node fw classes host =
     aggr_crt = Hashtbl.create 8;
     own_row = Array.make (Classes.count classes) 1;
     space = None;
+    stale = true;
+    moved = true;
     out = Hashtbl.create 8;
     seen_seq = Hashtbl.create 8;
     link_epoch = Hashtbl.create 8;
@@ -134,6 +142,7 @@ let make ~fw ~classes ~n_cut ~nodes ~engine ~detector ~trace ~metrics ~rounds ~e
     on_evict = ignore;
     unacked;
     step_changed = false;
+    slot = Array.make (Array.length nodes) (-1);
     c_retransmissions = Registry.counter metrics "protocol.retransmissions";
     c_dup_suppressed = Registry.counter metrics "protocol.dup_suppressed";
     c_stale_discarded = Registry.counter metrics "protocol.stale_discarded";
@@ -253,26 +262,64 @@ let clustering_space_node node =
     node.neighbors;
   Array.of_list (List.rev !acc)
 
-let clustering_space node =
+(* [t.slot] holds, for each host of one V_x, its index there; it is set
+   for one use and reset after it *)
+let set_slots t infos = Array.iteri (fun i info -> t.slot.(info.Node_info.host) <- i) infos
+let clear_slots t infos = Array.iter (fun info -> t.slot.(info.Node_info.host) <- -1) infos
+
+(* [info]'s index in the V_x [infos] whose slots are set, or -1: a
+   host's slot counts only while it holds the same labels *)
+let slot_of t infos info =
+  let i = t.slot.(info.Node_info.host) in
+  if i >= 0 && Node_info.compare infos.(i) info = 0 then i else -1
+
+(* A rebuild copies each pair's distance from the previous matrix when
+   that V_x held both infos, and evaluates label medians only for pairs
+   with a new info.  Label distances are symmetric bit for bit, so a
+   copy equals a fresh evaluation in whichever order the pair now
+   stands. *)
+let clustering_space t node =
   match node.space with
-  | Some cached -> cached
-  | None ->
+  | Some cached when not node.stale -> cached
+  | prev ->
       let infos = clustering_space_node node in
-      let cached = (infos, Node_info.space_of infos) in
+      let space =
+        match prev with
+        | None -> Node_info.space_of infos
+        | Some (old_infos, old) ->
+            set_slots t old_infos;
+            let src = Array.map (slot_of t old_infos) infos in
+            clear_slots t old_infos;
+            Space.make ~n:(Array.length infos) ~dist:(fun i j ->
+                let a = src.(i) and b = src.(j) in
+                if a >= 0 && b >= 0 then Float.Array.get old.Space.d ((a * old.Space.n) + b)
+                else Node_info.dist infos.(i) infos.(j))
+      in
+      let cached = (infos, space) in
       node.space <- Some cached;
+      node.stale <- false;
       cached
 
-(* Runs on every changed step, cached space or not: a query may have
-   built the space after V_x last changed but before this recount. *)
+(* V_x may have changed: rebuild the space on its next read, and recount
+   on the next changed step *)
+let v_x_moved node =
+  node.stale <- true;
+  node.moved <- true
+
+(* Runs on the first changed step after V_x moved, cached space or not:
+   a query may have rebuilt the space in between. *)
 let recompute_own_row t node =
-  let _, space = clustering_space node in
+  let _, space = clustering_space t node in
   node.own_row <- Find_cluster.max_sizes space ~ls:(Classes.distances t.classes)
 
 (* ----- message construction ----- *)
 
 (* Algorithm 2: the n_cut hosts closest to the recipient among
-   {x} union aggrNode[v] for v <> recipient. *)
-let prop_node_for t node ~recipient =
+   {x} union aggrNode[v] for v <> recipient.  [infos] is V_x, its slots
+   set, and [space] its distances: a candidate that V_x holds, sent to a
+   recipient that V_x holds, has its distance read from the recipient's
+   row. *)
+let prop_node_for t node (infos, space) ~recipient =
   let seen = Hashtbl.create 32 in
   let acc = ref [] in
   let consider info =
@@ -293,9 +340,13 @@ let prop_node_for t node ~recipient =
   (* decorate-sort: each candidate's distance is computed once, and the
      sort makes the same comparisons on the same keys as sorting the bare
      infos by distance would, so ties land in the same order *)
-  let cand =
-    Array.of_list (List.map (fun info -> (Node_info.dist recipient info, info)) !acc)
+  let r = slot_of t infos recipient in
+  let dist info =
+    let c = if r < 0 then -1 else slot_of t infos info in
+    if c < 0 then Node_info.dist recipient info
+    else Float.Array.get space.Space.d ((r * space.Space.n) + c)
   in
+  let cand = Array.of_list (List.map (fun info -> (dist info, info)) !acc) in
   Array.sort (fun (a, _) (b, _) -> Float.compare a b) cand;
   List.init (Stdlib.min t.n_cut (Array.length cand)) (fun i -> snd cand.(i))
 
@@ -315,17 +366,23 @@ let prop_crt_for node ~recipient =
 
 let send_updates t node =
   let now = Engine.round t.engine in
+  let ((infos, _) as v_x) = clustering_space t node in
+  set_slots t infos;
   List.iter
     (fun nb ->
-      let payload =
-        {
-          prop_node = prop_node_for t node ~recipient:nb;
-          prop_crt = prop_crt_for node ~recipient:nb;
-        }
-      in
       let h = nb.Node_info.host in
       let le = link_epoch_of node h in
-      match Hashtbl.find_opt node.out h with
+      let out = Hashtbl.find_opt node.out h in
+      let prop_node =
+        match out with
+        | Some entry when (not node.moved) && entry.epoch = le ->
+            (* V_x has not moved since this link's last update, which
+               carried the propNode it would recompute *)
+            entry.payload.prop_node
+        | Some _ | None -> prop_node_for t node v_x ~recipient:nb
+      in
+      let payload = { prop_node; prop_crt = prop_crt_for node ~recipient:nb } in
+      match out with
       | Some entry when entry.epoch = le && payload_equal entry.payload payload ->
           (* nothing new; if unacked the resend timer covers the loss *)
           ()
@@ -359,7 +416,8 @@ let send_updates t node =
           t.unacked <- t.unacked + 1;
           send_msg t node ~kind:node.dirty_kind ~dst:h
             (Update { epoch = le; seq = 0; payload }))
-    node.neighbors
+    node.neighbors;
+  clear_slots t infos
 
 (* Timeout-based retransmission: an unacked update is re-sent verbatim
    every [resend_timeout] rounds, so the aggregation survives message
@@ -464,7 +522,7 @@ let apply_update t node ~src ~epoch ~seq payload =
         Registry.Counter.incr t.c_dup_suppressed;
         assert (
           match Hashtbl.find_opt node.aggr_node src with
-          | Some prev -> List.compare Node_info.compare_host prev payload.prop_node = 0
+          | Some prev -> List.compare Node_info.compare prev payload.prop_node = 0
           | None -> false);
         assert (
           match Hashtbl.find_opt node.aggr_crt src with
@@ -478,12 +536,12 @@ let apply_update t node ~src ~epoch ~seq payload =
         send_msg t node ~kind:Trace.Ack ~dst:src (Ack { epoch; seq });
         let node_diff =
           match Hashtbl.find_opt node.aggr_node src with
-          | Some prev -> List.compare Node_info.compare_host prev payload.prop_node <> 0
+          | Some prev -> List.compare Node_info.compare prev payload.prop_node <> 0
           | None -> true
         in
         if node_diff then begin
           Hashtbl.replace node.aggr_node src payload.prop_node;
-          node.space <- None
+          v_x_moved node
         end;
         let crt_diff =
           match Hashtbl.find_opt node.aggr_crt src with
@@ -523,13 +581,15 @@ let step t id inbox =
       | Heartbeat -> ())
     inbox;
   if !changed then begin
-    recompute_own_row t node;
+    if node.moved then recompute_own_row t node;
     send_updates t node;
+    node.moved <- false;
     node.dirty <- false;
     node.dirty_kind <- Trace.Aggregate;
     t.step_changed <- true
   end;
-  resend_pending t node;
+  (* with nothing unacked anywhere, no entry is due *)
+  if t.unacked > 0 then resend_pending t node;
   send_heartbeats t node;
   !changed
 
@@ -576,7 +636,7 @@ let relink t ~round ~kind a b =
 
 let renew_neighbors node fw =
   node.neighbors <- neighbor_infos fw node.id;
-  node.space <- None
+  v_x_moved node
 
 (* A join, fresh or a ghost's revival, hangs one leaf under one overlay
    parent ([Framework.add_host]) and moves nothing else: the newcomer
@@ -733,7 +793,7 @@ let detour t x ordered =
       healthy @ suspected
 
 let local_find t node ~k ~cls =
-  let infos, space = clustering_space node in
+  let infos, space = clustering_space t node in
   match Find_cluster.find space ~k ~l:(Classes.distance t.classes cls) with
   | None -> None
   | Some idxs -> Some (List.map (fun i -> infos.(i).Node_info.host) idxs)

@@ -941,7 +941,9 @@ let cached_space () =
    Over tree and noisy metrics, with and without a failure detector and
    n_cut 2-10, random interleavings of JOIN (fresh and returning hosts,
    a slot through refresh_topology), LEAVE (an eviction through repair,
-   as a repair by hand is), crash and mark_all_dirty run to quiescence
+   as a repair by hand is), a LEAVE and a JOIN of one host with no round
+   between (a host without dependents is placed afresh, with a new
+   label), crash and mark_all_dirty run to quiescence
    after every event (a crash first runs rounds until the detector has
    evicted the host, or is repaired by hand without one), and at every
    quiescent
@@ -996,7 +998,7 @@ let fixpoint_oracle () =
   let n_cases = Stdlib.max 1 (cases / 10) in
   let with_detector = ref 0 and points = ref 0 and checked = ref 0 in
   let fresh = ref 0 and returning = ref 0 and leaves = ref 0 in
-  let crashes = ref 0 and dirtied = ref 0 in
+  let crashes = ref 0 and dirtied = ref 0 and replaced = ref 0 in
   for case = 0 to n_cases - 1 do
     let rng = case_rng (800_000 + case) in
     let n = 10 + Rng.int rng 21 in
@@ -1054,7 +1056,7 @@ let fixpoint_oracle () =
       let members = Array.of_list (Ensemble.members ens) in
       let what = Printf.sprintf "event %d" event in
       let many = Array.length members > 3 in
-      (match Rng.int rng 5 with
+      (match Rng.int rng 6 with
       | 0 ->
           let outs = List.filter (fun h -> not (Ensemble.is_member ens h)) (List.init n Fun.id) in
           if outs <> [] then begin
@@ -1067,6 +1069,12 @@ let fixpoint_oracle () =
       | 1 | 3 when many ->
           incr leaves;
           Protocol.repair p ~dead:[ Rng.choose rng members ]
+      | 5 when many ->
+          incr replaced;
+          let h = Rng.choose rng members in
+          Protocol.repair p ~dead:[ h ];
+          Ensemble.add_host ~rng ens h;
+          Protocol.refresh_topology p
       | 2 when many ->
           incr crashes;
           let victim = Rng.choose rng members in
@@ -1088,8 +1096,8 @@ let fixpoint_oracle () =
     done
   done;
   Printf.printf
-    "%s: %d cases (%d with a detector), %d fresh joins, %d returning, %d leaves, %d crashes, %d mark_all_dirty, %d quiescent points, %d node states equal the fixpoint [ok]\n"
-    prop_name n_cases !with_detector !fresh !returning !leaves !crashes !dirtied
+    "%s: %d cases (%d with a detector), %d fresh joins, %d returning, %d leaves, %d leave-rejoins, %d crashes, %d mark_all_dirty, %d quiescent points, %d node states equal the fixpoint [ok]\n"
+    prop_name n_cases !with_detector !fresh !returning !leaves !replaced !crashes !dirtied
     !points !checked
 
 let () =

@@ -1484,6 +1484,49 @@ let test_evicted_host_rejoins () =
   done;
   Alcotest.(check bool) "some ghosts revived" true (!revived > 0)
 
+let test_replaced_label_reaches_aggregators () =
+  (* A LEAVE splices a host that no placement anchors on, and its next
+     JOIN places it afresh, with a new label.  With no round in between,
+     a neighbour's next propNode can list the same hosts as before: when
+     payloads were compared by host alone it was neither sent nor
+     applied, and the old label outlived quiescence in aggrNode tables
+     (2 of these 100 seeds; 959 of the 1,000 rejoins got a new label). *)
+  let replaced = ref 0 in
+  for seed = 1 to 100 do
+    let ds = small_dataset ~seed 30 in
+    let classes = Classes.of_percentiles ~count:8 ds in
+    let rng = Rng.create seed in
+    let ens =
+      Ensemble.build ~rng:(Rng.split rng) ~members:(List.init 28 Fun.id)
+        (Bwc_dataset.Dataset.metric ds)
+    in
+    let current h = Slot_table.key (Node_info.make ~host:h ~labels:(Ensemble.labels ens h)) in
+    let p = Protocol.create ~rng:(Rng.split rng) ~classes ens in
+    let (_ : int) = Protocol.run_aggregation p in
+    for _ = 1 to 10 do
+      let h = Rng.choose rng (Array.of_list (Ensemble.members ens)) in
+      let before = current h in
+      Protocol.repair p ~dead:[ h ];
+      Ensemble.add_host ~rng ens h;
+      Protocol.refresh_topology p;
+      if current h <> before then incr replaced
+    done;
+    let (_ : int) = Protocol.run_aggregation p in
+    List.iter
+      (fun (nd : Protocol.node_dump) ->
+        List.iter
+          (fun (v, infos) ->
+            List.iter
+              (fun (i : Node_info.t) ->
+                if Slot_table.key i <> current i.host then
+                  Alcotest.failf "seed %d: aggrNode[%d] at %d holds an old label of %d" seed v
+                    nd.Protocol.nd_id i.host)
+              infos)
+          nd.Protocol.nd_aggr_node)
+      (Protocol.dump p).Protocol.d_nodes
+  done;
+  Alcotest.(check bool) "some rejoins were placed afresh" true (!replaced > 0)
+
 let test_framework_add_remove_roundtrip () =
   let space = tree_space ~seed:49 16 in
   let fw =
@@ -1754,6 +1797,27 @@ let test_alloc_find_feeder () =
   Alcotest.(check bool) "a feeder outside the targets" true
     (match !found with Some (f, _) -> not (List.mem f targets) | None -> false)
 
+let test_alloc_repropagation () =
+  (* hp-like n = 80 with 72 members, converged: a repropagation marks
+     every member dirty, and in the round that follows no V_x has moved,
+     so each step keeps its own row and its propNode lists, rebuilds
+     only its propCRT rows, and sends nothing.  Measured: 12,766 words.
+     Recounting every own row and sorting every link's candidates again
+     cost 167,013.  The bound, 30,000 words, leaves a 2.3x margin. *)
+  let sys =
+    Dynamic.create ~seed:1 ~initial_members:(List.init 72 Fun.id) (small_dataset ~seed:1 80)
+  in
+  let p = Dynamic.protocol sys in
+  let sent = Protocol.messages_sent p in
+  let words =
+    words_allocated (fun () ->
+        Protocol.mark_all_dirty p;
+        ignore (Protocol.run_round p : bool))
+  in
+  Alcotest.(check int) "nothing sent" sent (Protocol.messages_sent p);
+  Alcotest.(check bool) "quiescent again" true (Protocol.quiescent p);
+  check_words "a repropagation round" ~bound:30_000.0 words
+
 let test_find_feeder_among_members () =
   (* hosts outside the overlay have no labels: only members compete *)
   let ds = small_dataset ~seed:67 20 in
@@ -1962,6 +2026,8 @@ let () =
           Alcotest.test_case "join after a detector eviction" `Quick
             test_join_after_eviction;
           Alcotest.test_case "evicted host rejoins" `Quick test_evicted_host_rejoins;
+          Alcotest.test_case "a re-placed host's label reaches its aggregators" `Quick
+            test_replaced_label_reaches_aggregators;
         ] );
       ( "allocation",
         [
@@ -1970,6 +2036,8 @@ let () =
           Alcotest.test_case "live query" `Quick test_alloc_live_query;
           Alcotest.test_case "find_feeder reads a x |targets| distances" `Quick
             test_alloc_find_feeder;
+          Alcotest.test_case "a repropagation recounts nothing" `Quick
+            test_alloc_repropagation;
         ] );
       ( "node_search",
         [

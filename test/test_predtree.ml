@@ -342,6 +342,23 @@ let test_ensemble_label_dist_matches_predicted () =
     done
   done
 
+let test_ensemble_label_dist_symmetric_bits () =
+  (* A node that keeps its clustering space across changes copies a
+     pair's distance in whichever order the pair now stands, so the two
+     orders must agree bit for bit, not only within a tolerance. *)
+  for seed = 1 to 6 do
+    let space = noisy_space ~seed:(40 + seed) 24 (0.1 *. float_of_int seed) in
+    let ens = Ensemble.build ~rng:(Rng.create seed) ~size:(1 + (seed mod 5)) space in
+    for i = 0 to 23 do
+      for j = 0 to 23 do
+        let ab = Ensemble.label_dist (Ensemble.labels ens i) (Ensemble.labels ens j) in
+        let ba = Ensemble.label_dist (Ensemble.labels ens j) (Ensemble.labels ens i) in
+        if Int64.bits_of_float ab <> Int64.bits_of_float ba then
+          Alcotest.failf "seed %d: d(%d,%d) = %h but d(%d,%d) = %h" seed i j ab j i ba
+      done
+    done
+  done
+
 let test_ensemble_improves_tail () =
   let space = noisy_space ~seed:24 60 0.3 in
   let tail ens =
@@ -616,6 +633,8 @@ let () =
           Alcotest.test_case "even-size median" `Quick test_ensemble_even_size_median;
           Alcotest.test_case "label dist = predicted" `Quick
             test_ensemble_label_dist_matches_predicted;
+          Alcotest.test_case "label_dist symmetric bit for bit" `Quick
+            test_ensemble_label_dist_symmetric_bits;
           Alcotest.test_case "ensemble improves tail" `Quick test_ensemble_improves_tail;
           Alcotest.test_case "arity mismatch rejected" `Quick test_ensemble_arity_mismatch;
         ] );
