@@ -39,12 +39,23 @@ type out_entry = {
   mutable gave_up : bool; (* retired unacked after max_retransmits *)
 }
 
+(* One overlay neighbour m: aggrNode[m] and aggrCRT[m] arrive together as
+   the payload of m's last applied update, kept with its sequence number,
+   beside the last update sent to m.  A repair epoch or a send round is
+   [None] until first set. *)
+type link = {
+  peer : Node_info.t;
+  mutable delivered : (int * payload) option;
+  mutable out : out_entry option;
+  mutable link_epoch : int option;
+  mutable last_sent : int option;
+}
+
 type node = {
   id : int;
   info : Node_info.t;
-  mutable neighbors : Node_info.t list;
-  aggr_node : (int, Node_info.t list) Hashtbl.t;    (* neighbor -> received propNode *)
-  aggr_crt : (int, int array) Hashtbl.t;            (* neighbor -> received propCRT *)
+  mutable links : link list;                        (* Ensemble.anchor_neighbors order *)
+  link_of : (int, link) Hashtbl.t;                  (* peer host -> its link *)
   mutable own_row : int array;                      (* aggrCRT[self] *)
   (* V_x with its pairwise label distances, kept across rounds: [None]
      until the first read, rebuilt on the first read once [stale] *)
@@ -53,10 +64,6 @@ type node = {
   (* V_x may have changed since [own_row] and the propNode lists were
      last recomputed *)
   mutable moved : bool;
-  out : (int, out_entry) Hashtbl.t;                 (* neighbor -> last update sent *)
-  seen_seq : (int, int) Hashtbl.t;                  (* neighbor -> highest seq received *)
-  link_epoch : (int, int) Hashtbl.t;                (* neighbor -> link repair epoch *)
-  last_sent : (int, int) Hashtbl.t;                 (* neighbor -> round of last send *)
   mutable dirty : bool;
   (* what flavour of traffic the next dirty flush is: Aggregate in steady
      state, escalated to Invalidate/Repair by self-healing so trace
@@ -95,27 +102,64 @@ type t = {
 
 let node_of_host fw host = Node_info.make ~host ~labels:(Ensemble.labels fw host)
 
-let neighbor_infos fw host =
-  List.map (node_of_host fw) (Ensemble.anchor_neighbors fw host)
+let peer_of l = l.peer.Node_info.host
+let epoch_of l = Option.value ~default:0 l.link_epoch
+
+(* the link's last update awaits an ack, counted in [t.unacked] *)
+let awaits_ack l =
+  match l.out with Some e -> (not e.acked) && not e.gave_up | None -> false
+
+(* V_x may have changed: rebuild the space on its next read, and recount
+   on the next changed step *)
+let v_x_moved node =
+  node.stale <- true;
+  node.moved <- true
+
+(* Re-reads [node]'s overlay neighbours: a kept link keeps its record, a
+   new one starts empty, and a dropped one goes with its update; returns
+   how many dropped updates awaited an ack.  V_x moves only where a
+   dropped link had delivered an aggrNode list: a new link has delivered
+   nothing, and the anchor tree keeps kept links in their relative order
+   (it prepends a newcomer or a regrafted child). *)
+let renew_links fw node =
+  let old = node.links in
+  node.links <-
+    List.map
+      (fun h ->
+        match Hashtbl.find_opt node.link_of h with
+        | Some l -> l
+        | None ->
+            { peer = node_of_host fw h; delivered = None; out = None; link_epoch = None;
+              last_sent = None })
+      (Ensemble.anchor_neighbors fw node.id);
+  Hashtbl.clear node.link_of;
+  List.iter (fun l -> Hashtbl.replace node.link_of (peer_of l) l) node.links;
+  List.fold_left
+    (fun retired l ->
+      if Hashtbl.mem node.link_of (peer_of l) then retired
+      else begin
+        if Option.is_some l.delivered then v_x_moved node;
+        if awaits_ack l then retired + 1 else retired
+      end)
+    0 old
 
 let fresh_node fw classes host =
-  {
-    id = host;
-    info = node_of_host fw host;
-    neighbors = neighbor_infos fw host;
-    aggr_node = Hashtbl.create 8;
-    aggr_crt = Hashtbl.create 8;
-    own_row = Array.make (Classes.count classes) 1;
-    space = None;
-    stale = true;
-    moved = true;
-    out = Hashtbl.create 8;
-    seen_seq = Hashtbl.create 8;
-    link_epoch = Hashtbl.create 8;
-    last_sent = Hashtbl.create 8;
-    dirty = true;
-    dirty_kind = Trace.Aggregate;
-  }
+  let node =
+    {
+      id = host;
+      info = node_of_host fw host;
+      links = [];
+      link_of = Hashtbl.create 8;
+      own_row = Array.make (Classes.count classes) 1;
+      space = None;
+      stale = true;
+      moved = true;
+      dirty = true;
+      dirty_kind = Trace.Aggregate;
+    }
+  in
+  let (_ : int) = renew_links fw node in
+  node
 
 (* Retransmission pacing: an update stays unacknowledged [resend_timeout]
    rounds before it is resent, and after [max_retransmits] fruitless
@@ -179,8 +223,8 @@ let create ~rng ?(n_cut = 10) ?edge_delay ?faults ?detector ?metrics ?trace ~cla
       Array.iter
         (Option.iter (fun node ->
              List.iter
-               (fun nb -> Detector.watch d ~watcher:node.id ~peer:nb.Node_info.host ~round:0)
-               node.neighbors))
+               (fun l -> Detector.watch d ~watcher:node.id ~peer:(peer_of l) ~round:0)
+               node.links))
         nodes);
   make ~fw ~classes ~n_cut ~nodes ~engine ~detector ~trace ~metrics ~rounds:0 ~epoch:0
     ~unacked:0
@@ -194,9 +238,6 @@ let metrics t = Engine.metrics t.engine
 let detector t = t.detector
 
 let emit t ev = match t.trace with Some tr -> Trace.emit tr ev | None -> ()
-
-let link_epoch_of node h =
-  Option.value ~default:0 (Hashtbl.find_opt node.link_epoch h)
 
 (* ----- traffic labelling (trace attribution) -----
 
@@ -237,9 +278,9 @@ let mark_dirty node kind =
 
 (* every protocol send renews the sender-side idle clock that gates
    heartbeats, so heartbeats only fill genuinely silent gaps *)
-let send_msg t node ~kind ~dst msg =
-  Hashtbl.replace node.last_sent dst (Engine.round t.engine);
-  Engine.send t.engine ~src:node.id ~dst ~kind ~bytes:(message_bytes msg) msg
+let send_msg t node l ~kind msg =
+  l.last_sent <- Some (Engine.round t.engine);
+  Engine.send t.engine ~src:node.id ~dst:(peer_of l) ~kind ~bytes:(message_bytes msg) msg
 
 (* ----- local state recomputation (Algorithm 3, lines 3-8) ----- *)
 
@@ -255,11 +296,8 @@ let clustering_space_node node =
   in
   consider node.info;
   List.iter
-    (fun nb ->
-      match Hashtbl.find_opt node.aggr_node nb.Node_info.host with
-      | Some infos -> List.iter consider infos
-      | None -> ())
-    node.neighbors;
+    (fun l -> Option.iter (fun (_, p) -> List.iter consider p.prop_node) l.delivered)
+    node.links;
   Array.of_list (List.rev !acc)
 
 (* [t.slot] holds, for each host of one V_x, its index there; it is set
@@ -300,12 +338,6 @@ let clustering_space t node =
       node.stale <- false;
       cached
 
-(* V_x may have changed: rebuild the space on its next read, and recount
-   on the next changed step *)
-let v_x_moved node =
-  node.stale <- true;
-  node.moved <- true
-
 (* Runs on the first changed step after V_x moved, cached space or not:
    a query may have rebuilt the space in between. *)
 let recompute_own_row t node =
@@ -331,12 +363,10 @@ let prop_node_for t node (infos, space) ~recipient =
   in
   consider node.info;
   List.iter
-    (fun nb ->
-      if nb.Node_info.host <> recipient.Node_info.host then
-        match Hashtbl.find_opt node.aggr_node nb.Node_info.host with
-        | Some infos -> List.iter consider infos
-        | None -> ())
-    node.neighbors;
+    (fun l ->
+      if peer_of l <> recipient.Node_info.host then
+        Option.iter (fun (_, p) -> List.iter consider p.prop_node) l.delivered)
+    node.links;
   (* decorate-sort: each candidate's distance is computed once, and the
      sort makes the same comparisons on the same keys as sorting the bare
      infos by distance would, so ties land in the same order *)
@@ -355,13 +385,12 @@ let prop_node_for t node (infos, space) ~recipient =
 let prop_crt_for node ~recipient =
   let out = Array.copy node.own_row in
   List.iter
-    (fun nb ->
-      if nb.Node_info.host <> recipient.Node_info.host then
-        match Hashtbl.find_opt node.aggr_crt nb.Node_info.host with
-        | Some row ->
-            Array.iteri (fun i v -> if v > out.(i) then out.(i) <- v) row
-        | None -> ())
-    node.neighbors;
+    (fun l ->
+      match l.delivered with
+      | Some (_, p) when peer_of l <> recipient.Node_info.host ->
+          Array.iteri (fun i v -> if v > out.(i) then out.(i) <- v) p.prop_crt
+      | Some _ | None -> ())
+    node.links;
   out
 
 let send_updates t node =
@@ -369,20 +398,18 @@ let send_updates t node =
   let ((infos, _) as v_x) = clustering_space t node in
   set_slots t infos;
   List.iter
-    (fun nb ->
-      let h = nb.Node_info.host in
-      let le = link_epoch_of node h in
-      let out = Hashtbl.find_opt node.out h in
+    (fun l ->
+      let le = epoch_of l in
       let prop_node =
-        match out with
+        match l.out with
         | Some entry when (not node.moved) && entry.epoch = le ->
             (* V_x has not moved since this link's last update, which
                carried the propNode it would recompute *)
             entry.payload.prop_node
-        | Some _ | None -> prop_node_for t node v_x ~recipient:nb
+        | Some _ | None -> prop_node_for t node v_x ~recipient:l.peer
       in
-      let payload = { prop_node; prop_crt = prop_crt_for node ~recipient:nb } in
-      match out with
+      let payload = { prop_node; prop_crt = prop_crt_for node ~recipient:l.peer } in
+      match l.out with
       | Some entry when entry.epoch = le && payload_equal entry.payload payload ->
           (* nothing new; if unacked the resend timer covers the loss *)
           ()
@@ -400,23 +427,23 @@ let send_updates t node =
           end
           else if entry.acked then t.unacked <- t.unacked + 1;
           entry.acked <- false;
-          send_msg t node ~kind:node.dirty_kind ~dst:h
+          send_msg t node l ~kind:node.dirty_kind
             (Update { epoch = le; seq = entry.seq; payload })
       | None ->
-          Hashtbl.replace node.out h
-            {
-              epoch = le;
-              seq = 0;
-              payload;
-              sent_round = now;
-              tries = 0;
-              acked = false;
-              gave_up = false;
-            };
+          l.out <-
+            Some
+              {
+                epoch = le;
+                seq = 0;
+                payload;
+                sent_round = now;
+                tries = 0;
+                acked = false;
+                gave_up = false;
+              };
           t.unacked <- t.unacked + 1;
-          send_msg t node ~kind:node.dirty_kind ~dst:h
-            (Update { epoch = le; seq = 0; payload }))
-    node.neighbors;
+          send_msg t node l ~kind:node.dirty_kind (Update { epoch = le; seq = 0; payload }))
+    node.links;
   clear_slots t infos
 
 (* Timeout-based retransmission: an unacked update is re-sent verbatim
@@ -427,36 +454,38 @@ let send_updates t node =
    any later sign of life from the peer revives it. *)
 let resend_pending t node =
   let now = Engine.round t.engine in
-  (* sorted traversal: the send order decides in-flight FIFO order within
-     a delivery round, so bucket order here would leak hash-layout
-     nondeterminism into the protocol fixed point *)
-  Bwc_stats.Tbl.iter_sorted
-    (fun h entry ->
-      if
-        (not entry.acked)
-        && (not entry.gave_up)
-        && now - entry.sent_round >= resend_timeout
-      then
-        if entry.tries >= max_retransmits then begin
-          entry.gave_up <- true;
-          t.unacked <- t.unacked - 1;
-          Registry.Counter.incr t.c_give_up
-        end
-        else begin
-          entry.tries <- entry.tries + 1;
-          entry.sent_round <- now;
-          Registry.Counter.incr t.c_retransmissions;
-          emit t (Trace.Retransmit { round = now; src = node.id; dst = h });
-          send_msg t node ~kind:Trace.Retransmit ~dst:h
-            (Update { epoch = entry.epoch; seq = entry.seq; payload = entry.payload })
-        end)
-    node.out
+  let due =
+    List.filter_map
+      (fun l ->
+        match l.out with
+        | Some e when awaits_ack l && now - e.sent_round >= resend_timeout -> Some (l, e)
+        | Some _ | None -> None)
+      node.links
+  in
+  (* ascending peer id: the send order decides in-flight FIFO order
+     within a delivery round *)
+  List.iter
+    (fun (l, entry) ->
+      if entry.tries >= max_retransmits then begin
+        entry.gave_up <- true;
+        t.unacked <- t.unacked - 1;
+        Registry.Counter.incr t.c_give_up
+      end
+      else begin
+        entry.tries <- entry.tries + 1;
+        entry.sent_round <- now;
+        Registry.Counter.incr t.c_retransmissions;
+        emit t (Trace.Retransmit { round = now; src = node.id; dst = peer_of l });
+        send_msg t node l ~kind:Trace.Retransmit
+          (Update { epoch = entry.epoch; seq = entry.seq; payload = entry.payload })
+      end)
+    (List.sort (fun (a, _) (b, _) -> Int.compare (peer_of a) (peer_of b)) due)
 
 (* a message from a peer we had given up on proves it alive: restore the
    entry to the unacked pool and let the resend timer fire immediately *)
 let revive_given_up t node src =
-  match Hashtbl.find_opt node.out src with
-  | Some entry when entry.gave_up ->
+  match Hashtbl.find_opt node.link_of src with
+  | Some { out = Some entry; _ } when entry.gave_up ->
       entry.gave_up <- false;
       entry.tries <- 0;
       entry.sent_round <- Engine.round t.engine - resend_timeout;
@@ -470,93 +499,87 @@ let send_heartbeats t node =
       let hb = (Detector.config d).Detector.heartbeat_every in
       let now = Engine.round t.engine in
       List.iter
-        (fun nb ->
-          let h = nb.Node_info.host in
-          let last =
-            Option.value ~default:(Stdlib.min_int / 2)
-              (Hashtbl.find_opt node.last_sent h)
-          in
+        (fun l ->
+          let last = Option.value ~default:(Stdlib.min_int / 2) l.last_sent in
           if now - last >= hb then begin
             Registry.Counter.incr t.c_heartbeats;
-            send_msg t node ~kind:Trace.Heartbeat ~dst:h Heartbeat
+            send_msg t node l ~kind:Trace.Heartbeat Heartbeat
           end)
-        node.neighbors
+        node.links
 
 (* ----- round driver ----- *)
 
-let is_neighbor node h =
-  List.exists (fun nb -> nb.Node_info.host = h) node.neighbors
-
 let apply_update t node ~src ~epoch ~seq payload =
-  if not (is_neighbor node src) then begin
-    (* in-flight leftover of a link self-healing already tore down *)
-    Registry.Counter.incr t.c_epoch_discarded;
-    false
-  end
-  else begin
-    let link_e = link_epoch_of node src in
-    if epoch < link_e then begin
-      (* predates the link's last repair reset: the fresh numbering must
-         not be contaminated by the old epoch's sequence space *)
+  match Hashtbl.find_opt node.link_of src with
+  | None ->
+      (* in-flight leftover of a link self-healing already tore down *)
       Registry.Counter.incr t.c_epoch_discarded;
       false
-    end
-    else begin
-      if epoch > link_e then begin
-        (* the sender re-established the link first; adopt its epoch and
-           restart the per-link numbering *)
-        Hashtbl.replace node.link_epoch src epoch;
-        Hashtbl.remove node.seen_seq src
-      end;
-      let seen = Option.value ~default:(-1) (Hashtbl.find_opt node.seen_seq src) in
-      if seq < seen then begin
-        (* out-of-order copy superseded by something already applied *)
-        Registry.Counter.incr t.c_stale_discarded;
-        send_msg t node ~kind:Trace.Ack ~dst:src (Ack { epoch; seq = seen });
-        false
-      end
-      else if seq = seen then begin
-        (* duplicate: the aggregation merge is idempotent, so re-applying
-           must be a no-op — check that the stored state already equals the
-           payload, then just re-ack (the previous ack may have been lost) *)
-        Registry.Counter.incr t.c_dup_suppressed;
-        assert (
-          match Hashtbl.find_opt node.aggr_node src with
-          | Some prev -> List.compare Node_info.compare prev payload.prop_node = 0
-          | None -> false);
-        assert (
-          match Hashtbl.find_opt node.aggr_crt src with
-          | Some prev -> prev = payload.prop_crt
-          | None -> false);
-        send_msg t node ~kind:Trace.Ack ~dst:src (Ack { epoch; seq = seen });
+  | Some l ->
+      let link_e = epoch_of l in
+      if epoch < link_e then begin
+        (* predates the link's last repair reset: the fresh numbering must
+           not be contaminated by the old epoch's sequence space *)
+        Registry.Counter.incr t.c_epoch_discarded;
         false
       end
       else begin
-        Hashtbl.replace node.seen_seq src seq;
-        send_msg t node ~kind:Trace.Ack ~dst:src (Ack { epoch; seq });
-        let node_diff =
-          match Hashtbl.find_opt node.aggr_node src with
-          | Some prev -> List.compare Node_info.compare prev payload.prop_node <> 0
-          | None -> true
+        (* a newer epoch means the sender re-established the link first:
+           adopt its epoch and restart the per-link numbering *)
+        let seen =
+          match l.delivered with
+          | Some (s, _) when epoch = link_e -> s
+          | Some _ | None -> -1
         in
-        if node_diff then begin
-          Hashtbl.replace node.aggr_node src payload.prop_node;
-          v_x_moved node
-        end;
-        let crt_diff =
-          match Hashtbl.find_opt node.aggr_crt src with
-          | Some prev -> prev <> payload.prop_crt
-          | None -> true
-        in
-        if crt_diff then Hashtbl.replace node.aggr_crt src payload.prop_crt;
-        node_diff || crt_diff
+        if epoch > link_e then l.link_epoch <- Some epoch;
+        if seq < seen then begin
+          (* out-of-order copy superseded by something already applied *)
+          Registry.Counter.incr t.c_stale_discarded;
+          send_msg t node l ~kind:Trace.Ack (Ack { epoch; seq = seen });
+          false
+        end
+        else if seq = seen then begin
+          (* duplicate: the aggregation merge is idempotent, so re-applying
+             must be a no-op — check that the stored state already equals the
+             payload, then just re-ack (the previous ack may have been lost) *)
+          Registry.Counter.incr t.c_dup_suppressed;
+          assert (
+            match l.delivered with
+            | Some (_, prev) -> payload_equal prev payload
+            | None -> false);
+          send_msg t node l ~kind:Trace.Ack (Ack { epoch; seq = seen });
+          false
+        end
+        else begin
+          send_msg t node l ~kind:Trace.Ack (Ack { epoch; seq });
+          (* a part that compares equal is kept, not replaced:
+             [Node_info.compare] equates 0.0 and -0.0, which images tell
+             apart *)
+          let kept, node_diff, crt_diff =
+            match l.delivered with
+            | None -> (payload, true, true)
+            | Some (_, prev) ->
+                let node_diff =
+                  List.compare Node_info.compare prev.prop_node payload.prop_node <> 0
+                in
+                let crt_diff = prev.prop_crt <> payload.prop_crt in
+                ( {
+                    prop_node = (if node_diff then payload else prev).prop_node;
+                    prop_crt = (if crt_diff then payload else prev).prop_crt;
+                  },
+                  node_diff,
+                  crt_diff )
+          in
+          l.delivered <- Some (seq, kept);
+          if node_diff then v_x_moved node;
+          node_diff || crt_diff
+        end
       end
-    end
-  end
 
 let apply_ack t node ~src ~epoch ~seq =
-  match Hashtbl.find_opt node.out src with
-  | Some entry when (not entry.acked) && epoch = entry.epoch && seq = entry.seq ->
+  match Hashtbl.find_opt node.link_of src with
+  | Some { out = Some entry; _ }
+    when (not entry.acked) && epoch = entry.epoch && seq = entry.seq ->
       entry.acked <- true;
       if entry.gave_up then entry.gave_up <- false
       else t.unacked <- t.unacked - 1
@@ -606,26 +629,19 @@ let rec mark_root_path t x =
   | Some p -> mark_root_path t p
   | None -> ()
 
-(* forget an unacked live entry towards [peer] before dropping it *)
-let drop_out_entry t node peer =
-  (match Hashtbl.find_opt node.out peer with
-  | Some e when (not e.acked) && not e.gave_up -> t.unacked <- t.unacked - 1
-  | Some _ | None -> ());
-  Hashtbl.remove node.out peer
+(* re-read [node]'s links; a dropped update that awaited an ack retires *)
+let renew t node = t.unacked <- t.unacked - renew_links t.fw node
 
-(* (re-)establish the live link [a]<->[b] at the current repair epoch:
-   per-link delivery state restarts from scratch on both sides, and both
-   are marked dirty with [kind].  Neighbour lists are the caller's to
-   re-read, once per node however many of its links moved. *)
+(* establish the live link [a]<->[b] at the current repair epoch and mark
+   both ends dirty with [kind].  Links are the caller's to re-read first,
+   once per node however many of its links moved, so each end holds a
+   fresh record for the other. *)
 let relink t ~round ~kind a b =
   let half x y =
     match t.nodes.(x) with
     | None -> ()
     | Some node ->
-        drop_out_entry t node y;
-        Hashtbl.remove node.seen_seq y;
-        Hashtbl.remove node.last_sent y;
-        Hashtbl.replace node.link_epoch y t.epoch;
+        (Hashtbl.find node.link_of y).link_epoch <- Some t.epoch;
         mark_dirty node kind;
         (match t.detector with
         | Some d -> Detector.watch d ~watcher:x ~peer:y ~round
@@ -633,10 +649,6 @@ let relink t ~round ~kind a b =
   in
   half a b;
   half b a
-
-let renew_neighbors node fw =
-  node.neighbors <- neighbor_infos fw node.id;
-  v_x_moved node
 
 (* A join, fresh or a ghost's revival, hangs one leaf under one overlay
    parent ([Framework.add_host]) and moves nothing else: the newcomer
@@ -653,11 +665,11 @@ let refresh_topology t =
         t.nodes.(h) <- Some node;
         Engine.set_active t.engine h true;
         List.iter
-          (fun nb ->
-            let y = nb.Node_info.host in
-            relink t ~round ~kind:Trace.Aggregate h y;
-            Option.iter (fun ynode -> renew_neighbors ynode t.fw) t.nodes.(y))
-          node.neighbors;
+          (fun l ->
+            let y = peer_of l in
+            Option.iter (renew t) t.nodes.(y);
+            relink t ~round ~kind:Trace.Aggregate h y)
+          node.links;
         join_newest (i - 1)
       end
     end
@@ -671,12 +683,8 @@ let repair_one t dead_h =
       let now = Engine.round t.engine in
       Registry.Counter.incr t.c_repairs;
       (* retire the dead node's own pending output from the global count *)
-      Bwc_stats.Tbl.iter_sorted
-        (fun _ e -> if (not e.acked) && not e.gave_up then t.unacked <- t.unacked - 1)
-        dnode.out;
-      let old_nbrs =
-        List.sort compare (List.map (fun nb -> nb.Node_info.host) dnode.neighbors)
-      in
+      List.iter (fun l -> if awaits_ack l then t.unacked <- t.unacked - 1) dnode.links;
+      let old_nbrs = List.sort compare (List.map peer_of dnode.links) in
       (* local overlay repair: orphans regraft to the grandparent *)
       let regrafts = Ensemble.evict_host t.fw dead_h in
       t.nodes.(dead_h) <- None;
@@ -692,23 +700,17 @@ let repair_one t dead_h =
       (* incremental invalidation: only the dead node's ex-neighbors hold
          direct state about it; on a tree nothing else can echo it back
          (recompute-and-replace propagation overwrites downstream copies),
-         so deleting here and re-propagating re-converges the overlay *)
+         so dropping the link and re-propagating re-converges the overlay.
+         Both ends of every regraft are ex-neighbours (orphans move to the
+         dead node's parent or to a promoted orphan), so this is the one
+         re-read each touched node needs *)
       List.iter
         (fun x ->
-          match t.nodes.(x) with
-          | None -> ()
-          | Some node ->
-              drop_out_entry t node dead_h;
-              Hashtbl.remove node.aggr_node dead_h;
-              Hashtbl.remove node.aggr_crt dead_h;
-              Hashtbl.remove node.seen_seq dead_h;
-              Hashtbl.remove node.link_epoch dead_h;
-              Hashtbl.remove node.last_sent dead_h;
-              (* both ends of every regraft are ex-neighbours (orphans
-                 move to the dead node's parent or to a promoted orphan),
-                 so this is the one re-read each touched list needs *)
-              renew_neighbors node t.fw;
+          Option.iter
+            (fun node ->
+              renew t node;
               mark_dirty node Trace.Invalidate)
+            t.nodes.(x))
         old_nbrs;
       List.iter
         (fun (c, p) ->
@@ -801,17 +803,12 @@ let local_find t node ~k ~cls =
 (* hop retransmissions over a lossy link before the router falls back *)
 let hop_retries = 2
 
-let query ?(policy = `Best_crt) ?hop_budget t ~at ~k ~cls =
+let query ?(policy = `Best_crt) t ~at ~k ~cls =
   if k < 2 then invalid_arg "Protocol.query: k < 2";
   if cls < 0 || cls >= Classes.count t.classes then invalid_arg "Protocol.query: bad class";
-  let hop_budget =
-    (* a routing path on the anchor tree is simple, so n hops is already
-       unreachable — the default budget changes nothing on healthy runs *)
-    match hop_budget with
-    | Some h when h < 0 -> invalid_arg "Protocol.query: negative hop budget"
-    | Some h -> h
-    | None -> Array.length t.nodes
-  in
+  (* a walk on the anchor tree never returns to its sender, so it takes
+     at most members - 1 hops: n hops cannot bind *)
+  let hop_budget = Array.length t.nodes in
   let faults = Engine.faults t.engine in
   let round = Engine.round t.engine in
   let retries_used = ref 0 in
@@ -855,14 +852,13 @@ let query ?(policy = `Best_crt) ?hop_budget t ~at ~k ~cls =
          fallbacks for dead, partitioned or persistently lossy hops. *)
       let qualifying =
         List.filter_map
-          (fun nb ->
-            let h = nb.Node_info.host in
-            if Some h = from then None
-            else
-              match Hashtbl.find_opt node.aggr_crt h with
-              | Some row when row.(cls) >= k -> Some (h, row.(cls))
-              | Some _ | None -> None)
-          node.neighbors
+          (fun l ->
+            let h = peer_of l in
+            match l.delivered with
+            | Some (_, p) when Some h <> from && p.prop_crt.(cls) >= k ->
+                Some (h, p.prop_crt.(cls))
+            | Some _ | None -> None)
+          node.links
       in
       let ordered =
         match policy with
@@ -887,29 +883,26 @@ let query ?(policy = `Best_crt) ?hop_budget t ~at ~k ~cls =
   if not (Engine.is_active t.engine at) then result None ~path:[ at ]
   else go at ~from:None ~path:[ at ] ~budget:hop_budget
 
-let query_bandwidth ?policy ?hop_budget t ~at ~k ~b =
+let query_bandwidth ?policy t ~at ~k ~b =
   match Classes.class_for t.classes ~b with
-  | Some cls -> query ?policy ?hop_budget t ~at ~k ~cls
+  | Some cls -> query ?policy t ~at ~k ~cls
   | None -> Query.not_found_at at
 
 let crt_row t x v =
   let node = get_node t x in
   if v = x then Array.copy node.own_row
-  else if not (List.exists (fun nb -> nb.Node_info.host = v) node.neighbors) then
-    raise Not_found
   else
-    match Hashtbl.find_opt node.aggr_crt v with
-    | Some row -> Array.copy row
-    | None -> Array.make (Classes.count t.classes) 0
+    match Hashtbl.find_opt node.link_of v with
+    | None -> raise Not_found
+    | Some { delivered = Some (_, p); _ } -> Array.copy p.prop_crt
+    | Some { delivered = None; _ } -> Array.make (Classes.count t.classes) 0
 
 let max_reachable t x ~cls =
   let node = get_node t x in
   List.fold_left
-    (fun acc nb ->
-      match Hashtbl.find_opt node.aggr_crt nb.Node_info.host with
-      | Some row -> Stdlib.max acc row.(cls)
-      | None -> acc)
-    node.own_row.(cls) node.neighbors
+    (fun acc l ->
+      match l.delivered with Some (_, p) -> Stdlib.max acc p.prop_crt.(cls) | None -> acc)
+    node.own_row.(cls) node.links
 
 let messages_sent t = Engine.messages_sent t.engine
 let rounds_run t = t.rounds
@@ -967,14 +960,15 @@ type dump = {
   d_detector : Detector.dump option;
 }
 
-let sorted_assoc tbl = List.map (fun k -> (k, Hashtbl.find tbl k)) (Bwc_stats.Tbl.sorted_keys tbl)
-
 let dump t =
   let nodes = ref [] in
   for id = Array.length t.nodes - 1 downto 0 do
     match t.nodes.(id) with
     | None -> ()
     | Some node ->
+        let links = List.sort (fun a b -> Int.compare (peer_of a) (peer_of b)) node.links in
+        let each f = List.filter_map (fun l -> Option.map (fun v -> (peer_of l, v)) (f l)) links in
+        let each_delivery f = each (fun l -> Option.map (fun (seq, p) -> f seq p) l.delivered) in
         let out =
           List.map
             (fun (peer, (e : out_entry)) ->
@@ -989,7 +983,7 @@ let dump t =
                 o_acked = e.acked;
                 o_gave_up = e.gave_up;
               })
-            (sorted_assoc node.out)
+            (each (fun l -> l.out))
         in
         nodes :=
           {
@@ -997,12 +991,12 @@ let dump t =
             nd_active = Engine.is_active t.engine id;
             nd_dirty = node.dirty;
             nd_own_row = Array.copy node.own_row;
-            nd_aggr_node = sorted_assoc node.aggr_node;
-            nd_aggr_crt = sorted_assoc node.aggr_crt;
+            nd_aggr_node = each_delivery (fun _ p -> p.prop_node);
+            nd_aggr_crt = each_delivery (fun _ p -> p.prop_crt);
             nd_out = out;
-            nd_seen_seq = sorted_assoc node.seen_seq;
-            nd_link_epoch = sorted_assoc node.link_epoch;
-            nd_last_sent = sorted_assoc node.last_sent;
+            nd_seen_seq = each_delivery (fun seq _ -> seq);
+            nd_link_epoch = each (fun l -> l.link_epoch);
+            nd_last_sent = each (fun l -> l.last_sent);
           }
           :: !nodes
   done;
@@ -1049,63 +1043,65 @@ let of_dump ?metrics ?trace ~classes fw d =
   let unacked = ref 0 in
   List.iter
     (fun nd ->
-      let nbrs = Ensemble.anchor_neighbors fw nd.nd_id in
-      let check_peer p = if not (List.mem p nbrs) then fail "state keyed by a non-neighbor" in
       check_row nd.nd_own_row;
       Array.iter (fun v -> if v < 0 then fail "negative cluster size") nd.nd_own_row;
       let node = fresh_node fw classes nd.nd_id in
       node.own_row <- Array.copy nd.nd_own_row;
       node.dirty <- nd.nd_dirty;
-      List.iter
-        (fun (p, infos) ->
-          check_peer p;
-          List.iter check_info infos;
-          Hashtbl.replace node.aggr_node p infos)
-        nd.nd_aggr_node;
-      List.iter
-        (fun (p, row) ->
-          check_peer p;
-          check_row row;
-          Hashtbl.replace node.aggr_crt p (Array.copy row))
-        nd.nd_aggr_crt;
+      let link p =
+        match Hashtbl.find_opt node.link_of p with
+        | Some l -> l
+        | None -> fail "state keyed by a non-neighbor"
+      in
+      (* one applied update gave each link its seen seq, aggrNode list
+         and aggrCRT column: the three name the same peers *)
+      let rec deliveries ns cs ss =
+        match (ns, cs, ss) with
+        | [], [], [] -> ()
+        | (p, prop_node) :: ns, (p', prop_crt) :: cs, (p'', seq) :: ss
+          when p = p' && p = p'' ->
+            let l = link p in
+            List.iter check_info prop_node;
+            check_row prop_crt;
+            if seq < 0 then fail "negative seen seq";
+            l.delivered <- Some (seq, { prop_node; prop_crt = Array.copy prop_crt });
+            deliveries ns cs ss
+        | _ -> fail "seen seq, aggrNode and aggrCRT name different peers"
+      in
+      deliveries nd.nd_aggr_node nd.nd_aggr_crt nd.nd_seen_seq;
       List.iter
         (fun o ->
-          check_peer o.o_peer;
+          let l = link o.o_peer in
           if o.o_epoch < 0 || o.o_epoch > d.d_epoch then fail "out entry epoch out of range";
           if o.o_seq < 0 || o.o_tries < 0 then fail "negative out entry field";
           if o.o_sent_round > d.d_engine_round then fail "out entry from the future";
           check_row o.o_prop_crt;
           List.iter check_info o.o_prop_node;
-          if (not o.o_acked) && not o.o_gave_up then incr unacked;
-          Hashtbl.replace node.out o.o_peer
-            {
-              epoch = o.o_epoch;
-              seq = o.o_seq;
-              payload = { prop_node = o.o_prop_node; prop_crt = Array.copy o.o_prop_crt };
-              sent_round = o.o_sent_round;
-              tries = o.o_tries;
-              acked = o.o_acked;
-              gave_up = o.o_gave_up;
-            })
+          l.out <-
+            Some
+              {
+                epoch = o.o_epoch;
+                seq = o.o_seq;
+                payload = { prop_node = o.o_prop_node; prop_crt = Array.copy o.o_prop_crt };
+                sent_round = o.o_sent_round;
+                tries = o.o_tries;
+                acked = o.o_acked;
+                gave_up = o.o_gave_up;
+              })
         nd.nd_out;
       List.iter
-        (fun (p, s) ->
-          check_peer p;
-          if s < 0 then fail "negative seen seq";
-          Hashtbl.replace node.seen_seq p s)
-        nd.nd_seen_seq;
-      List.iter
         (fun (p, e) ->
-          check_peer p;
+          let l = link p in
           if e < 0 || e > d.d_epoch then fail "link epoch out of range";
-          Hashtbl.replace node.link_epoch p e)
+          l.link_epoch <- Some e)
         nd.nd_link_epoch;
       List.iter
         (fun (p, r) ->
-          check_peer p;
+          let l = link p in
           if r > d.d_engine_round then fail "send stamp from the future";
-          Hashtbl.replace node.last_sent p r)
+          l.last_sent <- Some r)
         nd.nd_last_sent;
+      List.iter (fun l -> if awaits_ack l then incr unacked) node.links;
       nodes.(nd.nd_id) <- Some node)
     d.d_nodes;
   let t =

@@ -117,7 +117,7 @@ val repair : t -> dead:int list -> unit
     as detector-driven repair does — ensemble eviction
     ({!Bwc_predtree.Ensemble.evict_host}) with grandparent regrafts,
     link-epoch bump, invalidation of the dead nodes' state at their
-    ex-neighbors (each touched neighbor list re-read once), root-path
+    ex-neighbors (each touched node's links re-read once), root-path
     dirty marking, and the {!set_on_evict} observer.  Re-converge with
     further rounds.  Non-members in [dead] are ignored. *)
 
@@ -133,9 +133,7 @@ val detector : t -> Detector.t option
 (** The failure detector, when [create] was given a config. *)
 
 val query :
-  ?policy:[ `Best_crt | `First ] ->
-  ?hop_budget:int ->
-  t -> at:int -> k:int -> cls:int -> Query.result
+  ?policy:[ `Best_crt | `First ] -> t -> at:int -> k:int -> cls:int -> Query.result
 (** Algorithm 4: submit the query for [k] hosts of class [cls] at host
     [at].  The paper forwards to "any" neighbor whose CRT column promises
     a big-enough cluster; [`Best_crt] (default) picks the most promising
@@ -146,15 +144,11 @@ val query :
     next qualifying neighbor; a hop over a lossy link is retried up to
     2 times before falling back; with a detector,
     directions the local failure detector suspects become last resorts
-    (tried only when every healthy direction fails); [hop_budget]
-    (default [n], unreachable on a simple tree path) caps the total
-    number of forwardings.  A query submitted at a dead host is an
-    immediate miss. *)
+    (tried only when every healthy direction fails).  A query submitted
+    at a dead host is an immediate miss. *)
 
 val query_bandwidth :
-  ?policy:[ `Best_crt | `First ] ->
-  ?hop_budget:int ->
-  t -> at:int -> k:int -> b:float -> Query.result
+  ?policy:[ `Best_crt | `First ] -> t -> at:int -> k:int -> b:float -> Query.result
 (** Convenience: maps [b] to the cheapest class that guarantees it; a miss
     when no class covers [b]. *)
 
@@ -258,11 +252,13 @@ val of_dump :
     ensemble.  The engine restarts at the dumped round with the dumped
     RNG state, so a same-seed run resumed from a snapshot at quiescence
     is indistinguishable from one that never crashed.  Validates
-    membership agreement with the ensemble, neighbor-keyed table
-    integrity, arity of CRT rows and label vectors, clock/epoch bounds,
-    and that the dumped retransmission pacing equals the constants the
-    restored protocol runs under; raises [Invalid_argument] on any
-    violation.  The restored engine runs fault-free with unit link
+    membership agreement with the ensemble, that every per-link entry
+    names a neighbor, that each node's [nd_seen_seq], [nd_aggr_node] and
+    [nd_aggr_crt] name the same peers in the same order (one applied
+    update gives a link all three), arity of CRT rows and label vectors,
+    clock/epoch bounds, and that the dumped retransmission pacing equals
+    the constants the restored protocol runs under; raises
+    [Invalid_argument] on any violation.  The restored engine runs fault-free with unit link
     delays.  The unacked
     count is recomputed from the out-entries, never trusted from the
     file. *)
@@ -276,7 +272,7 @@ val refresh_topology : t -> unit
     a host {!Bwc_predtree.Ensemble.add_host} joined since the last call,
     fresh or a ghost's revival — a fresh slot, an active engine slot and
     live links to its overlay neighbours (at the current repair epoch,
-    watched by the detector), and re-reads those neighbours' lists.  A
+    watched by the detector), and re-reads those neighbours' links.  A
     join hangs one leaf under one parent, so nothing else moves, and the
     cost is the newcomer's overlay degree.  A leave is {!repair}, which
     clears the slot at once, so on a protocol whose slots already match

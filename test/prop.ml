@@ -27,7 +27,8 @@
    7. snapshot-anywhere — every image a daemon can write restores and
       answers as the writer (see below);
    8. cached-space — a node's cached clustering space never changes an
-      answer or outlives the own CRT row it should yield (see below);
+      answer or outlives the own CRT row it should yield, and every link
+      holds a whole delivered update or none (see below);
    9. fixpoint-oracle — every quiescent protocol state equals the
       aggregation fixpoint computed by direct recursion over the overlay
       (see below).
@@ -779,6 +780,11 @@ let snapshot_anywhere () =
        Index.max_size oracle gives per class, over its clustering space
        rebuilt from the dump as the node plus every host in its
        aggrNode tables;
+   (c) every node's seen seqs, aggrNode tables and aggrCRT columns name
+       the same peers, all of them its current overlay neighbours (one
+       applied update fills all three);
+   (d) a dump with one of those three entries removed, for one link
+       chosen by the boundary's index, is refused by Protocol.of_dump;
    and at the end of every case, bounded rounds evict every crashed host
    that is still a member (a membership move must not restart it). *)
 
@@ -812,7 +818,7 @@ let cached_space () =
   let n_cases = Stdlib.max 1 (cases / 10) in
   let boundaries = ref 0 and answers = ref 0 and rows = ref 0 in
   let queries = ref 0 and moves = ref 0 and moves_awaiting = ref 0 in
-  let crashes = ref 0 and evictions = ref 0 in
+  let crashes = ref 0 and evictions = ref 0 and refused = ref 0 in
   for case = 0 to n_cases - 1 do
     let rng = case_rng (700_000 + case) in
     let n = 12 + Rng.int rng 29 in
@@ -860,8 +866,43 @@ let cached_space () =
             if nd.nd_own_row <> own_row_oracle ens classes nd then
               fail_case prop case "round %d: clean node %d holds a stale own row"
                 (Protocol.rounds_run p) nd.nd_id
-          end)
-        d.Protocol.d_nodes
+          end;
+          let peers = List.map fst nd.nd_seen_seq in
+          if List.map fst nd.nd_aggr_node <> peers || List.map fst nd.nd_aggr_crt <> peers
+          then
+            fail_case prop case
+              "round %d: node %d's seen seqs, aggrNode and aggrCRT name different peers"
+              (Protocol.rounds_run p) nd.nd_id;
+          let nbrs = Ensemble.anchor_neighbors ens nd.nd_id in
+          if not (List.for_all (fun m -> List.mem m nbrs) peers) then
+            fail_case prop case "round %d: node %d holds a payload from a non-neighbour"
+              (Protocol.rounds_run p) nd.nd_id)
+        d.Protocol.d_nodes;
+      (* the boundary's index picks the link and the table, so the case
+         rng draws what it drew before *)
+      let links =
+        List.concat_map
+          (fun (nd : Protocol.node_dump) -> List.map (fun (m, _) -> (nd.nd_id, m)) nd.nd_seen_seq)
+          d.Protocol.d_nodes
+      in
+      if links <> [] then begin
+        let x, m = List.nth links (!boundaries mod List.length links) in
+        let drop (nd : Protocol.node_dump) =
+          if nd.nd_id <> x then nd
+          else
+            match !boundaries mod 3 with
+            | 0 -> { nd with nd_seen_seq = List.remove_assoc m nd.nd_seen_seq }
+            | 1 -> { nd with nd_aggr_node = List.remove_assoc m nd.nd_aggr_node }
+            | _ -> { nd with nd_aggr_crt = List.remove_assoc m nd.nd_aggr_crt }
+        in
+        match
+          Protocol.of_dump ~classes ens { d with Protocol.d_nodes = List.map drop d.d_nodes }
+        with
+        | exception Invalid_argument _ -> incr refused
+        | (_ : Protocol.t) ->
+            fail_case prop case "round %d: a dump missing one of %d's entries for %d restored"
+              (Protocol.rounds_run p) x m
+      end
     in
     let events = 40 + Rng.int rng 40 in
     for _ = 1 to events do
@@ -925,9 +966,9 @@ let cached_space () =
     evictions := !evictions + Protocol.repairs_run p
   done;
   Printf.printf
-    "%s: %d cases, %d round boundaries, %d JOIN/LEAVE (%d while a crash awaited its eviction), %d crashes all evicted, %d evictions, %d queries, %d answers and %d own rows match a restore and the oracle [ok]\n"
+    "%s: %d cases, %d round boundaries, %d JOIN/LEAVE (%d while a crash awaited its eviction), %d crashes all evicted, %d evictions, %d queries, %d answers and %d own rows match a restore and the oracle, %d dumps missing one link entry refused [ok]\n"
     prop n_cases !boundaries !moves !moves_awaiting !crashes !evictions !queries !answers
-    !rows
+    !rows !refused
 
 (* 9. fixpoint-oracle — on a tree overlay the aggregation fixpoint is a
    recursion over directed edges, computed here from the ensemble alone

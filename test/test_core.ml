@@ -582,31 +582,6 @@ let test_partition_heals_and_queries_succeed () =
     done
   done
 
-let test_query_hop_budget () =
-  let ds, _, protocol = build_protocol ~seed:82 24 in
-  let classes = protocol_classes ds in
-  let forwarding_needed = ref 0 in
-  for x = 0 to 23 do
-    for cls = 0 to Classes.count classes - 1 do
-      let own = (Protocol.crt_row protocol x x).(cls) in
-      let promised = Protocol.max_reachable protocol x ~cls in
-      if promised >= 2 then begin
-        let r = Protocol.query protocol ~hop_budget:0 ~at:x ~k:promised ~cls in
-        Alcotest.(check int) "budget 0 never forwards" 0 r.Query.hops;
-        (* with no budget the query can only be answered from the local
-           clustering space *)
-        if promised > own then begin
-          incr forwarding_needed;
-          if Query.found r then
-            Alcotest.failf "host %d answered k=%d locally with own row %d" x promised
-              own
-        end
-      end
-    done
-  done;
-  Alcotest.(check bool) "the budget constrained at least one query" true
-    (!forwarding_needed > 0)
-
 let test_query_skips_dead_hosts () =
   let ds = small_dataset ~seed:83 20 in
   let space = Bwc_dataset.Dataset.metric ds in
@@ -1988,7 +1963,6 @@ let () =
             test_of_dump_pacing_constants;
           Alcotest.test_case "query on empty membership" `Quick
             test_dynamic_empty_members_query;
-          Alcotest.test_case "hop budget caps forwarding" `Quick test_query_hop_budget;
           Alcotest.test_case "routing skips dead hosts" `Quick
             test_query_skips_dead_hosts;
         ] );

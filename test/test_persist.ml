@@ -4,7 +4,8 @@
    the fixed point and behaves byte-identically to the system that never
    crashed), graceful degradation to cold start, detector mid-lease
    restore, rotated generations, the protocol section's node-info slot
-   table, and format versions. *)
+   table, format versions, and protocol dumps whose per-link state
+   disagrees. *)
 
 module Rng = Bwc_stats.Rng
 module Fault = Bwc_sim.Fault
@@ -411,6 +412,49 @@ let test_snapshot_detector_mid_lease () =
     (let (_ : int) = Protocol.run_aggregation ~max_rounds:400 p in
      not (Ensemble.is_member (Dynamic.ensemble sys) victim))
 
+(* ----- per-link protocol state ----- *)
+
+(* A link's seen sequence number, aggrNode list and aggrCRT column come
+   from one applied update, so an image holds all three or none.  Here
+   node 0's payload from neighbour 18 loses one of its two parts while
+   0 keeps the sequence number it came under, and 18's update to 0 is
+   left unacked and due for a resend: a restore that accepted this would
+   take the resent copy for a duplicate of a payload it does not hold. *)
+let test_link_tables_disagree drop () =
+  let ds = dataset ~seed:5 20 in
+  let classes = Bwc_core.Classes.of_percentiles ~count:5 ds in
+  let fw = Ensemble.build ~rng:(Rng.create 6) (Bwc_dataset.Dataset.metric ds) in
+  let p = Protocol.create ~rng:(Rng.create 7) ~n_cut:4 ~classes fw in
+  for _ = 1 to 8 do
+    ignore (Protocol.run_round p : bool)
+  done;
+  let d = Protocol.dump p in
+  let node0 = List.find (fun nd -> nd.Protocol.nd_id = 0) d.Protocol.d_nodes in
+  Alcotest.(check (option int)) "0 applied 18's update 2" (Some 2)
+    (List.assoc_opt 18 node0.Protocol.nd_seen_seq);
+  let edit (nd : Protocol.node_dump) =
+    match nd.nd_id with
+    | 0 -> drop nd
+    | 18 ->
+        let unacked (o : Protocol.out_dump) =
+          if o.o_peer = 0 then { o with o_acked = false; o_sent_round = d.d_engine_round - 3 }
+          else o
+        in
+        { nd with nd_out = List.map unacked nd.nd_out }
+    | _ -> nd
+  in
+  match Protocol.of_dump ~classes fw { d with d_nodes = List.map edit d.d_nodes } with
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "reason"
+        "Protocol.of_dump: seen seq, aggrNode and aggrCRT name different peers" msg
+  | (_ : Protocol.t) -> Alcotest.fail "a seen seq without its payload restored"
+
+let without_aggr_crt (nd : Protocol.node_dump) =
+  { nd with nd_aggr_crt = List.remove_assoc 18 nd.nd_aggr_crt }
+
+let without_aggr_node (nd : Protocol.node_dump) =
+  { nd with nd_aggr_node = List.remove_assoc 18 nd.nd_aggr_node }
+
 (* ----- corruption / graceful degradation ----- *)
 
 let corruption_modes =
@@ -637,6 +681,13 @@ let () =
           Alcotest.test_case "version 1 refused" `Quick test_version_1_refused;
           Alcotest.test_case "retired kind still corrupt" `Quick
             test_retired_kind_still_corrupt;
+        ] );
+      ( "links",
+        [
+          Alcotest.test_case "seen seq without aggrCRT" `Quick
+            (test_link_tables_disagree without_aggr_crt);
+          Alcotest.test_case "seen seq without aggrNode" `Quick
+            (test_link_tables_disagree without_aggr_node);
         ] );
       ( "degradation",
         [
