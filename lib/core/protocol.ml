@@ -41,14 +41,15 @@ type out_entry = {
 
 (* One overlay neighbour m: aggrNode[m] and aggrCRT[m] arrive together as
    the payload of m's last applied update, kept with its sequence number,
-   beside the last update sent to m.  A repair epoch or a send round is
-   [None] until first set. *)
+   beside the last update sent to m and, with a failure detector, the
+   lease on m.  A repair epoch or a send round is [None] until first set. *)
 type link = {
   peer : Node_info.t;
   mutable delivered : (int * payload) option;
   mutable out : out_entry option;
   mutable link_epoch : int option;
   mutable last_sent : int option;
+  mutable lease : Detector.lease option;
 }
 
 type node = {
@@ -116,11 +117,11 @@ let v_x_moved node =
   node.moved <- true
 
 (* Re-reads [node]'s overlay neighbours: a kept link keeps its record, a
-   new one starts empty, and a dropped one goes with its update; returns
-   how many dropped updates awaited an ack.  V_x moves only where a
-   dropped link had delivered an aggrNode list: a new link has delivered
-   nothing, and the anchor tree keeps kept links in their relative order
-   (it prepends a newcomer or a regrafted child). *)
+   new one starts empty, and a dropped one goes with its update and its
+   lease; returns how many dropped updates awaited an ack.  V_x moves
+   only where a dropped link had delivered an aggrNode list: a new link
+   has delivered nothing, and the anchor tree keeps kept links in their
+   relative order (it prepends a newcomer or a regrafted child). *)
 let renew_links fw node =
   let old = node.links in
   node.links <-
@@ -130,7 +131,7 @@ let renew_links fw node =
         | Some l -> l
         | None ->
             { peer = node_of_host fw h; delivered = None; out = None; link_epoch = None;
-              last_sent = None })
+              last_sent = None; lease = None })
       (Ensemble.anchor_neighbors fw node.id);
   Hashtbl.clear node.link_of;
   List.iter (fun l -> Hashtbl.replace node.link_of (peer_of l) l) node.links;
@@ -217,15 +218,13 @@ let create ~rng ?(n_cut = 10) ?edge_delay ?faults ?detector ?metrics ?trace ~cla
     Array.init (Ensemble.hosts fw) (fun h ->
         if Ensemble.is_member fw h then Some (fresh_node fw classes h) else None)
   in
-  (match detector with
-  | None -> ()
-  | Some d ->
+  Option.iter
+    (fun d ->
       Array.iter
         (Option.iter (fun node ->
-             List.iter
-               (fun l -> Detector.watch d ~watcher:node.id ~peer:(peer_of l) ~round:0)
-               node.links))
-        nodes);
+             List.iter (fun l -> l.lease <- Some (Detector.lease d ~round:0)) node.links))
+        nodes)
+    detector;
   make ~fw ~classes ~n_cut ~nodes ~engine ~detector ~trace ~metrics ~rounds:0 ~epoch:0
     ~unacked:0
 
@@ -235,7 +234,6 @@ let get_node t x =
   | None -> invalid_arg "Protocol: host is not a member"
 
 let metrics t = Engine.metrics t.engine
-let detector t = t.detector
 
 let emit t ev = match t.trace with Some tr -> Trace.emit tr ev | None -> ()
 
@@ -483,9 +481,9 @@ let resend_pending t node =
 
 (* a message from a peer we had given up on proves it alive: restore the
    entry to the unacked pool and let the resend timer fire immediately *)
-let revive_given_up t node src =
-  match Hashtbl.find_opt node.link_of src with
-  | Some { out = Some entry; _ } when entry.gave_up ->
+let revive_given_up t l =
+  match l.out with
+  | Some entry when entry.gave_up ->
       entry.gave_up <- false;
       entry.tries <- 0;
       entry.sent_round <- Engine.round t.engine - resend_timeout;
@@ -593,10 +591,13 @@ let step t id inbox =
   let changed = ref node.dirty in
   List.iter
     (fun (src, msg) ->
-      (match t.detector with
-      | Some d -> Detector.heard d ~watcher:id ~peer:src ~round:now
+      (match Hashtbl.find_opt node.link_of src with
+      | Some l ->
+          (match l.lease with
+          | Some lease -> l.lease <- Some (Detector.heard lease ~round:now)
+          | None -> ());
+          revive_given_up t l
       | None -> ());
-      revive_given_up t node src;
       match msg with
       | Update { epoch; seq; payload } ->
           if apply_update t node ~src ~epoch ~seq payload then changed := true
@@ -632,20 +633,19 @@ let rec mark_root_path t x =
 (* re-read [node]'s links; a dropped update that awaited an ack retires *)
 let renew t node = t.unacked <- t.unacked - renew_links t.fw node
 
-(* establish the live link [a]<->[b] at the current repair epoch and mark
-   both ends dirty with [kind].  Links are the caller's to re-read first,
-   once per node however many of its links moved, so each end holds a
-   fresh record for the other. *)
+(* establish the live link [a]<->[b] at the current repair epoch, with a
+   fresh lease, and mark both ends dirty with [kind].  Links are the
+   caller's to re-read first, once per node however many of its links
+   moved, so each end holds a fresh record for the other. *)
 let relink t ~round ~kind a b =
   let half x y =
     match t.nodes.(x) with
     | None -> ()
     | Some node ->
-        (Hashtbl.find node.link_of y).link_epoch <- Some t.epoch;
-        mark_dirty node kind;
-        (match t.detector with
-        | Some d -> Detector.watch d ~watcher:x ~peer:y ~round
-        | None -> ())
+        let l = Hashtbl.find node.link_of y in
+        l.link_epoch <- Some t.epoch;
+        l.lease <- Option.map (Detector.lease ~round) t.detector;
+        mark_dirty node kind
   in
   half a b;
   half b a
@@ -689,14 +689,6 @@ let repair_one t dead_h =
       let regrafts = Ensemble.evict_host t.fw dead_h in
       t.nodes.(dead_h) <- None;
       Engine.set_active t.engine dead_h false;
-      (match t.detector with
-      | Some d ->
-          List.iter
-            (fun x ->
-              Detector.unwatch d ~watcher:x ~peer:dead_h;
-              Detector.unwatch d ~watcher:dead_h ~peer:x)
-            old_nbrs
-      | None -> ());
       (* incremental invalidation: only the dead node's ex-neighbors hold
          direct state about it; on a tree nothing else can echo it back
          (recompute-and-replace propagation overwrites downstream copies),
@@ -739,13 +731,51 @@ let crash_host t h =
   emit t (Trace.Crash { round = Engine.round t.engine; node = h });
   Engine.set_active t.engine h false
 
+(* The detector's end-of-round pass: members ascending, each member's
+   links by ascending peer id, so transitions, their trace events and the
+   repairs they start come in one order.  A crashed watcher hears
+   nothing, so its frozen leases are not advanced.  Returns the peers
+   newly confirmed dead, sorted and deduplicated. *)
+let expire_leases t d ~round =
+  let confirmed = ref [] in
+  Array.iter
+    (Option.iter (fun node ->
+         if Engine.is_active t.engine node.id then
+           List.iter
+             (fun l ->
+               match l.lease with
+               | Some lease ->
+                   let next = Detector.advance d ~round ~watcher:node.id ~peer:(peer_of l) lease in
+                   if next.Detector.state <> lease.Detector.state then begin
+                     l.lease <- Some next;
+                     if next.Detector.state = Detector.Confirmed then
+                       confirmed := peer_of l :: !confirmed
+                   end
+               | None -> ())
+             (List.sort (fun a b -> Int.compare (peer_of a) (peer_of b)) node.links)))
+    t.nodes;
+  List.sort_uniq compare !confirmed
+
+(* some lease is running towards expiry, a crashed watcher's included *)
+let leases_pending t d =
+  let round = Engine.round t.engine in
+  Array.exists
+    (function
+      | Some node ->
+          List.exists
+            (fun l ->
+              match l.lease with Some lease -> Detector.overdue d ~round lease | None -> false)
+            node.links
+      | None -> false)
+    t.nodes
+
 let quiescent t =
   t.unacked = 0
   && Array.for_all (function Some node -> not node.dirty | None -> true) t.nodes
   &&
   match t.detector with
   | None -> true
-  | Some d -> not (Detector.pending d ~round:(Engine.round t.engine))
+  | Some d -> not (leases_pending t d)
 
 let run_round t =
   t.step_changed <- false;
@@ -758,14 +788,12 @@ let run_round t =
          between retransmission timeouts *)
       active || t.unacked > 0
   | Some d ->
-      let round = Engine.round t.engine in
-      let confirmed = Detector.tick d ~round ~live:(Engine.is_active t.engine) in
-      repair t ~dead:confirmed;
+      repair t ~dead:(expire_leases t d ~round:(Engine.round t.engine));
       (* heartbeats keep the engine's in-flight count permanently
          non-zero, so the engine's own activity notion is useless here:
          the protocol is live while state changed, updates await acks, or
          a detector lease is running out *)
-      t.step_changed || t.unacked > 0 || Detector.pending d ~round
+      t.step_changed || t.unacked > 0 || leases_pending t d
 
 let run_aggregation ?max_rounds t =
   let max_rounds =
@@ -785,12 +813,17 @@ let run_aggregation ?max_rounds t =
 
 (* failure-detector detour: directions under suspicion become last
    resorts — probably dead, but not yet written off *)
-let detour t x ordered =
+let detour t node ordered =
   match t.detector with
   | None -> ordered
-  | Some d ->
+  | Some _ ->
       let suspected, healthy =
-        List.partition (fun (h, _) -> Detector.suspects d ~watcher:x ~peer:h) ordered
+        List.partition
+          (fun (h, _) ->
+            match (Hashtbl.find node.link_of h).lease with
+            | Some lease -> Detector.suspects lease
+            | None -> false)
+          ordered
       in
       healthy @ suspected
 
@@ -867,7 +900,7 @@ let query ?(policy = `Best_crt) t ~at ~k ~cls =
             (* stable sort: equal promises keep neighbor order *)
             List.stable_sort (fun (_, a) (_, b) -> compare b a) qualifying
       in
-      match first_reachable x (List.map fst (detour t x ordered)) with
+      match first_reachable x (List.map fst (detour t node ordered)) with
       | Some next ->
           emit t
             (Trace.Query_hop
@@ -920,11 +953,13 @@ let mark_all_dirty t =
    is deliberately absent: a whole-system crash loses the network, and
    that is exactly the loss the seq/ACK + retransmission layer already
    recovers from — unacked out entries resume their resend timers after a
-   restore.  Neighbor lists and node infos are {e not} dumped either;
-   they are always derived from the ensemble, which travels alongside. *)
+   restore.  A node's links are its overlay neighbours, one record each;
+   their node infos are {e not} dumped, they are always derived from the
+   ensemble, which travels alongside. *)
+
+type update_dump = { u_seq : int; u_aggr_node : Node_info.t list; u_aggr_crt : int array }
 
 type out_dump = {
-  o_peer : int;
   o_epoch : int;
   o_seq : int;
   o_prop_node : Node_info.t list;
@@ -935,17 +970,21 @@ type out_dump = {
   o_gave_up : bool;
 }
 
+type link_dump = {
+  l_peer : int;
+  l_delivered : update_dump option;
+  l_out : out_dump option;
+  l_epoch : int option;
+  l_last_sent : int option;
+  l_lease : Detector.lease option;
+}
+
 type node_dump = {
   nd_id : int;
   nd_active : bool; (* engine liveness: a crashed-but-not-evicted member *)
   nd_dirty : bool;
   nd_own_row : int array;
-  nd_aggr_node : (int * Node_info.t list) list; (* ascending neighbor id *)
-  nd_aggr_crt : (int * int array) list;
-  nd_out : out_dump list;
-  nd_seen_seq : (int * int) list;
-  nd_link_epoch : (int * int) list;
-  nd_last_sent : (int * int) list;
+  nd_links : link_dump list; (* Ensemble.anchor_neighbors order *)
 }
 
 type dump = {
@@ -960,45 +999,47 @@ type dump = {
   d_detector : Detector.dump option;
 }
 
+let dump_link l =
+  {
+    l_peer = peer_of l;
+    l_delivered =
+      Option.map
+        (fun (seq, p) -> { u_seq = seq; u_aggr_node = p.prop_node; u_aggr_crt = p.prop_crt })
+        l.delivered;
+    l_out =
+      Option.map
+        (fun (e : out_entry) ->
+          {
+            o_epoch = e.epoch;
+            o_seq = e.seq;
+            o_prop_node = e.payload.prop_node;
+            o_prop_crt = e.payload.prop_crt;
+            o_sent_round = e.sent_round;
+            o_tries = e.tries;
+            o_acked = e.acked;
+            o_gave_up = e.gave_up;
+          })
+        l.out;
+    l_epoch = l.link_epoch;
+    l_last_sent = l.last_sent;
+    l_lease = l.lease;
+  }
+
 let dump t =
   let nodes = ref [] in
   for id = Array.length t.nodes - 1 downto 0 do
-    match t.nodes.(id) with
-    | None -> ()
-    | Some node ->
-        let links = List.sort (fun a b -> Int.compare (peer_of a) (peer_of b)) node.links in
-        let each f = List.filter_map (fun l -> Option.map (fun v -> (peer_of l, v)) (f l)) links in
-        let each_delivery f = each (fun l -> Option.map (fun (seq, p) -> f seq p) l.delivered) in
-        let out =
-          List.map
-            (fun (peer, (e : out_entry)) ->
-              {
-                o_peer = peer;
-                o_epoch = e.epoch;
-                o_seq = e.seq;
-                o_prop_node = e.payload.prop_node;
-                o_prop_crt = e.payload.prop_crt;
-                o_sent_round = e.sent_round;
-                o_tries = e.tries;
-                o_acked = e.acked;
-                o_gave_up = e.gave_up;
-              })
-            (each (fun l -> l.out))
-        in
+    Option.iter
+      (fun node ->
         nodes :=
           {
             nd_id = id;
             nd_active = Engine.is_active t.engine id;
             nd_dirty = node.dirty;
             nd_own_row = Array.copy node.own_row;
-            nd_aggr_node = each_delivery (fun _ p -> p.prop_node);
-            nd_aggr_crt = each_delivery (fun _ p -> p.prop_crt);
-            nd_out = out;
-            nd_seen_seq = each_delivery (fun seq _ -> seq);
-            nd_link_epoch = each (fun l -> l.link_epoch);
-            nd_last_sent = each (fun l -> l.last_sent);
+            nd_links = List.map dump_link node.links;
           }
-          :: !nodes
+          :: !nodes)
+      t.nodes.(id)
   done;
   {
     d_n_cut = t.n_cut;
@@ -1013,7 +1054,7 @@ let dump t =
   }
 
 let of_dump ?metrics ?trace ~classes fw d =
-  let fail msg = invalid_arg ("Protocol.of_dump: " ^ msg) in
+  let fail fmt = Printf.ksprintf (fun msg -> invalid_arg ("Protocol.of_dump: " ^ msg)) fmt in
   if d.d_n_cut < 1 then fail "n_cut < 1";
   (* the image records the retransmission pacing it ran under; a restored
      protocol runs under this build's constants, so they must agree *)
@@ -1039,6 +1080,48 @@ let of_dump ?metrics ?trace ~classes fw d =
     if Array.length info.Node_info.labels <> n_trees then fail "info label arity mismatch"
   in
   let check_row row = if Array.length row <> n_classes then fail "CRT row arity mismatch" in
+  let restore_link l ld =
+    Option.iter
+      (fun u ->
+        List.iter check_info u.u_aggr_node;
+        check_row u.u_aggr_crt;
+        if u.u_seq < 0 then fail "negative seen seq";
+        l.delivered <-
+          Some (u.u_seq, { prop_node = u.u_aggr_node; prop_crt = Array.copy u.u_aggr_crt }))
+      ld.l_delivered;
+    Option.iter
+      (fun o ->
+        if o.o_epoch < 0 || o.o_epoch > d.d_epoch then fail "out entry epoch out of range";
+        if o.o_seq < 0 || o.o_tries < 0 then fail "negative out entry field";
+        if o.o_sent_round > d.d_engine_round then fail "out entry from the future";
+        check_row o.o_prop_crt;
+        List.iter check_info o.o_prop_node;
+        l.out <-
+          Some
+            {
+              epoch = o.o_epoch;
+              seq = o.o_seq;
+              payload = { prop_node = o.o_prop_node; prop_crt = Array.copy o.o_prop_crt };
+              sent_round = o.o_sent_round;
+              tries = o.o_tries;
+              acked = o.o_acked;
+              gave_up = o.o_gave_up;
+            })
+      ld.l_out;
+    Option.iter (fun e -> if e < 0 || e > d.d_epoch then fail "link epoch out of range") ld.l_epoch;
+    l.link_epoch <- ld.l_epoch;
+    Option.iter
+      (fun r -> if r > d.d_engine_round then fail "send stamp from the future")
+      ld.l_last_sent;
+    l.last_sent <- ld.l_last_sent;
+    (match (ld.l_lease, detector) with
+    | Some lease, Some det ->
+        if lease.Detector.slack < 0 || lease.Detector.slack > (Detector.config det).Detector.jitter
+        then fail "lease slack outside the jitter range"
+    | None, None -> ()
+    | Some _, None | None, Some _ -> fail "a link's lease disagrees with the detector");
+    l.lease <- ld.l_lease
+  in
   let nodes = Array.make n None in
   let unacked = ref 0 in
   List.iter
@@ -1048,62 +1131,30 @@ let of_dump ?metrics ?trace ~classes fw d =
       let node = fresh_node fw classes nd.nd_id in
       node.own_row <- Array.copy nd.nd_own_row;
       node.dirty <- nd.nd_dirty;
-      let link p =
-        match Hashtbl.find_opt node.link_of p with
-        | Some l -> l
-        | None -> fail "state keyed by a non-neighbor"
-      in
-      (* one applied update gave each link its seen seq, aggrNode list
-         and aggrCRT column: the three name the same peers *)
-      let rec deliveries ns cs ss =
-        match (ns, cs, ss) with
-        | [], [], [] -> ()
-        | (p, prop_node) :: ns, (p', prop_crt) :: cs, (p'', seq) :: ss
-          when p = p' && p = p'' ->
-            let l = link p in
-            List.iter check_info prop_node;
-            check_row prop_crt;
-            if seq < 0 then fail "negative seen seq";
-            l.delivered <- Some (seq, { prop_node; prop_crt = Array.copy prop_crt });
-            deliveries ns cs ss
-        | _ -> fail "seen seq, aggrNode and aggrCRT name different peers"
-      in
-      deliveries nd.nd_aggr_node nd.nd_aggr_crt nd.nd_seen_seq;
-      List.iter
-        (fun o ->
-          let l = link o.o_peer in
-          if o.o_epoch < 0 || o.o_epoch > d.d_epoch then fail "out entry epoch out of range";
-          if o.o_seq < 0 || o.o_tries < 0 then fail "negative out entry field";
-          if o.o_sent_round > d.d_engine_round then fail "out entry from the future";
-          check_row o.o_prop_crt;
-          List.iter check_info o.o_prop_node;
-          l.out <-
-            Some
-              {
-                epoch = o.o_epoch;
-                seq = o.o_seq;
-                payload = { prop_node = o.o_prop_node; prop_crt = Array.copy o.o_prop_crt };
-                sent_round = o.o_sent_round;
-                tries = o.o_tries;
-                acked = o.o_acked;
-                gave_up = o.o_gave_up;
-              })
-        nd.nd_out;
-      List.iter
-        (fun (p, e) ->
-          let l = link p in
-          if e < 0 || e > d.d_epoch then fail "link epoch out of range";
-          l.link_epoch <- Some e)
-        nd.nd_link_epoch;
-      List.iter
-        (fun (p, r) ->
-          let l = link p in
-          if r > d.d_engine_round then fail "send stamp from the future";
-          l.last_sent <- Some r)
-        nd.nd_last_sent;
+      if List.map (fun ld -> ld.l_peer) nd.nd_links <> List.map peer_of node.links then
+        fail "node %d's links are not its overlay neighbours in order" nd.nd_id;
+      List.iter2 restore_link node.links nd.nd_links;
       List.iter (fun l -> if awaits_ack l then incr unacked) node.links;
       nodes.(nd.nd_id) <- Some node)
     d.d_nodes;
+  (* a receiver that applied seq s under the link's epoch takes a resend
+     of the sender's entry with that epoch and seq for a duplicate, which
+     must equal the payload it holds *)
+  Array.iter
+    (Option.iter (fun node ->
+         List.iter
+           (fun l ->
+             match (l.delivered, nodes.(peer_of l)) with
+             | Some (seq, held), Some sender -> (
+                 match Hashtbl.find_opt sender.link_of node.id with
+                 | Some { out = Some e; _ }
+                   when e.epoch = epoch_of l && e.seq = seq && not (payload_equal e.payload held) ->
+                     fail "node %d holds seq %d from %d with another payload than %d sent"
+                       node.id seq sender.id sender.id
+                 | Some _ | None -> ())
+             | Some _, None | None, _ -> ())
+           node.links))
+    nodes;
   let t =
     make ~fw ~classes ~n_cut:d.d_n_cut ~nodes ~engine ~detector ~trace ~metrics
       ~rounds:d.d_rounds ~epoch:d.d_epoch ~unacked:!unacked

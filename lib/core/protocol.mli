@@ -38,8 +38,9 @@
     sign of life from the peer revives the retired update.
 
     With a [detector] config the protocol additionally runs the
-    {!Detector} failure detector over the anchor-tree edges (heartbeats
-    fill silent links) and {e self-heals}: a confirmed-dead node is
+    {!Detector} failure detector over the anchor-tree links, each link
+    record holding its lease (heartbeats fill silent links), and
+    {e self-heals}: a confirmed-dead node is
     evicted from the ensemble ({!Bwc_predtree.Ensemble.evict_host},
     orphaned overlay children regraft to their grandparent), aggregate
     state about it is invalidated only at its ex-neighbors and along the
@@ -129,9 +130,6 @@ val set_on_evict : t -> (int -> unit) -> unit
     — apply the eviction as an O(n^2) delta instead of rebuilding.  The previous observer is replaced;
     [create] installs a no-op. *)
 
-val detector : t -> Detector.t option
-(** The failure detector, when [create] was given a config. *)
-
 val query :
   ?policy:[ `Best_crt | `First ] -> t -> at:int -> k:int -> cls:int -> Query.result
 (** Algorithm 4: submit the query for [k] hosts of class [cls] at host
@@ -195,13 +193,20 @@ val current_round : t -> int
     traffic is deliberately absent: a whole-system crash loses the
     network, and that is exactly the loss the seq/ACK + retransmission
     layer already recovers from — restored unacked out-entries resume
-    their resend timers.  Neighbor lists and node infos are not dumped
-    either; they are re-derived from the ensemble, which must be
+    their resend timers.  A node dumps one record per overlay link, in
+    {!Bwc_predtree.Ensemble.anchor_neighbors} order; node infos are not
+    dumped, they are re-derived from the ensemble, which must be
     restored alongside (see {!Bwc_predtree.Ensemble.of_dump}).  Metrics
     counters restart from zero. *)
 
+type update_dump = {
+  u_seq : int;
+  u_aggr_node : Node_info.t list;  (** aggrNode[m] *)
+  u_aggr_crt : int array;  (** aggrCRT[m] *)
+}
+(** The last update a node applied from a neighbour [m]. *)
+
 type out_dump = {
-  o_peer : int;
   o_epoch : int;
   o_seq : int;
   o_prop_node : Node_info.t list;
@@ -211,6 +216,16 @@ type out_dump = {
   o_acked : bool;
   o_gave_up : bool;
 }
+(** The last update a node sent to a neighbour. *)
+
+type link_dump = {
+  l_peer : int;
+  l_delivered : update_dump option;
+  l_out : out_dump option;
+  l_epoch : int option;  (** the link's repair epoch, once set *)
+  l_last_sent : int option;  (** the round of the last send, once set *)
+  l_lease : Detector.lease option;  (** present iff a detector runs *)
+}
 
 type node_dump = {
   nd_id : int;
@@ -219,12 +234,7 @@ type node_dump = {
           as crashed *)
   nd_dirty : bool;
   nd_own_row : int array;
-  nd_aggr_node : (int * Node_info.t list) list;  (** ascending neighbor id *)
-  nd_aggr_crt : (int * int array) list;
-  nd_out : out_dump list;
-  nd_seen_seq : (int * int) list;
-  nd_link_epoch : (int * int) list;
-  nd_last_sent : (int * int) list;
+  nd_links : link_dump list;  (** anchor-neighbour order *)
 }
 
 type dump = {
@@ -252,16 +262,17 @@ val of_dump :
     ensemble.  The engine restarts at the dumped round with the dumped
     RNG state, so a same-seed run resumed from a snapshot at quiescence
     is indistinguishable from one that never crashed.  Validates
-    membership agreement with the ensemble, that every per-link entry
-    names a neighbor, that each node's [nd_seen_seq], [nd_aggr_node] and
-    [nd_aggr_crt] name the same peers in the same order (one applied
-    update gives a link all three), arity of CRT rows and label vectors,
-    clock/epoch bounds, and that the dumped retransmission pacing equals
-    the constants the restored protocol runs under; raises
-    [Invalid_argument] on any violation.  The restored engine runs fault-free with unit link
-    delays.  The unacked
-    count is recomputed from the out-entries, never trusted from the
-    file. *)
+    membership agreement with the ensemble, that each node's link peers
+    are its anchor neighbours in order, that no node holds an update
+    under the same link epoch and seq as its peer's out entry with
+    another payload (a resend would meet it as a duplicate), that every
+    link carries a lease iff the dump has a detector, with its slack in
+    the jitter range, arity of CRT rows and label vectors, clock/epoch
+    bounds, and that the dumped retransmission pacing equals the
+    constants the restored protocol runs under; raises
+    [Invalid_argument] on any violation.  The restored engine runs
+    fault-free with unit link delays.  The unacked count is recomputed
+    from the out-entries, never trusted from the file. *)
 
 val mark_all_dirty : t -> unit
 (** Forces every host to recompute and repropagate — the daemon's
@@ -272,7 +283,7 @@ val refresh_topology : t -> unit
     a host {!Bwc_predtree.Ensemble.add_host} joined since the last call,
     fresh or a ghost's revival — a fresh slot, an active engine slot and
     live links to its overlay neighbours (at the current repair epoch,
-    watched by the detector), and re-reads those neighbours' links.  A
+    with fresh detector leases), and re-reads those neighbours' links.  A
     join hangs one leaf under one parent, so nothing else moves, and the
     cost is the newcomer's overlay degree.  A leave is {!repair}, which
     clears the slot at once, so on a protocol whose slots already match

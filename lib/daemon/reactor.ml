@@ -25,8 +25,7 @@
      maintenance — with an explicit staleness bound instead of blocking
      on reconvergence;
    - mode transitions (backlog-driven degraded mode) and the watchdog
-     (stalled convergence enters degraded mode, consulting
-     Detector.pending for overdue heartbeats);
+     (stalled convergence enters degraded mode);
    - snapshot scheduling ([take_snapshot_request] tells the driver to
      rotate one out through Lifecycle; the reactor itself does no IO). *)
 
@@ -34,7 +33,6 @@ module Rng = Bwc_stats.Rng
 module Dataset = Bwc_dataset.Dataset
 module Dynamic = Bwc_core.Dynamic
 module Protocol = Bwc_core.Protocol
-module Detector = Bwc_core.Detector
 module Registry = Bwc_obs.Registry
 module Trace = Bwc_obs.Trace
 
@@ -405,15 +403,8 @@ let stabilization t ~now =
 
 let watchdog t ~now =
   if t.dirty && now - t.dirty_since >= t.config.stall_after then begin
-    let p = Dynamic.protocol t.dyn in
-    let pending =
-      match Protocol.detector p with
-      | Some d -> Detector.pending d ~round:(Protocol.current_round p)
-      | None -> false
-    in
     bump t "daemon.watchdog_fires" [];
-    emit t
-      (Trace.Daemon_watchdog { round = now; pending; stalled = now - t.dirty_since });
+    emit t (Trace.Daemon_watchdog { round = now; stalled = now - t.dirty_since });
     (* stop queries from waiting on the stalled convergence *)
     enter_degraded t ~now;
     t.dirty_since <- now

@@ -86,7 +86,7 @@ type event =
   | Daemon_timeout of { round : int; waited : int; deadline : int }
   | Daemon_degrade of { round : int; entered : bool; staleness : int }
   | Daemon_retry of { round : int; cls : string; attempt : int; due : int }
-  | Daemon_watchdog of { round : int; pending : bool; stalled : int }
+  | Daemon_watchdog of { round : int; stalled : int }
 
 type t = {
   capacity : int option;
@@ -178,9 +178,8 @@ let fields : event -> string * (string * Bwc_json.t) list =
       ( "daemon_retry",
         [ ("round", Int round); ("cls", Str cls); ("attempt", Int attempt);
           ("due", Int due) ] )
-  | Daemon_watchdog { round; pending; stalled } ->
-      ( "daemon_watchdog",
-        [ ("round", Int round); ("pending", Bool pending); ("stalled", Int stalled) ] )
+  | Daemon_watchdog { round; stalled } ->
+      ("daemon_watchdog", [ ("round", Int round); ("stalled", Int stalled) ])
 
 let event_to_json ev =
   let name, fields = fields ev in
@@ -272,8 +271,7 @@ let event_of_json line =
                    due = int "due" })
         | "daemon_watchdog" ->
             Some
-              (Daemon_watchdog
-                 { round = int "round"; pending = bool "pending"; stalled = int "stalled" })
+              (Daemon_watchdog { round = int "round"; stalled = int "stalled" })
         | _ -> None
       with Missing -> None)
 

@@ -107,10 +107,9 @@ type event =
   | Daemon_retry of { round : int; cls : string; attempt : int; due : int }
       (** a failed ingestion was scheduled for retry number [attempt]
           with jittered exponential backoff, due at tick [due] *)
-  | Daemon_watchdog of { round : int; pending : bool; stalled : int }
+  | Daemon_watchdog of { round : int; stalled : int }
       (** the watchdog fired: convergence has been stalled for [stalled]
-          ticks; [pending] is whether the failure detector also reports
-          overdue heartbeats ({!Bwc_core.Detector.pending}) *)
+          ticks *)
 
 type t
 (** A sink. *)

@@ -53,9 +53,11 @@ let crc32 s =
   !c lxor 0xffffffff
 
 let magic = "BWCSNAP"
-(* 2: the protocol section writes each node info once, in a slot table;
-   a version-1 image (infos inline) is refused as [Bad_version 1] *)
-let version = 2
+(* 3: the protocol section writes one record per overlay link and holds
+   no detector and no liveness; version 2 (six per-peer lists a node, a
+   detector section) and version 1 (node infos inline, before the slot
+   table) are refused as [Bad_version] *)
+let version = 3
 
 let encode payload =
   Printf.sprintf "%s %d\nlen %d crc %08x\n%s" magic version

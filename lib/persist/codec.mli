@@ -3,7 +3,7 @@
     A snapshot file is
 
     {v
-BWCSNAP 2
+BWCSNAP 3
 len <payload bytes> crc <crc32, 8 hex digits>
 <payload>
     v}

@@ -21,7 +21,6 @@ module Anchor = Bwc_predtree.Anchor
 module Framework = Bwc_predtree.Framework
 module Ensemble = Bwc_predtree.Ensemble
 module Label = Bwc_predtree.Label
-module Detector = Bwc_core.Detector
 module Protocol = Bwc_core.Protocol
 module Classes = Bwc_core.Classes
 module Node_info = Bwc_core.Node_info
@@ -206,57 +205,6 @@ let dec_ensemble r : Ensemble.dump =
   R.tag r "ensemble";
   R.array r (fun () -> dec_framework r)
 
-(* ----- detector ----- *)
-
-let enc_detector w (d : Detector.dump) =
-  W.tag w "detector";
-  W.int w d.Detector.d_config.Detector.heartbeat_every;
-  W.int w d.Detector.d_config.Detector.suspect_after;
-  W.int w d.Detector.d_config.Detector.confirm_after;
-  W.int w d.Detector.d_config.Detector.jitter;
-  W.i64 w d.Detector.d_rng;
-  W.list w
-    (fun (e : Detector.edge_dump) ->
-      W.int w e.Detector.d_watcher;
-      W.int w e.Detector.d_peer;
-      W.int w e.Detector.d_last_heard;
-      W.int w
-        (match e.Detector.d_state with
-        | Detector.Alive -> 0
-        | Detector.Suspected -> 1
-        | Detector.Confirmed -> 2);
-      W.int w e.Detector.d_slack)
-    d.Detector.d_edges
-
-let dec_detector r : Detector.dump =
-  R.tag r "detector";
-  let heartbeat_every = R.int r in
-  let suspect_after = R.int r in
-  let confirm_after = R.int r in
-  let jitter = R.int r in
-  let d_rng = R.i64 r in
-  let d_edges =
-    R.list r (fun () ->
-        let d_watcher = R.int r in
-        let d_peer = R.int r in
-        let d_last_heard = R.int r in
-        let d_state =
-          match R.int r with
-          | 0 -> Detector.Alive
-          | 1 -> Detector.Suspected
-          | 2 -> Detector.Confirmed
-          | v -> Codec.corrupt "unknown detector state %d" v
-        in
-        let d_slack = R.int r in
-        { Detector.d_watcher; d_peer; d_last_heard; d_state; d_slack })
-  in
-  {
-    Detector.d_config =
-      { Detector.heartbeat_every; suspect_after; confirm_after; jitter };
-    d_rng;
-    d_edges;
-  }
-
 (* ----- protocol -----
 
    Algorithm 2 hands the same node infos to every neighbour, so one info
@@ -264,7 +212,10 @@ let dec_detector r : Detector.dump =
    writes each distinct info once, in a slot table after its header
    fields, and every reference as a slot index.  Slots are numbered in
    first-reference order over the dump's traversal: nodes ascending, and
-   within a node its aggrNode tables, then its out-entries. *)
+   within a node link by link, each link's aggrNode table before its
+   out-entry.  An image holds no failure detector and no crashed member
+   ({!encode} refuses both), so neither leases nor liveness are
+   written. *)
 
 let enc_info w (ni : Node_info.t) =
   W.int w ni.Node_info.host;
@@ -313,29 +264,29 @@ let slot_table (d : Protocol.dump) =
   let visit infos = List.iter (fun i -> ignore (slot i : int)) infos in
   List.iter
     (fun (nd : Protocol.node_dump) ->
-      List.iter (fun (_, infos) -> visit infos) nd.Protocol.nd_aggr_node;
       List.iter
-        (fun (o : Protocol.out_dump) -> visit o.Protocol.o_prop_node)
-        nd.Protocol.nd_out)
+        (fun (l : Protocol.link_dump) ->
+          Option.iter (fun (u : Protocol.update_dump) -> visit u.Protocol.u_aggr_node)
+            l.Protocol.l_delivered;
+          Option.iter (fun (o : Protocol.out_dump) -> visit o.Protocol.o_prop_node)
+            l.Protocol.l_out)
+        nd.Protocol.nd_links)
     d.Protocol.d_nodes;
   (slot, Array.of_list (List.rev !table))
 
-let enc_int_assoc w items =
-  W.list w
-    (fun (k, v) ->
-      W.int w k;
-      W.int w v)
-    items
-
-let dec_int_assoc r =
-  R.list r (fun () ->
-      let k = R.int r in
-      let v = R.int r in
-      (k, v))
-
 let enc_protocol w (d : Protocol.dump) =
+  if d.Protocol.d_detector <> None then
+    invalid_arg "Snapshot.encode: the protocol runs a failure detector, which images do not hold";
+  List.iter
+    (fun (nd : Protocol.node_dump) ->
+      if not nd.Protocol.nd_active then
+        invalid_arg
+          (Printf.sprintf "Snapshot.encode: member %d is crashed, which images do not hold"
+             nd.Protocol.nd_id))
+    d.Protocol.d_nodes;
   let slot, table = slot_table d in
   let enc_refs infos = W.list w (fun i -> W.int w (slot i)) infos in
+  let enc_row row = W.array w (W.int w) row in
   W.tag w "protocol";
   W.int w d.Protocol.d_n_cut;
   W.int w d.Protocol.d_resend_timeout;
@@ -348,36 +299,32 @@ let enc_protocol w (d : Protocol.dump) =
   W.list w
     (fun (nd : Protocol.node_dump) ->
       W.int w nd.Protocol.nd_id;
-      W.bool w nd.Protocol.nd_active;
       W.bool w nd.Protocol.nd_dirty;
-      W.array w (W.int w) nd.Protocol.nd_own_row;
+      enc_row nd.Protocol.nd_own_row;
       W.list w
-        (fun (peer, infos) ->
-          W.int w peer;
-          enc_refs infos)
-        nd.Protocol.nd_aggr_node;
-      W.list w
-        (fun (peer, row) ->
-          W.int w peer;
-          W.array w (W.int w) row)
-        nd.Protocol.nd_aggr_crt;
-      W.list w
-        (fun (o : Protocol.out_dump) ->
-          W.int w o.Protocol.o_peer;
-          W.int w o.Protocol.o_epoch;
-          W.int w o.Protocol.o_seq;
-          enc_refs o.Protocol.o_prop_node;
-          W.array w (W.int w) o.Protocol.o_prop_crt;
-          W.int w o.Protocol.o_sent_round;
-          W.int w o.Protocol.o_tries;
-          W.bool w o.Protocol.o_acked;
-          W.bool w o.Protocol.o_gave_up)
-        nd.Protocol.nd_out;
-      enc_int_assoc w nd.Protocol.nd_seen_seq;
-      enc_int_assoc w nd.Protocol.nd_link_epoch;
-      enc_int_assoc w nd.Protocol.nd_last_sent)
-    d.Protocol.d_nodes;
-  W.option w (enc_detector w) d.Protocol.d_detector
+        (fun (l : Protocol.link_dump) ->
+          W.int w l.Protocol.l_peer;
+          W.option w
+            (fun (u : Protocol.update_dump) ->
+              W.int w u.Protocol.u_seq;
+              enc_refs u.Protocol.u_aggr_node;
+              enc_row u.Protocol.u_aggr_crt)
+            l.Protocol.l_delivered;
+          W.option w
+            (fun (o : Protocol.out_dump) ->
+              W.int w o.Protocol.o_epoch;
+              W.int w o.Protocol.o_seq;
+              enc_refs o.Protocol.o_prop_node;
+              enc_row o.Protocol.o_prop_crt;
+              W.int w o.Protocol.o_sent_round;
+              W.int w o.Protocol.o_tries;
+              W.bool w o.Protocol.o_acked;
+              W.bool w o.Protocol.o_gave_up)
+            l.Protocol.l_out;
+          W.option w (W.int w) l.Protocol.l_epoch;
+          W.option w (W.int w) l.Protocol.l_last_sent)
+        nd.Protocol.nd_links)
+    d.Protocol.d_nodes
 
 let dec_protocol r : Protocol.dump =
   R.tag r "protocol";
@@ -397,64 +344,50 @@ let dec_protocol r : Protocol.dump =
           Codec.corrupt "node-info slot %d outside [0, %d)" k (Array.length table);
         table.(k))
   in
+  let dec_row () = R.array r (fun () -> R.int r) in
+  let dec_int () = R.int r in
   let d_nodes =
     R.list r (fun () ->
         let nd_id = R.int r in
-        let nd_active = R.bool r in
         let nd_dirty = R.bool r in
-        let nd_own_row = R.array r (fun () -> R.int r) in
-        let nd_aggr_node =
+        let nd_own_row = dec_row () in
+        let nd_links =
           R.list r (fun () ->
-              let peer = R.int r in
-              let infos = dec_refs () in
-              (peer, infos))
+              let l_peer = R.int r in
+              let l_delivered =
+                R.option r (fun () ->
+                    let u_seq = R.int r in
+                    let u_aggr_node = dec_refs () in
+                    let u_aggr_crt = dec_row () in
+                    { Protocol.u_seq; u_aggr_node; u_aggr_crt })
+              in
+              let l_out =
+                R.option r (fun () ->
+                    let o_epoch = R.int r in
+                    let o_seq = R.int r in
+                    let o_prop_node = dec_refs () in
+                    let o_prop_crt = dec_row () in
+                    let o_sent_round = R.int r in
+                    let o_tries = R.int r in
+                    let o_acked = R.bool r in
+                    let o_gave_up = R.bool r in
+                    {
+                      Protocol.o_epoch;
+                      o_seq;
+                      o_prop_node;
+                      o_prop_crt;
+                      o_sent_round;
+                      o_tries;
+                      o_acked;
+                      o_gave_up;
+                    })
+              in
+              let l_epoch = R.option r dec_int in
+              let l_last_sent = R.option r dec_int in
+              { Protocol.l_peer; l_delivered; l_out; l_epoch; l_last_sent; l_lease = None })
         in
-        let nd_aggr_crt =
-          R.list r (fun () ->
-              let peer = R.int r in
-              let row = R.array r (fun () -> R.int r) in
-              (peer, row))
-        in
-        let nd_out =
-          R.list r (fun () ->
-              let o_peer = R.int r in
-              let o_epoch = R.int r in
-              let o_seq = R.int r in
-              let o_prop_node = dec_refs () in
-              let o_prop_crt = R.array r (fun () -> R.int r) in
-              let o_sent_round = R.int r in
-              let o_tries = R.int r in
-              let o_acked = R.bool r in
-              let o_gave_up = R.bool r in
-              {
-                Protocol.o_peer;
-                o_epoch;
-                o_seq;
-                o_prop_node;
-                o_prop_crt;
-                o_sent_round;
-                o_tries;
-                o_acked;
-                o_gave_up;
-              })
-        in
-        let nd_seen_seq = dec_int_assoc r in
-        let nd_link_epoch = dec_int_assoc r in
-        let nd_last_sent = dec_int_assoc r in
-        {
-          Protocol.nd_id;
-          nd_active;
-          nd_dirty;
-          nd_own_row;
-          nd_aggr_node;
-          nd_aggr_crt;
-          nd_out;
-          nd_seen_seq;
-          nd_link_epoch;
-          nd_last_sent;
-        })
+        { Protocol.nd_id; nd_active = true; nd_dirty; nd_own_row; nd_links })
   in
-  let d_detector = R.option r (fun () -> dec_detector r) in
   {
     Protocol.d_n_cut;
     d_resend_timeout;
@@ -464,7 +397,7 @@ let dec_protocol r : Protocol.dump =
     d_engine_round;
     d_engine_rng;
     d_nodes;
-    d_detector;
+    d_detector = None;
   }
 
 (* ----- centralized index ----- *)

@@ -3,19 +3,21 @@
     A snapshot captures everything durable a running system holds:
     the dataset matrix, bandwidth classes, the full prediction-tree
     geometry of every tree in the ensemble (vertices, edge weights,
-    anchor overlay, distance labels), the aggregation protocol's
-    per-link seq/ACK/epoch state and pending out-entries, the failure
-    detector's per-edge lease clocks and suspicion states, both RNG
-    streams, and the centralized index counts (when materialised).  A
-    {!decode} therefore yields a system that answers queries
-    immediately and resumes aggregation mid-epoch — restart without
-    reconvergence.
+    anchor overlay, distance labels), the aggregation protocol's state
+    as one record per overlay link (the delivered update, the pending
+    out-entry, the seq/ACK and epoch state), both RNG streams, and the
+    centralized index counts (when materialised).  A {!decode} therefore
+    yields a system that answers queries immediately and resumes
+    aggregation mid-epoch — restart without reconvergence.
 
     Deliberately {e not} captured: in-flight engine messages (a crash
     loses the network; the protocol's seq/ACK + retransmission layer is
     the recovery mechanism for exactly that loss, so restored unacked
     entries simply resend) and metrics counters (observability restarts
-    from zero).
+    from zero).  Nor can an image hold a failure detector or a crashed
+    member: every system a daemon or the CLI writes is a detector-less
+    {!Bwc_core.Dynamic} system that crashes no host, and {!encode}
+    refuses any other.
 
     Algorithm 2 hands the same node infos (a host and its distance
     labels) to every neighbour; an image writes each distinct info once,
@@ -40,7 +42,9 @@ type source = [ `Dynamic of Bwc_core.Dynamic.t ]
 
 val encode :
   ?metrics:Bwc_obs.Registry.t -> ?trace:Bwc_obs.Trace.t -> source -> string
-(** The complete snapshot file image (container + payload). *)
+(** The complete snapshot file image (container + payload).  Raises
+    [Invalid_argument] when the system's protocol runs a failure
+    detector or holds a crashed member. *)
 
 val decode :
   ?metrics:Bwc_obs.Registry.t ->

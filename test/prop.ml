@@ -27,8 +27,9 @@
    7. snapshot-anywhere — every image a daemon can write restores and
       answers as the writer (see below);
    8. cached-space — a node's cached clustering space never changes an
-      answer or outlives the own CRT row it should yield, and every link
-      holds a whole delivered update or none (see below);
+      answer or outlives the own CRT row it should yield, and a dump whose
+      links are not the overlay neighbours in order is refused (see
+      below);
    9. fixpoint-oracle — every quiescent protocol state equals the
       aggregation fixpoint computed by direct recursion over the overlay
       (see below).
@@ -780,11 +781,9 @@ let snapshot_anywhere () =
        Index.max_size oracle gives per class, over its clustering space
        rebuilt from the dump as the node plus every host in its
        aggrNode tables;
-   (c) every node's seen seqs, aggrNode tables and aggrCRT columns name
-       the same peers, all of them its current overlay neighbours (one
-       applied update fills all three);
-   (d) a dump with one of those three entries removed, for one link
-       chosen by the boundary's index, is refused by Protocol.of_dump;
+   (c) a dump in which one node's link list misses one link, or has two
+       links swapped, is refused by Protocol.of_dump; the boundary's
+       index picks the link and the edit;
    and at the end of every case, bounded rounds evict every crashed host
    that is still a member (a membership move must not restart it). *)
 
@@ -810,8 +809,12 @@ let own_row ens classes host aggregated =
   let idx = Index.build (Space.cached space) in
   Array.map (fun l -> Index.max_size idx ~l) (Classes.distances classes)
 
+(* a link's aggrNode table, empty until an update arrived *)
+let aggr_node (l : Protocol.link_dump) =
+  match l.l_delivered with Some u -> u.u_aggr_node | None -> []
+
 let own_row_oracle ens classes (nd : Protocol.node_dump) =
-  own_row ens classes nd.nd_id (List.concat_map snd nd.nd_aggr_node)
+  own_row ens classes nd.nd_id (List.concat_map aggr_node nd.nd_links)
 
 let cached_space () =
   let prop = "cached-space" in
@@ -866,42 +869,35 @@ let cached_space () =
             if nd.nd_own_row <> own_row_oracle ens classes nd then
               fail_case prop case "round %d: clean node %d holds a stale own row"
                 (Protocol.rounds_run p) nd.nd_id
-          end;
-          let peers = List.map fst nd.nd_seen_seq in
-          if List.map fst nd.nd_aggr_node <> peers || List.map fst nd.nd_aggr_crt <> peers
-          then
-            fail_case prop case
-              "round %d: node %d's seen seqs, aggrNode and aggrCRT name different peers"
-              (Protocol.rounds_run p) nd.nd_id;
-          let nbrs = Ensemble.anchor_neighbors ens nd.nd_id in
-          if not (List.for_all (fun m -> List.mem m nbrs) peers) then
-            fail_case prop case "round %d: node %d holds a payload from a non-neighbour"
-              (Protocol.rounds_run p) nd.nd_id)
+          end)
         d.Protocol.d_nodes;
-      (* the boundary's index picks the link and the table, so the case
+      (* the boundary's index picks the link and the edit, so the case
          rng draws what it drew before *)
       let links =
         List.concat_map
-          (fun (nd : Protocol.node_dump) -> List.map (fun (m, _) -> (nd.nd_id, m)) nd.nd_seen_seq)
+          (fun (nd : Protocol.node_dump) -> List.mapi (fun i _ -> (nd.nd_id, i)) nd.nd_links)
           d.Protocol.d_nodes
       in
       if links <> [] then begin
-        let x, m = List.nth links (!boundaries mod List.length links) in
-        let drop (nd : Protocol.node_dump) =
+        let x, i = List.nth links (!boundaries mod List.length links) in
+        let edit (nd : Protocol.node_dump) =
+          let count = List.length nd.nd_links in
           if nd.nd_id <> x then nd
+          else if !boundaries mod 2 = 0 || count < 2 then
+            { nd with nd_links = List.filteri (fun j _ -> j <> i) nd.nd_links }
           else
-            match !boundaries mod 3 with
-            | 0 -> { nd with nd_seen_seq = List.remove_assoc m nd.nd_seen_seq }
-            | 1 -> { nd with nd_aggr_node = List.remove_assoc m nd.nd_aggr_node }
-            | _ -> { nd with nd_aggr_crt = List.remove_assoc m nd.nd_aggr_crt }
+            (* link i and the next one change places *)
+            let k = (i + 1) mod count and nth = List.nth nd.nd_links in
+            let swap j l = if j = i then nth k else if j = k then nth i else l in
+            { nd with nd_links = List.mapi swap nd.nd_links }
         in
         match
-          Protocol.of_dump ~classes ens { d with Protocol.d_nodes = List.map drop d.d_nodes }
+          Protocol.of_dump ~classes ens { d with Protocol.d_nodes = List.map edit d.d_nodes }
         with
         | exception Invalid_argument _ -> incr refused
         | (_ : Protocol.t) ->
-            fail_case prop case "round %d: a dump missing one of %d's entries for %d restored"
-              (Protocol.rounds_run p) x m
+            fail_case prop case "round %d: a dump with %d's link %d dropped or moved restored"
+              (Protocol.rounds_run p) x i
       end
     in
     let events = 40 + Rng.int rng 40 in
@@ -966,7 +962,7 @@ let cached_space () =
     evictions := !evictions + Protocol.repairs_run p
   done;
   Printf.printf
-    "%s: %d cases, %d round boundaries, %d JOIN/LEAVE (%d while a crash awaited its eviction), %d crashes all evicted, %d evictions, %d queries, %d answers and %d own rows match a restore and the oracle, %d dumps missing one link entry refused [ok]\n"
+    "%s: %d cases, %d round boundaries, %d JOIN/LEAVE (%d while a crash awaited its eviction), %d crashes all evicted, %d evictions, %d queries, %d answers and %d own rows match a restore and the oracle, %d dumps with one link dropped or two swapped refused [ok]\n"
     prop n_cases !boundaries !moves !moves_awaiting !crashes !evictions !queries !answers
     !rows !refused
 
@@ -1073,22 +1069,25 @@ let fixpoint_oracle () =
         (fun (nd : Protocol.node_dump) ->
           incr checked;
           let x = nd.nd_id in
-          let nbrs = List.sort compare (Ensemble.anchor_neighbors ens x) in
-          let tables = List.map fst nd.nd_aggr_node in
-          if tables <> nbrs || List.map fst nd.nd_aggr_crt <> nbrs then
-            fail_case prop_name case "%s: node %d holds tables for other neighbours" what x;
+          if List.map (fun (l : Protocol.link_dump) -> l.l_peer) nd.nd_links
+             <> Ensemble.anchor_neighbors ens x
+          then fail_case prop_name case "%s: node %d's links are not its neighbours" what x;
           List.iter
-            (fun (v, infos) ->
-              if List.map Slot_table.key infos <> List.map Slot_table.key (prop v x) then
-                fail_case prop_name case "%s: aggrNode[%d] at %d is not prop(%d->%d)" what v x v x)
-            nd.nd_aggr_node;
+            (fun (l : Protocol.link_dump) ->
+              let v = l.l_peer in
+              match l.l_delivered with
+              | None -> fail_case prop_name case "%s: node %d holds no update from %d" what x v
+              | Some u ->
+                  if List.map Slot_table.key u.u_aggr_node <> List.map Slot_table.key (prop v x)
+                  then
+                    fail_case prop_name case "%s: aggrNode[%d] at %d is not prop(%d->%d)" what v
+                      x v x;
+                  if u.u_aggr_crt <> crt v x then
+                    fail_case prop_name case "%s: aggrCRT[%d] at %d is not crt(%d->%d)" what v x
+                      v x)
+            nd.nd_links;
           if nd.nd_own_row <> own x then
-            fail_case prop_name case "%s: own row of %d differs from the oracle" what x;
-          List.iter
-            (fun (v, row) ->
-              if row <> crt v x then
-                fail_case prop_name case "%s: aggrCRT[%d] at %d is not crt(%d->%d)" what v x v x)
-            nd.nd_aggr_crt)
+            fail_case prop_name case "%s: own row of %d differs from the oracle" what x)
         (Protocol.dump p).Protocol.d_nodes
     in
     check "converged";

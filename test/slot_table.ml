@@ -2,11 +2,14 @@
    the snapshot decoder.  The protocol section opens with seven header
    tokens and then the table: a count, and per entry a host, a count of
    labels and per label a count of (host, offset, leaf) entries.  The
-   node count follows, then the first node: id, two bools, its own CRT
-   row, then its aggrNode tables, each a peer and a counted list of slot
-   references.  The
-   dataset name is the payload's one string token; no test names a
-   dataset after a section tag. *)
+   node count follows, then each node: id, its dirty bool, its own CRT
+   row and a count of links.  Each link is its peer and four options (a
+   bool, then the value when present): the delivered update (seq, a
+   counted list of slot references, the aggrCRT row), the out entry
+   (epoch, seq, slot references, CRT row, send round, tries and two
+   bools), the link epoch and the last send round.  The dataset name is
+   the payload's one string token; no test names a dataset after a
+   section tag. *)
 
 module Codec = Bwc_persist.Codec
 module Label = Bwc_predtree.Label
@@ -59,6 +62,13 @@ let read_table c =
 
 let read image = read_table (open_protocol image)
 
+let present c = String.equal (token c 'b') "1"
+
+(* slot references and CRT rows are both counted ints *)
+let skip_ints c = ignore (counted c (fun () -> int c) : int array)
+
+let reencode c = Codec.encode (String.concat "\n" (Array.to_list c.lines))
+
 (* [image] with the first reference of the first node's first aggrNode
    table replaced by [slot], in a fresh container *)
 let with_first_ref image slot =
@@ -66,14 +76,61 @@ let with_first_ref image slot =
   let (_ : Node_info.t array) = read_table c in
   if int_of_string (token c 'n') = 0 then Alcotest.fail "no node";
   let (_ : int) = int c in
-  let (_ : string) = token c 'b' in
-  let (_ : string) = token c 'b' in
-  let (_ : int array) = counted c (fun () -> int c) in
-  if int_of_string (token c 'n') = 0 then Alcotest.fail "first node has no aggrNode table";
+  let (_ : bool) = present c in
+  skip_ints c;
+  if int_of_string (token c 'n') = 0 then Alcotest.fail "first node has no link";
+  let (_ : int) = int c in
+  if not (present c) then Alcotest.fail "first link has delivered nothing";
   let (_ : int) = int c in
   if int_of_string (token c 'n') = 0 then Alcotest.fail "first aggrNode table is empty";
   c.lines.(c.pos) <- Printf.sprintf "i %d" slot;
-  Codec.encode (String.concat "\n" (Array.to_list c.lines))
+  reencode c
+
+(* [image] with [node]'s out entry to [peer] made due for a resend of
+   another payload: the first entry of its CRT row raised by one, its
+   acked flag cleared and its send round set to [sent_round], in a fresh
+   container *)
+let with_unacked_out image ~node ~peer ~sent_round =
+  let c = open_protocol image in
+  let (_ : Node_info.t array) = read_table c in
+  let edit = ref None in
+  let link id () =
+    let p = int c in
+    if present c then begin
+      (* seq, slot references, aggrCRT row *)
+      c.pos <- c.pos + 1;
+      skip_ints c;
+      skip_ints c
+    end;
+    if present c then begin
+      (* epoch, seq, slot references, CRT row, then send round, tries,
+         acked and gave_up *)
+      c.pos <- c.pos + 2;
+      skip_ints c;
+      let crt = c.pos + 1 in
+      skip_ints c;
+      if id = node && p = peer then edit := Some (crt, c.pos, c.pos + 2);
+      c.pos <- c.pos + 4
+    end;
+    (* link epoch, last send round *)
+    if present c then c.pos <- c.pos + 1;
+    if present c then c.pos <- c.pos + 1
+  in
+  let (_ : unit array) =
+    counted c (fun () ->
+        let id = int c in
+        let (_ : bool) = present c in
+        skip_ints c;
+        ignore (counted c (link id) : unit array))
+  in
+  match !edit with
+  | None -> Alcotest.failf "node %d has no out entry to %d" node peer
+  | Some (crt, sent, acked) ->
+      c.pos <- crt;
+      c.lines.(crt) <- Printf.sprintf "i %d" (int c + 1);
+      c.lines.(sent) <- Printf.sprintf "i %d" sent_round;
+      c.lines.(acked) <- "b 0";
+      reencode c
 
 (* a label's entries with their floats' bits: equal keys are bit-equal
    labels *)
@@ -93,8 +150,8 @@ let key (info : Node_info.t) =
     (string_of_int info.Node_info.host :: Array.to_list (Array.map label_key info.Node_info.labels))
 
 (* the table an image of [d] must carry: its distinct infos by [key], in
-   first-reference order over nodes ascending, then aggrNode tables,
-   then out-entries *)
+   first-reference order over nodes ascending, then link by link, each
+   link's aggrNode table before its out-entry *)
 let first_references (d : Protocol.dump) =
   let seen = Hashtbl.create 64 and order = ref [] in
   let visit info =
@@ -106,9 +163,11 @@ let first_references (d : Protocol.dump) =
   in
   List.iter
     (fun (nd : Protocol.node_dump) ->
-      List.iter (fun (_, infos) -> List.iter visit infos) nd.Protocol.nd_aggr_node;
       List.iter
-        (fun (o : Protocol.out_dump) -> List.iter visit o.Protocol.o_prop_node)
-        nd.Protocol.nd_out)
+        (fun (l : Protocol.link_dump) ->
+          Option.iter (fun (u : Protocol.update_dump) -> List.iter visit u.u_aggr_node)
+            l.l_delivered;
+          Option.iter (fun (o : Protocol.out_dump) -> List.iter visit o.o_prop_node) l.l_out)
+        nd.Protocol.nd_links)
     d.Protocol.d_nodes;
   List.rev !order

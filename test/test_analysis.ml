@@ -207,9 +207,8 @@ let test_suppression_line_above () =
   Alcotest.(check (list string)) "suppressed" [] (rule_ids (lint src))
 
 let test_suppression_exists_scan () =
-  (* mirrors the audited detector.ml [pending] site: an order-independent
-     exists-scan (commutative OR) over a Hashtbl, suppressed on the line
-     above the indented iteration *)
+  (* an order-independent exists-scan (commutative OR) over a Hashtbl,
+     suppressed on the line above the indented iteration *)
   let src =
     "let pending t round =\n  let p = ref false in\n  "
     ^ sup "no-unordered-hashtbl-iter"

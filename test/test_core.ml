@@ -253,12 +253,18 @@ let test_classes_of_percentiles () =
 
 let protocol_classes ds = Classes.of_percentiles ~count:5 ds
 
-(* x's aggrNode[m] (Algorithm 2's table) as the durable dump records it *)
+(* a link's aggrNode table (Algorithm 2's), empty until an update arrived *)
+let aggr_node (l : Protocol.link_dump) =
+  match l.l_delivered with Some u -> u.u_aggr_node | None -> []
+
+(* x's aggrNode[m] as the durable dump records it *)
 let aggregated_nodes protocol x m =
   let nd =
     List.find (fun nd -> nd.Protocol.nd_id = x) (Protocol.dump protocol).Protocol.d_nodes
   in
-  Option.value ~default:[] (List.assoc_opt m nd.Protocol.nd_aggr_node)
+  match List.find_opt (fun (l : Protocol.link_dump) -> l.l_peer = m) nd.Protocol.nd_links with
+  | Some l -> aggr_node l
+  | None -> []
 
 let epoch p = (Protocol.dump p).Protocol.d_epoch
 
@@ -690,7 +696,8 @@ let test_detector_clean_run_quiet () =
   check_same_fixpoint ~n:20 ens plain detected;
   Alcotest.(check bool) "heartbeats flowed" true (Protocol.heartbeats_sent detected > 0);
   Alcotest.(check int) "no repairs" 0 (Protocol.repairs_run detected);
-  Alcotest.(check bool) "detector present" true (Protocol.detector detected <> None);
+  Alcotest.(check bool) "detector present" true
+    ((Protocol.dump detected).Protocol.d_detector <> None);
   Alcotest.(check int) "nothing given up" 0 (Protocol.give_ups detected)
 
 let test_detector_heals_crash () =
@@ -794,7 +801,7 @@ let own_row_oracle ens classes (nd : Protocol.node_dump) =
       (fun acc (i : Node_info.t) ->
         if List.exists (fun (j : Node_info.t) -> j.host = i.host) acc then acc else i :: acc)
       []
-      (self :: List.concat_map snd nd.nd_aggr_node)
+      (self :: List.concat_map aggr_node nd.nd_links)
     |> List.rev |> Array.of_list
   in
   let space =
@@ -806,6 +813,14 @@ let own_row_oracle ens classes (nd : Protocol.node_dump) =
 
 let node_dump p x =
   List.find (fun nd -> nd.Protocol.nd_id = x) (Protocol.dump p).Protocol.d_nodes
+
+(* [watcher]'s lease on [peer], read through the dump *)
+let lease p ~watcher ~peer =
+  match
+    List.find_opt (fun (l : Protocol.link_dump) -> l.l_peer = peer) (node_dump p watcher).nd_links
+  with
+  | Some { l_lease = Some lease; _ } -> lease
+  | Some _ | None -> Alcotest.failf "%d holds no lease on %d" watcher peer
 
 let test_query_before_step_recounts () =
   (* A query that a node answers itself builds the node's cached
@@ -923,19 +938,14 @@ let test_routing_detours_suspects () =
     | w :: _ -> w
     | [] -> Alcotest.fail "victim has no neighbors"
   in
-  let d =
-    match Protocol.detector p with
-    | Some d -> d
-    | None -> Alcotest.fail "detector missing"
-  in
   Alcotest.(check bool) "not suspected while alive" false
-    (Detector.suspects d ~watcher ~peer:victim);
+    (Detector.suspects (lease p ~watcher ~peer:victim));
   Protocol.crash_host p victim;
   (* run rounds until suspicion sets in, stopping before confirmation *)
   let rec wait i =
-    if i > 2 * (Detector.config d).Detector.suspect_after + 4 then
+    if i > 2 * Detector.default_config.Detector.suspect_after + 4 then
       Alcotest.fail "never suspected"
-    else if Detector.state d ~watcher ~peer:victim <> Detector.Suspected then begin
+    else if (lease p ~watcher ~peer:victim).Detector.state <> Detector.Suspected then begin
       let (_ : bool) = Protocol.run_round p in
       wait (i + 1)
     end
@@ -943,7 +953,44 @@ let test_routing_detours_suspects () =
   wait 0;
   Alcotest.(check int) "suspected, not yet repaired" 0 (Protocol.repairs_run p);
   Alcotest.(check bool) "suspect flagged for routing" true
-    (Detector.suspects d ~watcher ~peer:victim)
+    (Detector.suspects (lease p ~watcher ~peer:victim))
+
+let test_detector_mid_lease_round_trip () =
+  (* a dump taken while a crashed member's leases run towards expiry
+     restores mid-lease, over a restored copy of the ensemble *)
+  let ds = small_dataset ~seed:8 16 in
+  let c = Bwc_metric.Bandwidth.default_c in
+  let rng = Rng.create 7 in
+  let space = Bwc_dataset.Dataset.metric ~c ds in
+  let fw = Ensemble.build ~rng:(Rng.split rng) space in
+  let classes = Classes.of_percentiles ~c ds in
+  let p =
+    Protocol.create ~rng:(Rng.split rng) ~detector:Detector.default_config ~classes fw
+  in
+  let (_ : int) = Protocol.run_aggregation p in
+  let victim = List.hd (List.rev (Ensemble.members fw)) in
+  Protocol.crash_host p victim;
+  (* run only until suspicion can exist, not until confirmation *)
+  for _ = 1 to Detector.default_config.Detector.suspect_after + 2 do
+    ignore (Protocol.run_round p : bool)
+  done;
+  let fw' = Ensemble.of_dump space (Ensemble.dump fw) in
+  let pr = Protocol.of_dump ~classes fw' (Protocol.dump p) in
+  (* a running lease is work still to do: a reactor booted from this
+     state must start dirty and keep running rounds *)
+  Alcotest.(check bool) "restored mid-lease is not quiescent" false (Protocol.quiescent pr);
+  (* the crashed-but-not-yet-evicted member restores crashed: a query
+     submitted there is an immediate miss *)
+  let q = Protocol.query pr ~at:victim ~k:2 ~cls:0 in
+  Alcotest.(check bool) "crashed host restores crashed" false (Query.found q);
+  (* leases kept running: the restored survivors confirm the death and
+     evict without re-observing the full silence window *)
+  let (_ : int) = Protocol.run_aggregation ~max_rounds:400 pr in
+  Alcotest.(check bool) "victim evicted after restore" false (Ensemble.is_member fw' victim);
+  Alcotest.(check bool) "quiescent once evicted" true (Protocol.quiescent pr);
+  Alcotest.(check bool) "original also evicts" true
+    (let (_ : int) = Protocol.run_aggregation ~max_rounds:400 p in
+     not (Ensemble.is_member fw victim))
 
 let test_detector_config_validation () =
   (* satellite coverage: every config field boundary.  The thresholds are
@@ -1490,14 +1537,14 @@ let test_replaced_label_reaches_aggregators () =
     List.iter
       (fun (nd : Protocol.node_dump) ->
         List.iter
-          (fun (v, infos) ->
+          (fun (l : Protocol.link_dump) ->
             List.iter
               (fun (i : Node_info.t) ->
                 if Slot_table.key i <> current i.host then
-                  Alcotest.failf "seed %d: aggrNode[%d] at %d holds an old label of %d" seed v
-                    nd.Protocol.nd_id i.host)
-              infos)
-          nd.Protocol.nd_aggr_node)
+                  Alcotest.failf "seed %d: aggrNode[%d] at %d holds an old label of %d" seed
+                    l.l_peer nd.Protocol.nd_id i.host)
+              (aggr_node l))
+          nd.Protocol.nd_links)
       (Protocol.dump p).Protocol.d_nodes
   done;
   Alcotest.(check bool) "some rejoins were placed afresh" true (!replaced > 0)
@@ -1947,6 +1994,8 @@ let () =
           Alcotest.test_case "detector quiet on healthy net" `Quick
             test_detector_clean_run_quiet;
           Alcotest.test_case "detector heals a crash" `Quick test_detector_heals_crash;
+          Alcotest.test_case "detector mid-lease round trip" `Quick
+            test_detector_mid_lease_round_trip;
           Alcotest.test_case "incremental repair matches full" `Quick
             test_incremental_repair_matches_full;
           Alcotest.test_case "eviction drives index delta" `Quick

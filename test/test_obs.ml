@@ -228,7 +228,7 @@ let test_trace_jsonl_round_trip () =
       Trace.Daemon_timeout { round = 13; waited = 9; deadline = 8 };
       Trace.Daemon_degrade { round = 14; entered = true; staleness = 5 };
       Trace.Daemon_retry { round = 15; cls = nasty; attempt = 2; due = 19 };
-      Trace.Daemon_watchdog { round = 16; pending = false; stalled = 4 };
+      Trace.Daemon_watchdog { round = 16; stalled = 4 };
     ]
   in
   let tr = Trace.create () in
@@ -262,8 +262,8 @@ let test_trace_daemon_events_jsonl () =
       ( Trace.Daemon_retry { round = 15; cls = nasty; attempt = 2; due = 19 },
         {|{"ev":"daemon_retry","round":15,"cls":"a\"b\\c\nd\te\rf\u0001g","attempt":2,"due":19}|}
       );
-      ( Trace.Daemon_watchdog { round = 16; pending = false; stalled = 4 },
-        {|{"ev":"daemon_watchdog","round":16,"pending":false,"stalled":4}|} );
+      ( Trace.Daemon_watchdog { round = 16; stalled = 4 },
+        {|{"ev":"daemon_watchdog","round":16,"stalled":4}|} );
     ]
 
 let test_trace_failure_events_jsonl () =

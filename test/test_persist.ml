@@ -2,10 +2,11 @@
    to a typed error, never an exception), snapshot round-trip byte
    identity, restart-without-reconvergence (a warm restore is already at
    the fixed point and behaves byte-identically to the system that never
-   crashed), graceful degradation to cold start, detector mid-lease
-   restore, rotated generations, the protocol section's node-info slot
-   table, format versions, and protocol dumps whose per-link state
-   disagrees. *)
+   crashed), graceful degradation to cold start, what an image refuses
+   to hold (a failure detector, a crashed member), rotated generations,
+   the protocol section's node-info slot table, format versions, and
+   protocol dumps whose links disagree with the overlay or with their
+   peers. *)
 
 module Rng = Bwc_stats.Rng
 module Fault = Bwc_sim.Fault
@@ -63,7 +64,7 @@ let test_container_rejects () =
   check_err "bit flip" "bad_checksum" (Bytes.to_string flipped);
   (* trailing garbage and mangled headers are structural corruption *)
   check_err "trailing bytes" "corrupt" (good ^ "x");
-  check_err "bad header" "corrupt" "BWCSNAP 2\nlen x crc zzzzzzzz\n";
+  check_err "bad header" "corrupt" "BWCSNAP 3\nlen x crc zzzzzzzz\n";
   check_err "previous version" "bad_version" "BWCSNAP 1\nlen 0 crc 00000000\n"
 
 let test_float_roundtrip_exact () =
@@ -239,7 +240,8 @@ let test_slot_table_after_repair () =
     (probe sys = probe restored)
 
 let test_slot_out_of_range () =
-  let image = Snapshot.encode (`Dynamic (system ~n:16 ())) in
+  let sys = system ~n:16 () in
+  let image = Snapshot.encode (`Dynamic sys) in
   let slots = Array.length (Slot_table.read image) in
   List.iter
     (fun slot ->
@@ -251,10 +253,20 @@ let test_slot_out_of_range () =
             msg
       | Error e -> Alcotest.failf "slot %d: %s" slot (Codec.error_to_string e))
     [ -1; slots; slots + 7 ];
-  (* the last slot is a valid reference: the edited image decodes *)
+  (* the last slot passes the range check, and the protocol layer then
+     finds the first node holding an aggrNode table its peer never sent *)
+  let nd = List.hd (Protocol.dump (Dynamic.protocol sys)).d_nodes in
+  let l = List.hd nd.nd_links in
+  let seq = match l.l_delivered with Some u -> u.u_seq | None -> Alcotest.fail "no update" in
   match Snapshot.decode (Slot_table.with_first_ref image (slots - 1)) with
-  | Ok _ -> ()
+  | Error (Codec.Corrupt msg) ->
+      Alcotest.(check string) (Printf.sprintf "slot %d" (slots - 1))
+        (Printf.sprintf
+           "Protocol.of_dump: node %d holds seq %d from %d with another payload than %d sent"
+           nd.nd_id seq l.l_peer l.l_peer)
+        msg
   | Error e -> Alcotest.failf "slot %d: %s" (slots - 1) (Codec.error_to_string e)
+  | Ok _ -> Alcotest.failf "slot %d: an aggrNode table its peer never sent restored" (slots - 1)
 
 let test_restored_reencodes_like_original () =
   (* a restored system holds infos decoded from the table beside infos
@@ -358,7 +370,20 @@ let test_version_1_refused () =
   match Snapshot.decode (Codec.encode (payload_of v1)) with
   | Error (Codec.Corrupt _) -> ()
   | Error e -> Alcotest.failf "relabelled image: %s" (Codec.error_to_string e)
-  | Ok _ -> Alcotest.fail "the version-1 layout decoded as version 2"
+  | Ok _ -> Alcotest.fail "the version-1 layout decoded as the current version"
+
+let test_version_2_refused () =
+  (* an image the version-2 encoder wrote (six per-peer lists a node, a
+     detector section) is refused by its version *)
+  let v2 = Codec.read_file "fixtures/snapshot/dynamic-v2.bwcsnap" in
+  (match Snapshot.decode v2 with
+  | Error (Codec.Bad_version 2) -> ()
+  | Error e -> Alcotest.failf "version-2 image: %s" (Codec.error_to_string e)
+  | Ok _ -> Alcotest.fail "version-2 image accepted");
+  match Snapshot.decode (Codec.encode (payload_of v2)) with
+  | Error (Codec.Corrupt _) -> ()
+  | Error e -> Alcotest.failf "relabelled image: %s" (Codec.error_to_string e)
+  | Ok _ -> Alcotest.fail "the version-2 layout decoded as the current version"
 
 let test_retired_kind_still_corrupt () =
   (* the retired static kind in a current container is refused by its
@@ -370,9 +395,9 @@ let test_retired_kind_still_corrupt () =
   | Error e -> Alcotest.failf "system kind: %s" (Codec.error_to_string e)
   | Ok _ -> Alcotest.fail "system kind accepted"
 
-(* ----- detector state ----- *)
+(* ----- what an image does not hold ----- *)
 
-let test_snapshot_detector_mid_lease () =
+let test_encode_refuses_detector () =
   (* the facade runs no detector: build one through the layers *)
   let dataset = dataset ~seed:8 16 in
   let c = Bwc_metric.Bandwidth.default_c in
@@ -382,78 +407,103 @@ let test_snapshot_detector_mid_lease () =
   let p =
     Protocol.create ~rng:(Rng.split rng) ~detector:Detector.default_config ~classes fw
   in
-  let (_ : int) = Protocol.run_aggregation p in
   let sys =
     Dynamic.assemble ~dataset ~c ~fw ~protocol:p ~classes ~rng_state:(Rng.state rng)
       ~index:None ()
   in
-  let victim = List.hd (List.rev (Ensemble.members fw)) in
-  Protocol.crash_host p victim;
-  (* run only until suspicion can exist, not until confirmation *)
-  for _ = 1 to Detector.default_config.Detector.suspect_after + 2 do
-    ignore (Protocol.run_round p : bool)
-  done;
-  let restored = decode_system (Snapshot.encode (`Dynamic sys)) in
-  let pr = Dynamic.protocol restored in
-  (* a running lease is work still to do: a reactor booted from this
-     image must start dirty and keep running rounds *)
-  Alcotest.(check bool) "restored mid-lease is not quiescent" false (Protocol.quiescent pr);
-  (* the crashed-but-not-yet-evicted member restores crashed: a query
-     submitted there is an immediate miss *)
-  let q = Protocol.query pr ~at:victim ~k:2 ~cls:0 in
-  Alcotest.(check bool) "crashed host restores crashed" false (Bwc_core.Query.found q);
-  (* leases kept running: the restored survivors confirm the death and
-     evict without re-observing the full silence window *)
-  let (_ : int) = Protocol.run_aggregation ~max_rounds:400 pr in
-  Alcotest.(check bool) "victim evicted after restore" false
-    (Ensemble.is_member (Dynamic.ensemble restored) victim);
-  Alcotest.(check bool) "quiescent once evicted" true (Protocol.quiescent pr);
-  Alcotest.(check bool) "original also evicts" true
-    (let (_ : int) = Protocol.run_aggregation ~max_rounds:400 p in
-     not (Ensemble.is_member (Dynamic.ensemble sys) victim))
+  match Snapshot.encode (`Dynamic sys) with
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "reason"
+        "Snapshot.encode: the protocol runs a failure detector, which images do not hold" msg
+  | (_ : string) -> Alcotest.fail "a system with a detector was encoded"
+
+let test_encode_refuses_crashed_member () =
+  let sys = system ~n:16 () in
+  let victim = List.nth (Dynamic.members sys) 3 in
+  Protocol.crash_host (Dynamic.protocol sys) victim;
+  match Snapshot.encode (`Dynamic sys) with
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "reason"
+        (Printf.sprintf "Snapshot.encode: member %d is crashed, which images do not hold" victim)
+        msg
+  | (_ : string) -> Alcotest.fail "a system with a crashed member was encoded"
 
 (* ----- per-link protocol state ----- *)
 
-(* A link's seen sequence number, aggrNode list and aggrCRT column come
-   from one applied update, so an image holds all three or none.  Here
-   node 0's payload from neighbour 18 loses one of its two parts while
-   0 keeps the sequence number it came under, and 18's update to 0 is
-   left unacked and due for a resend: a restore that accepted this would
-   take the resent copy for a duplicate of a payload it does not hold. *)
-let test_link_tables_disagree drop () =
+(* hp-like n = 20 with n_cut 4, at quiescence *)
+let quiescent_protocol () =
   let ds = dataset ~seed:5 20 in
   let classes = Bwc_core.Classes.of_percentiles ~count:5 ds in
   let fw = Ensemble.build ~rng:(Rng.create 6) (Bwc_dataset.Dataset.metric ds) in
   let p = Protocol.create ~rng:(Rng.create 7) ~n_cut:4 ~classes fw in
-  for _ = 1 to 8 do
-    ignore (Protocol.run_round p : bool)
-  done;
+  let (_ : int) = Protocol.run_aggregation p in
+  (ds, classes, fw, p)
+
+let link_dump (d : Protocol.dump) x m =
+  let nd = List.find (fun (nd : Protocol.node_dump) -> nd.nd_id = x) d.d_nodes in
+  List.find (fun (l : Protocol.link_dump) -> l.l_peer = m) nd.nd_links
+
+(* Node 0 applied 18's update 2.  An image in which 18's out entry for
+   it, under the same epoch and seq, carries another aggrCRT column and
+   is due for a resend would have the restored 0 take the resent copy
+   for a duplicate of a payload it does not hold. *)
+let test_link_payload_disagrees () =
+  let ds, classes, fw, p = quiescent_protocol () in
   let d = Protocol.dump p in
-  let node0 = List.find (fun nd -> nd.Protocol.nd_id = 0) d.Protocol.d_nodes in
-  Alcotest.(check (option int)) "0 applied 18's update 2" (Some 2)
-    (List.assoc_opt 18 node0.Protocol.nd_seen_seq);
-  let edit (nd : Protocol.node_dump) =
-    match nd.nd_id with
-    | 0 -> drop nd
-    | 18 ->
-        let unacked (o : Protocol.out_dump) =
-          if o.o_peer = 0 then { o with o_acked = false; o_sent_round = d.d_engine_round - 3 }
-          else o
-        in
-        { nd with nd_out = List.map unacked nd.nd_out }
-    | _ -> nd
+  let delivered = link_dump d 0 18 and out = link_dump d 18 0 in
+  (match (delivered.l_delivered, out.l_out) with
+  | Some u, Some o ->
+      Alcotest.(check int) "0 applied 18's update 2" 2 u.u_seq;
+      Alcotest.(check int) "18 sent it as seq 2" 2 o.o_seq;
+      Alcotest.(check int) "under the link's epoch"
+        (Option.value ~default:0 delivered.l_epoch) o.o_epoch
+  | _ -> Alcotest.fail "link 18->0 holds no update");
+  let c = Bwc_metric.Bandwidth.default_c in
+  let sys =
+    Dynamic.assemble ~dataset:ds ~c ~fw ~protocol:p ~classes ~rng_state:0L ~index:None ()
   in
-  match Protocol.of_dump ~classes fw { d with d_nodes = List.map edit d.d_nodes } with
+  let image = Snapshot.encode (`Dynamic sys) in
+  let (_ : Dynamic.t) = decode_system image in
+  let edited =
+    Slot_table.with_unacked_out image ~node:18 ~peer:0 ~sent_round:(d.d_engine_round - 3)
+  in
+  match Snapshot.decode edited with
+  | Error (Codec.Corrupt msg) ->
+      Alcotest.(check string) "reason"
+        "Protocol.of_dump: node 0 holds seq 2 from 18 with another payload than 18 sent" msg
+  | Error e -> Alcotest.failf "surfaced as %s" (Codec.error_to_string e)
+  | Ok _ -> Alcotest.fail "an out entry disagreeing with its delivered copy restored"
+
+(* a node's links must be its overlay neighbours in the ensemble's order *)
+let test_links_not_neighbours edit () =
+  let _, classes, fw, p = quiescent_protocol () in
+  let d = Protocol.dump p in
+  let x =
+    (List.find (fun (nd : Protocol.node_dump) -> List.length nd.nd_links >= 2) d.d_nodes).nd_id
+  in
+  let stranger =
+    List.find
+      (fun h -> h <> x && not (List.mem h (Ensemble.anchor_neighbors fw x)))
+      (Ensemble.members fw)
+  in
+  let edit_x (nd : Protocol.node_dump) =
+    if nd.nd_id = x then { nd with nd_links = edit ~stranger nd.nd_links } else nd
+  in
+  match Protocol.of_dump ~classes fw { d with d_nodes = List.map edit_x d.d_nodes } with
   | exception Invalid_argument msg ->
       Alcotest.(check string) "reason"
-        "Protocol.of_dump: seen seq, aggrNode and aggrCRT name different peers" msg
-  | (_ : Protocol.t) -> Alcotest.fail "a seen seq without its payload restored"
+        (Printf.sprintf
+           "Protocol.of_dump: node %d's links are not its overlay neighbours in order" x)
+        msg
+  | (_ : Protocol.t) -> Alcotest.fail "links that are not the overlay neighbours restored"
 
-let without_aggr_crt (nd : Protocol.node_dump) =
-  { nd with nd_aggr_crt = List.remove_assoc 18 nd.nd_aggr_crt }
+let link_dropped ~stranger:_ links = List.tl links
 
-let without_aggr_node (nd : Protocol.node_dump) =
-  { nd with nd_aggr_node = List.remove_assoc 18 nd.nd_aggr_node }
+let link_extra ~stranger links = { (List.hd links) with Protocol.l_peer = stranger } :: links
+
+let links_swapped ~stranger:_ = function
+  | a :: b :: rest -> b :: a :: rest
+  | links -> links
 
 (* ----- corruption / graceful degradation ----- *)
 
@@ -657,7 +707,9 @@ let () =
           Alcotest.test_case "dynamic round trip" `Quick test_snapshot_dynamic_roundtrip;
           Alcotest.test_case "after deferred churn" `Quick test_snapshot_after_deferred_churn;
           Alcotest.test_case "mid-convergence crash" `Quick test_snapshot_mid_convergence;
-          Alcotest.test_case "detector mid-lease" `Quick test_snapshot_detector_mid_lease;
+          Alcotest.test_case "encode refuses a detector" `Quick test_encode_refuses_detector;
+          Alcotest.test_case "encode refuses a crashed member" `Quick
+            test_encode_refuses_crashed_member;
           Alcotest.test_case "save/load file" `Quick test_save_load_file;
           Alcotest.test_case "rotate refuses garbage" `Quick
             test_rotate_never_displaces_valid_image;
@@ -679,15 +731,17 @@ let () =
       ( "versions",
         [
           Alcotest.test_case "version 1 refused" `Quick test_version_1_refused;
+          Alcotest.test_case "version 2 refused" `Quick test_version_2_refused;
           Alcotest.test_case "retired kind still corrupt" `Quick
             test_retired_kind_still_corrupt;
         ] );
       ( "links",
         [
-          Alcotest.test_case "seen seq without aggrCRT" `Quick
-            (test_link_tables_disagree without_aggr_crt);
-          Alcotest.test_case "seen seq without aggrNode" `Quick
-            (test_link_tables_disagree without_aggr_node);
+          Alcotest.test_case "payload disagrees with the sender" `Quick
+            test_link_payload_disagrees;
+          Alcotest.test_case "one link dropped" `Quick (test_links_not_neighbours link_dropped);
+          Alcotest.test_case "one link extra" `Quick (test_links_not_neighbours link_extra);
+          Alcotest.test_case "two links swapped" `Quick (test_links_not_neighbours links_swapped);
         ] );
       ( "degradation",
         [
