@@ -328,8 +328,42 @@ let micro_tests () =
     Test.make ~name:"kdiam-find"
       (Staged.stage (fun () -> ignore (Bwc_euclid.Kdiam.Index.find kidx ~k:8 ~l:250.0)))
   in
+  (* the kernels under churn and aggregation, at perfbench churn_storm's
+     scale: a LEAVE then a JOIN of one of 288 members of an hp-like n = 384
+     universe (each run leaves the index as it found it, cycling through
+     the members), and Algorithm 3's own-row recount over clustering
+     spaces of hub size, 72 and 110 points of an hp-like n = 190 *)
+  let hp n =
+    Bwc_dataset.Planetlab.generate ~rng:(Rng.create 13) ~name:"hp-like"
+      { Bwc_dataset.Planetlab.hp_target with n }
+  in
+  let churn_bench =
+    let space = Dataset.metric (hp 384) in
+    let members = Array.sub (Rng.sample_without_replacement (Rng.create 14) 384 384) 0 288 in
+    let idx = Bwc_core.Find_cluster.Index.build_subset space (Array.to_list members) in
+    let next = ref 0 in
+    Test.make ~name:"index-leave+join n=384 a=288"
+      (Staged.stage (fun () ->
+           let h = members.(!next) in
+           next := (!next + 1) mod Array.length members;
+           Bwc_core.Find_cluster.Index.remove_host idx h;
+           Bwc_core.Find_cluster.Index.add_host idx h))
+  in
+  let own_row =
+    let ds = hp 190 in
+    let ls = Bwc_core.Classes.distances (Bwc_core.Classes.of_percentiles ds) in
+    let points = Rng.sample_without_replacement (Rng.create 15) 190 190 in
+    List.map
+      (fun v ->
+        let space = Bwc_metric.Space.restrict (Dataset.metric ds) (Array.sub points 0 v) in
+        Test.make
+          ~name:(Printf.sprintf "max_sizes |V|=%d" v)
+          (Staged.stage (fun () -> ignore (Bwc_core.Find_cluster.max_sizes space ~ls))))
+      [ 72; 110 ]
+  in
   Test.make_grouped ~name:"bwcluster"
-    (List.concat [ alg1; index_build; [ query_bench; label_bench; kdiam_bench ] ])
+    (List.concat
+       [ alg1; index_build; [ query_bench; label_bench; kdiam_bench; churn_bench ]; own_row ])
 
 let run_micro () =
   section "Micro-benchmarks (Bechamel)  [E6: Algorithm 1 is O(n^3)]";

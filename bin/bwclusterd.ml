@@ -17,6 +17,7 @@ module Tbl = Bwc_stats.Tbl
 module Registry = Bwc_obs.Registry
 module Dynamic = Bwc_core.Dynamic
 module Codec = Bwc_persist.Codec
+module Snapshot = Bwc_persist.Snapshot
 module Reactor = Bwc_daemon.Reactor
 module Wire = Bwc_daemon.Wire
 module Lifecycle = Bwc_daemon.Lifecycle
@@ -66,11 +67,14 @@ let serve socket_path dataset seed snapshot_path keep tick_ms snapshot_every
       (Bwc_dataset.Dataset.size ds);
     Dynamic.create ~seed ds
   in
-  let boot = Lifecycle.boot ~metrics ~keep ~path:snapshot_path ~cold () in
+  (* every rejected generation is logged before a cold build starts, so
+     an operator sees why the daemon is building from scratch *)
+  let loaded = Snapshot.load_any ~metrics ~keep snapshot_path in
   List.iter
     (fun (g, e) ->
       logf "snapshot generation %d rejected: %s" g (Codec.error_to_string e))
-    boot.Lifecycle.rejected;
+    (snd loaded);
+  let boot = Lifecycle.warm_or_cold ~metrics ~cold loaded in
   (match boot.Lifecycle.generation with
   | Some g ->
       logf "warm restart from snapshot generation %d (%d members, ready now)"

@@ -61,7 +61,7 @@ let lease t ~round =
    repaired) peer *)
 let heard l ~round =
   if round <= l.last_heard && l.state = Alive then l
-  else { l with last_heard = Stdlib.max round l.last_heard; state = Alive }
+  else { l with last_heard = Int.max round l.last_heard; state = Alive }
 
 let suspects l =
   match l.state with

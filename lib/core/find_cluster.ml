@@ -10,6 +10,16 @@ let diam_tol = 1e-9
    a real call that boxes its result (no flambda, [-opaque] dev builds).
    Ball tests read rows [p] and [q], which equal the columns by symmetry
    and are contiguous. *)
+
+(* The ball test as a bit: 1 when a point at distances [dp] and [dq] from
+   a pair's endpoints lies in the pair's ball of radius [r].  Counting
+   loops add it instead of branching on it: which points pass is hard to
+   predict, so a branch there mispredicts often, while each [<=] compiles
+   to a [cmplesd] mask and the sum has no jump.  Without the [float]
+   annotation the comparisons would be polymorphic calls on boxed
+   floats. *)
+let[@inline] in_ball (dp : float) dq r = Bool.to_int (dp <= r) land Bool.to_int (dq <= r)
+
 let members space ~p ~q =
   let n = space.Space.n and d = space.Space.d in
   let dpq = Float.Array.get d ((p * n) + q) in
@@ -30,7 +40,7 @@ let count_members space ~p ~q =
   let rp = p * n and rq = q * n in
   let count = ref 0 in
   for x = 0 to n - 1 do
-    if Float.Array.get d (rp + x) <= dpq && Float.Array.get d (rq + x) <= dpq then incr count
+    count := !count + in_ball (Float.Array.get d (rp + x)) (Float.Array.get d (rq + x)) dpq
   done;
   !count
 
@@ -96,11 +106,10 @@ let max_sizes space ~ls =
         let rq = q * n in
         let size = ref 0 in
         for x = 0 to n - 1 do
-          if Float.Array.get d (rp + x) <= dpq && Float.Array.get d (rq + x) <= dpq then
-            incr size
+          size := !size + in_ball (Float.Array.get d (rp + x)) (Float.Array.get d (rq + x)) dpq
         done;
         for c = 0 to Array.length ls - 1 do
-          if dpq <= ls.(c) && !size > best.(c) then best.(c) <- !size
+          best.(c) <- Int.max best.(c) (Bool.to_int (dpq <= ls.(c)) * !size)
         done
       end
     done
@@ -112,8 +121,9 @@ module Index = struct
      members is keyed by [u * n + v], its index in the space's matrix; its
      count |S*_uv ∩ members| lives at the same index of [size], so [find]
      and [dump] read counts by (u, v) with no hash table.  The query order
-     is three parallel arrays sorted by (d, u, v) — equivalently by
-     (d, key) — with the running maximum of the counts along it.
+     is two parallel arrays sorted by (d, u, v) — equivalently by
+     (d, key) — the distances and the endpoints packed into one int, with
+     the running maximum of the counts along it.
 
      A membership delta touches every pair once, streaming those arrays
      against the moving host's matrix row; pair distances never change,
@@ -129,13 +139,20 @@ module Index = struct
     size : int array;    (* |S*_uv ∩ members| at u * n + v, u < v members *)
     mutable m : int;     (* pairs in the order: a (a - 1) / 2 *)
     pd : Float.Array.t;  (* ascending (d, u, v) over [0, m) *)
-    pu : int array;
-    pv : int array;
+    pe : int array;      (* endpoints along it, packed (see [pack]) *)
     prefix : int array;  (* running max of the counts along that order *)
   }
 
+  (* A pair's endpoints u < v packed as [u lsl bits lor v].  With
+     v < n <= 2^bits, packed values order pairs as their keys [u * n + v]
+     do, so tie-breaks compare them directly. *)
+  let bits = 20
+  let low = (1 lsl bits) - 1
+  let pack n key = ((key / n) lsl bits) lor (key mod n)
+
   let create space =
     let n = space.Space.n in
+    if n > 1 lsl bits then invalid_arg "Find_cluster.Index: universe too large to index";
     let cap = n * (n - 1) / 2 in
     {
       space;
@@ -145,8 +162,7 @@ module Index = struct
       size = Array.make (n * n) 0;
       m = 0;
       pd = Float.Array.make cap 0.0;
-      pu = Array.make cap 0;
-      pv = Array.make cap 0;
+      pe = Array.make cap 0;
       prefix = Array.make cap 0;
     }
 
@@ -166,22 +182,20 @@ module Index = struct
     let count = ref 0 in
     for i = 0 to t.a - 1 do
       let x = t.members.(i) in
-      if Float.Array.get d (ru + x) <= duv && Float.Array.get d (rv + x) <= duv then incr count
+      count := !count + in_ball (Float.Array.get d (ru + x)) (Float.Array.get d (rv + x)) duv
     done;
     !count
 
   let set_pair t pos key =
-    let n = t.space.Space.n in
     Float.Array.set t.pd pos (Float.Array.get t.space.Space.d key);
-    t.pu.(pos) <- key / n;
-    t.pv.(pos) <- key mod n
+    t.pe.(pos) <- pack t.space.Space.n key
 
   let refresh_prefix t =
     let n = t.space.Space.n in
     let run = ref 0 in
     for k = 0 to t.m - 1 do
-      let s = t.size.((t.pu.(k) * n) + t.pv.(k)) in
-      if s > !run then run := s;
+      let e = t.pe.(k) in
+      run := Int.max !run t.size.(((e lsr bits) * n) + (e land low));
       t.prefix.(k) <- !run
     done
 
@@ -226,10 +240,33 @@ module Index = struct
 
   (* ----- incremental maintenance ----- *)
 
+  (* Rank of the first pair in [0, hi) of the order that sorts after the
+     pair keyed [key], a fresh pair not yet in the order. *)
+  let slot t ~hi key =
+    let dk = Float.Array.get t.space.Space.d key and ek = pack t.space.Space.n key in
+    let lo = ref 0 and hi = ref hi in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      let c = Float.compare (Float.Array.get t.pd mid) dk in
+      if c < 0 || (c = 0 && t.pe.(mid) < ek) then lo := mid + 1 else hi := mid
+    done;
+    !lo
+
   let add_host t h =
     let n = t.space.Space.n and d = t.space.Space.d in
     if h < 0 || h >= n then invalid_arg "Find_cluster.Index.add_host: host out of range";
     if t.active.(h) then invalid_arg "Find_cluster.Index.add_host: already a member";
+    (* 1. the newcomer's own pairs, sized against the members before it:
+       the streaming pass below counts the newcomer into their balls as
+       into every other *)
+    let rh = h * n in
+    let fresh = Array.make t.a 0 in
+    for i = 0 to t.a - 1 do
+      let p = t.members.(i) in
+      let key = if p < h then (p * n) + h else rh + p in
+      t.size.(key) <- count_active t ~u:p ~v:h;
+      fresh.(i) <- key
+    done;
     t.active.(h) <- true;
     let i = ref t.a in
     while !i > 0 && t.members.(!i - 1) > h do
@@ -238,56 +275,33 @@ module Index = struct
     done;
     t.members.(!i) <- h;
     t.a <- t.a + 1;
-    (* 1. the newcomer's own pairs, sized against the grown membership *)
-    let rh = h * n in
-    let fresh = Array.make (t.a - 1) 0 in
-    let f = ref 0 in
-    for i = 0 to t.a - 1 do
-      let p = t.members.(i) in
-      if p <> h then begin
-        let key = if p < h then (p * n) + h else rh + p in
-        t.size.(key) <- count_active t ~u:p ~v:h;
-        fresh.(!f) <- key;
-        incr f
-      end
-    done;
-    (* 2. only the fresh pairs are sorted (in place); they merge into the
-       sorted run in place, from the back, until none is left *)
+    (* 2. only the fresh pairs are sorted (in place).  They merge into the
+       sorted run from the largest down: each one's slot is found by
+       binary search, and the old pairs above it move up in one copy
+       (a loop for the int array: [Array.blit] would pay a write barrier
+       per element) *)
     Array.sort (key_cmp d) fresh;
-    let i = ref (t.m - 1) and j = ref (Array.length fresh - 1) in
-    let w = ref (t.m + Array.length fresh - 1) in
-    while !j >= 0 do
-      let old_last =
-        !i >= 0
-        &&
-        let c = Float.compare (Float.Array.get t.pd !i) (Float.Array.get d fresh.(!j)) in
-        c > 0 || (c = 0 && (t.pu.(!i) * n) + t.pv.(!i) > fresh.(!j))
-      in
-      if old_last then begin
-        Float.Array.set t.pd !w (Float.Array.get t.pd !i);
-        t.pu.(!w) <- t.pu.(!i);
-        t.pv.(!w) <- t.pv.(!i);
-        decr i
-      end
-      else begin
-        set_pair t !w fresh.(!j);
-        decr j
-      end;
-      decr w
+    let hi = ref t.m in
+    for j = Array.length fresh - 1 downto 0 do
+      let pos = slot t ~hi:!hi fresh.(j) in
+      Float.Array.blit t.pd pos t.pd (pos + j + 1) (!hi - pos);
+      for k = !hi - 1 downto pos do
+        t.pe.(k + j + 1) <- t.pe.(k)
+      done;
+      set_pair t (pos + j) fresh.(j);
+      hi := pos
     done;
     t.m <- t.m + Array.length fresh;
-    (* 3. one streaming pass against the newcomer's row: every older pair
-       whose ball it falls into grows, and the prefix maxima follow *)
+    (* 3. one streaming pass against the newcomer's row: every pair whose
+       ball it falls into grows, and the prefix maxima follow *)
     let run = ref 0 in
     for k = 0 to t.m - 1 do
-      let u = t.pu.(k) and v = t.pv.(k) in
-      let key = (u * n) + v in
-      if u <> h && v <> h then begin
-        let duv = Float.Array.get t.pd k in
-        if Float.Array.get d (rh + u) <= duv && Float.Array.get d (rh + v) <= duv then
-          t.size.(key) <- t.size.(key) + 1
-      end;
-      if t.size.(key) > !run then run := t.size.(key);
+      let e = t.pe.(k) in
+      let u = e lsr bits and v = e land low in
+      let key = (u * n) + v and duv = Float.Array.get t.pd k in
+      let s = t.size.(key) + in_ball (Float.Array.get d (rh + u)) (Float.Array.get d (rh + v)) duv in
+      t.size.(key) <- s;
+      run := Int.max !run s;
       t.prefix.(k) <- !run
     done
 
@@ -301,24 +315,25 @@ module Index = struct
     done;
     Array.blit t.members (!i + 1) t.members !i (t.a - !i - 1);
     t.a <- t.a - 1;
-    (* one compacting pass against the departed host's row: its own pairs
-       leave the order, it leaves every ball it was counted in, and the
-       prefix maxima follow *)
+    (* one compacting pass against the departed host's row: it leaves
+       every ball it was counted in, its own pairs leave the order (the
+       write cursor advances by their keep bit; their counts go stale,
+       unread until a join sizes them afresh), and the prefix maxima
+       follow *)
     let rh = h * n in
     let w = ref 0 and run = ref 0 in
     for k = 0 to t.m - 1 do
-      let u = t.pu.(k) and v = t.pv.(k) in
-      if u <> h && v <> h then begin
-        let duv = Float.Array.get t.pd k and key = (u * n) + v in
-        if Float.Array.get d (rh + u) <= duv && Float.Array.get d (rh + v) <= duv then
-          t.size.(key) <- t.size.(key) - 1;
-        Float.Array.set t.pd !w duv;
-        t.pu.(!w) <- u;
-        t.pv.(!w) <- v;
-        if t.size.(key) > !run then run := t.size.(key);
-        t.prefix.(!w) <- !run;
-        incr w
-      end
+      let e = t.pe.(k) in
+      let u = e lsr bits and v = e land low in
+      let key = (u * n) + v and duv = Float.Array.get t.pd k in
+      let s = t.size.(key) - in_ball (Float.Array.get d (rh + u)) (Float.Array.get d (rh + v)) duv in
+      t.size.(key) <- s;
+      let keep = Bool.to_int (u <> h) land Bool.to_int (v <> h) in
+      Float.Array.set t.pd !w duv;
+      t.pe.(!w) <- e;
+      run := Int.max !run (keep * s);
+      t.prefix.(!w) <- !run;
+      w := !w + keep
     done;
     t.m <- !w
 
@@ -344,7 +359,7 @@ module Index = struct
     if t.a = 0 then 0
     else begin
       let limit = last_within t l in
-      if limit < 0 then 1 else Stdlib.max 1 t.prefix.(limit)
+      if limit < 0 then 1 else Int.max 1 t.prefix.(limit)
     end
 
   (* S*_uv restricted to the active members, ascending host id. *)

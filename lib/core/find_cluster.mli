@@ -52,8 +52,11 @@ val max_sizes : Bwc_metric.Space.t -> ls:float array -> int array
     query structures valid (pair distances are immutable, so mutating
     counts in place and merging the O(n) new pairs preserves both the
     sort order and the prefix-max invariant).  An index reserves room for
-    every pair of its universe up front, about [24 n^2] bytes with its
-    per-pair counts, so neither delta reallocates. *)
+    every pair of its universe up front, about [20 n^2] bytes with its
+    per-pair counts, so neither delta reallocates.  A pair's two
+    endpoints pack into one int, so a universe holds at most [2^20]
+    points; {!build}, {!build_subset} and {!of_dump} raise
+    [Invalid_argument] beyond that. *)
 module Index : sig
   type t
 

@@ -376,7 +376,7 @@ let prop_node_for t node (infos, space) ~recipient =
   in
   let cand = Array.of_list (List.map (fun info -> (dist info, info)) !acc) in
   Array.sort (fun (a, _) (b, _) -> Float.compare a b) cand;
-  List.init (Stdlib.min t.n_cut (Array.length cand)) (fun i -> snd cand.(i))
+  List.init (Int.min t.n_cut (Array.length cand)) (fun i -> snd cand.(i))
 
 (* Algorithm 3, lines 9-10: max over own row and every other neighbor's
    aggregated column. *)
@@ -934,7 +934,7 @@ let max_reachable t x ~cls =
   let node = get_node t x in
   List.fold_left
     (fun acc l ->
-      match l.delivered with Some (_, p) -> Stdlib.max acc p.prop_crt.(cls) | None -> acc)
+      match l.delivered with Some (_, p) -> Int.max acc p.prop_crt.(cls) | None -> acc)
     node.own_row.(cls) node.links
 
 let messages_sent t = Engine.messages_sent t.engine

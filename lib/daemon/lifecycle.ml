@@ -23,12 +23,14 @@ let bump metrics name =
   | Some m -> Registry.Counter.incr (Registry.counter m name)
   | None -> ()
 
-let boot ?metrics ?trace ?keep ~path ~cold () =
-  match Snapshot.load_any ?metrics ?trace ?keep path with
+let warm_or_cold ?metrics ~cold = function
   | Some (dyn, g), rejected -> { system = dyn; warm = true; generation = Some g; rejected }
   | None, rejected ->
       bump metrics "persist.cold_starts";
       { system = cold (); warm = false; generation = None; rejected }
+
+let boot ?metrics ?trace ?keep ~path ~cold () =
+  warm_or_cold ?metrics ~cold (Snapshot.load_any ?metrics ?trace ?keep path)
 
 let snapshot ?metrics ?keep ~path dyn =
   let bytes = Snapshot.encode ?metrics (`Dynamic dyn) in

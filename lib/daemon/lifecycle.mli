@@ -16,6 +16,7 @@ type boot = {
           (on a warm boot, the ones tried before the winner) *)
 }
 
+(* bwclint: allow test-only-export -- perfbench/drive.ml boots its restore check through it; perfbench is outside the lint paths *)
 val boot :
   ?metrics:Bwc_obs.Registry.t ->
   ?trace:Bwc_obs.Trace.t ->
@@ -28,7 +29,19 @@ val boot :
     [path], [path.1], ... — see {!Bwc_persist.Snapshot.load_any}); any
     rejection falls back to [cold ()], reporting every generation's
     error.  A warm boot answers queries at the instant of restart; a
-    cold boot pays full construction + reconvergence. *)
+    cold boot pays full construction + reconvergence.  It is
+    {!warm_or_cold} of [load_any]'s result. *)
+
+val warm_or_cold :
+  ?metrics:Bwc_obs.Registry.t ->
+  cold:(unit -> Bwc_core.Dynamic.t) ->
+  (Bwc_core.Dynamic.t * int) option * (int * Bwc_persist.Codec.error) list ->
+  boot
+(** The second step of {!boot}, over the result of
+    {!Bwc_persist.Snapshot.load_any}: the restored system, or [cold ()]
+    when no generation restored.  A caller that reports the rejected
+    generations between the two steps reports them before a cold build
+    starts. *)
 
 val snapshot :
   ?metrics:Bwc_obs.Registry.t ->

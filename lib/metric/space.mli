@@ -35,7 +35,6 @@ val to_dmatrix : t -> Dmatrix.t
 val cached : t -> t
 (** The identity: every space is already materialised. *)
 
-(* bwclint: allow test-only-export -- perfbench/drive.ml builds its reference answers with it; perfbench is outside the lint paths *)
 val restrict : t -> int array -> t
 (** [restrict s idx] is the subspace on points [idx], copied; point [i]
     of the result is point [idx.(i)] of [s]. *)

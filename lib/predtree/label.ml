@@ -23,7 +23,7 @@ let descent label i =
   !acc
 
 let common_prefix la lb =
-  let m = Stdlib.min (Array.length la) (Array.length lb) in
+  let m = Int.min (Array.length la) (Array.length lb) in
   let rec loop i = if i < m && la.(i).host = lb.(i).host then loop (i + 1) else i in
   loop 0
 

@@ -132,7 +132,7 @@ let send t ~src ~dst ~kind ~bytes msg =
   | Fault.Blocked `Partition -> record_drop t ~msg:id ~kind ~bytes ~src ~dst Partition
   | Fault.Blocked `Loss -> record_drop t ~msg:id ~kind ~bytes ~src ~dst Fault_loss
   | Fault.Deliver extras ->
-      let delay = Stdlib.max 1 (t.edge_delay ~src ~dst) in
+      let delay = Int.max 1 (t.edge_delay ~src ~dst) in
       List.iter
         (fun extra ->
           enqueue t
@@ -204,7 +204,7 @@ let run_round t ~step =
             Registry.Counter.incr t.c_delivered;
             (* receive-side Lamport merge: the receiver's clock jumps past
                the stamp carried by the message *)
-            t.lamport.(f.f_dst) <- Stdlib.max t.lamport.(f.f_dst) f.f_lc + 1;
+            t.lamport.(f.f_dst) <- Int.max t.lamport.(f.f_dst) f.f_lc + 1;
             emit t
               (Trace.Deliver
                  { round = t.round; msg = f.f_id; kind = f.f_kind; bytes = f.f_bytes;

@@ -8,9 +8,11 @@
       Index.build_subset of the same membership and answers (exists,
       max_size, find with and without ~verify) exactly as it, its
       max_size per class equals a one-shot Find_cluster.max_sizes over
-      the members, and every find witness passes a direct distance check
-      that shares no code with the index; half the sequences run on
-      integer-weighted tree metrics where many pairs share one distance;
+      the members, and three oracles share no code with the index: every
+      dumped pair count and every class's max_size equal a direct count
+      over Space.dist, and every find witness passes a direct distance
+      check; half the sequences run on integer-weighted tree metrics
+      where many pairs share one distance;
    2. alg1-oracle-tree — on exact tree metrics Algorithm 1 agrees with
       the exact Bron-Kerbosch clique oracle on every (k, l) query;
    3. alg1-oracle-noisy — on noisy near-tree spaces the two may disagree
@@ -147,6 +149,45 @@ let check_feasible prop case ~event space is_member cl ~k ~l =
         cl
   | _ -> fail_case prop case "event %d: find returned fewer than 2 hosts" event
 
+(* The counts an index must hold, from raw distances alone (no code
+   shared with Find_cluster's counting loops): |S*_uv ∩ members| for a
+   member pair, and for a class l the largest of them over member pairs
+   at most l apart — 1 with a lone member, 0 with none. *)
+let direct_count space members u v =
+  let duv = Space.dist space u v in
+  List.length
+    (List.filter (fun x -> Space.dist space x u <= duv && Space.dist space x v <= duv) members)
+
+let direct_max_size space members l =
+  let best = ref (if members = [] then 0 else 1) in
+  List.iter
+    (fun u ->
+      List.iter
+        (fun v ->
+          if u < v && Space.dist space u v <= l then
+            best := Int.max !best (direct_count space members u v))
+        members)
+    members;
+  !best
+
+let check_direct_counts prop case ~event space members dump =
+  if dump.Index.d_members <> members then
+    fail_case prop case "event %d: dumped membership differs from the events'" event;
+  let pos = ref 0 in
+  List.iteri
+    (fun i u ->
+      List.iteri
+        (fun j v ->
+          if i < j then begin
+            let want = direct_count space members u v in
+            if dump.Index.d_sizes.(!pos) <> want then
+              fail_case prop case "event %d: |S*_%d,%d| is %d, a direct count gives %d" event u
+                v dump.Index.d_sizes.(!pos) want;
+            incr pos
+          end)
+        members)
+    members
+
 (* returns the incremental find answers, without and with ~verify, for
    the witness check *)
 let check_agreement prop case ~event idx rebuilt ~k ~l =
@@ -193,6 +234,8 @@ let churn_differential () =
       incr total_checks;
       if Index.dump idx <> Index.dump rebuilt then
         fail_case prop case "event %d: dump differs from a rebuild's" event;
+      incr total_checks;
+      check_direct_counts prop case ~event space (members ()) (Index.dump idx);
       (* probe with arbitrary thresholds and with exact pair distances
          (the tie-heavy case the sorted structure must survive) *)
       for _ = 1 to 4 do
@@ -215,7 +258,10 @@ let churn_differential () =
         Find_cluster.max_sizes (Space.restrict space (Array.of_list (members ()))) ~ls
       in
       if Array.map (fun l -> Index.max_size idx ~l) ls <> one_shot then
-        fail_case prop case "event %d: max_sizes vector diverged" event
+        fail_case prop case "event %d: max_sizes vector diverged" event;
+      incr total_checks;
+      if Array.map (direct_max_size space (members ())) ls <> one_shot then
+        fail_case prop case "event %d: max_sizes vector differs from a direct count" event
     done
   in
   for case = 0 to cases - 1 do

@@ -543,6 +543,35 @@ let test_corrupt_fallback_across_generations () =
     (List.length boot2.Lifecycle.rejected);
   cleanup path
 
+(* a lone corrupt generation: the restore step hands its rejection to the
+   caller, which reports it (as bwclusterd logs it) before the cold
+   builder runs *)
+let test_rejection_reported_before_cold_build () =
+  let path = tmpname "rej.bwcsnap" in
+  cleanup path;
+  let d = dyn ~seed:43 () in
+  Codec.write_file path
+    (Fault.corrupt_snapshot ~rng:(Rng.create 7) (Fault.Flip_bits 13)
+       (Snapshot.encode (`Dynamic d)));
+  let log = ref [] in
+  let loaded = Snapshot.load_any ~keep:3 path in
+  List.iter
+    (fun (g, e) -> log := Printf.sprintf "rejected %d: %s" g (Codec.error_to_string e) :: !log)
+    (snd loaded);
+  let boot =
+    Lifecycle.warm_or_cold
+      ~cold:(fun () ->
+        log := "cold" :: !log;
+        d)
+      loaded
+  in
+  check_strings "rejection reported, then the cold build"
+    [ "rejected 0: " ^ Codec.error_to_string Codec.Bad_checksum; "cold" ]
+    (List.rev !log);
+  Alcotest.(check bool) "not warm" false boot.Lifecycle.warm;
+  Alcotest.(check int) "the rejection kept in the boot" 1 (List.length boot.Lifecycle.rejected);
+  cleanup path
+
 (* generation 0 holds [fixture], an image the version-1 encoder wrote,
    generation 1 a current daemon image: the boot must reject the first
    by its version and restore the second, not start cold *)
@@ -711,6 +740,8 @@ let () =
             test_warm_boot_mid_convergence;
           Alcotest.test_case "corrupt fallback" `Quick
             test_corrupt_fallback_across_generations;
+          Alcotest.test_case "rejection reported before the cold build" `Quick
+            test_rejection_reported_before_cold_build;
           Alcotest.test_case "retired snapshot kind falls back a generation" `Quick
             test_retired_kind_falls_back_a_generation;
           Alcotest.test_case "version-1 image falls back a generation" `Quick
