@@ -361,9 +361,32 @@ let micro_tests () =
           (Staged.stage (fun () -> ignore (Bwc_core.Find_cluster.max_sizes space ~ls))))
       [ 72; 110 ]
   in
+  (* the snapshot codec: writing the seed-1 hp-like n = 190 system's
+     image, and the container check (length, CRC-32) a restore and a
+     rotation run on it *)
+  let codec =
+    let ds =
+      Bwc_dataset.Planetlab.generate ~rng:(Rng.create 1) ~name:"hp-like"
+        { Bwc_dataset.Planetlab.hp_target with n = 190 }
+    in
+    let sys = Bwc_core.Dynamic.create ~seed:1 ds in
+    let image = Bwc_persist.Snapshot.encode (`Dynamic sys) in
+    [
+      Test.make ~name:"snapshot-encode n=190"
+        (Staged.stage (fun () -> ignore (Bwc_persist.Snapshot.encode (`Dynamic sys))));
+      Test.make ~name:"image-verify n=190"
+        (Staged.stage (fun () -> ignore (Bwc_persist.Codec.decode image)));
+    ]
+  in
   Test.make_grouped ~name:"bwcluster"
     (List.concat
-       [ alg1; index_build; [ query_bench; label_bench; kdiam_bench; churn_bench ]; own_row ])
+       [
+         alg1;
+         index_build;
+         [ query_bench; label_bench; kdiam_bench; churn_bench ];
+         own_row;
+         codec;
+       ])
 
 let run_micro () =
   section "Micro-benchmarks (Bechamel)  [E6: Algorithm 1 is O(n^3)]";

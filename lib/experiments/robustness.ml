@@ -462,6 +462,7 @@ let err_class = function
   | Codec.Truncated -> "truncated"
   | Codec.Bad_checksum -> "bad-checksum"
   | Codec.Corrupt _ -> "corrupt"
+  | Codec.Io _ -> "io"
 
 let restart ?(queries = 60) ~seed dataset =
   let max_rounds = 600 and n_cut = 4 and class_count = 5 in

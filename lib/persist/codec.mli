@@ -27,6 +27,9 @@ type error =
   | Truncated  (** shorter than its header promises *)
   | Bad_checksum  (** payload CRC-32 disagrees with the header *)
   | Corrupt of string  (** payload structure or semantic validation failed *)
+  | Io of string
+      (** the file system refused a write (the [Sys_error] text); only
+          {!Snapshot.rotate} returns it, {!decode} never does *)
 
 exception Error of error
 
@@ -36,27 +39,39 @@ val corrupt : ('a, unit, string, 'b) format4 -> 'a
 (** [corrupt fmt ...] raises {!Error}[ (Corrupt msg)].  Reader primitives
     and payload decoders use this for every structural violation. *)
 
-val encode : string -> string
-(** Wraps a payload in the container (header lines + checksum). *)
+val crc32 : string -> int -> int -> int
+(** [crc32 s pos len] is the CRC-32 (IEEE) of [s]'s [len] bytes from
+    [pos], computed slicing-by-8.  Raises [Invalid_argument] when the
+    range leaves [s]. *)
 
 val decode : string -> (string, error) result
 (** Verifies the container and returns the payload.  Never raises on any
     input bytes. *)
 
+val verify : string -> (unit, error) result
+(** {!decode}'s checks, every one of them, without copying the payload
+    out: the CRC is computed over the image in place. *)
+
+val stage : string -> string -> string
+(** [stage path bytes] writes [bytes] to [path ^ ".tmp"] and returns that
+    name, for the caller to rename into place.  A failed write, the
+    final flush included, raises [Sys_error] and leaves no temp file. *)
+
 val write_file : string -> string -> unit
-(** Crash-consistent write: the bytes go to [path ^ ".tmp"] first and
-    are renamed into place, so a crash mid-write leaves either the old
-    file or the new one, never a torn snapshot. *)
+(** Crash-consistent write: {!stage}, then a rename into place, so a
+    crash mid-write leaves either the old file or the new one, never a
+    torn snapshot.  Raises [Sys_error] on any failure, and then leaves
+    no temp file behind. *)
 
 val read_file : string -> string
 (** Whole file, binary.  Raises [Sys_error] like [open_in]. *)
 
-(** Token writer. *)
+(** Token writer.  Tokens are formatted straight into bytes the writer
+    owns; {!seal} turns them into a container. *)
 module W : sig
   type t
 
   val create : unit -> t
-  val contents : t -> string
   val int : t -> int -> unit
   val i64 : t -> int64 -> unit
 
@@ -75,6 +90,10 @@ module W : sig
   val array : t -> ('a -> unit) -> 'a array -> unit
   val option : t -> ('a -> unit) -> 'a option -> unit
 end
+
+val seal : W.t -> string
+(** The writer's payload wrapped in the container (header lines +
+    checksum), built in one allocation of the image's final size. *)
 
 (** Token reader.  Every primitive raises {!Error}[ (Corrupt _)] on
     mismatch; nothing here ever raises anything else. *)

@@ -426,7 +426,7 @@ let encode_payload dyn =
   enc_ensemble w (Ensemble.dump (Dynamic.ensemble dyn));
   enc_protocol w (Protocol.dump (Dynamic.protocol dyn));
   W.option w (fun i -> enc_index w (Index.dump i)) (Dynamic.index_opt dyn);
-  Codec.encode (W.contents w)
+  Codec.seal w
 
 let dec_dynamic ?metrics ?trace r =
   let rng_state = R.i64 r in
@@ -499,24 +499,35 @@ let load ?metrics ?trace path = decode ?metrics ?trace (Codec.read_file path)
    [path] is the newest image, [path.1] the previous one, ... up to
    [path.(keep-1)].  Rotation refuses bytes that fail container
    verification before touching the chain, so a buggy caller can never
-   push the only valid image off the end with garbage. *)
+   push the only valid image off the end with garbage.  The new image is
+   written out in full before any generation moves, so a write that
+   fails leaves the chain as it was. *)
 
 let gen_path path g = if g = 0 then path else Printf.sprintf "%s.%d" path g
 
 let rotate ?metrics ?(keep = 3) ~path bytes =
   if keep < 1 then invalid_arg "Snapshot.rotate: keep < 1";
-  match Codec.decode bytes with
+  match Codec.verify bytes with
   | Error e ->
       bump metrics "persist.rotate_rejected";
       Error e
-  | Ok (_ : string) ->
-      for g = keep - 2 downto 0 do
-        let src = gen_path path g and dst = gen_path path (g + 1) in
-        if Sys.file_exists src then Sys.rename src dst
-      done;
-      Codec.write_file path bytes;
-      bump metrics "persist.rotations";
-      Ok ()
+  | Ok () -> (
+      match Codec.stage path bytes with
+      | exception Sys_error msg -> Error (Codec.Io msg)
+      | tmp -> (
+          match
+            for g = keep - 2 downto 0 do
+              let src = gen_path path g and dst = gen_path path (g + 1) in
+              if Sys.file_exists src then Sys.rename src dst
+            done;
+            Sys.rename tmp path
+          with
+          | () ->
+              bump metrics "persist.rotations";
+              Ok ()
+          | exception Sys_error msg ->
+              (try Sys.remove tmp with Sys_error _ -> ());
+              Error (Codec.Io msg)))
 
 let load_any ?metrics ?trace ?(keep = 3) path =
   if keep < 1 then invalid_arg "Snapshot.load_any: keep < 1";

@@ -89,11 +89,15 @@ val rotate :
     [path.(keep - 1)].  The oldest image falls off the end.
 
     Safety: [bytes] is container-verified (magic, version, length,
-    CRC-32) {e before} anything on disk moves, and a verification
-    failure is returned without touching the chain — rotation can never
-    replace the only valid image with garbage.  The final write itself
-    goes through {!Codec.write_file} (atomic temp-and-rename).  Counts
-    [persist.rotations] / [persist.rotate_rejected].  Raises
+    CRC-32, with {!Codec.verify}, in place) {e before} anything on disk
+    moves, and a verification failure is returned without touching the
+    chain — rotation can never replace the only valid image with
+    garbage.  The image is then written in full to a temp file
+    ({!Codec.stage}), and only then do the generations shift and the
+    temp file get renamed into place.  A file-system failure comes back
+    as [Error (Codec.Io msg)], never as an exception; when the write
+    itself fails, no generation has moved and no temp file is left.
+    Counts [persist.rotations] / [persist.rotate_rejected].  Raises
     [Invalid_argument] if [keep < 1]. *)
 
 val load_any :

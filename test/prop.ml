@@ -1,6 +1,6 @@
 (* Seeded property-based differential harness.
 
-   Nine properties, each over freshly generated random inputs:
+   Ten properties, each over freshly generated random inputs:
 
    1. churn-differential — after ANY sequence of Index.add_host /
       Index.remove_host events, the incrementally maintained
@@ -34,7 +34,10 @@
       below);
    9. fixpoint-oracle — every quiescent protocol state equals the
       aggregation fixpoint computed by direct recursion over the overlay
-      (see below).
+      (see below);
+   10. codec-oracle — Codec's in-place token writer and container equal
+      a naive Printf reference writer byte for byte, and read back (see
+      below).
 
    The harness is deliberately NOT an alcotest suite: its stdout is
    fully deterministic for a given seed (no timings), so two runs with
@@ -1186,6 +1189,192 @@ let fixpoint_oracle () =
     prop_name n_cases !with_detector !fresh !returning !leaves !replaced !crashes !dirtied
     !points !checked
 
+(* 10. codec-oracle — Codec.W formats every token into its own bytes by
+   hand, and Codec.seal builds the container in place with a
+   slicing-by-8 CRC-32.  Over random token streams, the writer's image
+   must equal, byte for byte, what a naive reference writer makes:
+   Printf and ^ per token, in a container from Container.wrap, whose
+   CRC-32 runs one bit at a time.  Ints come from the whole range (0,
+   ±1, every power of ten ±1, max_int and min_int, random 63-bit
+   values); counts go through W.array over units, the way lists and
+   arrays write them; floats come from random 64-bit patterns, patterns
+   with their low fraction digits cleared, subnormals, and ±0,
+   ±infinity, NaN of both signs, the smallest and largest subnormal and
+   max_float; strings hold any bytes, spaces and newlines included; one
+   stream in eight is long enough to make the writer grow.  Then the
+   image must pass Codec.decode and give the payload back, and Codec.R
+   must read every token back, floats bit-exact (a NaN comes back as a
+   NaN of the same sign: "%h" writes no NaN payload).  Codec.crc32 must
+   match the bitwise CRC on every range of length 0 to 64 at offsets 0
+   to 7 of a random string, and give the standard check value cbf43926
+   on "123456789". *)
+
+type token =
+  | T_int of int
+  | T_i64 of int64
+  | T_float of float
+  | T_bool of bool
+  | T_str of string
+  | T_tag of string
+  | T_count of int
+
+let reference_token = function
+  | T_int v -> "i " ^ string_of_int v ^ "\n"
+  | T_i64 v -> Printf.sprintf "I %Ld\n" v
+  | T_float v -> Printf.sprintf "f %h\n" v
+  | T_bool v -> if v then "b 1\n" else "b 0\n"
+  | T_str s -> Printf.sprintf "s %d " (String.length s) ^ s ^ "\n"
+  | T_tag name -> "# " ^ name ^ "\n"
+  | T_count c -> "n " ^ string_of_int c ^ "\n"
+
+let codec_oracle () =
+  let prop = "codec-oracle" in
+  let module Codec = Bwc_persist.Codec in
+  let rec pow10 k = if k = 0 then 1 else 10 * pow10 (k - 1) in
+  let edge_ints =
+    Array.of_list
+      ([ 0; max_int; min_int; max_int - 1; min_int + 1 ]
+      @ List.concat_map
+          (fun k ->
+            let p = pow10 k in
+            [ p - 1; p; p + 1; 1 - p; -p; -p - 1 ])
+          (List.init 19 Fun.id))
+  in
+  let edge_floats =
+    let f = Int64.float_of_bits in
+    let pos =
+      [ 0.; infinity; Float.nan; f 0x7ff0_0000_0000_0001L; f 1L; f 0x000f_ffff_ffff_ffffL;
+        Float.min_float; max_float; 1.; 1.5; 2.; 0.5; 0.1; Float.pi; 1e-300 ]
+    in
+    Array.of_list (pos @ List.map Float.neg pos)
+  in
+  let gen_int rng =
+    match Rng.int rng 3 with
+    | 0 -> Rng.choose rng edge_ints
+    | 1 -> Int64.to_int (Rng.bits64 rng)
+    | _ -> Rng.int rng 2000 - 1000
+  in
+  let gen_float rng =
+    let bits = Rng.bits64 rng in
+    match Rng.int rng 5 with
+    | 0 -> Rng.choose rng edge_floats
+    | 1 -> Int64.float_of_bits bits
+    | 2 ->
+        (* only the top fraction digits set: trailing zero digits to drop *)
+        Int64.float_of_bits
+          (Int64.logand bits (Int64.shift_left (-1L) (4 * Rng.int rng 14)))
+    | 3 -> Int64.float_of_bits (Int64.logand bits 0x800f_ffff_ffff_ffffL)
+    | _ -> Rng.uniform rng (-1e4) 1e4
+  in
+  let gen_string rng len =
+    String.init len (fun _ ->
+        match Rng.int rng 4 with
+        | 0 -> ' '
+        | 1 -> '\n'
+        | _ -> Char.chr (Rng.int rng 256))
+  in
+  let gen_token rng =
+    match Rng.int rng 8 with
+    | 0 | 1 -> T_int (gen_int rng)
+    | 2 | 3 -> T_float (gen_float rng)
+    | 4 -> T_i64 (Rng.bits64 rng)
+    | 5 -> T_bool (Rng.bool rng)
+    | 6 ->
+        if Rng.bool rng then T_str (gen_string rng (Rng.int rng 24))
+        else T_tag (String.init (1 + Rng.int rng 12) (fun _ -> Char.chr (97 + Rng.int rng 26)))
+    | _ -> T_count (Rng.int rng 400)
+  in
+  let write w = function
+    | T_int v -> Codec.W.int w v
+    | T_i64 v -> Codec.W.i64 w v
+    | T_float v -> Codec.W.float w v
+    | T_bool v -> Codec.W.bool w v
+    | T_str s -> Codec.W.str w s
+    | T_tag name -> Codec.W.tag w name
+    | T_count c -> Codec.W.array w ignore (Array.make c ())
+  in
+  let same_float a b =
+    if Float.is_nan a then Float.is_nan b && Bool.equal (Float.sign_bit a) (Float.sign_bit b)
+    else Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+  in
+  let read_back r = function
+    | T_int v -> Codec.R.int r = v
+    | T_i64 v -> Int64.equal (Codec.R.i64 r) v
+    | T_float v -> same_float (Codec.R.float r) v
+    | T_bool v -> Bool.equal (Codec.R.bool r) v
+    | T_str s -> String.equal (Codec.R.str r) s
+    | T_tag name ->
+        Codec.R.tag r name;
+        true
+    | T_count c -> Array.length (Codec.R.array r ignore) = c
+  in
+  let image_of case tokens =
+    let w = Codec.W.create () in
+    match
+      List.iter (write w) tokens;
+      Codec.seal w
+    with
+    | image -> image
+    | exception e -> fail_case prop case "the writer raises %s" (Printexc.to_string e)
+  in
+  if Codec.crc32 "123456789" 0 9 <> 0xcbf43926 || Container.crc32 "123456789" <> 0xcbf43926
+  then fail_case prop 0 "CRC-32 of \"123456789\" is not cbf43926";
+  let tokens_total = ref 0 and floats = ref 0 and bytes = ref 0 and ranges = ref 0 in
+  for case = 0 to cases - 1 do
+    let rng = case_rng (900_000 + case) in
+    let n = if case mod 8 = 7 then 6000 + Rng.int rng 2000 else Rng.int rng 300 in
+    let tokens = List.init n (fun _ -> gen_token rng) in
+    (* a long string now and then: one token larger than the writer's
+       first buffer *)
+    let tokens =
+      if case mod 16 = 15 then T_str (gen_string rng (70_000 + Rng.int rng 70_000)) :: tokens
+      else tokens
+    in
+    let payload = String.concat "" (List.map reference_token tokens) in
+    let image = image_of case tokens in
+    if not (String.equal image (Container.wrap payload)) then begin
+      (* name the first token the writer gets wrong on its own *)
+      List.iteri
+        (fun i t ->
+          let want = Container.wrap (reference_token t) and got = image_of case [ t ] in
+          if not (String.equal got want) then
+            fail_case prop case "token %d: writer %S, reference %S" i got want)
+        tokens;
+      fail_case prop case "image of %d tokens differs from the reference writer's" n
+    end;
+    (match Codec.decode image with
+    | Ok p when String.equal p payload -> ()
+    | Ok _ -> fail_case prop case "decode gives another payload back"
+    | Error e -> fail_case prop case "decode refuses the image: %s" (Codec.error_to_string e));
+    let r = Codec.R.create payload in
+    List.iteri
+      (fun i t ->
+        match read_back r t with
+        | true -> ()
+        | false -> fail_case prop case "token %d reads back as another value" i
+        | exception Codec.Error e ->
+            fail_case prop case "token %d does not read back: %s" i (Codec.error_to_string e))
+      tokens;
+    (try Codec.R.eof r
+     with Codec.Error e -> fail_case prop case "%s" (Codec.error_to_string e));
+    let s = gen_string rng 72 in
+    for off = 0 to 7 do
+      for len = 0 to 64 do
+        if Codec.crc32 s off len <> Container.crc32 (String.sub s off len) then
+          fail_case prop case "crc32 at offset %d, length %d differs from the bitwise CRC" off
+            len;
+        incr ranges
+      done
+    done;
+    tokens_total := !tokens_total + List.length tokens;
+    floats :=
+      !floats + List.length (List.filter (function T_float _ -> true | _ -> false) tokens);
+    bytes := !bytes + String.length image
+  done;
+  Printf.printf
+    "%s: %d streams, %d tokens (%d floats), %d image bytes equal the reference writer's and read back, %d CRC ranges match the bitwise CRC [ok]\n"
+    prop cases !tokens_total !floats !bytes !ranges
+
 let () =
   Printf.printf "bwc property harness (seed %d, %d churn sequences)\n" seed cases;
   churn_differential ();
@@ -1197,4 +1386,5 @@ let () =
   snapshot_anywhere ();
   cached_space ();
   fixpoint_oracle ();
+  codec_oracle ();
   Printf.printf "all properties hold\n"

@@ -67,7 +67,7 @@ let present c = String.equal (token c 'b') "1"
 (* slot references and CRT rows are both counted ints *)
 let skip_ints c = ignore (counted c (fun () -> int c) : int array)
 
-let reencode c = Codec.encode (String.concat "\n" (Array.to_list c.lines))
+let reencode c = Container.wrap (String.concat "\n" (Array.to_list c.lines))
 
 (* [image] with the first reference of the first node's first aggrNode
    table replaced by [slot], in a fresh container *)

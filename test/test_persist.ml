@@ -3,10 +3,10 @@
    identity, restart-without-reconvergence (a warm restore is already at
    the fixed point and behaves byte-identically to the system that never
    crashed), graceful degradation to cold start, what an image refuses
-   to hold (a failure detector, a crashed member), rotated generations,
-   the protocol section's node-info slot table, format versions, and
-   protocol dumps whose links disagree with the overlay or with their
-   peers. *)
+   to hold (a failure detector, a crashed member), rotated generations
+   and writes that fail, the protocol section's node-info slot table,
+   format versions, and protocol dumps whose links disagree with the
+   overlay or with their peers. *)
 
 module Rng = Bwc_stats.Rng
 module Fault = Bwc_sim.Fault
@@ -36,17 +36,24 @@ let err_name = function
   | Codec.Truncated -> "truncated"
   | Codec.Bad_checksum -> "bad_checksum"
   | Codec.Corrupt _ -> "corrupt"
+  | Codec.Io _ -> "io"
 
 (* ----- codec container ----- *)
 
 let test_container_roundtrip () =
   let payload = "i 42\nf 0x1.8p+1\ns 5 he\nlo\n" in
-  match Codec.decode (Codec.encode payload) with
+  let w = Codec.W.create () in
+  Codec.W.int w 42;
+  Codec.W.float w 3.0;
+  Codec.W.str w "he\nlo";
+  let image = Codec.seal w in
+  Alcotest.(check string) "the plain container" (Container.wrap payload) image;
+  match Codec.decode image with
   | Ok p -> Alcotest.(check string) "payload back" payload p
   | Error e -> Alcotest.failf "container: %s" (Codec.error_to_string e)
 
 let test_container_rejects () =
-  let good = Codec.encode "i 1\n" in
+  let good = Container.wrap "i 1\n" in
   let check_err name want bytes =
     match Codec.decode bytes with
     | Ok _ -> Alcotest.failf "%s: accepted" name
@@ -73,7 +80,11 @@ let test_float_roundtrip_exact () =
     [ 0.; -0.; 1.5; Float.pi; 1e-308; 1.0 /. 3.0; infinity; neg_infinity; 4.25e17 ]
   in
   List.iter (Codec.W.float w) values;
-  let r = Codec.R.create (Codec.W.contents w) in
+  let r =
+    match Codec.decode (Codec.seal w) with
+    | Ok payload -> Codec.R.create payload
+    | Error e -> Alcotest.failf "container: %s" (Codec.error_to_string e)
+  in
   List.iter
     (fun v ->
       let back = Codec.R.float r in
@@ -367,7 +378,7 @@ let test_version_1_refused () =
   | Error e -> Alcotest.failf "version-1 image: %s" (Codec.error_to_string e)
   | Ok _ -> Alcotest.fail "version-1 image accepted");
   (* the same payload under the current version does not parse *)
-  match Snapshot.decode (Codec.encode (payload_of v1)) with
+  match Snapshot.decode (Container.wrap (payload_of v1)) with
   | Error (Codec.Corrupt _) -> ()
   | Error e -> Alcotest.failf "relabelled image: %s" (Codec.error_to_string e)
   | Ok _ -> Alcotest.fail "the version-1 layout decoded as the current version"
@@ -380,7 +391,7 @@ let test_version_2_refused () =
   | Error (Codec.Bad_version 2) -> ()
   | Error e -> Alcotest.failf "version-2 image: %s" (Codec.error_to_string e)
   | Ok _ -> Alcotest.fail "version-2 image accepted");
-  match Snapshot.decode (Codec.encode (payload_of v2)) with
+  match Snapshot.decode (Container.wrap (payload_of v2)) with
   | Error (Codec.Corrupt _) -> ()
   | Error e -> Alcotest.failf "relabelled image: %s" (Codec.error_to_string e)
   | Ok _ -> Alcotest.fail "the version-2 layout decoded as the current version"
@@ -389,7 +400,7 @@ let test_retired_kind_still_corrupt () =
   (* the retired static kind in a current container is refused by its
      kind *)
   let v1 = Codec.read_file "fixtures/snapshot/system-kind.bwcsnap" in
-  match Snapshot.decode (Codec.encode (payload_of v1)) with
+  match Snapshot.decode (Container.wrap (payload_of v1)) with
   | Error (Codec.Corrupt msg) ->
       Alcotest.(check string) "kind named" "unknown snapshot kind \"system\"" msg
   | Error e -> Alcotest.failf "system kind: %s" (Codec.error_to_string e)
@@ -678,11 +689,48 @@ let test_rotate_fallback_across_generations () =
           Alcotest.(check (list int)) "every generation reported" [ 0; 1; 2 ]
             (List.map fst rejected))
 
+(* A failed write is reported, never raised and never half done: with a
+   directory where the temp file would go, rotate's write fails before
+   any generation moves. *)
+let test_rotate_reports_failed_write () =
+  with_rotation_chain (fun path ->
+      let images =
+        List.map (fun seed -> Snapshot.encode (`Dynamic (system ~seed ()))) [ 71; 72; 73 ]
+      in
+      List.iter
+        (fun img ->
+          match Snapshot.rotate ~keep:3 ~path img with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "rotate: %s" (Codec.error_to_string e))
+        images;
+      let chain () = List.map (fun g -> Codec.read_file (Snapshot.gen_path path g)) [ 0; 1; 2 ] in
+      let before = chain () in
+      let tmp = path ^ ".tmp" in
+      Sys.mkdir tmp 0o755;
+      Fun.protect
+        ~finally:(fun () -> Sys.rmdir tmp)
+        (fun () ->
+          match Snapshot.rotate ~keep:3 ~path (Snapshot.encode (`Dynamic (system ~seed:74 ()))) with
+          | Error (Codec.Io _) ->
+              Alcotest.(check (list string)) "every generation byte-identical" before (chain ());
+              Alcotest.(check bool) "the directory is left alone" true (Sys.is_directory tmp)
+          | Error e -> Alcotest.failf "wrong error: %s" (Codec.error_to_string e)
+          | Ok () -> Alcotest.fail "rotate reported a failed write as written"))
+
+let test_snapshot_into_missing_directory () =
+  let dir = Filename.temp_file "bwcsnap_gone" "" in
+  Sys.remove dir;
+  let path = Filename.concat dir "x.bwcsnap" in
+  match Bwc_daemon.Lifecycle.snapshot ~path (system ()) with
+  | Error (Codec.Io _) -> Alcotest.(check bool) "nothing created" false (Sys.file_exists dir)
+  | Error e -> Alcotest.failf "wrong error: %s" (Codec.error_to_string e)
+  | Ok _ -> Alcotest.fail "a snapshot into a missing directory reported written"
+
 (* ----- fault plan validation ----- *)
 
 let test_fault_schedule_validation () =
   (* corrupt_snapshot's stale header is the one the codec rejects *)
-  let mangled = Fault.corrupt_snapshot ~rng:(Rng.create 1) Fault.Stale_version (Codec.encode "i 1\n") in
+  let mangled = Fault.corrupt_snapshot ~rng:(Rng.create 1) Fault.Stale_version (Container.wrap "i 1\n") in
   match Codec.decode mangled with
   | Error (Codec.Bad_version 999) -> ()
   | Error e -> Alcotest.failf "stale version surfaced as %s" (Codec.error_to_string e)
@@ -715,6 +763,10 @@ let () =
             test_rotate_never_displaces_valid_image;
           Alcotest.test_case "rotate fallback chain" `Quick
             test_rotate_fallback_across_generations;
+          Alcotest.test_case "rotate reports a failed write" `Quick
+            test_rotate_reports_failed_write;
+          Alcotest.test_case "snapshot into a missing directory" `Quick
+            test_snapshot_into_missing_directory;
         ] );
       ( "slot_table",
         [
