@@ -17,9 +17,6 @@ let section title =
   Format.printf "== %s@." title;
   Format.printf "==================================================================@."
 
-let write_file path contents =
-  Out_channel.with_open_text path (fun oc -> output_string oc contents)
-
 (* the experiments' acceptance gates: any failure line fails the bench *)
 let enforce tag failures =
   List.iter (fun m -> Format.eprintf "%s: %s@." tag m) failures;
@@ -158,7 +155,8 @@ let index_churn () =
       ~seed:1 ()
   in
   Bwc_experiments.Scalability.print_churn rows;
-  write_file "BENCH_index.json" (Bwc_experiments.Scalability.churn_to_json rows ~seed:1);
+  Bwc_persist.Codec.write_file "BENCH_index.json"
+    (Bwc_experiments.Scalability.churn_to_json rows ~seed:1);
   Format.printf "churn sweep written to BENCH_index.json@.";
   enforce "E14" (Bwc_experiments.Scalability.churn_gate rows)
 
@@ -271,7 +269,7 @@ let trace_overhead () =
            string_of_int retained;
          ])
        rows);
-  write_file "BENCH_trace_overhead.json"
+  Bwc_persist.Codec.write_file "BENCH_trace_overhead.json"
     (trace_overhead_json ~dataset:ds.Dataset.name ~hosts:n ~queries ~repeats ~capacity
        ~overhead_pct rows);
   Format.printf "trace overhead written to BENCH_trace_overhead.json@."
@@ -337,10 +335,12 @@ let micro_tests () =
     Bwc_dataset.Planetlab.generate ~rng:(Rng.create 13) ~name:"hp-like"
       { Bwc_dataset.Planetlab.hp_target with n }
   in
+  let churn_ds = hp 384 in
+  let members = Array.sub (Rng.sample_without_replacement (Rng.create 14) 384 384) 0 288 in
+  let idx =
+    Bwc_core.Find_cluster.Index.build_subset (Dataset.metric churn_ds) (Array.to_list members)
+  in
   let churn_bench =
-    let space = Dataset.metric (hp 384) in
-    let members = Array.sub (Rng.sample_without_replacement (Rng.create 14) 384 384) 0 288 in
-    let idx = Bwc_core.Find_cluster.Index.build_subset space (Array.to_list members) in
     let next = ref 0 in
     Test.make ~name:"index-leave+join n=384 a=288"
       (Staged.stage (fun () ->
@@ -348,6 +348,44 @@ let micro_tests () =
            next := (!next + 1) mod Array.length members;
            Bwc_core.Find_cluster.Index.remove_host idx h;
            Bwc_core.Find_cluster.Index.add_host idx h))
+  in
+  (* [Index.find] on the same index, cycling through two fixed probe
+     sets: perfbench's query mix (k in 2-12, b uniform over the 5th-95th
+     percentile bandwidths), most of which an early pair answers, and
+     the hardest feasible probe at each of those constraints
+     (k = max_size l), most of which only a late pair answers; each
+     also with ~verify, whose failed clusters send the walk on *)
+  let index_find =
+    let rng = Rng.create 16 in
+    let lo, hi = Dataset.percentile_range churn_ds ~lo:5. ~hi:95. in
+    let mix =
+      Array.init 64 (fun _ ->
+          let k = 2 + Rng.int rng 11 in
+          (k, Bwc_metric.Bandwidth.to_distance (lo +. Rng.float rng (hi -. lo))))
+    in
+    let hardest =
+      Array.of_list
+        (List.filter_map
+           (fun (_, l) ->
+             let k = Bwc_core.Find_cluster.Index.max_size idx ~l in
+             if k >= 2 then Some (k, l) else None)
+           (Array.to_list mix))
+    in
+    List.map
+      (fun (set, verify, probes) ->
+        let next = ref 0 in
+        Test.make
+          ~name:(Printf.sprintf "index-find n=384 a=288 %s" set)
+          (Staged.stage (fun () ->
+               let k, l = probes.(!next) in
+               next := (!next + 1) mod Array.length probes;
+               ignore (Bwc_core.Find_cluster.Index.find ~verify idx ~k ~l))))
+      [
+        ("mix", false, mix);
+        ("hardest", false, hardest);
+        ("mix verified", true, mix);
+        ("hardest verified", true, hardest);
+      ]
   in
   let own_row =
     let ds = hp 190 in
@@ -384,6 +422,7 @@ let micro_tests () =
          alg1;
          index_build;
          [ query_bench; label_bench; kdiam_bench; churn_bench ];
+         index_find;
          own_row;
          codec;
        ])
@@ -436,7 +475,7 @@ let daemon () =
     Bwc_experiments.Overload.run ~ticks:(if full then 600 else 200) ~seed:5 ds
   in
   Bwc_experiments.Overload.print out;
-  write_file "BENCH_daemon.json" (Bwc_experiments.Overload.to_json out);
+  Bwc_persist.Codec.write_file "BENCH_daemon.json" (Bwc_experiments.Overload.to_json out);
   Format.printf "overload sweep written to BENCH_daemon.json@.";
   enforce "E17" (Bwc_experiments.Overload.gate out)
 

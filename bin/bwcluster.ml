@@ -53,8 +53,9 @@ let write_with save path =
     Format.eprintf "bwcluster: cannot write %s: %s@." path reason;
     exit exit_io
 
-let write_string contents path =
-  Out_channel.with_open_text path (fun oc -> output_string oc contents)
+(* whole or not at all: a failed write, its final flush included,
+   raises [Sys_error] and leaves neither the file nor its temp file *)
+let write_string contents path = Bwc_persist.Codec.write_file path contents
 
 let json_arg doc =
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
@@ -523,7 +524,7 @@ let dynamic_cmd =
 
 let gen seed dataset output =
   let ds = load_dataset ~seed dataset in
-  write_with (Bwc_dataset.Dataset.save_csv ds) output;
+  write_with (write_string (Bwc_dataset.Dataset.to_csv ds)) output;
   let lo, hi = Bwc_dataset.Dataset.percentile_range ds ~lo:20.0 ~hi:80.0 in
   Format.printf "wrote %s: %d hosts, bandwidth p20=%.1f p80=%.1f Mbps@." output
     (Bwc_dataset.Dataset.size ds) lo hi

@@ -117,17 +117,15 @@ let max_sizes space ~ls =
   best
 
 module Index = struct
-  (* Struct-of-arrays over the universe's dense matrix.  A pair u < v of
-     members is keyed by [u * n + v], its index in the space's matrix; its
-     count |S*_uv ∩ members| lives at the same index of [size], so [find]
-     and [dump] read counts by (u, v) with no hash table.  The query order
-     is two parallel arrays sorted by (d, u, v) — equivalently by
-     (d, key) — the distances and the endpoints packed into one int, with
-     the running maximum of the counts along it.
+  (* Struct-of-arrays over the member pairs, in the query order (d, u, v):
+     the distances, each pair's entry (its endpoints and its count
+     |S*_uv ∩ members| packed into one int, see [pack]) and the running
+     maximum of the counts along the order.  A count travels with its
+     pair, so a membership delta reads and writes only these sequential
+     arrays and the moving host's matrix row.
 
-     A membership delta touches every pair once, streaming those arrays
-     against the moving host's matrix row; pair distances never change,
-     so counts are repaired in place and only the moving host's own pairs
+     A delta touches every pair once: pair distances never change, so
+     counts are repaired in place and only the moving host's own pairs
      enter or leave the order.  The pair arrays are sized for the whole
      universe up front, so neither delta allocates anything proportional
      to the pair count. *)
@@ -136,39 +134,52 @@ module Index = struct
     active : bool array; (* membership flag per universe point *)
     members : int array; (* ascending member ids in [0, a) *)
     mutable a : int;
-    size : int array;    (* |S*_uv ∩ members| at u * n + v, u < v members *)
     mutable m : int;     (* pairs in the order: a (a - 1) / 2 *)
     pd : Float.Array.t;  (* ascending (d, u, v) over [0, m) *)
-    pe : int array;      (* endpoints along it, packed (see [pack]) *)
-    prefix : int array;  (* running max of the counts along that order *)
+    pe : int array;      (* entries along it (see [pack]) *)
+    prefix : int array;  (* running max of the counts along it *)
   }
 
-  (* A pair's endpoints u < v packed as [u lsl bits lor v].  With
-     v < n <= 2^bits, packed values order pairs as their keys [u * n + v]
-     do, so tie-breaks compare them directly. *)
-  let bits = 20
-  let low = (1 lsl bits) - 1
-  let pack n key = ((key / n) lsl bits) lor (key mod n)
+  (* A pair u < v with count c is the entry [u lsl 41 lor v lsl 21 lor c],
+     and [e lsr cbits] is the pair's code [u lsl 20 lor v].  With u, v <
+     n <= 2^20 and c <= a <= 2^20 < 2^21 the fields never overlap, so the
+     entries of distinct pairs order as their codes, and so as their keys
+     [u * n + v], do, whatever their counts: tie-breaks compare entries
+     directly, and a delta adds or subtracts a count's bit in place. *)
+  let vbits = 20
+  let cbits = 21
+  let vmask = (1 lsl vbits) - 1
+  let cmask = (1 lsl cbits) - 1
+  let pack u v c = (u lsl (vbits + cbits)) lor (v lsl cbits) lor c
+  let[@inline] u_of e = e lsr (vbits + cbits)
+  let[@inline] v_of e = (e lsr cbits) land vmask
+  let[@inline] count_of e = e land cmask
 
-  let create space =
-    let n = space.Space.n in
-    if n > 1 lsl bits then invalid_arg "Find_cluster.Index: universe too large to index";
+  (* An index over [members] (ascending, in range) with an empty order
+     and room for every pair of the universe. *)
+  let create space members =
+    let n = space.Space.n and a = Array.length members in
+    if n > 1 lsl vbits then invalid_arg "Find_cluster.Index: universe too large to index";
     let cap = n * (n - 1) / 2 in
-    {
-      space;
-      active = Array.make n false;
-      members = Array.make n 0;
-      a = 0;
-      size = Array.make (n * n) 0;
-      m = 0;
-      pd = Float.Array.make cap 0.0;
-      pe = Array.make cap 0;
-      prefix = Array.make cap 0;
-    }
+    let t =
+      {
+        space;
+        active = Array.make n false;
+        members = Array.make n 0;
+        a;
+        m = 0;
+        pd = Float.Array.create cap;
+        pe = Array.make cap 0;
+        prefix = Array.make cap 0;
+      }
+    in
+    Array.blit members 0 t.members 0 a;
+    Array.iter (fun h -> t.active.(h) <- true) members;
+    t
 
-  (* The (d, u, v) order on pair keys: distance first (what the binary
-     search needs), then the key, which orders (u, v) lexicographically
-     and makes merges and rebuilds byte-deterministic. *)
+  (* The (d, u, v) order on pair keys [u * n + v]: distance first (what
+     the binary search needs), then the key, which orders (u, v)
+     lexicographically and makes merges and rebuilds byte-deterministic. *)
   let key_cmp d a b =
     let c = Float.compare (Float.Array.get d a) (Float.Array.get d b) in
     if c <> 0 then c else Int.compare a b
@@ -186,40 +197,45 @@ module Index = struct
     done;
     !count
 
-  let set_pair t pos key =
-    Float.Array.set t.pd pos (Float.Array.get t.space.Space.d key);
-    t.pe.(pos) <- pack t.space.Space.n key
+  (* The position of members i < j's pair in row-major order, and each
+     member's rank among the members: how counts reach the dump's
+     row-major table and come back from it. *)
+  let row_major a i j = (i * ((2 * a) - i - 1) / 2) + (j - i - 1)
+
+  let ranks t =
+    let rank = Array.make t.space.Space.n 0 in
+    for i = 0 to t.a - 1 do
+      rank.(t.members.(i)) <- i
+    done;
+    rank
 
   let refresh_prefix t =
-    let n = t.space.Space.n in
     let run = ref 0 in
     for k = 0 to t.m - 1 do
-      let e = t.pe.(k) in
-      run := Int.max !run t.size.(((e lsr bits) * n) + (e land low));
+      run := Int.max !run (count_of t.pe.(k));
       t.prefix.(k) <- !run
     done
 
-  (* An index over [members] (ascending, in range) whose pair at
-     row-major position [pos] over (i, j), i < j, of [members] has count
-     [count t pos u v]. *)
-  let load space members ~count =
-    let t = create space in
-    let n = space.Space.n and a = Array.length members in
-    Array.blit members 0 t.members 0 a;
-    Array.iter (fun h -> t.active.(h) <- true) members;
-    t.a <- a;
-    let keys = Array.make (a * (a - 1) / 2) 0 in
+  (* Sorts the members' pairs into the order by their keys, then attaches
+     each pair's count [sizes.(row_major a i j)]. *)
+  let fill t sizes =
+    let n = t.space.Space.n and d = t.space.Space.d and a = t.a in
+    let keys = Array.make (Array.length sizes) 0 in
     let pos = ref 0 in
     for i = 0 to a - 1 do
       for j = i + 1 to a - 1 do
-        let u = members.(i) and v = members.(j) in
-        t.size.((u * n) + v) <- count t !pos u v;
-        keys.(!pos) <- (u * n) + v;
+        keys.(!pos) <- (t.members.(i) * n) + t.members.(j);
         incr pos
       done
     done;
-    Array.stable_sort (key_cmp space.Space.d) keys;
-    Array.iteri (set_pair t) keys;
+    Array.stable_sort (key_cmp d) keys;
+    let rank = ranks t in
+    Array.iteri
+      (fun r key ->
+        let u = key / n and v = key mod n in
+        Float.Array.set t.pd r (Float.Array.get d key);
+        t.pe.(r) <- pack u v sizes.(row_major a rank.(u) rank.(v)))
+      keys;
     t.m <- Array.length keys;
     refresh_prefix t;
     t
@@ -231,7 +247,16 @@ module Index = struct
       (fun h ->
         if h < 0 || h >= n then invalid_arg "Find_cluster.Index: host out of range")
       members;
-    load space members ~count:(fun t _ u v -> count_active t ~u ~v)
+    let t = create space members in
+    let sizes = Array.make (t.a * (t.a - 1) / 2) 0 in
+    let pos = ref 0 in
+    for i = 0 to t.a - 1 do
+      for j = i + 1 to t.a - 1 do
+        sizes.(!pos) <- count_active t ~u:t.members.(i) ~v:t.members.(j);
+        incr pos
+      done
+    done;
+    fill t sizes
 
   let build space = build_subset space (List.init space.Space.n Fun.id)
 
@@ -240,10 +265,12 @@ module Index = struct
 
   (* ----- incremental maintenance ----- *)
 
-  (* Rank of the first pair in [0, hi) of the order that sorts after the
-     pair keyed [key], a fresh pair not yet in the order. *)
-  let slot t ~hi key =
-    let dk = Float.Array.get t.space.Space.d key and ek = pack t.space.Space.n key in
+  (* Rank of the first pair in [0, hi) of the order that sorts at or
+     after the pair u < v: a fresh pair's slot, or a present pair's own
+     rank. *)
+  let slot t ~hi u v =
+    let dk = Float.Array.get t.space.Space.d ((u * t.space.Space.n) + v)
+    and ek = pack u v 0 in
     let lo = ref 0 and hi = ref hi in
     while !lo < !hi do
       let mid = (!lo + !hi) lsr 1 in
@@ -256,17 +283,32 @@ module Index = struct
     let n = t.space.Space.n and d = t.space.Space.d in
     if h < 0 || h >= n then invalid_arg "Find_cluster.Index.add_host: host out of range";
     if t.active.(h) then invalid_arg "Find_cluster.Index.add_host: already a member";
-    (* 1. the newcomer's own pairs, sized against the members before it:
-       the streaming pass below counts the newcomer into their balls as
-       into every other *)
-    let rh = h * n in
+    (* 1. the newcomer's own pairs, by key, sorted in place *)
     let fresh = Array.make t.a 0 in
     for i = 0 to t.a - 1 do
       let p = t.members.(i) in
-      let key = if p < h then (p * n) + h else rh + p in
-      t.size.(key) <- count_active t ~u:p ~v:h;
-      fresh.(i) <- key
+      fresh.(i) <- (if p < h then (p * n) + h else (h * n) + p)
     done;
+    Array.sort (key_cmp d) fresh;
+    (* 2. they merge into the sorted run from the largest down, each
+       sized against the members before the newcomer: the streaming pass
+       below counts it into their balls as into every other.  Each one's
+       slot is found by binary search, and the old pairs above it move
+       up in one copy (a loop for the int array) *)
+    let hi = ref t.m in
+    for j = t.a - 1 downto 0 do
+      let key = fresh.(j) in
+      let u = key / n and v = key mod n in
+      let pos = slot t ~hi:!hi u v in
+      Float.Array.blit t.pd pos t.pd (pos + j + 1) (!hi - pos);
+      for k = !hi - 1 downto pos do
+        t.pe.(k + j + 1) <- t.pe.(k)
+      done;
+      Float.Array.set t.pd (pos + j) (Float.Array.get d key);
+      t.pe.(pos + j) <- pack u v (count_active t ~u ~v);
+      hi := pos
+    done;
+    t.m <- t.m + t.a;
     t.active.(h) <- true;
     let i = ref t.a in
     while !i > 0 && t.members.(!i - 1) > h do
@@ -275,34 +317,23 @@ module Index = struct
     done;
     t.members.(!i) <- h;
     t.a <- t.a + 1;
-    (* 2. only the fresh pairs are sorted (in place).  They merge into the
-       sorted run from the largest down: each one's slot is found by
-       binary search, and the old pairs above it move up in one copy
-       (a loop for the int array: [Array.blit] would pay a write barrier
-       per element) *)
-    Array.sort (key_cmp d) fresh;
-    let hi = ref t.m in
-    for j = Array.length fresh - 1 downto 0 do
-      let pos = slot t ~hi:!hi fresh.(j) in
-      Float.Array.blit t.pd pos t.pd (pos + j + 1) (!hi - pos);
-      for k = !hi - 1 downto pos do
-        t.pe.(k + j + 1) <- t.pe.(k)
-      done;
-      set_pair t (pos + j) fresh.(j);
-      hi := pos
-    done;
-    t.m <- t.m + Array.length fresh;
     (* 3. one streaming pass against the newcomer's row: every pair whose
-       ball it falls into grows, and the prefix maxima follow *)
+       ball it falls into adds one to its entry's count, and the prefix
+       maxima follow *)
+    let rh = h * n and pd = t.pd and pe = t.pe and prefix = t.prefix in
     let run = ref 0 in
     for k = 0 to t.m - 1 do
-      let e = t.pe.(k) in
-      let u = e lsr bits and v = e land low in
-      let key = (u * n) + v and duv = Float.Array.get t.pd k in
-      let s = t.size.(key) + in_ball (Float.Array.get d (rh + u)) (Float.Array.get d (rh + v)) duv in
-      t.size.(key) <- s;
-      run := Int.max !run s;
-      t.prefix.(k) <- !run
+      let e = pe.(k) in
+      let e =
+        e
+        + in_ball
+            (Float.Array.get d (rh + u_of e))
+            (Float.Array.get d (rh + v_of e))
+            (Float.Array.get pd k)
+      in
+      pe.(k) <- e;
+      run := Int.max !run (count_of e);
+      prefix.(k) <- !run
     done
 
   let remove_host t h =
@@ -316,23 +347,20 @@ module Index = struct
     Array.blit t.members (!i + 1) t.members !i (t.a - !i - 1);
     t.a <- t.a - 1;
     (* one compacting pass against the departed host's row: it leaves
-       every ball it was counted in, its own pairs leave the order (the
-       write cursor advances by their keep bit; their counts go stale,
-       unread until a join sizes them afresh), and the prefix maxima
-       follow *)
-    let rh = h * n in
+       every ball it was counted in, its own pairs leave the order with
+       their counts (the write cursor advances by their keep bit), and
+       the prefix maxima follow *)
+    let rh = h * n and pd = t.pd and pe = t.pe and prefix = t.prefix in
     let w = ref 0 and run = ref 0 in
     for k = 0 to t.m - 1 do
-      let e = t.pe.(k) in
-      let u = e lsr bits and v = e land low in
-      let key = (u * n) + v and duv = Float.Array.get t.pd k in
-      let s = t.size.(key) - in_ball (Float.Array.get d (rh + u)) (Float.Array.get d (rh + v)) duv in
-      t.size.(key) <- s;
+      let e = pe.(k) in
+      let u = u_of e and v = v_of e and duv = Float.Array.get pd k in
+      let e = e - in_ball (Float.Array.get d (rh + u)) (Float.Array.get d (rh + v)) duv in
       let keep = Bool.to_int (u <> h) land Bool.to_int (v <> h) in
-      Float.Array.set t.pd !w duv;
-      t.pe.(!w) <- e;
-      run := Int.max !run (keep * s);
-      t.prefix.(!w) <- !run;
+      Float.Array.set pd !w duv;
+      pe.(!w) <- e;
+      run := Int.max !run (keep * count_of e);
+      prefix.(!w) <- !run;
       w := !w + keep
     done;
     t.m <- !w
@@ -341,14 +369,12 @@ module Index = struct
 
   (* Rank of the last sorted pair with distance <= l, or -1. *)
   let last_within t l =
-    let rec search lo hi =
-      if lo >= hi then lo - 1
-      else begin
-        let mid = (lo + hi) / 2 in
-        if Float.Array.get t.pd mid <= l then search (mid + 1) hi else search lo mid
-      end
-    in
-    search 0 t.m
+    let lo = ref 0 and hi = ref t.m in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if Float.Array.get t.pd mid <= l then lo := mid + 1 else hi := mid
+    done;
+    !lo - 1
 
   let exists t ~k ~l =
     if k < 2 then invalid_arg "Find_cluster.Index.exists: k < 2";
@@ -362,49 +388,113 @@ module Index = struct
       if limit < 0 then 1 else Int.max 1 t.prefix.(limit)
     end
 
-  (* S*_uv restricted to the active members, ascending host id. *)
-  let members_active t ~u ~v duv =
-    let n = t.space.Space.n and d = t.space.Space.d in
-    let out = ref [] in
-    for i = t.a - 1 downto 0 do
-      let x = t.members.(i) in
-      if Float.Array.get d ((u * n) + x) <= duv && Float.Array.get d ((v * n) + x) <= duv then
-        out := x :: !out
-    done;
-    !out
+  (* Whether member [x] is one of S*_uv's others, neither u nor v. *)
+  let[@inline] other d ~u ~v ru rv duv x =
+    x <> u && x <> v
+    && in_ball (Float.Array.get d (ru + x)) (Float.Array.get d (rv + x)) duv = 1
 
-  (* Member pairs in index order, as the one-shot [find] scans them. *)
+  (* [pick_k] over S*_uv ∩ members, which holds at least k of them: u, v,
+     then the ball's first k - 2 others by ascending id.  The first loop
+     finds where the last of those sits and the second conses them back
+     to front, so only the answer is allocated. *)
+  let cluster t ~u ~v k =
+    let n = t.space.Space.n and d = t.space.Space.d in
+    let ru = u * n and rv = v * n in
+    let duv = Float.Array.get d (ru + v) in
+    let stop = ref 0 and need = ref (k - 2) in
+    while !need > 0 do
+      if other d ~u ~v ru rv duv t.members.(!stop) then decr need;
+      incr stop
+    done;
+    let out = ref [] in
+    for i = !stop - 1 downto 0 do
+      let x = t.members.(i) in
+      if other d ~u ~v ru rv duv x then out := x :: !out
+    done;
+    u :: v :: !out
+
+  (* The least pair code above [after] among ranks [0, hi) whose count
+     reaches [k], or [max_int].  The count test keeps its branch: the
+     pass runs once the walk has looked up [1 + hi / 128] pairs without
+     a hit, so hits are rare and the branch is predicted (a mask and
+     [Int.min] per pair made the hardest probes 40% slower). *)
+  let least_above t ~hi ~k ~after =
+    let pe = t.pe and best = ref max_int in
+    for r = 0 to hi - 1 do
+      let e = pe.(r) in
+      let c = e lsr cbits in
+      if count_of e >= k && c > after && c < !best then best := c
+    done;
+    !best
+
+  (* The rank of member [x] among the members. *)
+  let rank_of t x =
+    let lo = ref 0 and hi = ref t.a in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if t.members.(mid) < x then lo := mid + 1 else hi := mid
+    done;
+    !lo
+
+  (* Member pairs in index order, as the one-shot [find] scans them.  The
+     walk visits them row by row from members i < j (j = a ends row i)
+     and reads each candidate's count (a pair within l) at its rank in
+     [0, hi), by [slot]'s binary search.  After [1 + hi / 128] lookups it
+     hands over to the pass, which takes the least code above the last
+     looked-up pair among the ranks whose count reaches k: the pair the
+     walk would have come to next.  A pair whose cluster fails the check
+     sends the walk on from the next pair with a fresh budget, so each
+     failure costs lookups, not a pass.  A query that an early pair
+     answers costs a few lookups, a hard one a pass over the pairs
+     within l. *)
+  let rec walk ~verify t ~hi ~k ~l i j =
+    let n = t.space.Space.n and d = t.space.Space.d in
+    let result = ref None and lookups = ref (1 + (hi / 128)) and after = ref (-1) in
+    let i = ref i and j = ref j in
+    if !j = t.a then begin
+      incr i;
+      j := !i + 1
+    end;
+    while Option.is_none !result && !lookups > 0 && !i < t.a - 1 do
+      let u = t.members.(!i) and v = t.members.(!j) in
+      if Float.Array.get d ((u * n) + v) <= l then begin
+        decr lookups;
+        after := (u lsl vbits) lor v;
+        if count_of t.pe.(slot t ~hi u v) >= k then begin
+          let cluster = cluster t ~u ~v k in
+          if cluster_ok ~verify t.space ~l cluster then result := Some cluster
+        end
+      end;
+      incr j;
+      if !j = t.a then begin
+        incr i;
+        j := !i + 1
+      end
+    done;
+    if Option.is_some !result || !i >= t.a - 1 then !result
+    else pass ~verify t ~hi ~k ~l ~after:!after
+
+  and pass ~verify t ~hi ~k ~l ~after =
+    let c = least_above t ~hi ~k ~after in
+    if c = max_int then None
+    else begin
+      let u = c lsr vbits and v = c land vmask in
+      let cluster = cluster t ~u ~v k in
+      if cluster_ok ~verify t.space ~l cluster then Some cluster
+      else walk ~verify t ~hi ~k ~l (rank_of t u) (rank_of t v + 1)
+    end
+
   let find ?(verify = false) t ~k ~l =
     if k < 2 then invalid_arg "Find_cluster.Index.find: k < 2";
-    if not (exists t ~k ~l) then None
-    else begin
-      let n = t.space.Space.n and d = t.space.Space.d in
-      let result = ref None in
-      (try
-         for i = 0 to t.a - 1 do
-           for j = i + 1 to t.a - 1 do
-             let u = t.members.(i) and v = t.members.(j) in
-             let key = (u * n) + v in
-             let duv = Float.Array.get d key in
-             if duv <= l && t.size.(key) >= k then begin
-               let cluster = pick_k ~p:u ~q:v k (members_active t ~u ~v duv) in
-               if cluster_ok ~verify t.space ~l cluster then begin
-                 result := Some cluster;
-                 raise Exit
-               end
-             end
-           done
-         done
-       with Exit -> ());
-      !result
-    end
+    let hi = last_within t l + 1 in
+    if hi = 0 || t.prefix.(hi - 1) < k then None else walk ~verify t ~hi ~k ~l 0 1
 
   (* ----- persistence -----
 
-     The dump carries the membership and the per-pair counts; [of_dump]
-     reads pair distances from the caller's universe space.  Using the
-     stored counts (instead of recounting) keeps restore at O(a^2 log a)
-     instead of the O(a^3) of [build_subset]. *)
+     The dump carries the membership and the per-pair counts, row-major;
+     [of_dump] reads pair distances from the caller's universe space.
+     Using the stored counts (instead of recounting) keeps restore at
+     O(a^2 log a) instead of the O(a^3) of [build_subset]. *)
 
   type dump = {
     d_members : int list; (* ascending *)
@@ -412,16 +502,13 @@ module Index = struct
   }
 
   let dump t =
-    let n = t.space.Space.n in
-    let sizes = Array.make (t.a * (t.a - 1) / 2) 0 in
-    let pos = ref 0 in
-    for i = 0 to t.a - 1 do
-      for j = i + 1 to t.a - 1 do
-        sizes.(!pos) <- t.size.((t.members.(i) * n) + t.members.(j));
-        incr pos
-      done
+    let a = t.a and rank = ranks t in
+    let sizes = Array.make (a * (a - 1) / 2) 0 in
+    for r = 0 to t.m - 1 do
+      let e = t.pe.(r) in
+      sizes.(row_major a rank.(u_of e) rank.(v_of e)) <- count_of e
     done;
-    { d_members = Array.to_list (Array.sub t.members 0 t.a); d_sizes = sizes }
+    { d_members = Array.to_list (Array.sub t.members 0 a); d_sizes = sizes }
 
   let of_dump space d =
     let fail msg = invalid_arg ("Find_cluster.Index.of_dump: " ^ msg) in
@@ -434,6 +521,9 @@ module Index = struct
         if i > 0 && members.(i - 1) >= h then fail "members not strictly ascending")
       members;
     if Array.length d.d_sizes <> a * (a - 1) / 2 then fail "size table arity mismatch";
-    Array.iter (fun s -> if s < 0 || s > a then fail "count out of range") d.d_sizes;
-    load space members ~count:(fun _ pos _ _ -> d.d_sizes.(pos))
+    (* a pair's two endpoints lie in its own ball: a count below 2 is
+       corrupt, and would borrow from the endpoints' bits once leaves
+       brought it below 0 *)
+    Array.iter (fun s -> if s < 2 || s > a then fail "count out of range") d.d_sizes;
+    fill (create space members) d.d_sizes
 end

@@ -52,11 +52,12 @@ val max_sizes : Bwc_metric.Space.t -> ls:float array -> int array
     query structures valid (pair distances are immutable, so mutating
     counts in place and merging the O(n) new pairs preserves both the
     sort order and the prefix-max invariant).  An index reserves room for
-    every pair of its universe up front, about [20 n^2] bytes with its
-    per-pair counts, so neither delta reallocates.  A pair's two
-    endpoints pack into one int, so a universe holds at most [2^20]
-    points; {!build}, {!build_subset} and {!of_dump} raise
-    [Invalid_argument] beyond that. *)
+    every pair of its universe up front, 24 bytes a pair (its distance,
+    its endpoints packed with its count, and the running maximum of the
+    counts), about [12 n^2] bytes, so neither delta reallocates.  A
+    pair's endpoints take 20 bits each and its count 21 in one int, so a
+    universe holds at most [2^20] points; {!build}, {!build_subset} and
+    {!of_dump} raise [Invalid_argument] beyond that. *)
 module Index : sig
   type t
 
@@ -88,7 +89,17 @@ module Index : sig
   (** Same result as {!find} on the space restricted to the current
       members (hosts are reported under their universe ids).  [verify]
       (default [false]) skips satisfying pairs whose cluster's real
-      diameter exceeds [l]. *)
+      diameter exceeds [l].
+
+      Cost, with [h] the member pairs within [l]: O(log a) when no pair
+      qualifies.  Otherwise a walk over the member pairs in row-major
+      order reads each candidate's count by an O(log h) binary search,
+      for at most [1 + h / 128] candidates; if none of them answers, a
+      pass over the [h] pairs takes the least remaining (u, v) whose
+      count reaches [k], which is the pair the walk would have reached.
+      A cluster that fails [verify] sends the walk on from the next pair
+      with a fresh budget of lookups.  Without [verify], a query
+      allocates only its answer. *)
 
   val exists : t -> k:int -> l:float -> bool
   val max_size : t -> l:float -> int
@@ -108,6 +119,10 @@ module Index : sig
   (** Reconstructs the index over the given universe space (pair
       distances are read from it; the counts come from the dump, so
       restore is O(a^2 log a) instead of a O(a^3) rebuild).  Validates
-      membership ordering/range and count bounds; raises
-      [Invalid_argument] on any violation. *)
+      membership ordering/range and count bounds (a pair's count lies in
+      [[2, a]]: its endpoints are in its own ball); raises
+      [Invalid_argument] on any violation.  Counts in range are trusted
+      to be exact: an undercount is not detected, and once leaves bring
+      it below zero it corrupts the pair's packed endpoints, not only
+      the answers. *)
 end

@@ -40,20 +40,18 @@ let percentile_range t ~lo ~hi =
   let ps = Bwc_stats.Summary.percentiles (bandwidth_values t) [| lo; hi |] in
   (ps.(0), ps.(1))
 
-let save_csv t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      let n = size t in
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          if j > 0 then output_char oc ',';
-          if i = j then output_string oc "inf"
-          else output_string oc (Printf.sprintf "%.6f" (Dmatrix.get t.bw i j))
-        done;
-        output_char oc '\n'
-      done)
+let to_csv t =
+  let n = size t in
+  let b = Buffer.create (n * n * 11) in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if j > 0 then Buffer.add_char b ',';
+      if i = j then Buffer.add_string b "inf"
+      else Buffer.add_string b (Printf.sprintf "%.6f" (Dmatrix.get t.bw i j))
+    done;
+    Buffer.add_char b '\n'
+  done;
+  Buffer.contents b
 
 let load_csv ~name path =
   let ic = open_in path in

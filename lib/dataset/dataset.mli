@@ -44,10 +44,12 @@ val percentile_range : t -> lo:float -> hi:float -> float * float
     bandwidth distribution — the paper draws query constraints [b] between
     the 20th and 80th percentiles. *)
 
-val save_csv : t -> string -> unit
-(** Writes the full square matrix, one row per line, [inf] on the
-    diagonal. *)
+val to_csv : t -> string
+(** The full square matrix as CSV, one row per line, [inf] on the
+    diagonal.  Callers write it whole ([bwcluster gen] through
+    [Bwc_persist.Codec.write_file]), so a failed write leaves no torn
+    file. *)
 
 val load_csv : name:string -> string -> t
-(** Reads a matrix written by {!save_csv} (or any full square CSV of
+(** Reads a matrix written from {!to_csv} (or any full square CSV of
     positive bandwidths); enforces symmetry by averaging. *)

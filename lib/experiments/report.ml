@@ -69,10 +69,11 @@ let csv_escape cell =
   end
 
 let save_csv columns rows path =
-  Out_channel.with_open_text path (fun oc ->
-      let write_row cells =
-        output_string oc (String.concat "," (List.map csv_escape cells));
-        output_char oc '\n'
-      in
-      write_row (List.map (fun c -> c.csv_header) columns);
-      List.iter (fun r -> write_row (List.map (fun c -> c.csv_cell r) columns)) rows)
+  let b = Buffer.create 4096 in
+  let write_row cells =
+    Buffer.add_string b (String.concat "," (List.map csv_escape cells));
+    Buffer.add_char b '\n'
+  in
+  write_row (List.map (fun c -> c.csv_header) columns);
+  List.iter (fun r -> write_row (List.map (fun c -> c.csv_cell r) columns)) rows;
+  Bwc_persist.Codec.write_file path (Buffer.contents b)

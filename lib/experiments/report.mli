@@ -40,4 +40,6 @@ val print :
 
 val save_csv : 'r column list -> 'r list -> string -> unit
 (** [save_csv columns rows path] writes every column as CSV (header row
-    first).  Cells containing commas or quotes are quoted. *)
+    first).  Cells containing commas or quotes are quoted.  The file is
+    written whole or not at all ({!Bwc_persist.Codec.write_file}): a
+    failure raises [Sys_error] and leaves nothing at [path]. *)

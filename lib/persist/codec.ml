@@ -148,8 +148,21 @@ let decode bytes = Result.map (fun (start, len) -> String.sub bytes start len) (
    first and are renamed into place, so a crash mid-write leaves either
    the old snapshot or the new one, never a torn file.  A write that
    fails, in the final flush included, raises and leaves no temp file
-   behind. *)
+   behind.  A path that exists and is not a regular file (a pipe, a
+   terminal, /dev/stdout) is written in place: there is no file there
+   to replace, and a rename would put one where it stood. *)
 let remove_noerr path = try Sys.remove path with Sys_error _ -> ()
+
+let write_in_place path bytes =
+  let oc = open_out_bin path in
+  match
+    output_string oc bytes;
+    close_out oc
+  with
+  | () -> ()
+  | exception e ->
+      close_out_noerr oc;
+      raise e
 
 let stage path bytes =
   let tmp = path ^ ".tmp" in
@@ -165,11 +178,14 @@ let stage path bytes =
       raise e
 
 let write_file path bytes =
-  let tmp = stage path bytes in
-  try Sys.rename tmp path
-  with e ->
-    remove_noerr tmp;
-    raise e
+  if Sys.file_exists path && not (Sys.is_regular_file path) then write_in_place path bytes
+  else begin
+    let tmp = stage path bytes in
+    try Sys.rename tmp path
+    with e ->
+      remove_noerr tmp;
+      raise e
+  end
 
 let read_file path =
   let ic = open_in_bin path in

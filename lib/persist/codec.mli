@@ -61,7 +61,11 @@ val write_file : string -> string -> unit
 (** Crash-consistent write: {!stage}, then a rename into place, so a
     crash mid-write leaves either the old file or the new one, never a
     torn snapshot.  Raises [Sys_error] on any failure, and then leaves
-    no temp file behind. *)
+    no temp file behind.  The rename replaces what stands at the path:
+    a symbolic link there is replaced, not written through.  A path
+    that exists and is not a regular file (a pipe, a terminal,
+    [/dev/stdout]) is written in place instead, with the same raising
+    close and no temp file. *)
 
 val read_file : string -> string
 (** Whole file, binary.  Raises [Sys_error] like [open_in]. *)

@@ -8,11 +8,15 @@
       Index.build_subset of the same membership and answers (exists,
       max_size, find with and without ~verify) exactly as it, its
       max_size per class equals a one-shot Find_cluster.max_sizes over
-      the members, and three oracles share no code with the index: every
-      dumped pair count and every class's max_size equal a direct count
-      over Space.dist, and every find witness passes a direct distance
-      check; half the sequences run on integer-weighted tree metrics
-      where many pairs share one distance;
+      the members, its find equals the one-shot Find_cluster.find over
+      the restricted space, and oracles that share no code with the
+      index hold: every dumped pair count and every class's max_size
+      equal a direct count over Space.dist, every find witness passes a
+      direct distance check, and find with and without ~verify equals a
+      direct row-major scan; the line counts the finds that ended in the
+      index's walk and in its pass; half the sequences run on
+      integer-weighted tree metrics where many pairs share one
+      distance;
    2. alg1-oracle-tree — on exact tree metrics Algorithm 1 agrees with
       the exact Bron-Kerbosch clique oracle on every (k, l) query;
    3. alg1-oracle-noisy — on noisy near-tree spaces the two may disagree
@@ -191,9 +195,56 @@ let check_direct_counts prop case ~event space members dump =
         members)
     members
 
+(* Algorithm 1 over the members from raw distances alone: member pairs
+   u < v in row-major order, the first within l whose direct count
+   reaches k and, with [verify], whose cluster (u, v, then the ball's
+   first k - 2 other members) passes the diameter check.  Also says
+   whether [Index.find] ends the probe in its walk or in its pass: the
+   walk looks up at most [1 + h / 128] of the h pairs within l, the pass
+   then jumps to the next pair whose count reaches k, and a cluster
+   that fails the check sends the walk on with a fresh budget. *)
+let direct_find ~verify space members ~k ~l =
+  let within =
+    List.concat_map
+      (fun u ->
+        List.filter_map
+          (fun v -> if u < v && Space.dist space u v <= l then Some (u, v) else None)
+          members)
+      members
+  in
+  let budget = 1 + (List.length within / 128) in
+  (* [left] lookups remain to the walk; 0 means the pass runs *)
+  let rec go left = function
+    | [] -> (None, left > 0)
+    | (u, v) :: rest ->
+        let hit = direct_count space members u v >= k in
+        if left = 0 && not hit then go 0 rest
+        else begin
+          let duv = Space.dist space u v in
+          let others =
+            List.filter
+              (fun x ->
+                x <> u && x <> v && Space.dist space x u <= duv && Space.dist space x v <= duv)
+              members
+          in
+          let cluster = u :: v :: List.filteri (fun i _ -> i < k - 2) others in
+          if
+            hit
+            && ((not verify)
+               || Space.diameter space cluster <= l *. (1.0 +. Find_cluster.diam_tol))
+          then (Some cluster, left > 0)
+          else go (if left = 0 then budget else left - 1) rest
+        end
+  in
+  go budget within
+
 (* returns the incremental find answers, without and with ~verify, for
-   the witness check *)
-let check_agreement prop case ~event idx rebuilt ~k ~l =
+   the witness check.  Beside the rebuild, which shares the index's
+   code, [find] must equal the one-shot scan over the restricted space
+   ([one_shot], under universe ids) and the direct row-major oracle;
+   [walked] and [passed] count where the feasible probes ended *)
+let check_agreement prop case ~event space members ~one_shot ~walked ~passed idx rebuilt ~k
+    ~l =
   let e_inc = Index.exists idx ~k ~l and e_reb = Index.exists rebuilt ~k ~l in
   if e_inc <> e_reb then
     fail_case prop case "event %d: exists k=%d l=%.9g: incremental %b, rebuilt %b" event
@@ -205,15 +256,27 @@ let check_agreement prop case ~event idx rebuilt ~k ~l =
   let f_inc = Index.find idx ~k ~l and f_reb = Index.find rebuilt ~k ~l in
   if f_inc <> f_reb then
     fail_case prop case "event %d: find k=%d l=%.9g diverged" event k l;
+  if f_inc <> one_shot ~k ~l then
+    fail_case prop case "event %d: find k=%d l=%.9g differs from the one-shot scan" event k
+      l;
   let v_inc = Index.find ~verify:true idx ~k ~l
   and v_reb = Index.find ~verify:true rebuilt ~k ~l in
   if v_inc <> v_reb then
     fail_case prop case "event %d: verified find k=%d l=%.9g diverged" event k l;
+  List.iter
+    (fun (verify, got) ->
+      let want, in_walk = direct_find ~verify space members ~k ~l in
+      if got <> want then
+        fail_case prop case
+          "event %d: find ~verify:%b k=%d l=%.9g differs from the direct oracle" event verify k l;
+      if e_inc then incr (if in_walk then walked else passed))
+    [ (false, f_inc); (true, v_inc) ];
   List.filter_map Fun.id [ f_inc; v_inc ]
 
 let churn_differential () =
   let prop = "churn-differential" in
   let total_events = ref 0 and total_checks = ref 0 in
+  let walked = ref 0 and passed = ref 0 in
   let sequence case rng n space =
     let values = off_diag_values space in
     let l_max = Array.fold_left Float.max 0.0 values in
@@ -239,6 +302,11 @@ let churn_differential () =
         fail_case prop case "event %d: dump differs from a rebuild's" event;
       incr total_checks;
       check_direct_counts prop case ~event space (members ()) (Index.dump idx);
+      let ids = Array.of_list (members ()) in
+      let restricted = Space.restrict space ids in
+      let one_shot ~k ~l =
+        Option.map (List.map (fun i -> ids.(i))) (Find_cluster.find restricted ~k ~l)
+      in
       (* probe with arbitrary thresholds and with exact pair distances
          (the tie-heavy case the sorted structure must survive) *)
       for _ = 1 to 4 do
@@ -253,7 +321,8 @@ let churn_differential () =
           (fun cl ->
             incr total_checks;
             check_feasible prop case ~event space is_member cl ~k ~l)
-          (check_agreement prop case ~event idx rebuilt ~k ~l)
+          (check_agreement prop case ~event space (members ()) ~one_shot ~walked ~passed idx
+             rebuilt ~k ~l)
       done;
       incr total_checks;
       let ls = Array.init 6 (fun i -> float_of_int i *. l_max /. 5.0) in
@@ -281,8 +350,10 @@ let churn_differential () =
     let n = 8 + Rng.int rng 17 in
     sequence (cases + case) rng n (tie_space rng n)
   done;
-  Printf.printf "%s: %d sequences (%d tie-heavy), %d events, %d checks, 0 divergences [ok]\n"
-    prop (2 * cases) cases !total_events !total_checks
+  Printf.printf
+    "%s: %d sequences (%d tie-heavy), %d events, %d checks, %d finds ended in the walk and %d \
+     in the pass, 0 divergences [ok]\n"
+    prop (2 * cases) cases !total_events !total_checks !walked !passed
 
 (* ----- properties 2 & 3: Algorithm 1 vs the Bron-Kerbosch oracle ----- *)
 

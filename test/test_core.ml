@@ -1766,6 +1766,46 @@ let test_alloc_index_deltas () =
   check_words "add_host" ~bound (words_allocated (fun () -> Find_cluster.Index.add_host idx 17));
   Alcotest.(check int) "membership restored" 200 (Find_cluster.Index.size idx)
 
+(* Words the heap holds after [f], with what it returns kept alive,
+   minus those it held before: [Gc.stat] runs a full major collection
+   and counts the live words. *)
+let words_held f =
+  let live () = (Gc.stat ()).Gc.live_words in
+  let before = live () in
+  let x = f () in
+  let held = live () - before in
+  ignore (Sys.opaque_identity x);
+  float_of_int held
+
+let test_alloc_index_layout () =
+  (* a = 200 members of a 240-point universe.  Measured: 86,540 words,
+     3 n (n - 1) / 2 = 86,040 of them for the distances, entries and
+     prefix maxima of the universe's 28,680 pairs and the rest per
+     universe point.  An n x n count array beside those three arrays
+     held about 144,000. *)
+  let space = tree_space ~seed:31 240 in
+  let n = 240 in
+  let bound = float_of_int ((3 * n * (n - 1) / 2) + (4 * n)) in
+  let held = words_held (fun () -> Find_cluster.Index.build_subset space (List.init 200 Fun.id)) in
+  if held > bound then Alcotest.failf "an index holds %.0f words, bound %.0f" held bound
+
+let test_alloc_index_find () =
+  (* a = 200: k = 8 at the median distance, which the walk answers, and
+     the hardest feasible probe there (k = max_size l = 99), which the
+     pass answers.  Measured: 26 and 299 words, the answer's k list cells
+     and its option, and no more. *)
+  let space = tree_space ~seed:31 240 in
+  let idx = Find_cluster.Index.build_subset space (List.init 200 Fun.id) in
+  let values = Bwc_metric.Dmatrix.off_diagonal_values (Space.to_dmatrix space) in
+  let l = Bwc_stats.Summary.median values in
+  List.iter
+    (fun k ->
+      let found = ref None in
+      let words = words_allocated (fun () -> found := Find_cluster.Index.find idx ~k ~l) in
+      Alcotest.(check bool) "feasible" true (!found <> None);
+      check_words (Printf.sprintf "find k=%d" k) ~bound:(float_of_int ((3 * k) + 2)) words)
+    [ 8; Find_cluster.Index.max_size idx ~l ]
+
 let test_alloc_kernels () =
   (* n = 80: 3,160 pairs and about 250,000 distance reads per full scan.
      Measured: 6 words for [max_sizes] (its result row), 11 for an
@@ -2055,6 +2095,10 @@ let () =
       ( "allocation",
         [
           Alcotest.test_case "index deltas are O(a)" `Quick test_alloc_index_deltas;
+          Alcotest.test_case "an index holds three words a pair" `Quick
+            test_alloc_index_layout;
+          Alcotest.test_case "a feasible find allocates its answer" `Quick
+            test_alloc_index_find;
           Alcotest.test_case "kernels box no distance" `Quick test_alloc_kernels;
           Alcotest.test_case "live query" `Quick test_alloc_live_query;
           Alcotest.test_case "find_feeder reads a x |targets| distances" `Quick

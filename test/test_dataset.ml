@@ -56,7 +56,7 @@ let test_csv_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Dataset.save_csv ds path;
+      Bwc_persist.Codec.write_file path (Dataset.to_csv ds);
       let ds2 = Dataset.load_csv ~name:"csv-test" path in
       Alcotest.(check int) "size" (Dataset.size ds) (Dataset.size ds2);
       for i = 0 to Dataset.size ds - 1 do

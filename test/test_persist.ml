@@ -3,10 +3,11 @@
    identity, restart-without-reconvergence (a warm restore is already at
    the fixed point and behaves byte-identically to the system that never
    crashed), graceful degradation to cold start, what an image refuses
-   to hold (a failure detector, a crashed member), rotated generations
-   and writes that fail, the protocol section's node-info slot table,
-   format versions, and protocol dumps whose links disagree with the
-   overlay or with their peers. *)
+   to hold (a failure detector, a crashed member), rotated generations,
+   writes that fail and writes into a pipe, the protocol section's
+   node-info slot table, format versions, index counts no pair can
+   have, and protocol dumps whose links disagree with the overlay or
+   with their peers. *)
 
 module Rng = Bwc_stats.Rng
 module Fault = Bwc_sim.Fault
@@ -369,6 +370,41 @@ let payload_of bytes =
   let nl2 = String.index_from bytes (nl1 + 1) '\n' in
   String.sub bytes (nl2 + 1) (String.length bytes - nl2 - 1)
 
+(* ----- the centralized index ----- *)
+
+let test_index_count_below_two_corrupt () =
+  (* a pair's endpoints lie in its own ball, so a stored count below 2
+     is corrupt: the image is refused, where a restored undercount would
+     go negative under leaves and borrow from the pair's packed
+     endpoints *)
+  let dyn = system ~n:12 () in
+  let (_ : Bwc_core.Find_cluster.Index.t) = Dynamic.index dyn in
+  let payload = payload_of (Snapshot.encode (`Dynamic dyn)) in
+  (* the index section closes the payload: its tag, the member count and
+     the members, the pair count, then the pairs' counts *)
+  let tag = "\n# index\n" in
+  let rec last i = if String.sub payload i (String.length tag) = tag then i else last (i - 1) in
+  let at = last (String.length payload - String.length tag) + 1 in
+  let lines = String.split_on_char '\n' (String.sub payload at (String.length payload - at)) in
+  let a = int_of_string (String.sub (List.nth lines 1) 2 (String.length (List.nth lines 1) - 2)) in
+  let first_count = a + 3 in
+  let edited =
+    String.concat "\n" (List.mapi (fun i line -> if i = first_count then "i 0" else line) lines)
+  in
+  (match Snapshot.decode (Container.wrap (String.sub payload 0 at ^ edited)) with
+  | Error (Codec.Corrupt msg) ->
+      Alcotest.(check string) "reason" "Find_cluster.Index.of_dump: count out of range" msg
+  | Error e -> Alcotest.failf "a zero count surfaced as %s" (Codec.error_to_string e)
+  | Ok _ -> Alcotest.fail "a zero count restored");
+  let module Index = Bwc_core.Find_cluster.Index in
+  let d = Index.dump (Dynamic.index dyn) in
+  let sizes = Array.copy d.Index.d_sizes in
+  sizes.(0) <- 1;
+  Alcotest.check_raises "a count of 1"
+    (Invalid_argument "Find_cluster.Index.of_dump: count out of range") (fun () ->
+      let space = Bwc_dataset.Dataset.metric ~c:(Dynamic.c dyn) (Dynamic.dataset dyn) in
+      ignore (Index.of_dump space { d with Index.d_sizes = sizes } : Index.t))
+
 let test_version_1_refused () =
   (* an image the version-1 encoder wrote (node infos inline) is refused
      by its version, before its payload is read *)
@@ -605,6 +641,29 @@ let test_save_load_file () =
         (String.equal (Snapshot.encode (`Dynamic sys))
            (Snapshot.encode (`Dynamic restored))))
 
+let test_write_into_a_pipe () =
+  (* a path that is not a regular file is written in place: the bytes
+     reach the pipe's reader, and the pipe stays a pipe *)
+  let dir = Filename.temp_dir "bwcpipe" "" in
+  let path = Filename.concat dir "out" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ path; path ^ ".tmp" ];
+      Sys.rmdir dir)
+    (fun () ->
+      Unix.mkfifo path 0o600;
+      let reader = Unix.openfile path [ Unix.O_RDONLY; Unix.O_NONBLOCK ] 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close reader)
+        (fun () ->
+          Codec.write_file path "through the pipe\n";
+          let buf = Bytes.create 64 in
+          let got = Unix.read reader buf 0 64 in
+          Alcotest.(check string) "bytes read" "through the pipe\n" (Bytes.sub_string buf 0 got);
+          Alcotest.(check bool) "still a pipe" true
+            ((Unix.lstat path).Unix.st_kind = Unix.S_FIFO);
+          Alcotest.(check bool) "no temp file" false (Sys.file_exists (path ^ ".tmp"))))
+
 (* ----- rotation ----- *)
 
 let with_rotation_chain f =
@@ -759,6 +818,7 @@ let () =
           Alcotest.test_case "encode refuses a crashed member" `Quick
             test_encode_refuses_crashed_member;
           Alcotest.test_case "save/load file" `Quick test_save_load_file;
+          Alcotest.test_case "write into a pipe" `Quick test_write_into_a_pipe;
           Alcotest.test_case "rotate refuses garbage" `Quick
             test_rotate_never_displaces_valid_image;
           Alcotest.test_case "rotate fallback chain" `Quick
@@ -786,6 +846,11 @@ let () =
           Alcotest.test_case "version 2 refused" `Quick test_version_2_refused;
           Alcotest.test_case "retired kind still corrupt" `Quick
             test_retired_kind_still_corrupt;
+        ] );
+      ( "index",
+        [
+          Alcotest.test_case "a count below 2 is corrupt" `Quick
+            test_index_count_below_two_corrupt;
         ] );
       ( "links",
         [
