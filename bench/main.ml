@@ -416,6 +416,45 @@ let micro_tests () =
         (Staged.stage (fun () -> ignore (Bwc_persist.Codec.decode image)));
     ]
   in
+  (* a live request's own path on perfbench query_live's system, the
+     seed-1 hp-like n = 190: reading a QUERY line, writing a seven-host
+     OK line, and [Dynamic.query] with its draw of the submission host,
+     cycling through perfbench's query mix (k in 2-12, b uniform over the
+     5th-95th percentile bandwidths) *)
+  let request_path =
+    let answer =
+      Bwc_daemon.Wire.Answer
+        {
+          id = "q1234567";
+          cluster = Some [ 3; 17; 42; 56; 101; 150; 188 ];
+          hops = 0;
+          served = Bwc_daemon.Wire.Live;
+          degraded = false;
+          staleness = 0;
+          bounds = None;
+        }
+    in
+    let ds =
+      Bwc_dataset.Planetlab.generate ~rng:(Rng.create 1) ~name:"hp-like"
+        { Bwc_dataset.Planetlab.hp_target with n = 190 }
+    in
+    let sys = Bwc_core.Dynamic.create ~seed:1 ds in
+    let rng = Rng.create 17 in
+    let lo, hi = Dataset.percentile_range ds ~lo:5. ~hi:95. in
+    let mix = Array.init 64 (fun _ -> (2 + Rng.int rng 11, lo +. Rng.float rng (hi -. lo))) in
+    let next = ref 0 in
+    [
+      Test.make ~name:"wire-parse QUERY"
+        (Staged.stage (fun () -> ignore (Bwc_daemon.Wire.parse "QUERY q1234567 k=7 b=42.5")));
+      Test.make ~name:"wire-render OK k=7"
+        (Staged.stage (fun () -> ignore (Bwc_daemon.Wire.render answer)));
+      Test.make ~name:"dynamic-query n=190"
+        (Staged.stage (fun () ->
+             let k, b = mix.(!next) in
+             next := (!next + 1) land 63;
+             ignore (Bwc_core.Dynamic.query sys ~k ~b)));
+    ]
+  in
   Test.make_grouped ~name:"bwcluster"
     (List.concat
        [
@@ -425,6 +464,7 @@ let micro_tests () =
          index_find;
          own_row;
          codec;
+         request_path;
        ])
 
 let run_micro () =

@@ -57,11 +57,21 @@ let quiet_arg =
   let doc = "Suppress the human-readable report on stdout." in
   Arg.(value & flag & info [ "q"; "quiet" ] ~doc)
 
+(* A report file is written whole or not at all: [Codec.write_file]
+   stages it beside its path and renames it into place.  [false] when the
+   write failed, after saying so. *)
 let write_report file contents =
   match file with
-  | None -> ()
-  | Some "-" -> print_string contents
-  | Some file -> Out_channel.with_open_text file (fun oc -> output_string oc contents)
+  | None -> true
+  | Some "-" ->
+      print_string contents;
+      true
+  | Some file -> (
+      match Bwc_persist.Codec.write_file file contents with
+      | () -> true
+      | exception Sys_error msg ->
+          Format.eprintf "bwclint: cannot write report %s: %s@." file msg;
+          false)
 
 let print_taint_table ppf paths =
   let sources =
@@ -134,10 +144,12 @@ let run paths json sarif taint no_wp list_rules quiet =
           Report.human Format.std_formatter result;
           Report.suppression_audit Format.std_formatter result
         end;
-        write_report json (Report.json result);
-        write_report sarif
-          (Sarif.to_string ~suppressed:result.Engine.suppressed result.Engine.findings);
-        if result.Engine.parse_failed then 2
+        let json_ok = write_report json (Report.json result) in
+        let sarif_ok =
+          write_report sarif
+            (Sarif.to_string ~suppressed:result.Engine.suppressed result.Engine.findings)
+        in
+        if result.Engine.parse_failed || not (json_ok && sarif_ok) then 2
         else if result.Engine.findings <> [] then 1
         else 0
 
@@ -164,8 +176,9 @@ let cmd =
          reported) and is surfaced by the JSON/SARIF reporters; stale \
          suppressions that match nothing in any pass are reported too.";
       `S Manpage.s_exit_status;
-      `P "0 on a clean tree, 1 on findings, 2 on internal/parse errors, 124 \
-          on usage errors.";
+      `P "0 on a clean tree, 1 on findings, 2 on internal/parse errors or a \
+          report that could not be written (no file is left at its path), \
+          124 on usage errors.";
     ]
   in
   Cmd.v

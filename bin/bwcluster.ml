@@ -69,13 +69,12 @@ let dataset_arg =
   Arg.(value & opt string "hp-small" & info [ "dataset" ] ~docv:"NAME" ~doc)
 
 let load_dataset ~seed name =
-  match Bwc_dataset.Planetlab.named ~seed name with
-  | Some ds -> ds
-  | None -> (
-      try Bwc_dataset.Dataset.load_csv ~name:(Filename.basename name) name
-      with Sys_error msg ->
-        Format.eprintf "bwcluster: cannot read dataset: %s@." msg;
-        exit exit_io)
+  match Bwc_dataset.Planetlab.load ~seed name with
+  | Ok ds -> ds
+  | Error e ->
+      Format.eprintf "bwcluster: cannot read dataset %s: %s@." name
+        (Bwc_dataset.Dataset.load_error_to_string e);
+      exit exit_io
 
 (* A numeric converter that rejects values outside [ok] while parsing,
    so every command gets Cmdliner's usage error (exit 124) before it

@@ -29,13 +29,11 @@ let logf fmt = Printf.eprintf ("bwclusterd: " ^^ fmt ^^ "\n%!")
 (* ----- dataset (same names as bwcluster) ----- *)
 
 let load_dataset ~seed name =
-  match Bwc_dataset.Planetlab.named ~seed name with
-  | Some ds -> ds
-  | None -> (
-      try Bwc_dataset.Dataset.load_csv ~name:(Filename.basename name) name
-      with Sys_error msg ->
-        logf "cannot read dataset: %s" msg;
-        exit exit_io)
+  match Bwc_dataset.Planetlab.load ~seed name with
+  | Ok ds -> ds
+  | Error e ->
+      logf "cannot read dataset %s: %s" name (Bwc_dataset.Dataset.load_error_to_string e);
+      exit exit_io
 
 (* ----- serve ----- *)
 

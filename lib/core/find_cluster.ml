@@ -44,15 +44,9 @@ let count_members space ~p ~q =
   done;
   !count
 
-let rec take k = function
-  | [] -> []
-  | x :: rest -> if k = 0 then [] else x :: take (k - 1) rest
-
-(* Pick k members, always keeping p and q (the diameter-realising pair is
-   certainly inside any wanted cluster of this group). *)
-let pick_k ~p ~q k members =
-  let others = List.filter (fun x -> x <> p && x <> q) members in
-  p :: q :: take (k - 2) others
+(* Whether point [x] is one of S*_uv's others, neither u nor v. *)
+let[@inline] other d ~u ~v ru rv duv x =
+  x <> u && x <> v && in_ball (Float.Array.get d (ru + x)) (Float.Array.get d (rv + x)) duv = 1
 
 let cluster_ok ~verify space ~l cluster =
   (not verify) || Space.diameter space cluster <= l *. (1.0 +. diam_tol)
@@ -62,29 +56,44 @@ let cluster_ok ~verify space ~l cluster =
    metrics: scanning by ascending predicted distance would systematically
    return the most over-confidently embedded pairs (the ones noise made
    look closest) and bias the accuracy evaluation; index order returns an
-   arbitrary satisfying pair instead. *)
-let iter_pairs_until n f =
-  try
-    for p = 0 to n - 1 do
-      for q = p + 1 to n - 1 do
-        f p q
-      done
-    done
-  with Exit -> ()
-
+   arbitrary satisfying pair instead.  The answer is p, q, then the
+   ball's first k - 2 others by ascending index, which S*_pq holds when
+   |S*_pq| >= k: the first loop finds where the last of them sits and
+   the second conses them back to front, so only the answer is
+   allocated. *)
 let find space ~k ~l =
   if k < 2 then invalid_arg "Find_cluster.find: k < 2";
-  if space.Space.n < k then None
+  let n = space.Space.n and d = space.Space.d in
+  if n < k then None
   else begin
-    let result = ref None in
-    iter_pairs_until space.Space.n (fun p q ->
-        if Float.Array.get space.Space.d ((p * space.Space.n) + q) <= l then begin
-          if count_members space ~p ~q >= k then begin
-            result := Some (pick_k ~p ~q k (members space ~p ~q));
-            raise Exit
-          end
-        end);
-    !result
+    let p = ref 0 and q = ref 1 and found = ref false in
+    while (not !found) && !p < n - 1 do
+      if Float.Array.get d ((!p * n) + !q) <= l && count_members space ~p:!p ~q:!q >= k then
+        found := true
+      else begin
+        incr q;
+        if !q = n then begin
+          incr p;
+          q := !p + 1
+        end
+      end
+    done;
+    if not !found then None
+    else begin
+      let p = !p and q = !q in
+      let rp = p * n and rq = q * n in
+      let dpq = Float.Array.get d (rp + q) in
+      let stop = ref 0 and need = ref (k - 2) in
+      while !need > 0 do
+        if other d ~u:p ~v:q rp rq dpq !stop then decr need;
+        incr stop
+      done;
+      let out = ref [] in
+      for x = !stop - 1 downto 0 do
+        if other d ~u:p ~v:q rp rq dpq x then out := x :: !out
+      done;
+      Some (p :: q :: !out)
+    end
   end
 
 (* The largest |S*_pq| over pairs with d(p,q) <= l, for every class l in
@@ -388,15 +397,9 @@ module Index = struct
       if limit < 0 then 1 else Int.max 1 t.prefix.(limit)
     end
 
-  (* Whether member [x] is one of S*_uv's others, neither u nor v. *)
-  let[@inline] other d ~u ~v ru rv duv x =
-    x <> u && x <> v
-    && in_ball (Float.Array.get d (ru + x)) (Float.Array.get d (rv + x)) duv = 1
-
-  (* [pick_k] over S*_uv ∩ members, which holds at least k of them: u, v,
-     then the ball's first k - 2 others by ascending id.  The first loop
-     finds where the last of those sits and the second conses them back
-     to front, so only the answer is allocated. *)
+  (* [find]'s pick over S*_uv ∩ members, which holds at least k of them:
+     u, v, then the ball's first k - 2 others by ascending id, by the
+     same two scans over the members. *)
   let cluster t ~u ~v k =
     let n = t.space.Space.n and d = t.space.Space.d in
     let ru = u * n and rv = v * n in

@@ -23,13 +23,15 @@ val diam_tol : float
 (** Relative slack ([1e-9]) applied when a cluster diameter is verified
     against the constraint [l]; shared by every verification path. *)
 
+(* bwclint: allow test-only-export -- reference oracle: test/test_core.ml's Theorem 3.1 and membership tests take S*_pq from it *)
 val members : Bwc_metric.Space.t -> p:int -> q:int -> int list
 (** [S*_pq], ascending node order ([p] and [q] are members). *)
 
 val find : Bwc_metric.Space.t -> k:int -> l:float -> int list option
 (** One-shot Algorithm 1.  Returns [k] members of the first satisfying
-    [S*_pq] ([p] and [q] always included), without verifying its
-    diameter. *)
+    [S*_pq] in index order: [p], [q], then its first [k - 2] other
+    members by ascending index, without verifying its diameter.  It
+    allocates only its answer. *)
 
 val max_sizes : Bwc_metric.Space.t -> ls:float array -> int array
 (** For each distance class [l] of [ls], the largest cluster size

@@ -32,7 +32,39 @@
     [<id>] is a client-chosen token (no spaces, no ['=']) echoed back on
     the response, which is how responses are matched to requests —
     admitted work answers out of order with respect to other classes.
-    Parsing and rendering are pure; both transports share them. *)
+    Parsing and rendering are pure; both transports share them.
+
+    The reader's grammar, exactly:
+    - The line splits at spaces into words, each trimmed of leading and
+      trailing tab, newline, carriage return and form feed (what
+      [String.trim] strips).  A word that trims to nothing is skipped, so
+      runs of spaces, leading and trailing blanks and blank words
+      separate nothing.  Verbs and keys are case-sensitive; the line may
+      hold any number of words.
+    - No word at all is [ERR empty line].
+    - [PING], [HEALTH], [STATS], [SNAPSHOT] and [SHUTDOWN] must stand
+      alone on the line.
+    - [QUERY], [JOIN], [LEAVE] and [MEAS] take the id as the next word,
+      which must hold no ['='].  Every later word of the form
+      [key=value] is a field: the key is the bytes before the word's
+      first ['='], the value the bytes after it, possibly empty or
+      holding more ['=']s.  The first word of each key counts.  Later
+      words of that key, words of other keys, words without ['='] and
+      words that start with ['='] are ignored.
+    - A value is read by [int_of_string_opt] or [float_of_string_opt],
+      so what those accept counts: a sign, [0x]/[0o]/[0b]/[0u]
+      prefixes, [_] separators, exponents, [nan] and [inf].  A decimal
+      int beyond the int range does not read, and a float beyond the
+      float range reads as an infinity.  A
+      required field that is missing or does not read makes the line
+      [ERR QUERY needs k=<int> b=<float> [deadline=<ticks>]] (likewise
+      [JOIN needs host=<int>], [LEAVE needs host=<int>] and
+      [MEAS needs src=<int> dst=<int> bw=<float>]).  A [deadline] that is
+      missing or does not read is no deadline.
+    - Anything else, a lone verb that has company, an id verb without a
+      valid id, or an unknown verb, is
+      [ERR unknown or malformed request "<verb>"], the first word
+      written as an OCaml string literal. *)
 
 type request =
   | Ping
@@ -86,7 +118,10 @@ type response =
   | Parse_error of { reason : string }
 
 val parse : string -> (request, string) result
-(** [Error] carries the reason the reactor echoes back as [ERR]. *)
+(** The grammar above.  [Error] carries the reason the reactor echoes
+    back as [ERR].  The line is read in place: only the id and the values
+    it converts are copied out of it. *)
 
 val render : response -> string
-(** The canonical single-line rendering (no trailing newline). *)
+(** The canonical single-line rendering (no trailing newline), written
+    into one buffer. *)

@@ -5,11 +5,12 @@ type t = {
   bw : Dmatrix.t;
 }
 
+let positive_finite v = Float.is_finite v && v > 0.0
+let bad_bandwidth i j v = Printf.sprintf "bandwidth (%d,%d) = %g must be positive and finite" i j v
+
 let validate bwm =
   Dmatrix.iter_pairs bwm (fun i j v ->
-      if not (Float.is_finite v) || v <= 0.0 then
-        invalid_arg
-          (Printf.sprintf "Dataset: bandwidth (%d,%d) = %g must be positive and finite" i j v))
+      if not (positive_finite v) then invalid_arg ("Dataset: " ^ bad_bandwidth i j v))
 
 let make ~name bwm =
   validate bwm;
@@ -53,31 +54,75 @@ let to_csv t =
   done;
   Buffer.contents b
 
-let load_csv ~name path =
+type load_error =
+  | Unreadable of string
+  | Empty
+  | Not_a_number of { row : int; col : int; cell : string }
+  | Not_square of { row : int; cells : int; rows : int }
+  | Bad_bandwidth of { i : int; j : int; bw : float }
+
+let load_error_to_string = function
+  | Unreadable msg -> msg
+  | Empty -> "no rows"
+  | Not_a_number { row; col; cell } -> Printf.sprintf "cell (%d,%d) = %S is not a number" row col cell
+  | Not_square { row; cells; rows } ->
+      Printf.sprintf "row %d has %d cells, but the matrix has %d rows" row cells rows
+  | Bad_bandwidth { i; j; bw } -> bad_bandwidth i j bw
+
+(* the non-blank lines, each split at commas into trimmed cells *)
+let read_rows path =
   let ic = open_in path in
-  let rows =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rows = ref [] in
-        (try
-           while true do
-             let line = String.trim (input_line ic) in
-             if line <> "" then begin
-               let cells = String.split_on_char ',' line in
-               let parse s =
-                 let s = String.trim s in
-                 if s = "inf" then Float.infinity else float_of_string s
-               in
-               rows := Array.of_list (List.map parse cells) :: !rows
-             end
-           done
-         with End_of_file -> ());
-        Array.of_list (List.rev !rows))
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let rows = ref [] in
+      (try
+         while true do
+           let line = String.trim (input_line ic) in
+           if line <> "" then
+             rows := Array.of_list (List.map String.trim (String.split_on_char ',' line)) :: !rows
+         done
+       with End_of_file -> ());
+      Array.of_list (List.rev !rows))
+
+let load_csv ~name path =
+  let exception Bad of load_error in
+  let number row col cell =
+    match float_of_string_opt cell with
+    | Some v -> v
+    | None -> raise (Bad (Not_a_number { row; col; cell }))
   in
-  let n = Array.length rows in
-  if n = 0 then failwith "Dataset.load_csv: empty file";
-  Array.iter
-    (fun r -> if Array.length r <> n then failwith "Dataset.load_csv: non-square matrix")
-    rows;
-  symmetrize_asymmetric ~name (fun i j -> rows.(i).(j)) n
+  let parse cells =
+    let n = Array.length cells in
+    if n = 0 then raise (Bad Empty);
+    let rows =
+      Array.mapi
+        (fun row r ->
+          if Array.length r <> n then
+            raise (Bad (Not_square { row; cells = Array.length r; rows = n }));
+          Array.mapi (number row) r)
+        cells
+    in
+    let raw i j = rows.(i).(j) in
+    (* the pairs [validate] checks, in its order, so that
+       [symmetrize_asymmetric] does not raise *)
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        let bw = Bwc_metric.Bandwidth.symmetrize (raw i j) (raw j i) in
+        if not (positive_finite bw) then raise (Bad (Bad_bandwidth { i; j; bw }))
+      done
+    done;
+    symmetrize_asymmetric ~name raw n
+  in
+  match parse (read_rows path) with
+  | ds -> Ok ds
+  | exception Sys_error msg ->
+      (* a failed open names the file in its message; the caller names
+         it once *)
+      let prefix = path ^ ": " in
+      let n = String.length prefix in
+      Error
+        (Unreadable
+           (if String.starts_with ~prefix msg then String.sub msg n (String.length msg - n)
+            else msg))
+  | exception Bad e -> Error e

@@ -50,6 +50,24 @@ val to_csv : t -> string
     [Bwc_persist.Codec.write_file]), so a failed write leaves no torn
     file. *)
 
-val load_csv : name:string -> string -> t
+(** Why a CSV file is not a dataset. *)
+type load_error =
+  | Unreadable of string
+      (** the system's message on opening or reading, without the file's
+          name *)
+  | Empty  (** no non-blank line *)
+  | Not_a_number of { row : int; col : int; cell : string }
+  | Not_square of { row : int; cells : int; rows : int }
+  | Bad_bandwidth of { i : int; j : int; bw : float }
+      (** a symmetrized bandwidth that is not positive and finite: a
+          [nan], zero, negative or infinite cell off the diagonal *)
+
+val load_error_to_string : load_error -> string
+(** One line, without the file's name. *)
+
+val load_csv : name:string -> string -> (t, load_error) result
 (** Reads a matrix written from {!to_csv} (or any full square CSV of
-    positive bandwidths); enforces symmetry by averaging. *)
+    positive bandwidths; blank lines are skipped, cells are trimmed and
+    read by [float_of_string_opt], so ["inf"] on the diagonal reads);
+    enforces symmetry by averaging.  Rows and columns count from 0 among
+    the non-blank lines.  Never raises. *)

@@ -72,3 +72,8 @@ let named ~seed = function
       Some
         (generate ~rng:(Rng.create seed) ~name:"UMD-like-small" { umd_target with n = 120 })
   | _ -> None
+
+let load ~seed name =
+  match named ~seed name with
+  | Some ds -> Ok ds
+  | None -> Dataset.load_csv ~name:(Filename.basename name) name

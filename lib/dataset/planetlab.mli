@@ -32,7 +32,9 @@ val hp_like : seed:int -> Dataset.t
 val umd_like : seed:int -> Dataset.t
 (** [generate] with {!umd_target}, named ["UMD-PlanetLab-like"]. *)
 
-val named : seed:int -> string -> Dataset.t option
-(** The named datasets [bwcluster] and [bwclusterd] accept: ["hp"]
-    ({!hp_like}), ["umd"] ({!umd_like}), and ["hp-small"]/["umd-small"]
-    (120-host variants for quick runs).  [None] for any other name. *)
+val load : seed:int -> string -> (Dataset.t, Dataset.load_error) result
+(** The dataset a [--dataset] argument names, the one loader of
+    [bwcluster] and [bwclusterd]: ["hp"] ({!hp_like}), ["umd"]
+    ({!umd_like}), ["hp-small"]/["umd-small"] (120-host variants for
+    quick runs), and any other name is the path of a CSV file
+    ({!Dataset.load_csv}, named after its base name). *)

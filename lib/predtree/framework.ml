@@ -16,10 +16,11 @@ type t = {
   tree : Tree.t;
   anchor : Anchor.t;
   labels : (int, Label.t) Hashtbl.t;
-  (* reverse insertion order (newest member first): joins prepend in
-     O(1) instead of copying the whole list with [@ [h]]; [members]
-     flips it back to root-first order on demand *)
-  mutable rev_order : int list;
+  (* the members in insertion order, root first, in [order.(0 .. count
+     - 1)]: a join appends, an eviction shifts the newer members down,
+     and [member_at] is an array read *)
+  order : int array;
+  mutable count : int;
   c_measurements : Registry.Counter.t;
 }
 
@@ -73,11 +74,11 @@ let check_host t h =
 let build ~rng ?(mode = default_mode) ?members ?metrics ?(metric_labels = []) space =
   let order =
     match members with
-    | None -> Array.to_list (Rng.permutation rng space.Space.n)
+    | None -> Rng.permutation rng space.Space.n
     | Some ms ->
         let ms = Array.of_list (List.sort_uniq compare ms) in
         Rng.shuffle rng ms;
-        Array.to_list ms
+        ms
   in
   let metrics = match metrics with Some m -> m | None -> Registry.create () in
   let t =
@@ -87,31 +88,29 @@ let build ~rng ?(mode = default_mode) ?members ?metrics ?(metric_labels = []) sp
       tree = Tree.create ();
       anchor = Anchor.create ();
       labels = Hashtbl.create space.Space.n;
-      rev_order = List.rev order;
+      order = Array.make space.Space.n 0;
+      count = 0;
       c_measurements =
         Registry.counter metrics ~labels:metric_labels "predtree.measurements";
     }
   in
-  List.iter
+  Array.iter
     (fun h ->
       check_host t h;
-      insert ~rng t h)
+      insert ~rng t h;
+      t.order.(t.count) <- h;
+      t.count <- t.count + 1)
     order;
   t
 
-let size t = Hashtbl.length t.labels
+let size t = t.count
 let tree t = t.tree
 let anchor t = t.anchor
-let members t = List.rev t.rev_order
+let members t = List.init t.count (fun i -> t.order.(i))
 
-(* position [i] of [members t], walked off the reverse list without
-   copying it; an [i] out of range walks off its end *)
 let member_at t i =
-  let rec walk k = function
-    | [] -> invalid_arg "Framework.member_at: out of range"
-    | h :: rest -> if k = 0 then h else walk (k - 1) rest
-  in
-  walk (size t - 1 - i) t.rev_order
+  if i < 0 || i >= t.count then invalid_arg "Framework.member_at: out of range";
+  t.order.(i)
 
 let label t h =
   match Hashtbl.find_opt t.labels h with
@@ -129,7 +128,8 @@ let add_host ~rng t h =
   if is_member t h then invalid_arg "Framework.add_host: already a member";
   (* membership is recorded only once the placement has succeeded *)
   if Tree.mem t.tree h then attach t h (tree_label t h) else insert ~rng t h;
-  t.rev_order <- h :: t.rev_order
+  t.order.(t.count) <- h;
+  t.count <- t.count + 1
 
 (* Every removal is an eviction: the host leaves membership and the
    overlay (orphans regraft to the grandparent), and the tree splices it
@@ -141,7 +141,14 @@ let evict_host t h =
   if not (is_member t h) then invalid_arg "Framework.evict_host: not a member";
   if size t <= 1 then invalid_arg "Framework.evict_host: cannot empty the framework";
   let chain = label t h in
-  t.rev_order <- List.filter (fun x -> x <> h) t.rev_order;
+  let i = ref 0 in
+  while t.order.(!i) <> h do
+    incr i
+  done;
+  for j = !i to t.count - 2 do
+    t.order.(j) <- t.order.(j + 1)
+  done;
+  t.count <- t.count - 1;
   Hashtbl.remove t.labels h;
   let rec splice i g =
     if Tree.remove_host t.tree ~host:g && i >= 0 && not (is_member t chain.(i).host) then
@@ -173,7 +180,7 @@ let dump t =
     d_anchor = Anchor.dump t.anchor;
     d_labels =
       List.map (fun h -> (h, Hashtbl.find t.labels h)) (Bwc_stats.Tbl.sorted_keys t.labels);
-    d_rev_order = t.rev_order;
+    d_rev_order = List.init t.count (fun i -> t.order.(t.count - 1 - i));
   }
 
 let of_dump ?metrics ?(metric_labels = []) space d =
@@ -208,13 +215,17 @@ let of_dump ?metrics ?(metric_labels = []) space d =
     d.d_labels;
   if Bwc_stats.Tbl.sorted_keys named <> List.map fst d.d_tree.Tree.d_hosts then
     fail "tree hosts are not the members and their label chains";
+  let count = List.length d.d_rev_order in
+  let order = Array.make space.Space.n 0 in
+  List.iteri (fun i h -> order.(count - 1 - i) <- h) d.d_rev_order;
   {
     space;
     mode = d.d_mode;
     tree;
     anchor;
     labels;
-    rev_order = d.d_rev_order;
+    order;
+    count;
     c_measurements =
       Registry.counter metrics ~labels:metric_labels "predtree.measurements";
   }

@@ -46,8 +46,9 @@ val members : t -> int list
 (** Current members in insertion order (root first). *)
 
 val member_at : t -> int -> int
-(** [member_at t i] is element [i] of {!members}, found without copying
-    the member list; raises [Invalid_argument] unless [0 <= i < size t]. *)
+(** [member_at t i] is element [i] of {!members}: an array read, O(1),
+    since the members are kept in insertion order in an array of the
+    space's size.  Raises [Invalid_argument] unless [0 <= i < size t]. *)
 
 val is_member : t -> int -> bool
 val tree : t -> Tree.t

@@ -1,6 +1,6 @@
 (* Seeded property-based differential harness.
 
-   Ten properties, each over freshly generated random inputs:
+   Eleven properties, each over freshly generated random inputs:
 
    1. churn-differential — after ANY sequence of Index.add_host /
       Index.remove_host events, the incrementally maintained
@@ -41,7 +41,10 @@
       (see below);
    10. codec-oracle — Codec's in-place token writer and container equal
       a naive Printf reference writer byte for byte, and read back (see
-      below).
+      below);
+   11. wire-oracle — Wire's in-place reader and one-buffer renderer
+      equal the list-based reader and Printf renderer they replaced on
+      random lines and responses (see below).
 
    The harness is deliberately NOT an alcotest suite: its stdout is
    fully deterministic for a given seed (no timings), so two runs with
@@ -1446,6 +1449,294 @@ let codec_oracle () =
     "%s: %d streams, %d tokens (%d floats), %d image bytes equal the reference writer's and read back, %d CRC ranges match the bitwise CRC [ok]\n"
     prop cases !tokens_total !floats !bytes !ranges
 
+(* 11. wire-oracle — Wire.parse reads a line in place and Wire.render
+   writes into one buffer.  Over random lines, the reader must give the
+   same result, request or error string, as the reference below: the
+   list-based reader that split the line at spaces, trimmed each word
+   and looked keys up in an assoc list.  Lines hold 0 to 40 words: every
+   verb (and unknown ones), ids with and without '=', key=value words
+   with the protocol's keys, unknown keys and an empty key, duplicate
+   keys, '=' inside values, empty values, bare words, words of random
+   bytes, words made only of tab, carriage return, newline or form
+   feed, and any word may carry such bytes at its ends; words are
+   separated by runs of spaces, with spaces before and after.  Values
+   are decimal, signed, hex, octal, binary, underscored and overflowing
+   ints, and floats with exponents, hex mantissas, nan, inf and 1e400.
+   Over random responses of every constructor, the renderer must write
+   what the reference Printf renderer writes: empty and long clusters,
+   bounds, ints from the whole range (negative, min_int and max_int
+   among them), and strings of any bytes. *)
+
+let reference_parse line =
+  let split_words line =
+    String.split_on_char ' ' line
+    |> List.filter_map (fun w ->
+           let w = String.trim w in
+           if w = "" then None else Some w)
+  in
+  let opt_assoc words =
+    List.filter_map
+      (fun w ->
+        match String.index_opt w '=' with
+        | Some i when i > 0 ->
+            Some (String.sub w 0 i, String.sub w (i + 1) (String.length w - i - 1))
+        | Some _ | None -> None)
+      words
+  in
+  let valid_id id = id <> "" && not (String.contains id '=') in
+  let int_field fields key = Option.bind (List.assoc_opt key fields) int_of_string_opt in
+  let float_field fields key = Option.bind (List.assoc_opt key fields) float_of_string_opt in
+  match split_words line with
+  | [] -> Error "empty line"
+  | [ "PING" ] -> Ok Wire.Ping
+  | [ "HEALTH" ] -> Ok Wire.Health
+  | [ "STATS" ] -> Ok Wire.Stats
+  | [ "SNAPSHOT" ] -> Ok Wire.Snapshot_req
+  | [ "SHUTDOWN" ] -> Ok Wire.Shutdown
+  | "QUERY" :: id :: rest when valid_id id -> (
+      let fields = opt_assoc rest in
+      match (int_field fields "k", float_field fields "b") with
+      | Some k, Some b -> Ok (Wire.Query { id; k; b; deadline = int_field fields "deadline" })
+      | _ -> Error "QUERY needs k=<int> b=<float> [deadline=<ticks>]")
+  | "JOIN" :: id :: rest when valid_id id -> (
+      match int_field (opt_assoc rest) "host" with
+      | Some host -> Ok (Wire.Join { id; host })
+      | None -> Error "JOIN needs host=<int>")
+  | "LEAVE" :: id :: rest when valid_id id -> (
+      match int_field (opt_assoc rest) "host" with
+      | Some host -> Ok (Wire.Leave { id; host })
+      | None -> Error "LEAVE needs host=<int>")
+  | "MEAS" :: id :: rest when valid_id id -> (
+      let fields = opt_assoc rest in
+      match (int_field fields "src", int_field fields "dst", float_field fields "bw") with
+      | Some src, Some dst, Some mbps -> Ok (Wire.Measure { id; src; dst; mbps })
+      | _ -> Error "MEAS needs src=<int> dst=<int> bw=<float>")
+  | verb :: _ -> Error (Printf.sprintf "unknown or malformed request %S" verb)
+
+let reference_render = function
+  | Wire.Pong -> "PONG"
+  | Wire.Answer { id; cluster; hops; served; degraded; staleness; bounds } ->
+      let members =
+        match cluster with
+        | None -> "none"
+        | Some hosts -> String.concat "," (List.map string_of_int hosts)
+      in
+      let tail =
+        match bounds with
+        | None -> ""
+        | Some (lo, hi) -> Printf.sprintf " lo=%d hi=%d" lo hi
+      in
+      Printf.sprintf "OK %s cluster=%s hops=%d served=%s degraded=%d staleness=%d%s" id
+        members hops
+        (match served with Wire.Live -> "live" | Wire.Index -> "index")
+        (if degraded then 1 else 0)
+        staleness tail
+  | Wire.Acked { id; cls; applied } ->
+      Printf.sprintf "ACK %s class=%s applied=%d" id cls (if applied then 1 else 0)
+  | Wire.Shed { id; cls; reason } -> Printf.sprintf "SHED %s class=%s reason=%s" id cls reason
+  | Wire.Timeout { id; waited; deadline } ->
+      Printf.sprintf "TIMEOUT %s waited=%d deadline=%d" id waited deadline
+  | Wire.Rejected { id; reason; attempts } ->
+      Printf.sprintf "REJECTED %s reason=%s attempts=%d" id reason attempts
+  | Wire.Health_report { mode; members; staleness; depth_churn; depth_query; depth_meas } ->
+      Printf.sprintf "HEALTH mode=%s members=%d staleness=%d q_churn=%d q_query=%d q_meas=%d"
+        mode members staleness depth_churn depth_query depth_meas
+  | Wire.Stats_json json -> "STATS " ^ json
+  | Wire.Snapshotting -> "SNAPSHOTTING"
+  | Wire.Draining -> "DRAINING"
+  | Wire.Parse_error { reason } -> "ERR " ^ reason
+
+(* a parse result as text, floats by their bits, so that a nan equals
+   itself *)
+let show_parse = function
+  | Error e -> Printf.sprintf "Error %S" e
+  | Ok r -> (
+      let f x = Printf.sprintf "%Lx" (Int64.bits_of_float x) in
+      match r with
+      | Wire.Ping -> "Ping"
+      | Wire.Health -> "Health"
+      | Wire.Stats -> "Stats"
+      | Wire.Snapshot_req -> "Snapshot_req"
+      | Wire.Shutdown -> "Shutdown"
+      | Wire.Query { id; k; b; deadline } ->
+          Printf.sprintf "Query %S k=%d b=%s deadline=%s" id k (f b)
+            (match deadline with None -> "none" | Some d -> string_of_int d)
+      | Wire.Join { id; host } -> Printf.sprintf "Join %S %d" id host
+      | Wire.Leave { id; host } -> Printf.sprintf "Leave %S %d" id host
+      | Wire.Measure { id; src; dst; mbps } ->
+          Printf.sprintf "Measure %S %d %d %s" id src dst (f mbps))
+
+let wire_oracle () =
+  let prop = "wire-oracle" in
+  let pick rng a = a.(Rng.int rng (Array.length a)) in
+  let verbs =
+    [| "PING"; "HEALTH"; "STATS"; "SNAPSHOT"; "SHUTDOWN"; "QUERY"; "JOIN"; "LEAVE"; "MEAS";
+       "QUERY"; "MEAS"; "query"; "PINGS"; "QUER"; "BOGUS" |]
+  in
+  let keys = [| "k"; "b"; "deadline"; "host"; "src"; "dst"; "bw"; "kk"; "K"; "dead"; "" |] in
+  let blanks = [| "\t"; "\r"; "\n"; "\012"; "\t\r"; "\r\n"; "\012\t" |] in
+  let ints =
+    [| "0"; "7"; "-3"; "+5"; "0x1f"; "-0x10"; "0o17"; "0b101"; "0u12"; "1_000"; "_1"; "1__2";
+       "4611686018427387903"; "4611686018427387904"; "-4611686018427387904";
+       "-4611686018427387905"; "99999999999999999999"; "0x7fffffffffffffff"; "12a"; "1.0";
+       "" |]
+  in
+  let floats =
+    [| "12.5"; "1"; "-2.25"; "+3"; ".5"; "5."; "1e3"; "1E-3"; "1e400"; "-1e400"; "1e-400";
+       "nan"; "NaN"; "-nan"; "inf"; "-inf"; "infinity"; "0x1p3"; "0x1.8p-2"; "1_0.5"; "1e";
+       "e5"; "1.5.2"; "" |]
+  in
+  let gen_bytes rng len = String.init len (fun _ -> Char.chr (Rng.int rng 256)) in
+  let gen_name rng =
+    String.init (1 + Rng.int rng 6) (fun _ -> "abcxyz019_-.".[Rng.int rng 12])
+  in
+  let gen_value rng =
+    match Rng.int rng 8 with
+    | 0 | 1 | 2 -> pick rng ints
+    | 3 | 4 -> pick rng floats
+    | 5 -> string_of_int (Rng.int rng 2000 - 1000)
+    | 6 -> pick rng ints ^ "=" ^ pick rng floats
+    | _ -> gen_bytes rng (Rng.int rng 4)
+  in
+  let gen_word rng =
+    let w =
+      match Rng.int rng 12 with
+      | 0 | 1 | 2 | 3 | 4 -> pick rng keys ^ "=" ^ gen_value rng
+      | 5 -> pick rng verbs
+      | 6 -> gen_name rng
+      | 7 -> gen_name rng ^ "=" ^ gen_name rng
+      | 8 -> pick rng blanks
+      | 9 -> gen_bytes rng (1 + Rng.int rng 5)
+      | 10 -> "=" ^ gen_value rng
+      | _ -> pick rng keys ^ "="
+    in
+    (* blank bytes at a word's ends, which trimming takes off *)
+    let w = if Rng.int rng 5 = 0 then pick rng blanks ^ w else w in
+    if Rng.int rng 5 = 0 then w ^ pick rng blanks else w
+  in
+  let gen_id rng =
+    match Rng.int rng 6 with
+    | 0 -> gen_name rng ^ "=" ^ gen_name rng
+    | 1 -> pick rng blanks ^ gen_name rng
+    | _ -> gen_name rng
+  in
+  (* a request's own keys in any order, each with a good value or a
+     random one, among a few random words, and now and then a key
+     twice *)
+  let gen_request rng =
+    let verb, fields =
+      match Rng.int rng 4 with
+      | 0 -> ("QUERY", [ ("k", `Int); ("b", `Float); ("deadline", `Int) ])
+      | 1 -> ("JOIN", [ ("host", `Int) ])
+      | 2 -> ("LEAVE", [ ("host", `Int) ])
+      | _ -> ("MEAS", [ ("src", `Int); ("dst", `Int); ("bw", `Float) ])
+    in
+    let field (key, kind) =
+      let good =
+        match kind with
+        | `Int -> string_of_int (Rng.int rng 200 - 20)
+        | `Float -> Printf.sprintf "%g" (Rng.float rng 100.)
+      in
+      key ^ "=" ^ if Rng.int rng 5 = 0 then gen_value rng else good
+    in
+    let fields = Array.of_list fields in
+    Rng.shuffle rng fields;
+    let words =
+      List.concat_map
+        (fun f ->
+          let extra = List.init (Rng.int rng 2) (fun _ -> gen_word rng) in
+          let twice = if Rng.int rng 6 = 0 then [ field f ] else [] in
+          extra @ (field f :: twice))
+        (Array.to_list fields)
+    in
+    verb :: gen_id rng :: words
+  in
+  let gen_line rng =
+    let words =
+      match Rng.int rng 6 with
+      | 0 -> List.init (Rng.int rng 41) (fun _ -> gen_word rng)
+      | 1 -> [ pick rng verbs ]
+      | 2 | 3 -> pick rng verbs :: gen_id rng :: List.init (Rng.int rng 39) (fun _ -> gen_word rng)
+      | _ -> gen_request rng
+    in
+    let sep () = String.make (1 + (if Rng.int rng 4 = 0 then Rng.int rng 3 else 0)) ' ' in
+    let edge () = if Rng.int rng 4 = 0 then String.make (1 + Rng.int rng 2) ' ' else "" in
+    let body = List.fold_left (fun acc w -> if acc = "" then w else acc ^ sep () ^ w) "" words in
+    edge () ^ body ^ edge ()
+  in
+  let rec pow10 k = if k = 0 then 1 else 10 * pow10 (k - 1) in
+  let gen_int rng =
+    match Rng.int rng 4 with
+    | 0 -> (
+        match Rng.int rng 4 with
+        | 0 -> min_int
+        | 1 -> max_int
+        | 2 -> 0
+        | _ ->
+            let p = pow10 (Rng.int rng 19) in
+            pick rng [| p; p - 1; -p; 1 - p |])
+    | 1 -> Int64.to_int (Rng.bits64 rng)
+    | _ -> Rng.int rng 2000 - 1000
+  in
+  let gen_str rng = if Rng.bool rng then gen_name rng else gen_bytes rng (Rng.int rng 8) in
+  let gen_response rng =
+    match Rng.int rng 11 with
+    | 0 | 1 | 2 ->
+        Wire.Answer
+          {
+            id = gen_str rng;
+            cluster =
+              (match Rng.int rng 4 with
+              | 0 -> None
+              | 1 -> Some []
+              | _ -> Some (List.init (1 + Rng.int rng 15) (fun _ -> gen_int rng)));
+            hops = gen_int rng;
+            served = (if Rng.bool rng then Wire.Live else Wire.Index);
+            degraded = Rng.bool rng;
+            staleness = gen_int rng;
+            bounds = (if Rng.bool rng then None else Some (gen_int rng, gen_int rng));
+          }
+    | 3 -> Wire.Acked { id = gen_str rng; cls = gen_str rng; applied = Rng.bool rng }
+    | 4 -> Wire.Shed { id = gen_str rng; cls = gen_str rng; reason = gen_str rng }
+    | 5 -> Wire.Timeout { id = gen_str rng; waited = gen_int rng; deadline = gen_int rng }
+    | 6 -> Wire.Rejected { id = gen_str rng; reason = gen_str rng; attempts = gen_int rng }
+    | 7 ->
+        Wire.Health_report
+          {
+            mode = gen_str rng;
+            members = gen_int rng;
+            staleness = gen_int rng;
+            depth_churn = gen_int rng;
+            depth_query = gen_int rng;
+            depth_meas = gen_int rng;
+          }
+    | 8 -> Wire.Stats_json (gen_str rng)
+    | 9 -> Wire.Parse_error { reason = gen_str rng }
+    | _ -> pick rng [| Wire.Pong; Wire.Snapshotting; Wire.Draining |]
+  in
+  let lines = ref 0 and requests = ref 0 and responses = ref 0 in
+  for case = 0 to cases - 1 do
+    let rng = case_rng (1_100_000 + case) in
+    for _ = 1 to 200 do
+      let line = gen_line rng in
+      let got = show_parse (Wire.parse line) and want = show_parse (reference_parse line) in
+      if not (String.equal got want) then
+        fail_case prop case "line %S parses as %s, reference %s" line got want;
+      incr lines;
+      if Result.is_ok (Wire.parse line) then incr requests
+    done;
+    for _ = 1 to 100 do
+      let r = gen_response rng in
+      let got = Wire.render r and want = reference_render r in
+      if not (String.equal got want) then
+        fail_case prop case "a response renders as %S, reference %S" got want;
+      incr responses
+    done
+  done;
+  Printf.printf
+    "%s: %d lines (%d requests) parse as the reference reader's, %d responses render as the reference renderer's [ok]\n"
+    prop !lines !requests !responses
+
 let () =
   Printf.printf "bwc property harness (seed %d, %d churn sequences)\n" seed cases;
   churn_differential ();
@@ -1458,4 +1749,5 @@ let () =
   cached_space ();
   fixpoint_oracle ();
   codec_oracle ();
+  wire_oracle ();
   Printf.printf "all properties hold\n"

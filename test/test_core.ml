@@ -1733,25 +1733,6 @@ let test_protocol_single_class () =
 (* ----- allocation: the kernels read unboxed distances and the index
    deltas reuse their arrays ----- *)
 
-(* Words [f] allocates: the minor heap's from [Gc.minor_words], plus
-   blocks too large for it, which go straight to the major heap (the
-   major words of [Gc.counters] less promotions).  The minor heap is
-   emptied first so nothing older is promoted meanwhile, and the
-   counters' own boxes are measured on a no-op and taken off.  The
-   counts are deterministic for a given program. *)
-let words_allocated f =
-  let measure f =
-    Gc.minor ();
-    let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
-    f ();
-    let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
-    minor1 -. minor0 +. (major1 -. promoted1 -. (major0 -. promoted0))
-  in
-  measure f -. measure ignore
-
-let check_words what ~bound words =
-  if words > bound then Alcotest.failf "%s allocated %.0f words, bound %.0f" what words bound
-
 let test_alloc_index_deltas () =
   (* a = 200 members of a 240-point universe: 19,900 pairs.  Measured:
      963 words for the join (its a - 1 fresh pairs and their in-place
@@ -1761,9 +1742,10 @@ let test_alloc_index_deltas () =
   let space = tree_space ~seed:31 240 in
   let idx = Find_cluster.Index.build_subset space (List.init 200 Fun.id) in
   let bound = 10.0 *. 200.0 in
-  check_words "remove_host" ~bound
-    (words_allocated (fun () -> Find_cluster.Index.remove_host idx 17));
-  check_words "add_host" ~bound (words_allocated (fun () -> Find_cluster.Index.add_host idx 17));
+  Alloc.check_words "remove_host" ~bound
+    (Alloc.words_allocated (fun () -> Find_cluster.Index.remove_host idx 17));
+  Alloc.check_words "add_host" ~bound
+    (Alloc.words_allocated (fun () -> Find_cluster.Index.add_host idx 17));
   Alcotest.(check int) "membership restored" 200 (Find_cluster.Index.size idx)
 
 (* Words the heap holds after [f], with what it returns kept alive,
@@ -1801,49 +1783,57 @@ let test_alloc_index_find () =
   List.iter
     (fun k ->
       let found = ref None in
-      let words = words_allocated (fun () -> found := Find_cluster.Index.find idx ~k ~l) in
+      let words =
+        Alloc.words_allocated (fun () -> found := Find_cluster.Index.find idx ~k ~l)
+      in
       Alcotest.(check bool) "feasible" true (!found <> None);
-      check_words (Printf.sprintf "find k=%d" k) ~bound:(float_of_int ((3 * k) + 2)) words)
+      Alloc.check_words (Printf.sprintf "find k=%d" k)
+        ~bound:(float_of_int ((3 * k) + 2))
+        words)
     [ 8; Find_cluster.Index.max_size idx ~l ]
 
 let test_alloc_kernels () =
   (* n = 80: 3,160 pairs and about 250,000 distance reads per full scan.
-     Measured: 6 words for [max_sizes] (its result row), 11 for an
-     infeasible [find] that counts every pair, 84 for a feasible [find]
-     that builds its answer from list cells.  The bound n = 80 words for
-     the scans (a 7x margin) is far below one box per pair, let alone
-     per distance read; the feasible scan gets 10 n. *)
+     Measured: 6 words for [max_sizes] (its result row), none for an
+     infeasible [find] that counts every pair, and 26 for a feasible
+     [find] at k = 8: its answer's k list cells and its option, 3 k + 2
+     words, which the answer alone needs, so the pick allocates nothing
+     else (building S*_pq as a list, filtering it and taking k - 2 of it
+     cost 84).  The bound n = 80 words for [max_sizes] (a 13x margin) is
+     far below one box per pair, let alone per distance read. *)
   let n = 80 in
   let space = tree_space ~seed:32 n in
   let values = Bwc_metric.Dmatrix.off_diagonal_values (Space.to_dmatrix space) in
   let l = Bwc_stats.Summary.median values in
   let ls = Array.init 5 (fun i -> float_of_int (i + 1) *. l /. 2.0) in
-  let bound = float_of_int n in
-  check_words "max_sizes" ~bound
-    (words_allocated (fun () -> ignore (Find_cluster.max_sizes space ~ls)));
+  Alloc.check_words "max_sizes" ~bound:(float_of_int n)
+    (Alloc.words_allocated (fun () -> ignore (Find_cluster.max_sizes space ~ls)));
   let found = ref None in
-  check_words "infeasible find" ~bound
-    (words_allocated (fun () -> found := Find_cluster.find space ~k:n ~l));
+  Alloc.check_words "infeasible find" ~bound:0.0
+    (Alloc.words_allocated (fun () -> found := Find_cluster.find space ~k:n ~l));
   Alcotest.(check bool) "infeasible" true (!found = None);
-  check_words "feasible find" ~bound:(10.0 *. bound)
-    (words_allocated (fun () -> found := Find_cluster.find space ~k:8 ~l));
-  Alcotest.(check bool) "feasible" true (!found <> None)
+  let k = 8 in
+  Alloc.check_words "feasible find" ~bound:(float_of_int ((3 * k) + 2))
+    (Alloc.words_allocated (fun () -> found := Find_cluster.find space ~k ~l));
+  Alcotest.(check (option int)) "an answer of k hosts" (Some k) (Option.map List.length !found)
 
 let test_alloc_live_query () =
-  (* hp-like n = 190, a live query at a random member.  Measured: 156
+  (* hp-like n = 190, a live query at a random member.  Measured: 107
      words a query (the answer, the routing path, the protocol's
-     bookkeeping).  Copying the member list to draw the submission host,
-     or boxing the distances of the local scans, each cost hundreds of
-     words a query.  The bound, 581 words, leaves a 3.7x margin. *)
+     bookkeeping); 154 while the one-shot [find] that answers at the
+     submission host built S*_pq as a list to pick from.  Copying the
+     member list to draw the submission host, or boxing the distances of
+     the local scans, each cost hundreds of words a query.  The bound,
+     581 words, leaves a 5.4x margin. *)
   let ds = Bwc_dataset.Planetlab.hp_like ~seed:1 in
   let sys = Dynamic.create ~seed:1 ds in
   let rng = Rng.create 9 in
   let queries = Array.init 200 (fun _ -> (2 + Rng.int rng 11, 10.0 +. Rng.float rng 80.0)) in
   let words =
-    words_allocated (fun () ->
+    Alloc.words_allocated (fun () ->
         Array.iter (fun (k, b) -> ignore (Dynamic.query sys ~k ~b)) queries)
   in
-  check_words "a live query" ~bound:581.0 (words /. 200.0)
+  Alloc.check_words "a live query" ~bound:581.0 (words /. 200.0)
 
 let test_alloc_find_feeder () =
   (* hp-like n = 190, 5 targets: the search reads the label distances
@@ -1854,8 +1844,8 @@ let test_alloc_find_feeder () =
   let sys = Dynamic.create ~seed:1 (Bwc_dataset.Planetlab.hp_like ~seed:1) in
   let targets = [ 0; 1; 2; 3; 4 ] in
   let found = ref None in
-  check_words "find_feeder" ~bound:150_000.0
-    (words_allocated (fun () -> found := Dynamic.find_feeder sys ~targets));
+  Alloc.check_words "find_feeder" ~bound:150_000.0
+    (Alloc.words_allocated (fun () -> found := Dynamic.find_feeder sys ~targets));
   Alcotest.(check bool) "a feeder outside the targets" true
     (match !found with Some (f, _) -> not (List.mem f targets) | None -> false)
 
@@ -1872,13 +1862,13 @@ let test_alloc_repropagation () =
   let p = Dynamic.protocol sys in
   let sent = Protocol.messages_sent p in
   let words =
-    words_allocated (fun () ->
+    Alloc.words_allocated (fun () ->
         Protocol.mark_all_dirty p;
         ignore (Protocol.run_round p : bool))
   in
   Alcotest.(check int) "nothing sent" sent (Protocol.messages_sent p);
   Alcotest.(check bool) "quiescent again" true (Protocol.quiescent p);
-  check_words "a repropagation round" ~bound:30_000.0 words
+  Alloc.check_words "a repropagation round" ~bound:30_000.0 words
 
 let test_find_feeder_among_members () =
   (* hosts outside the overlay have no labels: only members compete *)

@@ -95,6 +95,37 @@ let test_wire_render () =
          Wire.Rejected { id = "x"; reason = "bad_host"; attempts = 0 };
        ])
 
+let test_wire_render_alloc () =
+  (* an OK line at k = 12, 108 bytes.  Measured: 40 words, the buffer
+     (its record and 128 bytes, 25 words) and the line (15); the Printf
+     renderer, with a list of host strings to concatenate, took 228 *)
+  let answer =
+    Wire.Answer
+      {
+        id = "q123456";
+        cluster = Some (List.init 12 (fun i -> 100 + i));
+        hops = 0;
+        served = Wire.Live;
+        degraded = false;
+        staleness = 0;
+        bounds = None;
+      }
+  in
+  let line = ref "" in
+  Alloc.check_words "render" ~bound:48.0
+    (Alloc.words_allocated (fun () -> line := Wire.render answer));
+  Alcotest.(check int) "one line" 108 (String.length !line)
+
+let test_wire_parse_alloc () =
+  (* Measured: 19 words, the id, the two values and their numbers, and
+     the request; the list reader, which copied every word and its key,
+     took 85 *)
+  let parsed = ref (Error "") in
+  Alloc.check_words "parse" ~bound:24.0
+    (Alloc.words_allocated (fun () -> parsed := Wire.parse "QUERY q123456 k=7 b=42.5"));
+  Alcotest.(check bool) "a query" true
+    (match !parsed with Ok (Wire.Query { k = 7; deadline = None; _ }) -> true | _ -> false)
+
 (* ----- immediate requests ----- *)
 
 let test_immediate () =
@@ -711,6 +742,8 @@ let () =
         [
           Alcotest.test_case "parse" `Quick test_wire_parse;
           Alcotest.test_case "render" `Quick test_wire_render;
+          Alcotest.test_case "render allocates its line" `Quick test_wire_render_alloc;
+          Alcotest.test_case "parse allocates its request" `Quick test_wire_parse_alloc;
         ] );
       ( "reactor",
         [

@@ -57,7 +57,12 @@ let test_csv_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Bwc_persist.Codec.write_file path (Dataset.to_csv ds);
-      let ds2 = Dataset.load_csv ~name:"csv-test" path in
+      let ds2 =
+        match Bwc_dataset.Planetlab.load ~seed:1 path with
+        | Ok ds2 -> ds2
+        | Error e -> Alcotest.failf "refused: %s" (Dataset.load_error_to_string e)
+      in
+      Alcotest.(check string) "named after the file" (Filename.basename path) ds2.Dataset.name;
       Alcotest.(check int) "size" (Dataset.size ds) (Dataset.size ds2);
       for i = 0 to Dataset.size ds - 1 do
         for j = i + 1 to Dataset.size ds - 1 do
@@ -65,6 +70,44 @@ let test_csv_roundtrip () =
             Alcotest.failf "cell (%d,%d) mismatch" i j
         done
       done)
+
+(* Each way a CSV file fails to be a dataset is its own error, never an
+   exception. *)
+let test_csv_errors () =
+  let load contents =
+    let path = Filename.temp_file "bwc" ".csv" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Bwc_persist.Codec.write_file path contents;
+        Dataset.load_csv ~name:"bad" path)
+  in
+  let refused what contents ok =
+    match load contents with
+    | Error e when ok e -> ()
+    | Error e -> Alcotest.failf "%s: refused as %s" what (Dataset.load_error_to_string e)
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+  in
+  refused "nan cell" "inf,nan,1\n2,inf,3\n4,5,inf\n" (function
+    | Dataset.Bad_bandwidth { i = 0; j = 1; bw } -> Float.is_nan bw
+    | _ -> false);
+  refused "zero cells" "inf,0\n0,inf\n" (function
+    | Dataset.Bad_bandwidth { i = 0; j = 1; _ } -> true
+    | _ -> false);
+  refused "non-square" "inf,1,2\n1,inf\n2,3,inf\n" (function
+    | Dataset.Not_square { row = 1; cells = 2; rows = 3 } -> true
+    | _ -> false);
+  refused "not a number" "inf,1\n\n1,fast\n" (function
+    | Dataset.Not_a_number { row = 1; col = 1; cell = "fast" } -> true
+    | _ -> false);
+  refused "empty" " \n\n" (function Dataset.Empty -> true | _ -> false);
+  (match Dataset.load_csv ~name:"missing" "/nonexistent-dir/d.csv" with
+  | Error (Dataset.Unreadable msg) ->
+      Alcotest.(check bool) "the caller names the file, not the message" false
+        (String.starts_with ~prefix:"/nonexistent-dir/d.csv" msg)
+  | _ -> Alcotest.fail "a missing file is unreadable");
+  Alcotest.(check bool) "a name is not a path" true
+    (Result.is_ok (Bwc_dataset.Planetlab.load ~seed:1 "hp-small"))
 
 (* ----- generators ----- *)
 
@@ -235,6 +278,7 @@ let () =
           Alcotest.test_case "random subset" `Quick test_random_subset;
           Alcotest.test_case "percentile range" `Quick test_percentile_range;
           Alcotest.test_case "csv roundtrip" `Quick test_csv_roundtrip;
+          Alcotest.test_case "csv errors" `Quick test_csv_errors;
         ] );
       ( "generators",
         [
